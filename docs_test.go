@@ -65,7 +65,7 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		"internal/serve/stats.go":       {`StageQueueWait = "queue_wait"`, `StageEncode = "encode"`},
 		"internal/serve/serve.go":       {"func (s *Server) CallTrace"},
 		"internal/metrics/histogram.go": {"func LatencyBuckets"},
-		"cmd/benchsnap/main.go":         {"jag-bench/v1"},
+		"cmd/benchsnap/main.go":         {"jag-bench/v1", `"table"`},
 		"cmd/jagserve/main.go":          {`"debug-addr"`, `"log-format"`},
 		// docs/FLEET.md's contract surface: the proxy library, its CLI
 		// flags, the typed retry classification, the fleet capacity
@@ -83,7 +83,10 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		"internal/lint/lint.go":           {"func All", "lint:ignore"},
 		"internal/lint/lint_test.go":      {"func TestSuiteCleanOnRepo"},
 		"internal/serve/registry_test.go": {"func TestReplaceLeakedAcquireForcesClose"},
-		".github/workflows/ci.yml":        {"static-analysis:", "race-stress:", "gofmt -s -l", "examples/fleet", "ProxyOverhead"},
+		".github/workflows/ci.yml":        {"static-analysis:", "race-stress:", "gofmt -s -l", "examples/fleet", "ProxyOverhead", "GemmTN128", "FuzzGemmMatchesReference", "GOARCH=arm64 go vet"},
+		// EXPERIMENTS.md's Kernels section and the verify notes.
+		"internal/tensor/kernel_test.go": {"func FuzzGemmMatchesReference", "func TestMicroKernelsMatchScalar"},
+		"internal/core/core_test.go":     {"func TestRunPopulationGolden"},
 	} {
 		body, err := os.ReadFile(file)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -76,6 +77,58 @@ func TestRunPopulationLTFBDeterministic(t *testing.T) {
 				t.Fatalf("round %d trainer %d: %v vs %v", r, k, a.RoundLosses[r][k], b.RoundLosses[r][k])
 			}
 		}
+	}
+}
+
+// TestRunPopulationGolden pins a whole LTFB run — forward, backward, Adam,
+// allreduce, tournaments, evaluation — to the validation losses and adoption
+// count the commit before the SIMD micro-kernels (PR 13) produced on this
+// configuration. A kernel that drifts by one ulp changes these bits, and
+// sooner or later a tournament verdict; it must fail here, not silently
+// re-roll every experiment. The config uses the real Tiny8 layer widths, two
+// ranks per trainer and 7 rows per rank, so the grouped kernels, their k%4
+// remainder and the allreduce are all on the path.
+func TestRunPopulationGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits are amd64's: other ports may fuse the multiply-adds outside internal/tensor's kernels")
+	}
+	res, err := RunPopulation(QualityConfig{
+		Geometry:        jag.Tiny8,
+		Model:           cyclegan.DefaultConfig(jag.Tiny8),
+		Trainers:        3,
+		RanksPerTrainer: 2,
+		TrainSamples:    192,
+		ValSamples:      48,
+		TournSamples:    16,
+		BatchSize:       14,
+		Rounds:          4,
+		RoundSteps:      4,
+		Seed:            7,
+		Partition:       PartitionContiguous,
+		LTFB:            true,
+		LRJitter:        0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{
+		{0.7216002345085144, 0.7244170308113098, 0.7216002345085144},
+		{0.7195746898651123, 0.7195746898651123, 0.714418351650238},
+		{0.7163851261138916, 0.7163851261138916, 0.6967565417289734},
+		{0.7111465334892273, 0.7111465334892273, 0.6556907296180725},
+	}
+	if len(res.RoundLosses) != len(want) {
+		t.Fatalf("%d rounds, want %d", len(res.RoundLosses), len(want))
+	}
+	for r, round := range want {
+		for k, w := range round {
+			if got := res.RoundLosses[r][k]; got != w {
+				t.Errorf("round %d trainer %d: validation loss %v, want %v", r, k, got, w)
+			}
+		}
+	}
+	if res.Adoptions != 4 {
+		t.Errorf("%d adoptions, want 4", res.Adoptions)
 	}
 }
 

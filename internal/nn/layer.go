@@ -103,26 +103,34 @@ func (l *Linear) OutDim(int) int { return l.Out }
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
-	mask *tensor.Matrix // 1 where input > 0
+	x *tensor.Matrix // forward input; Backward gates on its sign
 }
 
-// Forward computes max(0, x).
+// Forward computes max(0, x) and caches the input. It builds no mask, so an
+// inference pass allocates only its output.
 func (r *ReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
+	r.x = x
 	y := tensor.New(x.Rows, x.Cols)
-	r.mask = tensor.New(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
 			y.Data[i] = v
-			r.mask.Data[i] = 1
 		}
 	}
 	return y
 }
 
-// Backward gates dy by the forward-pass activation mask.
+// Backward gates dy by the sign of the cached input. The gate is a multiply
+// by 0 or 1, not a branch, so a blocked −x, Inf or NaN gradient yields the
+// −0 or NaN a mask multiply would.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	dx := tensor.New(dy.Rows, dy.Cols)
-	tensor.Hadamard(dx, dy, r.mask)
+	for i, v := range r.x.Data {
+		var gate float32
+		if v > 0 {
+			gate = 1
+		}
+		dx.Data[i] = dy.Data[i] * gate
+	}
 	return dx
 }
 

@@ -334,3 +334,47 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 		net.Backward(dy)
 	}
 }
+
+// TestReLUGateMatchesMaskMultiply pins the bits of ReLU.Backward to the 0/1
+// mask multiply it replaced (−0 and NaN included), after a training and
+// after an inference forward pass, and checks that an inference pass
+// allocates its output and nothing else.
+func TestReLUGateMatchesMaskMultiply(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	x := tensor.FromSlice(2, 4, []float32{-1, 0, 2, 3, -4, 5, nan, -6})
+	dy := tensor.FromSlice(2, 4, []float32{7, -8, -9, nan, -inf, inf, 1, -2})
+	want := make([]uint32, len(x.Data))
+	for i, v := range x.Data {
+		var mask float32
+		if v > 0 {
+			mask = 1
+		}
+		want[i] = math.Float32bits(dy.Data[i] * mask)
+	}
+	for _, training := range []bool{true, false} {
+		r := &ReLU{}
+		y := r.Forward(x, training)
+		for i, v := range x.Data {
+			var relu float32
+			if v > 0 {
+				relu = v
+			}
+			if y.Data[i] != relu {
+				t.Fatalf("training=%v: forward[%d] = %v, want %v", training, i, y.Data[i], relu)
+			}
+		}
+		dx := r.Backward(dy)
+		for i, w := range want {
+			got := dx.Data[i]
+			bothNaN := got != got && dy.Data[i] != dy.Data[i]
+			if math.Float32bits(got) != w && !bothNaN {
+				t.Fatalf("training=%v: dx[%d] bits %#x, want %#x", training, i, math.Float32bits(got), w)
+			}
+		}
+	}
+	r := &ReLU{}
+	newAllocs := testing.AllocsPerRun(20, func() { tensor.New(x.Rows, x.Cols) })
+	if got := testing.AllocsPerRun(20, func() { r.Forward(x, false) }); got > newAllocs {
+		t.Fatalf("inference forward makes %v allocations, want the output's %v", got, newAllocs)
+	}
+}

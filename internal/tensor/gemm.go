@@ -82,38 +82,64 @@ func gemmNN(c *Matrix, alpha float32, a, b *Matrix) {
 }
 
 // gemmTN: C += alpha * Aᵀ*B where A is k×m. Used for weight gradients
-// dW = Xᵀ·dY. Parallel over output rows so chunks never share C rows.
+// dW = Xᵀ·dY. Parallel over output rows so chunks never share C rows. The
+// updates of a C row are taken four at a time through axpy4; a group with a
+// zero multiplier, and the last k%4 updates, go one at a time so the zero
+// skip stays exact.
 func gemmTN(c *Matrix, alpha float32, a, b *Matrix) {
 	k := a.Rows
 	mA := a.Cols
 	n := b.Cols
 	parallel.For(0, c.Rows, gemmGrain, func(lo, hi int) {
+		var s [4]float32
 		for i := lo; i < hi; i++ {
 			ci := c.Data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				s := alpha * a.Data[p*mA+i]
-				if s == 0 {
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				s[0] = alpha * a.Data[p*mA+i]
+				s[1] = alpha * a.Data[(p+1)*mA+i]
+				s[2] = alpha * a.Data[(p+2)*mA+i]
+				s[3] = alpha * a.Data[(p+3)*mA+i]
+				if s[0] != 0 && s[1] != 0 && s[2] != 0 && s[3] != 0 {
+					axpy4(&s, b.Data[p*n:(p+4)*n], n, ci)
 					continue
 				}
-				bp := b.Data[p*n : (p+1)*n]
-				axpy(s, bp, ci)
+				for q, sq := range s {
+					if sq != 0 {
+						axpy(sq, b.Data[(p+q)*n:(p+q+1)*n], ci)
+					}
+				}
+			}
+			for ; p < k; p++ {
+				if sp := alpha * a.Data[p*mA+i]; sp != 0 {
+					axpy(sp, b.Data[p*n:(p+1)*n], ci)
+				}
 			}
 		}
 	})
 }
 
 // gemmNT: C += alpha * A*Bᵀ where B is n×k. Used for input gradients
-// dX = dY·Wᵀ. Each output element is a dot product of two rows.
+// dX = dY·Wᵀ. Each output element is a dot product of two rows; four
+// consecutive rows of B are taken against one row of A through dot4.
 func gemmNT(c *Matrix, alpha float32, a, b *Matrix) {
 	k := a.Cols
 	n := b.Rows
 	parallel.For(0, c.Rows, gemmGrain, func(lo, hi int) {
+		var d [4]float32
 		for i := lo; i < hi; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				ci[j] += alpha * dot(ai, bj)
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				dot4(&d, ai, b.Data[j*k:(j+4)*k], k)
+				ci[j] += float32(alpha * d[0])
+				ci[j+1] += float32(alpha * d[1])
+				ci[j+2] += float32(alpha * d[2])
+				ci[j+3] += float32(alpha * d[3])
+			}
+			for ; j < n; j++ {
+				ci[j] += float32(alpha * dot(ai, b.Data[j*k:(j+1)*k]))
 			}
 		}
 	})
@@ -138,38 +164,4 @@ func gemmTT(c *Matrix, alpha float32, a, b *Matrix) {
 			}
 		}
 	})
-}
-
-// axpy computes y += s*x with 4-way unrolling.
-func axpy(s float32, x, y []float32) {
-	n := len(x)
-	_ = y[n-1] // hoist the bounds check out of the unrolled loop
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += s * x[i]
-		y[i+1] += s * x[i+1]
-		y[i+2] += s * x[i+2]
-		y[i+3] += s * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += s * x[i]
-	}
-}
-
-// dot returns the inner product of x and y, which must have equal length.
-func dot(x, y []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(x)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
 }

@@ -1,0 +1,363 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sameBits is the micro-kernel contract's equality (kernel.go): identical
+// float32 bits, except that any NaN equals any NaN.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// gemmRef is Gemm as it was before the grouped kernels: every variant one
+// scalar axpy or dot at a time, serially. It is the bit-level reference for
+// Gemm (parallel.For only splits output rows, so serial order is the same
+// order).
+func gemmRef(c *Matrix, alpha float32, a *Matrix, ta Op, b *Matrix, tb Op, beta float32) {
+	m, n := c.Rows, c.Cols
+	k := a.Cols
+	if ta == Trans {
+		k = a.Rows
+	}
+	if beta == 0 {
+		c.Zero()
+	} else if beta != 1 {
+		Scale(c, beta)
+	}
+	if m == 0 || n == 0 || k == 0 || alpha == 0 {
+		return
+	}
+	for i := 0; i < m; i++ {
+		ci := c.Data[i*n : (i+1)*n]
+		switch {
+		case tb == NoTrans:
+			for p := 0; p < k; p++ {
+				aip := a.Data[i*k+p]
+				if ta == Trans {
+					aip = a.Data[p*m+i]
+				}
+				if s := alpha * aip; s != 0 {
+					axpy(s, b.Data[p*n:(p+1)*n], ci)
+				}
+			}
+		case ta == NoTrans:
+			for j := range ci {
+				ci[j] += float32(alpha * dot(a.Data[i*k:(i+1)*k], b.Data[j*k:(j+1)*k]))
+			}
+		default:
+			for j := range ci {
+				var sum float32
+				for p := 0; p < k; p++ {
+					sum += a.Data[p*m+i] * b.Data[j*k+p]
+				}
+				ci[j] += alpha * sum
+			}
+		}
+	}
+}
+
+// Values that exercise everything the contract names: signed zeros (the
+// zero skip), infinities and NaN (0·Inf, Inf−Inf), and denormals (no
+// flush-to-zero).
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+	math.MaxFloat32, 1,
+}
+
+// unalignedMatrix returns a rows×cols matrix whose Data starts off elements
+// into its backing array, so kernels see pointers that are not 16- or
+// 32-byte aligned, filled with Gaussian values.
+func unalignedMatrix(rng *rand.Rand, rows, cols, off int) *Matrix {
+	backing := make([]float32, off+rows*cols)
+	m := &Matrix{Rows: rows, Cols: cols, Data: backing[off : off+rows*cols : off+rows*cols]}
+	FillGaussian(m, rng, 0, 1)
+	return m
+}
+
+// gemmCase is one comparison of Gemm against gemmRef.
+type gemmCase struct {
+	seed    int64
+	m, k, n int
+	ta, tb  Op
+	alpha   float32
+	beta    float32
+	off     int // Data offset into the backing arrays, 0..7
+	zeroPos int // 0..3: zero op(A)[i][p] where p%4 == zeroPos on every third row i; <0: none
+	special int // number of special values scattered into each of A, B and C
+}
+
+func (gc gemmCase) String() string {
+	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d",
+		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special)
+}
+
+func (gc gemmCase) check(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(gc.seed))
+	ar, ac := gc.m, gc.k
+	if gc.ta == Trans {
+		ar, ac = gc.k, gc.m
+	}
+	br, bc := gc.k, gc.n
+	if gc.tb == Trans {
+		br, bc = gc.n, gc.k
+	}
+	a := unalignedMatrix(rng, ar, ac, gc.off)
+	b := unalignedMatrix(rng, br, bc, (gc.off+3)%8)
+	c := unalignedMatrix(rng, gc.m, gc.n, (gc.off+5)%8)
+	if gc.zeroPos >= 0 {
+		for i := 0; i < gc.m; i += 3 {
+			for p := gc.zeroPos; p < gc.k; p += 4 {
+				if gc.ta == Trans {
+					a.Data[p*gc.m+i] = 0
+				} else {
+					a.Data[i*gc.k+p] = 0
+				}
+			}
+		}
+	}
+	for _, mat := range []*Matrix{a, b, c} {
+		for s := 0; s < gc.special && len(mat.Data) > 0; s++ {
+			mat.Data[rng.Intn(len(mat.Data))] = specials[rng.Intn(len(specials))]
+		}
+	}
+	want := c.Clone()
+	gemmRef(want, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
+	Gemm(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
+	if i := firstBitDiff(c.Data, want.Data); i >= 0 {
+		t.Fatalf("%v: C[%d][%d] = %v (%#08x), scalar reference %v (%#08x)", gc, i/gc.n, i%gc.n,
+			c.Data[i], math.Float32bits(c.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+	}
+}
+
+var (
+	gemmAlphas = []float32{1, 0.5, -1}
+	gemmBetas  = []float32{0, 1, 0.25}
+	gemmModes  = [][2]Op{{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans}}
+)
+
+// TestGemmMatchesScalarReferenceBitwise is the property the whole kernel
+// layer rests on: Gemm produces the bits of the one-update-at-a-time scalar
+// loops, in every transpose mode.
+func TestGemmMatchesScalarReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	seed := int64(0)
+	next := func(gc gemmCase) {
+		seed++
+		gc.seed = seed
+		gc.check(t)
+	}
+	dim := func() int { return rng.Intn(68) }
+	for _, mode := range gemmModes {
+		// Every length 0..67 appears as each of m, k and n at least once.
+		for l := 0; l <= 67; l++ {
+			for which := 0; which < 3; which++ {
+				d := [3]int{dim(), dim(), dim()}
+				d[which] = l
+				next(gemmCase{
+					m: d[0], k: d[1], n: d[2], ta: mode[0], tb: mode[1],
+					alpha: gemmAlphas[rng.Intn(3)], beta: gemmBetas[rng.Intn(3)],
+					off: rng.Intn(8), zeroPos: rng.Intn(5) - 1, special: rng.Intn(2) * rng.Intn(6),
+				})
+			}
+		}
+		// Every alpha × beta × zero position, with and without specials.
+		for _, alpha := range gemmAlphas {
+			for _, beta := range gemmBetas {
+				for zeroPos := -1; zeroPos < 4; zeroPos++ {
+					for _, special := range []int{0, 7} {
+						next(gemmCase{
+							m: 9 + dim()/4, k: 16 + dim(), n: 8 + dim(), ta: mode[0], tb: mode[1],
+							alpha: alpha, beta: beta, off: rng.Intn(8), zeroPos: zeroPos, special: special,
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmLayerShapesMatchScalarReference runs the backward-pass GEMMs of
+// every Linear layer of the Tiny8 and Default64 surrogates (dW = Xᵀ·dY into
+// an accumulating gradient, dX = dY·Wᵀ) plus the forward GEMM, at the
+// per-rank batch sizes training uses.
+func TestGemmLayerShapesMatchScalarReference(t *testing.T) {
+	type layer struct{ in, out int }
+	tiny8 := []layer{
+		{399, 128}, {128, 64}, {64, 20}, // encoder
+		{20, 64}, {64, 128}, {128, 399}, // decoder
+		{5, 32}, {32, 32}, {32, 20}, // forward
+		{20, 32}, {32, 5}, // inverse
+		{32, 16}, {16, 1}, // discriminator (20→32 as inverse)
+	}
+	default64 := []layer{{49167, 128}, {128, 49167}}
+	seed := int64(1000)
+	run := func(batch int, layers []layer) {
+		for _, l := range layers {
+			for _, gc := range []gemmCase{
+				{m: batch, k: l.in, n: l.out, ta: NoTrans, tb: NoTrans, alpha: 1, beta: 0},
+				{m: l.in, k: batch, n: l.out, ta: Trans, tb: NoTrans, alpha: 1, beta: 1},
+				{m: batch, k: l.out, n: l.in, ta: NoTrans, tb: Trans, alpha: 1, beta: 0},
+			} {
+				seed++
+				gc.seed, gc.zeroPos = seed, -1
+				gc.check(t)
+			}
+		}
+	}
+	run(16, tiny8)
+	run(7, tiny8)
+	if !testing.Short() {
+		run(5, default64)
+	}
+}
+
+// FuzzGemmMatchesReference lets the fuzzer pick the shape, mode, scalars,
+// alignment, zero pattern and special-value density.
+func FuzzGemmMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(16), uint8(64), uint8(1), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(16), uint8(67), uint8(33), uint8(2), uint8(1), uint8(0), uint8(3), uint8(0), uint8(4))
+	f.Add(int64(3), uint8(9), uint8(13), uint8(31), uint8(1), uint8(2), uint8(2), uint8(5), uint8(3), uint8(9))
+	f.Add(int64(4), uint8(0), uint8(4), uint8(8), uint8(0), uint8(0), uint8(0), uint8(7), uint8(1), uint8(0))
+	f.Add(int64(5), uint8(5), uint8(3), uint8(7), uint8(3), uint8(1), uint8(1), uint8(2), uint8(4), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, mode, alpha, beta, off, zero, special uint8) {
+		md := gemmModes[mode%4]
+		gemmCase{
+			seed: seed, m: int(m % 68), k: int(k % 68), n: int(n % 68), ta: md[0], tb: md[1],
+			alpha: gemmAlphas[alpha%3], beta: gemmBetas[beta%3],
+			off: int(off % 8), zeroPos: int(zero%5) - 1, special: int(special % 16),
+		}.check(t)
+	})
+}
+
+// TestMicroKernelsMatchScalar compares the grouped kernels the build
+// selected (SIMD on amd64) against four calls of the scalar kernel, over
+// every length 0..67, strides equal to and larger than the row length,
+// unaligned starts, and special values.
+func TestMicroKernelsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	fill := func(v []float32, special bool) {
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
+			if special && rng.Intn(6) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		for _, pad := range []int{0, 1, 5} {
+			for off := 0; off < 4; off++ {
+				for _, special := range []bool{false, true} {
+					stride := n + pad
+					rows := make([]float32, off+3*stride+n)[off:]
+					vec := make([]float32, off+1+n)[off+1:]
+					fill(rows, special)
+					fill(vec, special)
+					var s [4]float32
+					fill(s[:], special)
+					name := fmt.Sprintf("n=%d stride=%d off=%d special=%v", n, stride, off, special)
+
+					got, want := append([]float32(nil), vec...), append([]float32(nil), vec...)
+					axpy4(&s, rows, stride, got)
+					axpy4Scalar(&s, rows, stride, want)
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Fatalf("axpy4 %s: y[%d] = %v (%#08x), scalar %v (%#08x)", name, i,
+							got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+
+					var dGot, dWant [4]float32
+					dot4(&dGot, vec, rows, stride)
+					dot4Scalar(&dWant, vec, rows, stride)
+					if i := firstBitDiff(dGot[:], dWant[:]); i >= 0 {
+						t.Fatalf("dot4 %s: out[%d] = %v (%#08x), scalar %v (%#08x)", name, i,
+							dGot[i], math.Float32bits(dGot[i]), dWant[i], math.Float32bits(dWant[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMicroKernelBounds checks the Go wrappers in front of the assembly:
+// they refuse rows that do not fit, and the kernels touch nothing outside
+// the lengths they were given.
+func TestMicroKernelBounds(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	var s, out [4]float32
+	mustPanic("axpy4 short x", func() { axpy4(&s, make([]float32, 4*16-1), 16, make([]float32, 16)) })
+	mustPanic("axpy4 negative stride", func() { axpy4(&s, make([]float32, 64), -1, make([]float32, 16)) })
+	mustPanic("axpy4 overflowing stride", func() { axpy4(&s, make([]float32, 64), math.MaxInt/3+1, make([]float32, 16)) })
+	mustPanic("dot4 overflowing stride", func() { dot4(&out, make([]float32, 16), make([]float32, 64), math.MaxInt/3+1) })
+	mustPanic("axpy4 empty x", func() { axpy4(&s, nil, 0, make([]float32, 8)) })
+	mustPanic("dot4 short y", func() { dot4(&out, make([]float32, 16), make([]float32, 4*16-1), 16) })
+	mustPanic("dot4 negative stride", func() { dot4(&out, make([]float32, 16), make([]float32, 64), -1) })
+	mustPanic("axpy4Scalar short x", func() { axpy4Scalar(&s, make([]float32, 4*16-1), 16, make([]float32, 16)) })
+	mustPanic("dot4Scalar short y", func() { dot4Scalar(&out, make([]float32, 16), make([]float32, 4*16-1), 16) })
+
+	// Zero-length rows are legal and leave everything alone.
+	axpy4(&s, nil, 0, nil)
+	out = [4]float32{1, 2, 3, 4}
+	dot4(&out, nil, nil, 0)
+	if out != [4]float32{} {
+		t.Errorf("dot4 of empty rows = %v, want zeros", out)
+	}
+
+	// Guard elements around the destination and after the sources survive.
+	const guard = float32(-12345)
+	for n := 1; n <= 67; n++ {
+		s = [4]float32{1, 2, 3, 4}
+		ybuf := make([]float32, n+2)
+		ybuf[0], ybuf[n+1] = guard, guard
+		x := make([]float32, 4*n)
+		for i := range x {
+			x[i] = 1
+		}
+		axpy4(&s, x, n, ybuf[1:n+1:n+1])
+		if ybuf[0] != guard || ybuf[n+1] != guard {
+			t.Fatalf("axpy4 n=%d wrote outside y: %v %v", n, ybuf[0], ybuf[n+1])
+		}
+		for i, v := range ybuf[1 : n+1] {
+			if v != 10 {
+				t.Fatalf("axpy4 n=%d: y[%d] = %v, want 10", n, i, v)
+			}
+		}
+		// dot4 reads exactly n elements per row: a NaN just past each row
+		// must not reach the result.
+		ycat := make([]float32, 4*(n+1))
+		for i := range ycat {
+			ycat[i] = 1
+			if i%(n+1) == n {
+				ycat[i] = float32(math.NaN())
+			}
+		}
+		dot4(&out, x[:n], ycat[:4*(n+1)-1], n+1)
+		for j, v := range out {
+			if v != float32(n) {
+				t.Fatalf("dot4 n=%d: out[%d] = %v, want %d", n, j, v, n)
+			}
+		}
+	}
+}

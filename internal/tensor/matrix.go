@@ -4,7 +4,13 @@
 //
 // Matrices are row-major float32. Mini-batches are stored one sample per row,
 // so a Linear layer's forward pass is a single GEMM over the whole batch.
-// All O(n³) kernels are blocked and parallelized with internal/parallel.
+//
+// Gemm is four row-streaming loops (one per transpose mode), none of them
+// cache-blocked, parallelized over output rows with internal/parallel. Their
+// inner loops are the micro-kernels of kernel.go: scalar axpy and dot
+// everywhere, and on amd64 SIMD versions under the two backward-pass
+// variants (Aᵀ·B and A·Bᵀ) that produce the same bits. kernel.go states the
+// contract a new kernel has to keep.
 package tensor
 
 import (

@@ -300,7 +300,7 @@ func benchGemm(b *testing.B, m, k, n int, ta, tb Op) {
 	}
 }
 
-// BenchmarkGemmNaive provides the ablation baseline for the blocked kernel.
+// BenchmarkGemmNaive128 is the ablation baseline: the textbook triple loop.
 func BenchmarkGemmNaive128(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	a := randomMatrix(rng, 128, 128)

@@ -38,12 +38,16 @@ type Model interface {
 // AllreduceReducer averages gradients across the ranks of a trainer
 // communicator using the ring allreduce. All parameters are packed into one
 // buffer per Reduce call, matching how Aluminum aggregates small tensors.
+// The buffer is kept between calls, so a reducer serves one rank and is not
+// safe for concurrent use.
 type AllreduceReducer struct {
 	C *comm.Comm
+
+	buf []float32 // pack scratch, grown to the largest parameter set seen
 }
 
 // Reduce replaces every gradient with the cross-rank average.
-func (r AllreduceReducer) Reduce(params []*nn.Param) {
+func (r *AllreduceReducer) Reduce(params []*nn.Param) {
 	n := r.C.Size()
 	if n == 1 {
 		return
@@ -52,11 +56,13 @@ func (r AllreduceReducer) Reduce(params []*nn.Param) {
 	for _, p := range params {
 		total += len(p.Grad.Data)
 	}
-	buf := make([]float32, total)
+	if cap(r.buf) < total {
+		r.buf = make([]float32, total)
+	}
+	buf := r.buf[:total]
 	off := 0
 	for _, p := range params {
-		copy(buf[off:], p.Grad.Data)
-		off += len(p.Grad.Data)
+		off += copy(buf[off:], p.Grad.Data)
 	}
 	r.C.AllreduceSum(buf)
 	inv := float32(1) / float32(n)
@@ -102,6 +108,7 @@ type Trainer struct {
 	Store *datastore.Store
 	Data  reader.Dataset
 
+	reducer  AllreduceReducer
 	shuffler *reader.Shuffler
 	batches  [][]int
 	cursor   int
@@ -127,6 +134,7 @@ func New(cfg Config, c *comm.Comm, model Model, store *datastore.Store, data rea
 		Model:    model,
 		Store:    store,
 		Data:     data,
+		reducer:  AllreduceReducer{C: c},
 		shuffler: reader.NewShuffler(data.Len(), cfg.ShuffleSeed),
 		stats:    Stats{Losses: map[string]float64{}},
 	}, nil
@@ -142,8 +150,9 @@ func (t *Trainer) Stats() Stats {
 	return out
 }
 
-// Reducer returns the gradient reducer for this trainer's ranks.
-func (t *Trainer) Reducer() nn.Reducer { return AllreduceReducer{C: t.C} }
+// Reducer returns the gradient reducer for this trainer rank. Every call
+// returns the same reducer, which reuses its pack buffer across steps.
+func (t *Trainer) Reducer() nn.Reducer { return &t.reducer }
 
 // prepareEpoch lays out the next epoch's batch schedule. Partial trailing
 // batches are dropped so every rank always receives at least one sample.

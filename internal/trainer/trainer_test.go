@@ -8,6 +8,7 @@ import (
 	"repro/internal/cyclegan"
 	"repro/internal/datastore"
 	"repro/internal/jag"
+	"repro/internal/nn"
 	"repro/internal/reader"
 )
 
@@ -266,7 +267,7 @@ func TestAllreduceReducerAverages(t *testing.T) {
 		for _, p := range params {
 			p.Grad.Fill(float32(c.Rank() + 1)) // ranks contribute 1,2,3,4
 		}
-		AllreduceReducer{C: c}.Reduce(params)
+		(&AllreduceReducer{C: c}).Reduce(params)
 		results[c.Rank()] = params[0].Grad.Data[0]
 	})
 	for r, v := range results {
@@ -276,13 +277,47 @@ func TestAllreduceReducerAverages(t *testing.T) {
 	}
 }
 
+// TestAllreduceReducerReusesScratch drives one reducer per rank through
+// parameter sets of different sizes, as the three phases of a train step do:
+// the kept pack buffer must neither leak one phase's values into the next
+// nor be reallocated once it has seen the largest set.
+func TestAllreduceReducerReusesScratch(t *testing.T) {
+	w := comm.NewWorld(2)
+	w.Run(func(c *comm.Comm) {
+		m := tinySurrogate(2)
+		r := &AllreduceReducer{C: c}
+		big, small := m.Decoder.Params(), m.Disc.Params()
+		var grown []float32
+		for step, params := range [][]*nn.Param{big, small, big, small} {
+			for _, p := range params {
+				p.Grad.Fill(float32((c.Rank() + 1) * (step + 1))) // ranks contribute s, 2s
+			}
+			r.Reduce(params)
+			want := 1.5 * float32(step+1)
+			for _, p := range params {
+				for i, v := range p.Grad.Data {
+					if v != want {
+						t.Errorf("rank %d step %d: grad[%d] = %v, want %v", c.Rank(), step, i, v, want)
+						return
+					}
+				}
+			}
+			if step == 0 {
+				grown = r.buf
+			} else if &r.buf[0] != &grown[0] {
+				t.Errorf("rank %d step %d: pack buffer reallocated", c.Rank(), step)
+			}
+		}
+	})
+}
+
 func TestAllreduceReducerSingleRankNoop(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		m := tinySurrogate(2)
 		params := m.Forward.Params()
 		params[0].Grad.Fill(3)
-		AllreduceReducer{C: c}.Reduce(params)
+		(&AllreduceReducer{C: c}).Reduce(params)
 		if params[0].Grad.Data[0] != 3 {
 			t.Error("single-rank reduce must be identity")
 		}
