@@ -334,7 +334,7 @@ func benchServe(b *testing.B, maxBatch int) {
 				for d := range x {
 					x[d] = float32((i*7+d*13)%997) / 997
 				}
-				if _, err := srv.Predict(x); err != nil {
+				if _, err := srv.Call(context.Background(), serve.MethodPredict, x, serve.Interactive); err != nil {
 					b.Error(err)
 					return
 				}

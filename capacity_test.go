@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -104,7 +105,7 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 				for d := range x {
 					x[d] = float32((c*perClient+i*7+d*13)%997) / 997
 				}
-				if _, err := srv.Predict(x); err != nil {
+				if _, err := srv.Call(context.Background(), serve.MethodPredict, x, serve.Interactive); err != nil {
 					t.Error(err)
 					return
 				}
@@ -142,7 +143,7 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 	x := make([]float32, jag.InputDim)
 	for i := 0; i < lowN; i++ {
 		x[0] = float32(i) / lowN // unique rows: no cache, no coalescing
-		if _, err := lowSrv.Predict(x); err != nil {
+		if _, err := lowSrv.Call(context.Background(), serve.MethodPredict, x, serve.Interactive); err != nil {
 			t.Fatal(err)
 		}
 	}

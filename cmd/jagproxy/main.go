@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -61,6 +60,7 @@ import (
 	"time"
 
 	"repro/internal/proxy"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -96,15 +96,9 @@ func main() {
 	if len(backends) == 0 {
 		log.Fatal("need at least one -backend URL")
 	}
-	var accessLog *slog.Logger
-	switch *logFormat {
-	case "":
-	case "text":
-		accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	case "json":
-		accessLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	default:
-		log.Fatalf("-log-format %q: want \"text\" or \"json\"", *logFormat)
+	accessLog, err := serve.NewAccessLogger(*logFormat, os.Stderr)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	p, err := proxy.New(backends, proxy.Config{

@@ -43,8 +43,6 @@
 //	GET  /v1/models/{name}/stats     per-model latency/occupancy/cache counters + stage quantiles
 //	GET  /metrics                    Prometheus text exposition, all models
 //	GET  /healthz                    per-model readiness + reload state; 503 if any model closed
-//	POST /predict                    deprecated alias: default model's "predict"
-//	GET  /stats                      deprecated alias: default model's counters
 //
 // Observability (docs/OBSERVABILITY.md is the full reference): every
 // request gets an X-Request-Id correlation ID (caller-supplied values
@@ -61,16 +59,13 @@
 //	ltfbtrain -trainers 4 -checkpoint ckpts/fwd.ckpt -top 2
 //	jagserve -models jag=ckpts/fwd.ckpt -models jag-top2=ckpts2/ -ensemble
 //	jagserve -models jag=ckpts/fwd.ckpt -watch -reload-interval 5s
-//	jagserve -checkpoint model.ckpt -replicas 4     # legacy: registers "default"
 //	curl -d '{"input":[0.5,0.5,0.5,0.5,0.5],"scalars_only":true}' \
 //	    localhost:8080/v1/models/jag/predict
 //	curl -d '{"input":[0.5,0.5,0.5,0.5,0.5]}' localhost:8080/v1/models/jag/invert
 //
 // Each -models value is name=path, where path is a *.spec.json file, a
 // checkpoint (its .spec.json sidecar is loaded), or a directory holding
-// exactly one spec. The first -models entry (or the legacy "default"
-// model) answers the deprecated unversioned endpoints; override with
-// -default.
+// exactly one spec.
 package main
 
 import (
@@ -79,13 +74,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -96,23 +89,6 @@ import (
 // modelFlag is one parsed -models entry.
 type modelFlag struct {
 	name, path string
-}
-
-// samePaths reports whether a and b name the same files in the same
-// order, comparing absolute forms so a relative -checkpoint value
-// matches its spec-resolved absolute entry.
-func samePaths(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		pa, errA := filepath.Abs(a[i])
-		pb, errB := filepath.Abs(b[i])
-		if errA != nil || errB != nil || pa != pb {
-			return false
-		}
-	}
-	return true
 }
 
 func main() {
@@ -128,9 +104,6 @@ func main() {
 		models = append(models, modelFlag{name: name, path: path})
 		return nil
 	})
-	ckpt := flag.String("checkpoint", "", "legacy single-model checkpoint path(s), comma-separated, registered as \"default\"; overrides the spec's list")
-	specPath := flag.String("spec", "", "legacy model spec path (default <first checkpoint>.spec.json)")
-	defName := flag.String("default", "", "model answering the deprecated /predict and /stats aliases (default: first registered)")
 	replicas := flag.Int("replicas", 1, "model replicas per model (raised to the checkpoint count if lower; ignored with -ensemble, which uses one per checkpoint)")
 	ensemble := flag.Bool("ensemble", false, "average predictions across each model's checkpoints instead of round-robin")
 	maxBatch := flag.Int("max-batch", 64, "max requests coalesced into one forward pass")
@@ -146,15 +119,9 @@ func main() {
 	logFormat := flag.String("log-format", "", "structured access log on stderr: \"text\" or \"json\" (empty disables)")
 	flag.Parse()
 
-	var accessLog *slog.Logger
-	switch *logFormat {
-	case "":
-	case "text":
-		accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	case "json":
-		accessLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	default:
-		log.Fatalf("-log-format %q: want \"text\" or \"json\"", *logFormat)
+	accessLog, err := serve.NewAccessLogger(*logFormat, os.Stderr)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// entry is one fully resolved model to register. watchPath is what
@@ -166,49 +133,11 @@ func main() {
 	type entry struct {
 		name      string
 		spec      serve.ModelSpec
-		paths     []string
 		watchPath string
 		baseline  string
 	}
 	var entries []entry
 
-	// The legacy single-checkpoint flags register as the "default"
-	// model, ahead of -models entries so old deployments keep their
-	// default routing.
-	if *ckpt != "" || *specPath != "" {
-		var paths []string
-		for _, p := range strings.Split(*ckpt, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				paths = append(paths, p)
-			}
-		}
-		sp := *specPath
-		if sp == "" {
-			if len(paths) == 0 {
-				log.Fatal("-spec given empty and no -checkpoint")
-			}
-			sp = serve.SpecPath(paths[0])
-		}
-		spec, err := serve.LoadSpec(sp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(paths) == 0 {
-			paths = spec.Checkpoints
-		}
-		if len(paths) == 0 {
-			log.Fatalf("spec %s lists no checkpoints and none given via -checkpoint", sp)
-		}
-		if *watch && !samePaths(paths, spec.Checkpoints) {
-			// The reloader rebuilds from the spec's checkpoint list, so
-			// a -checkpoint override it cannot see would be silently
-			// dropped (and the extra files never watched) on the first
-			// hot swap.
-			log.Fatalf("-watch rebuilds from the checkpoint list in %s, which differs from -checkpoint %s; "+
-				"point the spec at the same files or drop -checkpoint", sp, *ckpt)
-		}
-		entries = append(entries, entry{name: "default", spec: spec, paths: paths, watchPath: sp})
-	}
 	for _, m := range models {
 		spec, err := serve.ResolveSpec(m.path)
 		if err != nil {
@@ -217,10 +146,10 @@ func main() {
 		if len(spec.Checkpoints) == 0 {
 			log.Fatalf("model %s: spec at %s lists no checkpoints", m.name, m.path)
 		}
-		entries = append(entries, entry{name: m.name, spec: spec, paths: spec.Checkpoints, watchPath: m.path})
+		entries = append(entries, entry{name: m.name, spec: spec, watchPath: m.path})
 	}
 	if len(entries) == 0 {
-		log.Fatal("need -models name=path (or legacy -checkpoint/-spec)")
+		log.Fatal("need -models name=path")
 	}
 
 	cfg := serve.Config{
@@ -243,7 +172,7 @@ func main() {
 			}
 			e.baseline = fp
 		}
-		pool, err := serve.NewPoolFromCheckpoints(e.spec.Model, e.paths, *replicas, *ensemble)
+		pool, err := serve.NewPoolFromCheckpoints(e.spec.Model, e.spec.Checkpoints, *replicas, *ensemble)
 		if err != nil {
 			log.Fatalf("model %s: %v", e.name, err)
 		}
@@ -252,7 +181,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("model %s: %d replica(s) of %d checkpoint(s), ensemble=%v, methods %v",
-			e.name, pool.Replicas(), len(e.paths), pool.Ensemble(), srv.Methods())
+			e.name, pool.Replicas(), len(e.spec.Checkpoints), pool.Ensemble(), srv.Methods())
 		if *probe {
 			// Publish this process's sustainable throughput so a fleet
 			// router (cmd/jagproxy) can weight traffic by real capacity
@@ -272,11 +201,6 @@ func main() {
 				log.Printf("model %s: probed capacity %.0f rows/s (%s: pass %.3gs + %.3gs/row at B=%d, %d worker(s))",
 					e.name, qps, method, res.PassSec, res.RowSec, *maxBatch, pool.Replicas())
 			}
-		}
-	}
-	if *defName != "" {
-		if err := reg.SetDefault(*defName); err != nil {
-			log.Fatal(err)
 		}
 	}
 
@@ -354,8 +278,7 @@ func main() {
 		close(drained)
 	}()
 
-	def, _, _ := reg.Default()
-	log.Printf("serving %d model(s) %v (default %s) on %s", reg.Len(), reg.Names(), def, ln.Addr())
+	log.Printf("serving %d model(s) %v on %s", reg.Len(), reg.Names(), ln.Addr())
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

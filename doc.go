@@ -45,10 +45,9 @@
 // /v1/models/{name}/{method} (content-negotiated JSON or binary
 // little-endian float32 tensor frames, serve/wire.go), GET
 // /v1/models/{name}/stats, and /healthz with per-model readiness and
-// reload state; the unversioned /predict and /stats remain as
-// deprecated aliases onto the default model, -watch -reload-interval
-// runs a Reloader per model, and -drain-deadline bounds how long a
-// swap waits for stragglers before force-closing the old model.
+// reload state; -watch -reload-interval runs a Reloader per model, and
+// -drain-deadline bounds how long a swap waits for stragglers before
+// force-closing the old model.
 // cmd/ltfbtrain -checkpoint saves a trained population's best models
 // with the spec sidecar jagserve -models loads; serve.Client is the Go
 // client; and examples/serving walks the whole train → checkpoint →

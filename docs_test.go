@@ -64,13 +64,15 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		"internal/serve/metrics.go":     {"func MetricsHandler", "jag_request_latency_seconds", "jag_stage_latency_seconds"},
 		"internal/serve/stats.go":       {`StageQueueWait = "queue_wait"`, `StageEncode = "encode"`},
 		"internal/serve/serve.go":       {"func (s *Server) CallTrace"},
+		"internal/serve/middleware.go":  {"func Lifecycle", "func AddLogAttrs"},
 		"internal/metrics/histogram.go": {"func LatencyBuckets"},
 		"cmd/benchsnap/main.go":         {"jag-bench/v1", `"table"`},
 		"cmd/jagserve/main.go":          {`"debug-addr"`, `"log-format"`},
 		// docs/FLEET.md's contract surface: the proxy library, its CLI
 		// flags, the typed retry classification, the fleet capacity
 		// model, and the tier-1 fleet validation.
-		"internal/proxy/proxy.go":     {"func New", "jag_proxy_health_transitions_total"},
+		"internal/proxy/proxy.go":     {"func New", "serve.Lifecycle"},
+		"internal/proxy/backend.go":   {"jag_proxy_health_transitions_total"},
 		"cmd/jagproxy/main.go":        {`"backend"`, `"hedge-after"`, `"rate"`},
 		"internal/serve/client.go":    {"type StatusError", "func RetryableStatus"},
 		"internal/perfmodel/fleet.go": {"type FleetScenario"},

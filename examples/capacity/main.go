@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -106,7 +107,7 @@ func main() {
 				for d := range x {
 					x[d] = float32((c*perClient+i*7+d*13)%997) / 997
 				}
-				if _, err := srv.Predict(x); err != nil {
+				if _, err := srv.Call(context.Background(), serve.MethodPredict, x, serve.Interactive); err != nil {
 					log.Fatal(err)
 				}
 			}

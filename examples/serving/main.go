@@ -3,8 +3,7 @@
 // names in a serve.Registry, mount the versioned HTTP surface, and
 // query it like a remote client would: list the models, run a
 // binary-transport predict call against one model and an invert call
-// against the other, and fall back to the deprecated /predict alias.
-// Then the live-ops step: a new tournament winner overwrites the
+// against the other. Then the live-ops step: a new tournament winner overwrites the
 // watched checkpoint and a serve.Reloader hot-swaps it in (canary
 // forward pass before promotion, old pool drained, generation counter
 // bumped) without restarting or dropping a request. This is the
@@ -17,12 +16,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -112,8 +108,8 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, m := range models {
-		fmt.Printf("model %-10s default=%-5v predict %dx%d, invert %dx%d\n",
-			m.Name, m.Default,
+		fmt.Printf("model %-10s predict %dx%d, invert %dx%d\n",
+			m.Name,
 			m.Methods[serve.MethodPredict].In, m.Methods[serve.MethodPredict].Out,
 			m.Methods[serve.MethodInvert].In, m.Methods[serve.MethodInvert].Out)
 	}
@@ -150,22 +146,6 @@ func main() {
 		log.Fatalf("invert row failed: %+v", rowErrs)
 	}
 	fmt.Printf("invert [0.3 0.6 0.5 0.5 0.5] -> %.3v (campaign-b)\n", inv[0])
-
-	// 5c. The deprecated unversioned alias still answers — against the
-	// default model (the first registered) — so pre-v1 clients keep
-	// working while they migrate.
-	body, _ := json.Marshal(serve.PredictRequest{Input: []float32{0.5, 0.5, 0.5, 0.5, 0.5}, ScalarsOnly: true})
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var legacy serve.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
-	fmt.Printf("legacy /predict (Deprecation: %s): %d scalars\n",
-		resp.Header.Get("Deprecation"), len(legacy.Outputs[0]))
 
 	// 6. Hot checkpoint reload: the LTFB loop keeps promoting new
 	// tournament winners, and a serving process that needs a restart to

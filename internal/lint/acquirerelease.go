@@ -7,8 +7,8 @@ import (
 )
 
 // AcquireRelease enforces the Registry pin protocol from PR 4: every
-// Registry.Acquire / Registry.AcquireDefault call returns a release
-// func that must run on all paths out of the caller — error returns and
+// Registry.Acquire call returns a release func that must run on all
+// paths out of the caller — error returns and
 // panics included — because a leaked pin holds Registry.Replace's drain
 // hostage until the drain deadline force-closes the displaced server
 // (failing that server's remaining rows with ErrClosed).
@@ -74,18 +74,17 @@ func runAcquireRelease(pass *Pass) error {
 	return nil
 }
 
-// acquireReleaseIndex reports whether call is Registry.Acquire or
-// Registry.AcquireDefault, and at which result index the release func
-// sits. The match is semantic, not path-bound: a method named
-// Acquire/AcquireDefault on a type named Registry whose results include
-// a niladic func() — so test fixtures and future registries are covered
+// acquireReleaseIndex reports whether call is Registry.Acquire, and at
+// which result index the release func sits. The match is semantic, not
+// path-bound: a method named Acquire on a type named Registry whose
+// results include a niladic func() — so test fixtures and future registries are covered
 // alongside serve.Registry.
 func acquireReleaseIndex(info *types.Info, call *ast.CallExpr) (int, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return 0, false
 	}
-	if sel.Sel.Name != "Acquire" && sel.Sel.Name != "AcquireDefault" {
+	if sel.Sel.Name != "Acquire" {
 		return 0, false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)

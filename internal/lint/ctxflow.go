@@ -15,7 +15,7 @@ import (
 //     droppable, and Registry.Replace drains wait on work whose caller
 //     is long gone; reported.
 //   - passing context.Background()/TODO() as the context argument of a
-//     callee (a PredictContext-style API whose first parameter is a
+//     callee (a Server.Call-style API whose first parameter is a
 //     Context) while holding a perfectly good ctx is the same bug one
 //     call later; reported.
 //

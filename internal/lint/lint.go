@@ -3,9 +3,9 @@
 // conventions the compiler cannot see and that have each produced (or
 // nearly produced) a real bug:
 //
-//   - acquirerelease: every Registry.Acquire/AcquireDefault release
-//     func must run on all paths, or Registry.Replace drains stall
-//     until the drain deadline force-closes the displaced server.
+//   - acquirerelease: every Registry.Acquire release func must run on
+//     all paths, or Registry.Replace drains stall until the drain
+//     deadline force-closes the displaced server.
 //   - atomicfield: structs holding sync/atomic fields (metrics.Histogram
 //     and friends) must never be copied; fields tagged `// lint:atomic`
 //     must only be touched through sync/atomic calls.

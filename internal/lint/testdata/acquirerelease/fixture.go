@@ -14,11 +14,6 @@ func (r *Registry) Acquire(name string) (*Server, func(), bool) {
 	return &Server{name}, func() {}, true
 }
 
-// AcquireDefault mirrors serve.Registry.AcquireDefault.
-func (r *Registry) AcquireDefault() (string, *Server, func(), bool) {
-	return "default", &Server{}, func() {}, true
-}
-
 func use(*Server) {}
 
 // --- violations --------------------------------------------------------
@@ -28,11 +23,6 @@ func discarded(reg *Registry) {
 	if !ok {
 		return
 	}
-	use(s)
-}
-
-func discardedDefault(reg *Registry) {
-	_, s, _, _ := reg.AcquireDefault() // want "release func of reg.AcquireDefault is discarded"
 	use(s)
 }
 
@@ -61,15 +51,6 @@ func earlyReturn(reg *Registry, cond bool) {
 
 func deferred(reg *Registry) {
 	s, release, ok := reg.Acquire("m")
-	if !ok {
-		return
-	}
-	defer release()
-	use(s)
-}
-
-func deferredDefault(reg *Registry) {
-	_, s, release, ok := reg.AcquireDefault()
 	if !ok {
 		return
 	}

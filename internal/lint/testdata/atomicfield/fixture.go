@@ -19,6 +19,13 @@ type nested struct {
 	id int
 }
 
+// laneStats mirrors serve.Stats's layout: fixed arrays of atomics, one
+// counter per lane, with no direct atomic field beside them.
+type laneStats struct {
+	rows [2]atomic.Int64
+	name string
+}
+
 // tagged uses a plain uint64 under the lint:atomic contract.
 type tagged struct {
 	n uint64 // lint:atomic — updated from the hot path, read by scrapes
@@ -44,6 +51,11 @@ func copyDeref(h *Hist) {
 func copyNested(n *nested) {
 	c := *n // want "assignment copies nested"
 	_ = c.id
+}
+
+func copyAtomicArrays(s *laneStats) string {
+	c := *s // want "assignment copies laneStats"
+	return c.name
 }
 
 func passByValue(h *Hist) {

@@ -8,20 +8,20 @@ import "context"
 // Server stands in for serve.Server.
 type Server struct{}
 
-// PredictContext mirrors serve.Server.PredictContext.
-func (s *Server) PredictContext(ctx context.Context, x []float32) []float32 { return x }
-
 // Call mirrors serve.Server.Call.
-func Call(ctx context.Context, x []float32) []float32 { return x }
+func (s *Server) Call(ctx context.Context, x []float32) []float32 { return x }
+
+// Probe is a free function taking a context, for the non-method form.
+func Probe(ctx context.Context, x []float32) []float32 { return x }
 
 // --- violations --------------------------------------------------------
 
 func dropsCtx(ctx context.Context, s *Server) {
-	s.PredictContext(context.Background(), nil) // want "drops the caller's ctx"
+	s.Call(context.Background(), nil) // want "drops the caller's ctx"
 }
 
 func dropsCtxFree(ctx context.Context) {
-	Call(context.TODO(), nil) // want "drops the caller's ctx"
+	Probe(context.TODO(), nil) // want "drops the caller's ctx"
 }
 
 func mintsCtx(ctx context.Context) context.Context {
@@ -31,30 +31,30 @@ func mintsCtx(ctx context.Context) context.Context {
 
 func litWithCtx(s *Server) func(context.Context) {
 	return func(ctx context.Context) {
-		s.PredictContext(context.Background(), nil) // want "drops the caller's ctx"
+		s.Call(context.Background(), nil) // want "drops the caller's ctx"
 	}
 }
 
 // --- corrected forms (no diagnostics) ----------------------------------
 
 func passesCtx(ctx context.Context, s *Server) {
-	s.PredictContext(ctx, nil)
+	s.Call(ctx, nil)
 }
 
 func derivesCtx(ctx context.Context, s *Server) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s.PredictContext(ctx, nil)
+	s.Call(ctx, nil)
 }
 
 // rootEntryPoint has no ctx parameter: minting the root context is its
-// job (main, tests, Predict-style convenience wrappers).
+// job (main, tests).
 func rootEntryPoint(s *Server) {
-	s.PredictContext(context.Background(), nil)
+	s.Call(context.Background(), nil)
 }
 
 // suppressed documents a deliberate detach (fire-and-forget audit).
 func suppressed(ctx context.Context, s *Server) {
 	// lint:ignore ctxflow audit write must outlive the request
-	s.PredictContext(context.Background(), nil)
+	s.Call(context.Background(), nil)
 }

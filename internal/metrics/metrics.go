@@ -1,8 +1,7 @@
 // Package metrics provides the repo's instrumentation primitives: the
 // measurement and reporting helpers the experiment harness uses
-// (running meters, speedup/efficiency arithmetic, per-scalar
-// correlation for the prediction-quality figures, fixed-width text
-// tables), plus the serving-side observability core — lock-free
+// (speedup/efficiency arithmetic, per-scalar correlation for the
+// prediction-quality figures, fixed-width text tables), plus the serving-side observability core — lock-free
 // streaming latency histograms with exponential buckets and quantile
 // estimation (histogram.go), and a labeled named-metric registry that
 // renders the Prometheus text exposition format (registry.go).
@@ -15,64 +14,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Meter tracks a running mean, min and max of a scalar series. The
-// mean uses Welford's incremental update, which stays accurate when a
-// large offset dominates the spread (a naive sum/n loses digits there).
-type Meter struct {
-	n          int
-	mean       float64
-	minV, maxV float64
-}
-
-// Add folds one observation into the meter. NaN observations are
-// dropped: a single NaN would poison the mean (and any JSON rendering
-// of it) forever, which is worse than undercounting by the broken
-// sample.
-func (m *Meter) Add(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	if m.n == 0 {
-		m.minV, m.maxV = v, v
-	}
-	m.n++
-	m.mean += (v - m.mean) / float64(m.n)
-	if v < m.minV {
-		m.minV = v
-	}
-	if v > m.maxV {
-		m.maxV = v
-	}
-}
-
-// Count returns the number of observations.
-func (m *Meter) Count() int { return m.n }
-
-// Mean returns the running mean. An empty meter reports 0 by contract —
-// never stale state from a previous reading.
-func (m *Meter) Mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.mean
-}
-
-// Min returns the smallest observation, or 0 for an empty meter.
-func (m *Meter) Min() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.minV
-}
-
-// Max returns the largest observation, or 0 for an empty meter.
-func (m *Meter) Max() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.maxV
-}
 
 // Speedup returns baseline/t for each time in times.
 func Speedup(baseline float64, times []float64) []float64 {

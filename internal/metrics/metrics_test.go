@@ -4,111 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	if m.Count() != 0 || m.Mean() != 0 {
-		t.Fatal("zero meter must be empty")
-	}
-	for _, v := range []float64{2, 4, 6} {
-		m.Add(v)
-	}
-	if m.Count() != 3 || m.Mean() != 4 || m.Min() != 2 || m.Max() != 6 {
-		t.Fatalf("meter state wrong: n=%d mean=%v min=%v max=%v", m.Count(), m.Mean(), m.Min(), m.Max())
-	}
-}
-
-func TestMeterEmptyIsDefined(t *testing.T) {
-	var m Meter
-	if m.Count() != 0 || m.Mean() != 0 || m.Min() != 0 || m.Max() != 0 {
-		t.Fatalf("empty meter must report zeros: n=%d mean=%v min=%v max=%v",
-			m.Count(), m.Mean(), m.Min(), m.Max())
-	}
-	m.Add(math.NaN()) // dropped: must not poison the meter
-	if m.Count() != 0 || m.Mean() != 0 {
-		t.Fatalf("NaN observation must be dropped: n=%d mean=%v", m.Count(), m.Mean())
-	}
-	m.Add(-3)
-	if m.Count() != 1 || m.Mean() != -3 || m.Min() != -3 || m.Max() != -3 {
-		t.Fatalf("single observation wrong: %+v", m)
-	}
-}
-
-// TestMeterMeanAdversarial compares the running mean against a direct
-// average on series built to break naive accumulation: a huge common
-// offset with a tiny spread (catastrophic cancellation), alternating
-// large positive/negative values, and long runs of identical values.
-func TestMeterMeanAdversarial(t *testing.T) {
-	cases := map[string][]float64{
-		"offset-dominated": func() []float64 {
-			v := make([]float64, 1000)
-			for i := range v {
-				v[i] = 1e12 + float64(i%7)
-			}
-			return v
-		}(),
-		"alternating-huge": func() []float64 {
-			v := make([]float64, 1000)
-			for i := range v {
-				v[i] = 1e9
-				if i%2 == 1 {
-					v[i] = -1e9 + 1
-				}
-			}
-			return v
-		}(),
-		"constant-run": func() []float64 {
-			v := make([]float64, 10000)
-			for i := range v {
-				v[i] = 0.1
-			}
-			return v
-		}(),
-	}
-	for name, vals := range cases {
-		var m Meter
-		var sum float64
-		for _, v := range vals {
-			m.Add(v)
-			sum += v
-		}
-		direct := sum / float64(len(vals))
-		scale := 1.0
-		for _, v := range vals {
-			if a := math.Abs(v); a > scale {
-				scale = a
-			}
-		}
-		if math.Abs(m.Mean()-direct) > 1e-9*scale {
-			t.Errorf("%s: running mean %v vs direct %v (scale %v)", name, m.Mean(), direct, scale)
-		}
-	}
-}
-
-func TestMeterMeanMatchesDirectAverage(t *testing.T) {
-	f := func(vals []float64) bool {
-		var m Meter
-		var sum float64
-		ok := 0
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				continue
-			}
-			m.Add(v)
-			sum += v
-			ok++
-		}
-		if ok == 0 {
-			return m.Count() == 0
-		}
-		return math.Abs(m.Mean()-sum/float64(ok)) < 1e-6*(1+math.Abs(sum))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSpeedupAndEfficiency(t *testing.T) {
 	sp := Speedup(100, []float64{100, 50, 25, 0})

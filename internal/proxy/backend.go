@@ -7,14 +7,18 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // Backend is one jagserve replica behind the front door. The hot path
 // touches only its atomics (in-flight count for routing, health bit for
 // candidate selection, capacity bits for weighting); the mutex guards
 // the cold bookkeeping the health machinery reads and writes — breaker
-// windows and probe streaks. Backends are created once at proxy
-// construction and only ever handled by pointer.
+// windows and probe streaks. Its jag_proxy_* metric handles are resolved
+// once in newBackend, so an attempt updates them without touching the
+// registry. Backends are created once at proxy construction and only
+// ever handled by pointer.
 type Backend struct {
 	name string // host:port — the metrics label and log handle
 	base string // normalized base URL, no trailing slash
@@ -25,6 +29,14 @@ type Backend struct {
 	// sustainable row rate (rows/s), refreshed from its stats route;
 	// 0 until the first successful capacity sweep.
 	capacity atomic.Uint64
+
+	latency     *metrics.Histogram          // attempt latency, connect to full reply
+	codes       [6]*metrics.Counter         // attempts by outcome: [0] transport error, [n] status nxx
+	errs        map[string]*metrics.Counter // counted failures by kind: timeout, conn, status_5xx
+	transitions map[string]*metrics.Counter // health flips by direction: up, down
+	healthyG    *metrics.Gauge              // the three scrape-time gauges
+	inflightG   *metrics.Gauge
+	capacityG   *metrics.Gauge
 
 	mu sync.Mutex
 	// consecFails counts consecutive forward failures (transport error
@@ -46,8 +58,9 @@ type Backend struct {
 	lastErr    string
 }
 
-// newBackend validates and normalizes one backend URL.
-func newBackend(raw string, window int) (*Backend, error) {
+// newBackend validates and normalizes one backend URL and registers the
+// backend's series with m, so each exists at 0 from the first scrape.
+func newBackend(raw string, window int, m *metrics.Registry) (*Backend, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: backend %q: %w", raw, err)
@@ -64,6 +77,32 @@ func newBackend(raw string, window int) (*Backend, error) {
 		window: make([]bool, window),
 	}
 	b.healthy.Store(true) // optimistic until the first probe says otherwise
+
+	lbl := metrics.Labels{"backend": b.name}
+	b.latency = m.Histogram("jag_proxy_request_latency_seconds",
+		"Backend attempt latency (connect to full reply), per backend.",
+		metrics.LatencyBuckets(), lbl)
+	for i, code := range []string{"error", "1xx", "2xx", "3xx", "4xx", "5xx"} {
+		b.codes[i] = m.Counter("jag_proxy_requests_total",
+			"Forwarded attempts per backend and status class.",
+			metrics.Labels{"backend": b.name, "code": code})
+	}
+	b.errs = make(map[string]*metrics.Counter)
+	for _, kind := range []string{"timeout", "conn", "status_5xx"} {
+		b.errs[kind] = m.Counter("jag_proxy_errors_total",
+			"Backend attempt failures by kind.",
+			metrics.Labels{"backend": b.name, "kind": kind})
+	}
+	b.transitions = make(map[string]*metrics.Counter)
+	for _, to := range []string{"up", "down"} {
+		b.transitions[to] = m.Counter("jag_proxy_health_transitions_total",
+			"Backend health flips, labeled by direction.",
+			metrics.Labels{"backend": b.name, "to": to})
+	}
+	b.healthyG = m.Gauge("jag_proxy_backend_healthy", "1 while the backend is routed to.", lbl)
+	b.inflightG = m.Gauge("jag_proxy_backend_inflight", "Proxied requests outstanding on the backend.", lbl)
+	b.capacityG = m.Gauge("jag_proxy_backend_capacity_qps",
+		"Backend's probed sustainable row rate (rows/s), 0 until reported.", lbl)
 	return b, nil
 }
 

@@ -3,19 +3,18 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+
+	"repro/internal/serve"
 )
 
 // Request/response plumbing shared by the proxy routes: building the
-// forwarded request, buffering bodies, error rendering, client keying,
-// and the request-ID helpers (the proxy mints IDs exactly the way the
-// backend middleware does, so a trace reads the same on both hops).
+// forwarded request, buffering bodies, error classification, client
+// keying. The request lifecycle itself (correlation ID, access log,
+// JSON error envelope) is internal/serve's, see Proxy.ServeHTTP.
 
 // newBackendRequest clones the inbound request toward one backend: same
 // method, path, and query; whitelisted headers; the pre-buffered body.
@@ -42,11 +41,11 @@ func newBackendRequest(ctx context.Context, b *Backend, r *http.Request, body []
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return nil, false
 	}
 	if int64(len(body)) > limit {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return nil, false
 	}
 	return body, true
@@ -56,16 +55,6 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 func readAllBody(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
-}
-
-// writeError renders the same JSON {"error": ...} envelope the backends
-// use, so clients see one error shape fleet-wide.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{msg})
 }
 
 // errKind classifies a transport error for the errors_total metric.
@@ -88,51 +77,6 @@ func clientKey(r *http.Request) string {
 		return r.RemoteAddr
 	}
 	return host
-}
-
-// newID mints a 16-hex-digit correlation ID, the same format the
-// backend middleware uses.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeID accepts a caller-supplied correlation ID only when it is
-// short printable ASCII, mirroring the backend's rule.
-func sanitizeID(id string) string {
-	if len(id) == 0 || len(id) > 128 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		if id[i] <= ' ' || id[i] > '~' {
-			return ""
-		}
-	}
-	return id
-}
-
-// statusWriter records the status code passing through, for the access
-// log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
 }
 
 // BaseURL returns the backend's normalized base URL.

@@ -26,9 +26,13 @@
 //     interactive-lane requests additionally hedge after
 //     Config.HedgeDelay, racing a second backend (bulk never hedges);
 //   - per-client token-bucket rate limiting with 429 + Retry-After;
-//   - observability: jag_proxy_* metric families on GET /metrics,
-//     X-Request-Id assignment/propagation so one correlation ID traces
-//     a request proxy→backend, and an optional structured access log.
+//   - observability: jag_proxy_* metric families on GET /metrics (every
+//     handle resolved once at construction, so the attempt path touches
+//     no registry lock), and the request lifecycle internal/serve's v1
+//     handler runs — serve.Lifecycle: X-Request-Id accepted or minted,
+//     echoed and forwarded so one correlation ID traces a request
+//     proxy→backend, plus an optional structured access log whose
+//     records have the backend tier's shape.
 //
 // docs/FLEET.md is the operator guide; perfmodel.FleetScenario is the
 // matching capacity model.
@@ -36,7 +40,6 @@ package proxy
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
@@ -156,7 +159,10 @@ type Proxy struct {
 	limiter  *rateLimiter
 	hc       *http.Client // forwards: no global timeout, per-attempt ctx
 	probeHC  *http.Client // probes + capacity refresh: ProbeTimeout
-	mux      *http.ServeMux
+	handler  http.Handler // the route mux inside serve.Lifecycle
+
+	// Fleet-wide counters; the per-backend instruments live on Backend.
+	rateLimited, noBackend, retries, hedges, hedgeWins *metrics.Counter
 }
 
 // New builds a proxy over the given backend base URLs (such as
@@ -177,9 +183,19 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 		}},
 		probeHC: &http.Client{Timeout: cfg.ProbeTimeout},
 	}
+	p.rateLimited = p.m.Counter("jag_proxy_rate_limited_total",
+		"Requests shed by per-client frontend rate limiting.", nil)
+	p.noBackend = p.m.Counter("jag_proxy_no_backend_total",
+		"Requests failed because no backend was available.", nil)
+	p.retries = p.m.Counter("jag_proxy_retries_total",
+		"Attempts relaunched on another backend after a retryable failure.", nil)
+	p.hedges = p.m.Counter("jag_proxy_hedges_total",
+		"Second attempts raced for slow interactive requests.", nil)
+	p.hedgeWins = p.m.Counter("jag_proxy_hedge_wins_total",
+		"Hedged attempts that answered first.", nil)
 	seen := map[string]bool{}
 	for _, raw := range backendURLs {
-		b, err := newBackend(raw, cfg.ErrorWindow)
+		b, err := newBackend(raw, cfg.ErrorWindow, p.m)
 		if err != nil {
 			return nil, err
 		}
@@ -194,13 +210,11 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/models/{name}/{method}", p.serveCall)
-	mux.HandleFunc("POST /predict", p.serveCall) // deprecated alias, forwarded as-is
 	mux.HandleFunc("GET /v1/models", p.servePass)
 	mux.HandleFunc("GET /v1/models/{name}/stats", p.servePass)
-	mux.HandleFunc("GET /stats", p.servePass) // deprecated alias
 	mux.HandleFunc("GET /healthz", p.serveHealthz)
 	mux.HandleFunc("GET /metrics", p.serveMetrics)
-	p.mux = mux
+	p.handler = serve.Lifecycle(mux, cfg.AccessLog)
 	return p, nil
 }
 
@@ -228,38 +242,15 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-// ServeHTTP dispatches to the proxy's route set:
+// ServeHTTP runs the request through serve.Lifecycle — the correlation
+// ID and access log the backends' own handler uses — into the proxy's
+// route set:
 //
 //	POST /v1/models/{name}/{method}  forwarded with retries (+ hedging)
 //	GET  /v1/models, .../stats       forwarded to one healthy backend
 //	GET  /healthz                    the proxy's own fleet health
 //	GET  /metrics                    jag_proxy_* Prometheus exposition
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := sanitizeID(r.Header.Get(serve.RequestIDHeader))
-	if id == "" {
-		id = newID()
-	}
-	w.Header().Set(serve.RequestIDHeader, id)
-	r.Header.Set(serve.RequestIDHeader, id) // forwarded verbatim to the backend
-	if p.cfg.AccessLog == nil {
-		p.mux.ServeHTTP(w, r)
-		return
-	}
-	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
-	p.mux.ServeHTTP(sw, r)
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	p.cfg.AccessLog.LogAttrs(r.Context(), slog.LevelInfo, "request",
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", status),
-		slog.String("backend", sw.Header().Get(backendHeader)),
-		slog.Float64("duration_ms", float64(time.Since(start))/float64(time.Millisecond)),
-		slog.String("request_id", id))
-}
+func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.handler.ServeHTTP(w, r) }
 
 // pick selects a backend for the next attempt, excluding tried ones.
 // Healthy candidates are preferred; when none remain (fleet-wide
@@ -321,14 +312,13 @@ func (p *Proxy) pick(tried map[*Backend]bool) *Backend {
 func (p *Proxy) serveCall(w http.ResponseWriter, r *http.Request) {
 	if p.limiter != nil {
 		if ok, retryAfter := p.limiter.allow(clientKey(r), time.Now()); !ok {
-			p.m.Counter("jag_proxy_rate_limited_total",
-				"Requests shed by per-client frontend rate limiting.", nil).Inc()
+			p.rateLimited.Inc()
 			sec := int(retryAfter.Seconds() + 0.999)
 			if sec < 1 {
 				sec = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(sec))
-			writeError(w, http.StatusTooManyRequests,
+			serve.WriteError(w, http.StatusTooManyRequests,
 				fmt.Sprintf("rate limit exceeded; retry after %ds", sec))
 			return
 		}
@@ -339,7 +329,7 @@ func (p *Proxy) serveCall(w http.ResponseWriter, r *http.Request) {
 	}
 	class, err := serve.ParsePriority(r.Header.Get(serve.PriorityHeader))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	hedge := class == serve.Interactive && p.cfg.HedgeDelay > 0
@@ -418,15 +408,13 @@ func (p *Proxy) dispatch(r *http.Request, body []byte, hedge bool) outcome {
 			pending--
 			if out.relayable() {
 				if out.hedged {
-					p.m.Counter("jag_proxy_hedge_wins_total",
-						"Hedged attempts that answered first.", nil).Inc()
+					p.hedgeWins.Inc()
 				}
 				return out
 			}
 			last = out
 			if ctx.Err() == nil && launch(false) {
-				p.m.Counter("jag_proxy_retries_total",
-					"Attempts relaunched on another backend after a retryable failure.", nil).Inc()
+				p.retries.Inc()
 				pending++
 				continue
 			}
@@ -437,8 +425,7 @@ func (p *Proxy) dispatch(r *http.Request, body []byte, hedge bool) outcome {
 		case <-hedgeC:
 			hedgeC = nil
 			if launch(true) {
-				p.m.Counter("jag_proxy_hedges_total",
-					"Second attempts raced for slow interactive requests.", nil).Inc()
+				p.hedges.Inc()
 				pending++
 			}
 		case <-ctx.Done():
@@ -469,7 +456,6 @@ func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body [
 	if err != nil {
 		return outcome{b: b, err: err, hedged: hedged}
 	}
-	lbl := metrics.Labels{"backend": b.name}
 	b.inflight.Add(1)
 	start := time.Now()
 	resp, err := p.hc.Do(req)
@@ -480,36 +466,27 @@ func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body [
 		status, header = resp.StatusCode, resp.Header
 		raw, err = readAllBody(resp)
 	}
-	elapsed := time.Since(start).Seconds()
+	b.latency.Observe(time.Since(start).Seconds())
 	b.inflight.Add(-1)
-	p.m.Histogram("jag_proxy_request_latency_seconds",
-		"Backend attempt latency (connect to full reply), per backend.",
-		metrics.LatencyBuckets(), lbl).Observe(elapsed)
 
 	if err != nil {
 		// Transport failure: connect refused, timeout, or a reply that
 		// died mid-body. Don't hold it against the backend when our own
 		// client vanished — the cancellation is the caller's, not the
 		// backend's.
-		p.m.Counter("jag_proxy_requests_total",
-			"Forwarded attempts per backend and status class.",
-			metrics.Labels{"backend": b.name, "code": "error"}).Inc()
+		b.codes[0].Inc()
 		if r.Context().Err() == nil && ctx.Err() != context.Canceled {
 			p.noteForward(b, true, err.Error())
-			p.m.Counter("jag_proxy_errors_total",
-				"Backend attempt failures by kind.",
-				metrics.Labels{"backend": b.name, "kind": errKind(err)}).Inc()
+			b.errs[errKind(err)].Inc()
 		}
 		return outcome{b: b, err: err, hedged: hedged}
 	}
-	p.m.Counter("jag_proxy_requests_total",
-		"Forwarded attempts per backend and status class.",
-		metrics.Labels{"backend": b.name, "code": fmt.Sprintf("%dxx", status/100)}).Inc()
+	// Clamped: a hostile backend may answer any three-digit status, and
+	// everything from 500 up is a failure below anyway.
+	b.codes[min(max(status/100, 1), 5)].Inc()
 	if status >= 500 {
 		p.noteForward(b, true, fmt.Sprintf("HTTP %d", status))
-		p.m.Counter("jag_proxy_errors_total",
-			"Backend attempt failures by kind.",
-			metrics.Labels{"backend": b.name, "kind": "status_5xx"}).Inc()
+		b.errs["status_5xx"].Inc()
 	} else {
 		p.noteForward(b, false, "")
 	}
@@ -533,9 +510,7 @@ func (p *Proxy) setHealth(b *Backend, up bool, reason string) {
 	if up {
 		to = "up"
 	}
-	p.m.Counter("jag_proxy_health_transitions_total",
-		"Backend health flips, labeled by direction.",
-		metrics.Labels{"backend": b.name, "to": to}).Inc()
+	b.transitions[to].Inc()
 	p.logf("proxy: backend %s %s (%s)", b.name, to, reason)
 }
 
@@ -547,26 +522,26 @@ const backendHeader = "X-Jag-Backend"
 // client. X-Request-Id is not copied: the proxy already set its own
 // (which the backend echoed, since it was forwarded).
 var relayHeaders = []string{
-	"Content-Type", "Retry-After", "Server-Timing", "Deprecation", "Link",
+	"Content-Type", "Retry-After", "Server-Timing",
 }
 
 // relay writes the winning outcome to the client.
 func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, out outcome) {
+	if out.b != nil {
+		w.Header().Set(backendHeader, out.b.name)
+		serve.AddLogAttrs(r.Context(), slog.String("backend", out.b.name))
+	}
 	switch {
 	case out.err == errNoBackend:
-		p.m.Counter("jag_proxy_no_backend_total",
-			"Requests failed because no backend was available.", nil).Inc()
+		p.noBackend.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no backend available")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no backend available")
 		return
 	case out.err != nil:
 		if r.Context().Err() != nil {
 			return // client is gone; nobody reads this reply
 		}
-		if out.b != nil {
-			w.Header().Set(backendHeader, out.b.name)
-		}
-		writeError(w, http.StatusBadGateway,
+		serve.WriteError(w, http.StatusBadGateway,
 			fmt.Sprintf("backend attempt failed: %v", out.err))
 		return
 	}
@@ -575,9 +550,10 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, out outcome) {
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set(backendHeader, out.b.name)
 	w.WriteHeader(out.status)
-	w.Write(out.body)
+	// The status line is already out; a short write means the client
+	// disconnected and there is nothing left to report.
+	_, _ = w.Write(out.body)
 }
 
 // FleetHealth is the GET /healthz reply: the proxy's view of the fleet.
@@ -630,28 +606,20 @@ func (p *Proxy) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	if resp.Status == "down" {
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	serve.WriteJSON(w, status, resp)
 }
 
-// serveMetrics refreshes the scrape-time gauges and renders the
-// registry. Counters and histograms are written on the hot path; only
-// the point-in-time backend gauges are computed here.
+// serveMetrics refreshes the point-in-time backend gauges and renders
+// the registry; counters and histograms are written on the hot path.
 func (p *Proxy) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, b := range p.backends {
-		lbl := metrics.Labels{"backend": b.name}
 		up := 0.0
 		if b.Healthy() {
 			up = 1
 		}
-		p.m.Gauge("jag_proxy_backend_healthy", "1 while the backend is routed to.", lbl).Set(up)
-		p.m.Gauge("jag_proxy_backend_inflight", "Proxied requests outstanding on the backend.", lbl).
-			Set(float64(b.Inflight()))
-		p.m.Gauge("jag_proxy_backend_capacity_qps",
-			"Backend's probed sustainable row rate (rows/s), 0 until reported.", lbl).
-			Set(b.CapacityQPS())
+		b.healthyG.Set(up)
+		b.inflightG.Set(float64(b.Inflight()))
+		b.capacityG.Set(b.CapacityQPS())
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p.m.WritePrometheus(w)
+	serve.WriteMetrics(w, p.m)
 }

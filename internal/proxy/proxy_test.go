@@ -1,13 +1,16 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,12 +90,12 @@ func postCall(t *testing.T, base string, hdr map[string]string) *http.Response {
 }
 
 func counterValue(p *Proxy, name string, labels metrics.Labels) uint64 {
-	return p.m.Counter(name, "", labels).Value()
+	return p.Metrics().Counter(name, "", labels).Value()
 }
 
 func TestPickWeightedLeastLoaded(t *testing.T) {
-	b1, _ := newBackend("http://a:1", 4)
-	b2, _ := newBackend("http://b:2", 4)
+	b1, _ := newBackend("http://a:1", 4, metrics.NewRegistry())
+	b2, _ := newBackend("http://b:2", 4, metrics.NewRegistry())
 	p := &Proxy{backends: []*Backend{b1, b2}}
 	// b1: high capacity, some load; b2: low capacity, same load. Score
 	// (inflight+1)/capacity favors b1.
@@ -120,8 +123,8 @@ func TestPickPowerOfTwoFallback(t *testing.T) {
 	// No capacities: P2C on inflight. With a 0-load and a loaded backend
 	// the 0-load one must win every draw that offers both, i.e. always
 	// (two candidates means both are always compared).
-	b1, _ := newBackend("http://a:1", 4)
-	b2, _ := newBackend("http://b:2", 4)
+	b1, _ := newBackend("http://a:1", 4, metrics.NewRegistry())
+	b2, _ := newBackend("http://b:2", 4, metrics.NewRegistry())
 	b2.inflight.Store(50)
 	p := &Proxy{backends: []*Backend{b1, b2}}
 	for i := 0; i < 20; i++ {
@@ -384,11 +387,10 @@ func TestPassthroughAndFleetHealthz(t *testing.T) {
 	}
 }
 
-func TestMetricsExposition(t *testing.T) {
-	f := newFakeBackend(t)
-	_, front := newTestProxy(t, Config{}, f)
-	postCall(t, front.URL, nil)
-	resp, err := http.Get(front.URL + "/metrics")
+// scrape fetches the proxy's /metrics text.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +399,33 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(raw)
+	return string(raw)
+}
+
+func TestMetricsExposition(t *testing.T) {
+	f := newFakeBackend(t)
+	p, front := newTestProxy(t, Config{}, f)
+	// Handles are resolved at construction, so every series exists at 0
+	// before the first request — rate() needs no first-sample special case.
+	name := p.Backends()[0].Name()
+	text := scrape(t, front.URL)
 	for _, want := range []string{
+		"jag_proxy_retries_total 0",
+		"jag_proxy_hedges_total 0",
+		"jag_proxy_no_backend_total 0",
+		fmt.Sprintf(`jag_proxy_requests_total{backend=%q,code="2xx"} 0`, name),
+		fmt.Sprintf(`jag_proxy_errors_total{backend=%q,kind="conn"} 0`, name),
+		fmt.Sprintf(`jag_proxy_health_transitions_total{backend=%q,to="down"} 0`, name),
+		fmt.Sprintf(`jag_proxy_request_latency_seconds_count{backend=%q} 0`, name),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("first scrape missing %q", want)
+		}
+	}
+	postCall(t, front.URL, nil)
+	text = scrape(t, front.URL)
+	for _, want := range []string{
+		fmt.Sprintf(`jag_proxy_requests_total{backend=%q,code="2xx"} 1`, name),
 		"jag_proxy_requests_total{",
 		"jag_proxy_request_latency_seconds_bucket{",
 		"jag_proxy_backend_healthy{",
@@ -408,5 +435,132 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestLegacyAliasesGone pins the removal of the pre-v1 routes: the proxy
+// no longer forwards them, whatever the backends would answer.
+func TestLegacyAliasesGone(t *testing.T) {
+	f := newFakeBackend(t)
+	_, front := newTestProxy(t, Config{}, f)
+	resp, err := http.Post(front.URL+"/predict", "application/json", strings.NewReader(`{"input":[0.5]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /predict status %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(front.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats status %d, want 404", resp.StatusCode)
+	}
+	if f.calls.Load() != 0 {
+		t.Fatal("an alias request reached a backend")
+	}
+}
+
+// syncBuffer is a goroutine-safe bytes.Buffer for capturing log output
+// written from handler goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// records waits for n JSON log records and returns them decoded.
+func (b *syncBuffer) records(t *testing.T, n int) []map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		text := strings.TrimSpace(b.buf.String())
+		b.mu.Unlock()
+		if lines := strings.Split(text, "\n"); text != "" && len(lines) >= n {
+			out := make([]map[string]any, len(lines))
+			for i, line := range lines {
+				if err := json.Unmarshal([]byte(line), &out[i]); err != nil {
+					t.Fatalf("access log line is not JSON: %v\n%s", err, line)
+				}
+			}
+			return out
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("want %d access-log records, have:\n%s", n, text)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestAccessLog checks the proxy's records have the shared lifecycle's
+// shape — the backend tier's base keys plus the backend that answered —
+// and that a client that disconnects before any reply is logged as 499,
+// not as the 200 nobody received.
+func TestAccessLog(t *testing.T) {
+	f := newFakeBackend(t)
+	var logBuf syncBuffer
+	p, front := newTestProxy(t, Config{AccessLog: slog.New(slog.NewJSONHandler(&logBuf, nil))}, f)
+
+	resp := postCall(t, front.URL, map[string]string{"X-Request-Id": "log-me-1"})
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("relayed call: status %d, err %v", resp.StatusCode, err)
+	}
+	rec := logBuf.records(t, 1)[0]
+	if rec["msg"] != "request" || rec["method"] != "POST" || rec["path"] != "/v1/models/jag/predict" ||
+		rec["request_id"] != "log-me-1" || rec["backend"] != p.Backends()[0].Name() {
+		t.Fatalf("record fields wrong: %v", rec)
+	}
+	if status, _ := rec["status"].(float64); status != http.StatusOK {
+		t.Fatalf("status %v, want 200", rec["status"])
+	}
+	if n, _ := rec["bytes"].(float64); int(n) != len(body) {
+		t.Fatalf("bytes %v, want the %d relayed", rec["bytes"], len(body))
+	}
+	if _, ok := rec["duration_ms"].(float64); !ok {
+		t.Fatalf("record missing duration_ms: %v", rec)
+	}
+
+	// A backend that never answers, and a client that gives up on it.
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	f.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/v1/models/jag/predict",
+		strings.NewReader(`{"inputs":[[0.5]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled request got a reply")
+	}
+	rec = logBuf.records(t, 2)[1]
+	if status, _ := rec["status"].(float64); status != 499 {
+		t.Fatalf("cancelled client logged as status %v, want 499: %v", rec["status"], rec)
+	}
+	if n, _ := rec["bytes"].(float64); n != 0 {
+		t.Fatalf("cancelled client logged %v bytes, want 0", rec["bytes"])
 	}
 }

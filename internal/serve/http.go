@@ -15,10 +15,6 @@ import (
 	"repro/internal/jag"
 )
 
-// statusClientClosedRequest is the nginx convention for "the client
-// went away before we answered" — the HTTP face of ErrCancelled.
-const statusClientClosedRequest = 499
-
 // Request headers of the v1 API. The JSON body fields take precedence
 // where both exist; the binary tensor transport carries no envelope, so
 // these headers are its only way to set per-request options.
@@ -82,9 +78,6 @@ type PredictResponse struct {
 // ModelInfo is one model's entry in the GET /v1/models listing.
 type ModelInfo struct {
 	Name string `json:"name"`
-	// Default marks the model the deprecated unversioned endpoints
-	// answer for.
-	Default bool `json:"default,omitempty"`
 	// Ready is false once the model's server has been closed.
 	Ready    bool            `json:"ready"`
 	Replicas int             `json:"replicas,omitempty"`
@@ -115,8 +108,9 @@ type ModelStats struct {
 	ForcedCloses int64 `json:"forced_closes"`
 	// CapacityQPS is the probed sustainable row rate published by
 	// Server.SetCapacityQPS (jagserve -probe), 0 when never probed.
-	// A fleet router reads it to weight least-loaded routing; it
-	// resets to 0 when a hot swap installs an unprobed generation.
+	// A fleet router reads it to weight least-loaded routing. A
+	// Reloader hot swap carries the displaced generation's value over
+	// to the replacement (stale beats zero) until it is re-probed.
 	CapacityQPS float64 `json:"capacity_qps,omitempty"`
 }
 
@@ -164,21 +158,6 @@ type HandlerConfig struct {
 	AccessLog *slog.Logger
 }
 
-// NewHandler exposes a single Server over the full v1 HTTP surface by
-// wrapping it as the sole (and default) model, named "default", of a
-// fresh Registry. Tests and single-model deployments mount exactly
-// this handler.
-func NewHandler(s *Server) http.Handler { return NewHandlerConfig(s, HandlerConfig{}) }
-
-// NewHandlerConfig is NewHandler with explicit options.
-func NewHandlerConfig(s *Server, hc HandlerConfig) http.Handler {
-	reg := NewRegistry()
-	if err := reg.Register("default", s); err != nil {
-		panic(err) // unreachable: the name is valid and the registry fresh
-	}
-	return NewRegistryHandler(reg, hc)
-}
-
 // NewRegistryHandler exposes every model of a Registry over HTTP:
 //
 //	GET  /v1/models                    model listing: methods, dims, readiness, generation
@@ -186,8 +165,6 @@ func NewHandlerConfig(s *Server, hc HandlerConfig) http.Handler {
 //	GET  /v1/models/{name}/stats       per-model serving counters + reload generation
 //	GET  /metrics                      Prometheus text exposition, every model
 //	GET  /healthz                      per-model readiness + reload state; 503 if any model closed
-//	POST /predict                      deprecated: default model's "predict"
-//	GET  /stats                        deprecated: default model's counters
 //
 // Every request is assigned (or propagates) an X-Request-Id correlation
 // ID, echoed on the response; call routes additionally emit a
@@ -212,7 +189,6 @@ func NewHandlerConfig(s *Server, hc HandlerConfig) http.Handler {
 func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
-		def, _, _ := reg.Default()
 		resp := ModelsResponse{Models: []ModelInfo{}}
 		for _, name := range reg.Names() {
 			s, ok := reg.Get(name)
@@ -221,7 +197,6 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 			}
 			info := ModelInfo{
 				Name:       name,
-				Default:    name == def,
 				Ready:      !s.Closed(),
 				Methods:    s.Dims(),
 				Generation: reg.Generation(name),
@@ -229,7 +204,7 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 			info.Replicas, info.Ensemble = poolShape(s.Model())
 			resp.Models = append(resp.Models, info)
 		}
-		writeJSON(w, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /v1/models/{name}/{method}", func(w http.ResponseWriter, r *http.Request) {
 		name, method := r.PathValue("name"), r.PathValue("method")
@@ -238,13 +213,13 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		// before closing rather than fail its rows with ErrClosed.
 		s, release, ok := reg.Acquire(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)",
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)",
 				name, strings.Join(reg.Names(), ", ")))
 			return
 		}
 		defer release()
 		if _, ok := s.Dims()[method]; !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("model %q has no method %q (serves: %s)",
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("model %q has no method %q (serves: %s)",
 				name, method, strings.Join(s.Methods(), ", ")))
 			return
 		}
@@ -254,11 +229,11 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		name := r.PathValue("name")
 		s, ok := reg.Get(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
+			WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
 			return
 		}
 		gen := reg.Generation(name)
-		writeJSON(w, ModelStats{StatsSnapshot: s.Stats(), Generation: gen, Reloads: gen - 1,
+		WriteJSON(w, http.StatusOK, ModelStats{StatsSnapshot: s.Stats(), Generation: gen, Reloads: gen - 1,
 			ForcedCloses: reg.ForcedCloses(name), CapacityQPS: s.CapacityQPS()})
 	})
 	mux.Handle("GET /metrics", MetricsHandler(reg))
@@ -285,34 +260,9 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 			}
 			resp.Models[name] = mh
 		}
-		writeJSONStatus(w, code, resp)
+		WriteJSON(w, code, resp)
 	})
-	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		markDeprecated(w)
-		name, s, release, ok := reg.AcquireDefault()
-		if !ok {
-			httpError(w, http.StatusServiceUnavailable, "no models registered")
-			return
-		}
-		defer release()
-		if _, ok := s.Dims()[MethodPredict]; !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("default model %q has no predict method", name))
-			return
-		}
-		serveCall(w, r, s, MethodPredict, hc)
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		markDeprecated(w)
-		name, s, ok := reg.Default()
-		if !ok {
-			httpError(w, http.StatusServiceUnavailable, "no models registered")
-			return
-		}
-		gen := reg.Generation(name)
-		writeJSON(w, ModelStats{StatsSnapshot: s.Stats(), Generation: gen, Reloads: gen - 1,
-			ForcedCloses: reg.ForcedCloses(name), CapacityQPS: s.CapacityQPS()})
-	})
-	return withObservability(mux, hc.AccessLog)
+	return Lifecycle(mux, hc.AccessLog)
 }
 
 // poolShape extracts the replica count and ensemble flag from models
@@ -326,13 +276,6 @@ func poolShape(m Model) (replicas int, ensemble bool) {
 		ensemble = e.Ensemble()
 	}
 	return replicas, ensemble
-}
-
-// markDeprecated stamps the deprecation headers on the unversioned
-// legacy endpoints, pointing clients at the v1 surface.
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/models>; rel="successor-version"`)
 }
 
 // serveCall is the transport-agnostic core of a batched model-method
@@ -352,7 +295,7 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 			// A malformed deadline must not silently become "no
 			// deadline": the caller asked for shedding and would get
 			// unbounded queueing instead.
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q: want a positive integer", DeadlineHeader, h))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q: want a positive integer", DeadlineHeader, h))
 			return
 		}
 		deadline = time.Duration(ms) * time.Millisecond
@@ -370,14 +313,14 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 		}
 		rows, err := DecodeFrame(r.Body, dims.In, maxRows)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad tensor frame: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad tensor frame: "+err.Error())
 			return
 		}
 		inputs = rows
 	} else {
 		var req PredictRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad json: "+err.Error())
 			return
 		}
 		inputs = req.Inputs
@@ -396,11 +339,11 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	}
 	class, err := ParsePriority(priority)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(inputs) == 0 {
-		httpError(w, http.StatusBadRequest, "no inputs")
+		WriteError(w, http.StatusBadRequest, "no inputs")
 		return
 	}
 
@@ -440,21 +383,17 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	rowErrs, failed := collectRowErrors(errs)
 	if agg, ok := mergeTraces(traces, errs); ok {
 		// Before the status line: headers are frozen at first write. The
-		// access-log middleware reads the same spans from the context.
+		// access log carries the same spans.
 		w.Header().Set("Server-Timing", serverTimingValue(agg))
-		if tc := traceFrom(r.Context()); tc != nil {
-			tc.setCall(agg)
-		}
+		AddLogAttrs(r.Context(), traceAttrs(agg)...)
 	}
 	// recordEncode charges a response-rendering span to the encode stage
-	// histogram and the request's trace, on whichever transport path the
-	// response takes.
+	// histogram and the request's log record, on whichever transport
+	// path the response takes.
 	recordEncode := func(start time.Time) {
 		d := time.Since(start)
-		s.stats.observeStage(StageEncode, d.Seconds())
-		if tc := traceFrom(r.Context()); tc != nil {
-			tc.setEncode(d)
-		}
+		s.stats.stageH[stageEncode].Observe(d.Seconds())
+		AddLogAttrs(r.Context(), slog.Float64("encode_ms", durMs(d)))
 	}
 	if scalarsOnly && method == MethodPredict {
 		for i, row := range outputs {
@@ -477,7 +416,7 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 		encStart := time.Now()
 		buf, err := EncodeFrame(outputs)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", ContentTypeTensor)
@@ -491,15 +430,14 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	if failed > 0 {
 		resp.Errors = rowErrs
 	}
-	encStart := time.Now()
+	status := http.StatusOK
 	if failed == len(inputs) {
 		// Nothing succeeded: surface the severest row status at the
 		// top level (the body still carries the per-row detail).
-		writeJSONStatus(w, batchStatus(rowErrs), resp)
-		recordEncode(encStart)
-		return
+		status = batchStatus(rowErrs)
 	}
-	writeJSON(w, resp)
+	encStart := time.Now()
+	WriteJSON(w, status, resp)
 	recordEncode(encStart)
 }
 
@@ -618,23 +556,4 @@ func batchStatus(rowErrs []*RowError) int {
 		}
 	}
 	return worst
-}
-
-// writeJSON renders v as a JSON response body with status 200.
-func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
-
-// writeJSONStatus renders v as a JSON body with an explicit status.
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// The status line is already out; an encode error can only be
-	// logged by the caller's middleware, not reported.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// httpError renders a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSONStatus(w, status, struct {
-		Error string `json:"error"`
-	}{msg})
 }

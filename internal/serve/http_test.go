@@ -12,6 +12,18 @@ import (
 	"repro/internal/jag"
 )
 
+// defaultHandler mounts s as the sole model, named "default", of a fresh
+// registry behind the v1 handler — the single-model deployment shape
+// most handler tests drive.
+func defaultHandler(t testing.TB, s *Server, hc HandlerConfig) http.Handler {
+	t.Helper()
+	reg := NewRegistry()
+	if err := reg.Register("default", s); err != nil {
+		t.Fatal(err)
+	}
+	return NewRegistryHandler(reg, hc)
+}
+
 // newTestHTTP starts an httptest server over a single-replica pool.
 func newTestHTTP(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -21,7 +33,7 @@ func newTestHTTP(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	s := NewServer(pool, Config{MaxBatch: 8, CacheSize: 16})
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(defaultHandler(t, s, HandlerConfig{}))
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
@@ -29,11 +41,15 @@ func newTestHTTP(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// postPredict posts a PredictRequest and decodes the reply.
+// predictPath is the default model's predict route.
+const predictPath = "/v1/models/default/predict"
+
+// postPredict posts a PredictRequest to the default model's predict
+// route and decodes the reply.
 func postPredict(t *testing.T, ts *httptest.Server, req PredictRequest) (PredictResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+predictPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +67,7 @@ func postPredict(t *testing.T, ts *httptest.Server, req PredictRequest) (Predict
 	return out, resp.StatusCode
 }
 
-// TestHTTPPredict drives /predict with a batch and a single input.
+// TestHTTPPredict drives the predict route with a batch and a single input.
 func TestHTTPPredict(t *testing.T) {
 	ts := newTestHTTP(t)
 	outDim := jag.Tiny8.OutputDim()
@@ -87,7 +103,7 @@ func TestHTTPLargeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(pool, Config{MaxBatch: 8, QueueDepth: 16})
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(defaultHandler(t, s, HandlerConfig{}))
 	defer func() {
 		ts.Close()
 		s.Close()
@@ -123,16 +139,16 @@ func TestHTTPScalarsOnly(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	ts := newTestHTTP(t)
 
-	resp, err := http.Get(ts.URL + "/predict")
+	resp, err := http.Get(ts.URL + predictPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /predict status %d", resp.StatusCode)
+		t.Fatalf("GET %s status %d", predictPath, resp.StatusCode)
 	}
 
-	resp, err = http.Post(ts.URL+"/predict", "application/json", bytes.NewReader([]byte("{")))
+	resp, err = http.Post(ts.URL+predictPath, "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +209,7 @@ func TestHTTPAllRowsFailed(t *testing.T) {
 // TestHTTPDeadlineExpired posts a request whose deadline is far shorter
 // than the server's flush delay: the row expires in the queue, is
 // dropped before a forward pass, and surfaces as 504 with the expiry
-// visible in /stats.
+// visible in the stats.
 func TestHTTPDeadlineExpired(t *testing.T) {
 	model := cyclegan.New(testModelCfg(), 42)
 	pool, err := NewPool([]*cyclegan.Surrogate{model}, false)
@@ -201,7 +217,7 @@ func TestHTTPDeadlineExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(pool, Config{MaxBatch: 64, MaxDelay: 300 * time.Millisecond})
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(defaultHandler(t, s, HandlerConfig{}))
 	defer func() {
 		ts.Close()
 		s.Close()
@@ -242,7 +258,7 @@ func TestHTTPPriority(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(PredictRequest{Input: testInput(0)})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/predict", bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+predictPath, bytes.NewReader(body))
 	req.Header.Set(PriorityHeader, "bulk")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -290,7 +306,7 @@ func TestHTTPHealthzClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(pool, Config{})
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(defaultHandler(t, s, HandlerConfig{}))
 	defer ts.Close()
 	s.Close()
 
@@ -332,7 +348,7 @@ func TestHTTPHealthAndStats(t *testing.T) {
 		t.Fatalf("health = %+v", health)
 	}
 
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/models/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// newV1TestServer mounts a two-model registry ("alpha" seeded 42 and
-// default, "beta" seeded 7) and returns it with the httptest server.
+// newV1TestServer mounts a two-model registry ("alpha" seeded 42,
+// "beta" seeded 7) and returns it with the httptest server.
 func newV1TestServer(t *testing.T) (*httptest.Server, *Registry) {
 	t.Helper()
 	reg := NewRegistry()
@@ -28,9 +28,6 @@ func newV1TestServer(t *testing.T) (*httptest.Server, *Registry) {
 		if err := reg.Register(name, s); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := reg.SetDefault("alpha"); err != nil {
-		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewRegistryHandler(reg, HandlerConfig{}))
 	t.Cleanup(func() {
@@ -57,7 +54,7 @@ func refRow(seed int64, x []float32, invert bool) []float32 {
 // TestV1TwoModelsIndependent drives the acceptance scenario: one
 // process, two named models, predict on one and invert on the other,
 // over both transports, each reply matching its own model's reference
-// pass — plus the legacy /predict alias answering for the default.
+// pass.
 func TestV1TwoModelsIndependent(t *testing.T) {
 	ts, _ := newV1TestServer(t)
 	ctx := context.Background()
@@ -96,32 +93,10 @@ func TestV1TwoModelsIndependent(t *testing.T) {
 			}
 		}
 	}
-
-	// The deprecated alias answers for the default model ("alpha").
-	body, _ := json.Marshal(PredictRequest{Input: x})
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /predict status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Fatal("legacy /predict reply not marked deprecated")
-	}
-	var out PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	want := refRow(42, x, false)
-	if len(out.Outputs) != 1 || out.Outputs[0][0] != want[0] {
-		t.Fatal("legacy /predict did not answer with the default model")
-	}
 }
 
-// TestV1ModelListing checks GET /v1/models: names, default marking,
-// readiness, and per-method dims.
+// TestV1ModelListing checks GET /v1/models: names, readiness, and
+// per-method dims.
 func TestV1ModelListing(t *testing.T) {
 	ts, reg := newV1TestServer(t)
 	models, err := NewClient(ts.URL).Models(context.Background())
@@ -130,9 +105,6 @@ func TestV1ModelListing(t *testing.T) {
 	}
 	if len(models) != 2 || models[0].Name != "alpha" || models[1].Name != "beta" {
 		t.Fatalf("listing = %+v, want sorted [alpha beta]", models)
-	}
-	if !models[0].Default || models[1].Default {
-		t.Fatal("default flag not on alpha")
 	}
 	outDim := jag.Tiny8.OutputDim()
 	for _, m := range models {
@@ -223,8 +195,12 @@ func TestV1NotFoundAndVerbs(t *testing.T) {
 	if code := get("/v1/models/alpha/predict"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET call route status %d, want 405", code)
 	}
-	if code := get("/predict"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /predict status %d, want 405", code)
+	// The pre-v1 aliases are gone, whatever the verb.
+	if code := post("/predict"); code != http.StatusNotFound {
+		t.Fatalf("POST /predict status %d, want 404", code)
+	}
+	if code := get("/stats"); code != http.StatusNotFound {
+		t.Fatalf("GET /stats status %d, want 404", code)
 	}
 	resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader(nil))
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 // the Prometheus text format, one scrape at a time.
 //
 // The exposition is rebuilt from snapshots on every scrape rather than
-// shared with the hot path: the pipeline's own instruments (lock-free
-// histograms, one short-lived mutex around the counters) are read, never
+// shared with the hot path: the pipeline's own instruments (atomic
+// counters and lock-free histograms, see Stats) are read, never
 // written, here — so a slow or hostile scraper cannot block a batch
 // flush, and a hot swap (Registry.Replace) needs no metric re-wiring.
 // Counters therefore reset when a reload swaps a model's generation,
@@ -56,49 +56,55 @@ func MetricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m := metrics.NewRegistry()
 		for _, name := range reg.Names() {
-			s, ok := reg.Get(name)
-			if !ok {
-				continue
+			if s, ok := reg.Get(name); ok {
+				collectModel(m, reg, name, s)
 			}
-			collectModel(m, reg, name, s)
 		}
-		w.Header().Set("Content-Type", promContentType)
-		// A write error here means the scraper hung up mid-response;
-		// the exposition text is regenerated on the next scrape.
-		_ = m.WritePrometheus(w)
+		WriteMetrics(w, m)
 	})
 }
 
-// collectModel fills the scrape registry with one model's series.
+// WriteMetrics answers a scrape with m's Prometheus text exposition.
+func WriteMetrics(w http.ResponseWriter, m *metrics.Registry) {
+	w.Header().Set("Content-Type", promContentType)
+	// A write error here means the scraper hung up mid-response; the
+	// exposition text is regenerated on the next scrape.
+	_ = m.WritePrometheus(w)
+}
+
+// collectModel fills the scrape registry with one model's series: the
+// Prometheus renderer over the server's statsView (stats.go holds the
+// JSON one), plus the live gauges and the registry's reload bookkeeping.
 func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
-	snap := s.Stats()
+	v := s.stats.view()
 	l := metrics.Labels{"model": name}
 
-	for method, lanes := range snap.LaneRequests {
-		for lane, n := range lanes {
-			m.Counter("jag_requests_total", "Completed rows by model, method, and priority lane.",
-				metrics.Labels{"model": name, "method": method, "lane": lane}).Add(uint64(n))
+	for i, method := range v.methods {
+		for lane, n := range v.rows[i] {
+			if n > 0 {
+				m.Counter("jag_requests_total", "Completed rows by model, method, and priority lane.",
+					metrics.Labels{"model": name, "method": method, "lane": Priority(lane).String()}).Add(uint64(n))
+			}
 		}
 	}
-	m.Counter("jag_batches_total", "Forward passes run.", l).Add(uint64(snap.Batches))
-	m.Counter("jag_overloads_total", "Rows rejected by queue-depth backpressure.", l).Add(uint64(snap.Overloads))
-	m.Counter("jag_expired_total", "Rows dropped before a forward pass: deadline passed.", l).Add(uint64(snap.Expired))
-	m.Counter("jag_cancelled_total", "Rows dropped before a forward pass: context cancelled.", l).Add(uint64(snap.Cancelled))
-	m.Counter("jag_model_failures_total", "Rows failed by the model's own forward pass.", l).Add(uint64(snap.ModelFailures))
-	m.Counter("jag_cache_hits_total", "Rows answered from the LRU response cache.", l).Add(uint64(snap.CacheHits))
-	m.Counter("jag_cache_misses_total", "Rows that ran the model and populated the cache.", l).Add(uint64(snap.CacheMisses))
-	if total := snap.CacheHits + snap.CacheMisses; total > 0 {
-		m.Gauge("jag_cache_hit_rate", "Cache hits over answered rows.", l).
-			Set(float64(snap.CacheHits) / float64(total))
-	} else {
-		m.Gauge("jag_cache_hit_rate", "Cache hits over answered rows.", l).Set(0)
+	m.Counter("jag_batches_total", "Forward passes run.", l).Add(uint64(v.batches))
+	m.Counter("jag_overloads_total", "Rows rejected by queue-depth backpressure.", l).Add(uint64(v.overloads))
+	m.Counter("jag_expired_total", "Rows dropped before a forward pass: deadline passed.", l).Add(uint64(v.expired))
+	m.Counter("jag_cancelled_total", "Rows dropped before a forward pass: context cancelled.", l).Add(uint64(v.cancelled))
+	m.Counter("jag_model_failures_total", "Rows failed by the model's own forward pass.", l).Add(uint64(v.failures))
+	m.Counter("jag_cache_hits_total", "Rows answered from the LRU response cache.", l).Add(uint64(v.cacheHits))
+	m.Counter("jag_cache_misses_total", "Rows that ran the model and populated the cache.", l).Add(uint64(v.cacheMisses))
+	hitRate := 0.0
+	if total := v.cacheHits + v.cacheMisses; total > 0 {
+		hitRate = float64(v.cacheHits) / float64(total)
 	}
+	m.Gauge("jag_cache_hit_rate", "Cache hits over answered rows.", l).Set(hitRate)
 	m.Gauge("jag_queue_depth", "Rows admitted and not yet answered.", l).Set(float64(s.Inflight()))
 	for lane, depth := range s.LaneDepths() {
 		m.Gauge("jag_lane_depth", "Rows queued per priority lane.",
 			metrics.Labels{"model": name, "lane": lane}).Set(float64(depth))
 	}
-	m.Gauge("jag_mean_batch", "Mean rows per forward pass.", l).Set(snap.MeanBatch)
+	m.Gauge("jag_mean_batch", "Mean rows per forward pass.", l).Set(v.meanBatch())
 	m.Gauge("jag_capacity_qps", "Probed sustainable row rate (rows/s), 0 until probed.", l).
 		Set(s.CapacityQPS())
 	ready := 1.0
@@ -106,7 +112,7 @@ func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
 		ready = 0
 	}
 	m.Gauge("jag_model_ready", "1 while the model accepts requests.", l).Set(ready)
-	m.Gauge("jag_uptime_seconds", "Serving time of the current generation.", l).Set(snap.UptimeSec)
+	m.Gauge("jag_uptime_seconds", "Serving time of the current generation.", l).Set(v.uptime)
 
 	gen := reg.Generation(name)
 	m.Gauge("jag_generation", "Hot-swap generation (1 = never swapped).", l).Set(float64(gen))
@@ -124,9 +130,9 @@ func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
 	}
 
 	m.SetHistogram("jag_request_latency_seconds", "End-to-end request latency (enqueue to scatter).",
-		l, s.LatencyHistogram())
-	for stage, h := range s.StageHistograms() {
+		l, v.latency)
+	for i, h := range v.stages {
 		m.SetHistogram("jag_stage_latency_seconds", "Per-stage latency: queue_wait, batch_assembly, forward, encode.",
-			metrics.Labels{"model": name, "stage": stage}, h)
+			metrics.Labels{"model": name, "stage": stageNames[i]}, h)
 	}
 }

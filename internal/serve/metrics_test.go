@@ -164,7 +164,7 @@ func TestRequestIDEcho(t *testing.T) {
 	// An unprintable ID never leaves Go's http client, so exercise the
 	// sanitizer through the handler directly.
 	s, _ := newTestServer(t, Config{MaxBatch: 1})
-	h := NewHandler(s)
+	h := defaultHandler(t, s, HandlerConfig{})
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	req.Header[RequestIDHeader] = []string{"bad\x01id"}
 	rec := httptest.NewRecorder()
@@ -227,7 +227,7 @@ func (b *syncBuffer) String() string {
 func TestAccessLogJSON(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond})
 	var logBuf syncBuffer
-	h := NewHandlerConfig(s, HandlerConfig{
+	h := defaultHandler(t, s, HandlerConfig{
 		AccessLog: slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	})
 	ts := httptest.NewServer(h)

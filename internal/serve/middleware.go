@@ -4,35 +4,25 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 )
 
-// Request-scoped observability: every request through the v1 handler
-// gets a correlation ID (caller-supplied X-Request-Id or a fresh one),
-// a span capture slot the call route fills in, and — when HandlerConfig
-// carries an access logger — one structured log record tying them all
-// together. The middleware is always on; only the log line is optional.
+// The HTTP request lifecycle shared by both serving tiers: jagserve's
+// v1 handler and jagproxy's front door mount the same Lifecycle
+// middleware and answer through the same JSON helpers, so a request
+// crossing proxy → backend carries one correlation ID and leaves one
+// access-log record of the same shape on each tier.
 
-// ctxKey keys the package's context values without colliding with other
-// packages' keys.
-type ctxKey int
-
-const (
-	requestIDKey ctxKey = iota
-	traceKey
-)
-
-// RequestID returns the correlation ID the handler assigned to (or
-// propagated for) the request whose context this is, or "" outside a
-// handler.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
-}
+// statusClientClosedRequest is the nginx convention for "the client
+// went away before we answered" — the HTTP face of ErrCancelled, and
+// the status the access log records for a request nothing was written
+// to because its context ended first.
+const statusClientClosedRequest = 499
 
 // newRequestID mints a 16-hex-digit correlation ID.
 func newRequestID() string {
@@ -61,40 +51,18 @@ func sanitizeRequestID(id string) string {
 	return id
 }
 
-// traceCapture is the per-request slot serveCall deposits its merged
-// span record into, so the access-log middleware — which runs outside
-// serveCall — can log where the request's time went.
-type traceCapture struct {
-	mu     sync.Mutex
-	has    bool
-	t      Trace
-	hasEnc bool
-	enc    time.Duration
-}
+// logAttrsKey keys the per-request access-log slot in a request context.
+type logAttrsKey struct{}
 
-func (tc *traceCapture) setCall(t Trace) {
-	tc.mu.Lock()
-	tc.t, tc.has = t, true
-	tc.mu.Unlock()
-}
-
-func (tc *traceCapture) setEncode(d time.Duration) {
-	tc.mu.Lock()
-	tc.enc, tc.hasEnc = d, true
-	tc.mu.Unlock()
-}
-
-func (tc *traceCapture) snapshot() (t Trace, enc time.Duration, has, hasEnc bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.t, tc.enc, tc.has, tc.hasEnc
-}
-
-// traceFrom returns the request's span-capture slot, or nil when the
-// handler was mounted without the middleware (direct serveCall tests).
-func traceFrom(ctx context.Context) *traceCapture {
-	tc, _ := ctx.Value(traceKey).(*traceCapture)
-	return tc
+// AddLogAttrs appends attributes to the access-log record of the
+// request whose context this is: the call route adds its stage spans,
+// the proxy's relay adds the backend that answered. It is a no-op
+// outside Lifecycle or when no access logger is configured. The slot is
+// unsynchronised: only the goroutine running the handler may call this.
+func AddLogAttrs(ctx context.Context, attrs ...slog.Attr) {
+	if slot, ok := ctx.Value(logAttrsKey{}).(*[]slog.Attr); ok {
+		*slot = append(*slot, attrs...)
+	}
 }
 
 // durMs renders a span for logs and headers, in float milliseconds.
@@ -110,6 +78,19 @@ func serverTimingValue(t Trace) string {
 	}
 	return fmt.Sprintf("queue_wait;dur=%.3f, batch_assembly;dur=%.3f, forward;dur=%.3f, batch;desc=%q",
 		durMs(t.QueueWait), durMs(t.Assembly), durMs(t.Forward), fmt.Sprint(t.Batch))
+}
+
+// traceAttrs renders a merged trace as access-log attributes.
+func traceAttrs(t Trace) []slog.Attr {
+	if t.CacheHit {
+		return []slog.Attr{slog.Bool("cache_hit", true)}
+	}
+	return []slog.Attr{
+		slog.Float64("queue_wait_ms", durMs(t.QueueWait)),
+		slog.Float64("batch_assembly_ms", durMs(t.Assembly)),
+		slog.Float64("forward_ms", durMs(t.Forward)),
+		slog.Int("batch", t.Batch),
+	}
 }
 
 // statusWriter records the status code and body size passing through a
@@ -136,54 +117,81 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// withObservability wraps the handler mux with the per-request plumbing:
-// assign or propagate the correlation ID, echo it on the response, stash
-// it and a span-capture slot in the context, and — when logger is
-// non-nil — emit one structured "request" record per request.
-func withObservability(next http.Handler, logger *slog.Logger) http.Handler {
+// NewAccessLogger builds the logger behind jagserve's and jagproxy's
+// -log-format flag: "text" or "json" records on w, nil (no access log)
+// for the empty format.
+func NewAccessLogger(format string, w io.Writer) (*slog.Logger, error) {
+	switch format {
+	case "":
+		return nil, nil
+	case "text":
+		return slog.New(slog.NewTextHandler(w, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, nil)), nil
+	}
+	return nil, fmt.Errorf("-log-format %q: want \"text\" or \"json\"", format)
+}
+
+// Lifecycle wraps a tier's route mux with the per-request plumbing:
+// accept the caller's X-Request-Id (or mint one), echo it on the
+// response and set it on the request headers so a proxying handler
+// forwards it verbatim, and — when logger is non-nil — emit one
+// structured "request" record per request: method, path, status,
+// duration_ms, bytes, request_id, then whatever the handler added
+// through AddLogAttrs. A request that ends with nothing written because
+// its client went away is logged as 499, not as the 200 net/http would
+// have sent to nobody.
+func Lifecycle(next http.Handler, logger *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
 		if id == "" {
 			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		tc := &traceCapture{}
-		ctx := context.WithValue(r.Context(), requestIDKey, id)
-		ctx = context.WithValue(ctx, traceKey, tc)
-		r = r.WithContext(ctx)
+		r.Header.Set(RequestIDHeader, id)
 		if logger == nil {
 			next.ServeHTTP(w, r)
 			return
 		}
+		var extra []slog.Attr
+		r = r.WithContext(context.WithValue(r.Context(), logAttrsKey{}, &extra))
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		status := sw.status
-		if status == 0 {
+		switch {
+		case status != 0:
+		case r.Context().Err() != nil:
+			status = statusClientClosedRequest
+		default:
 			status = http.StatusOK
 		}
-		attrs := []slog.Attr{
+		attrs := append([]slog.Attr{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", status),
 			slog.Float64("duration_ms", durMs(time.Since(start))),
 			slog.Int64("bytes", sw.bytes),
 			slog.String("request_id", id),
-		}
-		if t, enc, has, hasEnc := tc.snapshot(); has {
-			if t.CacheHit {
-				attrs = append(attrs, slog.Bool("cache_hit", true))
-			} else {
-				attrs = append(attrs,
-					slog.Float64("queue_wait_ms", durMs(t.QueueWait)),
-					slog.Float64("batch_assembly_ms", durMs(t.Assembly)),
-					slog.Float64("forward_ms", durMs(t.Forward)),
-					slog.Int("batch", t.Batch))
-			}
-			if hasEnc {
-				attrs = append(attrs, slog.Float64("encode_ms", durMs(enc)))
-			}
-		}
+		}, extra...)
 		logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	})
+}
+
+// WriteJSON renders v as a JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// The status line is already out; an encode error can only mean the
+	// client hung up, and there is nobody left to report it to.
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError renders the {"error": msg} envelope every tier answers
+// whole-request failures with, so clients see one error shape
+// fleet-wide.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
 }

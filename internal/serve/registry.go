@@ -10,9 +10,7 @@ import (
 // Registry maps model names to independently configured Servers — one
 // process serving several surrogates (per-geometry, per-campaign, or
 // top-k ensembles side by side), each with its own pool, batching
-// queues, cache, and stats. The first registered model is the default
-// unless SetDefault overrides it; the default is what the deprecated
-// unversioned endpoints (/predict, /stats) answer for.
+// queues, cache, and stats.
 //
 // Beyond lookup, the registry is the hot-reload point: Replace
 // atomically swaps the server behind a name, so a long-running process
@@ -27,7 +25,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	servers  map[string]*regEntry
 	watchers map[string]*Reloader
-	def      string
 	closed   bool
 	// drainDeadline bounds how long Replace waits for Acquire holders
 	// before force-closing the displaced server; 0 waits forever.
@@ -98,8 +95,7 @@ func validModelName(name string) bool {
 }
 
 // Register adds a named server at generation 1. The name must be
-// URL-safe ([A-Za-z0-9][A-Za-z0-9._-]*) and not already taken. The
-// first registered server becomes the default.
+// URL-safe ([A-Za-z0-9][A-Za-z0-9._-]*) and not already taken.
 func (r *Registry) Register(name string, s *Server) error {
 	if !validModelName(name) {
 		return fmt.Errorf("serve: invalid model name %q", name)
@@ -116,9 +112,6 @@ func (r *Registry) Register(name string, s *Server) error {
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
 	r.servers[name] = &regEntry{srv: s, gen: 1}
-	if r.def == "" {
-		r.def = name
-	}
 	return nil
 }
 
@@ -196,18 +189,6 @@ func (r *Registry) ForcedCloses(name string) int64 {
 	return r.forcedCloses[name]
 }
 
-// SetDefault names the model the deprecated unversioned endpoints
-// answer for. The name must already be registered.
-func (r *Registry) SetDefault(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.servers[name]; !ok {
-		return fmt.Errorf("serve: cannot default to unregistered model %q", name)
-	}
-	r.def = name
-	return nil
-}
-
 // Get returns the named server. The snapshot is not protected against
 // a concurrent Replace — a caller that submits requests to the server
 // should use Acquire instead, so a swap drains it first. Get is for
@@ -237,18 +218,6 @@ func (r *Registry) Acquire(name string) (s *Server, release func(), ok bool) {
 	return e.srv, e.releaseFunc(), true
 }
 
-// AcquireDefault is Acquire for the default model; ok is false for an
-// empty registry.
-func (r *Registry) AcquireDefault() (name string, s *Server, release func(), ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.servers[r.def]
-	if !ok {
-		return "", nil, nil, false
-	}
-	return r.def, e.srv, e.releaseFunc(), true
-}
-
 // releaseFunc takes one reference on the entry and returns the
 // idempotent closure that drops it. Callers hold the registry lock.
 func (e *regEntry) releaseFunc() func() {
@@ -266,18 +235,6 @@ func (r *Registry) Generation(name string) int64 {
 		return e.gen
 	}
 	return 0
-}
-
-// Default returns the default model's name and server; ok is false for
-// an empty registry.
-func (r *Registry) Default() (string, *Server, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.servers[r.def]
-	if !ok {
-		return r.def, nil, false
-	}
-	return r.def, e.srv, true
 }
 
 // Names returns the registered model names in sorted order.

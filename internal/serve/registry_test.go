@@ -57,34 +57,6 @@ func TestRegistryRegister(t *testing.T) {
 	}
 }
 
-// TestRegistryDefault pins default semantics: first registered wins
-// until SetDefault, which must name a registered model.
-func TestRegistryDefault(t *testing.T) {
-	reg := NewRegistry()
-	if _, _, ok := reg.Default(); ok {
-		t.Fatal("empty registry has a default")
-	}
-	a, b := newNamedServer(t, 1), newNamedServer(t, 2)
-	if err := reg.Register("first", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("second", b); err != nil {
-		t.Fatal(err)
-	}
-	if name, s, ok := reg.Default(); !ok || name != "first" || s != a {
-		t.Fatalf("default = %q, want first", name)
-	}
-	if err := reg.SetDefault("missing"); err == nil {
-		t.Fatal("SetDefault accepted an unregistered name")
-	}
-	if err := reg.SetDefault("second"); err != nil {
-		t.Fatal(err)
-	}
-	if name, s, ok := reg.Default(); !ok || name != "second" || s != b {
-		t.Fatalf("default = %q, want second", name)
-	}
-}
-
 // TestRegistryClose shuts every registered server down.
 func TestRegistryClose(t *testing.T) {
 	reg := NewRegistry()
@@ -154,7 +126,7 @@ func TestReplaceDrainDeadline(t *testing.T) {
 		t.Fatalf("ForcedCloses = %d, want 1", n)
 	}
 	// The straggler sees ErrClosed, not a hang or a panic.
-	if _, err := held.Predict(make([]float32, jag.InputDim)); !errors.Is(err, ErrClosed) {
+	if _, err := predict(held, make([]float32, jag.InputDim)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("straggler Predict error = %v, want ErrClosed", err)
 	}
 	release() // late release is harmless
@@ -207,14 +179,14 @@ func TestReplaceLeakedAcquireForcesClose(t *testing.T) {
 		t.Fatalf("ForcedCloses = %d, want 1 after a leaked pin", n)
 	}
 	// The leaked holder's server is dead; calls fail fast.
-	if _, err := leaked.Predict(make([]float32, jag.InputDim)); !errors.Is(err, ErrClosed) {
+	if _, err := predict(leaked, make([]float32, jag.InputDim)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("leaked holder Predict error = %v, want ErrClosed", err)
 	}
 	// The replacement is live and unaffected by the forced close.
 	if s, ok := reg.Get("jag"); !ok || s != next {
 		t.Fatal("replacement server not installed")
 	}
-	if _, err := next.Predict(make([]float32, jag.InputDim)); err != nil {
+	if _, err := predict(next, make([]float32, jag.InputDim)); err != nil {
 		t.Fatalf("replacement Predict failed: %v", err)
 	}
 }

@@ -246,6 +246,11 @@ func (rl *Reloader) check() (swapped, examined bool, err error) {
 		return false, true, fmt.Errorf("serve: reload %s: %w", rl.name, err)
 	}
 	srv := NewServer(pool, rl.cfg.Server)
+	if old, ok := rl.reg.Get(rl.name); ok {
+		// Stale beats zero: an unprobed replacement reporting 0 would
+		// drop the whole fleet from weighted routing to P2C.
+		srv.SetCapacityQPS(old.CapacityQPS())
+	}
 	if err := rl.reg.Replace(rl.name, srv); err != nil {
 		srv.Close()
 		return false, true, fmt.Errorf("serve: reload %s: %w", rl.name, err)

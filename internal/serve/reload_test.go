@@ -41,7 +41,7 @@ func refPredict(seed int64, x []float32) []float32 {
 }
 
 // TestReplaceUnderConcurrentTraffic is the swap-under-traffic race
-// test (run with -race): PredictContext traffic from both priority
+// test (run with -race): Call traffic from both priority
 // lanes hammers one registered name while the server behind it is
 // replaced three times. Every admitted row must be served exactly once
 // with zero errors — a drop would surface as an error or a hang, a
@@ -112,7 +112,7 @@ func TestReplaceUnderConcurrentTraffic(t *testing.T) {
 					t.Error("model vanished from the registry")
 					return
 				}
-				y, err := s.PredictPriority(ctx, testInput(i), lane)
+				y, err := s.Call(ctx, MethodPredict, testInput(i), lane)
 				release()
 				if err != nil {
 					t.Errorf("row dropped during swap (lane %v): %v", lane, err)
@@ -197,7 +197,7 @@ func TestAcquirePinsAcrossReplace(t *testing.T) {
 	if oldSrv.Closed() {
 		t.Fatal("pinned server closed under the holder")
 	}
-	if _, err := s.Predict(testInput(0)); err != nil {
+	if _, err := predict(s, testInput(0)); err != nil {
 		t.Fatalf("pinned server stopped serving: %v", err)
 	}
 
@@ -308,7 +308,8 @@ func newWatchedServer(t *testing.T, cfg Config) (reg *Registry, rl *Reloader, ck
 // TestReloaderSwapsOnNewCheckpoint drives the happy path: no change is
 // a no-op, a rewrite with identical content is a no-op (fingerprint,
 // not mtime, decides), and a new winner checkpoint hot-swaps the
-// generation whose outputs then match the new model bitwise.
+// generation whose outputs then match the new model bitwise and which
+// inherits the displaced generation's probed capacity.
 func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	reg, rl, ckpt := newWatchedServer(t, Config{MaxBatch: 1})
 
@@ -328,6 +329,7 @@ func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	// A new tournament winner lands.
 	saveTestCheckpoint(t, ckpt, 2, cyclegan.New(testModelCfg(), 2))
 	old, _ := reg.Get("m")
+	old.SetCapacityQPS(1234) // what jagserve -probe published at startup
 	swapped, err := rl.Check()
 	if err != nil || !swapped {
 		t.Fatalf("new checkpoint check = %v, %v; want swap", swapped, err)
@@ -342,8 +344,13 @@ func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	// MaxBatch 1: the served row is bitwise the new model's pass.
 	s, release, _ := reg.Acquire("m")
 	defer release()
+	if got := s.CapacityQPS(); got != 1234 {
+		// An unprobed replacement at 0 would drop a whole fleet of
+		// reloading backends from weighted routing to P2C.
+		t.Fatalf("capacity_qps = %v after the swap, want the displaced server's 1234", got)
+	}
 	x := testInput(2)
-	got, err := s.Predict(x)
+	got, err := predict(s, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +423,7 @@ func TestReloaderRejectsCorruptCheckpoint(t *testing.T) {
 			t.Fatal("model gone")
 		}
 		defer release()
-		if _, err := s.Predict(testInput(0)); err != nil {
+		if _, err := predict(s, testInput(0)); err != nil {
 			t.Fatalf("old generation stopped serving: %v", err)
 		}
 	}

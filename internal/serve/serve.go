@@ -54,8 +54,8 @@
 //     QueueDepth across all of a server's methods and lanes; excess
 //     callers fail fast with ErrOverloaded instead of queueing without
 //     bound;
-//   - instrumentation (stats.go): counters plus lock-free streaming
-//     latency histograms — end-to-end and per pipeline stage
+//   - instrumentation (stats.go): atomic counters plus lock-free
+//     streaming latency histograms — end-to-end and per pipeline stage
 //     (queue_wait, batch_assembly, forward, encode) — exposed as a
 //     JSON snapshot with p50/p90/p99/p999 quantiles, as a Prometheus
 //     exposition (metrics.go, GET /metrics), and per request as a
@@ -88,7 +88,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Errors returned by the Call/Predict family.
+// Errors returned by Call and CallTrace.
 var (
 	// ErrOverloaded is returned when QueueDepth requests are already in
 	// flight; callers should back off and retry (HTTP 503).
@@ -256,6 +256,7 @@ type request struct {
 // forward pass.
 type batch struct {
 	method string
+	slot   int // the method's index in Server.methods and Stats.rows
 	reqs   []*request
 	// flushed is when the batch loop closed the batch and handed it to
 	// the workers: the end of every row's queue-wait span and the start
@@ -267,6 +268,7 @@ type batch struct {
 // by method: each queue has its own batch loop, so rows for different
 // methods never share a forward pass.
 type methodQueue struct {
+	slot  int // the method's index in Server.methods and Stats.rows
 	lanes [numLanes]chan *request
 }
 
@@ -325,15 +327,15 @@ func NewServer(model Model, cfg Config) *Server {
 		model:   model,
 		dims:    dims,
 		methods: methods,
-		stats:   newStats(),
+		stats:   newStats(methods),
 		queues:  make(map[string]*methodQueue, len(dims)),
 		batches: make(chan *batch, cfg.Workers),
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newLRU(cfg.CacheSize)
 	}
-	for _, m := range methods {
-		q := &methodQueue{}
+	for slot, m := range methods {
+		q := &methodQueue{slot: slot}
 		for l := range q.lanes {
 			// Each lane holds QueueDepth so a send never blocks even if
 			// every in-flight request lands in one lane.
@@ -375,35 +377,11 @@ func (s *Server) Dims() map[string]Dims {
 	return out
 }
 
-// OutputDim returns the width of "predict" result rows, or 0 if the
-// model has no predict method. Kept for the single-model callers that
-// predate method dispatch.
-func (s *Server) OutputDim() int { return s.dims[MethodPredict].Out }
-
 // Closed reports whether Close has been called.
 func (s *Server) Closed() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.closed
-}
-
-// Predict returns the surrogate's output bundle for one input at
-// Interactive priority with no deadline. See Call.
-func (s *Server) Predict(x []float32) ([]float32, error) {
-	return s.Call(context.Background(), MethodPredict, x, Interactive)
-}
-
-// PredictContext is Predict with a caller-controlled lifecycle: if ctx
-// is cancelled or its deadline passes while the request is queued, the
-// call returns ErrCancelled/ErrExpired and the stale row is discarded
-// at flush time without costing a forward pass.
-func (s *Server) PredictContext(ctx context.Context, x []float32) ([]float32, error) {
-	return s.Call(ctx, MethodPredict, x, Interactive)
-}
-
-// PredictPriority is PredictContext with an explicit queue lane.
-func (s *Server) PredictPriority(ctx context.Context, x []float32, class Priority) ([]float32, error) {
-	return s.Call(ctx, MethodPredict, x, class)
 }
 
 // Call submits one row to the named method's batching queue and blocks
@@ -450,14 +428,14 @@ func (s *Server) CallTrace(ctx context.Context, method string, x []float32, clas
 		// the same design point must never collide.
 		key = method + "\x00" + quantKey(x, s.cfg.CacheQuantum)
 		if y, ok := s.cache.get(key); ok {
-			s.stats.cacheHit()
+			s.stats.cacheHits.Add(1)
 			return y, Trace{CacheHit: true}, nil
 		}
 	}
 
 	if s.inflight.Add(1) > int64(s.cfg.QueueDepth) {
 		s.inflight.Add(-1)
-		s.stats.overload()
+		s.stats.overloads.Add(1)
 		return nil, Trace{}, ErrOverloaded
 	}
 	req := &request{ctx: ctx, x: x, class: class, enqueued: time.Now(), resp: make(chan result, 1)}
@@ -506,7 +484,7 @@ func (s *Server) finish(key string, res result) ([]float32, Trace, error) {
 		// overload rejections nor rows dropped as stale inflate the
 		// miss rate. Cache its own copy so neither the caller nor a
 		// later cache hit can mutate the other's row.
-		s.stats.cacheMiss()
+		s.stats.cacheMisses.Add(1)
 		s.cache.put(key, append([]float32(nil), res.y...))
 	}
 	return res.y, res.trace, nil
@@ -516,10 +494,10 @@ func (s *Server) finish(key string, res result) ([]float32, Trace, error) {
 // to the serve error vocabulary.
 func (s *Server) dropStale(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
-		s.stats.expire()
+		s.stats.expired.Add(1)
 		return ErrExpired
 	}
-	s.stats.cancel()
+	s.stats.cancelled.Add(1)
 	return ErrCancelled
 }
 
@@ -615,7 +593,7 @@ func (s *Server) batchLoop(method string, q *methodQueue) {
 			pending = append(pending, r)
 		}
 		timer.Stop()
-		s.batches <- &batch{method: method, reqs: pending, flushed: time.Now()}
+		s.batches <- &batch{method: method, slot: q.slot, reqs: pending, flushed: time.Now()}
 		carry = s.reapBulk(&qb)
 		if carry == nil && qi == nil && qb == nil {
 			return
@@ -697,14 +675,14 @@ func (s *Server) workerLoop() {
 		}
 		y, err := s.model.Run(b.method, x)
 		fwdDur := time.Since(fwdStart)
-		s.stats.observeStage(StageAssembly, assembly.Seconds())
-		s.stats.observeStage(StageForward, fwdDur.Seconds())
+		s.stats.stageH[stageAssembly].Observe(assembly.Seconds())
+		s.stats.stageH[stageForward].Observe(fwdDur.Seconds())
 		if err != nil {
 			// The model rejected a structurally valid batch: fail its
 			// rows, not the server. The method set was checked at
 			// admission, so this is an internal model failure.
 			err = fmt.Errorf("%w: %v", ErrModelFailure, err)
-			s.stats.failure(len(live))
+			s.stats.failures.Add(int64(len(live)))
 			for _, r := range live {
 				r.resp <- result{err: err}
 				s.inflight.Add(-1)
@@ -719,8 +697,8 @@ func (s *Server) workerLoop() {
 			out := make([]float32, y.Cols)
 			copy(out, y.Row(i))
 			wait := b.flushed.Sub(r.enqueued)
-			s.stats.observeStage(StageQueueWait, wait.Seconds())
-			s.stats.request(b.method, r.class, now.Sub(r.enqueued))
+			s.stats.stageH[stageQueueWait].Observe(wait.Seconds())
+			s.stats.request(b.slot, r.class, now.Sub(r.enqueued))
 			r.resp <- result{y: out, trace: Trace{
 				QueueWait: wait,
 				Assembly:  assembly,
@@ -733,8 +711,8 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// Stats returns a consistent snapshot of the serving counters.
-func (s *Server) Stats() StatsSnapshot { return s.stats.snapshot() }
+// Stats returns a snapshot of the serving counters.
+func (s *Server) Stats() StatsSnapshot { return s.stats.view().snapshot() }
 
 // SetCapacityQPS publishes the server's probed sustainable throughput
 // in rows per second — typically ProbeResult.QPS from a startup

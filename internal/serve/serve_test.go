@@ -36,6 +36,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *cyclegan.Surrogate) {
 	return s, model
 }
 
+// predict submits one row to the predict method at Interactive priority
+// with no deadline — the shape most pipeline tests drive.
+func predict(s *Server, x []float32) ([]float32, error) {
+	return s.Call(context.Background(), MethodPredict, x, Interactive)
+}
+
 // testInput returns a deterministic in-cube input distinct per i.
 func testInput(i int) []float32 {
 	x := make([]float32, jag.InputDim)
@@ -54,7 +60,7 @@ func TestPredictMatchesModel(t *testing.T) {
 	ref := cyclegan.New(testModelCfg(), 42)
 
 	x := testInput(3)
-	got, err := s.Predict(x)
+	got, err := predict(s, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func TestMethodsNeverShareBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			y, err := s.Call(context.Background(), MethodPredict, testInput(i), Interactive)
+			y, err := predict(s, testInput(i))
 			if err != nil {
 				t.Error(err)
 				return
@@ -157,7 +163,7 @@ func TestMethodsNeverShareBatch(t *testing.T) {
 func TestInvertCacheIsolated(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 1, CacheSize: 8})
 	x := testInput(6)
-	fwd, err := s.Call(context.Background(), MethodPredict, x, Interactive)
+	fwd, err := predict(s, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +206,7 @@ func (failingModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error)
 func TestModelFailure(t *testing.T) {
 	s := NewServer(failingModel{}, Config{MaxBatch: 1})
 	t.Cleanup(s.Close)
-	_, err := s.Call(context.Background(), MethodPredict, []float32{0.1, 0.2}, Interactive)
+	_, err := predict(s, []float32{0.1, 0.2})
 	if !errors.Is(err, ErrModelFailure) {
 		t.Fatalf("Call error = %v, want ErrModelFailure", err)
 	}
@@ -224,7 +230,7 @@ func TestFlushOnFull(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Predict(testInput(i)); err != nil {
+			if _, err := predict(s, testInput(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -251,7 +257,7 @@ func TestFlushOnDeadline(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Predict(testInput(i)); err != nil {
+			if _, err := predict(s, testInput(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -283,7 +289,7 @@ func TestBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Predict(testInput(i)); err != nil {
+			if _, err := predict(s, testInput(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -297,7 +303,7 @@ func TestBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, err := s.Predict(testInput(99)); !errors.Is(err, ErrOverloaded) {
+	if _, err := predict(s, testInput(99)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow Predict error = %v, want ErrOverloaded", err)
 	}
 	wg.Wait()
@@ -330,7 +336,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
 				x := testInput(g*perG + k)
-				got, err := s.Predict(x)
+				got, err := predict(s, x)
 				if err != nil {
 					t.Error(err)
 					return
@@ -377,7 +383,7 @@ func TestPassOverheadLatency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Predict(testInput(i)); err != nil {
+			if _, err := predict(s, testInput(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -398,11 +404,11 @@ func TestCacheAccounting(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 1, CacheSize: 8})
 
 	x := testInput(5)
-	first, err := s.Predict(x)
+	first, err := predict(s, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Predict(x)
+	second, err := predict(s, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +437,7 @@ func TestPredictAfterClose(t *testing.T) {
 	s := NewServer(pool, Config{})
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Predict(testInput(0)); !errors.Is(err, ErrClosed) {
+	if _, err := predict(s, testInput(0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Predict after Close = %v, want ErrClosed", err)
 	}
 }
@@ -445,8 +451,8 @@ func TestExpiredRowDroppedAtFlush(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := s.PredictContext(ctx, testInput(0)); !errors.Is(err, ErrExpired) {
-		t.Fatalf("PredictContext = %v, want ErrExpired", err)
+	if _, err := s.Call(ctx, MethodPredict, testInput(0), Interactive); !errors.Is(err, ErrExpired) {
+		t.Fatalf("Call = %v, want ErrExpired", err)
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -471,8 +477,8 @@ func TestCancelledBeforeAdmission(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.PredictContext(ctx, testInput(1)); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("PredictContext = %v, want ErrCancelled", err)
+	if _, err := s.Call(ctx, MethodPredict, testInput(1), Interactive); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Call = %v, want ErrCancelled", err)
 	}
 	snap := s.Stats()
 	if snap.Cancelled != 1 || snap.Requests != 0 {
@@ -533,7 +539,7 @@ func TestRecvPriority(t *testing.T) {
 // starved bulk lane cannot pin queue capacity forever, while an alive
 // row is pushed back rather than jumping ahead of interactive work.
 func TestReapBulk(t *testing.T) {
-	s := &Server{stats: newStats()}
+	s := &Server{stats: newStats(nil)}
 	qb := make(chan *request, 4)
 	dead := func() *request {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -564,7 +570,7 @@ func TestReapBulk(t *testing.T) {
 	if len(qb) != 2 || <-qb != d3 || <-qb != alive {
 		t.Fatal("alive row was not rotated behind the remaining rows")
 	}
-	if snap := s.stats.snapshot(); snap.Cancelled != 2 {
+	if snap := s.stats.view().snapshot(); snap.Cancelled != 2 {
 		t.Fatalf("cancelled = %d, want 2", snap.Cancelled)
 	}
 
@@ -621,7 +627,7 @@ func TestPriorityInteractiveFirst(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.PredictPriority(context.Background(), testInput(i), class); err != nil {
+			if _, err := s.Call(context.Background(), MethodPredict, testInput(i), class); err != nil {
 				t.Error(err)
 				return
 			}
@@ -681,7 +687,7 @@ func TestCloseVsPredictRace(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for k := 0; k < 4; k++ {
-					_, err := s.Predict(testInput(g*4 + k))
+					_, err := predict(s, testInput(g*4+k))
 					if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrOverloaded) {
 						t.Errorf("Predict during Close = %v", err)
 					}
@@ -691,7 +697,7 @@ func TestCloseVsPredictRace(t *testing.T) {
 		s.Close()
 		wg.Wait()
 
-		if _, err := s.Predict(testInput(0)); !errors.Is(err, ErrClosed) {
+		if _, err := predict(s, testInput(0)); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Predict after Close = %v, want ErrClosed", err)
 		}
 	}
@@ -700,7 +706,7 @@ func TestCloseVsPredictRace(t *testing.T) {
 // TestPredictPriorityInvalid rejects classes outside the lane set.
 func TestPredictPriorityInvalid(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	if _, err := s.PredictPriority(context.Background(), testInput(0), Priority(9)); err == nil {
+	if _, err := s.Call(context.Background(), MethodPredict, testInput(0), Priority(9)); err == nil {
 		t.Fatal("unknown priority accepted")
 	}
 }
@@ -726,15 +732,15 @@ func TestParsePriority(t *testing.T) {
 // TestPredictBadDim checks input validation.
 func TestPredictBadDim(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	if _, err := s.Predict([]float32{1, 2}); err == nil {
+	if _, err := predict(s, []float32{1, 2}); err == nil {
 		t.Fatal("short input accepted")
 	}
 	nan := float32(math.NaN())
-	if _, err := s.Predict([]float32{nan, 0, 0, 0, 0}); err == nil {
+	if _, err := predict(s, []float32{nan, 0, 0, 0, 0}); err == nil {
 		t.Fatal("NaN input accepted")
 	}
 	inf := float32(math.Inf(1))
-	if _, err := s.Predict([]float32{0, inf, 0, 0, 0}); err == nil {
+	if _, err := predict(s, []float32{0, inf, 0, 0, 0}); err == nil {
 		t.Fatal("Inf input accepted")
 	}
 }

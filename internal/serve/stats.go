@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -30,9 +30,17 @@ const (
 	StageEncode = "encode"
 )
 
-// stageNames enumerates the stages in pipeline order, for deterministic
-// rendering.
-var stageNames = []string{StageQueueWait, StageAssembly, StageForward, StageEncode}
+// Stage indices into Stats.stageH, in pipeline order.
+const (
+	stageQueueWait = iota
+	stageAssembly
+	stageForward
+	stageEncode
+	numStages
+)
+
+// stageNames maps a stage index to its exported name.
+var stageNames = [numStages]string{StageQueueWait, StageAssembly, StageForward, StageEncode}
 
 // Trace is one request's span record: where its latency went, stage by
 // stage. The pipeline fills it as the request moves; CallTrace returns
@@ -54,131 +62,129 @@ type Trace struct {
 	CacheHit bool
 }
 
-// Stats aggregates the serving counters behind one mutex, with the
-// latency histograms outside it: metrics.Histogram is lock-free, so the
-// hot path records observations and a concurrent /metrics scrape reads
-// snapshots without either blocking the other.
+// Stats is the server's one set of instruments: plain atomics and
+// lock-free histograms created once at NewServer. The request path only
+// ever adds to them, and every reader — the StatsSnapshot JSON, the
+// Prometheus exposition — renders a statsView copied from them without
+// taking a lock, so a scrape can never stall a batch flush.
 type Stats struct {
-	mu          sync.Mutex
-	start       time.Time
-	requests    int64
-	perMethod   map[string]int64
-	perLane     map[string]*[numLanes]int64 // method → per-lane completed rows
-	overloads   int64
-	expired     int64
-	cancelled   int64
-	failures    int64
-	cacheHits   int64
-	cacheMisses int64
-	latency     metrics.Meter // milliseconds, enqueue to scatter
-	batchOccup  metrics.Meter // requests per forward pass
+	start   time.Time
+	methods []string // sorted; rows[i] belongs to methods[i]
+	// rows counts completed rows per (method, lane). Requests and
+	// MethodRequests are sums over it rather than counters of their own,
+	// so the three views agree in every view, mid-traffic included.
+	rows [][numLanes]atomic.Int64
 
-	// latencyH is the end-to-end latency histogram (seconds) the
-	// quantile fields of StatsSnapshot — and the capacity-model
-	// validation — read from.
+	batches   atomic.Int64 // forward passes that answered their rows
+	batchRows atomic.Int64 // rows summed over those passes
+	maxBatch  atomic.Int64
+	overloads atomic.Int64 // rows rejected by backpressure
+	expired   atomic.Int64 // rows dropped before a pass: deadline passed
+	cancelled atomic.Int64 // rows dropped before a pass: context cancelled
+	// failures counts rows failed by the model's own forward pass — the
+	// only error class that is the model's fault rather than the
+	// caller's or the queue's.
+	failures    atomic.Int64
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64 // counted only when the model answered
+	maxLatency  atomic.Int64 // nanoseconds, enqueue to scatter
+
+	// latencyH is the end-to-end latency histogram (seconds) the mean
+	// and quantile fields of StatsSnapshot — and the capacity-model
+	// validation — read from; stageH holds one per pipeline stage.
 	latencyH *metrics.Histogram
-	// stageH holds one histogram (seconds) per pipeline stage.
-	stageH map[string]*metrics.Histogram
+	stageH   [numStages]*metrics.Histogram
 }
 
-// newStats starts the throughput clock.
-func newStats() *Stats {
+// newStats starts the throughput clock for a server of the given
+// (sorted) method set.
+func newStats(methods []string) *Stats {
 	s := &Stats{
-		start:     time.Now(),
-		perMethod: make(map[string]int64),
-		perLane:   make(map[string]*[numLanes]int64),
-		latencyH:  metrics.NewHistogram(metrics.LatencyBuckets()),
-		stageH:    make(map[string]*metrics.Histogram, len(stageNames)),
+		start:    time.Now(),
+		methods:  methods,
+		rows:     make([][numLanes]atomic.Int64, len(methods)),
+		latencyH: metrics.NewHistogram(metrics.LatencyBuckets()),
 	}
-	for _, st := range stageNames {
-		s.stageH[st] = metrics.NewHistogram(metrics.LatencyBuckets())
+	for i := range s.stageH {
+		s.stageH[i] = metrics.NewHistogram(metrics.LatencyBuckets())
 	}
 	return s
 }
 
-// request records one completed row of the named method and lane and
-// its queue-to-reply latency.
-func (s *Stats) request(method string, class Priority, d time.Duration) {
-	s.latencyH.Observe(d.Seconds())
-	s.mu.Lock()
-	s.requests++
-	s.perMethod[method]++
-	lanes, ok := s.perLane[method]
-	if !ok {
-		lanes = new([numLanes]int64)
-		s.perLane[method] = lanes
+// storeMax raises a to v if v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
 	}
-	if class >= 0 && class < numLanes {
-		lanes[class]++
-	}
-	s.latency.Add(float64(d) / float64(time.Millisecond))
-	s.mu.Unlock()
 }
 
-// observeStage records one span of the named pipeline stage, in
-// seconds. Unknown stages are dropped rather than panicking the worker.
-func (s *Stats) observeStage(stage string, sec float64) {
-	if h, ok := s.stageH[stage]; ok {
-		h.Observe(sec)
-	}
+// request records one completed row of method slot and lane and its
+// queue-to-reply latency.
+func (s *Stats) request(slot int, class Priority, d time.Duration) {
+	s.latencyH.Observe(d.Seconds())
+	storeMax(&s.maxLatency, int64(d))
+	s.rows[slot][class].Add(1)
 }
 
 // batch records one forward pass of n coalesced requests.
 func (s *Stats) batch(n int) {
-	s.mu.Lock()
-	s.batchOccup.Add(float64(n))
-	s.mu.Unlock()
+	s.batches.Add(1)
+	s.batchRows.Add(int64(n))
+	storeMax(&s.maxBatch, int64(n))
 }
 
-// overload counts one request rejected by backpressure.
-func (s *Stats) overload() {
-	s.mu.Lock()
-	s.overloads++
-	s.mu.Unlock()
+// statsView is one instant's copy of every instrument, taken once per
+// Stats call or scrape; the JSON snapshot and the Prometheus exposition
+// are two renderers over it.
+type statsView struct {
+	methods                                 []string
+	rows                                    [][numLanes]int64
+	batches, batchRows, maxBatch            int64
+	overloads, expired, cancelled, failures int64
+	cacheHits, cacheMisses                  int64
+	maxLatency                              time.Duration
+	uptime                                  float64
+	latency                                 metrics.HistogramSnapshot
+	stages                                  [numStages]metrics.HistogramSnapshot
 }
 
-// expire counts one request dropped — at admission or at flush time,
-// but always before a forward pass — because its deadline passed.
-func (s *Stats) expire() {
-	s.mu.Lock()
-	s.expired++
-	s.mu.Unlock()
+func (s *Stats) view() statsView {
+	v := statsView{
+		methods:     s.methods,
+		rows:        make([][numLanes]int64, len(s.rows)),
+		batches:     s.batches.Load(),
+		batchRows:   s.batchRows.Load(),
+		maxBatch:    s.maxBatch.Load(),
+		overloads:   s.overloads.Load(),
+		expired:     s.expired.Load(),
+		cancelled:   s.cancelled.Load(),
+		failures:    s.failures.Load(),
+		cacheHits:   s.cacheHits.Load(),
+		cacheMisses: s.cacheMisses.Load(),
+		maxLatency:  time.Duration(s.maxLatency.Load()),
+		uptime:      time.Since(s.start).Seconds(),
+		latency:     s.latencyH.Snapshot(),
+	}
+	for i := range s.rows {
+		for l := range s.rows[i] {
+			v.rows[i][l] = s.rows[i][l].Load()
+		}
+	}
+	for i, h := range s.stageH {
+		v.stages[i] = h.Snapshot()
+	}
+	return v
 }
 
-// cancel counts one request dropped before a forward pass because its
-// context was cancelled.
-func (s *Stats) cancel() {
-	s.mu.Lock()
-	s.cancelled++
-	s.mu.Unlock()
-}
-
-// failure counts n rows failed by an error from the model's own
-// forward pass — the only error class that is the model's fault rather
-// than the caller's or the queue's, so it gets its own counter and
-// cannot hide as "no traffic".
-func (s *Stats) failure(n int) {
-	s.mu.Lock()
-	s.failures += int64(n)
-	s.mu.Unlock()
-}
-
-// cacheHit counts one request answered from the LRU cache.
-func (s *Stats) cacheHit() {
-	s.mu.Lock()
-	s.cacheHits++
-	s.mu.Unlock()
-}
-
-// cacheMiss counts one request that had to run the model.
-func (s *Stats) cacheMiss() {
-	s.mu.Lock()
-	s.cacheMisses++
-	s.mu.Unlock()
+// meanBatch is the mean rows per forward pass, 0 before the first.
+func (v statsView) meanBatch() float64 {
+	if v.batches == 0 {
+		return 0
+	}
+	return float64(v.batchRows) / float64(v.batches)
 }
 
 // StageSnapshot summarizes one pipeline stage's latency histogram for
-// the /stats JSON endpoint, all times in milliseconds.
+// the stats JSON endpoint, all times in milliseconds.
 type StageSnapshot struct {
 	Count  int64   `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
@@ -200,8 +206,8 @@ func stageSnapshot(h metrics.HistogramSnapshot) StageSnapshot {
 	}
 }
 
-// StatsSnapshot is a consistent copy of the serving counters, shaped for
-// the /stats JSON endpoint.
+// StatsSnapshot is one instant's copy of the serving counters, shaped for
+// the per-model stats JSON endpoint.
 type StatsSnapshot struct {
 	Requests int64 `json:"requests"`
 	// MethodRequests splits Requests by model method ("predict",
@@ -237,62 +243,55 @@ type StatsSnapshot struct {
 	UptimeSec    float64                  `json:"uptime_sec"`
 }
 
-// snapshot captures the counters at one instant.
-func (s *Stats) snapshot() StatsSnapshot {
-	lat := s.latencyH.Snapshot()
-	stages := make(map[string]StageSnapshot, len(stageNames))
-	for _, st := range stageNames {
-		if snap := s.stageH[st].Snapshot(); snap.Count > 0 {
-			stages[st] = stageSnapshot(snap)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	up := time.Since(s.start).Seconds()
-	var methods map[string]int64
-	if len(s.perMethod) > 0 {
-		methods = make(map[string]int64, len(s.perMethod))
-		for k, v := range s.perMethod {
-			methods[k] = v
-		}
-	}
-	var lanes map[string]map[string]int64
-	if len(s.perLane) > 0 {
-		lanes = make(map[string]map[string]int64, len(s.perLane))
-		for m, counts := range s.perLane {
-			byLane := make(map[string]int64, numLanes)
-			for l := Priority(0); l < numLanes; l++ {
-				if counts[l] > 0 {
-					byLane[l.String()] = counts[l]
-				}
-			}
-			lanes[m] = byLane
-		}
-	}
+// snapshot renders the view as the stats JSON document. Methods and
+// lanes that never completed a row are absent.
+func (v statsView) snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
-		Requests:       s.requests,
-		MethodRequests: methods,
-		LaneRequests:   lanes,
-		Batches:        s.batchOccup.Count(),
-		Overloads:      s.overloads,
-		Expired:        s.expired,
-		Cancelled:      s.cancelled,
-		ModelFailures:  s.failures,
-		CacheHits:      s.cacheHits,
-		CacheMisses:    s.cacheMisses,
-		MeanBatch:      s.batchOccup.Mean(),
-		MaxBatch:       s.batchOccup.Max(),
-		MeanLatMs:      s.latency.Mean(),
-		MaxLatMs:       s.latency.Max(),
-		LatencyP50Ms:   1e3 * lat.Quantile(0.50),
-		LatencyP90Ms:   1e3 * lat.Quantile(0.90),
-		LatencyP99Ms:   1e3 * lat.Quantile(0.99),
-		LatencyP999Ms:  1e3 * lat.Quantile(0.999),
-		Stages:         stages,
-		UptimeSec:      up,
+		Batches:       int(v.batches),
+		Overloads:     v.overloads,
+		Expired:       v.expired,
+		Cancelled:     v.cancelled,
+		ModelFailures: v.failures,
+		CacheHits:     v.cacheHits,
+		CacheMisses:   v.cacheMisses,
+		MeanBatch:     v.meanBatch(),
+		MaxBatch:      float64(v.maxBatch),
+		MeanLatMs:     1e3 * v.latency.Mean(),
+		MaxLatMs:      durMs(v.maxLatency),
+		LatencyP50Ms:  1e3 * v.latency.Quantile(0.50),
+		LatencyP90Ms:  1e3 * v.latency.Quantile(0.90),
+		LatencyP99Ms:  1e3 * v.latency.Quantile(0.99),
+		LatencyP999Ms: 1e3 * v.latency.Quantile(0.999),
+		Stages:        make(map[string]StageSnapshot, numStages),
+		UptimeSec:     v.uptime,
 	}
-	if up > 0 {
-		snap.ThroughputPS = float64(s.requests+s.cacheHits) / up
+	for i, method := range v.methods {
+		byLane := make(map[string]int64, numLanes)
+		var total int64
+		for l, n := range v.rows[i] {
+			if n > 0 {
+				byLane[Priority(l).String()] = n
+				total += n
+			}
+		}
+		if total == 0 {
+			continue
+		}
+		if snap.MethodRequests == nil {
+			snap.MethodRequests = make(map[string]int64, len(v.methods))
+			snap.LaneRequests = make(map[string]map[string]int64, len(v.methods))
+		}
+		snap.MethodRequests[method] = total
+		snap.LaneRequests[method] = byLane
+		snap.Requests += total
+	}
+	for i, h := range v.stages {
+		if h.Count > 0 {
+			snap.Stages[stageNames[i]] = stageSnapshot(h)
+		}
+	}
+	if v.uptime > 0 {
+		snap.ThroughputPS = float64(snap.Requests+v.cacheHits) / v.uptime
 	}
 	return snap
 }
@@ -302,16 +301,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 // renders.
 func (s *Server) LatencyHistogram() metrics.HistogramSnapshot {
 	return s.stats.latencyH.Snapshot()
-}
-
-// StageHistograms returns a snapshot of every pipeline-stage latency
-// histogram (seconds), keyed by stage name.
-func (s *Server) StageHistograms() map[string]metrics.HistogramSnapshot {
-	out := make(map[string]metrics.HistogramSnapshot, len(stageNames))
-	for _, st := range stageNames {
-		out[st] = s.stats.stageH[st].Snapshot()
-	}
-	return out
 }
 
 // Inflight returns the number of requests currently admitted to the

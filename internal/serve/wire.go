@@ -73,16 +73,6 @@ func EncodeFrame(rows [][]float32) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame encodes rows and writes the frame to w.
-func WriteFrame(w io.Writer, rows [][]float32) error {
-	buf, err := EncodeFrame(rows)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // DecodeFrame reads one binary tensor frame. Every declared size is
 // validated before it is believed: bad magic, an unknown version, a
 // rows*cols product over MaxFrameElems (which also catches uint32
