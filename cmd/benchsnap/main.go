@@ -6,7 +6,8 @@
 // checked-in BENCH_<PR>.json files at the repo root are such snapshots,
 // kept as history rather than overwritten (BENCH_8.json, then BENCH_12.json
 // and BENCH_13.json either side of the SIMD micro-kernels, BENCH_14.json
-// after the serve + proxy subtraction pass); CI regenerates
+// after the serve + proxy subtraction pass, BENCH_15.json with the
+// streaming checkpoint's BenchmarkCheckpointSaveLoad added); CI regenerates
 // the latest every run and uploads the fresh copy, so a perf regression is
 // visible as a JSON diff against the committed baseline.
 //

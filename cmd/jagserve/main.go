@@ -109,7 +109,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 64, "max requests coalesced into one forward pass")
 	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait before flushing a partial batch")
 	queueDepth := flag.Int("queue-depth", 0, "max in-flight requests per model before 503 (0 = 4*max-batch)")
-	cacheSize := flag.Int("cache-size", 1024, "per-model LRU response-cache entries (0 disables)")
+	cacheSize := flag.Int("cache-size", 1024, "per-model LRU response-cache entries, filled by the interactive lane only (0 disables)")
 	probe := flag.Bool("probe", true, "cost-probe each model's predict path at startup and publish the sustainable rows/s as capacity_qps on its stats route (read by cmd/jagproxy for weighted routing)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline; rows still queued past it are dropped without a forward pass (0 disables; requests override via deadline_ms)")
 	watch := flag.Bool("watch", false, "watch each model's spec/checkpoint path and hot-swap newly written checkpoints in without dropping traffic (canary-tested; a bad checkpoint is rejected and the old model keeps serving)")

@@ -4,12 +4,15 @@
 // networks together with a step counter, so a training session (or a single
 // tournament winner) can resume where it stopped.
 //
-// Format: magic "CKP1" | uint64 step | network-set blob (nn.MarshalNetworks).
+// Format: magic "CKP1" | uint64 step | network-set stream (nn.WriteNetworks).
 // Files are written atomically (temp file + rename), so a crash mid-write
-// never corrupts the previous checkpoint.
+// never corrupts the previous checkpoint. Save and Load stream the weights
+// between the networks and the file through fixed buffers, so neither holds
+// a copy of the file in memory however large the model is.
 package checkpoint
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,19 +26,34 @@ import (
 
 const magic = "CKP1"
 
+// headerLen is the magic plus the step counter.
+const headerLen = len(magic) + 8
+
+// ioBuffer sizes the bufio layer between the codec and the file.
+const ioBuffer = 64 << 10
+
+// write streams one checkpoint to w.
+func write(w io.Writer, step int64, nets []*nn.Network) error {
+	bw := bufio.NewWriterSize(w, ioBuffer)
+	hdr := binary.LittleEndian.AppendUint64([]byte(magic), uint64(step))
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	if err := nn.WriteNetworks(bw, nets); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
 // Save writes the networks and step counter to path atomically.
 func Save(path string, step int64, nets []*nn.Network) error {
-	buf := []byte(magic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(step))
-	buf = append(buf, nn.MarshalNetworks(nets)...)
-
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
+	if err := write(tmp, step, nets); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("checkpoint: write: %w", err)
@@ -72,15 +90,21 @@ func Fingerprint(path string) (string, error) {
 // Load restores a checkpoint into nets (which must match the saved
 // architecture) and returns the stored step counter.
 func Load(path string, nets []*nn.Network) (step int64, err error) {
-	buf, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(buf) < 12 || string(buf[:4]) != magic {
+	defer f.Close()
+	br := bufio.NewReaderSize(f, ioBuffer)
+	var hdr [headerLen]byte
+	switch _, err := io.ReadFull(br, hdr[:]); {
+	case err == io.EOF, err == io.ErrUnexpectedEOF, err == nil && string(hdr[:len(magic)]) != magic:
 		return 0, fmt.Errorf("checkpoint: %s is not a checkpoint file", path)
+	case err != nil:
+		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	step = int64(binary.LittleEndian.Uint64(buf[4:12]))
-	if err := nn.UnmarshalNetworks(nets, buf[12:]); err != nil {
+	step = int64(binary.LittleEndian.Uint64(hdr[len(magic):]))
+	if err := nn.ReadNetworks(br, nets); err != nil {
 		return 0, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return step, nil

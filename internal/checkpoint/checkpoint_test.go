@@ -1,8 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cyclegan"
@@ -168,5 +171,152 @@ func TestResumeEquivalence(t *testing.T) {
 	b := resumed.Predict(x)
 	if !a.Equal(b) {
 		t.Fatal("resumed model predicts differently")
+	}
+}
+
+// goldenNets rebuilds the two small networks testdata/golden_pr14.ckpt was
+// saved from (at step 1234), with weights set by formula so the file does
+// not depend on the initializer. lastOut widens the second network, for the
+// wrong-architecture cases.
+func goldenNets(lastOut int) []*nn.Network {
+	rng := rand.New(rand.NewSource(1))
+	nets := []*nn.Network{
+		nn.MLP("a", []int{3, 4, 2}, nn.ActLeakyReLU, nn.ActNone, rng),
+		nn.MLP("b", []int{2, lastOut}, nn.ActNone, nn.ActSigmoid, rng),
+	}
+	k := 0
+	for _, n := range nets {
+		for _, p := range n.Params() {
+			for i := range p.W.Data {
+				p.W.Data[i] = float32(k%17)*0.25 - 2
+				k++
+			}
+		}
+	}
+	return nets
+}
+
+const (
+	goldenFile        = "testdata/golden_pr14.ckpt"
+	goldenFingerprint = "9ef5adf30ad1315a3974c1b3435eb8b54105de569bec99865b013a6e603b1a0e"
+)
+
+// TestStreamedFileMatchesGolden: testdata/golden_pr14.ckpt was written by
+// PR 14's Save, which built the file in memory (CKP1 header +
+// nn.MarshalNetworks) and wrote it in one piece. The streaming Save must
+// produce those bytes and that fingerprint exactly — a serving fleet's
+// reload watcher compares fingerprints across versions — and the streaming
+// Load must read the old file.
+func TestStreamedFileMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := Fingerprint(goldenFile); err != nil || fp != goldenFingerprint {
+		t.Fatalf("golden file fingerprints %q (%v), want %q", fp, err, goldenFingerprint)
+	}
+	path := filepath.Join(t.TempDir(), "streamed.ckpt")
+	if err := Save(path, 1234, goldenNets(5)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("streamed file (%d bytes) differs from the golden file (%d bytes)", len(got), len(want))
+	}
+	if fp, err := Fingerprint(path); err != nil || fp != goldenFingerprint {
+		t.Fatalf("streamed file fingerprints %q (%v), want %q", fp, err, goldenFingerprint)
+	}
+
+	rng := rand.New(rand.NewSource(2))
+	loaded := []*nn.Network{
+		nn.MLP("a", []int{3, 4, 2}, nn.ActLeakyReLU, nn.ActNone, rng),
+		nn.MLP("b", []int{2, 5}, nn.ActNone, nn.ActSigmoid, rng),
+	}
+	step, err := Load(goldenFile, loaded)
+	if err != nil || step != 1234 {
+		t.Fatalf("Load(golden) = step %d, %v; want 1234", step, err)
+	}
+	if !bytes.Equal(nn.MarshalNetworks(loaded), nn.MarshalNetworks(goldenNets(5))) {
+		t.Fatal("weights loaded from the golden file differ from the ones it was saved from")
+	}
+}
+
+// TestLoadRejectsDamagedFiles cuts, extends and mislabels the golden file.
+// Each case must fail with the error PR 14's read-the-whole-file Load gave
+// for the same bytes ("<path>" stands for the file's path).
+func TestLoadRejectsDamagedFiles(t *testing.T) {
+	good, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(off int, delta byte) []byte {
+		b := bytes.Clone(good)
+		b[off] += delta
+		return b
+	}
+	path := filepath.Join(t.TempDir(), "damaged.ckpt")
+	for _, c := range []struct {
+		name string
+		file []byte
+		nets []*nn.Network
+		want string
+	}{
+		{"empty", nil, goldenNets(5), "checkpoint: <path> is not a checkpoint file"},
+		{"cut in the header", good[:7], goldenNets(5), "checkpoint: <path> is not a checkpoint file"},
+		{"file magic", edit(0, 1), goldenNets(5), "checkpoint: <path> is not a checkpoint file"},
+		{"header only", good[:12], goldenNets(5), "checkpoint: <path>: nn: network-set buffer missing magic"},
+		{"set magic", edit(12, 1), goldenNets(5), "checkpoint: <path>: nn: network-set buffer missing magic"},
+		{"cut in a length", good[:22], goldenNets(5), "checkpoint: <path>: nn: network-set buffer truncated at net 0"},
+		{"cut in the first net", good[:100], goldenNets(5), "checkpoint: <path>: nn: network-set buffer truncated in net 0"},
+		{"cut in the last float", good[:len(good)-1], goldenNets(5), "checkpoint: <path>: nn: network-set buffer truncated in net 1"},
+		{"trailing bytes", append(bytes.Clone(good), 0, 0, 0), goldenNets(5), "checkpoint: <path>: nn: network-set buffer has 3 trailing bytes"},
+		{"wrong shape", good, goldenNets(6), `checkpoint: <path>: nn: net 1 (b): nn: param "linear_2x6.w" shape 2x5 in buffer, want 2x6`},
+		{"wrong net count", good, goldenNets(5)[:1], "checkpoint: <path>: nn: buffer holds 2 networks, want 1"},
+		{"net magic", edit(24, 1), goldenNets(5), `checkpoint: <path>: nn: net 0 (a): nn: weight buffer missing "NNW1" magic`},
+		{"blob length short", edit(20, 0xff), goldenNets(5), `checkpoint: <path>: nn: net 0 (a): nn: weight buffer truncated in param "linear_4x2.b" data`},
+		{"blob length long", edit(20, 4), goldenNets(5), "checkpoint: <path>: nn: net 0 (a): nn: weight buffer has 4 trailing bytes"},
+	} {
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path, c.nets)
+		if err == nil {
+			t.Errorf("%s: loaded", c.name)
+			continue
+		}
+		if got := strings.ReplaceAll(err.Error(), path, "<path>"); got != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkCheckpointSaveLoad saves and re-loads the paper-geometry
+// surrogate (a 50 MB file). Run with -benchmem: B/op is what one
+// save + load costs in transient memory, which streaming holds to the
+// codec's and bufio's fixed buffers; building and parsing the file in
+// memory cost about four times the file.
+func BenchmarkCheckpointSaveLoad(b *testing.B) {
+	model := cyclegan.New(cyclegan.DefaultConfig(jag.Default64), 1)
+	path := filepath.Join(b.TempDir(), "paper64.ckpt")
+	if err := Save(path, 1, model.Nets()); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(2 * info.Size()) // written once, read once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Save(path, int64(i), model.Nets()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Load(path, model.Nets()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

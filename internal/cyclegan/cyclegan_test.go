@@ -257,3 +257,68 @@ func BenchmarkTrainStepTiny(b *testing.B) {
 		s.TrainStep(x, y, nn.NopReducer{})
 	}
 }
+
+// hasGradStorage reports whether any parameter of s holds a gradient
+// accumulator.
+func hasGradStorage(s *Surrogate) bool {
+	for _, n := range s.Nets() {
+		for _, p := range n.Params() {
+			if p.Grad != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestGradientsAllocatedOnFirstTrainStep pins both halves of gradient
+// storage on first training use. A surrogate that only runs inference —
+// which is all a serving replica, an LTFB scratch model or a reload canary
+// ever does — holds no accumulators; and training on accumulators allocated
+// by the first step is the same computation as training on ones allocated
+// at construction: the losses below are the bits the PR 14 tree (which
+// allocated every Grad in newParam) produced for this seed and these
+// batches.
+func TestGradientsAllocatedOnFirstTrainStep(t *testing.T) {
+	cfg := tinyConfig()
+	s := New(cfg, 7)
+	x, y := batch(cfg, 100, 8)
+	s.Predict(x)
+	s.Invert(x)
+	s.Eval(x, y)
+	s.AdversarialScore(x, y)
+	if hasGradStorage(s) {
+		t.Fatal("inference allocated gradient storage")
+	}
+
+	golden := []map[string]uint64{
+		{"adversarial": 0x3fe42cdcfb01d88d, "autoencoder": 0x3fd720411632cccc, "cycle": 0x3fd0e7d1a2333333,
+			"disc": 0x3ff67cf0cd4f56c8, "fidelity": 0x3fd738024679dddf, "latent": 0x3faa9a72b8ceb120},
+		{"adversarial": 0x3fe42e2f798555c8, "autoencoder": 0x3fd6c7f0fa76666c, "cycle": 0x3fce6ed7bccccccd,
+			"disc": 0x3ff65cf482374ae5, "fidelity": 0x3fd6e47773d15555, "latent": 0x3fabab83c9aaee96},
+		{"adversarial": 0x3fe410591a1d6d62, "autoencoder": 0x3fd6e89c786f2224, "cycle": 0x3fd0aff658666666,
+			"disc": 0x3ff655f4ebd95d7f, "fidelity": 0x3fd70ba0ecea999c, "latent": 0x3faaeb97f6cf3208},
+	}
+	for step, want := range golden {
+		bx, by := batch(cfg, 16*step, 16)
+		got := s.TrainStep(bx, by, nn.NopReducer{})
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d losses, want %d", step, len(got), len(want))
+		}
+		for name, bits := range want {
+			if math.Float64bits(got[name]) != bits {
+				t.Errorf("step %d %s = %v (%#x), want bits %#x", step, name, got[name], math.Float64bits(got[name]), bits)
+			}
+		}
+	}
+	if got := math.Float64bits(s.Eval(x, y)); got != 0x3fe6e0b33aa94151 {
+		t.Errorf("Eval after three steps = %#x, want 0x3fe6e0b33aa94151", got)
+	}
+	for _, n := range s.Nets() {
+		for _, p := range n.Params() {
+			if p.Grad == nil || p.Grad.Rows != p.W.Rows || p.Grad.Cols != p.W.Cols {
+				t.Fatalf("%s %s: no gradient accumulator of the weight's shape after training", n.Name, p.Name)
+			}
+		}
+	}
+}

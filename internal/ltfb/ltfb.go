@@ -184,7 +184,7 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 
 	ranksPer := m.World.Size() / m.Cfg.NumTrainers
 	lin := m.Lineage()
-	netsLen := len(nn.MarshalNetworks(m.exchangeSet(m.T.Model)))
+	netsLen := nn.NetworksSize(m.exchangeSet(m.T.Model))
 	payloadLen := netsLen + len(lin)
 	verdict := make([]byte, 1+payloadLen)
 

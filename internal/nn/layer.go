@@ -19,16 +19,30 @@ import (
 )
 
 // Param is one trainable tensor together with its gradient accumulator.
-// Optimizers update W in place; Backward adds into Grad.
+// Optimizers update W in place; Backward adds into Grad. Grad is nil until
+// the parameter first trains — ZeroGrad, Backward and a Reducer allocate it
+// through Accum — so a model that only ever runs Forward (a serving replica,
+// an LTFB scratch model, a reload canary) holds its weights and nothing
+// else. A nil Grad reads as "no gradient": optimizers skip the parameter and
+// the gradient norms count it as zero.
 type Param struct {
 	Name string
 	W    *tensor.Matrix
 	Grad *tensor.Matrix
 }
 
-// newParam allocates a parameter and a zeroed gradient of the same shape.
+// newParam allocates a parameter's weights; see Param for its gradient.
 func newParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, W: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
+	return &Param{Name: name, W: tensor.New(rows, cols)}
+}
+
+// Accum returns the gradient accumulator, allocating it zeroed, in W's
+// shape, on first use.
+func (p *Param) Accum() *tensor.Matrix {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.W.Rows, p.W.Cols)
+	}
+	return p.Grad
 }
 
 // Layer is one differentiable operation. Forward must be called before
@@ -85,10 +99,11 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	tensor.Gemm(l.Weight.Grad, 1, l.x, tensor.Trans, dy, tensor.NoTrans, 1)
+	tensor.Gemm(l.Weight.Accum(), 1, l.x, tensor.Trans, dy, tensor.NoTrans, 1)
 	cs := tensor.ColSums(dy)
+	bias := l.Bias.Accum().Data
 	for j, v := range cs {
-		l.Bias.Grad.Data[j] += v
+		bias[j] += v
 	}
 	dx := tensor.New(dy.Rows, l.In)
 	tensor.Gemm(dx, 1, dy, tensor.NoTrans, l.Weight.W, tensor.Trans, 0)

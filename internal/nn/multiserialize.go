@@ -1,52 +1,88 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 )
 
-// MarshalNetworks serializes a set of networks into one buffer — the LTFB
-// exchange payload (Figure 6b ships the generator-side networks together):
+// A network set is several networks in one stream — the LTFB exchange
+// payload (Figure 6b ships the generator-side networks together) and the
+// body of a checkpoint file:
 //
 //	magic "NNS1" | uint32 netCount | netCount × (uint32 len | weights blob)
-func MarshalNetworks(nets []*Network) []byte {
-	buf := []byte("NNS1")
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nets)))
+
+const setMagic = "NNS1"
+
+// NetworksSize returns the exact byte length WriteNetworks will produce.
+func NetworksSize(nets []*Network) int {
+	size := 4 + 4
 	for _, n := range nets {
-		w := n.MarshalWeights()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w)))
-		buf = append(buf, w...)
+		size += 4 + n.WeightsSize()
 	}
-	return buf
+	return size
 }
 
-// UnmarshalNetworks loads a MarshalNetworks buffer into nets, which must
-// match in count and per-network architecture.
-func UnmarshalNetworks(nets []*Network, buf []byte) error {
-	if len(buf) < 8 || string(buf[:4]) != "NNS1" {
-		return fmt.Errorf("nn: network-set buffer missing magic")
+// WriteNetworks streams a set of networks to w; see Network.WriteTo.
+func WriteNetworks(w io.Writer, nets []*Network) error {
+	e := newEncoder(w, NetworksSize(nets))
+	e.header(setMagic, len(nets))
+	for _, n := range nets {
+		e.u32(n.WeightsSize())
+		e.weights(n)
 	}
-	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	if count != len(nets) {
+	return e.err
+}
+
+// MarshalNetworks serializes a set of networks into one fresh buffer.
+func MarshalNetworks(nets []*Network) []byte {
+	var buf bytes.Buffer
+	buf.Grow(NetworksSize(nets))
+	_ = WriteNetworks(&buf, nets) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// ReadNetworks loads a WriteNetworks stream into nets, which must match in
+// count and per-network architecture; the stream must end where the set
+// does. On error the networks read so far stay modified.
+func ReadNetworks(r io.Reader, nets []*Network) error {
+	d := newDecoder(r, NetworksSize(nets))
+	const noMagic = "nn: network-set buffer missing magic"
+	hdr := d.buf[:8]
+	if err := d.read(hdr, noMagic); err != nil {
+		return err
+	}
+	if string(hdr[:4]) != setMagic {
+		return errors.New(noMagic)
+	}
+	if count := int(binary.LittleEndian.Uint32(hdr[4:])); count != len(nets) {
 		return fmt.Errorf("nn: buffer holds %d networks, want %d", count, len(nets))
 	}
-	off := 8
 	for i, n := range nets {
-		if len(buf) < off+4 {
-			return fmt.Errorf("nn: network-set buffer truncated at net %d", i)
+		if err := d.read(hdr[:4], "nn: network-set buffer truncated at net %d", i); err != nil {
+			return err
 		}
-		l := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if len(buf) < off+l {
-			return fmt.Errorf("nn: network-set buffer truncated in net %d", i)
+		// The blob is a stream of its own that ends at its declared
+		// length, which is how the weights decoder finds a blob that is
+		// longer or shorter than its network.
+		blob := &io.LimitedReader{R: d.r, N: int64(binary.LittleEndian.Uint32(hdr))}
+		bd := decoder{r: blob, buf: d.buf}
+		err := bd.weights(n)
+		var short truncatedError
+		if errors.As(err, &short) && blob.N > 0 {
+			// The set's stream ended, not the blob.
+			return truncatedError(fmt.Sprintf("nn: network-set buffer truncated in net %d", i))
 		}
-		if err := n.UnmarshalWeights(buf[off : off+l]); err != nil {
+		if err != nil {
 			return fmt.Errorf("nn: net %d (%s): %w", i, n.Name, err)
 		}
-		off += l
 	}
-	if off != len(buf) {
-		return fmt.Errorf("nn: network-set buffer has %d trailing bytes", len(buf)-off)
-	}
-	return nil
+	return d.end("network-set buffer")
+}
+
+// UnmarshalNetworks is ReadNetworks over a MarshalNetworks buffer.
+func UnmarshalNetworks(nets []*Network, buf []byte) error {
+	return ReadNetworks(bytes.NewReader(buf), nets)
 }

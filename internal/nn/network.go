@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -41,10 +40,11 @@ func (n *Network) Params() []*Param {
 	return out
 }
 
-// ZeroGrad clears all accumulated gradients.
+// ZeroGrad clears all accumulated gradients, allocating the accumulators
+// of a network that has not trained before.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		p.Accum().Zero()
 	}
 }
 
@@ -73,14 +73,7 @@ func (n *Network) CopyWeightsFrom(src *Network) {
 
 // GradNorm returns the Frobenius norm of the concatenated gradient, useful
 // for divergence diagnostics.
-func (n *Network) GradNorm() float64 {
-	var s float64
-	for _, p := range n.Params() {
-		v := tensor.Norm2(p.Grad)
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
+func (n *Network) GradNorm() float64 { return gradNorm(n.Params()) }
 
 // Activation names an elementwise nonlinearity for Spec-driven construction.
 type Activation string

@@ -1,9 +1,14 @@
 package nn
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/tensor"
@@ -376,5 +381,183 @@ func TestReLUGateMatchesMaskMultiply(t *testing.T) {
 	newAllocs := testing.AllocsPerRun(20, func() { tensor.New(x.Rows, x.Cols) })
 	if got := testing.AllocsPerRun(20, func() { r.Forward(x, false) }); got > newAllocs {
 		t.Fatalf("inference forward makes %v allocations, want the output's %v", got, newAllocs)
+	}
+}
+
+// TestGradStorageOnFirstTrainingUse: a network that has only run Forward
+// holds no gradient accumulators; ZeroGrad, or a Backward that was not
+// preceded by one, allocates them in the weights' shapes, starting from
+// zero.
+func TestGradStorageOnFirstTrainingUse(t *testing.T) {
+	build := func() *Network {
+		rng := rand.New(rand.NewSource(31))
+		return &Network{Name: "lazy", Layers: []Layer{
+			NewLinear(4, 6, rng), NewBatchNorm(6), &ReLU{},
+			NewLinear(6, 3, rng), NewLayerNorm(3),
+		}}
+	}
+	x := tensor.New(5, 4)
+	tensor.FillGaussian(x, rand.New(rand.NewSource(32)), 0, 1)
+	target := tensor.New(5, 3)
+
+	net := build()
+	net.Forward(x, false)
+	net.Forward(x, true)
+	for _, p := range net.Params() {
+		if p.Grad != nil {
+			t.Fatalf("%s: Forward allocated a gradient", p.Name)
+		}
+	}
+	if net.GradNorm() != 0 || ClipGradNorm(net.Params(), 1) != 0 {
+		t.Fatal("a network that never trained must have zero gradient norm")
+	}
+
+	// Backward straight after Forward allocates and accumulates ...
+	_, dy := MSE(net.Forward(x, true), target)
+	net.Backward(dy)
+	// ... the same values as Backward into accumulators ZeroGrad made.
+	ref := build()
+	ref.ZeroGrad()
+	for _, p := range ref.Params() {
+		if p.Grad == nil || p.Grad.Rows != p.W.Rows || p.Grad.Cols != p.W.Cols || tensor.Norm2(p.Grad) != 0 {
+			t.Fatalf("%s: ZeroGrad must leave a zeroed accumulator of the weight's shape", p.Name)
+		}
+	}
+	_, dy = MSE(ref.Forward(x, true), target)
+	ref.Backward(dy)
+	for i, p := range net.Params() {
+		if p.Grad == nil || !p.Grad.Equal(ref.Params()[i].Grad) {
+			t.Fatalf("%s: gradient differs between allocate-in-Backward and allocate-in-ZeroGrad", p.Name)
+		}
+	}
+}
+
+// failAfter is an io.Writer that accepts n bytes and then fails.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errors.New("disk full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestStreamingCodecMatchesBuffers drives the one codec through its stream
+// and byte-slice forms on a network wider than the conversion chunk: the
+// same bytes come out of both, sizes are exact, a reader that trickles one
+// byte at a time decodes to the same weights, and a failing writer's error
+// comes back (with the count written so far) instead of being swallowed.
+func TestStreamingCodecMatchesBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	big := MLP("big", []int{150, 150, 3}, ActReLU, ActNone, rng) // 150×150×4 B > chunkBytes
+	small := MLP("small", []int{3, 2}, ActNone, ActNone, rng)
+	if big.WeightsSize() <= chunkBytes {
+		t.Fatalf("test network of %d bytes does not span chunks of %d", big.WeightsSize(), chunkBytes)
+	}
+
+	var stream bytes.Buffer
+	n, err := big.WriteTo(&stream)
+	if err != nil || int(n) != big.WeightsSize() || stream.Len() != big.WeightsSize() {
+		t.Fatalf("WriteTo = %d, %v; buffer %d; want %d bytes", n, err, stream.Len(), big.WeightsSize())
+	}
+	if !bytes.Equal(stream.Bytes(), big.MarshalWeights()) {
+		t.Fatal("WriteTo and MarshalWeights disagree")
+	}
+	clone := MLP("clone", []int{150, 150, 3}, ActReLU, ActNone, rand.New(rand.NewSource(42)))
+	n, err = clone.ReadFrom(iotest.OneByteReader(bytes.NewReader(stream.Bytes())))
+	if err != nil || int(n) != big.WeightsSize() {
+		t.Fatalf("ReadFrom = %d, %v; want %d bytes", n, err, big.WeightsSize())
+	}
+	for i, p := range big.Params() {
+		if !p.W.Equal(clone.Params()[i].W) {
+			t.Fatalf("param %d differs after the streamed round trip", i)
+		}
+	}
+
+	nets := []*Network{big, small}
+	stream.Reset()
+	if err := WriteNetworks(&stream, nets); err != nil || stream.Len() != NetworksSize(nets) {
+		t.Fatalf("WriteNetworks: %v, %d bytes, want %d", err, stream.Len(), NetworksSize(nets))
+	}
+	if !bytes.Equal(stream.Bytes(), MarshalNetworks(nets)) {
+		t.Fatal("WriteNetworks and MarshalNetworks disagree")
+	}
+	into := []*Network{clone, MLP("s2", []int{3, 2}, ActNone, ActNone, rng)}
+	if err := ReadNetworks(iotest.OneByteReader(bytes.NewReader(stream.Bytes())), into); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(MarshalNetworks(into), stream.Bytes()) {
+		t.Fatal("network set differs after the streamed round trip")
+	}
+
+	for _, room := range []int{0, 6, 20, chunkBytes + 100} {
+		w := &failAfter{n: room}
+		n, err := big.WriteTo(w)
+		if err == nil || err.Error() != "disk full" || int(n) != room {
+			t.Fatalf("WriteTo a writer with room for %d bytes = %d, %v", room, n, err)
+		}
+		if err := WriteNetworks(&failAfter{n: room}, nets); err == nil || err.Error() != "disk full" {
+			t.Fatalf("WriteNetworks with room for %d bytes: %v", room, err)
+		}
+	}
+	// A reader that fails for a reason other than ending is reported as
+	// that reason, not as a truncated buffer.
+	broken := io.MultiReader(bytes.NewReader(stream.Bytes()[:100]), iotest.ErrReader(errors.New("bad sector")))
+	if err := ReadNetworks(broken, into); err == nil || !strings.Contains(err.Error(), "bad sector") {
+		t.Fatalf("read error lost: %v", err)
+	}
+}
+
+// TestUnmarshalNetworksErrors pins the network-set decoder's error for each
+// way a buffer can be wrong. The strings are the ones the byte-slice decoder
+// of PR 14 returned for the same buffers.
+func TestUnmarshalNetworksErrors(t *testing.T) {
+	mk := func(out int) []*Network {
+		rng := rand.New(rand.NewSource(43))
+		return []*Network{
+			MLP("a", []int{3, 4, 2}, ActLeakyReLU, ActNone, rng),
+			MLP("b", []int{2, out}, ActNone, ActSigmoid, rng),
+		}
+	}
+	good := MarshalNetworks(mk(5))
+	edit := func(off int, delta byte) []byte {
+		b := bytes.Clone(good)
+		b[off] += delta
+		return b
+	}
+	aLen := mk(5)[0].WeightsSize()
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		nets []*Network
+		want string
+	}{
+		{"empty", nil, mk(5), "nn: network-set buffer missing magic"},
+		{"short header", good[:7], mk(5), "nn: network-set buffer missing magic"},
+		{"bad magic", edit(0, 1), mk(5), "nn: network-set buffer missing magic"},
+		{"net count", good, mk(5)[:1], "nn: buffer holds 2 networks, want 1"},
+		{"cut in a length", good[:10], mk(5), "nn: network-set buffer truncated at net 0"},
+		{"cut after a length", good[:12], mk(5), "nn: network-set buffer truncated in net 0"},
+		{"cut in a param header", good[:24], mk(5), "nn: network-set buffer truncated in net 0"},
+		{"cut in param data", good[:60], mk(5), "nn: network-set buffer truncated in net 0"},
+		{"cut between nets", good[:12+aLen], mk(5), "nn: network-set buffer truncated at net 1"},
+		{"cut in the last float", good[:len(good)-1], mk(5), "nn: network-set buffer truncated in net 1"},
+		{"trailing", append(bytes.Clone(good), 0, 0, 0), mk(5), "nn: network-set buffer has 3 trailing bytes"},
+		{"shape", good, mk(6), `nn: net 1 (b): nn: param "linear_2x6.w" shape 2x5 in buffer, want 2x6`},
+		{"net magic", edit(12, 1), mk(5), `nn: net 0 (a): nn: weight buffer missing "NNW1" magic`},
+		{"param count", edit(16, 1), mk(5), "nn: net 0 (a): nn: weight buffer has 5 params, network has 4"},
+		{"blob one byte short", edit(8, 0xff), mk(5), `nn: net 0 (a): nn: weight buffer truncated in param "linear_4x2.b" data`},
+		{"blob four bytes long", edit(8, 4), mk(5), "nn: net 0 (a): nn: weight buffer has 4 trailing bytes"},
+	} {
+		err := UnmarshalNetworks(c.nets, c.buf)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+	if err := UnmarshalNetworks(mk(5), good); err != nil {
+		t.Fatal(err)
 	}
 }

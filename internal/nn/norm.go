@@ -115,6 +115,7 @@ func (bn *BatchNorm) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 // Backward propagates through the batch-statistics normalization (the full
 // coupled gradient, not the frozen-stats approximation).
 func (bn *BatchNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	dGamma, dBeta := bn.Gamma.Accum().Data, bn.Beta.Accum().Data
 	if bn.frozen {
 		// Running statistics are constants: only the affine transform and
 		// the fixed scaling contribute.
@@ -122,8 +123,8 @@ func (bn *BatchNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		for i := 0; i < dy.Rows; i++ {
 			row, xh, out := dy.Row(i), bn.xhat.Row(i), dx.Row(i)
 			for j := range row {
-				bn.Gamma.Grad.Data[j] += row[j] * xh[j]
-				bn.Beta.Grad.Data[j] += row[j]
+				dGamma[j] += row[j] * xh[j]
+				dBeta[j] += row[j]
 				out[j] = row[j] * bn.Gamma.W.Data[j] / bn.std[j]
 			}
 		}
@@ -142,8 +143,8 @@ func (bn *BatchNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	for j := range sumDy {
-		bn.Beta.Grad.Data[j] += sumDy[j]
-		bn.Gamma.Grad.Data[j] += sumDyXhat[j]
+		dBeta[j] += sumDy[j]
+		dGamma[j] += sumDyXhat[j]
 	}
 	for i := 0; i < n; i++ {
 		row, xh, out := dy.Row(i), bn.xhat.Row(i), dx.Row(i)
@@ -221,6 +222,7 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	n := dy.Rows
 	dx := tensor.New(n, ln.Dim)
 	invD := 1 / float32(ln.Dim)
+	dGamma, dBeta := ln.Gamma.Accum().Data, ln.Beta.Accum().Data
 	for i := 0; i < n; i++ {
 		row, xh, out := dy.Row(i), ln.xhat.Row(i), dx.Row(i)
 		var sumDy, sumDyXhat float32
@@ -228,8 +230,8 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			g := row[j] * ln.Gamma.W.Data[j]
 			sumDy += g
 			sumDyXhat += g * xh[j]
-			ln.Gamma.Grad.Data[j] += row[j] * xh[j]
-			ln.Beta.Grad.Data[j] += row[j]
+			dGamma[j] += row[j] * xh[j]
+			dBeta[j] += row[j]
 		}
 		for j := range row {
 			g := row[j] * ln.Gamma.W.Data[j]
@@ -245,20 +247,30 @@ func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 // OutDim is the identity for normalization layers.
 func (ln *LayerNorm) OutDim(in int) int { return in }
 
+// gradNorm is the L2 norm of the concatenated gradients of params; a
+// parameter that never trained contributes nothing.
+func gradNorm(params []*Param) float64 {
+	var sq float64
+	for _, p := range params {
+		if p.Grad != nil {
+			v := tensor.Norm2(p.Grad)
+			sq += v * v
+		}
+	}
+	return math.Sqrt(sq)
+}
+
 // ClipGradNorm rescales all gradients so their global L2 norm does not
 // exceed maxNorm, returning the pre-clip norm. Trainers use it to keep GAN
 // phases from destabilizing each other.
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		v := tensor.Norm2(p.Grad)
-		sq += v * v
-	}
-	norm := math.Sqrt(sq)
+	norm := gradNorm(params)
 	if norm > maxNorm && norm > 0 {
 		scale := float32(maxNorm / norm)
 		for _, p := range params {
-			tensor.Scale(p.Grad, scale)
+			if p.Grad != nil {
+				tensor.Scale(p.Grad, scale)
+			}
 		}
 	}
 	return norm

@@ -109,7 +109,7 @@ func TestLayerNormTrainEvalIdentical(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := newParam("w", 2, 2)
-	p.Grad.Fill(3) // norm = sqrt(4*9) = 6
+	p.Accum().Fill(3) // norm = sqrt(4*9) = 6
 	params := []*Param{p}
 	pre := ClipGradNorm(params, 3)
 	if math.Abs(pre-6) > 1e-6 {

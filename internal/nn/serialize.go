@@ -1,26 +1,38 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
-// Weight serialization backs the LTFB model exchange: when two trainers pair
-// up they swap generator weights over the communication layer (Figure 6b), so
-// a network must round-trip through a flat byte buffer. The format is
-// deliberately simple and versioned:
+// Weight serialization backs the LTFB model exchange and the checkpoint
+// files: when two trainers pair up they swap generator weights over the
+// communication layer (Figure 6b), and a tournament winner is saved for the
+// serving tier, so a network must round-trip through a flat byte stream. The
+// format is deliberately simple and versioned:
 //
 //	magic "NNW1" | uint32 paramCount | for each param:
 //	  uint32 rows | uint32 cols | rows*cols little-endian float32
 //
 // Architecture metadata is not encoded; both sides of an exchange construct
 // the same architecture locally (as LBANN does) and only weights travel.
+//
+// There is one codec and it streams: WriteTo and ReadFrom convert weights
+// through a scratch chunk of at most chunkBytes, so writing or reading a
+// network costs that chunk whatever the network's size. The byte-slice forms
+// (MarshalWeights, UnmarshalWeights) are the same codec over a bytes.Buffer
+// and a bytes.Reader.
 
 const weightsMagic = "NNW1"
 
-// WeightsSize returns the exact byte length MarshalWeights will produce,
-// which the performance model uses as the exchange volume.
+// chunkBytes bounds the scratch floats are converted through.
+const chunkBytes = 64 << 10
+
+// WeightsSize returns the exact byte length WriteTo will produce, which the
+// performance model uses as the exchange volume.
 func (n *Network) WeightsSize() int {
 	size := 4 + 4
 	for _, p := range n.Params() {
@@ -29,57 +41,185 @@ func (n *Network) WeightsSize() int {
 	return size
 }
 
-// MarshalWeights serializes all parameters into a fresh buffer.
-func (n *Network) MarshalWeights() []byte {
-	buf := make([]byte, 0, n.WeightsSize())
-	buf = append(buf, weightsMagic...)
-	params := n.Params()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(params)))
-	for _, p := range params {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.W.Rows))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.W.Cols))
-		for _, v := range p.W.Data {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-	}
-	return buf
+// encoder writes the wire format to w. The first write error sticks and
+// turns the remaining calls into no-ops.
+type encoder struct {
+	w   io.Writer
+	buf []byte // float conversion scratch
+	n   int64  // bytes written
+	err error
 }
 
-// UnmarshalWeights overwrites n's parameters with the contents of buf, which
-// must have been produced by MarshalWeights on a network with identical
-// architecture. It returns an error (leaving already-copied parameters
-// modified) on any mismatch or truncation.
-func (n *Network) UnmarshalWeights(buf []byte) error {
-	if len(buf) < 8 || string(buf[:4]) != weightsMagic {
-		return fmt.Errorf("nn: weight buffer missing %q magic", weightsMagic)
+// newEncoder returns an encoder for a stream of size bytes in total; a
+// stream smaller than chunkBytes gets a scratch no larger than itself.
+func newEncoder(w io.Writer, size int) *encoder {
+	return &encoder{w: w, buf: make([]byte, min(size, chunkBytes))}
+}
+
+func (e *encoder) write(p []byte) {
+	if e.err != nil {
+		return
+	}
+	n, err := e.w.Write(p)
+	e.n += int64(n)
+	e.err = err
+}
+
+// header writes a four-byte magic and one count.
+func (e *encoder) header(magic string, count int) {
+	copy(e.buf, magic)
+	binary.LittleEndian.PutUint32(e.buf[4:], uint32(count))
+	e.write(e.buf[:8])
+}
+
+func (e *encoder) u32(v int) {
+	binary.LittleEndian.PutUint32(e.buf, uint32(v))
+	e.write(e.buf[:4])
+}
+
+func (e *encoder) floats(data []float32) {
+	for len(data) > 0 && e.err == nil {
+		n := min(len(data), len(e.buf)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(e.buf[4*i:], math.Float32bits(v))
+		}
+		e.write(e.buf[:4*n])
+		data = data[n:]
+	}
+}
+
+// weights writes one network's NNW1 blob.
+func (e *encoder) weights(n *Network) {
+	params := n.Params()
+	e.header(weightsMagic, len(params))
+	for _, p := range params {
+		e.u32(p.W.Rows)
+		e.u32(p.W.Cols)
+		e.floats(p.W.Data)
+	}
+}
+
+// WriteTo streams all parameters to w in the NNW1 format. It implements
+// io.WriterTo.
+func (n *Network) WriteTo(w io.Writer) (int64, error) {
+	e := newEncoder(w, n.WeightsSize())
+	e.weights(n)
+	return e.n, e.err
+}
+
+// MarshalWeights serializes all parameters into a fresh buffer.
+func (n *Network) MarshalWeights() []byte {
+	var buf bytes.Buffer
+	buf.Grow(n.WeightsSize())
+	_, _ = n.WriteTo(&buf) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// truncatedError is a decode error caused by the stream ending early, as
+// opposed to holding the wrong thing. ReadNetworks uses the distinction to
+// tell a short network blob from a short file.
+type truncatedError string
+
+func (e truncatedError) Error() string { return string(e) }
+
+// decoder reads the wire format from r.
+type decoder struct {
+	r   io.Reader
+	buf []byte // float conversion scratch
+	n   int64  // bytes consumed
+}
+
+// newDecoder is newEncoder's counterpart.
+func newDecoder(r io.Reader, size int) *decoder {
+	return &decoder{r: r, buf: make([]byte, min(size, chunkBytes))}
+}
+
+// read fills p. A stream that ends first is a truncatedError carrying the
+// caller's description of what is missing; any other failure is the
+// reader's own error.
+func (d *decoder) read(p []byte, format string, args ...any) error {
+	n, err := io.ReadFull(d.r, p)
+	d.n += int64(n)
+	switch err {
+	case nil:
+		return nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		return truncatedError(fmt.Sprintf(format, args...))
+	}
+	return fmt.Errorf("nn: %w", err)
+}
+
+func (d *decoder) floats(data []float32, format string, args ...any) error {
+	for len(data) > 0 {
+		n := min(len(data), len(d.buf)/4)
+		if err := d.read(d.buf[:4*n], format, args...); err != nil {
+			return err
+		}
+		for i := range data[:n] {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[4*i:]))
+		}
+		data = data[n:]
+	}
+	return nil
+}
+
+// end checks that nothing is left of the stream, which what names in the
+// error; the bytes that are left are counted and discarded.
+func (d *decoder) end(what string) error {
+	n, err := io.Copy(io.Discard, d.r)
+	d.n += n
+	if err != nil {
+		return fmt.Errorf("nn: %w", err)
+	}
+	if n > 0 {
+		return fmt.Errorf("nn: %s has %d trailing bytes", what, n)
+	}
+	return nil
+}
+
+// weights reads one NNW1 blob — the whole of d's stream — into n.
+func (d *decoder) weights(n *Network) error {
+	const noMagic = "nn: weight buffer missing %q magic"
+	hdr := d.buf[:8]
+	if err := d.read(hdr, noMagic, weightsMagic); err != nil {
+		return err
+	}
+	if string(hdr[:4]) != weightsMagic {
+		return fmt.Errorf(noMagic, weightsMagic)
 	}
 	params := n.Params()
-	count := binary.LittleEndian.Uint32(buf[4:8])
-	if int(count) != len(params) {
+	if count := binary.LittleEndian.Uint32(hdr[4:]); int(count) != len(params) {
 		return fmt.Errorf("nn: weight buffer has %d params, network has %d", count, len(params))
 	}
-	off := 8
 	for _, p := range params {
-		if len(buf) < off+8 {
-			return fmt.Errorf("nn: weight buffer truncated at param %q header", p.Name)
+		if err := d.read(hdr, "nn: weight buffer truncated at param %q header", p.Name); err != nil {
+			return err
 		}
-		rows := int(binary.LittleEndian.Uint32(buf[off:]))
-		cols := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		off += 8
+		rows := int(binary.LittleEndian.Uint32(hdr))
+		cols := int(binary.LittleEndian.Uint32(hdr[4:]))
 		if rows != p.W.Rows || cols != p.W.Cols {
 			return fmt.Errorf("nn: param %q shape %dx%d in buffer, want %dx%d", p.Name, rows, cols, p.W.Rows, p.W.Cols)
 		}
-		need := 4 * rows * cols
-		if len(buf) < off+need {
-			return fmt.Errorf("nn: weight buffer truncated in param %q data", p.Name)
+		if err := d.floats(p.W.Data, "nn: weight buffer truncated in param %q data", p.Name); err != nil {
+			return err
 		}
-		for i := range p.W.Data {
-			p.W.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4*i:]))
-		}
-		off += need
 	}
-	if off != len(buf) {
-		return fmt.Errorf("nn: weight buffer has %d trailing bytes", len(buf)-off)
-	}
-	return nil
+	return d.end("weight buffer")
+}
+
+// ReadFrom overwrites n's parameters with the NNW1 stream r, which must
+// have been produced by WriteTo on a network with identical architecture and
+// must end where the weights do. It returns an error (leaving the parameters
+// read so far modified) on any mismatch, truncation or trailing byte. It
+// implements io.ReaderFrom.
+func (n *Network) ReadFrom(r io.Reader) (int64, error) {
+	d := newDecoder(r, n.WeightsSize())
+	err := d.weights(n)
+	return d.n, err
+}
+
+// UnmarshalWeights is ReadFrom over a MarshalWeights buffer.
+func (n *Network) UnmarshalWeights(buf []byte) error {
+	_, err := n.ReadFrom(bytes.NewReader(buf))
+	return err
 }

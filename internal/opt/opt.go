@@ -19,7 +19,8 @@ import (
 
 // Optimizer updates parameters from their accumulated gradients. Step
 // consumes the gradients but does not clear them; callers zero gradients at
-// the start of each mini-batch.
+// the start of each mini-batch. A parameter whose Grad is nil has never
+// trained (see nn.Param): Step leaves it and its state untouched.
 type Optimizer interface {
 	// Step applies one update to every parameter.
 	Step(params []*nn.Param)
@@ -49,6 +50,9 @@ func (s *SGD) Step(params []*nn.Param) {
 	lr := float32(s.Rate)
 	mu := float32(s.Momentum)
 	for _, p := range params {
+		if p.Grad == nil {
+			continue
+		}
 		if mu == 0 {
 			tensor.AddScaled(p.W, -lr, p.Grad)
 			continue
@@ -105,6 +109,9 @@ func (a *Adam) Step(params []*nn.Param) {
 	eps := float32(a.Eps)
 	step := float32(lr)
 	for _, p := range params {
+		if p.Grad == nil {
+			continue
+		}
 		st, ok := a.moment[p]
 		if !ok {
 			st = &adamState{m: tensor.New(p.W.Rows, p.W.Cols), v: tensor.New(p.W.Rows, p.W.Cols)}

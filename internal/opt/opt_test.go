@@ -169,12 +169,35 @@ func BenchmarkAdamStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	net := nn.MLP("bench", []int{128, 256, 128}, nn.ActReLU, nn.ActNone, rng)
 	for _, p := range net.Params() {
-		tensor.FillGaussian(p.Grad, rng, 0, 0.01)
+		tensor.FillGaussian(p.Accum(), rng, 0, 0.01)
 	}
 	a := NewAdam(0.001)
 	params := net.Params()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Step(params)
+	}
+}
+
+// TestStepSkipsParamsThatNeverTrained: a parameter without gradient
+// storage (nn.Param allocates it on first training use) is left alone, and
+// costs no optimizer state either.
+func TestStepSkipsParamsThatNeverTrained(t *testing.T) {
+	for name, o := range map[string]Optimizer{"sgd": NewSGD(0.1, 0), "momentum": NewSGD(0.1, 0.9), "adam": NewAdam(0.1)} {
+		trained, idle := quadParam(2), &nn.Param{Name: "idle", W: tensor.New(1, 2)}
+		idle.W.Fill(3)
+		trained.Grad.Fill(1)
+		o.Step([]*nn.Param{idle, trained})
+		if idle.Grad != nil || idle.W.Data[0] != 3 || idle.W.Data[1] != 3 {
+			t.Fatalf("%s: a parameter with no gradient was touched: %+v", name, idle)
+		}
+		if trained.W.Data[0] >= 0 {
+			t.Fatalf("%s: the trained parameter did not move", name)
+		}
+	}
+	a := NewAdam(0.1)
+	a.Step([]*nn.Param{{Name: "idle", W: tensor.New(1, 2)}})
+	if len(a.moment) != 0 {
+		t.Fatal("adam kept moments for a parameter that never trained")
 	}
 }

@@ -564,3 +564,88 @@ func TestAccessLog(t *testing.T) {
 		t.Fatalf("cancelled client logged %v bytes, want 0", rec["bytes"])
 	}
 }
+
+// unsized hides a reader's length from net/http, so the request goes
+// out chunked with no Content-Length.
+type unsized struct{ io.Reader }
+
+// TestBodiesSizedFromContentLength drives request and reply bodies
+// through both of the proxy's read paths — sized from Content-Length
+// when the peer declared one, io.ReadAll when it is chunked — and
+// checks the limits hold on each: an over-limit request is a 413 (on
+// the declared length alone, before the backend is touched), a body at
+// the limit passes, and a reply that ends before its declared length is
+// a relay failure, never a short 200.
+func TestBodiesSizedFromContentLength(t *testing.T) {
+	be := newFakeBackend(t)
+	var chunkedReply atomic.Bool
+	be.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if chunkedReply.Load() {
+			w.(http.Flusher).Flush() // headers out with no length: chunked
+		} else {
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+		}
+		w.Write(body)
+	})
+	const limit = 100 << 10
+	_, front := newTestProxy(t, Config{MaxBodyBytes: limit, MaxRetries: -1}, be)
+	post := func(body io.Reader) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/v1/models/jag/predict", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, got
+	}
+	payload := bytes.Repeat([]byte("0123456789abcdef"), limit/16) // exactly the limit
+	for _, c := range []struct {
+		name         string
+		sized, reply bool // request declares its length; reply declares its length
+	}{{"sized both ways", true, true}, {"chunked request", false, true}, {"chunked reply", true, false}} {
+		chunkedReply.Store(!c.reply)
+		var body io.Reader = bytes.NewReader(payload)
+		if !c.sized {
+			body = unsized{body}
+		}
+		if status, got := post(body); status != http.StatusOK || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: status %d, %d bytes back, want 200 and the %d sent", c.name, status, len(got), len(payload))
+		}
+	}
+
+	calls := be.calls.Load()
+	over := append(bytes.Clone(payload), 'x')
+	if status, _ := post(bytes.NewReader(over)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared length over the limit: status %d, want 413", status)
+	}
+	if status, _ := post(unsized{bytes.NewReader(over)}); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked body over the limit: status %d, want 413", status)
+	}
+	if be.calls.Load() != calls {
+		t.Fatal("an over-limit request reached the backend")
+	}
+
+	// A backend that dies mid-reply: declares 1000 bytes, sends 10.
+	be.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fmt.Fprint(buf, "HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n0123456789")
+		buf.Flush()
+		conn.Close()
+	})
+	if status, got := post(bytes.NewReader(payload)); status != http.StatusBadGateway {
+		t.Fatalf("short backend reply relayed as status %d (%d bytes), want 502", status, len(got))
+	}
+}

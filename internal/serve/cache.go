@@ -34,9 +34,15 @@ func quantKey(x []float32, q float64) string {
 // keys to prediction rows. Values are treated as immutable: put stores
 // the caller's slice and get returns it without copying, so neither
 // side may mutate a row after it enters the cache.
+//
+// Capacity counts entries, so what a full cache holds is entries × the
+// row width × 4 bytes: 1 024 rows of a 49 167-wide model are 201 MB.
+// Server.finish therefore admits rows by lane (see there); size reports
+// what the cache holds now.
 type lru struct {
 	mu    sync.Mutex
 	cap   int
+	bytes int64      // 4 × the floats held across all entries
 	order *list.List // front = most recently used
 	items map[string]*list.Element
 }
@@ -73,22 +79,26 @@ func (c *lru) get(key string) ([]float32, bool) {
 func (c *lru) put(key string, y []float32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += 4 * int64(len(y))
 	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).y = y
+		e := el.Value.(*entry)
+		c.bytes -= 4 * int64(len(e.y))
+		e.y = y
 		c.order.MoveToFront(el)
 		return
 	}
 	c.items[key] = c.order.PushFront(&entry{key: key, y: y})
 	if c.order.Len() > c.cap {
-		old := c.order.Back()
-		c.order.Remove(old)
-		delete(c.items, old.Value.(*entry).key)
+		old := c.order.Remove(c.order.Back()).(*entry)
+		c.bytes -= 4 * int64(len(old.y))
+		delete(c.items, old.key)
 	}
 }
 
-// len returns the current entry count.
-func (c *lru) len() int {
+// size returns the current entry count and the bytes of row data those
+// entries hold.
+func (c *lru) size() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.order.Len(), c.bytes
 }

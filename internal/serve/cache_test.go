@@ -25,23 +25,39 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.get("c"); !ok {
 		t.Fatal("c missing")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if n, bytes := c.size(); n != 2 || bytes != 8 {
+		t.Fatalf("size = %d entries, %d bytes, want 2 and 8", n, bytes)
 	}
 }
 
 // TestLRUUpdate checks that re-putting a key refreshes the value
-// without growing the cache.
+// without growing the cache, and that the byte count follows the row
+// that replaced the old one.
 func TestLRUUpdate(t *testing.T) {
 	c := newLRU(2)
 	c.put("a", []float32{1})
-	c.put("a", []float32{9})
+	c.put("a", []float32{9, 9, 9})
 	y, ok := c.get("a")
 	if !ok || y[0] != 9 {
-		t.Fatalf("got %v, want [9]", y)
+		t.Fatalf("got %v, want [9 9 9]", y)
 	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
+	if n, bytes := c.size(); n != 1 || bytes != 12 {
+		t.Fatalf("size = %d entries, %d bytes, want 1 and 12", n, bytes)
+	}
+}
+
+// TestLRUBytesFollowEviction: the byte count is the sum over the rows
+// held, whatever their widths (predict and invert rows share one cache).
+func TestLRUBytesFollowEviction(t *testing.T) {
+	c := newLRU(2)
+	c.put("wide", make([]float32, 100))
+	c.put("narrow", make([]float32, 5))
+	if n, bytes := c.size(); n != 2 || bytes != 420 {
+		t.Fatalf("size = %d entries, %d bytes, want 2 and 420", n, bytes)
+	}
+	c.put("narrow2", make([]float32, 5)) // evicts wide
+	if n, bytes := c.size(); n != 2 || bytes != 40 {
+		t.Fatalf("after evicting the wide row: %d entries, %d bytes, want 2 and 40", n, bytes)
 	}
 }
 
@@ -105,7 +121,7 @@ func TestLRUConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.len() > 32 {
-		t.Fatalf("len = %d, want <= 32", c.len())
+	if n, bytes := c.size(); n > 32 || bytes != 4*int64(n) {
+		t.Fatalf("size = %d entries, %d bytes, want <= 32 entries of 4 bytes", n, bytes)
 	}
 }

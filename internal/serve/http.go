@@ -414,15 +414,18 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	}
 	if failed == 0 && wantBinary {
 		encStart := time.Now()
-		buf, err := EncodeFrame(outputs)
+		cols, err := frameCols(outputs)
 		if err != nil {
 			WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", ContentTypeTensor)
-		// The status line is already out; a short write means the
-		// client disconnected and there is nothing left to report.
-		_, _ = w.Write(buf)
+		// The length is known before the first row is converted, so the
+		// frame streams un-chunked and a relay can size its buffer.
+		w.Header().Set("Content-Length", strconv.Itoa(frameSize(len(outputs), cols)))
+		// Once the status line is out, a failed write means the client
+		// disconnected and there is nothing left to report.
+		_ = writeFrame(w, outputs, cols)
 		recordEncode(encStart)
 		return
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/cyclegan"
@@ -243,6 +245,53 @@ func TestV1MalformedFrames(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestV1BinaryReplyDeclaresItsLength: the reply frame is streamed row
+// by row, but its length is known before the first byte, so it goes
+// out with a Content-Length (not chunked) that a relay can size its
+// buffer from — and the streamed bytes are the frame EncodeFrame would
+// have built, which the reference pass pins bit for bit. A bulk call of
+// the same rows is then served by the cache the interactive call
+// filled.
+func TestV1BinaryReplyDeclaresItsLength(t *testing.T) {
+	ts, _ := newV1TestServer(t)
+	inputs := [][]float32{testInput(0), testInput(1), testInput(2)}
+	body, err := EncodeFrame(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float32, len(inputs))
+	for i, x := range inputs {
+		want[i] = refRow(42, x, false)
+	}
+	wantFrame, err := EncodeFrame(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lane := range []string{"interactive", "bulk"} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/alpha/predict", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ContentTypeTensor)
+		req.Header.Set(PriorityHeader, lane)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", lane, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(wantFrame)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v; want %d and none", lane, resp.ContentLength, resp.TransferEncoding, len(wantFrame))
+		}
+		if !bytes.Equal(got, wantFrame) {
+			t.Fatalf("%s: reply frame differs from the reference rows' frame", lane)
+		}
+		if hit := strings.Contains(resp.Header.Get("Server-Timing"), "cache"); hit != (lane == "bulk") {
+			t.Fatalf("%s: Server-Timing %q", lane, resp.Header.Get("Server-Timing"))
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 //	jag_model_failures_total                rows failed by the model itself
 //	jag_cache_hits_total, jag_cache_misses_total
 //	jag_cache_hit_rate                      hits/(hits+misses), 0 when idle
+//	jag_cache_entries, jag_cache_bytes      rows the LRU holds, and their bytes
 //	jag_queue_depth                         in-flight rows (live gauge)
 //	jag_lane_depth{lane}                    queued rows per priority lane
 //	jag_mean_batch                          mean rows per forward pass
@@ -76,7 +77,7 @@ func WriteMetrics(w http.ResponseWriter, m *metrics.Registry) {
 // Prometheus renderer over the server's statsView (stats.go holds the
 // JSON one), plus the live gauges and the registry's reload bookkeeping.
 func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
-	v := s.stats.view()
+	v := s.view()
 	l := metrics.Labels{"model": name}
 
 	for i, method := range v.methods {
@@ -93,12 +94,14 @@ func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
 	m.Counter("jag_cancelled_total", "Rows dropped before a forward pass: context cancelled.", l).Add(uint64(v.cancelled))
 	m.Counter("jag_model_failures_total", "Rows failed by the model's own forward pass.", l).Add(uint64(v.failures))
 	m.Counter("jag_cache_hits_total", "Rows answered from the LRU response cache.", l).Add(uint64(v.cacheHits))
-	m.Counter("jag_cache_misses_total", "Rows that ran the model and populated the cache.", l).Add(uint64(v.cacheMisses))
+	m.Counter("jag_cache_misses_total", "Rows looked up in the LRU response cache, not found, and answered by the model.", l).Add(uint64(v.cacheMisses))
 	hitRate := 0.0
 	if total := v.cacheHits + v.cacheMisses; total > 0 {
 		hitRate = float64(v.cacheHits) / float64(total)
 	}
 	m.Gauge("jag_cache_hit_rate", "Cache hits over answered rows.", l).Set(hitRate)
+	m.Gauge("jag_cache_entries", "Rows held by the LRU response cache (interactive-lane rows only).", l).Set(float64(v.cacheEntries))
+	m.Gauge("jag_cache_bytes", "Row data held by the LRU response cache: entries x row width x 4.", l).Set(float64(v.cacheBytes))
 	m.Gauge("jag_queue_depth", "Rows admitted and not yet answered.", l).Set(float64(s.Inflight()))
 	for lane, depth := range s.LaneDepths() {
 		m.Gauge("jag_lane_depth", "Rows queued per priority lane.",

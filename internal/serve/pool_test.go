@@ -61,6 +61,20 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 	if !gotInv.Equal(wantInv) {
 		t.Fatal("reloaded invert differs from in-memory model")
 	}
+	// A replica is loaded, canaried and served without ever training,
+	// so it carries weights only: no gradient accumulators.
+	if err := canary(pool); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range pool.replicas {
+		for _, n := range r.Nets() {
+			for _, p := range n.Params() {
+				if p.Grad != nil {
+					t.Fatalf("replica %d %s %s holds gradient storage", i, n.Name, p.Name)
+				}
+			}
+		}
+	}
 }
 
 // TestPoolDims pins the method vocabulary the registry and HTTP layer

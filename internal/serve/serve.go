@@ -49,7 +49,8 @@
 //     LTFB winners with rollback on corrupt checkpoints;
 //   - an LRU response cache (cache.go) keyed on (method, quantized
 //     input), exploiting that surrogate queries cluster around design
-//     points of interest;
+//     points of interest; every lane is served from it, only the
+//     Interactive lane fills it, so a bulk scan cannot flush it;
 //   - backpressure: the number of in-flight requests is bounded by
 //     QueueDepth across all of a server's methods and lanes; excess
 //     callers fail fast with ErrOverloaded instead of queueing without
@@ -203,7 +204,10 @@ type Config struct {
 	// has one (as *Pool does), else 1.
 	Workers int
 	// CacheSize is the LRU response-cache capacity in entries, shared
-	// across methods; 0 disables caching.
+	// across methods; 0 disables caching. Both lanes are served from the
+	// cache but only Interactive rows enter it, so a full cache holds at
+	// most CacheSize × the widest method's Out × 4 bytes (the stats'
+	// cache_bytes says how much it holds now).
 	CacheSize int
 	// CacheQuantum is the grid step inputs are snapped to when forming
 	// cache keys (default 1e-6). Coarser grids trade exactness for hit
@@ -454,14 +458,14 @@ func (s *Server) CallTrace(ctx context.Context, method string, x []float32, clas
 	// not the caller is still listening.
 	select {
 	case res := <-req.resp:
-		return s.finish(key, res)
+		return s.finish(key, class, res)
 	case <-ctx.Done():
 		// The reply may have raced in just as the context ended (both
 		// select cases ready picks randomly): prefer delivering
 		// completed work over reporting expiry.
 		select {
 		case res := <-req.resp:
-			return s.finish(key, res)
+			return s.finish(key, class, res)
 		default:
 		}
 		// The queued row is now stale; the worker discards it at flush
@@ -474,18 +478,25 @@ func (s *Server) CallTrace(ctx context.Context, method string, x []float32, clas
 }
 
 // finish unwraps a pipeline reply for its caller, caching successful
-// rows under key.
-func (s *Server) finish(key string, res result) ([]float32, Trace, error) {
+// Interactive rows under key. Both lanes look the cache up; only the
+// Interactive lane is admitted to it. Bulk is by its own definition a
+// scan — a sweep's rows are fresh and will not be asked for again — so
+// admitting them would evict the design points a human is exploring and
+// pin entries × row-width × 4 bytes of rows that can never be hit.
+func (s *Server) finish(key string, class Priority, res result) ([]float32, Trace, error) {
 	if res.err != nil {
 		return nil, res.trace, res.err
 	}
 	if s.cache != nil {
-		// Counted only when the model actually answered, so neither
-		// overload rejections nor rows dropped as stale inflate the
-		// miss rate. Cache its own copy so neither the caller nor a
-		// later cache hit can mutate the other's row.
+		// A miss is a lookup the model had to answer, on either lane:
+		// counted only when it did, so neither overload rejections nor
+		// rows dropped as stale inflate the miss rate.
 		s.stats.cacheMisses.Add(1)
-		s.cache.put(key, append([]float32(nil), res.y...))
+		if class == Interactive {
+			// Cache its own copy so neither the caller nor a later
+			// cache hit can mutate the other's row.
+			s.cache.put(key, append([]float32(nil), res.y...))
+		}
 	}
 	return res.y, res.trace, nil
 }
@@ -711,8 +722,17 @@ func (s *Server) workerLoop() {
 	}
 }
 
+// view copies every instrument once, the cache's occupancy included.
+func (s *Server) view() statsView {
+	v := s.stats.view()
+	if s.cache != nil {
+		v.cacheEntries, v.cacheBytes = s.cache.size()
+	}
+	return v
+}
+
 // Stats returns a snapshot of the serving counters.
-func (s *Server) Stats() StatsSnapshot { return s.stats.view().snapshot() }
+func (s *Server) Stats() StatsSnapshot { return s.view().snapshot() }
 
 // SetCapacityQPS publishes the server's probed sustainable throughput
 // in rows per second — typically ProbeResult.QPS from a startup

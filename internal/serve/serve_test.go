@@ -427,6 +427,115 @@ func TestCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestBulkLaneIsLookupOnly pins the cache's admission rule: both lanes
+// look the cache up, only Interactive rows enter it. A bulk sweep of
+// fresh rows therefore neither grows the cache nor evicts what the
+// interactive lane put there, a bulk row that repeats is a miss every
+// time, a bulk lookup of a row the interactive lane admitted is a hit,
+// and among interactive rows admission and LRU eviction work as they
+// always did.
+func TestBulkLaneIsLookupOnly(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxBatch: 1, CacheSize: 2})
+	ctx := context.Background()
+	call := func(i int, class Priority) Trace {
+		t.Helper()
+		_, tr, err := s.CallTrace(ctx, MethodPredict, testInput(i), class)
+		if err != nil {
+			t.Fatalf("row %d on %v: %v", i, class, err)
+		}
+		return tr
+	}
+	holds := func(step string, entries int, hits, misses int64) {
+		t.Helper()
+		snap := s.Stats()
+		wantBytes := int64(entries) * int64(s.Dims()[MethodPredict].Out) * 4
+		if snap.CacheEntries != entries || snap.CacheBytes != wantBytes || snap.CacheHits != hits || snap.CacheMisses != misses {
+			t.Fatalf("%s: cache holds %d entries / %d bytes after %d hits / %d misses; want %d / %d after %d / %d",
+				step, snap.CacheEntries, snap.CacheBytes, snap.CacheHits, snap.CacheMisses, entries, wantBytes, hits, misses)
+		}
+	}
+	const a, b, f = 1, 2, 3
+
+	call(a, Interactive)
+	call(b, Interactive)
+	holds("two interactive rows", 2, 0, 2)
+
+	// A sweep several times the cache's size, then the same sweep
+	// again: every row is a counted miss, none is admitted.
+	for pass := 0; pass < 2; pass++ {
+		for i := 10; i < 16; i++ {
+			if call(i, Bulk).CacheHit {
+				t.Fatalf("pass %d: bulk row %d was served from the cache", pass, i)
+			}
+		}
+	}
+	holds("after the sweep", 2, 0, 14)
+
+	// The interactive rows survived it, and the bulk lane is served
+	// from them too. (Recency after these three: a, then b.)
+	if !call(b, Interactive).CacheHit || !call(a, Bulk).CacheHit {
+		t.Fatal("a row the interactive lane admitted was evicted by the bulk sweep")
+	}
+	holds("after the lookups", 2, 2, 14)
+
+	// Interactive admission still evicts the least recently used row,
+	// and a bulk hit counts as a use.
+	call(f, Interactive)
+	holds("a third interactive row", 2, 2, 15)
+	if !call(a, Interactive).CacheHit || !call(f, Interactive).CacheHit {
+		t.Fatal("the most recently used rows were evicted")
+	}
+	if call(b, Interactive).CacheHit {
+		t.Fatal("the least recently used row survived a full cache")
+	}
+}
+
+// TestLanesShareCacheUnderLoad sweeps fresh bulk rows while interactive
+// clients revisit a few design points, for the race detector and for
+// the rule's arithmetic under concurrency: when the dust settles the
+// cache holds exactly the interactive design points, however many bulk
+// rows went by.
+func TestLanesShareCacheUnderLoad(t *testing.T) {
+	s := NewServer(&scriptedModel{}, Config{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, CacheSize: 64})
+	t.Cleanup(s.Close)
+	const points, sweepers, perSweeper = 8, 2, 300
+	var wg sync.WaitGroup
+	for c := 0; c < sweepers; c++ {
+		wg.Add(2)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perSweeper; i++ {
+				if _, err := s.Call(context.Background(), MethodPredict, []float32{float32(1000 + c), float32(i)}, Bulk); err != nil {
+					t.Errorf("bulk client %d row %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perSweeper; i++ {
+				y, err := s.Call(context.Background(), MethodPredict, []float32{0.5, float32(i % points)}, Interactive)
+				if err != nil || y[1] != float32(i%points) {
+					t.Errorf("interactive client %d row %d: %v, %v", c, i, y, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	snap := s.Stats()
+	if snap.CacheEntries != points || snap.CacheBytes != points*2*4 {
+		t.Fatalf("cache holds %d entries / %d bytes, want the %d interactive design points / %d bytes",
+			snap.CacheEntries, snap.CacheBytes, points, points*2*4)
+	}
+	if lookups := snap.CacheHits + snap.CacheMisses; lookups != 2*sweepers*perSweeper {
+		t.Fatalf("%d hits + %d misses, want %d lookups", snap.CacheHits, snap.CacheMisses, 2*sweepers*perSweeper)
+	}
+	if bulk := snap.LaneRequests[MethodPredict]["bulk"]; bulk != sweepers*perSweeper {
+		t.Fatalf("%d bulk rows ran the model, want every one of %d (none can hit)", bulk, sweepers*perSweeper)
+	}
+}
+
 // TestPredictAfterClose checks the ErrClosed path.
 func TestPredictAfterClose(t *testing.T) {
 	model := cyclegan.New(testModelCfg(), 1)

@@ -86,7 +86,7 @@ type Stats struct {
 	// caller's or the queue's.
 	failures    atomic.Int64
 	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64 // counted only when the model answered
+	cacheMisses atomic.Int64 // lookups the model then answered, on either lane
 	maxLatency  atomic.Int64 // nanoseconds, enqueue to scatter
 
 	// latencyH is the end-to-end latency histogram (seconds) the mean
@@ -141,6 +141,8 @@ type statsView struct {
 	batches, batchRows, maxBatch            int64
 	overloads, expired, cancelled, failures int64
 	cacheHits, cacheMisses                  int64
+	cacheEntries                            int   // filled by Server.view: the cache is the server's
+	cacheBytes                              int64 // row data those entries hold
 	maxLatency                              time.Duration
 	uptime                                  float64
 	latency                                 metrics.HistogramSnapshot
@@ -225,6 +227,8 @@ type StatsSnapshot struct {
 	ModelFailures int64   `json:"model_failures"`
 	CacheHits     int64   `json:"cache_hits"`
 	CacheMisses   int64   `json:"cache_misses"`
+	CacheEntries  int     `json:"cache_entries"` // rows the response cache holds now
+	CacheBytes    int64   `json:"cache_bytes"`   // their row data: entries × row width × 4
 	MeanBatch     float64 `json:"mean_batch"`
 	MaxBatch      float64 `json:"max_batch"`
 	MeanLatMs     float64 `json:"mean_latency_ms"`
@@ -254,6 +258,8 @@ func (v statsView) snapshot() StatsSnapshot {
 		ModelFailures: v.failures,
 		CacheHits:     v.cacheHits,
 		CacheMisses:   v.cacheMisses,
+		CacheEntries:  v.cacheEntries,
+		CacheBytes:    v.cacheBytes,
 		MeanBatch:     v.meanBatch(),
 		MaxBatch:      float64(v.maxBatch),
 		MeanLatMs:     1e3 * v.latency.Mean(),

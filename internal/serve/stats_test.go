@@ -165,6 +165,12 @@ func TestCountersConserve(t *testing.T) {
 		snap.Overloads != 1 || snap.ModelFailures != 1 || snap.Cancelled != 0 {
 		t.Fatalf("outcome counters wrong: %+v", snap)
 	}
+	// Every served row was a lookup (CacheMisses above), but only the
+	// interactive ones were admitted: predict 0-2, invert 0 and the two
+	// held rows, 2 floats each.
+	if snap.CacheEntries != 6 || snap.CacheBytes != 6*2*4 {
+		t.Fatalf("cache holds %d entries / %d bytes, want the 6 interactive rows / 48 bytes", snap.CacheEntries, snap.CacheBytes)
+	}
 
 	rec := httptest.NewRecorder()
 	MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -190,11 +196,18 @@ func TestCountersConserve(t *testing.T) {
 		"jag_model_failures_total":          snap.ModelFailures,
 		"jag_cache_hits_total":              snap.CacheHits,
 		"jag_cache_misses_total":            snap.CacheMisses,
+		"jag_cache_entries":                 int64(snap.CacheEntries),
+		"jag_cache_bytes":                   snap.CacheBytes,
 		"jag_request_latency_seconds_count": snap.Requests,
 	} {
 		if got, ok := series[name+`{model="m"}`]; !ok || got != float64(want) {
 			t.Errorf("%s = %v (present %t), want %d", name, got, ok, want)
 		}
+	}
+	// A bulk miss is counted and not cached; the help text must not
+	// say otherwise.
+	if help := "# HELP jag_cache_misses_total Rows looked up in the LRU response cache, not found, and answered by the model."; !strings.Contains(rec.Body.String(), help) {
+		t.Errorf("exposition lacks %q", help)
 	}
 }
 

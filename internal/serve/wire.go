@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // Binary tensor transport. At the paper's Default64 geometry one output
@@ -36,41 +35,88 @@ const (
 	frameVersion = 1
 	frameHeader  = 16
 
-	// MaxFrameElems caps rows*cols of a decoded frame (256 MiB of
-	// payload): DecodeFrame allocates the payload up front, so the
-	// header's claimed size must be bounded before it is believed.
+	// MaxFrameElems caps rows*cols of a frame (256 MiB of payload):
+	// the header's claimed size must be bounded before it is believed.
 	MaxFrameElems = 1 << 26
 )
 
-// EncodeFrame renders a rectangular batch as one binary tensor frame.
-// All rows must share one width; a zero-row batch encodes as an empty
-// frame.
-func EncodeFrame(rows [][]float32) ([]byte, error) {
+// wireChunk is the scratch both directions convert floats through: the
+// reply writer's whole buffer, and the unit in which the decoder takes
+// payload off the wire.
+const wireChunk = 64 << 10
+
+// frameCols validates that rows is a rectangle the frame format can
+// carry and returns its width.
+func frameCols(rows [][]float32) (int, error) {
 	cols := 0
 	if len(rows) > 0 {
 		cols = len(rows[0])
 	}
 	for i, r := range rows {
 		if len(r) != cols {
-			return nil, fmt.Errorf("serve: ragged frame: row %d has %d cols, want %d", i, len(r), cols)
+			return 0, fmt.Errorf("serve: ragged frame: row %d has %d cols, want %d", i, len(r), cols)
 		}
 	}
 	if uint64(len(rows))*uint64(cols) > MaxFrameElems {
-		return nil, fmt.Errorf("serve: frame too large: %d x %d elements (max %d)", len(rows), cols, MaxFrameElems)
+		return 0, fmt.Errorf("serve: frame too large: %d x %d elements (max %d)", len(rows), cols, MaxFrameElems)
 	}
-	buf := make([]byte, frameHeader+4*len(rows)*cols)
-	copy(buf, frameMagic)
-	binary.LittleEndian.PutUint32(buf[4:], frameVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(rows)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(cols))
-	off := frameHeader
-	for _, r := range rows {
-		for _, v := range r {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-			off += 4
-		}
+	return cols, nil
+}
+
+// frameSize is the byte length of a rows x cols frame.
+func frameSize(rows, cols int) int { return frameHeader + 4*rows*cols }
+
+func putFrameHeader(dst []byte, rows, cols int) {
+	copy(dst, frameMagic)
+	binary.LittleEndian.PutUint32(dst[4:], frameVersion)
+	binary.LittleEndian.PutUint32(dst[8:], uint32(rows))
+	binary.LittleEndian.PutUint32(dst[12:], uint32(cols))
+}
+
+// putFloats writes src into dst as little-endian float32s.
+func putFloats(dst []byte, src []float32) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+// EncodeFrame renders a rectangular batch as one binary tensor frame.
+// All rows must share one width; a zero-row batch encodes as an empty
+// frame.
+func EncodeFrame(rows [][]float32) ([]byte, error) {
+	cols, err := frameCols(rows)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, frameSize(len(rows), cols))
+	putFrameHeader(buf, len(rows), cols)
+	for i, r := range rows {
+		putFloats(buf[frameHeader+4*i*cols:], r)
 	}
 	return buf, nil
+}
+
+// writeFrame streams the frame EncodeFrame would build — rows of width
+// cols, already validated by frameCols — to w through one wireChunk of
+// scratch, so a reply costs that scratch rather than a second copy of
+// every row.
+func writeFrame(w io.Writer, rows [][]float32, cols int) error {
+	scratch := make([]byte, max(frameHeader, min(4*cols, wireChunk)))
+	putFrameHeader(scratch, len(rows), cols)
+	if _, err := w.Write(scratch[:frameHeader]); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		for len(r) > 0 {
+			n := min(len(r), len(scratch)/4)
+			putFloats(scratch, r[:n])
+			if _, err := w.Write(scratch[:4*n]); err != nil {
+				return err
+			}
+			r = r[n:]
+		}
+	}
+	return nil
 }
 
 // DecodeFrame reads one binary tensor frame. Every declared size is
@@ -109,25 +155,32 @@ func DecodeFrame(r io.Reader, wantCols, maxRows int) ([][]float32, error) {
 	if wantCols > 0 && cols != uint32(wantCols) {
 		return nil, fmt.Errorf("serve: frame has %d cols, want %d", cols, wantCols)
 	}
-	// Read the payload in bounded chunks instead of allocating the
-	// header's full claim up front: a 16-byte frame declaring
-	// MaxFrameElems would otherwise demand 256 MiB before the first
-	// payload byte is checked. Growth tracks bytes that actually
-	// arrived, so a truncated frame costs at most ~2x what was sent.
-	const decodeChunk = 1 << 20
-	need := 4 * int(rows) * int(cols)
-	payload := make([]byte, 0, min(need, decodeChunk))
-	for len(payload) < need {
-		start := len(payload)
-		n := min(need-start, decodeChunk)
-		payload = slices.Grow(payload, n)[:start+n]
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+	// Take the payload off the wire a wireChunk at a time and convert
+	// each chunk into the float slice as it arrives. The slice starts at
+	// no more than decodeStart and doubles, never past the header's
+	// claim, only once the floats it holds have really arrived: a
+	// 16-byte frame declaring MaxFrameElems would otherwise demand
+	// 256 MiB before the first payload byte is checked, and a truncated
+	// frame costs at most ~2x what was sent.
+	const decodeStart = 1 << 18 // floats: 1 MiB
+	elems := int(rows) * int(cols)
+	chunk := make([]byte, min(4*elems, wireChunk))
+	flat := make([]float32, 0, min(elems, decodeStart))
+	for len(flat) < elems {
+		n := min(elems-len(flat), len(chunk)/4)
+		if _, err := io.ReadFull(r, chunk[:4*n]); err != nil {
 			return nil, fmt.Errorf("serve: truncated frame payload: %w", err)
 		}
-	}
-	flat := make([]float32, int(rows)*int(cols))
-	for i := range flat {
-		flat[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+		if len(flat)+n > cap(flat) {
+			grown := make([]float32, len(flat), min(elems, 2*cap(flat)))
+			copy(grown, flat)
+			flat = grown
+		}
+		dst := flat[len(flat) : len(flat)+n]
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
+		}
+		flat = flat[:len(flat)+n]
 	}
 	out := make([][]float32, rows)
 	for i := range out {

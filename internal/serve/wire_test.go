@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/jag"
 )
@@ -114,6 +117,105 @@ func TestWireDecodeMalformed(t *testing.T) {
 	if _, err := DecodeFrame(bytes.NewReader(good), 0, 2); err == nil {
 		t.Fatal("row limit not enforced")
 	}
+}
+
+// allocatedBy returns the heap bytes f allocated (garbage included).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeFrameAllocationFollowsBytesReceived measures the decoder's
+// two allocation promises. A frame several times the float slice's
+// starting size decodes bit for bit from a reader that trickles, for
+// well under the old cost of a grown byte payload plus a float copy
+// (about four payloads); and a 256 MiB claim backed by a kilobyte costs
+// about the starting size, not the claim.
+func TestDecodeFrameAllocationFollowsBytesReceived(t *testing.T) {
+	in := wireBatch(600, 1000) // 2.4 MB of payload: two doublings past 1 MiB
+	in[7][3] = float32(math.NaN())
+	buf, err := EncodeFrame(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]float32
+	cost := allocatedBy(func() {
+		out, err = DecodeFrame(iotest.HalfReader(bytes.NewReader(buf)), 1000, 600)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("decoded %d rows, want %d", len(out), len(in))
+	}
+	for i := range in {
+		for j := range in[i] {
+			if math.Float32bits(out[i][j]) != math.Float32bits(in[i][j]) {
+				t.Fatalf("row %d col %d: %v, want %v", i, j, out[i][j], in[i][j])
+			}
+		}
+	}
+	if limit := uint64(3 * len(buf)); cost > limit {
+		t.Fatalf("decoding a %d-byte frame allocated %d bytes, want under %d", len(buf), cost, limit)
+	}
+
+	hdr := make([]byte, frameHeader, frameHeader+1024)
+	putFrameHeader(hdr, 1<<13, 1<<13) // 64 Mi elements
+	short := append(hdr, make([]byte, 1024)...)
+	cost = allocatedBy(func() { _, err = DecodeFrame(bytes.NewReader(short), 0, 0) })
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated 256 MiB claim: %v", err)
+	}
+	if cost > 2<<20 {
+		t.Fatalf("a 256 MiB claim over 1 KiB of payload allocated %d bytes", cost)
+	}
+}
+
+// TestWriteFrameMatchesEncodeFrame: the streamed reply is the frame
+// EncodeFrame builds, byte for byte, whether a row fits the scratch
+// chunk or spans several, and a writer's failure is returned.
+func TestWriteFrameMatchesEncodeFrame(t *testing.T) {
+	for _, shape := range [][2]int{{0, 0}, {1, 1}, {3, jag.InputDim}, {5, 3}, {2, wireChunk/4 + 7}, {3, 3 * wireChunk / 4}} {
+		rows := wireBatch(shape[0], shape[1])
+		want, err := EncodeFrame(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, err := frameCols(rows)
+		if err != nil || cols != shape[1]*min(shape[0], 1) {
+			t.Fatalf("frameCols(%v) = %d, %v", shape, cols, err)
+		}
+		var got bytes.Buffer
+		if err := writeFrame(&got, rows, cols); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) || got.Len() != frameSize(len(rows), cols) {
+			t.Fatalf("%v: streamed frame of %d bytes differs from EncodeFrame's %d", shape, got.Len(), len(want))
+		}
+	}
+	if _, err := frameCols([][]float32{{1, 2}, {3}}); err == nil {
+		t.Fatal("ragged rows passed frameCols")
+	}
+	rows := wireBatch(4, wireChunk/2)
+	for _, room := range []int{0, frameHeader, frameHeader + wireChunk + 5} {
+		if err := writeFrame(&shortWriter{room: room}, rows, wireChunk/2); err == nil {
+			t.Fatalf("writeFrame to a writer with room for %d bytes succeeded", room)
+		}
+	}
+}
+
+// shortWriter accepts room bytes, then fails.
+type shortWriter struct{ room int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		return 0, errors.New("peer went away")
+	}
+	w.room -= len(p)
+	return len(p), nil
 }
 
 // benchWireBatch is a Default64-geometry prediction batch: 16 rows of

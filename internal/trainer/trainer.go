@@ -39,7 +39,9 @@ type Model interface {
 // communicator using the ring allreduce. All parameters are packed into one
 // buffer per Reduce call, matching how Aluminum aggregates small tensors.
 // The buffer is kept between calls, so a reducer serves one rank and is not
-// safe for concurrent use.
+// safe for concurrent use. Every rank packs every parameter — one that has
+// not trained on this rank yet contributes zeros (nn.Param.Accum) — so the
+// ranks' buffers always agree in length.
 type AllreduceReducer struct {
 	C *comm.Comm
 
@@ -54,7 +56,7 @@ func (r *AllreduceReducer) Reduce(params []*nn.Param) {
 	}
 	total := 0
 	for _, p := range params {
-		total += len(p.Grad.Data)
+		total += len(p.Accum().Data)
 	}
 	if cap(r.buf) < total {
 		r.buf = make([]float32, total)

@@ -265,7 +265,7 @@ func TestAllreduceReducerAverages(t *testing.T) {
 		m := tinySurrogate(2)
 		params := m.Forward.Params()
 		for _, p := range params {
-			p.Grad.Fill(float32(c.Rank() + 1)) // ranks contribute 1,2,3,4
+			p.Accum().Fill(float32(c.Rank() + 1)) // ranks contribute 1,2,3,4
 		}
 		(&AllreduceReducer{C: c}).Reduce(params)
 		results[c.Rank()] = params[0].Grad.Data[0]
@@ -290,7 +290,7 @@ func TestAllreduceReducerReusesScratch(t *testing.T) {
 		var grown []float32
 		for step, params := range [][]*nn.Param{big, small, big, small} {
 			for _, p := range params {
-				p.Grad.Fill(float32((c.Rank() + 1) * (step + 1))) // ranks contribute s, 2s
+				p.Accum().Fill(float32((c.Rank() + 1) * (step + 1))) // ranks contribute s, 2s
 			}
 			r.Reduce(params)
 			want := 1.5 * float32(step+1)
@@ -311,12 +311,40 @@ func TestAllreduceReducerReusesScratch(t *testing.T) {
 	})
 }
 
+// TestAllreduceReducerPacksUntrainedParams: gradient storage appears on
+// first training use, so a rank can reach a Reduce holding none. It still
+// packs every parameter — as zeros — or the ranks' buffers would disagree
+// in length and the ring would mix parameters up.
+func TestAllreduceReducerPacksUntrainedParams(t *testing.T) {
+	w := comm.NewWorld(2)
+	results := make([][]float32, 2)
+	w.Run(func(c *comm.Comm) {
+		params := tinySurrogate(2).Forward.Params()
+		if c.Rank() == 0 {
+			for i, p := range params {
+				p.Accum().Fill(float32(2 * (i + 1)))
+			}
+		}
+		(&AllreduceReducer{C: c}).Reduce(params)
+		for _, p := range params {
+			results[c.Rank()] = append(results[c.Rank()], p.Grad.Data[0], p.Grad.Data[len(p.Grad.Data)-1])
+		}
+	})
+	for r, got := range results {
+		for j, v := range got {
+			if want := float32(j/2 + 1); v != want { // mean of 2(i+1) and 0
+				t.Fatalf("rank %d: reduced grads %v, want param i's to be i+1", r, got)
+			}
+		}
+	}
+}
+
 func TestAllreduceReducerSingleRankNoop(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		m := tinySurrogate(2)
 		params := m.Forward.Params()
-		params[0].Grad.Fill(3)
+		params[0].Accum().Fill(3)
 		(&AllreduceReducer{C: c}).Reduce(params)
 		if params[0].Grad.Data[0] != 3 {
 			t.Error("single-rank reduce must be identity")
