@@ -1,10 +1,10 @@
-// Command jaglint is the project's static-analysis multichecker: five
+// Command jaglint is the project's static-analysis multichecker: four
 // analyzers (internal/lint) that enforce the serving stack's
 // concurrency and metrics invariants — release-on-all-paths for
 // Registry.Acquire pins, no copies of lock-free metric structs,
-// compile-time-validated metric names, intact context chains, and no
-// input/output tensor aliasing. docs/STATIC_ANALYSIS.md documents each
-// invariant with bad/good examples and the suppression syntax.
+// compile-time-validated metric names, and intact context chains.
+// docs/STATIC_ANALYSIS.md documents each invariant with bad/good
+// examples and the suppression syntax.
 //
 // Usage:
 //

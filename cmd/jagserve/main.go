@@ -104,7 +104,7 @@ func main() {
 		models = append(models, modelFlag{name: name, path: path})
 		return nil
 	})
-	replicas := flag.Int("replicas", 1, "model replicas per model (raised to the checkpoint count if lower; ignored with -ensemble, which uses one per checkpoint)")
+	replicas := flag.Int("replicas", 1, "workers per model over one weight set per checkpoint (raised to the checkpoint count if lower; ignored with -ensemble, which uses one per checkpoint)")
 	ensemble := flag.Bool("ensemble", false, "average predictions across each model's checkpoints instead of round-robin")
 	maxBatch := flag.Int("max-batch", 64, "max requests coalesced into one forward pass")
 	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait before flushing a partial batch")
@@ -180,7 +180,7 @@ func main() {
 		if err := reg.Register(e.name, srv); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("model %s: %d replica(s) of %d checkpoint(s), ensemble=%v, methods %v",
+		log.Printf("model %s: %d worker(s) over one weight set per checkpoint (%d checkpoint(s)), ensemble=%v, methods %v",
 			e.name, pool.Replicas(), len(e.spec.Checkpoints), pool.Ensemble(), srv.Methods())
 		if *probe {
 			// Publish this process's sustainable throughput so a fleet

@@ -74,10 +74,10 @@
 // backend kill included (docs/FLEET.md, examples/fleet).
 //
 // The conventions this stack depends on are machine-checked:
-// cmd/jaglint runs internal/lint's five analyzers (released
+// cmd/jaglint runs internal/lint's four analyzers (released
 // Registry.Acquire pins, uncopied atomic-holding structs, canonical
-// jag_* metric names, flowing contexts, non-aliased tensor
-// destinations) over every package, in CI and inside tier-1 via
+// jag_* metric names, flowing contexts) over every package, in CI and
+// inside tier-1 via
 // TestSuiteCleanOnRepo; docs/STATIC_ANALYSIS.md documents each
 // invariant and the lint:ignore suppression syntax.
 //

@@ -42,7 +42,8 @@ const (
 // model's Replicas means *concurrent execution units*: on a CPU-only
 // host a replica beyond GOMAXPROCS adds no parallelism (the forward
 // pass is single-threaded per replica), so predicting with more
-// replicas than cores would overstate capacity on purpose.
+// replicas than cores would overstate capacity on purpose. A replica
+// costs no weights: the pool below lists one surrogate N times.
 var replicas = min(4, runtime.GOMAXPROCS(0))
 
 func main() {
@@ -56,9 +57,10 @@ func main() {
 	cfg.ForwardHidden = []int{32, 32}
 	cfg.InverseHidden = []int{16}
 	cfg.DiscHidden = []int{16}
+	model := cyclegan.New(cfg, 1)
 	models := make([]*cyclegan.Surrogate, replicas)
 	for i := range models {
-		models[i] = cyclegan.New(cfg, int64(i+1))
+		models[i] = model
 	}
 	pool, err := serve.NewPool(models, false)
 	if err != nil {

@@ -102,7 +102,10 @@ func (c Config) Validate() error {
 }
 
 // Surrogate is one replica of the CycleGAN surrogate with its optimizers.
-// It implements the trainer's Model contract structurally.
+// It implements the trainer's Model contract structurally. Predict, Invert,
+// Eval and AdversarialScore only read the weights, so any number of
+// goroutines may call them on one Surrogate at once; TrainStep, ResetOptim
+// and loading weights are single-owner and must not overlap them.
 type Surrogate struct {
 	Cfg Config
 
@@ -266,13 +269,13 @@ func (s *Surrogate) TrainStep(x, y *tensor.Matrix, r nn.Reducer) map[string]floa
 	losses["latent"] = latLoss
 	tensor.Scale(dLat, float32(s.Cfg.LatentWeight))
 
-	yPred := s.Decoder.Forward(zGen, false)
+	yPred := s.Decoder.Forward(zGen, true)
 	fidLoss, dPred := weightedMAE(yPred, y, s.Cfg.ScalarWeight)
 	losses["fidelity"] = fidLoss
 	tensor.Scale(dPred, float32(s.Cfg.FidelityWeight))
 	dzFid := s.Decoder.Backward(dPred)
 
-	logitsGen := s.Disc.Forward(zGen, false)
+	logitsGen := s.Disc.Forward(zGen, true)
 	advLoss, dAdv := nn.BCEWithLogits(logitsGen, ones)
 	losses["adversarial"] = advLoss
 	tensor.Scale(dAdv, float32(s.Cfg.AdversarialWeight))

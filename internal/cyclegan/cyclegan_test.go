@@ -2,6 +2,7 @@ package cyclegan
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/jag"
@@ -319,6 +320,52 @@ func TestGradientsAllocatedOnFirstTrainStep(t *testing.T) {
 			if p.Grad == nil || p.Grad.Rows != p.W.Rows || p.Grad.Cols != p.W.Cols {
 				t.Fatalf("%s %s: no gradient accumulator of the weight's shape after training", n.Name, p.Name)
 			}
+		}
+	}
+}
+
+// TestSurrogateReadsAreConcurrent: Predict, Invert, Eval and
+// AdversarialScore only read the weights, so goroutines sharing one surrogate
+// — each on a batch of its own size — get the bits a lone caller gets. Run
+// under -race in CI; at the parent of PR 16 every layer stored its input
+// during these calls and the race detector reported each of them.
+func TestSurrogateReadsAreConcurrent(t *testing.T) {
+	cfg := tinyConfig()
+	s := New(cfg, 12)
+	bx, by := batch(cfg, 0, 16)
+	s.TrainStep(bx, by, nn.NopReducer{}) // a trained model serves the same way
+
+	const workers = 8
+	type result struct {
+		predict, invert *tensor.Matrix
+		eval, adv       float64
+	}
+	run := func(i int) result {
+		x, y := batch(cfg, 50*i, 1+3*i)
+		return result{s.Predict(x), s.Invert(x), s.Eval(x, y), s.AdversarialScore(x, y)}
+	}
+	want := make([]result, workers)
+	for i := range want {
+		want[i] = run(i)
+	}
+	got := make([]result, workers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				got[i] = run(i)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range want {
+		g := got[i]
+		if !g.predict.Equal(w.predict) || !g.invert.Equal(w.invert) ||
+			math.Float64bits(g.eval) != math.Float64bits(w.eval) ||
+			math.Float64bits(g.adv) != math.Float64bits(w.adv) {
+			t.Fatalf("worker %d: concurrent inference differs from the serial result", i)
 		}
 	}
 }

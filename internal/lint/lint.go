@@ -1,4 +1,4 @@
-// Package lint is the project's static-analysis layer: five analyzers
+// Package lint is the project's static-analysis layer: four analyzers
 // that enforce the serving stack's concurrency and metrics invariants —
 // conventions the compiler cannot see and that have each produced (or
 // nearly produced) a real bug:
@@ -16,9 +16,6 @@
 //   - ctxflow: a function that receives a context.Context must not
 //     manufacture context.Background()/TODO() or drop its ctx when
 //     calling a context-taking API.
-//   - tensoralias: passing one *tensor.Matrix as two arguments of a
-//     call is flagged unless the callee is documented alias-safe (the
-//     PR 2 ensemble in-place-averaging bug class).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -184,7 +181,6 @@ func All() []*Analyzer {
 		AtomicField,
 		MetricName,
 		CtxFlow,
-		TensorAlias,
 	}
 }
 

@@ -31,10 +31,6 @@ func TestCtxFlow(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "ctxflow"), lint.CtxFlow)
 }
 
-func TestTensorAlias(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "tensoralias"), lint.TensorAlias)
-}
-
 // TestSuiteCleanOnRepo is the same gate CI runs: every analyzer over
 // every package of the module, expecting zero findings. A regression
 // that reintroduces a leaked pin or a malformed metric name fails
@@ -65,7 +61,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	}
 }
 
-// TestAllNamesUnique pins the suite's shape: five analyzers, distinct
+// TestAllNamesUnique pins the suite's shape: four analyzers, distinct
 // names (lint:ignore comments address them by name).
 func TestAllNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
@@ -78,8 +74,8 @@ func TestAllNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 5 {
-		t.Errorf("suite has %d analyzers, want 5", len(seen))
+	if len(seen) != 4 {
+		t.Errorf("suite has %d analyzers, want 4", len(seen))
 	}
 }
 

@@ -5,9 +5,22 @@
 // all feed-forward stacks (Section II-D calls each CycleGAN component "a
 // standard fully-connected neural network"), so the DAG is a sequence.
 //
-// Mini-batches are tensor.Matrix values with one sample per row. Forward
-// caches whatever each layer needs; Backward consumes the cache, accumulates
-// parameter gradients, and returns the gradient with respect to the input.
+// Mini-batches are tensor.Matrix values with one sample per row. The training
+// argument of Forward means one thing: a Backward follows.
+//
+//   - Forward(x, false) is inference, a pure function of the weights. It
+//     writes no layer field and returns a matrix the caller owns, so any
+//     number of goroutines may run it on one network at once.
+//   - Forward(x, true) also keeps, in each layer, the operand its Backward
+//     needs (the input, or for Tanh and Sigmoid the output, which is the
+//     matrix it returns — read it, do not write it, until Backward has run).
+//     Backward consumes what was kept, accumulates parameter gradients and
+//     returns the gradient with respect to the input; a Backward with nothing
+//     kept panics rather than differentiate an older batch.
+//
+// Training — Forward(x, true), Backward, ZeroGrad, an optimizer step, loading
+// weights — is single-owner: one goroutine at a time, and no inference pass
+// on the same network while weights change.
 package nn
 
 import (
@@ -45,15 +58,18 @@ func (p *Param) Accum() *tensor.Matrix {
 	return p.Grad
 }
 
-// Layer is one differentiable operation. Forward must be called before
-// Backward for the same mini-batch. Layers are not safe for concurrent use;
-// each trainer rank owns its own replica.
+// Layer is one differentiable operation. Any number of concurrent
+// Forward(x, false) calls are safe; training is single-owner (see the
+// package comment).
 type Layer interface {
-	// Forward computes the layer output for input x. training distinguishes
-	// train-time behaviour (e.g. dropout) from evaluation.
+	// Forward computes the layer output for input x. training says that a
+	// Backward for this mini-batch follows, so the layer keeps the operand
+	// it needs; with training false the layer is left untouched.
 	Forward(x *tensor.Matrix, training bool) *tensor.Matrix
-	// Backward receives dLoss/dOutput and returns dLoss/dInput, adding any
-	// parameter gradients into Params' Grad fields.
+	// Backward receives dLoss/dOutput for the mini-batch of the last
+	// Forward(x, true) and returns dLoss/dInput, adding any parameter
+	// gradients into Params' Grad fields. It uses up what that Forward
+	// kept and panics if there is nothing to use.
 	Backward(dy *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
@@ -61,12 +77,25 @@ type Layer interface {
 	OutDim(in int) int
 }
 
+// kept takes the operand a layer's Forward(x, true) left in slot, so one
+// forward pass is differentiated at most once. It panics when no such pass
+// ran since the last Backward — after an inference pass the slot still holds
+// nothing, never an older batch.
+func kept(slot **tensor.Matrix, layer string) *tensor.Matrix {
+	m := *slot
+	if m == nil {
+		panic("nn: " + layer + ".Backward before Forward")
+	}
+	*slot = nil
+	return m
+}
+
 // Linear is a fully-connected layer: y = x·W + b with W of shape In×Out.
 type Linear struct {
 	In, Out int
 	Weight  *Param
 	Bias    *Param
-	x       *tensor.Matrix // cached input for Backward
+	x       *tensor.Matrix // input kept by Forward(x, true) for Backward
 }
 
 // NewLinear creates a Linear layer with Glorot-uniform weights and zero bias.
@@ -81,12 +110,14 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = x·W + b and caches x.
+// Forward computes y = x·W + b.
 func (l *Linear) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects width %d, got %d", l.In, x.Cols))
 	}
-	l.x = x
+	if training {
+		l.x = x
+	}
 	y := tensor.New(x.Rows, l.Out)
 	tensor.MatMul(y, x, l.Weight.W)
 	tensor.AddRowVector(y, l.Bias.W.Data)
@@ -96,10 +127,8 @@ func (l *Linear) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 // Backward accumulates dW = xᵀ·dy and db = column-sums(dy), and returns
 // dx = dy·Wᵀ.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
-	}
-	tensor.Gemm(l.Weight.Accum(), 1, l.x, tensor.Trans, dy, tensor.NoTrans, 1)
+	x := kept(&l.x, "Linear")
+	tensor.Gemm(l.Weight.Accum(), 1, x, tensor.Trans, dy, tensor.NoTrans, 1)
 	cs := tensor.ColSums(dy)
 	bias := l.Bias.Accum().Data
 	for j, v := range cs {
@@ -121,10 +150,12 @@ type ReLU struct {
 	x *tensor.Matrix // forward input; Backward gates on its sign
 }
 
-// Forward computes max(0, x) and caches the input. It builds no mask, so an
-// inference pass allocates only its output.
+// Forward computes max(0, x). It builds no mask, so an inference pass
+// allocates only its output.
 func (r *ReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	r.x = x
+	if training {
+		r.x = x
+	}
 	y := tensor.New(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
@@ -134,12 +165,13 @@ func (r *ReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	return y
 }
 
-// Backward gates dy by the sign of the cached input. The gate is a multiply
+// Backward gates dy by the sign of the kept input. The gate is a multiply
 // by 0 or 1, not a branch, so a blocked −x, Inf or NaN gradient yields the
 // −0 or NaN a mask multiply would.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	x := kept(&r.x, "ReLU")
 	dx := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range r.x.Data {
+	for i, v := range x.Data {
 		var gate float32
 		if v > 0 {
 			gate = 1
@@ -162,9 +194,11 @@ type LeakyReLU struct {
 	x     *tensor.Matrix
 }
 
-// Forward applies the leaky rectifier and caches the input.
+// Forward applies the leaky rectifier.
 func (l *LeakyReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	l.x = x
+	if training {
+		l.x = x
+	}
 	y := tensor.New(x.Rows, x.Cols)
 	a := l.Alpha
 	for i, v := range x.Data {
@@ -177,11 +211,12 @@ func (l *LeakyReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	return y
 }
 
-// Backward scales dy by 1 or Alpha depending on the cached input sign.
+// Backward scales dy by 1 or Alpha depending on the kept input's sign.
 func (l *LeakyReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	x := kept(&l.x, "LeakyReLU")
 	dx := tensor.New(dy.Rows, dy.Cols)
 	a := l.Alpha
-	for i, v := range l.x.Data {
+	for i, v := range x.Data {
 		if v > 0 {
 			dx.Data[i] = dy.Data[i]
 		} else {
@@ -202,20 +237,23 @@ type Tanh struct {
 	y *tensor.Matrix
 }
 
-// Forward computes tanh(x) and caches the output.
+// Forward computes tanh(x).
 func (t *Tanh) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	y := tensor.New(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = float32(math.Tanh(float64(v)))
 	}
-	t.y = y
+	if training {
+		t.y = y
+	}
 	return y
 }
 
-// Backward computes dy·(1 - y²) using the cached output.
+// Backward computes dy·(1 - y²) using the kept output.
 func (t *Tanh) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	y := kept(&t.y, "Tanh")
 	dx := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range t.y.Data {
+	for i, v := range y.Data {
 		dx.Data[i] = dy.Data[i] * (1 - v*v)
 	}
 	return dx
@@ -232,20 +270,23 @@ type Sigmoid struct {
 	y *tensor.Matrix
 }
 
-// Forward computes σ(x) and caches the output.
+// Forward computes σ(x).
 func (s *Sigmoid) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	y := tensor.New(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-	s.y = y
+	if training {
+		s.y = y
+	}
 	return y
 }
 
-// Backward computes dy·y·(1-y) using the cached output.
+// Backward computes dy·y·(1-y) using the kept output.
 func (s *Sigmoid) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	y := kept(&s.y, "Sigmoid")
 	dx := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range s.y.Data {
+	for i, v := range y.Data {
 		dx.Data[i] = dy.Data[i] * v * (1 - v)
 	}
 	return dx
@@ -256,47 +297,3 @@ func (s *Sigmoid) Params() []*Param { return nil }
 
 // OutDim is the identity for activations.
 func (s *Sigmoid) OutDim(in int) int { return in }
-
-// Dropout randomly zeroes a fraction Rate of activations at train time and
-// rescales survivors by 1/(1-Rate) (inverted dropout); at evaluation it is
-// the identity.
-type Dropout struct {
-	Rate float64
-	Rng  *rand.Rand
-	mask *tensor.Matrix
-}
-
-// Forward applies inverted dropout when training, identity otherwise.
-func (d *Dropout) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	if !training || d.Rate <= 0 {
-		d.mask = nil
-		return x
-	}
-	keep := float32(1 / (1 - d.Rate))
-	d.mask = tensor.New(x.Rows, x.Cols)
-	y := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if d.Rng.Float64() >= d.Rate {
-			d.mask.Data[i] = keep
-			y.Data[i] = v * keep
-		}
-	}
-	return y
-}
-
-// Backward gates dy by the dropout mask (identity if the last Forward was an
-// evaluation pass).
-func (d *Dropout) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
-		return dy
-	}
-	dx := tensor.New(dy.Rows, dy.Cols)
-	tensor.Hadamard(dx, dy, d.mask)
-	return dx
-}
-
-// Params returns nil: Dropout has no trainable state.
-func (d *Dropout) Params() []*Param { return nil }
-
-// OutDim is the identity for dropout.
-func (d *Dropout) OutDim(in int) int { return in }

@@ -2,19 +2,24 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
 )
 
 // Network is an ordered stack of layers trained as a unit — the analogue of
-// an LBANN "model". Networks are not safe for concurrent use.
+// an LBANN "model". Any number of goroutines may call Forward(x, false) on
+// one Network at once; everything else (Forward(x, true), Backward, ZeroGrad,
+// writing weights) is single-owner and must not overlap an inference pass.
 type Network struct {
 	Name   string
 	Layers []Layer
 }
 
-// Forward runs the whole stack on mini-batch x.
+// Forward runs the whole stack on mini-batch x. With training false it
+// changes nothing in the network and the result belongs to the caller; with
+// training true every layer keeps what the Backward that follows needs.
 func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	for _, l := range n.Layers {
 		x = l.Forward(x, training)
@@ -23,7 +28,8 @@ func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 }
 
 // Backward propagates dLoss/dOutput through the stack in reverse, returning
-// dLoss/dInput. Parameter gradients accumulate into each Param's Grad.
+// dLoss/dInput. Parameter gradients accumulate into each Param's Grad. It
+// differentiates the last Forward(x, true), once, and panics without one.
 func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dy = n.Layers[i].Backward(dy)
@@ -74,6 +80,35 @@ func (n *Network) CopyWeightsFrom(src *Network) {
 // GradNorm returns the Frobenius norm of the concatenated gradient, useful
 // for divergence diagnostics.
 func (n *Network) GradNorm() float64 { return gradNorm(n.Params()) }
+
+// gradNorm is the L2 norm of the concatenated gradients of params; a
+// parameter that never trained contributes nothing.
+func gradNorm(params []*Param) float64 {
+	var sq float64
+	for _, p := range params {
+		if p.Grad != nil {
+			v := tensor.Norm2(p.Grad)
+			sq += v * v
+		}
+	}
+	return math.Sqrt(sq)
+}
+
+// ClipGradNorm rescales all gradients so their global L2 norm does not
+// exceed maxNorm, returning the pre-clip norm. Trainers use it to keep GAN
+// phases from destabilizing each other.
+func ClipGradNorm(params []*Param, maxNorm float64) float64 {
+	norm := gradNorm(params)
+	if norm > maxNorm && norm > 0 {
+		scale := float32(maxNorm / norm)
+		for _, p := range params {
+			if p.Grad != nil {
+				tensor.Scale(p.Grad, scale)
+			}
+		}
+	}
+	return norm
+}
 
 // Activation names an elementwise nonlinearity for Spec-driven construction.
 type Activation string

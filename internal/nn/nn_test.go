@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
@@ -36,7 +37,7 @@ func gradCheck(t *testing.T, net *Network, lossFn func(pred, target *tensor.Matr
 	tensor.FillUniform(target, rng, 0.1, 0.9)
 
 	net.ZeroGrad()
-	pred := net.Forward(x, false)
+	pred := net.Forward(x, true)
 	_, dy := lossFn(pred, target)
 	net.Backward(dy)
 
@@ -229,44 +230,6 @@ func TestBCEWithLogitsChanceLevel(t *testing.T) {
 	}
 }
 
-func TestDropoutSemantics(t *testing.T) {
-	d := &Dropout{Rate: 0.5, Rng: rand.New(rand.NewSource(19))}
-	x := tensor.New(10, 10)
-	x.Fill(1)
-	// Evaluation is the identity and must not allocate a mask.
-	y := d.Forward(x, false)
-	if !y.Equal(x) {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-	dy := tensor.New(10, 10)
-	dy.Fill(1)
-	if !d.Backward(dy).Equal(dy) {
-		t.Fatal("eval-mode backward must be identity")
-	}
-	// Training keeps survivors scaled by 1/(1-rate).
-	y = d.Forward(x, true)
-	zeros, twos := 0, 0
-	for _, v := range y.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			twos++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zeros == 0 || twos == 0 {
-		t.Fatalf("dropout should both keep and drop: zeros=%d twos=%d", zeros, twos)
-	}
-	dx := d.Backward(dy)
-	for i, v := range dx.Data {
-		if y.Data[i] == 0 && v != 0 {
-			t.Fatal("gradient must be gated by dropout mask")
-		}
-	}
-}
-
 func TestReinitializeChangesWeights(t *testing.T) {
 	net := MLP("reinit", []int{4, 5, 2}, ActReLU, ActNone, rand.New(rand.NewSource(20)))
 	before := net.MarshalWeights()
@@ -315,16 +278,6 @@ func TestNumParamsAndGradNorm(t *testing.T) {
 	}
 }
 
-func TestForwardTrainingFlagReachesLayers(t *testing.T) {
-	d := &Dropout{Rate: 0.9, Rng: rand.New(rand.NewSource(23))}
-	net := &Network{Name: "flag", Layers: []Layer{d}}
-	x := tensor.New(4, 4)
-	x.Fill(1)
-	if !net.Forward(x, false).Equal(x) {
-		t.Fatal("training=false must reach dropout")
-	}
-}
-
 func BenchmarkMLPForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	net := MLP("bench", []int{64, 256, 256, 64}, ActLeakyReLU, ActNone, rng)
@@ -341,23 +294,15 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 }
 
 // TestReLUGateMatchesMaskMultiply pins the bits of ReLU.Backward to the 0/1
-// mask multiply it replaced (−0 and NaN included), after a training and
-// after an inference forward pass, and checks that an inference pass
+// mask multiply it replaced (−0 and NaN included), checks that the forward
+// values do not depend on the training flag, and that an inference pass
 // allocates its output and nothing else.
 func TestReLUGateMatchesMaskMultiply(t *testing.T) {
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	x := tensor.FromSlice(2, 4, []float32{-1, 0, 2, 3, -4, 5, nan, -6})
 	dy := tensor.FromSlice(2, 4, []float32{7, -8, -9, nan, -inf, inf, 1, -2})
-	want := make([]uint32, len(x.Data))
-	for i, v := range x.Data {
-		var mask float32
-		if v > 0 {
-			mask = 1
-		}
-		want[i] = math.Float32bits(dy.Data[i] * mask)
-	}
-	for _, training := range []bool{true, false} {
-		r := &ReLU{}
+	r := &ReLU{}
+	for _, training := range []bool{false, true} {
 		y := r.Forward(x, training)
 		for i, v := range x.Data {
 			var relu float32
@@ -368,19 +313,126 @@ func TestReLUGateMatchesMaskMultiply(t *testing.T) {
 				t.Fatalf("training=%v: forward[%d] = %v, want %v", training, i, y.Data[i], relu)
 			}
 		}
-		dx := r.Backward(dy)
-		for i, w := range want {
-			got := dx.Data[i]
-			bothNaN := got != got && dy.Data[i] != dy.Data[i]
-			if math.Float32bits(got) != w && !bothNaN {
-				t.Fatalf("training=%v: dx[%d] bits %#x, want %#x", training, i, math.Float32bits(got), w)
-			}
+	}
+	dx := r.Backward(dy)
+	for i, v := range x.Data {
+		var mask float32
+		if v > 0 {
+			mask = 1
+		}
+		want := math.Float32bits(dy.Data[i] * mask)
+		got := dx.Data[i]
+		bothNaN := got != got && dy.Data[i] != dy.Data[i]
+		if math.Float32bits(got) != want && !bothNaN {
+			t.Fatalf("dx[%d] bits %#x, want %#x", i, math.Float32bits(got), want)
 		}
 	}
-	r := &ReLU{}
 	newAllocs := testing.AllocsPerRun(20, func() { tensor.New(x.Rows, x.Cols) })
 	if got := testing.AllocsPerRun(20, func() { r.Forward(x, false) }); got > newAllocs {
 		t.Fatalf("inference forward makes %v allocations, want the output's %v", got, newAllocs)
+	}
+}
+
+// mustPanic runs f and fails unless it panics with a message containing want.
+func mustPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("%s: panic %q, want one containing %q", name, msg, want)
+		}
+	}()
+	f()
+}
+
+// TestBackwardNeedsItsOwnTrainingForward: every layer type, and a Network,
+// refuses a Backward that no Forward(x, true) precedes — on a fresh layer,
+// after an inference pass, and a second time after one training pass — instead
+// of indexing a nil matrix or differentiating a left-over batch.
+func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	x := tensor.New(3, 4)
+	tensor.FillGaussian(x, rng, 0, 1)
+	dy := tensor.New(3, 4)
+	dy.Fill(1)
+	layers := []struct {
+		name string
+		l    Layer
+	}{
+		{"Linear", NewLinear(4, 4, rng)},
+		{"ReLU", &ReLU{}},
+		{"LeakyReLU", &LeakyReLU{Alpha: 0.2}},
+		{"Tanh", &Tanh{}},
+		{"Sigmoid", &Sigmoid{}},
+	}
+	for _, c := range layers {
+		name, l := c.name, c.l
+		want := "nn: " + name + ".Backward before Forward"
+		mustPanic(t, name+" fresh", want, func() { l.Backward(dy) })
+		l.Forward(x, false)
+		mustPanic(t, name+" after inference", want, func() { l.Backward(dy) })
+		l.Forward(x, true)
+		first := l.Backward(dy)
+		mustPanic(t, name+" second Backward", want, func() { l.Backward(dy) })
+		// An inference pass on another batch between a training pass and
+		// its Backward leaves what the training pass kept alone.
+		other := tensor.New(7, 4)
+		tensor.FillGaussian(other, rng, 3, 2)
+		l.Forward(x, true)
+		l.Forward(other, false)
+		if again := l.Backward(dy); !again.Equal(first) {
+			t.Fatalf("%s: an inference pass changed the gradient of the pending training pass", name)
+		}
+	}
+
+	net := MLP("tape", []int{4, 5, 4}, ActTanh, ActSigmoid, rng)
+	mustPanic(t, "Network fresh", "Backward before Forward", func() { net.Backward(dy) })
+	net.Forward(x, false)
+	mustPanic(t, "Network after inference", "Backward before Forward", func() { net.Backward(dy) })
+	net.Forward(x, true)
+	net.Backward(dy)
+	mustPanic(t, "Network second Backward", "Backward before Forward", func() { net.Backward(dy) })
+}
+
+// TestConcurrentForwardOnOneNetwork: Forward(x, false) is a pure function
+// of the weights, so goroutines sharing one network — each on its own batch —
+// get the bits a lone caller gets. Run under -race in CI.
+func TestConcurrentForwardOnOneNetwork(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	nets := []*Network{
+		MLP("a", []int{6, 16, 16, 3}, ActLeakyReLU, ActSigmoid, rng),
+		MLP("b", []int{6, 9, 3}, ActReLU, ActTanh, rng),
+	}
+	const workers = 8
+	xs := make([]*tensor.Matrix, workers)
+	for i := range xs {
+		xs[i] = tensor.New(1+i, 6) // batch sizes on both sides of the GEMM's parallel grain
+		tensor.FillGaussian(xs[i], rng, 0, 1)
+	}
+	for _, net := range nets {
+		want := make([]*tensor.Matrix, workers)
+		for i, x := range xs {
+			want[i] = net.Forward(x, false)
+		}
+		var wg sync.WaitGroup
+		bad := make([]bool, workers)
+		for i := range xs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for rep := 0; rep < 20; rep++ {
+					if !net.Forward(xs[i], false).Equal(want[i]) {
+						bad[i] = true
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, b := range bad {
+			if b {
+				t.Fatalf("%s: worker %d read a result that differs from the serial pass", net.Name, i)
+			}
+		}
 	}
 }
 
@@ -392,8 +444,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(31))
 		return &Network{Name: "lazy", Layers: []Layer{
-			NewLinear(4, 6, rng), NewBatchNorm(6), &ReLU{},
-			NewLinear(6, 3, rng), NewLayerNorm(3),
+			NewLinear(4, 6, rng), &ReLU{}, NewLinear(6, 3, rng),
 		}}
 	}
 	x := tensor.New(5, 4)
@@ -429,6 +480,29 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 		if p.Grad == nil || !p.Grad.Equal(ref.Params()[i].Grad) {
 			t.Fatalf("%s: gradient differs between allocate-in-Backward and allocate-in-ZeroGrad", p.Name)
 		}
+	}
+}
+
+func TestClipGradNorm(t *testing.T) {
+	p := newParam("w", 2, 2)
+	p.Accum().Fill(3) // norm = sqrt(4*9) = 6
+	params := []*Param{p}
+	pre := ClipGradNorm(params, 3)
+	if math.Abs(pre-6) > 1e-6 {
+		t.Fatalf("pre-clip norm = %v, want 6", pre)
+	}
+	var sq float64
+	for _, v := range p.Grad.Data {
+		sq += float64(v) * float64(v)
+	}
+	if math.Abs(math.Sqrt(sq)-3) > 1e-5 {
+		t.Fatalf("post-clip norm = %v, want 3", math.Sqrt(sq))
+	}
+	// Below the threshold nothing changes.
+	p.Grad.Fill(0.1)
+	ClipGradNorm(params, 3)
+	if p.Grad.Data[0] != 0.1 {
+		t.Fatal("clip must not touch small gradients")
 	}
 }
 

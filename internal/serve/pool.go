@@ -11,18 +11,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// Pool holds N surrogate replicas behind per-replica locks. nn.Network
-// caches forward activations inside the layers, so a replica admits one
-// batch at a time; the pool is the unit of serving parallelism. In
-// round-robin mode every replica answers alone (they may be copies of
-// one checkpoint, or different checkpoints for cheap A/B capacity); in
-// ensemble mode each batch runs through every replica and the
-// predictions are averaged — the serving-side use of the LTFB insight
-// that a population of tournament survivors carries more information
-// than any single member (Section III-C's lineage argument).
+// Pool is the unit of serving parallelism: a list of replicas, each a
+// concurrent execution unit. Inference only reads a surrogate's weights
+// (any number of concurrent nn Forward(x, false) passes), so Run takes no
+// lock, several replicas may be the same *cyclegan.Surrogate, and a replica
+// costs no weights beyond its checkpoint's one set. The surrogates must not
+// be trained while the pool serves them. In round-robin mode every replica
+// answers alone (workers over one checkpoint, or different checkpoints
+// for cheap A/B capacity); in ensemble mode each batch runs through every
+// replica and the predictions are averaged — the serving-side use of the
+// LTFB insight that a population of tournament survivors carries more
+// information than any single member (Section III-C's lineage argument).
 type Pool struct {
 	replicas []*cyclegan.Surrogate
-	locks    []sync.Mutex
 	next     atomic.Uint64
 	ensemble bool
 }
@@ -41,36 +42,36 @@ func NewPool(replicas []*cyclegan.Surrogate, ensemble bool) (*Pool, error) {
 				i, r.Cfg.Geometry.OutputDim(), dim)
 		}
 	}
-	return &Pool{
-		replicas: replicas,
-		locks:    make([]sync.Mutex, len(replicas)),
-		ensemble: ensemble,
-	}, nil
+	return &Pool{replicas: replicas, ensemble: ensemble}, nil
 }
 
-// NewPoolFromCheckpoints builds a pool of `replicas` surrogates with
-// architecture cfg, loading weights round-robin from the checkpoint
-// paths (so one path replicated N times gives N identical replicas, and
-// the top-k tournament checkpoints give a k-way ensemble). In ensemble
-// mode the pool holds exactly one replica per checkpoint regardless of
-// `replicas`: every batch runs through every replica, so duplicates
-// would both bias the average toward repeated checkpoints and add pure
-// wasted compute. Optimizer state is not restored — serving is
-// inference-only.
+// NewPoolFromCheckpoints builds a pool of `replicas` replicas with
+// architecture cfg. Each distinct checkpoint path is loaded once and the
+// replicas take the loaded surrogates round-robin, so one path with
+// replicas = N is N workers over one weight set, and the top-k tournament
+// checkpoints give a k-way ensemble. In ensemble mode the pool holds
+// exactly one replica per path regardless of `replicas`: every batch
+// runs through every replica, so duplicates would both bias the average
+// toward repeated checkpoints and add pure wasted compute. Optimizer
+// state is not restored — serving is inference-only.
 func NewPoolFromCheckpoints(cfg cyclegan.Config, paths []string, replicas int, ensemble bool) (*Pool, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("serve: no checkpoint paths")
 	}
-	if ensemble {
-		replicas = len(paths)
-	} else if replicas < len(paths) {
+	if ensemble || replicas < len(paths) {
 		replicas = len(paths)
 	}
+	loaded := make(map[string]*cyclegan.Surrogate, len(paths))
 	models := make([]*cyclegan.Surrogate, replicas)
 	for i := range models {
-		m := cyclegan.New(cfg, 0)
-		if _, err := checkpoint.Load(paths[i%len(paths)], m.Nets()); err != nil {
-			return nil, err
+		path := paths[i%len(paths)]
+		m := loaded[path]
+		if m == nil {
+			m = cyclegan.New(cfg, 0)
+			if _, err := checkpoint.Load(path, m.Nets()); err != nil {
+				return nil, err
+			}
+			loaded[path] = m
 		}
 		models[i] = m
 	}
@@ -110,9 +111,10 @@ func pass(method string) (func(*cyclegan.Surrogate, *tensor.Matrix) *tensor.Matr
 	return nil, fmt.Errorf("%w %q", ErrUnknownMethod, method)
 }
 
-// Run executes one batched pass of method. Round-robin mode locks a
-// single replica; ensemble mode fans the batch out to every replica
-// concurrently and averages the outputs elementwise.
+// Run executes one batched pass of method and returns a matrix the caller
+// owns. Round-robin mode runs it on the next replica; ensemble mode fans
+// the batch out to every replica concurrently and averages the outputs
+// elementwise. Run is safe for any number of concurrent callers.
 func (p *Pool) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
 	fwd, err := pass(method)
 	if err != nil {
@@ -120,8 +122,6 @@ func (p *Pool) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
 	}
 	if !p.ensemble || len(p.replicas) == 1 {
 		i := int(p.next.Add(1)-1) % len(p.replicas)
-		p.locks[i].Lock()
-		defer p.locks[i].Unlock()
 		return fwd(p.replicas[i], x), nil
 	}
 
@@ -131,19 +131,14 @@ func (p *Pool) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p.locks[i].Lock()
-			defer p.locks[i].Unlock()
 			outs[i] = fwd(p.replicas[i], x)
 		}(i)
 	}
 	wg.Wait()
 
-	// Average into a fresh matrix: outs[0] aliases replica 0's cached
-	// final-layer activation (nn.Sigmoid keeps the matrix it returns for
-	// the backward pass — both the decoder and the inverse net end in
-	// one), so summing in place would corrupt a model that is later
-	// trained or evaluated.
-	sum := outs[0].Clone()
+	// An inference pass returns a matrix nothing else refers to, so the
+	// first output is the accumulator.
+	sum := outs[0]
 	for _, o := range outs[1:] {
 		tensor.Add(sum, sum, o)
 	}

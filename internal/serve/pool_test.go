@@ -2,13 +2,17 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cyclegan"
 	"repro/internal/jag"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -135,12 +139,11 @@ func TestPoolEnsembleAverages(t *testing.T) {
 }
 
 // TestPoolEnsembleLeavesReplicasIntact is a regression test for the
-// in-place ensemble average: the first replica's prediction matrix is
-// also its decoder's cached final-layer activation (nn.Sigmoid keeps
-// the matrix it returns for the backward pass), so averaging into it
-// corrupted any later training or evaluation of that replica. A
-// backward pass through replica 0's decoder must match a bitwise twin
-// that never served an ensemble batch.
+// in-place ensemble average. It once summed into a matrix replica 0's
+// decoder still held for a backward pass; today an inference pass leaves
+// nothing in the layers and the pool sums into its own first output. A
+// replica that served an ensemble batch must predict and then train exactly
+// like a bitwise twin that never served one.
 func TestPoolEnsembleLeavesReplicasIntact(t *testing.T) {
 	cfg := testModelCfg()
 	a := cyclegan.New(cfg, 1)
@@ -152,21 +155,121 @@ func TestPoolEnsembleLeavesReplicasIntact(t *testing.T) {
 	}
 
 	x := testBatch(4)
-	if _, err := pool.Run(MethodPredict, x); err != nil {
+	for _, method := range []string{MethodPredict, MethodInvert} {
+		if _, err := pool.Run(method, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !a.Predict(x).Equal(twin.Predict(x)) || !a.Invert(x).Equal(twin.Invert(x)) {
+		t.Fatal("ensemble Run changed replica 0's predictions")
+	}
+
+	y := tensor.New(x.Rows, cfg.Geometry.OutputDim())
+	for i := 0; i < y.Rows; i++ {
+		copy(y.Row(i), jag.SimulateAt(cfg.Geometry, i).Output())
+	}
+	for step := 0; step < 2; step++ {
+		la := a.TrainStep(x, y, nn.NopReducer{})
+		lt := twin.TrainStep(x, y, nn.NopReducer{})
+		for name, v := range lt {
+			if math.Float64bits(la[name]) != math.Float64bits(v) {
+				t.Fatalf("step %d %s: served replica lost %v, never-served twin %v", step, name, la[name], v)
+			}
+		}
+	}
+}
+
+// TestPoolSharesOneWeightSet: replicas are workers, not copies. A 4-replica
+// round-robin pool built from one checkpoint holds one surrogate four times
+// and serves four concurrent callers from it, bit-for-bit (run under -race:
+// at the parent of PR 16 the shared layers' stored inputs raced); an
+// ensemble still loads one distinct model per checkpoint.
+func TestPoolSharesOneWeightSet(t *testing.T) {
+	cfg := testModelCfg()
+	dir := t.TempDir()
+	models := []*cyclegan.Surrogate{cyclegan.New(cfg, 31), cyclegan.New(cfg, 32), cyclegan.New(cfg, 33)}
+	paths := make([]string, len(models))
+	for i, m := range models {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("m%d.ckpt", i))
+		if err := checkpoint.Save(paths[i], 0, m.Nets()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pool, err := NewPoolFromCheckpoints(cfg, paths[:1], 4, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the twin's cached activations with the same forward pass
-	// replica a ran inside the ensemble.
-	twin.Predict(x)
-
-	dy := tensor.New(4, cfg.Geometry.OutputDim())
-	for i := range dy.Data {
-		dy.Data[i] = 1
+	if pool.Replicas() != 4 {
+		t.Fatalf("replicas = %d, want 4", pool.Replicas())
 	}
-	ga := a.Decoder.Backward(dy)
-	gt := twin.Decoder.Backward(dy)
-	if !ga.Equal(gt) {
-		t.Fatal("ensemble Run corrupted replica 0's cached activations")
+	for i, r := range pool.replicas {
+		if r != pool.replicas[0] || r.Decoder != pool.replicas[0].Decoder {
+			t.Fatalf("replica %d holds its own weight set", i)
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			x := testBatch(1 + 5*w) // a batch size per worker
+			wantP, wantI := models[0].Predict(x), models[0].Invert(x)
+			for rep := 0; rep < 10; rep++ {
+				gotP, errP := pool.Run(MethodPredict, x)
+				gotI, errI := pool.Run(MethodInvert, x)
+				if err := errors.Join(errP, errI); err != nil {
+					errs[w] = err
+					return
+				}
+				if !gotP.Equal(wantP) || !gotI.Equal(wantI) {
+					errs[w] = fmt.Errorf("worker %d pass %d differs from the checkpointed model", w, rep)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two checkpoints, three replicas: two weight sets, the first twice.
+	mixed, err := NewPoolFromCheckpoints(cfg, paths[:2], 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := mixed.replicas; len(r) != 3 || r[0] != r[2] || r[0] == r[1] {
+		t.Fatalf("3 replicas over 2 checkpoints = %p %p %p, want a b a", r[0], r[1], r[2])
+	}
+
+	// Three checkpoints in ensemble mode: three distinct models whatever
+	// `replicas` says, averaged exactly as summing in order then scaling.
+	ens, err := NewPoolFromCheckpoints(cfg, paths, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := ens.replicas; len(r) != 3 || r[0] == r[1] || r[1] == r[2] || r[0] == r[2] {
+		t.Fatalf("ensemble over 3 checkpoints holds %d replicas, want 3 distinct", len(r))
+	}
+	x := testBatch(5)
+	for method, fwd := range map[string]func(*cyclegan.Surrogate, *tensor.Matrix) *tensor.Matrix{
+		MethodPredict: (*cyclegan.Surrogate).Predict,
+		MethodInvert:  (*cyclegan.Surrogate).Invert,
+	} {
+		got, err := ens.Run(method, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fwd(models[0], x)
+		tensor.Add(want, want, fwd(models[1], x))
+		tensor.Add(want, want, fwd(models[2], x))
+		tensor.Scale(want, 1/float32(3))
+		if !got.Equal(want) {
+			t.Fatalf("%s: 3-checkpoint ensemble is not the in-order mean of its members", method)
+		}
 	}
 }
 

@@ -32,9 +32,11 @@
 //
 // Around the queue sit:
 //
-//   - a replica pool (pool.go) that round-robins batches across N model
-//     replicas — nn.Network is not safe for concurrent use, so each
-//     replica is guarded and replicas are what provide parallelism —
+//   - a replica pool (pool.go) that round-robins batches across N
+//     replicas — an nn.Network admits any number of concurrent
+//     Forward(x, false) passes (training is single-owner), so a replica
+//     is a concurrent execution unit, not a copy: N replicas of one
+//     checkpoint are N workers over one weight set, with no lock —
 //     with optional ensemble averaging across replicas loaded from
 //     different checkpoints (e.g. the top-k LTFB tournament finishers);
 //   - a Registry (registry.go) mapping model names to independently

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/parallel"
 )
@@ -22,8 +23,11 @@ const gemmGrain = 8
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C, the workhorse of every layer
 // forward and backward pass. Shapes after applying the ops must satisfy
-// op(A): m×k, op(B): k×n, C: m×n; Gemm panics otherwise. C must not alias A
-// or B.
+// op(A): m×k, op(B): k×n, C: m×n; Gemm panics otherwise. C must not share
+// memory with A or B — the kernels scale and write C while they still read
+// both — and Gemm panics if it does, whether through one *Matrix passed twice,
+// two Matrix values over one slice, or a SliceRows/Reshape view. A and B may
+// be the same matrix.
 func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32) {
 	m, ka := a.Rows, a.Cols
 	if transA == Trans {
@@ -38,6 +42,9 @@ func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 	}
 	if c.Rows != m || c.Cols != n {
 		panic(fmt.Sprintf("tensor: Gemm output shape %dx%d, want %dx%d", c.Rows, c.Cols, m, n))
+	}
+	if overlap(c.Data, a.Data) || overlap(c.Data, b.Data) {
+		panic("tensor: Gemm output shares memory with an input")
 	}
 	if beta == 0 {
 		c.Zero()
@@ -57,6 +64,13 @@ func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 	default:
 		gemmTT(c, alpha, a, b)
 	}
+}
+
+// overlap reports whether x and y have an element in common.
+func overlap(x, y []float32) bool {
+	return len(x) > 0 && len(y) > 0 &&
+		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }
 
 // MatMul computes C = A*B, zeroing C first.

@@ -113,6 +113,66 @@ func TestGemmShapePanics(t *testing.T) {
 	}
 }
 
+// TestGemmRejectsOutputSharingAnInput: for every op combination, C over the
+// memory of A or of B panics — the same *Matrix, a second Matrix over the same
+// slice, and row views that overlap by one element — while views that only
+// touch, and A and B being one matrix, stay legal.
+func TestGemmRejectsOutputSharingAnInput(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	rng := rand.New(rand.NewSource(77))
+	for _, ta := range []Op{NoTrans, Trans} {
+		for _, tb := range []Op{NoTrans, Trans} {
+			for _, beta := range []float32{0, 1} {
+				sq := randomMatrix(rng, 4, 4)
+				other := randomMatrix(rng, 4, 4)
+				twin := &Matrix{Rows: 4, Cols: 4, Data: sq.Data}
+				if !panics(func() { Gemm(sq, 1, sq, ta, other, tb, beta) }) {
+					t.Errorf("ta=%v tb=%v beta=%v: C == A accepted", ta, tb, beta)
+				}
+				if !panics(func() { Gemm(sq, 1, other, ta, sq, tb, beta) }) {
+					t.Errorf("ta=%v tb=%v beta=%v: C == B accepted", ta, tb, beta)
+				}
+				if !panics(func() { Gemm(twin, 1, sq, ta, other, tb, beta) }) {
+					t.Errorf("ta=%v tb=%v beta=%v: a second Matrix over A's slice accepted as C", ta, tb, beta)
+				}
+				// Rows 0–3 and 3–6 of one 8×4 array share row 3; rows 0–3
+				// and 4–7 share nothing.
+				big := randomMatrix(rng, 8, 4)
+				if !panics(func() { Gemm(big.SliceRows(0, 4), 1, other, ta, big.SliceRows(3, 7), tb, beta) }) {
+					t.Errorf("ta=%v tb=%v beta=%v: overlapping row views accepted", ta, tb, beta)
+				}
+				got, want := big.SliceRows(0, 4), New(4, 4)
+				want.CopyFrom(got)
+				in := big.SliceRows(4, 8).Clone()
+				naiveGemm(want, 1, in, ta, other, tb, beta)
+				Gemm(got, 1, big.SliceRows(4, 8), ta, other, tb, beta)
+				if !got.ApproxEqual(want, 1e-5) {
+					t.Errorf("ta=%v tb=%v beta=%v: adjacent row views gave a wrong product", ta, tb, beta)
+				}
+				// Shared inputs are plain reads.
+				c, ref := New(4, 4), New(4, 4)
+				Gemm(c, 1, sq, ta, sq, tb, 0)
+				naiveGemm(ref, 1, sq, ta, sq, tb, 0)
+				if !c.ApproxEqual(ref, 1e-5) {
+					t.Errorf("ta=%v tb=%v: Gemm(c, a, a) gave a wrong product", ta, tb)
+				}
+			}
+		}
+	}
+	a := randomMatrix(rng, 3, 3)
+	if !panics(func() { MatMul(a, a, a) }) {
+		t.Error("MatMul(a, a, a) accepted")
+	}
+	c := New(3, 3)
+	MatMul(c, a, a) // squares a matrix
+	// Empty operands share no element, whatever their addresses.
+	Gemm(New(0, 3), 1, New(0, 2), NoTrans, New(2, 3), NoTrans, 0)
+}
+
 func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randomMatrix(rng, 7, 7)
