@@ -5,7 +5,8 @@
 // real training runs at laptop scale. Figure S1 extends the treatment to
 // the serving path: it probes the forward-pass cost on this host
 // (serve.CostProbe) and prints the predicted serving capacity — QPS and
-// p50/p99 latency versus replica count and batch window — plus a
+// p50/p99 latency versus replica count and submission path (HTTP
+// request, or Server.Call under a batch window) — plus a
 // projection to the paper-scale architecture.
 //
 // Usage:

@@ -107,7 +107,7 @@ func main() {
 	replicas := flag.Int("replicas", 1, "workers per model over one weight set per checkpoint (raised to the checkpoint count if lower; ignored with -ensemble, which uses one per checkpoint)")
 	ensemble := flag.Bool("ensemble", false, "average predictions across each model's checkpoints instead of round-robin")
 	maxBatch := flag.Int("max-batch", 64, "max requests coalesced into one forward pass")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait before flushing a partial batch")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait before flushing a partial batch; HTTP requests are dispatched as soon as a worker is idle and do not wait for it")
 	queueDepth := flag.Int("queue-depth", 0, "max in-flight requests per model before 503 (0 = 4*max-batch)")
 	cacheSize := flag.Int("cache-size", 1024, "per-model LRU response-cache entries, filled by the interactive lane only (0 disables)")
 	probe := flag.Bool("probe", true, "cost-probe each model's predict path at startup and publish the sustainable rows/s as capacity_qps on its stats route (read by cmd/jagproxy for weighted routing)")

@@ -57,7 +57,8 @@
 // The performance model closes the loop: internal/perfmodel
 // regenerates the paper's training figures (9–11) analytically and
 // extends the same treatment to serving — a capacity model of the
-// batching queue (batch-window fill, replica parallelism, cache hit
+// batching queue (group dispatch of HTTP requests to idle workers,
+// batch-window fill for lone Call rows, replica parallelism, cache hit
 // rate, priority lanes) calibrated by serve.CostProbe on the running
 // binary, predicting sustainable QPS and p50/p99 latency per replica
 // count (cmd/figures -fig S1, examples/capacity), and validated

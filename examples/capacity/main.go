@@ -6,8 +6,11 @@
 //  1. probe — serve.CostProbe times a real replica pool's forward pass
 //     on this host and fits the affine cost t(B) = PassSec + B·RowSec;
 //  2. predict — perfmodel.ServingScenario turns those constants into
-//     sustainable QPS and p50/p99 latency per replica count and batch
-//     window (the Figure S1 sweep cmd/figures prints);
+//     sustainable QPS and p50/p99 latency per replica count, for rows
+//     that arrive inside HTTP requests (dispatched when a worker is
+//     idle) and for rows sent one at a time through Server.Call (which
+//     wait out the batch window) — the Figure S1 sweep cmd/figures
+//     prints;
 //  3. measure — the same pool goes behind a real serve.Server and 64
 //     concurrent clients drive it to saturation;
 //  4. compare — measured throughput lands within the model's tolerance
@@ -75,21 +78,25 @@ func main() {
 		probe.Method, 1e6*probe.PassSec, 1e6*probe.RowSec, probe.Passes)
 
 	// 2. Predict. One scenario per replica count at the pool's batch
-	// settings; latency quoted at a 60%-utilization operating point.
-	tab := metrics.NewTable("predicted serving capacity (batch cap 64, 2ms window)",
-		"replicas", "max_qps", "p50_ms", "p99_ms")
+	// settings; latency quoted at a 60%-utilization operating point, once
+	// per submission path: capacity is the same, the wait is not.
+	tab := metrics.NewTable("predicted serving capacity (batch cap 64; Server.Call rows wait a 2ms window, HTTP requests do not)",
+		"replicas", "max_qps", "request_p50_ms", "request_p99_ms", "call_p50_ms", "call_p99_ms")
 	for _, rep := range []int{1, 2, 4} {
 		s := perfmodel.ServingScenario{
 			Cost: cost, Replicas: rep, MaxBatch: maxBatch, Window: window,
 		}
 		s.OfferedQPS = 0.6 * s.MaxQPS()
-		r := s.Report()
-		tab.AddRow(rep, r.MaxQPS, 1e3*r.P50, 1e3*r.P99)
+		call := s.Report()
+		s.Window = 0
+		request := s.Report()
+		tab.AddRow(rep, call.MaxQPS, 1e3*request.P50, 1e3*request.P99, 1e3*call.P50, 1e3*call.P99)
 	}
 	fmt.Print(tab.Render())
 
 	// 3. Measure. The same pool behind the real batching queue, driven
-	// to saturation. Saturation needs enough closed-loop clients to keep
+	// to saturation through Server.Call (either path saturates at the
+	// same full batches). Saturation needs enough closed-loop clients to keep
 	// every replica's worker fed with a full batch (well over
 	// MaxBatch·replicas, else the lockstep of request-wait-resubmit
 	// leaves workers idle between flushes).

@@ -68,18 +68,25 @@ func ProbeServingCost() (perfmodel.ServingCost, cyclegan.Config, error) {
 
 // FigureS1Table renders the serving-capacity sweep for a probed cost:
 // sustainable QPS and latency at a 60%-utilization operating point,
-// over replica counts and batch windows.
+// over replica counts and the two submission paths — "request" is what
+// an HTTP request's rows see (complete units: no window, dispatched when
+// a worker is idle), "call <w>" what rows sent one at a time through
+// Server.Call see under a batch window (MaxDelay) of w.
 func FigureS1Table(cost perfmodel.ServingCost) *metrics.Table {
 	tab := metrics.NewTable(
 		fmt.Sprintf("Figure S1 — serving capacity, probed cost/pass %.0fµs + %.1fµs/row, batch cap %d, latency at 60%% load",
 			1e6*cost.PassSec, 1e6*cost.RowSec, figS1MaxBatch),
-		"replicas", "window_ms", "max_qps", "offered_qps", "batch_fill", "p50_ms", "p99_ms", "bulk_p99_ms")
+		"replicas", "submitted_as", "max_qps", "offered_qps", "batch_fill", "p50_ms", "p99_ms", "bulk_p99_ms")
 	pts := perfmodel.FigureS1(cost, figS1MaxBatch,
 		[]int{1, 2, 4, 8},
-		[]time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
+		[]time.Duration{0, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},
 		0.6, 0, 0.25)
 	for _, p := range pts {
-		tab.AddRow(p.Replicas, float64(p.Window)/1e6, p.MaxQPS, p.OfferedQPS,
+		path := "request"
+		if p.Window > 0 {
+			path = "call " + p.Window.String()
+		}
+		tab.AddRow(p.Replicas, path, p.MaxQPS, p.OfferedQPS,
 			p.Occupancy, p.P50Ms, p.P99Ms, p.BulkP99Ms)
 	}
 	return tab

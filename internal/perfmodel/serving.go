@@ -18,11 +18,17 @@ import (
 //   - arrival: callers submit rows at OfferedQPS; a CacheHitRate
 //     fraction answers from the LRU without touching the queue, so only
 //     the miss stream loads the model;
-//   - batch-window fill: the first queued row opens a window of length
-//     Window; the batch flushes at MaxBatch rows or when the window
-//     closes, whichever is first. At low load the window bounds
-//     occupancy (B = 1 + λ·W); at high load the size cap does
-//     (B = MaxBatch, filled in (MaxBatch-1)/λ);
+//   - batch-window fill: rows sent one at a time through Server.Call
+//     open a window of length Window with the first queued row; the
+//     batch flushes at MaxBatch rows or when the window closes,
+//     whichever is first. At low load the window bounds occupancy
+//     (B = 1 + λ·W); at high load the size cap does (B = MaxBatch,
+//     filled in (MaxBatch-1)/λ);
+//   - group dispatch (Window == 0): rows that arrive as complete units
+//     — every HTTP request — wait for no window. An idle worker takes
+//     them at once; a busy one takes, at its next pass, everything that
+//     queued during this one. Occupancy is the fixed point of that:
+//     B = λ·t(B)/Replicas, floored at one row and capped at MaxBatch;
 //   - service: one flush costs Cost.PassSec + B·Cost.RowSec — the
 //     affine cost model serve.CostProbe calibrates on the running
 //     binary, with the per-row slope tied to the architecture's
@@ -106,7 +112,10 @@ type ServingScenario struct {
 	Replicas int
 	// MaxBatch caps rows per forward pass (serve.Config.MaxBatch).
 	MaxBatch int
-	// Window is the batch-fill window (serve.Config.MaxDelay).
+	// Window is the batch-fill window (serve.Config.MaxDelay) rows
+	// submitted one at a time through Server.Call wait out. Zero means
+	// arrivals are complete units (the HTTP path): no window, dispatch
+	// when a worker is idle.
 	Window time.Duration
 	// OfferedQPS is the total request arrival rate, rows/s, including
 	// rows the cache will answer.
@@ -124,7 +133,7 @@ func (s ServingScenario) Validate() error {
 	if s.Cost.RowSec <= 0 || s.Cost.PassSec < 0 {
 		return fmt.Errorf("perfmodel: invalid serving cost %+v", s.Cost)
 	}
-	if s.Replicas < 1 || s.MaxBatch < 1 || s.Window <= 0 {
+	if s.Replicas < 1 || s.MaxBatch < 1 || s.Window < 0 {
 		return fmt.Errorf("perfmodel: invalid serving shape %+v", s)
 	}
 	if s.OfferedQPS < 0 || s.CacheHitRate < 0 || s.CacheHitRate >= 1 ||
@@ -188,6 +197,10 @@ func (s ServingScenario) Report() ServingReport {
 	}
 	r := ServingReport{MaxQPS: s.MaxQPS()}
 	lam := s.OfferedQPS * (1 - s.CacheHitRate) // miss rows/s into the queue
+	if s.Window == 0 {
+		s.groupDispatch(lam, &r)
+		return r
+	}
 	w := s.Window.Seconds()
 
 	// Batch-window fill: does the size cap or the window close the
@@ -245,8 +258,66 @@ func (s ServingScenario) Report() ServingReport {
 	return r
 }
 
+// groupDispatch costs the Window == 0 scenario: rows arrive as complete
+// units and are dispatched by worker availability, not by a timer. Two
+// limits anchor it. Where a pass has a fixed cost to amortise, the queue
+// behaves as a fluid: each pass takes exactly the rows that arrived
+// during the one before, and a row waits out the pass in progress. Where
+// it has none (PassSec = 0) batching absorbs nothing and the pool is the
+// M/D/c queue of single rows. Between them, a backlog one row above the
+// fluid level decays by φ = λ·RowSec/Replicas per pass, so the fluid
+// wait is stretched by 1 + φ/(1-φ)·RowSec/PassSec(B) — which is 1/(1-ρ)
+// at PassSec = 0, Sakasegawa's M/D/c wait exactly, and → 1 as the fixed
+// cost dominates. TestServingGroupDispatchMatchesSimulation holds both
+// quantiles to a simulated bulk-service queue up to 90% of capacity;
+// nearer saturation backlogs outgrow MaxBatch and the model, which lets
+// no pass fall short, turns optimistic.
+func (s ServingScenario) groupDispatch(lam float64, r *ServingReport) {
+	c, bmax := float64(s.Replicas), float64(s.MaxBatch)
+	missCap := c * bmax / s.Cost.Cost(bmax) // rows/s at full batches
+	if lam >= missCap {
+		r.Saturated, r.Occupancy, r.Utilization = true, bmax, 1
+		r.PassSec = s.Cost.Cost(bmax)
+		inf := math.Inf(1)
+		r.P50, r.P99, r.BulkP50, r.BulkP99 = inf, inf, inf, inf
+		return
+	}
+	// B = λ·t(B)/c solved for B: the rows that arrive during one pass.
+	// Below one row per pass the pool idles between rows; from there to
+	// MaxBatch it is always busy and batch growth carries the load.
+	phi := lam * s.Cost.RowSec / c // < 1 below saturation
+	r.Occupancy = math.Max(1, lam*s.Cost.PassSec/(c*(1-phi)))
+	r.PassSec = s.Cost.Cost(r.Occupancy)
+	r.Utilization = math.Min(1, lam*r.PassSec/(c*r.Occupancy))
+
+	// With probability pWait every worker is busy (the exponent is
+	// Sakasegawa's, as above) and the wait is uniform over the gap
+	// between pass completions, pass/c; otherwise there is none.
+	pWait := math.Pow(r.Utilization, math.Sqrt(2*(c+1))-1)
+	stretch := 1 + phi/(1-phi)*s.Cost.RowSec/r.PassSec
+	wait := func(pass, q float64) float64 {
+		if pWait <= 1-q {
+			return 0
+		}
+		return stretch * pass / c * (1 - (1-q)/pWait)
+	}
+	// The tail rides a fuller pass than the median does: arrivals during
+	// a pass are Poisson, so the 99th percentile batch is the mean plus
+	// 2.33 standard deviations.
+	mean := lam * r.PassSec / c
+	tailPass := s.Cost.Cost(math.Min(bmax, math.Max(r.Occupancy, mean+2.33*math.Sqrt(mean))))
+	// Lanes only matter once a backlog outgrows one pass: the bulk lane
+	// then also waits out the share of full-batch capacity that
+	// interactive rows take ahead of it.
+	ahead := lam / missCap * (1 - s.BulkFraction)
+	r.P50 = wait(r.PassSec, 0.50) + r.PassSec
+	r.P99 = wait(tailPass, 0.99) + tailPass
+	r.BulkP50 = wait(r.PassSec, 0.50)/(1-ahead) + r.PassSec
+	r.BulkP99 = wait(tailPass, 0.99)/(1-ahead) + tailPass
+}
+
 // FigureS1Point is one cell of the serving-capacity sweep: a replica
-// count and batch window, the sustainable QPS, and the latency a caller
+// count and batch window (zero: complete units, no window), the sustainable QPS, and the latency a caller
 // sees at a utilization-targeted operating point.
 type FigureS1Point struct {
 	Replicas int

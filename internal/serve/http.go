@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/jag"
@@ -40,9 +39,10 @@ const (
 type PredictRequest struct {
 	// Input is a single parameter vector (the method's input width).
 	Input []float32 `json:"input,omitempty"`
-	// Inputs is a batch of parameter vectors; each row is submitted to
-	// the batching queue independently, so one HTTP batch and many
-	// concurrent single-input calls coalesce identically.
+	// Inputs is a batch of parameter vectors. Each row is validated,
+	// cached and admitted on its own, so one bad row never fails its
+	// siblings; the rows are queued together and leave in one forward
+	// pass per MaxBatch of them.
 	Inputs [][]float32 `json:"inputs,omitempty"`
 	// ScalarsOnly trims each predict output row to the 15 scalar
 	// observables, dropping the X-ray image pixels (which dominate the
@@ -359,27 +359,10 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	outputs := make([][]float32, len(inputs))
 	errs := make([]error, len(inputs))
 	traces := make([]Trace, len(inputs))
-	// Submit rows concurrently so one HTTP batch benefits from the same
-	// coalescing as independent clients — but throttled to half the
-	// queue depth, so a single large batch cannot trip its own
-	// backpressure (ErrOverloaded is for contention between clients,
-	// not for one request's row count).
-	limit := s.cfg.QueueDepth / 2
-	if limit < 1 {
-		limit = 1
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for i := range inputs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outputs[i], traces[i], errs[i] = s.CallTrace(ctx, method, inputs[i], class)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
+	// A decoded request is a complete unit — every row it will ever send
+	// is here — so it goes on the lane whole, from this goroutine, and is
+	// dispatched as soon as a worker is free.
+	s.submit(ctx, method, class, true, inputs, outputs, traces, errs)
 	rowErrs, failed := collectRowErrors(errs)
 	if agg, ok := mergeTraces(traces, errs); ok {
 		// Before the status line: headers are frozen at first write. The

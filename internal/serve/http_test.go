@@ -206,36 +206,31 @@ func TestHTTPAllRowsFailed(t *testing.T) {
 	}
 }
 
-// TestHTTPDeadlineExpired posts a request whose deadline is far shorter
-// than the server's flush delay: the row expires in the queue, is
-// dropped before a forward pass, and surfaces as 504 with the expiry
-// visible in the stats.
+// TestHTTPDeadlineExpired posts a request with a 10 ms deadline while the
+// server's only worker is held inside a forward pass: the row is queued
+// with nowhere to go, expires there, is dropped before it reaches the
+// model, and surfaces as 504 with the expiry visible in the stats.
 func TestHTTPDeadlineExpired(t *testing.T) {
-	model := cyclegan.New(testModelCfg(), 42)
-	pool, err := NewPool([]*cyclegan.Surrogate{model}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewServer(pool, Config{MaxBatch: 64, MaxDelay: 300 * time.Millisecond})
+	s, model := newScriptedServer(t, Config{MaxBatch: 64})
 	ts := httptest.NewServer(defaultHandler(t, s, HandlerConfig{}))
-	defer func() {
-		ts.Close()
-		s.Close()
-	}()
+	defer ts.Close()
+	release := holdWorker(t, s, model)
 
-	out, code := postPredict(t, ts, PredictRequest{Input: testInput(0), DeadlineMs: 10})
+	out, code := postPredict(t, ts, PredictRequest{Input: []float32{1, 0.5}, DeadlineMs: 10})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 for an expired deadline", code)
 	}
 	if len(out.Errors) != 1 || out.Errors[0] == nil || out.Errors[0].Status != http.StatusGatewayTimeout {
 		t.Fatalf("row error = %+v, want status 504", out.Errors)
 	}
+	// The worker meets the dead row only once it is free again.
+	release()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		snap := s.Stats()
 		if snap.Expired == 1 {
-			if snap.Requests != 0 {
-				t.Fatalf("expired row still ran a forward pass: %+v", snap)
+			if snap.Requests != 1 {
+				t.Fatalf("served %d rows, want only the one that held the worker: %+v", snap.Requests, snap)
 			}
 			break
 		}
@@ -243,6 +238,13 @@ func TestHTTPDeadlineExpired(t *testing.T) {
 			t.Fatalf("expiry never reached stats: %+v", snap)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	for _, p := range model.log() {
+		for _, id := range p.ids {
+			if id == 1 {
+				t.Fatal("the expired row reached the model")
+			}
+		}
 	}
 }
 

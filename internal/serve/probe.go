@@ -70,9 +70,10 @@ const (
 
 // CostProbe times method on m at batch sizes 1 and maxBatch and returns
 // the fitted per-pass and per-row costs. The timed loop reproduces the
-// serving worker's data path — input rows copied into a fresh batch
-// matrix, one Run call, output rows copied back out — so batch-assembly
-// overhead lands in the constants instead of being lost. Inputs are
+// serving worker's data path — input rows gathered into the worker's
+// reused batch matrix (the worker's own gather), one Run call, output
+// rows copied back out — so batch-assembly overhead lands in the
+// constants instead of being lost. Inputs are
 // mid-cube (0.5 everywhere), matching the reload canary; forward-pass
 // cost does not depend on the input values, only the shapes.
 func CostProbe(m Model, method string, maxBatch int) (ProbeResult, error) {
@@ -108,23 +109,21 @@ func CostProbe(m Model, method string, maxBatch int) (ProbeResult, error) {
 // timePass returns the minimum observed duration, in seconds, of one
 // worker-shaped forward pass of b rows, and how many passes it timed.
 func timePass(m Model, method string, d Dims, b int) (float64, int, error) {
-	rows := make([][]float32, b)
+	rows := make([]*request, b)
 	for i := range rows {
-		rows[i] = make([]float32, d.In)
-		for j := range rows[i] {
-			rows[i][j] = 0.5
+		rows[i] = &request{x: make([]float32, d.In)}
+		for j := range rows[i].x {
+			rows[i].x[j] = 0.5
 		}
 	}
+	var x tensor.Matrix // one gather matrix for every pass, as a worker keeps
 	out := make([]float32, d.Out)
 	best := 0.0
 	reps := 0
 	for start := time.Now(); reps < probeMinReps || time.Since(start) < probeBudget; reps++ {
 		t0 := time.Now()
-		x := tensor.New(b, d.In)
-		for i, r := range rows {
-			copy(x.Row(i), r)
-		}
-		y, err := m.Run(method, x)
+		gather(&x, rows, d.In)
+		y, err := m.Run(method, &x)
 		if err != nil {
 			return 0, reps, fmt.Errorf("serve: probe %s: %w", method, err)
 		}

@@ -10,8 +10,15 @@
 // exploits with Merlin and bundle files (Section II-C): per-call
 // overhead dominates tiny workloads, so amortizing it across a batch is
 // where the throughput lives. A batch is flushed when it reaches
-// MaxBatch requests or when the oldest queued request has waited
-// MaxDelay, whichever comes first.
+// MaxBatch rows, when its oldest row has waited MaxDelay, or — the rule
+// every HTTP request takes — when it holds the last row of a complete
+// unit and a worker is idle. A unit is what one caller submitted
+// together and will add nothing to: a decoded request says "this is
+// everything", so nothing is gained by holding its batch open in front
+// of a worker with nothing to do; a lone Call says "my siblings are
+// other goroutines, coalesce us", and waits for them or for the window.
+// While every worker is busy an open batch absorbs whatever arrives, so
+// under load batches still fill — by backlog, not by timer.
 //
 // The pipeline serves any Model: a small interface exposing named
 // methods (a *Pool of cyclegan replicas serves "predict" and "invert")
@@ -185,6 +192,8 @@ type Model interface {
 	// per row) and returns a matrix with the same number of rows. The
 	// queue never mixes methods in one batch, and Run must be safe for
 	// concurrent use — Server runs one Run call per worker in parallel.
+	// x is the worker's gather matrix, refilled for its next pass: Run
+	// may read it only until it returns. The result is read, not kept.
 	Run(method string, x *tensor.Matrix) (*tensor.Matrix, error)
 }
 
@@ -193,9 +202,14 @@ type Config struct {
 	// MaxBatch is the largest number of requests coalesced into one
 	// forward pass (default 64).
 	MaxBatch int
-	// MaxDelay is how long the oldest queued request may wait before a
-	// partial batch is flushed (default 2ms). Latency floor vs batch
-	// occupancy is the serving trade-off this knob sets.
+	// MaxDelay is how long the oldest row of a partial batch may wait
+	// before the batch is flushed (default 2ms). It is the window rows
+	// submitted one at a time through Call wait for companions in —
+	// latency floor vs batch occupancy is the trade-off it sets for
+	// them. Rows submitted as a complete unit (every HTTP request) do
+	// not wait for it: they are dispatched as soon as a worker is idle,
+	// and for them it only bounds how long a batch may stay open while
+	// all workers are busy.
 	MaxDelay time.Duration
 	// QueueDepth bounds the number of in-flight requests across all
 	// methods and priority lanes; further Call requests fail with
@@ -242,20 +256,47 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// result is what the pipeline hands back to a waiting caller.
+// result is what the pipeline hands back for one row.
 type result struct {
 	y     []float32
 	trace Trace
 	err   error
 }
 
-// request is one queued prediction with its lifecycle and reply channel.
+// unit is one submission: the rows a caller put on a lane together and
+// waits for together — every row of a decoded HTTP request (or one
+// QueueDepth/2 chunk of a large one), or the single row of a Call. The
+// rows share the caller's lifecycle and one completion.
+type unit struct {
+	ctx   context.Context
+	class Priority
+	// complete says the caller sends nothing more until these rows are
+	// answered, so the batch loop need not hold a batch open for
+	// companions once it has the unit's last row. A lone Call leaves it
+	// unset: its siblings are other goroutines, and it asks to be
+	// coalesced with them.
+	complete bool
+	left     atomic.Int32  // rows not yet replied to
+	done     chan struct{} // buffered(1): receives once, when left reaches zero
+	reqs     []request
+	one      [1]request // backs reqs for a single row, so a Call costs no second allocation
+}
+
+// request is one queued row of a unit, and the slot its reply lands in.
 type request struct {
-	ctx      context.Context
+	u        *unit
+	i        int // the row's index in the submission's slices
 	x        []float32
-	class    Priority
+	key      string // cache key, "" without a cache
 	enqueued time.Time
-	resp     chan result // buffered(1): the pipeline never blocks on an abandoned caller
+	// last marks the row that ends a complete unit's submission: when the
+	// batch loop has pulled it, it has the whole unit.
+	last bool
+	// res is written once by the pipeline, before done is set; the
+	// submitter reads it only after it has seen done (or the unit's
+	// completion), so an abandoned unit's late replies race with nothing.
+	res  result
+	done atomic.Bool
 }
 
 // batch is one method-homogeneous set of requests bound for a single
@@ -276,6 +317,11 @@ type batch struct {
 type methodQueue struct {
 	slot  int // the method's index in Server.methods and Stats.rows
 	lanes [numLanes]chan *request
+	// wake holds at most one token, left by a worker that went idle: the
+	// method's batch loop re-evaluates its open batch when it takes it.
+	// One channel per loop, so one loop taking its token cannot strand
+	// another that is also holding a complete unit.
+	wake chan struct{}
 }
 
 // Server owns the micro-batching queues in front of a Model.
@@ -290,6 +336,7 @@ type Server struct {
 	queues   map[string]*methodQueue
 	batches  chan *batch
 	inflight atomic.Int64
+	idle     atomic.Int32 // workers blocked on batches with nothing to run
 	// capacity holds the float64 bits of the probed sustainable row
 	// rate (rows/s); 0 until SetCapacityQPS publishes a probe result.
 	capacity atomic.Uint64
@@ -341,7 +388,7 @@ func NewServer(model Model, cfg Config) *Server {
 		s.cache = newLRU(cfg.CacheSize)
 	}
 	for slot, m := range methods {
-		q := &methodQueue{slot: slot}
+		q := &methodQueue{slot: slot, wake: make(chan struct{}, 1)}
 		for l := range q.lanes {
 			// Each lane holds QueueDepth so a send never blocks even if
 			// every in-flight request lands in one lane.
@@ -397,6 +444,11 @@ func (s *Server) Closed() bool {
 // LRU cache when one is configured. The returned slice is the caller's
 // on a miss; on a cache hit it is the shared cached row and must not be
 // mutated.
+//
+// A Call is one row of a batch the caller expects other goroutines to
+// fill: it waits for MaxBatch companions or MaxDelay, whichever comes
+// first. A caller that already holds all its rows — the HTTP handler
+// does — submits them as one unit instead and waits for neither.
 func (s *Server) Call(ctx context.Context, method string, x []float32, class Priority) ([]float32, error) {
 	y, _, err := s.CallTrace(ctx, method, x, class)
 	return y, err
@@ -407,75 +459,166 @@ func (s *Server) Call(ctx context.Context, method string, x []float32, class Pri
 // meaningful when err is nil — a rejected or dropped request never
 // completed the pipeline.
 func (s *Server) CallTrace(ctx context.Context, method string, x []float32, class Priority) ([]float32, Trace, error) {
-	if class < 0 || class >= numLanes {
-		return nil, Trace{}, fmt.Errorf("serve: unknown priority %d", class)
-	}
+	var (
+		y   [1][]float32
+		tr  [1]Trace
+		err [1]error
+	)
+	s.submit(ctx, method, class, false, [][]float32{x}, y[:], tr[:], err[:])
+	return y[0], tr[0], err[0]
+}
+
+// submit is the one admission path: it runs the rows xs through method's
+// queue from the caller's goroutine and blocks until every row has an
+// outcome, written to the aligned ys, traces and errs (row i's ys and
+// traces entries are meaningful only when errs[i] is nil). Each row is
+// validated, looked up in the cache, and admitted against QueueDepth on
+// its own, exactly as if it had been a Call, and rows share ctx.
+//
+// complete says xs is everything the caller has: the batch loop then
+// dispatches the rows as soon as a worker is idle instead of holding the
+// batch open for MaxDelay. Rows go on the lane in chunks of QueueDepth/2,
+// each answered before the next is queued, so one large submission
+// cannot trip its own backpressure (ErrOverloaded is for contention
+// between callers, not for one caller's row count).
+func (s *Server) submit(ctx context.Context, method string, class Priority, complete bool,
+	xs, ys [][]float32, traces []Trace, errs []error) {
+	var reject error
 	q, ok := s.queues[method]
-	if !ok {
-		return nil, Trace{}, fmt.Errorf("%w %q (model serves: %s)",
-			ErrUnknownMethod, method, strings.Join(s.methods, ", "))
+	switch {
+	case class < 0 || class >= numLanes:
+		reject = fmt.Errorf("serve: unknown priority %d", class)
+	case !ok:
+		reject = fmt.Errorf("%w %q (model serves: %s)", ErrUnknownMethod, method, strings.Join(s.methods, ", "))
 	}
+	if reject != nil {
+		for i := range errs {
+			errs[i] = reject
+		}
+		return
+	}
+	chunk := max(s.cfg.QueueDepth/2, 1)
+	for lo := 0; lo < len(xs); lo += chunk {
+		hi := min(lo+chunk, len(xs))
+		s.submitChunk(ctx, method, q, class, complete, xs[lo:hi], ys[lo:hi], traces[lo:hi], errs[lo:hi])
+	}
+}
+
+// submitChunk admits, queues and awaits one chunk of a submission.
+func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue, class Priority, complete bool,
+	xs, ys [][]float32, traces []Trace, errs []error) {
+	var u *unit
+	n := 0 // rows admitted to the pipeline
+	for i, x := range xs {
+		if err := s.check(ctx, method, x); err != nil {
+			errs[i] = err
+			continue
+		}
+		var key string
+		if s.cache != nil {
+			// The method is part of the key: predict and invert answers for
+			// the same design point must never collide.
+			key = method + "\x00" + quantKey(x, s.cfg.CacheQuantum)
+			if y, ok := s.cache.get(key); ok {
+				s.stats.cacheHits.Add(1)
+				ys[i], traces[i] = y, Trace{CacheHit: true}
+				continue
+			}
+		}
+		if s.inflight.Add(1) > int64(s.cfg.QueueDepth) {
+			s.inflight.Add(-1)
+			s.stats.overloads.Add(1)
+			errs[i] = ErrOverloaded
+			continue
+		}
+		if u == nil {
+			u = &unit{ctx: ctx, class: class, complete: complete, done: make(chan struct{}, 1)}
+			if len(xs) == 1 {
+				u.reqs = u.one[:]
+			} else {
+				u.reqs = make([]request, len(xs))
+			}
+		}
+		r := &u.reqs[n]
+		r.u, r.i, r.x, r.key = u, i, x, key
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	u.reqs = u.reqs[:n]
+	u.reqs[n-1].last = complete
+	u.left.Store(int32(n))
+
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		s.inflight.Add(int64(-n))
+		for k := range u.reqs {
+			errs[u.reqs[k].i] = ErrClosed
+		}
+		return
+	}
+	now := time.Now()
+	for k := range u.reqs {
+		u.reqs[k].enqueued = now
+		q.lanes[class] <- &u.reqs[k] // cannot block: inflight <= QueueDepth == cap(lane)
+	}
+	s.mu.RUnlock()
+
+	// Once admitted, the pipeline owns the rows: it replies to each and
+	// releases its inflight slot whether or not the caller is still
+	// listening.
+	var stale error
+	select {
+	case <-u.done:
+	case <-ctx.Done():
+		// Rows still queued are now stale; the worker discards them at
+		// flush time (and does the expired/cancelled accounting there).
+		stale = ErrCancelled
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			stale = ErrExpired
+		}
+	}
+	for k := range u.reqs {
+		r := &u.reqs[k]
+		// A reply may have raced in just as the context ended: prefer
+		// delivering completed work over reporting expiry.
+		if stale != nil && !r.done.Load() {
+			errs[r.i] = stale
+			continue
+		}
+		ys[r.i], traces[r.i], errs[r.i] = s.finish(r.key, class, r.res)
+	}
+}
+
+// check is admission's per-row validation: the row's shape and values,
+// then whether anybody is still waiting for it.
+func (s *Server) check(ctx context.Context, method string, x []float32) error {
 	if want := s.dims[method].In; len(x) != want {
-		return nil, Trace{}, fmt.Errorf("serve: %s input dim %d, want %d", method, len(x), want)
+		return fmt.Errorf("serve: %s input dim %d, want %d", method, len(x), want)
 	}
 	for _, v := range x {
 		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, Trace{}, fmt.Errorf("serve: non-finite input %v", v)
+			return fmt.Errorf("serve: non-finite input %v", v)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival: reject at admission, same accounting as a
 		// flush-time drop — the row never reaches the model.
-		return nil, Trace{}, s.dropStale(err)
+		return s.dropStale(err)
 	}
-	var key string
-	if s.cache != nil {
-		// The method is part of the key: predict and invert answers for
-		// the same design point must never collide.
-		key = method + "\x00" + quantKey(x, s.cfg.CacheQuantum)
-		if y, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			return y, Trace{CacheHit: true}, nil
-		}
-	}
+	return nil
+}
 
-	if s.inflight.Add(1) > int64(s.cfg.QueueDepth) {
-		s.inflight.Add(-1)
-		s.stats.overloads.Add(1)
-		return nil, Trace{}, ErrOverloaded
-	}
-	req := &request{ctx: ctx, x: x, class: class, enqueued: time.Now(), resp: make(chan result, 1)}
-
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.inflight.Add(-1)
-		return nil, Trace{}, ErrClosed
-	}
-	q.lanes[class] <- req // cannot block: inflight <= QueueDepth == cap(lane)
-	s.mu.RUnlock()
-
-	// Once admitted, the pipeline owns the request: the worker replies
-	// on the buffered channel and releases the inflight slot whether or
-	// not the caller is still listening.
-	select {
-	case res := <-req.resp:
-		return s.finish(key, class, res)
-	case <-ctx.Done():
-		// The reply may have raced in just as the context ended (both
-		// select cases ready picks randomly): prefer delivering
-		// completed work over reporting expiry.
-		select {
-		case res := <-req.resp:
-			return s.finish(key, class, res)
-		default:
-		}
-		// The queued row is now stale; the worker discards it at flush
-		// time (and does the expired/cancelled accounting there).
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return nil, Trace{}, ErrExpired
-		}
-		return nil, Trace{}, ErrCancelled
+// reply hands one admitted row its outcome, releases its inflight slot,
+// and signals the unit's caller when it was the unit's last.
+func (s *Server) reply(r *request, res result) {
+	r.res = res
+	r.done.Store(true)
+	s.inflight.Add(-1)
+	if r.u.left.Add(-1) == 0 {
+		r.u.done <- struct{}{}
 	}
 }
 
@@ -520,14 +663,16 @@ type recvState int
 const (
 	recvReq     recvState = iota // got a request
 	recvTimeout                  // the flush timer fired
+	recvWake                     // a worker went idle
 	recvClosed                   // both lanes closed and drained
 )
 
 // recv returns the next queued request, draining the interactive lane
 // strictly before the bulk lane. A lane that turns out closed is nilled
-// out in place; once both are nil recv reports recvClosed. timeout may
-// be nil to block until a request arrives or the lanes close.
-func recv(qi, qb *chan *request, timeout <-chan time.Time) (*request, recvState) {
+// out in place; once both are nil recv reports recvClosed. timeout and
+// wake may be nil: with both nil recv blocks until a request arrives or
+// the lanes close.
+func recv(qi, qb *chan *request, timeout <-chan time.Time, wake <-chan struct{}) (*request, recvState) {
 	for {
 		// Strict priority: take an already-waiting interactive request
 		// before even looking at the bulk lane.
@@ -562,20 +707,26 @@ func recv(qi, qb *chan *request, timeout <-chan time.Time) (*request, recvState)
 			return r, recvReq
 		case <-timeout:
 			return nil, recvTimeout
+		case <-wake:
+			return nil, recvWake
 		}
 	}
 }
 
-// batchLoop coalesces one method's queued requests into batches: flush
-// at MaxBatch occupancy or MaxDelay after the first request of the
-// batch arrived. The interactive lane is drained before the bulk lane
-// at every pull, so a bulk backlog can delay interactive work by at
-// most one batch. Between batches the front of the bulk lane is reaped
-// of context-dead rows — otherwise sustained interactive traffic could
-// starve the bulk lane and expired bulk rows would pin QueueDepth slots
-// forever, converting capacity into spurious ErrOverloaded. An alive
-// row pulled by the reap leads the next batch, so the bulk lane always
-// advances.
+// batchLoop coalesces one method's queued requests into batches. A batch
+// closes when it is full (MaxBatch rows), when MaxDelay has passed since
+// its first row arrived, or when it holds the last row of a complete
+// unit and a worker is idle — rows nobody will add to, in front of a
+// worker with nothing to do, have nothing to wait for. While every worker
+// is busy such a batch stays open and keeps absorbing arrivals, so load
+// coalesces by backlog and the worker's next pass takes all of it.
+//
+// The interactive lane is drained before the bulk lane at every pull, so
+// a bulk backlog can delay interactive work by at most one batch.
+// Between batches the front of the bulk lane is reaped of context-dead
+// rows — otherwise sustained interactive traffic could starve the bulk
+// lane and expired bulk rows would pin QueueDepth slots forever,
+// converting capacity into spurious ErrOverloaded.
 func (s *Server) batchLoop(method string, q *methodQueue) {
 	defer s.loops.Done()
 	qi, qb := q.lanes[Interactive], q.lanes[Bulk]
@@ -583,27 +734,41 @@ func (s *Server) batchLoop(method string, q *methodQueue) {
 	// no manual channel draining is needed between batches.
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
-	var carry *request // alive bulk row pulled by the last reap
+	var carry *request // alive bulk row the last reap could not push back
 	for {
 		first := carry
 		carry = nil
 		if first == nil {
 			var st recvState
-			first, st = recv(&qi, &qb, nil)
+			first, st = recv(&qi, &qb, nil, nil)
 			if st == recvClosed {
 				return
 			}
 		}
 		pending := make([]*request, 1, s.cfg.MaxBatch)
 		pending[0] = first
+		complete := first.last
 		timer.Reset(s.cfg.MaxDelay)
 	collect:
 		for len(pending) < s.cfg.MaxBatch {
-			r, st := recv(&qi, &qb, timer.C)
-			if st != recvReq {
+			var wake <-chan struct{}
+			if complete {
+				if s.idle.Load() > 0 {
+					break
+				}
+				// A token left before this check is harmless: the loop
+				// comes round and finds the worker busy again.
+				wake = q.wake
+			}
+			r, st := recv(&qi, &qb, timer.C, wake)
+			switch st {
+			case recvReq:
+				pending = append(pending, r)
+				complete = complete || r.last
+			case recvWake: // a worker went idle: look again
+			default:
 				break collect
 			}
-			pending = append(pending, r)
 		}
 		timer.Stop()
 		s.batches <- &batch{method: method, slot: q.slot, reqs: pending, flushed: time.Now()}
@@ -629,13 +794,16 @@ func (s *Server) reapBulk(qb *chan *request) *request {
 				*qb = nil
 				return nil
 			}
-			if err := r.ctx.Err(); err != nil {
-				r.resp <- result{err: s.dropStale(err)}
-				s.inflight.Add(-1)
+			if err := r.u.ctx.Err(); err != nil {
+				s.reply(r, result{err: s.dropStale(err)})
 				continue
 			}
 			s.mu.RLock()
 			if !s.closed {
+				// The row now trails everything its unit has queued, the
+				// unit's last row included, so it carries the mark itself:
+				// whatever batch pulls it has all of the unit there is.
+				r.last = r.u.complete
 				// Cannot block: r still holds an inflight slot, so the
 				// lane has at least one free buffer entry.
 				*qb <- r
@@ -651,18 +819,60 @@ func (s *Server) reapBulk(qb *chan *request) *request {
 	return nil
 }
 
+// nextBatch returns the worker's next batch, false once the pipeline has
+// shut down. A worker that finds nothing waiting counts itself idle for
+// as long as it blocks, and tells every batch loop so: one of them may
+// be holding a complete unit it kept open only because no worker was
+// free.
+func (s *Server) nextBatch() (*batch, bool) {
+	select {
+	case b, ok := <-s.batches:
+		return b, ok
+	default:
+	}
+	s.idle.Add(1)
+	for _, q := range s.queues {
+		select {
+		case q.wake <- struct{}{}:
+		default: // a token is already there
+		}
+	}
+	b, ok := <-s.batches
+	s.idle.Add(-1)
+	return b, ok
+}
+
+// gather copies the rows into x, reshaped to len(rows) × in over its own
+// backing array (grown when too small). A worker reuses one such matrix
+// for every pass: Model.Run may not retain it.
+func gather(x *tensor.Matrix, rows []*request, in int) {
+	x.Rows, x.Cols = len(rows), in
+	if n := len(rows) * in; cap(x.Data) < n {
+		x.Data = make([]float32, n)
+	} else {
+		x.Data = x.Data[:n]
+	}
+	for i, r := range rows {
+		copy(x.Row(i), r.x)
+	}
+}
+
 // workerLoop discards stale rows, assembles the live remainder into one
 // matrix, runs it through the model's named method, and scatters the
-// rows back to the waiting callers. A batch whose rows all went stale
-// skips the forward pass entirely.
+// rows back to their units. A batch whose rows all went stale skips the
+// forward pass entirely.
 func (s *Server) workerLoop() {
 	defer s.wg.Done()
-	for b := range s.batches {
+	var x tensor.Matrix
+	for {
+		b, ok := s.nextBatch()
+		if !ok {
+			return
+		}
 		live := b.reqs[:0]
 		for _, r := range b.reqs {
-			if err := r.ctx.Err(); err != nil {
-				r.resp <- result{err: s.dropStale(err)}
-				s.inflight.Add(-1)
+			if err := r.u.ctx.Err(); err != nil {
+				s.reply(r, result{err: s.dropStale(err)})
 				continue
 			}
 			live = append(live, r)
@@ -670,10 +880,7 @@ func (s *Server) workerLoop() {
 		if len(live) == 0 {
 			continue
 		}
-		x := tensor.New(len(live), s.dims[b.method].In)
-		for i, r := range live {
-			copy(x.Row(i), r.x)
-		}
+		gather(&x, live, s.dims[b.method].In)
 		// Stage spans: assembly is flush → forward start (worker wait +
 		// stale reap + gather); forward is the pass itself, including
 		// the modeled PassOverhead, which stands in for dispatch cost.
@@ -686,7 +893,7 @@ func (s *Server) workerLoop() {
 			for start := time.Now(); time.Since(start) < s.cfg.PassOverhead; {
 			}
 		}
-		y, err := s.model.Run(b.method, x)
+		y, err := s.model.Run(b.method, &x)
 		fwdDur := time.Since(fwdStart)
 		s.stats.stageH[stageAssembly].Observe(assembly.Seconds())
 		s.stats.stageH[stageForward].Observe(fwdDur.Seconds())
@@ -697,11 +904,11 @@ func (s *Server) workerLoop() {
 			err = fmt.Errorf("%w: %v", ErrModelFailure, err)
 			s.stats.failures.Add(int64(len(live)))
 			for _, r := range live {
-				r.resp <- result{err: err}
-				s.inflight.Add(-1)
+				s.reply(r, result{err: err})
 			}
 			continue
 		}
+		s.stats.batch(len(live))
 		now := time.Now()
 		for i, r := range live {
 			// Copy the row out of the batch matrix: a view would pin
@@ -711,16 +918,14 @@ func (s *Server) workerLoop() {
 			copy(out, y.Row(i))
 			wait := b.flushed.Sub(r.enqueued)
 			s.stats.stageH[stageQueueWait].Observe(wait.Seconds())
-			s.stats.request(b.slot, r.class, now.Sub(r.enqueued))
-			r.resp <- result{y: out, trace: Trace{
+			s.stats.request(b.slot, r.u.class, now.Sub(r.enqueued))
+			s.reply(r, result{y: out, trace: Trace{
 				QueueWait: wait,
 				Assembly:  assembly,
 				Forward:   fwdDur,
 				Batch:     len(live),
-			}}
-			s.inflight.Add(-1)
+			}})
 		}
-		s.stats.batch(len(live))
 	}
 }
 

@@ -602,8 +602,8 @@ func TestCancelledBeforeAdmission(t *testing.T) {
 func TestRecvPriority(t *testing.T) {
 	qi := make(chan *request, 4)
 	qb := make(chan *request, 4)
-	i1, i2 := &request{class: Interactive}, &request{class: Interactive}
-	b1, b2 := &request{class: Bulk}, &request{class: Bulk}
+	i1, i2 := &request{}, &request{}
+	b1, b2 := &request{}, &request{}
 	qb <- b1
 	qb <- b2
 	qi <- i1
@@ -611,7 +611,7 @@ func TestRecvPriority(t *testing.T) {
 
 	want := []*request{i1, i2, b1, b2}
 	for k, w := range want {
-		r, st := recv(&qi, &qb, nil)
+		r, st := recv(&qi, &qb, nil, nil)
 		if st != recvReq || r != w {
 			t.Fatalf("pull %d = %v (state %d), want request %d in interactive-first order", k, r, st, k)
 		}
@@ -623,19 +623,19 @@ func TestRecvPriority(t *testing.T) {
 	// the fast path drains the interactive lane before the select.
 	qi <- i1
 	qb <- b1
-	if r, st := recv(&qi, &qb, fired); st != recvReq || r != i1 {
+	if r, st := recv(&qi, &qb, fired, nil); st != recvReq || r != i1 {
 		t.Fatalf("ready timer preempted a waiting interactive request (state %d)", st)
 	}
-	if r, st := recv(&qi, &qb, nil); st != recvReq || r != b1 {
+	if r, st := recv(&qi, &qb, nil, nil); st != recvReq || r != b1 {
 		t.Fatalf("bulk request not drained (state %d)", st)
 	}
-	if _, st := recv(&qi, &qb, fired); st != recvTimeout {
+	if _, st := recv(&qi, &qb, fired, nil); st != recvTimeout {
 		t.Fatalf("empty lanes with ready timer: state %d, want recvTimeout", st)
 	}
 
 	close(qi)
 	close(qb)
-	if _, st := recv(&qi, &qb, nil); st != recvClosed {
+	if _, st := recv(&qi, &qb, nil, nil); st != recvClosed {
 		t.Fatal("closed+drained lanes did not report recvClosed")
 	}
 	if qi != nil || qb != nil {
@@ -650,13 +650,21 @@ func TestRecvPriority(t *testing.T) {
 func TestReapBulk(t *testing.T) {
 	s := &Server{stats: newStats(nil)}
 	qb := make(chan *request, 4)
+	// row is a one-row unit of its own, as a lone bulk Call queues it.
+	row := func(ctx context.Context) *request {
+		u := &unit{ctx: ctx, class: Bulk, done: make(chan struct{}, 1)}
+		u.reqs = u.one[:]
+		u.one[0].u = u
+		u.left.Store(1)
+		return &u.one[0]
+	}
 	dead := func() *request {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		return &request{ctx: ctx, class: Bulk, resp: make(chan result, 1)}
+		return row(ctx)
 	}
 	d1, d2, d3 := dead(), dead(), dead()
-	alive := &request{ctx: context.Background(), class: Bulk, resp: make(chan result, 1)}
+	alive := row(context.Background())
 	qb <- d1
 	qb <- d2
 	qb <- alive
@@ -667,9 +675,9 @@ func TestReapBulk(t *testing.T) {
 		t.Fatalf("reapBulk returned %v, want nil (alive row pushed back)", got)
 	}
 	for i, d := range []*request{d1, d2} {
-		res := <-d.resp
-		if !errors.Is(res.err, ErrCancelled) {
-			t.Fatalf("dead row %d reply = %v, want ErrCancelled", i, res.err)
+		<-d.u.done
+		if !errors.Is(d.res.err, ErrCancelled) {
+			t.Fatalf("dead row %d reply = %v, want ErrCancelled", i, d.res.err)
 		}
 	}
 	if n := s.inflight.Load(); n != 2 {
@@ -718,17 +726,6 @@ func TestPriorityInteractiveFirst(t *testing.T) {
 		QueueDepth:   16,
 		PassOverhead: 250 * time.Millisecond,
 	})
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %s", what)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
@@ -756,13 +753,13 @@ func TestPriorityInteractiveFirst(t *testing.T) {
 	submit("A", Bulk, 0)
 	submit("B", Bulk, 1)
 	submit("E", Bulk, 2)
-	waitFor("cloggers to fill the pipeline", func() bool {
+	waitFor(t, "cloggers to fill the pipeline", func() bool {
 		return s.inflight.Load() == 3 && len(lanes[Bulk]) == 0
 	})
 	submit("C", Bulk, 3)
-	waitFor("C to park in the bulk lane", func() bool { return len(lanes[Bulk]) == 1 })
+	waitFor(t, "C to park in the bulk lane", func() bool { return len(lanes[Bulk]) == 1 })
 	submit("D", Interactive, 4)
-	waitFor("D to park in the interactive lane", func() bool { return len(lanes[Interactive]) == 1 })
+	waitFor(t, "D to park in the interactive lane", func() bool { return len(lanes[Interactive]) == 1 })
 	wg.Wait()
 
 	pos := make(map[string]int, len(order))

@@ -17,10 +17,29 @@ import (
 
 // scriptedModel serves two echo methods and can be told to fail its
 // passes or to hold them at a gate, so one test can walk a server
-// through every counter.
+// through every counter. It keeps a log of the passes it ran.
 type scriptedModel struct {
 	fail atomic.Bool
 	gate atomic.Pointer[chan struct{}] // non-nil: Run waits for it to close
+	// entered, when non-nil, receives once per Run before the gate: the
+	// worker is now inside the model and will take nothing else.
+	entered chan struct{}
+
+	mu     sync.Mutex
+	passes []scriptedPass
+}
+
+// scriptedPass is one Run call: its method and each row's first input.
+type scriptedPass struct {
+	method string
+	ids    []float32
+}
+
+// log returns the passes run so far.
+func (m *scriptedModel) log() []scriptedPass {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]scriptedPass(nil), m.passes...)
 }
 
 func (*scriptedModel) Dims() map[string]Dims {
@@ -28,6 +47,16 @@ func (*scriptedModel) Dims() map[string]Dims {
 }
 
 func (m *scriptedModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	p := scriptedPass{method: method, ids: make([]float32, x.Rows)}
+	for i := range p.ids {
+		p.ids[i] = x.At(i, 0)
+	}
+	m.mu.Lock()
+	m.passes = append(m.passes, p)
+	m.mu.Unlock()
+	if m.entered != nil {
+		m.entered <- struct{}{}
+	}
 	if g := m.gate.Load(); g != nil {
 		<-*g
 	}
@@ -77,13 +106,14 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 }
 
 // TestCountersConserve walks one server through every way a row can end
-// — served on either method and lane, answered from cache, expired,
-// shed, failed by the model — and checks that the views of the one
+// — served on either method and lane, alone or as part of a unit,
+// answered from cache, expired, cancelled while queued, shed, failed by
+// the model — and checks that the views of the one
 // instrument set agree: Requests is the sum of its per-method and
 // per-lane splits, batches times mean batch is the rows served, and
 // every /metrics counter equals its StatsSnapshot field.
 func TestCountersConserve(t *testing.T) {
-	model := &scriptedModel{}
+	model := &scriptedModel{entered: make(chan struct{}, 4096)}
 	s := NewServer(model, Config{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 2, CacheSize: 32})
 	reg := NewRegistry()
 	if err := reg.Register("m", s); err != nil {
@@ -111,6 +141,12 @@ func TestCountersConserve(t *testing.T) {
 	call(MethodInvert, 2, Bulk)
 	// A cache hit: a row already served.
 	call(MethodPredict, 0, Interactive)
+	// A unit: two fresh rows around one already served — two more served
+	// rows and a second hit.
+	if _, traces, errs := submitUnit(ctx, s, MethodPredict, Interactive, [][]float32{row(5), row(0), row(6)}); errs[0] != nil || errs[1] != nil || errs[2] != nil ||
+		traces[0].CacheHit || !traces[1].CacheHit || traces[2].CacheHit {
+		t.Fatalf("unit: errors %v, traces %+v; want three rows served, the middle one from cache", errs, traces)
+	}
 	// An expired row: dead on arrival.
 	dead, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()
@@ -141,6 +177,23 @@ func TestCountersConserve(t *testing.T) {
 	model.gate.Store(nil)
 	close(gate)
 	held.Wait()
+	// A unit cancelled while queued behind a held worker: its caller gets
+	// ErrCancelled at once, and the worker drops the row unserved when it
+	// comes free. (The holding unit is one more served row.)
+	release := holdWorker(t, s, model)
+	doomed, cancelDoomed := context.WithCancel(ctx)
+	abandoned := make(chan error, 1)
+	go func() {
+		_, _, errs := submitUnit(doomed, s, MethodInvert, Bulk, [][]float32{row(50)})
+		abandoned <- errs[0]
+	}()
+	waitFor(t, "the doomed unit to be queued", func() bool { return s.Inflight() == 2 })
+	cancelDoomed()
+	if err := <-abandoned; !errors.Is(err, ErrCancelled) {
+		t.Fatalf("unit cancelled while queued = %v, want ErrCancelled", err)
+	}
+	release()
+	waitFor(t, "the worker to drop the cancelled row", func() bool { return s.Stats().Cancelled == 1 })
 	// A model failure.
 	model.fail.Store(true)
 	if _, err := s.Call(ctx, MethodInvert, row(40), Bulk); !errors.Is(err, ErrModelFailure) {
@@ -148,12 +201,12 @@ func TestCountersConserve(t *testing.T) {
 	}
 
 	snap := s.Stats()
-	const served = 3 + 2 + 1 + 2 + 2 // the last two are the held rows
+	const served = 3 + 2 + 1 + 2 + 2 + 2 + 1 // then the unit's two fresh rows, the held rows, the worker-holding row
 	if snap.Requests != served || methodSum(snap) != served || laneSum(snap) != served {
 		t.Fatalf("requests %d, Σmethods %d, Σlanes %d; want all %d", snap.Requests, methodSum(snap), laneSum(snap), served)
 	}
-	if got := snap.LaneRequests[MethodPredict]["interactive"]; got != 5 {
-		t.Fatalf("predict/interactive = %d, want 5", got)
+	if got := snap.LaneRequests[MethodPredict]["interactive"]; got != 8 {
+		t.Fatalf("predict/interactive = %d, want 8", got)
 	}
 	if got := snap.LaneRequests[MethodInvert]["bulk"]; got != 2 {
 		t.Fatalf("invert/bulk = %d, want 2", got)
@@ -161,15 +214,15 @@ func TestCountersConserve(t *testing.T) {
 	if rows := math.Round(float64(snap.Batches) * snap.MeanBatch); rows != served {
 		t.Fatalf("batches %d x mean batch %v = %v rows, want %d", snap.Batches, snap.MeanBatch, rows, served)
 	}
-	if snap.CacheHits != 1 || snap.CacheMisses != served || snap.Expired != 1 ||
-		snap.Overloads != 1 || snap.ModelFailures != 1 || snap.Cancelled != 0 {
+	if snap.CacheHits != 2 || snap.CacheMisses != served || snap.Expired != 1 ||
+		snap.Overloads != 1 || snap.ModelFailures != 1 || snap.Cancelled != 1 || s.Inflight() != 0 {
 		t.Fatalf("outcome counters wrong: %+v", snap)
 	}
 	// Every served row was a lookup (CacheMisses above), but only the
-	// interactive ones were admitted: predict 0-2, invert 0 and the two
-	// held rows, 2 floats each.
-	if snap.CacheEntries != 6 || snap.CacheBytes != 6*2*4 {
-		t.Fatalf("cache holds %d entries / %d bytes, want the 6 interactive rows / 48 bytes", snap.CacheEntries, snap.CacheBytes)
+	// interactive ones were admitted: predict 0-2, invert 0, the unit's
+	// two, the two held rows and the worker-holding one, 2 floats each.
+	if snap.CacheEntries != 9 || snap.CacheBytes != 9*2*4 {
+		t.Fatalf("cache holds %d entries / %d bytes, want the 9 interactive rows / 72 bytes", snap.CacheEntries, snap.CacheBytes)
 	}
 
 	rec := httptest.NewRecorder()
@@ -212,7 +265,8 @@ func TestCountersConserve(t *testing.T) {
 }
 
 // TestViewsAgreeUnderLoad reads the stats and scrapes /metrics while
-// both methods and both lanes are taking traffic. Requests and its two
+// both methods and both lanes are taking traffic, half of it row by row
+// and half as four-row units. Requests and its two
 // splits are derived from one set of per-lane counters in one view, so
 // no reader may ever see them disagree; under -race this also proves
 // the lock-free instruments are read without racing the request path.
@@ -234,6 +288,16 @@ func TestViewsAgreeUnderLoad(t *testing.T) {
 				method = MethodInvert
 			}
 			for i := 0; i < perClient; i++ {
+				if c == 1 || c == 2 { // predict/bulk and invert/interactive
+					xs := [][]float32{{float32(c), float32(i)}, {float32(c), float32(i + 1)}, {float32(c), float32(i + 2)}, {float32(c), float32(i + 3)}}
+					i += len(xs) - 1
+					_, _, errs := submitUnit(context.Background(), s, method, class, xs)
+					if err := errors.Join(errs...); err != nil {
+						t.Errorf("client %d unit at row %d: %v", c, i, err)
+						return
+					}
+					continue
+				}
 				if _, err := s.Call(context.Background(), method, []float32{float32(c), float32(i)}, class); err != nil {
 					t.Errorf("client %d row %d: %v", c, i, err)
 					return

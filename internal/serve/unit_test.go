@@ -1,0 +1,601 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// Tests of the unit path: rows submitted together as a complete unit (as
+// the HTTP handler submits a decoded request) are dispatched as soon as a
+// worker is idle, not after MaxDelay. Every server here that asserts the
+// rule runs with MaxDelay: time.Minute, so a row that falls back to the
+// window fails its test's unitTimeout instead of passing late; ordering
+// is by gates and queue introspection, never by sleeping.
+
+// unitTimeout bounds a unit that must not wait for the window.
+const unitTimeout = 10 * time.Second
+
+// submitUnit submits xs as one complete unit and returns the aligned
+// per-row results.
+func submitUnit(ctx context.Context, s *Server, method string, class Priority, xs [][]float32) ([][]float32, []Trace, []error) {
+	ys := make([][]float32, len(xs))
+	traces := make([]Trace, len(xs))
+	errs := make([]error, len(xs))
+	s.submit(ctx, method, class, true, xs, ys, traces, errs)
+	return ys, traces, errs
+}
+
+// scriptedRows returns n scriptedModel rows whose first input — the id
+// the model's pass log records — counts up from id.
+func scriptedRows(id, n int) [][]float32 {
+	xs := make([][]float32, n)
+	for i := range xs {
+		xs[i] = []float32{float32(id + i), 0.5}
+	}
+	return xs
+}
+
+// mustServe fails the test unless every row of a unit was served, and
+// served as an echo of its input. (Errorf: units run on goroutines of
+// their own.)
+func mustServe(t *testing.T, what string, xs, ys [][]float32, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("%s row %d: %v", what, i, err)
+		} else if len(ys[i]) != 2 || ys[i][0] != xs[i][0] {
+			t.Errorf("%s row %d answered %v, want an echo of %v", what, i, ys[i], xs[i])
+		}
+	}
+}
+
+// waitFor polls cond, a read of server state the test cannot be told
+// about any other way (a row reaching a lane, a batch loop pulling it).
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(unitTimeout); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+	}
+}
+
+// newScriptedServer starts a one-worker server over a scriptedModel that
+// reports each pass it enters.
+func newScriptedServer(t *testing.T, cfg Config) (*Server, *scriptedModel) {
+	t.Helper()
+	m := &scriptedModel{entered: make(chan struct{}, 4096)} // never blocks a pass
+	s := NewServer(m, cfg)
+	t.Cleanup(s.Close)
+	return s, m
+}
+
+// holdWorker parks the server's single worker inside a forward pass of a
+// one-row unit (id -1) and returns the function that lets it go and
+// waits for that unit's reply.
+func holdWorker(t *testing.T, s *Server, m *scriptedModel) (release func()) {
+	t.Helper()
+	for len(m.entered) > 0 { // passes already run
+		<-m.entered
+	}
+	gate := make(chan struct{})
+	m.gate.Store(&gate)
+	held := make(chan error, 1)
+	go func() {
+		_, _, errs := submitUnit(context.Background(), s, MethodPredict, Interactive, scriptedRows(-1, 1))
+		held <- errs[0]
+	}()
+	select {
+	case <-m.entered:
+	case <-time.After(unitTimeout):
+		t.Fatal("the holding unit never reached the model")
+	}
+	return func() {
+		t.Helper()
+		m.gate.Store(nil)
+		close(gate)
+		if err := <-held; err != nil {
+			t.Fatalf("holding unit: %v", err)
+		}
+	}
+}
+
+// lanesEmpty reports whether every queued row has been pulled by its
+// batch loop.
+func lanesEmpty(s *Server) bool {
+	for _, n := range s.LaneDepths() {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestUnitDispatchedToIdleWorker is the rule itself: on an idle server a
+// complete unit leaves at once as one batch of its own size, while a lone
+// Call on the same server still waits for companions or the window.
+func TestUnitDispatchedToIdleWorker(t *testing.T) {
+	s, _ := newScriptedServer(t, Config{MaxBatch: 64, MaxDelay: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+	defer cancel()
+	batches := 0
+	for _, n := range []int{1, 16} {
+		xs := scriptedRows(100*n, n)
+		ys, traces, errs := submitUnit(ctx, s, MethodPredict, Interactive, xs)
+		mustServe(t, "unit", xs, ys, errs)
+		for i, tr := range traces {
+			if tr.Batch != n {
+				t.Fatalf("%d-row unit: row %d rode a batch of %d", n, i, tr.Batch)
+			}
+		}
+		batches++
+		if got := s.Stats().Batches; got != batches {
+			t.Fatalf("after the %d-row unit: %d batches, want %d", n, got, batches)
+		}
+	}
+
+	lone, cancelLone := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelLone()
+	if _, err := s.Call(lone, MethodPredict, []float32{7, 0.5}, Interactive); !errors.Is(err, ErrExpired) {
+		t.Fatalf("lone Call on an idle server = %v, want it still waiting for the window when its context expired", err)
+	}
+	if got := s.Stats().Batches; got != batches {
+		t.Fatalf("the lone Call was dispatched: %d batches, want %d", got, batches)
+	}
+}
+
+// TestUnitSplitsAtMaxBatch: a unit larger than MaxBatch becomes
+// ceil(n/MaxBatch) batches of its own method's rows, and one larger than
+// QueueDepth/2 is queued in chunks, so it never trips the backpressure it
+// would itself be the only cause of.
+func TestUnitSplitsAtMaxBatch(t *testing.T) {
+	s, m := newScriptedServer(t, Config{MaxBatch: 4, MaxDelay: time.Minute, QueueDepth: 64})
+	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+	defer cancel()
+	var other sync.WaitGroup
+	other.Add(1)
+	go func() {
+		defer other.Done()
+		xs := scriptedRows(1000, 3)
+		ys, _, errs := submitUnit(ctx, s, MethodInvert, Interactive, xs)
+		mustServe(t, "invert unit", xs, ys, errs)
+	}()
+	xs := scriptedRows(0, 10)
+	ys, _, errs := submitUnit(ctx, s, MethodPredict, Interactive, xs)
+	mustServe(t, "predict unit", xs, ys, errs)
+	other.Wait()
+
+	var predict []int
+	for _, p := range m.log() {
+		for _, id := range p.ids {
+			if (id >= 1000) != (p.method == MethodInvert) {
+				t.Fatalf("row %v rode a %s pass", id, p.method)
+			}
+		}
+		if p.method == MethodPredict {
+			predict = append(predict, len(p.ids))
+		}
+	}
+	if len(predict) != 3 || predict[0] != 4 || predict[1] != 4 || predict[2] != 2 {
+		t.Fatalf("10 rows at MaxBatch 4 ran as passes of %v, want [4 4 2]", predict)
+	}
+
+	small, _ := newScriptedServer(t, Config{MaxBatch: 4, MaxDelay: time.Minute, QueueDepth: 8})
+	xs = scriptedRows(0, 30)
+	ys, _, errs = submitUnit(ctx, small, MethodPredict, Bulk, xs)
+	mustServe(t, "unit of 30 rows over a queue of 8", xs, ys, errs)
+	if snap := small.Stats(); snap.Overloads != 0 || snap.Requests != 30 {
+		t.Fatalf("overloads %d, requests %d; want 0 and 30", snap.Overloads, snap.Requests)
+	}
+	if small.Inflight() != 0 {
+		t.Fatalf("inflight = %d after the unit returned", small.Inflight())
+	}
+}
+
+// TestBacklogLeavesAsOneBatch: with the worker busy, complete units are
+// not dispatched one by one — the open batch keeps absorbing arrivals and
+// the worker's next pass takes all of them.
+func TestBacklogLeavesAsOneBatch(t *testing.T) {
+	s, m := newScriptedServer(t, Config{MaxBatch: 16, MaxDelay: time.Minute})
+	release := holdWorker(t, s, m)
+	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	submit := func(class Priority, id int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			xs := scriptedRows(id, 2)
+			ys, traces, errs := submitUnit(ctx, s, MethodPredict, class, xs)
+			mustServe(t, class.String()+" unit", xs, ys, errs)
+			for _, tr := range traces {
+				if tr.Batch != 4 {
+					t.Errorf("%v unit rode a batch of %d, want both units in one batch of 4", class, tr.Batch)
+				}
+			}
+		}()
+	}
+	submit(Bulk, 10)
+	waitFor(t, "the bulk unit to join the open batch", func() bool { return s.Inflight() == 3 && lanesEmpty(s) })
+	submit(Interactive, 20)
+	waitFor(t, "the interactive unit to join the open batch", func() bool { return s.Inflight() == 5 && lanesEmpty(s) })
+	if got := len(m.log()); got != 1 {
+		t.Fatalf("%d passes while the worker was held, want only the holding one", got)
+	}
+	release()
+	wg.Wait()
+	if got := s.Stats().Batches; got != 2 {
+		t.Fatalf("%d batches, want 2 (the holding unit, then the backlog as one)", got)
+	}
+}
+
+// clog fills a held pipeline behind the worker — one full batch in the
+// batches buffer, another in the batch loop's blocked send — so that
+// whatever is submitted next parks in its lane until release. maxBatch
+// must be the server's MaxBatch. The returned wait collects the cloggers.
+func clog(t *testing.T, s *Server, maxBatch int) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			xs := scriptedRows(-100*(k+1), maxBatch)
+			ys, _, errs := submitUnit(context.Background(), s, MethodPredict, Interactive, xs)
+			mustServe(t, "clogging unit", xs, ys, errs)
+		}(k)
+	}
+	waitFor(t, "the cloggers to fill the pipeline", func() bool {
+		return s.Inflight() == 1+2*maxBatch && lanesEmpty(s)
+	})
+	return wg.Wait
+}
+
+// TestUnitPriorityInteractiveFirst parks a bulk unit and then an
+// interactive unit in their lanes behind a clogged pipeline: the batch
+// loop's next pull takes the interactive rows ahead of the bulk ones.
+func TestUnitPriorityInteractiveFirst(t *testing.T) {
+	const maxBatch = 4
+	s, m := newScriptedServer(t, Config{MaxBatch: maxBatch, MaxDelay: time.Minute, QueueDepth: 64})
+	release := holdWorker(t, s, m)
+	cloggers := clog(t, s, maxBatch)
+	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+	defer cancel()
+
+	lanes := &s.queues[MethodPredict].lanes
+	var wg sync.WaitGroup
+	submit := func(class Priority, id int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			xs := scriptedRows(id, 2)
+			ys, _, errs := submitUnit(ctx, s, MethodPredict, class, xs)
+			mustServe(t, class.String()+" unit", xs, ys, errs)
+		}()
+		waitFor(t, "the "+class.String()+" unit to park in its lane", func() bool { return len(lanes[class]) == 2 })
+	}
+	submit(Bulk, 10)
+	submit(Interactive, 20)
+	release()
+	wg.Wait()
+	cloggers()
+
+	// Served order: every interactive row before every bulk row, whether
+	// or not the two units shared a pass.
+	var order []float32
+	for _, p := range m.log() {
+		for _, id := range p.ids {
+			if id >= 10 {
+				order = append(order, id)
+			}
+		}
+	}
+	if len(order) != 4 || order[0] < 20 || order[1] < 20 || order[2] >= 20 || order[3] >= 20 {
+		t.Fatalf("served order %v, want the interactive rows (20, 21) ahead of the bulk rows (10, 11)", order)
+	}
+}
+
+// TestIdleWorkerWakesEveryLoop: both method queues hold a complete unit
+// when the single worker goes idle. Neither may be left to wait out the
+// window — a lone wake token would strand whichever loop did not get it.
+func TestIdleWorkerWakesEveryLoop(t *testing.T) {
+	s, m := newScriptedServer(t, Config{MaxBatch: 16, MaxDelay: time.Minute})
+	release := holdWorker(t, s, m)
+	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for k, method := range []string{MethodPredict, MethodInvert} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			xs := scriptedRows(10*(k+1), 2)
+			ys, _, errs := submitUnit(ctx, s, method, Interactive, xs)
+			mustServe(t, method+" unit", xs, ys, errs)
+		}()
+	}
+	waitFor(t, "both units to reach their batch loops", func() bool { return s.Inflight() == 5 && lanesEmpty(s) })
+	release()
+	wg.Wait()
+	if got := s.Stats().Batches; got != 3 {
+		t.Fatalf("%d batches, want 3 (the holding unit and one per method)", got)
+	}
+}
+
+// TestReapRotationKeepsUnitComplete: reapBulk rotates the bulk lane's
+// front row to its back, which can put a unit's row behind the unit's own
+// completion mark. The rotated row must carry the mark with it, or it
+// waits out the window alone.
+func TestReapRotationKeepsUnitComplete(t *testing.T) {
+	// At the function: a complete unit's row is marked when pushed back,
+	// a lone Call's row is not.
+	for _, complete := range []bool{true, false} {
+		rs := &Server{stats: newStats(nil)}
+		u := &unit{ctx: context.Background(), class: Bulk, complete: complete, reqs: make([]request, 3)}
+		qb := make(chan *request, 3)
+		for k := range u.reqs {
+			u.reqs[k].u = u
+			qb <- &u.reqs[k]
+		}
+		u.reqs[2].last = complete
+		if carry := rs.reapBulk(&qb); carry != nil {
+			t.Fatalf("reapBulk returned %v on an open server", carry)
+		}
+		if got := []*request{<-qb, <-qb, <-qb}; got[0] != &u.reqs[1] || got[1] != &u.reqs[2] || got[2] != &u.reqs[0] {
+			t.Fatal("the lane did not rotate by one")
+		}
+		if u.reqs[0].last != complete {
+			t.Fatalf("rotated row of a unit with complete=%t has last=%t", complete, u.reqs[0].last)
+		}
+	}
+
+	// End to end: MaxBatch 2 and a parked 3-row bulk unit. The reap after
+	// the clog's last batch rotates the lane to [a2, a3, a1]; a2 and a3
+	// fill a batch and a1 is left as a batch of its own.
+	const maxBatch = 2
+	s, m := newScriptedServer(t, Config{MaxBatch: maxBatch, MaxDelay: time.Minute, QueueDepth: 64})
+	release := holdWorker(t, s, m)
+	cloggers := clog(t, s, maxBatch)
+	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+	defer cancel()
+	done := make(chan struct{})
+	xs := scriptedRows(10, 3)
+	go func() {
+		defer close(done)
+		ys, _, errs := submitUnit(ctx, s, MethodPredict, Bulk, xs)
+		mustServe(t, "bulk unit", xs, ys, errs)
+	}()
+	waitFor(t, "the bulk unit to park in its lane", func() bool { return len(s.queues[MethodPredict].lanes[Bulk]) == 3 })
+	release()
+	<-done
+	cloggers()
+	passes := m.log()
+	if last := passes[len(passes)-1]; len(last.ids) != 1 || last.ids[0] != 10 {
+		t.Fatalf("last pass served %v, want the rotated row 10 on its own (the scenario did not rotate the lane)", last.ids)
+	}
+}
+
+// callRows runs xs through s one CallTrace at a time: the reference the
+// unit path must match row for row.
+func callRows(ctx context.Context, s *Server, method string, class Priority, xs [][]float32) ([][]float32, []Trace, []error) {
+	ys := make([][]float32, len(xs))
+	traces := make([]Trace, len(xs))
+	errs := make([]error, len(xs))
+	for i, x := range xs {
+		ys[i], traces[i], errs[i] = s.CallTrace(ctx, method, x, class)
+	}
+	return ys, traces, errs
+}
+
+// TestUnitMatchesCalls is the differential: a unit's outputs (bit for
+// bit), per-row errors and cache behaviour are those of the same rows
+// sent as N CallTrace calls to an identical server.
+func TestUnitMatchesCalls(t *testing.T) {
+	// MaxBatch 1 keeps every pass the same shape on both sides, so the
+	// real model's outputs are comparable bitwise.
+	cfg := Config{MaxBatch: 1, CacheSize: 8}
+	unitSrv, _ := newTestServer(t, cfg)
+	callSrv, _ := newTestServer(t, cfg)
+	nan := float32(math.NaN())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	steps := []struct {
+		name  string
+		ctx   context.Context
+		class Priority
+		xs    [][]float32
+	}{
+		{"fresh rows, a short row and a non-finite one", context.Background(), Interactive,
+			[][]float32{testInput(0), {1, 2}, {nan, 0, 0, 0, 0}, testInput(1)}},
+		{"two cached rows and a fresh one", context.Background(), Interactive,
+			[][]float32{testInput(1), testInput(2), testInput(0)}},
+		{"bulk: a cached row and a fresh one", context.Background(), Bulk,
+			[][]float32{testInput(0), testInput(3)}},
+		{"bulk again: the fresh row was not admitted", context.Background(), Bulk,
+			[][]float32{testInput(3)}},
+		{"dead context: validation still comes first", cancelled, Interactive,
+			[][]float32{testInput(4), {1}, testInput(0)}},
+	}
+	for _, st := range steps {
+		uy, ut, ue := submitUnit(st.ctx, unitSrv, MethodPredict, st.class, st.xs)
+		cy, ct, ce := callRows(st.ctx, callSrv, MethodPredict, st.class, st.xs)
+		for i := range st.xs {
+			if (ue[i] == nil) != (ce[i] == nil) || (ue[i] != nil && ue[i].Error() != ce[i].Error()) {
+				t.Fatalf("%s: row %d error %v as a unit, %v as a call", st.name, i, ue[i], ce[i])
+			}
+			if ut[i].CacheHit != ct[i].CacheHit {
+				t.Fatalf("%s: row %d cache hit %t as a unit, %t as a call", st.name, i, ut[i].CacheHit, ct[i].CacheHit)
+			}
+			if len(uy[i]) != len(cy[i]) {
+				t.Fatalf("%s: row %d has %d outputs as a unit, %d as a call", st.name, i, len(uy[i]), len(cy[i]))
+			}
+			for j := range uy[i] {
+				if math.Float32bits(uy[i][j]) != math.Float32bits(cy[i][j]) {
+					t.Fatalf("%s: row %d output %d differs: %v vs %v", st.name, i, j, uy[i][j], cy[i][j])
+				}
+			}
+		}
+		us, cs := unitSrv.Stats(), callSrv.Stats()
+		if us.CacheHits != cs.CacheHits || us.CacheMisses != cs.CacheMisses || us.CacheEntries != cs.CacheEntries ||
+			us.CacheBytes != cs.CacheBytes || us.Requests != cs.Requests || us.Cancelled != cs.Cancelled {
+			t.Fatalf("%s: counters diverge:\nunit %+v\ncall %+v", st.name, us, cs)
+		}
+	}
+	// The steps above must have exercised what they name.
+	if snap := unitSrv.Stats(); snap.CacheHits != 3 || snap.CacheMisses != 5 || snap.CacheEntries != 3 || snap.Cancelled != 2 {
+		t.Fatalf("scenario drifted: %+v", snap)
+	}
+
+	// Overload: a queue of 4 holding the worker's row and two parked lone
+	// Calls has room for one more. A two-row unit gets its first row in
+	// and its second refused, as two calls would.
+	outcome := func(asUnit bool) (errs []error, overloads int64) {
+		s, m := newScriptedServer(t, Config{MaxBatch: 16, MaxDelay: time.Minute, QueueDepth: 4})
+		release := holdWorker(t, s, m)
+		var parked sync.WaitGroup
+		for k := 0; k < 2; k++ {
+			parked.Add(1)
+			go func() {
+				defer parked.Done()
+				if _, err := s.Call(context.Background(), MethodPredict, []float32{float32(50 + k), 0.5}, Interactive); err != nil {
+					t.Errorf("parked call: %v", err)
+				}
+			}()
+		}
+		waitFor(t, "the parked calls to be admitted", func() bool { return s.Inflight() == 3 })
+		xs := scriptedRows(10, 2)
+		errs = make([]error, 2)
+		first := make(chan struct{})
+		if asUnit {
+			go func() {
+				defer close(first)
+				_, _, errs = submitUnit(context.Background(), s, MethodPredict, Interactive, xs)
+			}()
+		} else {
+			go func() {
+				defer close(first)
+				_, errs[0] = s.Call(context.Background(), MethodPredict, xs[0], Interactive)
+			}()
+			waitFor(t, "the first call to be admitted", func() bool { return s.Inflight() == 4 })
+			_, errs[1] = s.Call(context.Background(), MethodPredict, xs[1], Interactive)
+		}
+		waitFor(t, "the refusal", func() bool { return s.Stats().Overloads == 1 })
+		// The parked lone Calls ride out with the unit's admitted row: it
+		// completes the open batch they are waiting in. On the call side
+		// nothing does, so Close flushes them.
+		release()
+		if !asUnit {
+			s.Close()
+		}
+		<-first
+		parked.Wait()
+		return errs, s.Stats().Overloads
+	}
+	ue, uo := outcome(true)
+	ce, co := outcome(false)
+	if ue[0] != nil || ce[0] != nil || !errors.Is(ue[1], ErrOverloaded) || !errors.Is(ce[1], ErrOverloaded) || uo != 1 || co != 1 {
+		t.Fatalf("overload: unit %v (%d counted), calls %v (%d counted); want [nil, ErrOverloaded] and 1 on both", ue, uo, ce, co)
+	}
+}
+
+// TestUnitConservation hammers the unit path while contexts are cancelled
+// mid-unit and the server is closed mid-traffic. Every row must end with
+// exactly one outcome, inflight must return to zero, and the counters
+// must account for every row that reached admission: served + failed +
+// dropped-as-stale on the server equals ok + failed + cancelled as the
+// callers saw them (a row abandoned by its caller is still served or
+// dropped exactly once by the pipeline).
+func TestUnitConservation(t *testing.T) {
+	for iter := 0; iter < 4; iter++ {
+		m := &scriptedModel{}
+		s := NewServer(m, Config{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, QueueDepth: 32, CacheSize: 16})
+		const clients, units = 6, 40
+		var (
+			mu                                            sync.Mutex
+			ok, hit, overloaded, closed, cancelled, other int64
+		)
+		started := make(chan struct{}, clients*units)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(iter*100 + c)))
+				for k := 0; k < units; k++ {
+					n := 1 + rng.Intn(24) // up to three batches, more than one QueueDepth/2 chunk
+					xs := make([][]float32, n)
+					for i := range xs {
+						xs[i] = []float32{float32(rng.Intn(64)), float32(c)}
+					}
+					method, class := MethodPredict, Priority(k%int(numLanes))
+					if c%2 == 1 {
+						method = MethodInvert
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					if k%5 == 4 {
+						// Cancel while the unit is in flight (or just
+						// before, or just after: all three must conserve).
+						go func(yields int) {
+							for ; yields > 0; yields-- {
+								runtime.Gosched()
+							}
+							cancel()
+						}(rng.Intn(200))
+					}
+					started <- struct{}{}
+					ys, traces, errs := submitUnit(ctx, s, method, class, xs)
+					cancel()
+					mu.Lock()
+					for i, err := range errs {
+						switch {
+						case err == nil && ys[i] == nil:
+							t.Errorf("client %d unit %d row %d has neither an output nor an error", c, k, i)
+						case err == nil && traces[i].CacheHit:
+							hit++
+						case err == nil:
+							ok++
+						case errors.Is(err, ErrOverloaded):
+							overloaded++
+						case errors.Is(err, ErrClosed):
+							closed++
+						case errors.Is(err, ErrCancelled):
+							cancelled++
+						default:
+							other++
+							t.Errorf("client %d unit %d row %d: %v", c, k, i, err)
+						}
+					}
+					mu.Unlock()
+				}
+			}(c)
+		}
+		// Close once a third of the units have started: some are queued,
+		// some mid-chunk, some not yet submitted.
+		for i := 0; i < clients*units/3; i++ {
+			<-started
+		}
+		s.Close()
+		wg.Wait()
+
+		snap := s.Stats()
+		if s.Inflight() != 0 {
+			t.Fatalf("iter %d: inflight = %d after Close and every caller returned", iter, s.Inflight())
+		}
+		if snap.Overloads != overloaded || snap.CacheHits != hit {
+			t.Fatalf("iter %d: overloads %d vs %d seen, cache hits %d vs %d seen", iter, snap.Overloads, overloaded, snap.CacheHits, hit)
+		}
+		if got, want := snap.Requests+snap.ModelFailures+snap.Expired+snap.Cancelled, ok+cancelled; got != want {
+			t.Fatalf("iter %d: server accounts for %d rows (served %d, failed %d, expired %d, cancelled %d), callers for %d (ok %d, cancelled %d)",
+				iter, got, snap.Requests, snap.ModelFailures, snap.Expired, snap.Cancelled, want, ok, cancelled)
+		}
+		if closed == 0 || ok == 0 {
+			t.Fatalf("iter %d: Close did not land mid-traffic (ok %d, closed %d)", iter, ok, closed)
+		}
+	}
+}
