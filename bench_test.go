@@ -290,6 +290,21 @@ func BenchmarkAblationInterval4(b *testing.B) { benchInterval(b, 4) }
 // BenchmarkAblationInterval16 holds tournaments every 16 steps.
 func BenchmarkAblationInterval16(b *testing.B) { benchInterval(b, 16) }
 
+// dispatchModel charges every forward pass a fixed cost ahead of the
+// model's own, inside the forward stage. It spins rather than sleeps:
+// dispatch overhead keeps the execution unit busy, like a kernel launch
+// does.
+type dispatchModel struct {
+	serve.Model
+	cost time.Duration
+}
+
+func (m dispatchModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	for start := time.Now(); time.Since(start) < m.cost; {
+	}
+	return m.Model.Run(method, x)
+}
+
 // benchServe measures serving throughput with 64 concurrent clients;
 // one op is one served request. maxBatch 1 disables coalescing (every
 // request is its own forward pass), so the batched/unbatched ratio is
@@ -298,7 +313,7 @@ func BenchmarkAblationInterval16(b *testing.B) { benchInterval(b, 16) }
 // batch instead of once per request. On CPU-only hosts the real
 // per-pass cost is just allocation + scheduling hops + the flush
 // timer, so — exactly like ensemble.Config.TaskOverhead models
-// Merlin's per-task scheduler cost — PassOverhead models the
+// Merlin's per-task scheduler cost — dispatchModel adds the
 // kernel-launch/RPC overhead of a production accelerator deployment
 // (20µs is the order of a CUDA launch plus inference-server hop).
 func benchServe(b *testing.B, maxBatch int) {
@@ -312,11 +327,10 @@ func benchServe(b *testing.B, maxBatch int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := serve.NewServer(pool, serve.Config{
-		MaxBatch:     maxBatch,
-		MaxDelay:     2 * time.Millisecond,
-		QueueDepth:   256,
-		PassOverhead: 20 * time.Microsecond,
+	srv := serve.NewServer(dispatchModel{pool, 20 * time.Microsecond}, serve.Config{
+		MaxBatch:   maxBatch,
+		MaxDelay:   2 * time.Millisecond,
+		QueueDepth: 256,
 	})
 	defer srv.Close()
 

@@ -133,7 +133,6 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 		MaxBatch:   capMaxBatch,
 		MaxDelay:   capWindow,
 		QueueDepth: 1024,
-		Workers:    1,
 	})
 	defer srv.Close()
 	const clients, perClient = 2 * capMaxBatch, 150
@@ -176,7 +175,7 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 	// everyday event under -race on a one-CPU host) WAS the p99; with
 	// 200 it takes a cluster of them to move the bracket.
 	const lowN = 200
-	lowCfg := serve.Config{MaxBatch: capMaxBatch, MaxDelay: capWindow, Workers: 1}
+	lowCfg := serve.Config{MaxBatch: capMaxBatch, MaxDelay: capWindow}
 	low := scenario
 	low.OfferedQPS = 50 // well under capacity
 
@@ -215,21 +214,20 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 	// handler. A request's rows are a complete unit, dispatched when the
 	// worker is idle — the Window: 0 report, in which the window does
 	// not appear. Measured server-side (enqueue to reply), as above: the
-	// model has no term for the HTTP hop. Nor has it one for the two
-	// goroutine hand-offs inside the queue or for a scheduler that is
-	// busy elsewhere, and with the window gone those (~10 µs, but
+	// model has no term for the HTTP hop. Nor has it one for the
+	// goroutine hand-off to the worker and back or for a scheduler that
+	// is busy elsewhere, and with the window gone those (~10 µs, but
 	// milliseconds in the tail when `go test ./...` runs every package
 	// at once) are all there is beside this model's ~12 µs pass: a 3x
 	// bracket around 12 µs measures the host, not the pipeline. So this
-	// section gives the pass the modeled dispatch cost
-	// serve.Config.PassOverhead exists for, on both sides, and checks
-	// the part the brackets then cannot see — that no window was waited
-	// out — on the queue_wait stage itself.
+	// section gives the pass a modeled dispatch cost (dispatchModel,
+	// bench_test.go), on both sides, and checks the part the brackets
+	// then cannot see — that no window was waited out — on the
+	// queue_wait stage itself.
 	low.Window = 0
-	lowCfg.PassOverhead = capDispatch
 	low.Cost.PassSec += capDispatch.Seconds()
 	httpSnap := lowLoadBracket(t, "HTTP request", low.Report(), func() serve.StatsSnapshot {
-		srv := serve.NewServer(capPool(t), lowCfg)
+		srv := serve.NewServer(dispatchModel{capPool(t), capDispatch}, lowCfg)
 		reg := serve.NewRegistry()
 		if err := reg.Register("cap", srv); err != nil {
 			t.Fatal(err)

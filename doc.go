@@ -10,7 +10,8 @@
 // motivates: trained surrogates replacing the JAG simulator for
 // downstream consumers. internal/serve coalesces concurrent requests
 // into single batched forward passes (the serving-side twin of the
-// paper's ingest batching), spreads them over a pool of model replicas
+// paper's ingest batching: rows wait in one queue per method and a free
+// worker takes what is due), spreads them over a pool of model replicas
 // with optional ensemble averaging across tournament winners, caches
 // repeated design points in an LRU, and sheds overload via bounded
 // backpressure. The pipeline serves any serve.Model — named methods
@@ -57,8 +58,8 @@
 // The performance model closes the loop: internal/perfmodel
 // regenerates the paper's training figures (9–11) analytically and
 // extends the same treatment to serving — a capacity model of the
-// batching queue (group dispatch of HTTP requests to idle workers,
-// batch-window fill for lone Call rows, replica parallelism, cache hit
+// batching queue (an HTTP request's rows due at once and taken by the
+// first free worker, batch-window fill for lone Call rows, replica parallelism, cache hit
 // rate, priority lanes) calibrated by serve.CostProbe on the running
 // binary, predicting sustainable QPS and p50/p99 latency per replica
 // count (cmd/figures -fig S1, examples/capacity), and validated

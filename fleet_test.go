@@ -86,7 +86,6 @@ func startFleetBackend(t *testing.T, addr string) *fleetBackend {
 		MaxBatch:   fleetMaxBatch,
 		MaxDelay:   fleetWindow,
 		QueueDepth: 1024,
-		Workers:    1,
 	})
 	srv.SetCapacityQPS(fleetPerBackend().MaxQPS())
 	if err := reg.Register("jag", srv); err != nil {

@@ -222,7 +222,7 @@ func (c *Comm) recvRaw(src, tag int) message {
 	return c.world.mailboxes[c.group[c.rank]].get(gsrc, tag)
 }
 
-// Request is a pending non-blocking receive, created by Irecv/IrecvBytes.
+// Request is a pending non-blocking receive, created by Irecv.
 type Request struct {
 	ch chan message
 }
@@ -240,9 +240,6 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	go func() { r.ch <- box.get(gsrc, tag) }()
 	return r
 }
-
-// IrecvBytes posts a non-blocking receive for a byte payload.
-func (c *Comm) IrecvBytes(src, tag int) *Request { return c.Irecv(src, tag) }
 
 // Wait blocks until the request completes and returns the float payload; it
 // panics if the matched message carried bytes.

@@ -123,9 +123,3 @@ func (a Arch) FlopsPerSample() float64 {
 	gen := 6*float64(f+i+d) + 6*float64(ds)
 	return ae + dsc + gen
 }
-
-// TotalGradBytes returns the summed allreduce volume of one step.
-func (a Arch) TotalGradBytes() float64 {
-	ae, dsc, gen := a.PhaseGradBytes()
-	return ae + dsc + gen
-}

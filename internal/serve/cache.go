@@ -7,6 +7,10 @@ import (
 	"sync"
 )
 
+// cacheQuantum is the grid step inputs are snapped to when forming cache
+// keys. The JAG input cube is [0,1]^5, so 1e-6 is effectively exact.
+const cacheQuantum = 1e-6
+
 // quantKey snaps each input coordinate to a grid of step q and packs
 // the bit patterns of the snapped values into a compact string key.
 // Two inputs within the same grid cell share a cache entry, so q is

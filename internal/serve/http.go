@@ -349,7 +349,7 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 
 	// The rows live and die with the HTTP request: a disconnecting
 	// client or an elapsed deadline turns still-queued rows stale, and
-	// the batcher drops them before the forward pass.
+	// the worker that reaches them drops them before the forward pass.
 	ctx := r.Context()
 	if deadline > 0 {
 		var cancel context.CancelFunc

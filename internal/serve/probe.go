@@ -29,9 +29,8 @@ type ProbeResult struct {
 	Method string
 	// PassSec is the fixed cost of one forward-pass dispatch, seconds:
 	// what a batch pays once regardless of its row count (allocation,
-	// scheduling, and — when the server is configured with
-	// Config.PassOverhead — the modeled kernel-launch cost, which the
-	// caller must add separately since the probe times the bare model).
+	// scheduling, and whatever dispatch cost the model's Run itself
+	// carries: the probe times the model it is given).
 	PassSec float64
 	// RowSec is the marginal cost of one batch row, seconds: GEMM work
 	// plus the gather/scatter copies the serving worker performs.

@@ -9,33 +9,35 @@
 // This is the serving-side twin of the ingest economics the paper
 // exploits with Merlin and bundle files (Section II-C): per-call
 // overhead dominates tiny workloads, so amortizing it across a batch is
-// where the throughput lives. A batch is flushed when it reaches
-// MaxBatch rows, when its oldest row has waited MaxDelay, or — the rule
-// every HTTP request takes — when it holds the last row of a complete
-// unit and a worker is idle. A unit is what one caller submitted
-// together and will add nothing to: a decoded request says "this is
-// everything", so nothing is gained by holding its batch open in front
-// of a worker with nothing to do; a lone Call says "my siblings are
-// other goroutines, coalesce us", and waits for them or for the window.
-// While every worker is busy an open batch absorbs whatever arrives, so
-// under load batches still fill — by backlog, not by timer.
+// where the throughput lives. Rows wait in one place — their method's
+// queue — and the batcher is whichever worker is free: it takes up to
+// MaxBatch rows from the first queue that is due, and a queue is due
+// when it holds MaxBatch rows, or the last row of a complete unit, or a
+// row that has waited MaxDelay. A unit is what one caller submitted
+// together and will add nothing to: a decoded HTTP request says "this
+// is everything", so nothing is gained by keeping its rows back from a
+// worker with nothing to do; a lone Call says "my siblings are other
+// goroutines, coalesce us", and waits for them or for the window. While
+// every worker is busy the queue absorbs whatever arrives, so under
+// load batches still fill — by backlog, not by timer.
 //
 // The pipeline serves any Model: a small interface exposing named
 // methods (a *Pool of cyclegan replicas serves "predict" and "invert")
-// with per-method tensor widths. Batches are keyed by method — each
-// method has its own queue and batch loop, so rows bound for different
-// forward passes never mix in one batch — while every method shares the
-// server's worker pool, cache, backpressure budget, and stats.
+// with per-method tensor widths. Each method has its own queue and a
+// batch is filled from one queue, so rows bound for different forward
+// passes never mix, while every method shares the server's workers
+// (which take the due queues in turn), cache, backpressure budget, and
+// stats.
 //
 // Every request has a lifecycle: it carries a context.Context and a
-// Priority class. Each method's queue keeps one lane per class and the
-// batcher drains Interactive strictly before Bulk, so design-space
-// exploration preempts background scans. At flush time rows whose
-// context is already cancelled or past its deadline are discarded
-// before the forward pass — a caller that gave up never costs model
-// time — and show up in the stats as expired/cancelled. The same
-// Section II-C lesson again: per-task overhead spent on work nobody is
-// waiting for is pure waste.
+// Priority class. Each method's queue keeps one lane per class and a
+// worker takes Interactive rows strictly before Bulk, so design-space
+// exploration preempts background scans by the next pass. A row whose
+// context is already cancelled or past its deadline when a worker
+// reaches it is answered there and never joins the batch — a caller
+// that gave up never costs model time — and shows up in the stats as
+// expired/cancelled. The same Section II-C lesson again: per-task
+// overhead spent on work nobody is waiting for is pure waste.
 //
 // Around the queue sit:
 //
@@ -134,7 +136,7 @@ const (
 	MethodInvert = "invert"
 )
 
-// Priority is a request's queue lane. The batcher drains Interactive
+// Priority is a request's queue lane. A worker takes Interactive rows
 // strictly before Bulk, so latency-sensitive callers preempt background
 // scans without a separate server.
 type Priority int
@@ -197,46 +199,30 @@ type Model interface {
 	Run(method string, x *tensor.Matrix) (*tensor.Matrix, error)
 }
 
-// Config tunes the serving pipeline around a loaded Model.
+// Config tunes the serving pipeline around a loaded Model. The worker
+// count is not here: it is the model's Replicas() (as *Pool has), else 1.
 type Config struct {
 	// MaxBatch is the largest number of requests coalesced into one
 	// forward pass (default 64).
 	MaxBatch int
-	// MaxDelay is how long the oldest row of a partial batch may wait
-	// before the batch is flushed (default 2ms). It is the window rows
+	// MaxDelay is how long a queued row may wait before its queue is due
+	// whatever else it holds (default 2ms). It is the window rows
 	// submitted one at a time through Call wait for companions in —
 	// latency floor vs batch occupancy is the trade-off it sets for
 	// them. Rows submitted as a complete unit (every HTTP request) do
-	// not wait for it: they are dispatched as soon as a worker is idle,
-	// and for them it only bounds how long a batch may stay open while
-	// all workers are busy.
+	// not wait for it: they are due at once, and leave with the first
+	// worker that is free.
 	MaxDelay time.Duration
 	// QueueDepth bounds the number of in-flight requests across all
 	// methods and priority lanes; further Call requests fail with
 	// ErrOverloaded (default 4*MaxBatch).
 	QueueDepth int
-	// Workers is the number of goroutines running forward passes; it is
-	// the server's parallel width. 0 uses the model's Replicas() if it
-	// has one (as *Pool does), else 1.
-	Workers int
 	// CacheSize is the LRU response-cache capacity in entries, shared
 	// across methods; 0 disables caching. Both lanes are served from the
 	// cache but only Interactive rows enter it, so a full cache holds at
 	// most CacheSize × the widest method's Out × 4 bytes (the stats'
 	// cache_bytes says how much it holds now).
 	CacheSize int
-	// CacheQuantum is the grid step inputs are snapped to when forming
-	// cache keys (default 1e-6). Coarser grids trade exactness for hit
-	// rate; the JAG input cube is [0,1]^5 so 1e-6 is effectively exact.
-	CacheQuantum float64
-	// PassOverhead simulates fixed per-dispatch cost ahead of each
-	// forward pass — the GPU kernel-launch / accelerator-RPC overhead a
-	// production deployment pays once per batch. Zero for library use;
-	// the benchmarks use it the way ensemble.Config.TaskOverhead models
-	// Merlin's per-task scheduler cost (Section II-C), to make the
-	// batching economics measurable on CPU-only hosts where per-row
-	// arithmetic is the only real per-pass cost.
-	PassOverhead time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -249,9 +235,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
-	}
-	if c.CacheQuantum <= 0 {
-		c.CacheQuantum = 1e-6
 	}
 	return c
 }
@@ -270,16 +253,10 @@ type result struct {
 type unit struct {
 	ctx   context.Context
 	class Priority
-	// complete says the caller sends nothing more until these rows are
-	// answered, so the batch loop need not hold a batch open for
-	// companions once it has the unit's last row. A lone Call leaves it
-	// unset: its siblings are other goroutines, and it asks to be
-	// coalesced with them.
-	complete bool
-	left     atomic.Int32  // rows not yet replied to
-	done     chan struct{} // buffered(1): receives once, when left reaches zero
-	reqs     []request
-	one      [1]request // backs reqs for a single row, so a Call costs no second allocation
+	left  atomic.Int32  // rows not yet replied to
+	done  chan struct{} // buffered(1): receives once, when left reaches zero
+	reqs  []request
+	one   [1]request // backs reqs for a single row, so a Call costs no second allocation
 }
 
 // request is one queued row of a unit, and the slot its reply lands in.
@@ -289,8 +266,10 @@ type request struct {
 	x        []float32
 	key      string // cache key, "" without a cache
 	enqueued time.Time
-	// last marks the row that ends a complete unit's submission: when the
-	// batch loop has pulled it, it has the whole unit.
+	// last marks the row that ends a complete unit — the caller sends
+	// nothing more until it is answered — so a queue holding it holds rows
+	// nobody will add to. A lone Call's row is unmarked: its siblings are
+	// other goroutines, and it asks to be coalesced with them.
 	last bool
 	// res is written once by the pipeline, before done is set; the
 	// submitter reads it only after it has seen done (or the unit's
@@ -299,29 +278,36 @@ type request struct {
 	done atomic.Bool
 }
 
-// batch is one method-homogeneous set of requests bound for a single
-// forward pass.
-type batch struct {
-	method string
-	slot   int // the method's index in Server.methods and Stats.rows
-	reqs   []*request
-	// flushed is when the batch loop closed the batch and handed it to
-	// the workers: the end of every row's queue-wait span and the start
-	// of the assembly span.
-	flushed time.Time
+// ring is a fixed-capacity FIFO of queued rows.
+type ring struct {
+	buf     []*request
+	head, n int
 }
 
-// methodQueue is one method's pair of priority lanes. Batches are keyed
-// by method: each queue has its own batch loop, so rows for different
-// methods never share a forward pass.
+func (g *ring) push(r *request) {
+	g.buf[(g.head+g.n)%len(g.buf)] = r
+	g.n++
+}
+
+func (g *ring) front() *request { return g.buf[g.head] }
+
+func (g *ring) pop() {
+	g.buf[g.head] = nil
+	g.head = (g.head + 1) % len(g.buf)
+	g.n--
+}
+
+// methodQueue is where one method's rows wait: one ring per priority
+// lane, all of it guarded by Server.mu. Queues are keyed by method and a
+// worker fills a batch from one queue, so rows for different methods
+// never share a forward pass.
 type methodQueue struct {
-	slot  int // the method's index in Server.methods and Stats.rows
-	lanes [numLanes]chan *request
-	// wake holds at most one token, left by a worker that went idle: the
-	// method's batch loop re-evaluates its open batch when it takes it.
-	// One channel per loop, so one loop taking its token cannot strand
-	// another that is also holding a complete unit.
-	wake chan struct{}
+	method string
+	slot   int // the method's index in Server.methods, Server.order and Stats.rows
+	lanes  [numLanes]ring
+	// ends counts the queued rows that end a complete unit. While it is
+	// non-zero the queue holds rows nobody will add to, and is due.
+	ends int
 }
 
 // Server owns the micro-batching queues in front of a Model.
@@ -334,33 +320,26 @@ type Server struct {
 	stats   *Stats
 
 	queues   map[string]*methodQueue
-	batches  chan *batch
+	order    []*methodQueue // the same queues in methods order, which workers scan round-robin
 	inflight atomic.Int64
-	idle     atomic.Int32 // workers blocked on batches with nothing to run
 	// capacity holds the float64 bits of the probed sustainable row
 	// rate (rows/s); 0 until SetCapacityQPS publishes a probe result.
 	capacity atomic.Uint64
 
-	loops  sync.WaitGroup // one batchLoop per method
-	mu     sync.RWMutex   // guards closed vs in-progress queue sends
+	mu     sync.Mutex // guards the queues, turn and closed
+	work   *sync.Cond // on mu: a queue may have become due
+	turn   int        // where in order the next worker starts looking
 	closed bool
-	wg     sync.WaitGroup // workers + batches-channel closer
+	wg     sync.WaitGroup // the workers
 }
 
-// NewServer starts one batch loop per model method and cfg.Workers
-// forward-pass workers. Close must be called to release them. The
-// model's method set must be non-empty with positive dims; NewServer
+// NewServer starts the forward-pass workers — one per model replica, the
+// only goroutines a server runs. Close must be called to release them.
+// The model's method set must be non-empty with positive dims; NewServer
 // panics otherwise — a Model that cannot describe its own shapes is a
 // programming error, not a runtime condition.
 func NewServer(model Model, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Workers <= 0 {
-		if r, ok := model.(interface{ Replicas() int }); ok {
-			cfg.Workers = r.Replicas()
-		} else {
-			cfg.Workers = 1
-		}
-	}
 	src := model.Dims()
 	if len(src) == 0 {
 		panic("serve: model exposes no methods")
@@ -382,33 +361,28 @@ func NewServer(model Model, cfg Config) *Server {
 		methods: methods,
 		stats:   newStats(methods),
 		queues:  make(map[string]*methodQueue, len(dims)),
-		batches: make(chan *batch, cfg.Workers),
 	}
+	s.work = sync.NewCond(&s.mu)
 	if cfg.CacheSize > 0 {
 		s.cache = newLRU(cfg.CacheSize)
 	}
 	for slot, m := range methods {
-		q := &methodQueue{slot: slot, wake: make(chan struct{}, 1)}
+		q := &methodQueue{method: m, slot: slot}
 		for l := range q.lanes {
-			// Each lane holds QueueDepth so a send never blocks even if
+			// Each lane holds QueueDepth so a push never overflows even if
 			// every in-flight request lands in one lane.
-			q.lanes[l] = make(chan *request, cfg.QueueDepth)
+			q.lanes[l].buf = make([]*request, cfg.QueueDepth)
 		}
 		s.queues[m] = q
-		s.loops.Add(1)
-		go s.batchLoop(m, q)
+		s.order = append(s.order, q)
 	}
-	// The batches channel has multiple senders (one loop per method);
-	// close it only after every loop has exited.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.loops.Wait()
-		close(s.batches)
-	}()
-	// Workers hold a whole batch through one forward pass, so the
+	// A worker holds a whole batch through one forward pass, so the
 	// worker count is the pipeline's parallel width.
-	for w := 0; w < cfg.Workers; w++ {
+	workers := 1
+	if r, ok := model.(interface{ Replicas() int }); ok {
+		workers = max(r.Replicas(), 1)
+	}
+	for range workers {
 		s.wg.Add(1)
 		go s.workerLoop()
 	}
@@ -432,8 +406,8 @@ func (s *Server) Dims() map[string]Dims {
 
 // Closed reports whether Close has been called.
 func (s *Server) Closed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.closed
 }
 
@@ -475,9 +449,9 @@ func (s *Server) CallTrace(ctx context.Context, method string, x []float32, clas
 // validated, looked up in the cache, and admitted against QueueDepth on
 // its own, exactly as if it had been a Call, and rows share ctx.
 //
-// complete says xs is everything the caller has: the batch loop then
-// dispatches the rows as soon as a worker is idle instead of holding the
-// batch open for MaxDelay. Rows go on the lane in chunks of QueueDepth/2,
+// complete says xs is everything the caller has: its rows are then due at
+// once and leave with the first free worker, instead of waiting MaxDelay
+// for companions. Rows go on the lane in chunks of QueueDepth/2,
 // each answered before the next is queued, so one large submission
 // cannot trip its own backpressure (ErrOverloaded is for contention
 // between callers, not for one caller's row count).
@@ -518,7 +492,7 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 		if s.cache != nil {
 			// The method is part of the key: predict and invert answers for
 			// the same design point must never collide.
-			key = method + "\x00" + quantKey(x, s.cfg.CacheQuantum)
+			key = method + "\x00" + quantKey(x, cacheQuantum)
 			if y, ok := s.cache.get(key); ok {
 				s.stats.cacheHits.Add(1)
 				ys[i], traces[i] = y, Trace{CacheHit: true}
@@ -532,7 +506,7 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 			continue
 		}
 		if u == nil {
-			u = &unit{ctx: ctx, class: class, complete: complete, done: make(chan struct{}, 1)}
+			u = &unit{ctx: ctx, class: class, done: make(chan struct{}, 1)}
 			if len(xs) == 1 {
 				u.reqs = u.one[:]
 			} else {
@@ -550,9 +524,9 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 	u.reqs[n-1].last = complete
 	u.left.Store(int32(n))
 
-	s.mu.RLock()
+	s.mu.Lock()
 	if s.closed {
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		s.inflight.Add(int64(-n))
 		for k := range u.reqs {
 			errs[u.reqs[k].i] = ErrClosed
@@ -562,9 +536,15 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 	now := time.Now()
 	for k := range u.reqs {
 		u.reqs[k].enqueued = now
-		q.lanes[class] <- &u.reqs[k] // cannot block: inflight <= QueueDepth == cap(lane)
+		q.lanes[class].push(&u.reqs[k]) // cannot overflow: inflight <= QueueDepth == len(lane.buf)
 	}
-	s.mu.RUnlock()
+	if complete {
+		q.ends++
+	}
+	s.mu.Unlock()
+	// One enqueue, one worker (which wakes the next if it leaves due rows
+	// behind). A busy worker needs no signal: it looks when it finishes.
+	s.work.Signal()
 
 	// Once admitted, the pipeline owns the rows: it replies to each and
 	// releases its inflight slot whether or not the caller is still
@@ -573,8 +553,9 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 	select {
 	case <-u.done:
 	case <-ctx.Done():
-		// Rows still queued are now stale; the worker discards them at
-		// flush time (and does the expired/cancelled accounting there).
+		// Rows still queued are now stale; the worker that reaches them
+		// answers them unserved (and does the expired/cancelled
+		// accounting there).
 		stale = ErrCancelled
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			stale = ErrExpired
@@ -605,7 +586,7 @@ func (s *Server) check(ctx context.Context, method string, x []float32) error {
 	}
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival: reject at admission, same accounting as a
-		// flush-time drop — the row never reaches the model.
+		// row dropped from the queue — it never reaches the model.
 		return s.dropStale(err)
 	}
 	return nil
@@ -657,189 +638,109 @@ func (s *Server) dropStale(err error) error {
 	return ErrCancelled
 }
 
-// recvState is the outcome of one lane receive.
-type recvState int
-
-const (
-	recvReq     recvState = iota // got a request
-	recvTimeout                  // the flush timer fired
-	recvWake                     // a worker went idle
-	recvClosed                   // both lanes closed and drained
-)
-
-// recv returns the next queued request, draining the interactive lane
-// strictly before the bulk lane. A lane that turns out closed is nilled
-// out in place; once both are nil recv reports recvClosed. timeout and
-// wake may be nil: with both nil recv blocks until a request arrives or
-// the lanes close.
-func recv(qi, qb *chan *request, timeout <-chan time.Time, wake <-chan struct{}) (*request, recvState) {
-	for {
-		// Strict priority: take an already-waiting interactive request
-		// before even looking at the bulk lane.
-		if *qi != nil {
-			select {
-			case r, ok := <-*qi:
-				if !ok {
-					*qi = nil
-					continue
-				}
-				return r, recvReq
-			default:
+// due reports whether a free worker should take from q now: it holds a
+// full batch, or rows nobody will add to, or a row that has waited out
+// its MaxDelay window, or the server is draining. For a queue still
+// inside its window the second result is when that window ends.
+func (s *Server) due(q *methodQueue, now time.Time) (bool, time.Time) {
+	n, oldest := 0, now
+	for l := range q.lanes {
+		if lane := &q.lanes[l]; lane.n > 0 {
+			n += lane.n
+			if t := lane.front().enqueued; t.Before(oldest) {
+				oldest = t
 			}
-		}
-		if *qi == nil && *qb == nil {
-			return nil, recvClosed
-		}
-		// Receives from a nil channel block forever, so closed-out
-		// lanes simply drop out of the select.
-		select {
-		case r, ok := <-*qi:
-			if !ok {
-				*qi = nil
-				continue
-			}
-			return r, recvReq
-		case r, ok := <-*qb:
-			if !ok {
-				*qb = nil
-				continue
-			}
-			return r, recvReq
-		case <-timeout:
-			return nil, recvTimeout
-		case <-wake:
-			return nil, recvWake
 		}
 	}
+	switch {
+	case n == 0:
+		return false, time.Time{}
+	case n >= s.cfg.MaxBatch || q.ends > 0 || s.closed:
+		return true, time.Time{}
+	}
+	end := oldest.Add(s.cfg.MaxDelay)
+	return !now.Before(end), end
 }
 
-// batchLoop coalesces one method's queued requests into batches. A batch
-// closes when it is full (MaxBatch rows), when MaxDelay has passed since
-// its first row arrived, or when it holds the last row of a complete
-// unit and a worker is idle — rows nobody will add to, in front of a
-// worker with nothing to do, have nothing to wait for. While every worker
-// is busy such a batch stays open and keeps absorbing arrivals, so load
-// coalesces by backlog and the worker's next pass takes all of it.
-//
-// The interactive lane is drained before the bulk lane at every pull, so
-// a bulk backlog can delay interactive work by at most one batch.
-// Between batches the front of the bulk lane is reaped of context-dead
-// rows — otherwise sustained interactive traffic could starve the bulk
-// lane and expired bulk rows would pin QueueDepth slots forever,
-// converting capacity into spurious ErrOverloaded.
-func (s *Server) batchLoop(method string, q *methodQueue) {
-	defer s.loops.Done()
-	qi, qb := q.lanes[Interactive], q.lanes[Bulk]
-	// Go 1.23+ timer semantics: Stop/Reset discard any pending fire, so
-	// no manual channel draining is needed between batches.
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	var carry *request // alive bulk row the last reap could not push back
-	for {
-		first := carry
-		carry = nil
-		if first == nil {
-			var st recvState
-			first, st = recv(&qi, &qb, nil, nil)
-			if st == recvClosed {
-				return
-			}
+// pick returns the first due queue, looking round-robin from turn so no
+// method starves another, or else the earliest end of a window some queue
+// is still waiting out (zero when every queue is empty).
+func (s *Server) pick(now time.Time) (*methodQueue, time.Time) {
+	var wake time.Time
+	for i := range s.order {
+		q := s.order[(s.turn+i)%len(s.order)]
+		due, end := s.due(q, now)
+		if due {
+			return q, time.Time{}
 		}
-		pending := make([]*request, 1, s.cfg.MaxBatch)
-		pending[0] = first
-		complete := first.last
-		timer.Reset(s.cfg.MaxDelay)
-	collect:
-		for len(pending) < s.cfg.MaxBatch {
-			var wake <-chan struct{}
-			if complete {
-				if s.idle.Load() > 0 {
-					break
-				}
-				// A token left before this check is harmless: the loop
-				// comes round and finds the worker busy again.
-				wake = q.wake
-			}
-			r, st := recv(&qi, &qb, timer.C, wake)
-			switch st {
-			case recvReq:
-				pending = append(pending, r)
-				complete = complete || r.last
-			case recvWake: // a worker went idle: look again
-			default:
-				break collect
-			}
-		}
-		timer.Stop()
-		s.batches <- &batch{method: method, slot: q.slot, reqs: pending, flushed: time.Now()}
-		carry = s.reapBulk(&qb)
-		if carry == nil && qi == nil && qb == nil {
-			return
+		if !end.IsZero() && (wake.IsZero() || end.Before(wake)) {
+			wake = end
 		}
 	}
+	return nil, wake
 }
 
-// reapBulk drains context-dead rows from the front of the bulk lane so
-// they cannot hold inflight slots while strict priority starves the
-// lane. The first alive row it meets is pushed back (the lane rotates
-// by one, which the best-effort bulk class tolerates) so it cannot jump
-// ahead of waiting interactive work. Only when the server is closed —
-// the lane can no longer accept sends — is the alive row returned for
-// the caller to serve in the next batch. Returns nil otherwise.
-func (s *Server) reapBulk(qb *chan *request) *request {
-	for *qb != nil {
-		select {
-		case r, ok := <-*qb:
-			if !ok {
-				*qb = nil
-				return nil
+// take moves up to MaxBatch rows from q to rows, the interactive lane
+// strictly before the bulk lane, so a bulk backlog delays interactive
+// work by no more than the pass in progress. A row whose context is
+// already dead is answered on the spot and never joins the batch — and
+// that goes on after the batch is full, for as long as the row at the
+// front of a lane is dead: otherwise sustained interactive traffic would
+// leave expired bulk rows pinning QueueDepth slots forever, converting
+// capacity into spurious ErrOverloaded.
+func (s *Server) take(q *methodQueue, rows []*request) []*request {
+	for l := range q.lanes {
+		for lane := &q.lanes[l]; lane.n > 0; {
+			r := lane.front()
+			err := r.u.ctx.Err()
+			if err == nil && len(rows) == s.cfg.MaxBatch {
+				break
 			}
-			if err := r.u.ctx.Err(); err != nil {
+			lane.pop()
+			if r.last {
+				q.ends--
+			}
+			if err != nil {
 				s.reply(r, result{err: s.dropStale(err)})
 				continue
 			}
-			s.mu.RLock()
-			if !s.closed {
-				// The row now trails everything its unit has queued, the
-				// unit's last row included, so it carries the mark itself:
-				// whatever batch pulls it has all of the unit there is.
-				r.last = r.u.complete
-				// Cannot block: r still holds an inflight slot, so the
-				// lane has at least one free buffer entry.
-				*qb <- r
-				s.mu.RUnlock()
-				return nil
-			}
-			s.mu.RUnlock()
-			return r
-		default:
-			return nil
+			rows = append(rows, r)
 		}
 	}
-	return nil
+	return rows
 }
 
-// nextBatch returns the worker's next batch, false once the pipeline has
-// shut down. A worker that finds nothing waiting counts itself idle for
-// as long as it blocks, and tells every batch loop so: one of them may
-// be holding a complete unit it kept open only because no worker was
-// free.
-func (s *Server) nextBatch() (*batch, bool) {
-	select {
-	case b, ok := <-s.batches:
-		return b, ok
-	default:
-	}
-	s.idle.Add(1)
-	for _, q := range s.queues {
-		select {
-		case q.wake <- struct{}{}:
-		default: // a token is already there
+// next is the batcher: it blocks until some queue is due and returns that
+// queue, up to MaxBatch of its live rows (appended to rows), and when it
+// took them. The queue is nil once the server is closed and drained.
+// Nothing is due while rows are still waiting for companions; the worker
+// then sleeps with timer set to the end of the earliest window.
+func (s *Server) next(rows []*request, timer *time.Timer) (*methodQueue, []*request, time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		now := time.Now()
+		q, wake := s.pick(now)
+		switch {
+		case q != nil:
+			s.turn = (q.slot + 1) % len(s.order)
+			rows = s.take(q, rows)
+			if more, _ := s.pick(now); more != nil {
+				s.work.Signal()
+			}
+			if len(rows) > 0 {
+				return q, rows, now
+			}
+			// Every row taken had been abandoned: look again.
+		case s.closed:
+			return nil, nil, now // closing makes every row due, so the queues are empty
+		default:
+			if !wake.IsZero() {
+				timer.Reset(wake.Sub(now))
+			}
+			s.work.Wait()
 		}
 	}
-	b, ok := <-s.batches
-	s.idle.Add(-1)
-	return b, ok
 }
 
 // gather copies the rows into x, reshaped to len(rows) × in over its own
@@ -857,75 +758,85 @@ func gather(x *tensor.Matrix, rows []*request, in int) {
 	}
 }
 
-// workerLoop discards stale rows, assembles the live remainder into one
-// matrix, runs it through the model's named method, and scatters the
-// rows back to their units. A batch whose rows all went stale skips the
-// forward pass entirely.
+// run is one forward pass. A panicking model fails its own pass, like
+// one that returned an error, instead of the process and with it every
+// other model in the registry.
+func (s *Server) run(method string, x *tensor.Matrix) (y *tensor.Matrix, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return s.model.Run(method, x)
+}
+
+// workerLoop takes what is due, assembles it into one matrix, runs it
+// through the model's named method, and scatters the rows back to their
+// units, until the server is closed and drained.
 func (s *Server) workerLoop() {
 	defer s.wg.Done()
-	var x tensor.Matrix
+	// The timer ends this worker's sleep (and, harmlessly, every other
+	// sleeper's) when a window it went to sleep on is over. It stays set
+	// if other work wakes the worker first: the row still needs it.
+	timer := time.AfterFunc(time.Hour, func() {
+		s.mu.Lock() // not before the worker that set it is in Wait
+		s.work.Broadcast()
+		s.mu.Unlock()
+	})
+	timer.Stop()
+	defer timer.Stop()
+	var x tensor.Matrix // the gather matrix, reused for every pass
+	rows := make([]*request, 0, s.cfg.MaxBatch)
 	for {
-		b, ok := s.nextBatch()
-		if !ok {
+		q, live, took := s.next(rows, timer)
+		if q == nil {
 			return
 		}
-		live := b.reqs[:0]
-		for _, r := range b.reqs {
-			if err := r.u.ctx.Err(); err != nil {
-				s.reply(r, result{err: s.dropStale(err)})
-				continue
-			}
-			live = append(live, r)
+		s.serve(q, live, took, &x)
+		clear(live) // answered rows hold their callers' outputs
+	}
+}
+
+// serve runs one batch, taken from q at took, and replies to every row.
+func (s *Server) serve(q *methodQueue, rows []*request, took time.Time, x *tensor.Matrix) {
+	gather(x, rows, s.dims[q.method].In)
+	// Stage spans: a row's queue wait ended at took; assembly is the
+	// gather; forward is the pass itself. The last two are per-batch
+	// properties shared by every row's trace.
+	fwdStart := time.Now()
+	assembly := fwdStart.Sub(took)
+	y, err := s.run(q.method, x)
+	fwdDur := time.Since(fwdStart)
+	s.stats.stageH[stageAssembly].Observe(assembly.Seconds())
+	s.stats.stageH[stageForward].Observe(fwdDur.Seconds())
+	if err != nil {
+		// The model rejected a structurally valid batch: fail its
+		// rows, not the server. The method set was checked at
+		// admission, so this is an internal model failure.
+		err = fmt.Errorf("%w: %v", ErrModelFailure, err)
+		s.stats.failures.Add(int64(len(rows)))
+		for _, r := range rows {
+			s.reply(r, result{err: err})
 		}
-		if len(live) == 0 {
-			continue
-		}
-		gather(&x, live, s.dims[b.method].In)
-		// Stage spans: assembly is flush → forward start (worker wait +
-		// stale reap + gather); forward is the pass itself, including
-		// the modeled PassOverhead, which stands in for dispatch cost.
-		// Both are per-batch properties shared by every row's trace.
-		fwdStart := time.Now()
-		assembly := fwdStart.Sub(b.flushed)
-		if s.cfg.PassOverhead > 0 {
-			// Spin rather than sleep: modeled dispatch overhead keeps
-			// the execution unit busy, like a kernel launch does.
-			for start := time.Now(); time.Since(start) < s.cfg.PassOverhead; {
-			}
-		}
-		y, err := s.model.Run(b.method, &x)
-		fwdDur := time.Since(fwdStart)
-		s.stats.stageH[stageAssembly].Observe(assembly.Seconds())
-		s.stats.stageH[stageForward].Observe(fwdDur.Seconds())
-		if err != nil {
-			// The model rejected a structurally valid batch: fail its
-			// rows, not the server. The method set was checked at
-			// admission, so this is an internal model failure.
-			err = fmt.Errorf("%w: %v", ErrModelFailure, err)
-			s.stats.failures.Add(int64(len(live)))
-			for _, r := range live {
-				s.reply(r, result{err: err})
-			}
-			continue
-		}
-		s.stats.batch(len(live))
-		now := time.Now()
-		for i, r := range live {
-			// Copy the row out of the batch matrix: a view would pin
-			// all MaxBatch rows for as long as any caller retains its
-			// result.
-			out := make([]float32, y.Cols)
-			copy(out, y.Row(i))
-			wait := b.flushed.Sub(r.enqueued)
-			s.stats.stageH[stageQueueWait].Observe(wait.Seconds())
-			s.stats.request(b.slot, r.u.class, now.Sub(r.enqueued))
-			s.reply(r, result{y: out, trace: Trace{
-				QueueWait: wait,
-				Assembly:  assembly,
-				Forward:   fwdDur,
-				Batch:     len(live),
-			}})
-		}
+		return
+	}
+	s.stats.batch(len(rows))
+	now := time.Now()
+	for i, r := range rows {
+		// Copy the row out of the batch matrix: a view would pin
+		// all MaxBatch rows for as long as any caller retains its
+		// result.
+		out := make([]float32, y.Cols)
+		copy(out, y.Row(i))
+		wait := took.Sub(r.enqueued)
+		s.stats.stageH[stageQueueWait].Observe(wait.Seconds())
+		s.stats.request(q.slot, r.u.class, now.Sub(r.enqueued))
+		s.reply(r, result{y: out, trace: Trace{
+			QueueWait: wait,
+			Assembly:  assembly,
+			Forward:   fwdDur,
+			Batch:     len(rows),
+		}})
 	}
 }
 
@@ -957,21 +868,13 @@ func (s *Server) SetCapacityQPS(qps float64) {
 // published one via SetCapacityQPS.
 func (s *Server) CapacityQPS() float64 { return math.Float64frombits(s.capacity.Load()) }
 
-// Close drains the pipeline and releases the batch loops and workers.
-// In-flight requests complete (stale ones are still dropped at flush);
-// concurrent and later Call requests return ErrClosed.
+// Close drains the pipeline and releases the workers. Rows already
+// admitted are served (stale ones are still dropped unserved); concurrent
+// and later Call requests return ErrClosed. Calling it again is harmless.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	for _, q := range s.queues {
-		for _, lane := range q.lanes {
-			close(lane)
-		}
-	}
 	s.mu.Unlock()
+	s.work.Broadcast()
 	s.wg.Wait()
 }

@@ -42,6 +42,19 @@ func predict(s *Server, x []float32) ([]float32, error) {
 	return s.Call(context.Background(), MethodPredict, x, Interactive)
 }
 
+// newSpinServer starts a server over a spinModel (probe_test.go) whose
+// every pass costs pass: the kernel-launch / accelerator-RPC overhead a
+// production deployment pays once per batch, spent busy, as a launch is.
+// spinRow is a valid input to it.
+func newSpinServer(t *testing.T, pass time.Duration, cfg Config) *Server {
+	t.Helper()
+	s := NewServer(&spinModel{passCost: pass}, cfg)
+	t.Cleanup(s.Close)
+	return s
+}
+
+func spinRow(i int) []float32 { return []float32{float32(i), 0, 0} }
+
 // testInput returns a deterministic in-cube input distinct per i.
 func testInput(i int) []float32 {
 	x := make([]float32, jag.InputDim)
@@ -370,20 +383,16 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestPassOverheadLatency checks that the modeled dispatch overhead is
-// paid once per batch and shows up in the latency meter.
+// TestPassOverheadLatency checks that a pass's dispatch overhead is paid
+// once per batch and shows up in the latency meter.
 func TestPassOverheadLatency(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		MaxBatch:     4,
-		MaxDelay:     time.Minute,
-		PassOverhead: 500 * time.Microsecond,
-	})
+	s := newSpinServer(t, 500*time.Microsecond, Config{MaxBatch: 4, MaxDelay: time.Minute})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := predict(s, testInput(i)); err != nil {
+			if _, err := predict(s, spinRow(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -553,8 +562,9 @@ func TestPredictAfterClose(t *testing.T) {
 
 // TestExpiredRowDroppedAtFlush parks one request behind a long flush
 // deadline with a context that expires first: the caller must get
-// ErrExpired, and the stale row must be discarded at flush time without
-// a forward pass — visible as expired=1 with zero requests and batches.
+// ErrExpired, and the worker that takes the stale row when its window
+// ends must discard it without a forward pass — visible as expired=1
+// with zero requests and batches.
 func TestExpiredRowDroppedAtFlush(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 64, MaxDelay: 60 * time.Millisecond})
 
@@ -595,137 +605,13 @@ func TestCancelledBeforeAdmission(t *testing.T) {
 	}
 }
 
-// TestRecvPriority pins the lane-draining contract of recv: strict
-// interactive-first order, bulk only when interactive is empty, timer
-// fires only when both lanes are empty, recvClosed only once both lanes
-// are closed and drained.
-func TestRecvPriority(t *testing.T) {
-	qi := make(chan *request, 4)
-	qb := make(chan *request, 4)
-	i1, i2 := &request{}, &request{}
-	b1, b2 := &request{}, &request{}
-	qb <- b1
-	qb <- b2
-	qi <- i1
-	qi <- i2
-
-	want := []*request{i1, i2, b1, b2}
-	for k, w := range want {
-		r, st := recv(&qi, &qb, nil, nil)
-		if st != recvReq || r != w {
-			t.Fatalf("pull %d = %v (state %d), want request %d in interactive-first order", k, r, st, k)
-		}
-	}
-
-	fired := make(chan time.Time, 1)
-	fired <- time.Time{}
-	// A waiting interactive request beats even an already-fired timer:
-	// the fast path drains the interactive lane before the select.
-	qi <- i1
-	qb <- b1
-	if r, st := recv(&qi, &qb, fired, nil); st != recvReq || r != i1 {
-		t.Fatalf("ready timer preempted a waiting interactive request (state %d)", st)
-	}
-	if r, st := recv(&qi, &qb, nil, nil); st != recvReq || r != b1 {
-		t.Fatalf("bulk request not drained (state %d)", st)
-	}
-	if _, st := recv(&qi, &qb, fired, nil); st != recvTimeout {
-		t.Fatalf("empty lanes with ready timer: state %d, want recvTimeout", st)
-	}
-
-	close(qi)
-	close(qb)
-	if _, st := recv(&qi, &qb, nil, nil); st != recvClosed {
-		t.Fatal("closed+drained lanes did not report recvClosed")
-	}
-	if qi != nil || qb != nil {
-		t.Fatal("closed lanes were not nilled out")
-	}
-}
-
-// TestReapBulk checks that context-dead rows at the front of the bulk
-// lane are reaped — replied to, counted, inflight slot released — so a
-// starved bulk lane cannot pin queue capacity forever, while an alive
-// row is pushed back rather than jumping ahead of interactive work.
-func TestReapBulk(t *testing.T) {
-	s := &Server{stats: newStats(nil)}
-	qb := make(chan *request, 4)
-	// row is a one-row unit of its own, as a lone bulk Call queues it.
-	row := func(ctx context.Context) *request {
-		u := &unit{ctx: ctx, class: Bulk, done: make(chan struct{}, 1)}
-		u.reqs = u.one[:]
-		u.one[0].u = u
-		u.left.Store(1)
-		return &u.one[0]
-	}
-	dead := func() *request {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		return row(ctx)
-	}
-	d1, d2, d3 := dead(), dead(), dead()
-	alive := row(context.Background())
-	qb <- d1
-	qb <- d2
-	qb <- alive
-	qb <- d3
-	s.inflight.Store(4)
-
-	if got := s.reapBulk(&qb); got != nil {
-		t.Fatalf("reapBulk returned %v, want nil (alive row pushed back)", got)
-	}
-	for i, d := range []*request{d1, d2} {
-		<-d.u.done
-		if !errors.Is(d.res.err, ErrCancelled) {
-			t.Fatalf("dead row %d reply = %v, want ErrCancelled", i, d.res.err)
-		}
-	}
-	if n := s.inflight.Load(); n != 2 {
-		t.Fatalf("inflight = %d, want 2 (two dead rows released)", n)
-	}
-	// The alive row rotated to the back: lane is now [d3, alive].
-	if len(qb) != 2 || <-qb != d3 || <-qb != alive {
-		t.Fatal("alive row was not rotated behind the remaining rows")
-	}
-	if snap := s.stats.view().snapshot(); snap.Cancelled != 2 {
-		t.Fatalf("cancelled = %d, want 2", snap.Cancelled)
-	}
-
-	// Once the server is closed the lane cannot accept the push-back:
-	// the alive row is handed to the caller to serve in the next batch.
-	s.closed = true
-	qb <- alive
-	if got := s.reapBulk(&qb); got != alive {
-		t.Fatalf("closed-server reap = %v, want the alive row", got)
-	}
-	s.closed = false
-
-	// An empty open lane yields nil without blocking; a closed drained
-	// lane nils the pointer.
-	empty := make(chan *request, 1)
-	if r := s.reapBulk(&empty); r != nil {
-		t.Fatalf("empty lane reap = %v, want nil", r)
-	}
-	close(empty)
-	if r := s.reapBulk(&empty); r != nil || empty != nil {
-		t.Fatal("closed lane not nilled out")
-	}
-}
-
-// TestPriorityInteractiveFirst clogs the pipeline end to end (worker
-// busy, batches channel full, batcher blocked mid-send) so that one
-// bulk and one interactive request are both parked in their lanes, then
-// checks the batcher serves the interactive one first. Sequencing uses
-// queue introspection, not sleeps; PassOverhead keeps the pipeline
-// clogged for 250ms so the setup comfortably finishes inside the
-// window even under the race detector.
+// TestPriorityInteractiveFirst parks one bulk and one interactive request
+// in their lanes behind a pass in progress, then checks the worker's next
+// take is the interactive one. Sequencing uses queue introspection, not
+// sleeps; the 250ms pass keeps the worker busy so the setup comfortably
+// finishes inside it even under the race detector.
 func TestPriorityInteractiveFirst(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		MaxBatch:     1,
-		MaxDelay:     time.Millisecond,
-		QueueDepth:   16,
-		PassOverhead: 250 * time.Millisecond,
-	})
+	s := newSpinServer(t, 250*time.Millisecond, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 16})
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
@@ -733,7 +619,7 @@ func TestPriorityInteractiveFirst(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Call(context.Background(), MethodPredict, testInput(i), class); err != nil {
+			if _, err := s.Call(context.Background(), MethodPredict, spinRow(i), class); err != nil {
 				t.Error(err)
 				return
 			}
@@ -743,31 +629,23 @@ func TestPriorityInteractiveFirst(t *testing.T) {
 		}()
 	}
 
-	// Three bulk cloggers fill the single worker, the batches channel
-	// (capacity = one replica) and the batcher's blocked send — their
-	// relative order doesn't matter. Once all three are admitted and
-	// out of the lane, nothing pulls from the lanes for the rest of the
-	// clog window, so C and D park there and the batcher's next pull
-	// must take interactive D before bulk C.
-	lanes := &s.queues[MethodPredict].lanes
+	// A occupies the single worker. Nothing leaves the lanes for the rest
+	// of its pass, so C and D park there and the worker's next take must
+	// be interactive D, not the bulk C that arrived first.
 	submit("A", Bulk, 0)
-	submit("B", Bulk, 1)
-	submit("E", Bulk, 2)
-	waitFor(t, "cloggers to fill the pipeline", func() bool {
-		return s.inflight.Load() == 3 && len(lanes[Bulk]) == 0
-	})
+	waitFor(t, "the worker to take A", func() bool { return s.Inflight() == 1 && queued(s) == 0 })
 	submit("C", Bulk, 3)
-	waitFor(t, "C to park in the bulk lane", func() bool { return len(lanes[Bulk]) == 1 })
+	waitFor(t, "C to park in the bulk lane", func() bool { return s.LaneDepths()["bulk"] == 1 })
 	submit("D", Interactive, 4)
-	waitFor(t, "D to park in the interactive lane", func() bool { return len(lanes[Interactive]) == 1 })
+	waitFor(t, "D to park in the interactive lane", func() bool { return s.LaneDepths()["interactive"] == 1 })
 	wg.Wait()
 
 	pos := make(map[string]int, len(order))
 	for i, name := range order {
 		pos[name] = i
 	}
-	if len(order) != 5 {
-		t.Fatalf("completed %d requests, want 5 (%v)", len(order), order)
+	if len(order) != 3 {
+		t.Fatalf("completed %d requests, want 3 (%v)", len(order), order)
 	}
 	if pos["D"] > pos["C"] {
 		t.Fatalf("bulk request served before interactive: %v", order)

@@ -13,16 +13,16 @@ import (
 // (window fill, replica wait, pass cost), so an operator can see
 // *where* a latency regression lives instead of only that one exists.
 const (
-	// StageQueueWait is enqueue → batch flush: the time a row spends in
-	// its priority lane while the batch window fills (the model's
-	// FillSec, plus any lane backlog).
+	// StageQueueWait is enqueue → a worker took the row: all the time a
+	// row spends waiting, in the one place it waits — its priority lane —
+	// for companions or the window (the model's FillSec) and for a free
+	// worker (the M/D/c queue wait).
 	StageQueueWait = "queue_wait"
-	// StageAssembly is batch flush → forward start: waiting for a free
-	// worker (the M/D/c queue wait) plus stale-row reaping and matrix
-	// gather. Recorded once per batch.
+	// StageAssembly is row taken → forward start: the gather into the
+	// batch matrix. Recorded once per batch.
 	StageAssembly = "batch_assembly"
-	// StageForward is the model's batched forward pass, including any
-	// modeled PassOverhead. Recorded once per batch.
+	// StageForward is the model's batched forward pass. Recorded once
+	// per batch.
 	StageForward = "forward"
 	// StageEncode is the HTTP response encoding span (JSON or binary
 	// frame), recorded by the handler once per response. In-process
@@ -47,10 +47,10 @@ var stageNames = [numStages]string{StageQueueWait, StageAssembly, StageForward, 
 // it to the caller and the HTTP handler renders it as a Server-Timing
 // header and a structured log field.
 type Trace struct {
-	// QueueWait is enqueue → batch flush (StageQueueWait).
+	// QueueWait is enqueue → taken by a worker (StageQueueWait).
 	QueueWait time.Duration
-	// Assembly is batch flush → forward start, shared by every row of
-	// the batch (StageAssembly).
+	// Assembly is taken → forward start, shared by every row of the
+	// batch (StageAssembly).
 	Assembly time.Duration
 	// Forward is the batched forward pass, shared by every row of the
 	// batch (StageForward).
@@ -316,12 +316,16 @@ func (s *Server) Inflight() int { return int(s.inflight.Load()) }
 
 // LaneDepths returns the number of rows currently queued per priority
 // lane, summed across methods — the scrape-time lane occupancy gauge.
+// Queued is everything admitted that no worker has taken: Inflight less
+// the rows in a forward pass.
 func (s *Server) LaneDepths() map[string]int {
 	out := make(map[string]int, numLanes)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for l := Priority(0); l < numLanes; l++ {
 		n := 0
-		for _, q := range s.queues {
-			n += len(q.lanes[l])
+		for _, q := range s.order {
+			n += q.lanes[l].n
 		}
 		out[l.String()] = n
 	}

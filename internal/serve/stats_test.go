@@ -16,11 +16,12 @@ import (
 )
 
 // scriptedModel serves two echo methods and can be told to fail its
-// passes or to hold them at a gate, so one test can walk a server
+// passes, to panic in them, or to hold them at a gate, so one test can walk a server
 // through every counter. It keeps a log of the passes it ran.
 type scriptedModel struct {
-	fail atomic.Bool
-	gate atomic.Pointer[chan struct{}] // non-nil: Run waits for it to close
+	fail   atomic.Bool
+	panics atomic.Bool
+	gate   atomic.Pointer[chan struct{}] // non-nil: Run waits for it to close
 	// entered, when non-nil, receives once per Run before the gate: the
 	// worker is now inside the model and will take nothing else.
 	entered chan struct{}
@@ -59,6 +60,9 @@ func (m *scriptedModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, er
 	}
 	if g := m.gate.Load(); g != nil {
 		<-*g
+	}
+	if m.panics.Load() {
+		panic("scripted pass panic")
 	}
 	if m.fail.Load() {
 		return nil, errors.New("scripted pass failure")

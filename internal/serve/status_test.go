@@ -139,7 +139,6 @@ func TestClientSheddingBackendRowErrors(t *testing.T) {
 		MaxBatch:   1,
 		MaxDelay:   time.Millisecond,
 		QueueDepth: 1,
-		Workers:    1,
 	})
 	if err := reg.Register("slow", s); err != nil {
 		t.Fatal(err)

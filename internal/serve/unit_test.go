@@ -3,20 +3,23 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// Tests of the unit path: rows submitted together as a complete unit (as
-// the HTTP handler submits a decoded request) are dispatched as soon as a
-// worker is idle, not after MaxDelay. Every server here that asserts the
-// rule runs with MaxDelay: time.Minute, so a row that falls back to the
-// window fails its test's unitTimeout instead of passing late; ordering
-// is by gates and queue introspection, never by sleeping.
+// Tests of the dispatch rule: a free worker takes what is due, and rows
+// submitted together as a complete unit (as the HTTP handler submits a
+// decoded request) are due at once, not after MaxDelay. Every server here
+// that asserts the rule runs with MaxDelay: time.Minute, so a row that
+// falls back to the window fails its test's unitTimeout instead of
+// passing late; ordering is by gates and queue introspection, never by
+// sleeping.
 
 // unitTimeout bounds a unit that must not wait for the window.
 const unitTimeout = 10 * time.Second
@@ -55,8 +58,22 @@ func mustServe(t *testing.T, what string, xs, ys [][]float32, errs []error) {
 	}
 }
 
+// goUnit submits n scriptedRows counting up from id as one complete unit
+// from a goroutine of its own, which checks that every row was served.
+func goUnit(t *testing.T, wg *sync.WaitGroup, s *Server, method string, class Priority, id, n int) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
+		defer cancel()
+		xs := scriptedRows(id, n)
+		ys, _, errs := submitUnit(ctx, s, method, class, xs)
+		mustServe(t, fmt.Sprintf("%s %v unit %d", method, class, id), xs, ys, errs)
+	}()
+}
+
 // waitFor polls cond, a read of server state the test cannot be told
-// about any other way (a row reaching a lane, a batch loop pulling it).
+// about any other way (a row reaching its lane, a worker taking it).
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(unitTimeout); !cond(); time.Sleep(100 * time.Microsecond) {
@@ -78,7 +95,8 @@ func newScriptedServer(t *testing.T, cfg Config) (*Server, *scriptedModel) {
 
 // holdWorker parks the server's single worker inside a forward pass of a
 // one-row unit (id -1) and returns the function that lets it go and
-// waits for that unit's reply.
+// waits for that unit's reply. A test that wants the next pass held too
+// stores its own gate before calling release.
 func holdWorker(t *testing.T, s *Server, m *scriptedModel) (release func()) {
 	t.Helper()
 	for len(m.entered) > 0 { // passes already run
@@ -98,7 +116,7 @@ func holdWorker(t *testing.T, s *Server, m *scriptedModel) (release func()) {
 	}
 	return func() {
 		t.Helper()
-		m.gate.Store(nil)
+		m.gate.CompareAndSwap(&gate, nil)
 		close(gate)
 		if err := <-held; err != nil {
 			t.Fatalf("holding unit: %v", err)
@@ -106,15 +124,12 @@ func holdWorker(t *testing.T, s *Server, m *scriptedModel) (release func()) {
 	}
 }
 
-// lanesEmpty reports whether every queued row has been pulled by its
-// batch loop.
-func lanesEmpty(s *Server) bool {
-	for _, n := range s.LaneDepths() {
-		if n != 0 {
-			return false
-		}
+// queued is the number of rows waiting in s's lanes.
+func queued(s *Server) (n int) {
+	for _, depth := range s.LaneDepths() {
+		n += depth
 	}
-	return true
+	return n
 }
 
 // TestUnitDispatchedToIdleWorker is the rule itself: on an idle server a
@@ -159,13 +174,7 @@ func TestUnitSplitsAtMaxBatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
 	defer cancel()
 	var other sync.WaitGroup
-	other.Add(1)
-	go func() {
-		defer other.Done()
-		xs := scriptedRows(1000, 3)
-		ys, _, errs := submitUnit(ctx, s, MethodInvert, Interactive, xs)
-		mustServe(t, "invert unit", xs, ys, errs)
-	}()
+	goUnit(t, &other, s, MethodInvert, Interactive, 1000, 3)
 	xs := scriptedRows(0, 10)
 	ys, _, errs := submitUnit(ctx, s, MethodPredict, Interactive, xs)
 	mustServe(t, "predict unit", xs, ys, errs)
@@ -199,128 +208,148 @@ func TestUnitSplitsAtMaxBatch(t *testing.T) {
 }
 
 // TestBacklogLeavesAsOneBatch: with the worker busy, complete units are
-// not dispatched one by one — the open batch keeps absorbing arrivals and
-// the worker's next pass takes all of them.
+// not dispatched one by one — the queue keeps absorbing arrivals and the
+// worker's next pass takes all of them.
 func TestBacklogLeavesAsOneBatch(t *testing.T) {
 	s, m := newScriptedServer(t, Config{MaxBatch: 16, MaxDelay: time.Minute})
 	release := holdWorker(t, s, m)
-	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
-	defer cancel()
-
 	var wg sync.WaitGroup
-	submit := func(class Priority, id int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			xs := scriptedRows(id, 2)
-			ys, traces, errs := submitUnit(ctx, s, MethodPredict, class, xs)
-			mustServe(t, class.String()+" unit", xs, ys, errs)
-			for _, tr := range traces {
-				if tr.Batch != 4 {
-					t.Errorf("%v unit rode a batch of %d, want both units in one batch of 4", class, tr.Batch)
-				}
-			}
-		}()
-	}
-	submit(Bulk, 10)
-	waitFor(t, "the bulk unit to join the open batch", func() bool { return s.Inflight() == 3 && lanesEmpty(s) })
-	submit(Interactive, 20)
-	waitFor(t, "the interactive unit to join the open batch", func() bool { return s.Inflight() == 5 && lanesEmpty(s) })
+	goUnit(t, &wg, s, MethodPredict, Bulk, 10, 2)
+	waitFor(t, "the bulk unit to be queued", func() bool { return queued(s) == 2 })
+	goUnit(t, &wg, s, MethodPredict, Interactive, 20, 2)
+	waitFor(t, "the interactive unit to be queued", func() bool { return queued(s) == 4 })
 	if got := len(m.log()); got != 1 {
 		t.Fatalf("%d passes while the worker was held, want only the holding one", got)
 	}
 	release()
 	wg.Wait()
-	if got := s.Stats().Batches; got != 2 {
-		t.Fatalf("%d batches, want 2 (the holding unit, then the backlog as one)", got)
+	if passes := m.log(); len(passes) != 2 || len(passes[1].ids) != 4 || s.Stats().Batches != 2 {
+		t.Fatalf("passes %v, want 2 (the holding unit, then both queued units as one batch of 4)", passes)
 	}
-}
-
-// clog fills a held pipeline behind the worker — one full batch in the
-// batches buffer, another in the batch loop's blocked send — so that
-// whatever is submitted next parks in its lane until release. maxBatch
-// must be the server's MaxBatch. The returned wait collects the cloggers.
-func clog(t *testing.T, s *Server, maxBatch int) (wait func()) {
-	t.Helper()
-	var wg sync.WaitGroup
-	for k := 0; k < 2; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			xs := scriptedRows(-100*(k+1), maxBatch)
-			ys, _, errs := submitUnit(context.Background(), s, MethodPredict, Interactive, xs)
-			mustServe(t, "clogging unit", xs, ys, errs)
-		}(k)
-	}
-	waitFor(t, "the cloggers to fill the pipeline", func() bool {
-		return s.Inflight() == 1+2*maxBatch && lanesEmpty(s)
-	})
-	return wg.Wait
 }
 
 // TestUnitPriorityInteractiveFirst parks a bulk unit and then an
-// interactive unit in their lanes behind a clogged pipeline: the batch
-// loop's next pull takes the interactive rows ahead of the bulk ones.
+// interactive unit in their lanes behind a held worker: its next take has
+// the interactive rows ahead of the bulk ones.
 func TestUnitPriorityInteractiveFirst(t *testing.T) {
-	const maxBatch = 4
-	s, m := newScriptedServer(t, Config{MaxBatch: maxBatch, MaxDelay: time.Minute, QueueDepth: 64})
+	s, m := newScriptedServer(t, Config{MaxBatch: 4, MaxDelay: time.Minute, QueueDepth: 64})
 	release := holdWorker(t, s, m)
-	cloggers := clog(t, s, maxBatch)
-	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
-	defer cancel()
-
-	lanes := &s.queues[MethodPredict].lanes
 	var wg sync.WaitGroup
-	submit := func(class Priority, id int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			xs := scriptedRows(id, 2)
-			ys, _, errs := submitUnit(ctx, s, MethodPredict, class, xs)
-			mustServe(t, class.String()+" unit", xs, ys, errs)
-		}()
-		waitFor(t, "the "+class.String()+" unit to park in its lane", func() bool { return len(lanes[class]) == 2 })
-	}
-	submit(Bulk, 10)
-	submit(Interactive, 20)
+	goUnit(t, &wg, s, MethodPredict, Bulk, 10, 2)
+	waitFor(t, "the bulk unit to park in its lane", func() bool { return queued(s) == 2 })
+	goUnit(t, &wg, s, MethodPredict, Interactive, 20, 2)
+	waitFor(t, "the interactive unit to park in its lane", func() bool { return queued(s) == 4 })
 	release()
 	wg.Wait()
-	cloggers()
 
-	// Served order: every interactive row before every bulk row, whether
-	// or not the two units shared a pass.
-	var order []float32
-	for _, p := range m.log() {
-		for _, id := range p.ids {
-			if id >= 10 {
-				order = append(order, id)
-			}
-		}
-	}
-	if len(order) != 4 || order[0] < 20 || order[1] < 20 || order[2] >= 20 || order[3] >= 20 {
-		t.Fatalf("served order %v, want the interactive rows (20, 21) ahead of the bulk rows (10, 11)", order)
+	passes := m.log()
+	if got := passes[len(passes)-1].ids; len(passes) != 2 || len(got) != 4 || got[0] < 20 || got[1] < 20 || got[2] >= 20 || got[3] >= 20 {
+		t.Fatalf("passes %v, want the holding one and then the interactive rows (20, 21) ahead of the bulk rows (10, 11) in one", passes)
 	}
 }
 
-// TestIdleWorkerWakesEveryLoop: both method queues hold a complete unit
-// when the single worker goes idle. Neither may be left to wait out the
-// window — a lone wake token would strand whichever loop did not get it.
-func TestIdleWorkerWakesEveryLoop(t *testing.T) {
+// TestInteractiveRidesNextPass: a bulk backlog delays interactive work by
+// no more than the pass in progress. With three full batches of bulk rows
+// queued behind a held worker, an interactive row that arrives last is in
+// the first pass after the one that was running.
+func TestInteractiveRidesNextPass(t *testing.T) {
+	const maxBatch = 4
+	s, m := newScriptedServer(t, Config{MaxBatch: maxBatch, MaxDelay: time.Minute, QueueDepth: 64})
+	release := holdWorker(t, s, m)
+	var wg sync.WaitGroup
+	for k := 0; k < 3; k++ {
+		goUnit(t, &wg, s, MethodPredict, Bulk, 100*(k+1), maxBatch)
+	}
+	waitFor(t, "the bulk backlog to be queued", func() bool { return queued(s) == 3*maxBatch })
+	goUnit(t, &wg, s, MethodPredict, Interactive, 7, 1)
+	waitFor(t, "the interactive row to be queued", func() bool { return queued(s) == 3*maxBatch+1 })
+	release()
+	wg.Wait()
+	passes := m.log()
+	if len(passes) != 5 || passes[1].ids[0] != 7 || len(passes[1].ids) != maxBatch {
+		t.Fatalf("passes %v, want the interactive row 7 at the head of the first full pass after the holding one", passes)
+	}
+}
+
+// TestLaneDepthsCountQueuedRows: the lane gauge reads every row that is
+// admitted and not yet taken — under a held worker, exactly the backlog.
+func TestLaneDepthsCountQueuedRows(t *testing.T) {
 	s, m := newScriptedServer(t, Config{MaxBatch: 16, MaxDelay: time.Minute})
 	release := holdWorker(t, s, m)
-	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
-	defer cancel()
+	var wg sync.WaitGroup
+	for class, n := range map[Priority]int{Interactive: 3, Bulk: 2} {
+		goUnit(t, &wg, s, MethodInvert, class, 10*n, n)
+	}
+	waitFor(t, "five rows to be queued", func() bool { return queued(s) == 5 })
+	if d := s.LaneDepths(); d["interactive"] != 3 || d["bulk"] != 2 || queued(s) != s.Inflight()-1 {
+		t.Fatalf("lane depths %v with %d rows in flight, one of them in the model; want interactive 3, bulk 2", d, s.Inflight())
+	}
+	release()
+	wg.Wait()
+	if queued(s) != 0 {
+		t.Fatalf("lane depths %v after every row was answered", s.LaneDepths())
+	}
+}
+
+// TestDeadBulkRowsReleaseTheirSlots: strict priority can starve the bulk
+// lane for as long as interactive traffic saturates the worker, so rows
+// abandoned there are answered — counted cancelled, QueueDepth slots
+// released — by the takes that serve the interactive rows, not when the
+// lane's turn finally comes.
+func TestDeadBulkRowsReleaseTheirSlots(t *testing.T) {
+	const maxBatch = 2
+	s, m := newScriptedServer(t, Config{MaxBatch: maxBatch, MaxDelay: time.Minute, QueueDepth: 16})
+	release := holdWorker(t, s, m)
+	doomed, abandon := context.WithCancel(context.Background())
+	bulk := make(chan []error, 1)
+	go func() {
+		_, _, errs := submitUnit(doomed, s, MethodPredict, Bulk, scriptedRows(100, 3))
+		bulk <- errs
+	}()
+	waitFor(t, "the bulk unit to be queued", func() bool { return queued(s) == 3 })
+	var wg sync.WaitGroup
+	goUnit(t, &wg, s, MethodPredict, Interactive, 10, 2*maxBatch)
+	waitFor(t, "the interactive backlog to be queued", func() bool { return queued(s) == 3+2*maxBatch })
+	abandon()
+	for i, err := range <-bulk {
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("abandoned bulk row %d = %v, want ErrCancelled", i, err)
+		}
+	}
+
+	// Hold the next pass too: it is full of interactive rows, with as
+	// many again still queued ahead of the bulk lane.
+	gate := make(chan struct{})
+	m.gate.Store(&gate)
+	release()
+	<-m.entered
+	if snap, d := s.Stats(), s.LaneDepths(); snap.Cancelled != 3 || d["bulk"] != 0 || d["interactive"] != maxBatch || s.Inflight() != 2*maxBatch {
+		t.Fatalf("one take into the interactive backlog: cancelled %d, lanes %v, inflight %d; want the 3 dead bulk rows answered and only the %d interactive rows left",
+			snap.Cancelled, d, s.Inflight(), 2*maxBatch)
+	}
+	m.gate.Store(nil)
+	close(gate)
+	wg.Wait()
+	for _, p := range m.log() {
+		for _, id := range p.ids {
+			if id >= 100 {
+				t.Fatalf("abandoned bulk row %v reached the model", id)
+			}
+		}
+	}
+}
+
+// TestIdleWorkerServesEveryMethod: both method queues hold a complete
+// unit when the single worker goes idle. It serves one, then the other;
+// neither is left to wait out the window.
+func TestIdleWorkerServesEveryMethod(t *testing.T) {
+	s, m := newScriptedServer(t, Config{MaxBatch: 16, MaxDelay: time.Minute})
+	release := holdWorker(t, s, m)
 	var wg sync.WaitGroup
 	for k, method := range []string{MethodPredict, MethodInvert} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			xs := scriptedRows(10*(k+1), 2)
-			ys, _, errs := submitUnit(ctx, s, method, Interactive, xs)
-			mustServe(t, method+" unit", xs, ys, errs)
-		}()
+		goUnit(t, &wg, s, method, Interactive, 10*(k+1), 2)
 	}
-	waitFor(t, "both units to reach their batch loops", func() bool { return s.Inflight() == 5 && lanesEmpty(s) })
+	waitFor(t, "both units to be queued", func() bool { return queued(s) == 4 })
 	release()
 	wg.Wait()
 	if got := s.Stats().Batches; got != 3 {
@@ -328,56 +357,115 @@ func TestIdleWorkerWakesEveryLoop(t *testing.T) {
 	}
 }
 
-// TestReapRotationKeepsUnitComplete: reapBulk rotates the bulk lane's
-// front row to its back, which can put a unit's row behind the unit's own
-// completion mark. The rotated row must carry the mark with it, or it
-// waits out the window alone.
-func TestReapRotationKeepsUnitComplete(t *testing.T) {
-	// At the function: a complete unit's row is marked when pushed back,
-	// a lone Call's row is not.
-	for _, complete := range []bool{true, false} {
-		rs := &Server{stats: newStats(nil)}
-		u := &unit{ctx: context.Background(), class: Bulk, complete: complete, reqs: make([]request, 3)}
-		qb := make(chan *request, 3)
-		for k := range u.reqs {
-			u.reqs[k].u = u
-			qb <- &u.reqs[k]
+// replicated gives a model a parallel width, as *Pool has.
+type replicated struct {
+	Model
+	n int
+}
+
+func (r replicated) Replicas() int { return r.n }
+
+// serverGoroutines counts the live goroutines NewServer started.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by repro/internal/serve.NewServer")
+}
+
+// TestServerRunsOnlyItsWorkers: the workers are the whole server — one
+// goroutine per replica however many methods the model has — and Close
+// returns every one of them. Not parallel, and both baselines are taken
+// here, so no other test's server is counted.
+func TestServerRunsOnlyItsWorkers(t *testing.T) {
+	const workers = 3
+	all, ours := runtime.NumGoroutine(), serverGoroutines()
+	m := &scriptedModel{}
+	s := NewServer(replicated{m, workers}, Config{MaxDelay: time.Minute})
+	if got := serverGoroutines() - ours; got != workers {
+		t.Fatalf("NewServer on a %d-method model of %d replicas started %d goroutines, want %d", len(m.Dims()), workers, got, workers)
+	}
+	for _, method := range s.Methods() {
+		xs := scriptedRows(0, 3)
+		ys, _, errs := submitUnit(context.Background(), s, method, Interactive, xs)
+		mustServe(t, method+" unit", xs, ys, errs)
+	}
+	if got := serverGoroutines() - ours; got != workers {
+		t.Fatalf("%d server goroutines after traffic, want %d", got, workers)
+	}
+	s.Close()
+	// Close waits for the workers' last statement, not for their exit.
+	waitFor(t, "the workers to exit", func() bool { return serverGoroutines() == ours && runtime.NumGoroutine() <= all })
+}
+
+// TestWindowEndsWhileAWorkerIsHeld: with one of two workers held in a
+// pass, a lone Call still leaves when its window ends — whichever worker
+// went to sleep on the window, and whichever was woken for the unit, a
+// timer is set for the row as long as anybody is asleep.
+func TestWindowEndsWhileAWorkerIsHeld(t *testing.T) {
+	m := &scriptedModel{entered: make(chan struct{}, 16)}
+	s := NewServer(replicated{m, 2}, Config{MaxBatch: 16, MaxDelay: 20 * time.Millisecond})
+	t.Cleanup(s.Close)
+	for round := 0; round < 4; round++ {
+		gate := make(chan struct{})
+		m.gate.Store(&gate)
+		lone := make(chan error, 1)
+		go func() {
+			_, err := s.Call(context.Background(), MethodPredict, []float32{1, 0.5}, Interactive)
+			lone <- err
+		}()
+		waitFor(t, "the lone Call to be admitted", func() bool { return s.Inflight() == 1 })
+		var wg sync.WaitGroup
+		goUnit(t, &wg, s, MethodInvert, Interactive, 10, 1)
+		// Both passes reach the gate: neither row waited for the other's.
+		for range 2 {
+			select {
+			case <-m.entered:
+			case <-time.After(unitTimeout):
+				t.Fatal("a row waited for the held worker instead of its own due time")
+			}
 		}
-		u.reqs[2].last = complete
-		if carry := rs.reapBulk(&qb); carry != nil {
-			t.Fatalf("reapBulk returned %v on an open server", carry)
-		}
-		if got := []*request{<-qb, <-qb, <-qb}; got[0] != &u.reqs[1] || got[1] != &u.reqs[2] || got[2] != &u.reqs[0] {
-			t.Fatal("the lane did not rotate by one")
-		}
-		if u.reqs[0].last != complete {
-			t.Fatalf("rotated row of a unit with complete=%t has last=%t", complete, u.reqs[0].last)
+		close(gate)
+		wg.Wait()
+		if err := <-lone; err != nil {
+			t.Fatal(err)
 		}
 	}
+}
 
-	// End to end: MaxBatch 2 and a parked 3-row bulk unit. The reap after
-	// the clog's last batch rotates the lane to [a2, a3, a1]; a2 and a3
-	// fill a batch and a1 is left as a batch of its own.
-	const maxBatch = 2
-	s, m := newScriptedServer(t, Config{MaxBatch: maxBatch, MaxDelay: time.Minute, QueueDepth: 64})
-	release := holdWorker(t, s, m)
-	cloggers := clog(t, s, maxBatch)
+// TestPanickingPassFailsItsRows: a model that panics fails the rows of
+// that pass with ErrModelFailure and nothing else — the worker takes the
+// next batch, and the other model in the registry never notices.
+func TestPanickingPassFailsItsRows(t *testing.T) {
+	reg := NewRegistry()
+	t.Cleanup(reg.Close)
+	bad, good := &scriptedModel{}, &scriptedModel{}
+	servers := map[string]*Server{}
+	for name, m := range map[string]*scriptedModel{"bad": bad, "good": good} {
+		servers[name] = NewServer(m, Config{MaxBatch: 4})
+		if err := reg.Register(name, servers[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
 	defer cancel()
-	done := make(chan struct{})
-	xs := scriptedRows(10, 3)
-	go func() {
-		defer close(done)
-		ys, _, errs := submitUnit(ctx, s, MethodPredict, Bulk, xs)
-		mustServe(t, "bulk unit", xs, ys, errs)
-	}()
-	waitFor(t, "the bulk unit to park in its lane", func() bool { return len(s.queues[MethodPredict].lanes[Bulk]) == 3 })
-	release()
-	<-done
-	cloggers()
-	passes := m.log()
-	if last := passes[len(passes)-1]; len(last.ids) != 1 || last.ids[0] != 10 {
-		t.Fatalf("last pass served %v, want the rotated row 10 on its own (the scenario did not rotate the lane)", last.ids)
+	bad.panics.Store(true)
+	_, _, errs := submitUnit(ctx, servers["bad"], MethodPredict, Interactive, scriptedRows(0, 3))
+	for i, err := range errs {
+		if !errors.Is(err, ErrModelFailure) {
+			t.Fatalf("row %d of a panicking pass = %v, want ErrModelFailure", i, err)
+		}
+	}
+	bad.panics.Store(false)
+	for name, s := range servers {
+		xs := scriptedRows(10, 2)
+		ys, _, errs := submitUnit(ctx, s, MethodPredict, Interactive, xs)
+		mustServe(t, name+" model after the panic", xs, ys, errs)
+		want := int64(0)
+		if name == "bad" {
+			want = 3
+		}
+		if snap := s.Stats(); snap.ModelFailures != want || snap.Requests != 2 || s.Inflight() != 0 {
+			t.Fatalf("%s: %d failures, %d served, %d in flight; want %d, 2, 0", name, snap.ModelFailures, snap.Requests, s.Inflight(), want)
+		}
 	}
 }
 
@@ -487,7 +575,7 @@ func TestUnitMatchesCalls(t *testing.T) {
 		}
 		waitFor(t, "the refusal", func() bool { return s.Stats().Overloads == 1 })
 		// The parked lone Calls ride out with the unit's admitted row: it
-		// completes the open batch they are waiting in. On the call side
+		// makes the queue they are waiting in due. On the call side
 		// nothing does, so Close flushes them.
 		release()
 		if !asUnit {
