@@ -8,7 +8,9 @@
 // and BENCH_13.json either side of the SIMD micro-kernels, BENCH_14.json
 // after the serve + proxy subtraction pass, BENCH_15.json with the
 // streaming checkpoint's BenchmarkCheckpointSaveLoad added, BENCH_17.json
-// after group dispatch took the batch window out of ProxyOverhead); CI regenerates
+// after group dispatch took the batch window out of ProxyOverhead,
+// BENCH_19.json with the forward GEMMs at the shapes serving runs, which
+// PR 19 cut into tiles); CI regenerates
 // the latest every run and uploads the fresh copy, so a perf regression is
 // visible as a JSON diff against the committed baseline.
 //

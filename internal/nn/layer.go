@@ -25,7 +25,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -200,14 +199,7 @@ func (l *LeakyReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 		l.x = x
 	}
 	y := tensor.New(x.Rows, x.Cols)
-	a := l.Alpha
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		} else {
-			y.Data[i] = a * v
-		}
-	}
+	tensor.LeakyReLU(y, x, l.Alpha)
 	return y
 }
 
@@ -240,9 +232,7 @@ type Tanh struct {
 // Forward computes tanh(x).
 func (t *Tanh) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	y := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = float32(math.Tanh(float64(v)))
-	}
+	tensor.Tanh(y, x)
 	if training {
 		t.y = y
 	}
@@ -273,9 +263,7 @@ type Sigmoid struct {
 // Forward computes σ(x).
 func (s *Sigmoid) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	y := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
+	tensor.Sigmoid(y, x)
 	if training {
 		s.y = y
 	}

@@ -6,6 +6,22 @@
 // The package deliberately has no configuration beyond GOMAXPROCS; kernels
 // call For with a grain size and the package decides whether running serially
 // is cheaper than scheduling goroutines.
+//
+// A For is a region: its goroutines start together and For returns when the
+// last has ended. Callers keep regions short — internal/tensor cuts a big
+// GEMM into a sequence of Fors of about a millisecond each instead of one
+// that occupies every P for the whole pass — because of how the Go scheduler
+// finds the rest of the process's work. A P looks at its timers, the run
+// queues and then the network poller only when the goroutine it runs ends or
+// blocks (runtime.findRunnable); while every P is inside a long computation,
+// a reply that has arrived on a socket, a timer that has fired and a
+// goroutine made runnable by either all wait for the computation, or for the
+// 10 ms after which sysmon preempts it. A server that runs a bulk forward
+// pass beside interactive requests therefore pays the length of the pass's
+// regions at every hop of every request. The goroutines of a region have to
+// end for this to work: a long-lived worker that pulls pieces off a counter
+// never returns its P, and runtime.Gosched puts the caller on the global run
+// queue, which is ahead of the poller in that search.
 package parallel
 
 import (
@@ -53,12 +69,17 @@ func For(lo, hi, grain int, fn func(start, end int)) {
 			end = hi
 		}
 		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			fn(s, e)
-		}(start, end)
+		go chunkOf(&wg, fn, start, end)
 	}
 	wg.Wait()
+}
+
+// chunkOf is one goroutine of a For. It is a function, not a closure, so a
+// For allocates its WaitGroup and nothing per goroutine: a GEMM is many
+// short Fors in a row.
+func chunkOf(wg *sync.WaitGroup, fn func(start, end int), start, end int) {
+	defer wg.Done()
+	fn(start, end)
 }
 
 // ForEach runs fn(i) for every i in [0, n), parallelized with For using the

@@ -758,16 +758,28 @@ func gather(x *tensor.Matrix, rows []*request, in int) {
 	}
 }
 
-// run is one forward pass. A panicking model fails its own pass, like
-// one that returned an error, instead of the process and with it every
-// other model in the registry.
+// run is one forward pass. A panicking model, or one that answers with
+// anything but one row of the method's output width per input row, fails
+// its own pass, like one that returned an error, instead of the process
+// and with it every other model in the registry.
 func (s *Server) run(method string, x *tensor.Matrix) (y *tensor.Matrix, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	return s.model.Run(method, x)
+	y, err = s.model.Run(method, x)
+	if err != nil {
+		return nil, err
+	}
+	var rows, cols, vals int
+	if y != nil {
+		rows, cols, vals = y.Rows, y.Cols, len(y.Data)
+	}
+	if out := s.dims[method].Out; rows != x.Rows || cols != out || vals < rows*cols {
+		return nil, fmt.Errorf("%s returned %dx%d over %d values, want %dx%d", method, rows, cols, vals, x.Rows, out)
+	}
+	return y, nil
 }
 
 // workerLoop takes what is due, assembles it into one matrix, runs it

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // Tests of the dispatch rule: a free worker takes what is due, and rows
@@ -431,9 +433,10 @@ func TestWindowEndsWhileAWorkerIsHeld(t *testing.T) {
 	}
 }
 
-// TestPanickingPassFailsItsRows: a model that panics fails the rows of
-// that pass with ErrModelFailure and nothing else — the worker takes the
-// next batch, and the other model in the registry never notices.
+// TestPanickingPassFailsItsRows: a model that panics, or answers with a
+// nil error and a matrix that is not one output row per input row, fails
+// the rows of that pass with ErrModelFailure and nothing else — the worker
+// takes the next batch, and the other model in the registry never notices.
 func TestPanickingPassFailsItsRows(t *testing.T) {
 	reg := NewRegistry()
 	t.Cleanup(reg.Close)
@@ -447,21 +450,38 @@ func TestPanickingPassFailsItsRows(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), unitTimeout)
 	defer cancel()
-	bad.panics.Store(true)
-	_, _, errs := submitUnit(ctx, servers["bad"], MethodPredict, Interactive, scriptedRows(0, 3))
-	for i, err := range errs {
-		if !errors.Is(err, ErrModelFailure) {
-			t.Fatalf("row %d of a panicking pass = %v, want ErrModelFailure", i, err)
+	failing := func(what string) {
+		t.Helper()
+		_, _, errs := submitUnit(ctx, servers["bad"], MethodPredict, Interactive, scriptedRows(0, 3))
+		for i, err := range errs {
+			if !errors.Is(err, ErrModelFailure) {
+				t.Fatalf("row %d of a pass that %s = %v, want ErrModelFailure", i, what, err)
+			}
 		}
 	}
+	bad.panics.Store(true)
+	failing("panics")
 	bad.panics.Store(false)
+	replies := map[string]func(rows int) *tensor.Matrix{
+		"returns nil":           func(int) *tensor.Matrix { return nil },
+		"returns a row too few": func(rows int) *tensor.Matrix { return tensor.New(rows-1, 2) },
+		"returns narrow rows":   func(rows int) *tensor.Matrix { return tensor.New(rows, 1) },
+		"returns too few values": func(rows int) *tensor.Matrix {
+			return &tensor.Matrix{Rows: rows, Cols: 2, Data: make([]float32, 2*rows-1)}
+		},
+	}
+	for what, reply := range replies {
+		bad.reply.Store(&reply)
+		failing(what)
+	}
+	bad.reply.Store(nil)
 	for name, s := range servers {
 		xs := scriptedRows(10, 2)
 		ys, _, errs := submitUnit(ctx, s, MethodPredict, Interactive, xs)
-		mustServe(t, name+" model after the panic", xs, ys, errs)
+		mustServe(t, name+" model after the failures", xs, ys, errs)
 		want := int64(0)
 		if name == "bad" {
-			want = 3
+			want = int64(3 * (1 + len(replies)))
 		}
 		if snap := s.Stats(); snap.ModelFailures != want || snap.Requests != 2 || s.Inflight() != 0 {
 			t.Fatalf("%s: %d failures, %d served, %d in flight; want %d, 2, 0", name, snap.ModelFailures, snap.Requests, s.Inflight(), want)

@@ -17,10 +17,6 @@ const (
 	Trans Op = true
 )
 
-// gemmGrain is the minimum number of output rows per parallel chunk; small
-// batches run serially.
-const gemmGrain = 8
-
 // Gemm computes C = alpha*op(A)*op(B) + beta*C, the workhorse of every layer
 // forward and backward pass. Shapes after applying the ops must satisfy
 // op(A): m×k, op(B): k×n, C: m×n; Gemm panics otherwise. C must not share
@@ -29,6 +25,12 @@ const gemmGrain = 8
 // two Matrix values over one slice, or a SliceRows/Reshape view. A and B may
 // be the same matrix.
 func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32) {
+	gemm(c, alpha, a, transA, b, transB, beta, planTiles)
+}
+
+// gemm is Gemm with the cut of C into tiles left to plan. Every cut gives the
+// same bits; tests hand it cuts planTiles never makes.
+func gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32, plan func(m, n, k, workers int) tiling) {
 	m, ka := a.Rows, a.Cols
 	if transA == Trans {
 		m, ka = a.Cols, a.Rows
@@ -54,16 +56,22 @@ func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 	if m == 0 || n == 0 || ka == 0 || alpha == 0 {
 		return
 	}
+	kernel := gemmNN
 	switch {
-	case transA == NoTrans && transB == NoTrans:
-		gemmNN(c, alpha, a, b)
 	case transA == Trans && transB == NoTrans:
-		gemmTN(c, alpha, a, b)
+		kernel = gemmTN
 	case transA == NoTrans && transB == Trans:
-		gemmNT(c, alpha, a, b)
-	default:
-		gemmTT(c, alpha, a, b)
+		kernel = gemmNT
+	case transA == Trans && transB == Trans:
+		kernel = gemmTT
 	}
+	t := plan(m, n, ka, parallel.Workers())
+	t.waves(func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			i0, i1, j0, j1 := t.tile(idx)
+			kernel(c, alpha, a, b, i0, i1, j0, j1)
+		}
+	})
 }
 
 // overlap reports whether x and y have an element in common.
@@ -76,106 +84,100 @@ func overlap(x, y []float32) bool {
 // MatMul computes C = A*B, zeroing C first.
 func MatMul(c, a, b *Matrix) { Gemm(c, 1, a, NoTrans, b, NoTrans, 0) }
 
+// The four kernels below each add alpha·op(A)·op(B) into one tile of C, rows
+// [i0, i1) by columns [j0, j1), over the whole of k: the calls a full-width
+// pass would make, on sub-slices.
+
 // gemmNN: C += alpha * A*B. i-k-j loop order streams rows of B and C.
-func gemmNN(c *Matrix, alpha float32, a, b *Matrix) {
+func gemmNN(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int) {
 	k, n := b.Rows, b.Cols
-	parallel.For(0, c.Rows, gemmGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			ai := a.Data[i*k : (i+1)*k]
-			for p := 0; p < k; p++ {
-				s := alpha * ai[p]
-				if s == 0 {
-					continue
-				}
-				bp := b.Data[p*n : (p+1)*n]
-				axpy(s, bp, ci)
+	for i := i0; i < i1; i++ {
+		ci := c.Data[i*n+j0 : i*n+j1]
+		ai := a.Data[i*k : (i+1)*k]
+		for p := 0; p < k; p++ {
+			s := alpha * ai[p]
+			if s == 0 {
+				continue
 			}
+			axpy(s, b.Data[p*n+j0:p*n+j1], ci)
 		}
-	})
+	}
 }
 
 // gemmTN: C += alpha * Aᵀ*B where A is k×m. Used for weight gradients
-// dW = Xᵀ·dY. Parallel over output rows so chunks never share C rows. The
-// updates of a C row are taken four at a time through axpy4; a group with a
-// zero multiplier, and the last k%4 updates, go one at a time so the zero
-// skip stays exact.
-func gemmTN(c *Matrix, alpha float32, a, b *Matrix) {
+// dW = Xᵀ·dY. The updates of a C row are taken four at a time through
+// axpy4; a group with a zero multiplier, and the last k%4 updates, go one at
+// a time so the zero skip stays exact.
+func gemmTN(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int) {
 	k := a.Rows
 	mA := a.Cols
 	n := b.Cols
-	parallel.For(0, c.Rows, gemmGrain, func(lo, hi int) {
-		var s [4]float32
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s[0] = alpha * a.Data[p*mA+i]
-				s[1] = alpha * a.Data[(p+1)*mA+i]
-				s[2] = alpha * a.Data[(p+2)*mA+i]
-				s[3] = alpha * a.Data[(p+3)*mA+i]
-				if s[0] != 0 && s[1] != 0 && s[2] != 0 && s[3] != 0 {
-					axpy4(&s, b.Data[p*n:(p+4)*n], n, ci)
-					continue
-				}
-				for q, sq := range s {
-					if sq != 0 {
-						axpy(sq, b.Data[(p+q)*n:(p+q+1)*n], ci)
-					}
-				}
+	var s [4]float32
+	for i := i0; i < i1; i++ {
+		ci := c.Data[i*n+j0 : i*n+j1]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			s[0] = alpha * a.Data[p*mA+i]
+			s[1] = alpha * a.Data[(p+1)*mA+i]
+			s[2] = alpha * a.Data[(p+2)*mA+i]
+			s[3] = alpha * a.Data[(p+3)*mA+i]
+			if s[0] != 0 && s[1] != 0 && s[2] != 0 && s[3] != 0 {
+				axpy4(&s, b.Data[p*n+j0:(p+3)*n+j1], n, ci)
+				continue
 			}
-			for ; p < k; p++ {
-				if sp := alpha * a.Data[p*mA+i]; sp != 0 {
-					axpy(sp, b.Data[p*n:(p+1)*n], ci)
+			for q, sq := range s {
+				if sq != 0 {
+					axpy(sq, b.Data[(p+q)*n+j0:(p+q)*n+j1], ci)
 				}
 			}
 		}
-	})
+		for ; p < k; p++ {
+			if sp := alpha * a.Data[p*mA+i]; sp != 0 {
+				axpy(sp, b.Data[p*n+j0:p*n+j1], ci)
+			}
+		}
+	}
 }
 
 // gemmNT: C += alpha * A*Bᵀ where B is n×k. Used for input gradients
 // dX = dY·Wᵀ. Each output element is a dot product of two rows; four
 // consecutive rows of B are taken against one row of A through dot4.
-func gemmNT(c *Matrix, alpha float32, a, b *Matrix) {
+func gemmNT(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int) {
 	k := a.Cols
 	n := b.Rows
-	parallel.For(0, c.Rows, gemmGrain, func(lo, hi int) {
-		var d [4]float32
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n : (i+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				dot4(&d, ai, b.Data[j*k:(j+4)*k], k)
-				ci[j] += float32(alpha * d[0])
-				ci[j+1] += float32(alpha * d[1])
-				ci[j+2] += float32(alpha * d[2])
-				ci[j+3] += float32(alpha * d[3])
-			}
-			for ; j < n; j++ {
-				ci[j] += float32(alpha * dot(ai, b.Data[j*k:(j+1)*k]))
-			}
+	var d [4]float32
+	for i := i0; i < i1; i++ {
+		ai := a.Data[i*k : (i+1)*k]
+		ci := c.Data[i*n : (i+1)*n]
+		j := j0
+		for ; j+4 <= j1; j += 4 {
+			dot4(&d, ai, b.Data[j*k:(j+4)*k], k)
+			ci[j] += float32(alpha * d[0])
+			ci[j+1] += float32(alpha * d[1])
+			ci[j+2] += float32(alpha * d[2])
+			ci[j+3] += float32(alpha * d[3])
 		}
-	})
+		for ; j < j1; j++ {
+			ci[j] += float32(alpha * dot(ai, b.Data[j*k:(j+1)*k]))
+		}
+	}
 }
 
 // gemmTT: C += alpha * Aᵀ*Bᵀ. Rare; kept for completeness of the kernel set.
-func gemmTT(c *Matrix, alpha float32, a, b *Matrix) {
+func gemmTT(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int) {
 	k := a.Rows // op(A) is a.Cols × a.Rows
 	n := b.Rows
 	mA := a.Cols
 	kB := b.Cols
-	parallel.For(0, c.Rows, gemmGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*kB : (j+1)*kB]
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += a.Data[p*mA+i] * bj[p]
-				}
-				ci[j] += alpha * sum
+	for i := i0; i < i1; i++ {
+		ci := c.Data[i*n : (i+1)*n]
+		for j := j0; j < j1; j++ {
+			bj := b.Data[j*kB : (j+1)*kB]
+			var sum float32
+			for p := 0; p < k; p++ {
+				sum += a.Data[p*mA+i] * bj[p]
 			}
+			ci[j] += alpha * sum
 		}
-	})
+	}
 }

@@ -37,6 +37,10 @@ package tensor
 //     axpy one update at a time.
 //   - Rounding mode and denormals are the process defaults (round to
 //     nearest even, no flush-to-zero); kernels do not touch MXCSR.
+//   - Whole k. A GEMM may cut C into tiles any way it likes (tile.go), and
+//     run them in any order on any goroutines; it never cuts k. Every kernel
+//     call covers all the updates of the elements it is given, so the cut
+//     cannot show in the result.
 //
 // Results are bit-identical to the scalar loops for every non-NaN value,
 // including ±0, ±Inf and denormals. A NaN result is a NaN in both, but its

@@ -22,10 +22,10 @@ func firstBitDiff(got, want []float32) int {
 	return -1
 }
 
-// gemmRef is Gemm as it was before the grouped kernels: every variant one
-// scalar axpy or dot at a time, serially. It is the bit-level reference for
-// Gemm (parallel.For only splits output rows, so serial order is the same
-// order).
+// gemmRef is Gemm as it was before the grouped kernels and the tiles: every
+// variant one scalar axpy or dot at a time over whole rows, serially. It is
+// the bit-level reference for Gemm (a tiling only cuts output rows and
+// columns, never k, so each element's serial order is the same order).
 func gemmRef(c *Matrix, alpha float32, a *Matrix, ta Op, b *Matrix, tb Op, beta float32) {
 	m, n := c.Rows, c.Cols
 	k := a.Cols
@@ -99,11 +99,25 @@ type gemmCase struct {
 	off     int // Data offset into the backing arrays, 0..7
 	zeroPos int // 0..3: zero op(A)[i][p] where p%4 == zeroPos on every third row i; <0: none
 	special int // number of special values scattered into each of A, B and C
+	// cut, when its rows is not zero, replaces planTiles' cut of C: tiles of
+	// any shape, aligned to nothing, so a shape this small spans many.
+	cut tiling
 }
 
 func (gc gemmCase) String() string {
-	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d",
-		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special)
+	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d cut=%+v",
+		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special, gc.cut)
+}
+
+// cutOf makes a cut of an m×n output from four arbitrary numbers: chunks of
+// 1..m rows, blocks of 1..chunk rows, panels of 1..n columns, waves of 1..4.
+func cutOf(m, n, chunk, rows, cols, width int) tiling {
+	if m == 0 || n == 0 {
+		return tiling{}
+	}
+	t := tiling{m: m, n: n, chunk: 1 + chunk%m, cols: 1 + cols%n, width: 1 + width%4}
+	t.rows = 1 + rows%t.chunk
+	return t
 }
 
 func (gc gemmCase) check(t *testing.T) {
@@ -138,7 +152,11 @@ func (gc gemmCase) check(t *testing.T) {
 	}
 	want := c.Clone()
 	gemmRef(want, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
-	Gemm(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
+	plan := planTiles
+	if gc.cut.rows != 0 {
+		plan = func(int, int, int, int) tiling { return gc.cut }
+	}
+	gemm(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta, plan)
 	if i := firstBitDiff(c.Data, want.Data); i >= 0 {
 		t.Fatalf("%v: C[%d][%d] = %v (%#08x), scalar reference %v (%#08x)", gc, i/gc.n, i%gc.n,
 			c.Data[i], math.Float32bits(c.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
@@ -189,6 +207,32 @@ func TestGemmMatchesScalarReferenceBitwise(t *testing.T) {
 				}
 			}
 		}
+		// The same shapes cut into many tiles: every block height and panel
+		// width 1..12 and a ragged last one of each, waves of 1..4, with a
+		// zero multiplier at each position of the four-update groups, which
+		// therefore falls on a panel's first and last columns too.
+		for size := 1; size <= 12; size++ {
+			for zeroPos := -1; zeroPos < 4; zeroPos++ {
+				m, n := 9+dim()/4, 8+dim()
+				chunk := 1 + rng.Intn(m)
+				next(gemmCase{
+					m: m, k: 16 + dim(), n: n, ta: mode[0], tb: mode[1],
+					alpha: gemmAlphas[rng.Intn(3)], beta: gemmBetas[rng.Intn(3)],
+					off: rng.Intn(8), zeroPos: zeroPos, special: rng.Intn(2) * 7,
+					cut: tiling{m: m, n: n, chunk: chunk, rows: min(size, chunk), cols: min(size, n), width: 1 + size%4},
+				})
+			}
+		}
+		// And arbitrary cuts of arbitrary shapes.
+		for i := 0; i < 200; i++ {
+			m, n := dim(), dim()
+			next(gemmCase{
+				m: m, k: dim(), n: n, ta: mode[0], tb: mode[1],
+				alpha: gemmAlphas[rng.Intn(3)], beta: gemmBetas[rng.Intn(3)],
+				off: rng.Intn(8), zeroPos: rng.Intn(5) - 1, special: rng.Intn(2) * rng.Intn(6),
+				cut: cutOf(m, n, rng.Int(), rng.Int(), rng.Int(), rng.Int()),
+			})
+		}
 	}
 }
 
@@ -228,20 +272,33 @@ func TestGemmLayerShapesMatchScalarReference(t *testing.T) {
 }
 
 // FuzzGemmMatchesReference lets the fuzzer pick the shape, mode, scalars,
-// alignment, zero pattern and special-value density.
+// alignment, zero pattern, special-value density and the cut of C into tiles
+// (rows 0: planTiles' own cut, which for shapes this small is one wave).
 func FuzzGemmMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(16), uint8(64), uint8(1), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(16), uint8(67), uint8(33), uint8(2), uint8(1), uint8(0), uint8(3), uint8(0), uint8(4))
-	f.Add(int64(3), uint8(9), uint8(13), uint8(31), uint8(1), uint8(2), uint8(2), uint8(5), uint8(3), uint8(9))
-	f.Add(int64(4), uint8(0), uint8(4), uint8(8), uint8(0), uint8(0), uint8(0), uint8(7), uint8(1), uint8(0))
-	f.Add(int64(5), uint8(5), uint8(3), uint8(7), uint8(3), uint8(1), uint8(1), uint8(2), uint8(4), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, m, k, n, mode, alpha, beta, off, zero, special uint8) {
+	f.Add(int64(1), uint8(16), uint8(16), uint8(64), uint8(1), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(16), uint8(67), uint8(33), uint8(2), uint8(1), uint8(0), uint8(3), uint8(0), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(9), uint8(13), uint8(31), uint8(1), uint8(2), uint8(2), uint8(5), uint8(3), uint8(9), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(4), uint8(0), uint8(4), uint8(8), uint8(0), uint8(0), uint8(0), uint8(7), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(5), uint8(5), uint8(3), uint8(7), uint8(3), uint8(1), uint8(1), uint8(2), uint8(4), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0))
+	// Many tiles (cutOf of the last four): blocks of a few rows by panels
+	// of a few columns in waves of 2–4, one-cell tiles, single-row blocks
+	// whose panel edges fall inside an axpy4 group, a panel one short of n.
+	f.Add(int64(6), uint8(16), uint8(16), uint8(64), uint8(1), uint8(0), uint8(1), uint8(0), uint8(2), uint8(0), uint8(8), uint8(4), uint8(16), uint8(2))
+	f.Add(int64(7), uint8(16), uint8(67), uint8(33), uint8(2), uint8(1), uint8(0), uint8(3), uint8(0), uint8(4), uint8(5), uint8(3), uint8(5), uint8(3))
+	f.Add(int64(8), uint8(9), uint8(13), uint8(31), uint8(0), uint8(2), uint8(2), uint8(5), uint8(3), uint8(9), uint8(9), uint8(1), uint8(1), uint8(4))
+	f.Add(int64(9), uint8(33), uint8(21), uint8(50), uint8(1), uint8(0), uint8(1), uint8(1), uint8(4), uint8(3), uint8(17), uint8(1), uint8(18), uint8(2))
+	f.Add(int64(10), uint8(20), uint8(40), uint8(67), uint8(3), uint8(1), uint8(2), uint8(6), uint8(1), uint8(15), uint8(7), uint8(7), uint8(66), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, mode, alpha, beta, off, zero, special, chunk, rows, cols, width uint8) {
 		md := gemmModes[mode%4]
-		gemmCase{
+		gc := gemmCase{
 			seed: seed, m: int(m % 68), k: int(k % 68), n: int(n % 68), ta: md[0], tb: md[1],
 			alpha: gemmAlphas[alpha%3], beta: gemmBetas[beta%3],
 			off: int(off % 8), zeroPos: int(zero%5) - 1, special: int(special % 16),
-		}.check(t)
+		}
+		if rows != 0 {
+			gc.cut = cutOf(gc.m, gc.n, int(chunk), int(rows)-1, int(cols), int(width))
+		}
+		gc.check(t)
 	})
 }
 

@@ -60,10 +60,77 @@ func AddRowVector(m *Matrix, v []float32) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVector length mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+	if oneTile(m, 1) {
+		addRowVector(m.Data, v)
+		return
+	}
+	forRowBlocks(m, 1, func(lo, hi int) { addRowVector(m.Data[lo:hi], v) })
+}
+
+// addRowVector adds v to each of the len(v)-long rows of x.
+func addRowVector(x, v []float32) {
+	for len(x) > 0 {
+		row := x[:len(v)]
 		for j := range row {
 			row[j] += v[j]
+		}
+		x = x[len(v):]
+	}
+}
+
+// expWork is what one exp or tanh costs, in the multiply-adds tileWork
+// counts: the activations built on them are tiled at this rate.
+const expWork = 16
+
+// Sigmoid sets dst[i] = 1/(1+e^−src[i]) for every element. dst may alias src.
+func Sigmoid(dst, src *Matrix) {
+	dst.mustSameShape(src, "Sigmoid")
+	if oneTile(src, expWork) {
+		sigmoid(dst.Data, src.Data)
+		return
+	}
+	forRowBlocks(src, expWork, func(lo, hi int) { sigmoid(dst.Data[lo:hi], src.Data[lo:hi]) })
+}
+
+func sigmoid(dst, src []float32) {
+	for i, v := range src {
+		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
+	}
+}
+
+// Tanh sets dst[i] = tanh(src[i]) for every element. dst may alias src.
+func Tanh(dst, src *Matrix) {
+	dst.mustSameShape(src, "Tanh")
+	if oneTile(src, expWork) {
+		tanh(dst.Data, src.Data)
+		return
+	}
+	forRowBlocks(src, expWork, func(lo, hi int) { tanh(dst.Data[lo:hi], src.Data[lo:hi]) })
+}
+
+func tanh(dst, src []float32) {
+	for i, v := range src {
+		dst[i] = float32(math.Tanh(float64(v)))
+	}
+}
+
+// LeakyReLU sets dst[i] = src[i] where that is positive and alpha·src[i]
+// elsewhere. dst may alias src.
+func LeakyReLU(dst, src *Matrix, alpha float32) {
+	dst.mustSameShape(src, "LeakyReLU")
+	if oneTile(src, 1) {
+		leakyReLU(dst.Data, src.Data, alpha)
+		return
+	}
+	forRowBlocks(src, 1, func(lo, hi int) { leakyReLU(dst.Data[lo:hi], src.Data[lo:hi], alpha) })
+}
+
+func leakyReLU(dst, src []float32, alpha float32) {
+	for i, v := range src {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = alpha * v
 		}
 	}
 }

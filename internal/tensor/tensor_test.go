@@ -340,6 +340,13 @@ func BenchmarkGemmNN128(b *testing.B) { benchGemm(b, 128, 128, 128, NoTrans, NoT
 func BenchmarkGemmTN128(b *testing.B) { benchGemm(b, 128, 128, 128, Trans, NoTrans) }
 func BenchmarkGemmNT128(b *testing.B) { benchGemm(b, 128, 128, 128, NoTrans, Trans) }
 
+// The forward GEMMs serving runs: the paper64 decoder at sweep_paper's 16-row
+// frames and at a batch of one, and the small16 decoder at fleet_mixed's
+// 64-row frames.
+func BenchmarkGemmNN16x128x49167(b *testing.B) { benchGemm(b, 16, 128, 49167, NoTrans, NoTrans) }
+func BenchmarkGemmNN64x128x3087(b *testing.B)  { benchGemm(b, 64, 128, 3087, NoTrans, NoTrans) }
+func BenchmarkGemmNN1x128x49167(b *testing.B)  { benchGemm(b, 1, 128, 49167, NoTrans, NoTrans) }
+
 func benchGemm(b *testing.B, m, k, n int, ta, tb Op) {
 	rng := rand.New(rand.NewSource(9))
 	ar, ac := m, k

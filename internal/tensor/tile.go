@@ -1,0 +1,132 @@
+package tensor
+
+import "repro/internal/parallel"
+
+// Every pass over a matrix that is big enough to matter — a GEMM, a bias
+// add, an activation — is cut into tiles and issued in waves: a tile is a
+// block of output rows by a panel of output columns, a wave is at most one
+// tile per worker, and a wave is joined before the next one starts. The cut
+// serves two ends. A tile's panel of B is small enough to stay in L2 while
+// the tile's rows go over it, where a whole row of a wide layer streams the
+// whole of B past the cache once per row. And no goroutine computes for
+// longer than one tile, so the scheduler gets a P back every fraction of a
+// millisecond (internal/parallel says why that matters to everything else
+// in the process).
+const (
+	// gemmGrain is the minimum number of output rows per parallel chunk; small
+	// batches run serially.
+	gemmGrain = 8
+	// tileWork bounds one tile, in multiply-adds: about a millisecond of the
+	// scalar kernel. It is the only tuning constant; nothing overrides it.
+	tileWork = 1 << 21
+	// panelFloats is the most of B a tile goes over, 512 KB, so that it stays
+	// in L2 from the tile's first row to its last.
+	panelFloats = 128 << 10
+	// minPanel is the narrowest panel worth cutting: every row of B
+	// contributes one run of consecutive floats to a panel, and the hardware
+	// streams runs shorter than a couple of KB badly.
+	minPanel = 512
+	// panelAlign: panels start and, but for the last, end on a multiple of 16
+	// columns — a cache line of floats, two AVX2 vectors — so a column lands
+	// in the unrolled body or the tail of a kernel exactly as it does in a
+	// full-width call.
+	panelAlign = 16
+)
+
+// tiling is a cut of an m×n output. The rows are dealt to the workers in
+// chunks of chunk consecutive rows, as they always were; a chunk is cut into
+// blocks of rows rows and the columns into panels of cols columns, the last
+// of each possibly smaller; a tile is one block by one panel. width tiles run
+// at a time.
+type tiling struct {
+	m, n        int
+	chunk, rows int
+	cols        int
+	width       int
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+func (t tiling) tiles() int {
+	return ceilDiv(t.m, t.chunk) * ceilDiv(t.chunk, t.rows) * ceilDiv(t.n, t.cols)
+}
+
+// tile returns the idx-th tile in issue order, rows [i0, i1) by columns
+// [j0, j1). The order is panel-major, so a panel of B is used up before the
+// next is touched, and within a panel it takes the next block of every chunk
+// before any chunk's block after that: the tiles of a wave are the chunks'
+// rows apart, as the chunks themselves were when each was one goroutine. (Two
+// cores updating adjacent short rows of C at once run at half speed: each
+// one's prefetcher keeps pulling the other's lines.) Where all rows are one
+// chunk, a wave is adjacent blocks or, with one block, adjacent panels. A
+// short last chunk leaves its last tiles empty.
+func (t tiling) tile(idx int) (i0, i1, j0, j1 int) {
+	chunks, blocks := ceilDiv(t.m, t.chunk), ceilDiv(t.chunk, t.rows)
+	chunk, block, panel := idx%chunks, idx/chunks%blocks, idx/(chunks*blocks)
+	i0 = min(chunk*t.chunk+block*t.rows, t.m)
+	j0 = panel * t.cols
+	return i0, min(i0+t.rows, (chunk+1)*t.chunk, t.m), j0, min(j0+t.cols, t.n)
+}
+
+// planTiles cuts an m×n output whose every cell costs k multiply-adds for
+// the given number of workers, so that no tile costs more than tileWork. k is
+// never cut: a tile sees the whole of its cells' updates, in order, which is
+// what keeps the result independent of the cut (kernel.go).
+//
+// Rows are first chunked as a GEMM's rows always were — one chunk per worker,
+// none under gemmGrain rows while there are rows to fill it — and if a chunk
+// costs no more than tileWork, that is the plan: one wave, or one tile on the
+// caller's goroutine. Otherwise the panel is the widest whose share of B is
+// panelFloats, and the row block is what tileWork then allows. When k is so
+// long that such a panel would be under minPanel columns, B is not blocked
+// for the cache at all: the panel is as wide as one row within tileWork can
+// be, minPanel at the least — so a tile exceeds tileWork only where it is one
+// row by minPanel columns (or the whole of a narrower C) and k is beyond
+// tileWork/minPanel. Blocks and panels are then evened out so the last of
+// each is not a sliver.
+func planTiles(m, n, k, workers int) tiling {
+	chunks := min(workers, ceilDiv(m, gemmGrain))
+	t := tiling{m: m, n: n, chunk: ceilDiv(m, chunks), cols: n, width: workers}
+	if chunks > 1 {
+		t.width = chunks
+	}
+	t.rows = t.chunk
+	if t.rows*n*k > tileWork {
+		cols := panelFloats / k &^ (panelAlign - 1)
+		if cols < minPanel {
+			cols = max(minPanel, tileWork/k&^(panelAlign-1))
+		}
+		cols = min(n, cols)
+		rows := min(t.chunk, max(1, tileWork/(k*cols)))
+		t.rows = ceilDiv(t.chunk, ceilDiv(t.chunk, rows))
+		t.cols = min(n, (ceilDiv(n, ceilDiv(n, cols))+panelAlign-1)&^(panelAlign-1))
+	}
+	return t
+}
+
+// waves runs the tiles of t in issue order, t.width of them at a time: run
+// is called with ranges of tile indices, each wave's ranges concurrently, and
+// a wave is over before the next begins. A lone tile runs on the caller's
+// goroutine.
+func (t tiling) waves(run func(lo, hi int)) {
+	for lo, n := 0, t.tiles(); lo < n; lo += t.width {
+		parallel.For(lo, min(lo+t.width, n), 1, run)
+	}
+}
+
+// forRowBlocks is the tiling of an elementwise pass over m, each element
+// costing about work multiply-adds: a GEMM one column wide whose k is a row.
+// span receives ranges of m.Data that are whole rows.
+func forRowBlocks(m *Matrix, work int, span func(lo, hi int)) {
+	t := planTiles(m.Rows, 1, m.Cols*work, parallel.Workers())
+	t.waves(func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			i0, i1, _, _ := t.tile(idx)
+			span(i0*m.Cols, i1*m.Cols)
+		}
+	})
+}
+
+// oneTile reports whether an elementwise pass over m at work multiply-adds an
+// element is small enough to stay a plain loop on the caller's goroutine.
+func oneTile(m *Matrix, work int) bool { return len(m.Data)*work <= tileWork }

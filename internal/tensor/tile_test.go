@@ -1,0 +1,207 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+)
+
+// tileCost is what a tile costs at k multiply-adds a cell.
+func tileCost(i0, i1, j0, j1, k int) int { return (i1 - i0) * (j1 - j0) * k }
+
+// checkCut fails unless the tiles of t cover every cell of the m×n output
+// exactly once, keep to the cut's own block and panel sizes, start panels on
+// panelAlign columns, and — for a cut planTiles made — cost no more than
+// tileWork except where planTiles says they may.
+func checkCut(t *testing.T, tl tiling, k int, planned bool) {
+	t.Helper()
+	seen := make([]uint8, tl.m*tl.n)
+	for idx := 0; idx < tl.tiles(); idx++ {
+		i0, i1, j0, j1 := tl.tile(idx)
+		crossesChunks := i0 < i1 && i0/tl.chunk != (i1-1)/tl.chunk
+		if i0 > i1 || j0 >= j1 || i1 > tl.m || j1 > tl.n || i1-i0 > tl.rows || j1-j0 > tl.cols || crossesChunks {
+			t.Fatalf("%+v k=%d: tile %d is rows [%d,%d) by columns [%d,%d)", tl, k, idx, i0, i1, j0, j1)
+		}
+		if planned {
+			if j0%panelAlign != 0 {
+				t.Fatalf("%+v k=%d: tile %d starts at column %d", tl, k, idx, j0)
+			}
+			if cost := tileCost(i0, i1, j0, j1, k); cost > tileWork && (i1-i0 > 1 || j1-j0 > minPanel || k <= tileWork/minPanel) {
+				t.Fatalf("%+v k=%d: tile %d, rows [%d,%d) by columns [%d,%d), costs %d", tl, k, idx, i0, i1, j0, j1, cost)
+			}
+		}
+		for i := i0; i < i1; i++ {
+			for j := j0; j < j1; j++ {
+				seen[i*tl.n+j]++
+			}
+		}
+	}
+	for c, times := range seen {
+		if times != 1 {
+			t.Fatalf("%+v k=%d: cell (%d,%d) is in %d tiles", tl, k, c/tl.n, c%tl.n, times)
+		}
+	}
+}
+
+// TestPlanTilesPartitions is the property the dispatcher rests on: whatever
+// the shape and the worker count, every cell of C is in exactly one tile, no
+// tile is over the bound but the one planTiles documents, and a tile has no
+// extent in k at all — the kernels take (i0, i1, j0, j1) and run every cell's
+// whole sum, so there is nothing a cut could do to the order of its terms.
+func TestPlanTilesPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	// Log-uniform sizes: as many shapes around 8 as around 8 000.
+	size := func(most float64) int { return int(math.Exp(rng.Float64() * math.Log(most))) }
+	for i := 0; i < 3000; i++ {
+		m, n, k, workers := size(300), size(60000), size(60000), 1+rng.Intn(8)
+		if m*n > 1<<21 {
+			continue // the seen grid, not the plan, is what costs
+		}
+		checkCut(t, planTiles(m, n, k, workers), k, true)
+	}
+	// The shapes the models run, forward and backward, and a batch of one.
+	for _, workers := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 16, 64} {
+			for _, l := range [][2]int{{49167, 128}, {128, 49167}, {3087, 128}, {128, 3087}, {399, 128}, {128, 399}} {
+				checkCut(t, planTiles(batch, l[1], l[0], workers), l[0], true)  // y = x·W
+				checkCut(t, planTiles(l[0], l[1], batch, workers), batch, true) // dW = xᵀ·dy
+				checkCut(t, planTiles(batch, l[0], l[1], workers), l[1], true)  // dx = dy·Wᵀ
+			}
+		}
+	}
+	// checkCut itself must hold for the hand-made cuts the bitwise tests use.
+	for i := 0; i < 500; i++ {
+		m, n := 1+rng.Intn(67), 1+rng.Intn(67)
+		checkCut(t, cutOf(m, n, rng.Int(), rng.Int(), rng.Int(), rng.Int()), 1, false)
+	}
+}
+
+// goroutineID is the "goroutine N" of the caller's stack header: enough to
+// tell two goroutines apart.
+func goroutineID() string {
+	buf := make([]byte, 32)
+	return string(buf[:runtime.Stack(buf, false)])
+}
+
+// TestServingShapesTileAsIntended pins the shape of the work, not its speed,
+// for two workers (the reference host): the bulk passes of fleet_mixed and
+// sweep_paper are many short waves, and everything Tiny8 runs is what it was
+// before there were tiles — which is why interactive_tiny and train_ltfb do
+// not move.
+func TestServingShapesTileAsIntended(t *testing.T) {
+	for _, shape := range [][3]int{{64, 128, 3087}, {16, 128, 49167}} {
+		m, k, n := shape[0], shape[1], shape[2]
+		tl := planTiles(m, n, k, 2)
+		if waves := (tl.tiles() + tl.width - 1) / tl.width; waves < 2 || tl.width != 2 {
+			t.Errorf("%dx%dx%d: %+v is %d waves of %d", m, k, n, tl, waves, tl.width)
+		}
+		for idx := 0; idx < tl.tiles(); idx++ {
+			i0, i1, j0, j1 := tl.tile(idx)
+			if cost := tileCost(i0, i1, j0, j1, k); cost > tileWork || (j1-j0)*k > panelFloats {
+				t.Errorf("%dx%dx%d: tile %d costs %d over %d floats of B", m, k, n, idx, cost, (j1-j0)*k)
+			}
+		}
+		// A wave is the two workers' chunks, not two neighbouring blocks.
+		if i0, _, _, _ := tl.tile(1); i0 != m/2 {
+			t.Errorf("%dx%dx%d: the second tile of the first wave starts at row %d", m, k, n, i0)
+		}
+	}
+	// A batch of one through the paper's decoder: waves of adjacent panels.
+	one := planTiles(1, 49167, 128, 2)
+	if _, _, j0, j1 := one.tile(1); one.tiles() < 4 || one.width != 2 || j0 != one.cols || j1 != 2*one.cols {
+		t.Errorf("1x128x49167: %+v, second tile columns [%d,%d)", one, j0, j1)
+	}
+
+	// 16×128×399, Tiny8's widest: one wave of the two 8-row chunks.
+	want := tiling{m: 16, n: 399, chunk: 8, rows: 8, cols: 399, width: 2}
+	if tl := planTiles(16, 399, 128, 2); tl != want || tl.tiles() != 2 {
+		t.Errorf("16x128x399: %+v, want %+v", tl, want)
+	}
+	// 1×128×399: one tile, on the caller's goroutine.
+	tl := planTiles(1, 399, 128, 2)
+	if tl.tiles() != 1 {
+		t.Fatalf("1x128x399: %+v is %d tiles", tl, tl.tiles())
+	}
+	caller, calls := goroutineID(), 0
+	tl.waves(func(lo, hi int) {
+		calls++
+		if id := goroutineID(); id != caller || lo != 0 || hi != 1 {
+			t.Errorf("1x128x399: tiles [%d,%d) ran on %q, the caller is %q", lo, hi, id, caller)
+		}
+	})
+	if calls != 1 {
+		t.Errorf("1x128x399: %d calls", calls)
+	}
+}
+
+// TestWavesAreJoined: no tile of a wave starts before every tile of the wave
+// before it is over, and no wave is wider than the cut says.
+func TestWavesAreJoined(t *testing.T) {
+	tl := tiling{m: 12, n: 10, chunk: 4, rows: 1, cols: 3, width: 3}
+	var running, done atomic.Int32
+	tl.waves(func(lo, hi int) {
+		if now := running.Add(int32(hi - lo)); now > int32(tl.width) {
+			t.Errorf("%d tiles in flight, width %d", now, tl.width)
+		}
+		if finished, wave := int(done.Load()), lo/tl.width*tl.width; finished < wave || finished >= wave+tl.width {
+			t.Errorf("tiles [%d,%d) started with %d done", lo, hi, finished)
+		}
+		runtime.Gosched()
+		running.Add(int32(lo - hi))
+		done.Add(int32(hi - lo))
+	})
+	if int(done.Load()) != tl.tiles() {
+		t.Errorf("%d of %d tiles ran", done.Load(), tl.tiles())
+	}
+}
+
+// TestTiledElementwiseOpsMatchPlainLoops: the bias add and the activations
+// over a pass big enough to be cut give, element for element, the bits of the
+// plain loop — which is also what a small pass still runs.
+func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range [][2]int{{16, 49167}, {37, 9000}, {7, 399}, {0, 5}, {3, 0}} {
+		rows, cols := shape[0], shape[1]
+		x := randomMatrix(rng, rows, cols)
+		for i := 0; i < len(x.Data); i += 97 {
+			x.Data[i] = specials[rng.Intn(len(specials))]
+		}
+		if cut := !oneTile(x, expWork); cut != (rows*cols*expWork > tileWork) {
+			t.Fatalf("%dx%d: cut = %v", rows, cols, cut)
+		}
+		v := make([]float32, cols)
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		ops := []struct {
+			name  string
+			tiled func(dst *Matrix)
+			plain func(dst []float32)
+		}{
+			{"Sigmoid", func(dst *Matrix) { Sigmoid(dst, x) }, func(dst []float32) { sigmoid(dst, x.Data) }},
+			{"Tanh", func(dst *Matrix) { Tanh(dst, x) }, func(dst []float32) { tanh(dst, x.Data) }},
+			{"LeakyReLU", func(dst *Matrix) { LeakyReLU(dst, x, 0.2) }, func(dst []float32) { leakyReLU(dst, x.Data, 0.2) }},
+			{"AddRowVector", func(dst *Matrix) { copy(dst.Data, x.Data); AddRowVector(dst, v) },
+				func(dst []float32) { copy(dst, x.Data); addRowVector(dst, v) }},
+		}
+		for _, op := range ops {
+			got, want := New(rows, cols), make([]float32, rows*cols)
+			op.tiled(got)
+			op.plain(want)
+			if i := firstBitDiff(got.Data, want); i >= 0 {
+				t.Fatalf("%s %dx%d: element %d = %v, plain loop %v", op.name, rows, cols, i, got.Data[i], want[i])
+			}
+		}
+	}
+	// LeakyReLU is cheap enough that only a pass of more than tileWork
+	// elements is cut at all.
+	big := randomMatrix(rng, 70, 30000)
+	got, want := New(70, 30000), make([]float32, 70*30000)
+	LeakyReLU(got, big, 0.2)
+	leakyReLU(want, big.Data, 0.2)
+	if i := firstBitDiff(got.Data, want); i >= 0 || oneTile(big, 1) {
+		t.Fatalf("LeakyReLU 70x30000: element %d differs (one tile: %v)", i, oneTile(big, 1))
+	}
+}
