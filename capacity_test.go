@@ -191,10 +191,11 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := srv.LatencyHistogram().Count; n != lowN {
-			t.Fatalf("latency histogram saw %d observations, want %d", n, lowN)
+		snap := srv.Stats()
+		if snap.Requests != lowN {
+			t.Fatalf("latency quantiles cover %d rows, want %d", snap.Requests, lowN)
 		}
-		return srv.Stats()
+		return snap
 	})
 	// The stage decomposition must account for the end-to-end number:
 	// queue_wait p50 alone (the window fill) is a lower bound on the
@@ -243,10 +244,11 @@ func TestServingCapacityModelVsMeasured(t *testing.T) {
 				t.Fatalf("request %d: %v, row errors %v", i, err, rowErrs)
 			}
 		}
-		if n := srv.LatencyHistogram().Count; n != lowN {
-			t.Fatalf("latency histogram saw %d observations, want %d", n, lowN)
+		snap := srv.Stats()
+		if snap.Requests != lowN {
+			t.Fatalf("latency quantiles cover %d rows, want %d", snap.Requests, lowN)
 		}
-		return srv.Stats()
+		return snap
 	})
 	if wait, ok := httpSnap.Stages[serve.StageQueueWait]; !ok || wait.Count != lowN || wait.P50Ms > 0.25*float64(capWindow)/1e6 {
 		t.Fatalf("queue_wait of HTTP rows on an idle server: %+v; want %d rows with a p50 far below the %v window a lone Call waits (%.3fms)",

@@ -1,8 +1,8 @@
-// Command jaglint is the project's static-analysis multichecker: four
+// Command jaglint is the project's static-analysis multichecker: three
 // analyzers (internal/lint) that enforce the serving stack's
 // concurrency and metrics invariants — release-on-all-paths for
-// Registry.Acquire pins, no copies of lock-free metric structs,
-// compile-time-validated metric names, and intact context chains.
+// Registry.Acquire pins, compile-time-validated metric names, and
+// intact context chains.
 // docs/STATIC_ANALYSIS.md documents each invariant with bad/good
 // examples and the suppression syntax.
 //

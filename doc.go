@@ -76,12 +76,13 @@
 // backend kill included (docs/FLEET.md, examples/fleet).
 //
 // The conventions this stack depends on are machine-checked:
-// cmd/jaglint runs internal/lint's four analyzers (released
-// Registry.Acquire pins, uncopied atomic-holding structs, canonical
-// jag_* metric names, flowing contexts) over every package, in CI and
-// inside tier-1 via
-// TestSuiteCleanOnRepo; docs/STATIC_ANALYSIS.md documents each
-// invariant and the lint:ignore suppression syntax.
+// cmd/jaglint runs internal/lint's three analyzers (released
+// Registry.Acquire pins, canonical jag_* metric names, flowing
+// contexts) over every package, in CI and inside tier-1 via
+// TestSuiteCleanOnRepo, which also runs go vet (whose copylocks
+// check catches a copied lock-free metric struct);
+// docs/STATIC_ANALYSIS.md documents each invariant and the
+// lint:ignore suppression syntax.
 //
 // Start with README.md for the layout and quickstart, docs/SERVING.md
 // and docs/FLEET.md for the serving and fleet operator guides, and

@@ -1,7 +1,11 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -12,10 +16,16 @@ import (
 // renamed doc must fail tier-1, not rot silently. This test walks
 // every markdown file in the repository root and docs/ and verifies
 // that each relative link target exists on disk (external URLs and
-// intra-page anchors are out of scope). CI additionally smoke-runs the
-// commands the docs show.
+// intra-page anchors are out of scope), and that each package, command
+// or example directory README.md, docs/*.md (in backticks) and doc.go
+// name exists — ROADMAP, CHANGES and EXPERIMENTS are history and may name
+// what is gone. CI additionally smoke-runs the commands the docs show.
 
-var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+var (
+	mdLink  = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	mdPath  = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples)/[\\w./-]*\\w)(?:/|/\\.\\.\\.)?`")
+	docPath = regexp.MustCompile(`\b((?:internal|cmd|examples)/\w+)`)
+)
 
 func TestDocLinksResolve(t *testing.T) {
 	var docs []string
@@ -29,6 +39,7 @@ func TestDocLinksResolve(t *testing.T) {
 	if len(docs) < 6 {
 		t.Fatalf("glob found only %v — doc layout moved?", docs)
 	}
+	docs = append(docs, "doc.go")
 	for _, doc := range docs {
 		body, err := os.ReadFile(doc)
 		if err != nil {
@@ -47,6 +58,18 @@ func TestDocLinksResolve(t *testing.T) {
 			resolved := filepath.Join(filepath.Dir(doc), target)
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s links to %q, which does not resolve (%v)", doc, m[1], err)
+			}
+		}
+		var named [][]string
+		switch {
+		case doc == "doc.go":
+			named = docPath.FindAllStringSubmatch(string(body), -1)
+		case doc == "README.md" || strings.HasPrefix(doc, "docs/"):
+			named = mdPath.FindAllStringSubmatch(string(body), -1)
+		}
+		for _, m := range named {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, m[1])
 			}
 		}
 	}
@@ -98,6 +121,48 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 			if !strings.Contains(string(body), needle) {
 				t.Errorf("%s no longer contains %q, but the docs reference it", file, needle)
 			}
+		}
+	}
+}
+
+// Every package under internal/ has an importer: the non-test, test or
+// external-test files of some other package in the module. A package
+// nothing imports is reached from no command and no test but its own —
+// delete it or wire it in.
+func TestInternalPackagesAreImported(t *testing.T) {
+	out, err := exec.Command("go", "list", "-json=ImportPath,Imports,TestImports,XTestImports", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	imported := map[string]bool{}
+	var internal []string
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p struct {
+			ImportPath                         string
+			Imports, TestImports, XTestImports []string
+		}
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(p.ImportPath, "/internal/") {
+			internal = append(internal, p.ImportPath)
+		}
+		for _, list := range [][]string{p.Imports, p.TestImports, p.XTestImports} {
+			for _, imp := range list {
+				if imp != p.ImportPath {
+					imported[imp] = true
+				}
+			}
+		}
+	}
+	if len(internal) < 10 {
+		t.Fatalf("go list found only %v under internal/", internal)
+	}
+	for _, pkg := range internal {
+		if !imported[pkg] {
+			t.Errorf("%s is imported by no other package", pkg)
 		}
 	}
 }

@@ -28,9 +28,6 @@ const (
 	headerSize = 16
 )
 
-// HeaderSize is the fixed byte length of a bundle header.
-const HeaderSize = headerSize
-
 // SampleBytes returns the on-disk size of one sample of width dim.
 func SampleBytes(dim int) int64 { return int64(4 * dim) }
 
@@ -152,9 +149,6 @@ func (r *Reader) NumSamples() int { return r.count }
 
 // Dim returns the per-sample width.
 func (r *Reader) Dim() int { return r.dim }
-
-// Path returns the file path the reader was opened on.
-func (r *Reader) Path() string { return r.path }
 
 // Sample reads sample i into a fresh slice.
 func (r *Reader) Sample(i int) ([]float32, error) {

@@ -199,8 +199,9 @@ func (c *Comm) allreduceRing(buf []float32, op reduceOp) {
 	}
 }
 
-// AllreduceSumNaive is the gather-at-root + broadcast reference
-// implementation kept for the allreduce ablation bench.
+// AllreduceSumNaive is the gather-at-root + broadcast reference the ring
+// AllreduceSum is tested against (TestAllreduceNaiveMatchesRing) and timed
+// beside (BenchmarkAllreduceNaive8); nothing else calls it.
 func (c *Comm) AllreduceSumNaive(buf []float32) {
 	n := c.Size()
 	if n == 1 {

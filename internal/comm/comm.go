@@ -172,9 +172,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in this communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// GlobalRank returns the world rank of local rank r in this communicator.
-func (c *Comm) GlobalRank(r int) int { return c.group[r] }
-
 // Send delivers a copy of data to local rank dst with the given tag. It
 // never blocks. Tags must be non-negative; negative tags are reserved for
 // collectives.
@@ -246,29 +243,14 @@ func (c *Comm) Irecv(src, tag int) *Request {
 func (r *Request) Wait() []float32 {
 	msg := <-r.ch
 	if msg.bytes != nil {
-		panic("comm: Wait matched a byte message; use WaitBytes")
+		panic("comm: Wait matched a byte message")
 	}
 	return msg.floats
 }
 
-// WaitBytes blocks until the request completes and returns the byte payload.
-func (r *Request) WaitBytes() []byte {
-	msg := <-r.ch
-	if msg.floats != nil {
-		panic("comm: WaitBytes matched a float message; use Wait")
-	}
-	return msg.bytes
-}
-
-// Sendrecv sends sendData to dst and receives from src with the same tag —
-// the primitive behind the LTFB pairwise generator exchange. Eager sends make
-// it deadlock-free even when both sides target each other.
-func (c *Comm) Sendrecv(dst int, sendData []float32, src, tag int) []float32 {
-	c.Send(dst, tag, sendData)
-	return c.Recv(src, tag)
-}
-
-// SendrecvBytes is Sendrecv for byte payloads.
+// SendrecvBytes sends sendData to dst and receives from src with the same
+// tag — the primitive behind the LTFB pairwise generator exchange. Eager
+// sends make it deadlock-free even when both sides target each other.
 func (c *Comm) SendrecvBytes(dst int, sendData []byte, src, tag int) []byte {
 	c.SendBytes(dst, tag, sendData)
 	return c.RecvBytes(src, tag)

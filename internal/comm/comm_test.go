@@ -151,10 +151,6 @@ func TestSendrecvSymmetricExchangeNoDeadlock(t *testing.T) {
 	w := NewWorld(2)
 	runWithTimeout(t, w, func(c *Comm) {
 		peer := 1 - c.Rank()
-		got := c.Sendrecv(peer, []float32{float32(c.Rank())}, peer, 13)
-		if got[0] != float32(peer) {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
 		gotB := c.SendrecvBytes(peer, []byte{byte(c.Rank())}, peer, 14)
 		if gotB[0] != byte(peer) {
 			t.Errorf("rank %d bytes got %v", c.Rank(), gotB)
@@ -353,7 +349,7 @@ func TestSplitSemantics(t *testing.T) {
 		color := c.Rank() % 2
 		key := -c.Rank() // reversed order
 		sub := c.Split(color, key)
-		results[c.Rank()] = res{size: sub.Size(), rank: sub.Rank(), global: sub.GlobalRank(sub.Rank())}
+		results[c.Rank()] = res{size: sub.Size(), rank: sub.Rank(), global: sub.group[sub.Rank()]}
 		// The sub-communicator must be fully functional.
 		buf := []float32{1}
 		sub.AllreduceSum(buf)

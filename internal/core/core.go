@@ -25,7 +25,6 @@ import (
 	"repro/internal/datastore"
 	"repro/internal/ensemble"
 	"repro/internal/jag"
-	"repro/internal/kind"
 	"repro/internal/ltfb"
 	"repro/internal/reader"
 	"repro/internal/tensor"
@@ -231,11 +230,10 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 
 		member := &ltfb.Member{
 			Cfg: ltfb.Config{
-				NumTrainers:       c.Trainers,
-				RoundSteps:        c.RoundSteps,
-				PairSeed:          c.Seed + 99,
-				Metric:            c.Metric,
-				ResetOptimOnAdopt: false,
+				NumTrainers: c.Trainers,
+				RoundSteps:  c.RoundSteps,
+				PairSeed:    c.Seed + 99,
+				Metric:      c.Metric,
 			},
 			TrainerID: trainerID,
 			World:     wc,
@@ -266,6 +264,17 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 				return
 			}
 			all := wc.AllgatherFloat64(loss)
+			// Ranks of one trainer are replicas: after allreduced steps (and
+			// an adoption, broadcast within the trainer) they hold the same
+			// weights, so a trainer's loss is its first rank's, bit for bit.
+			// Every rank sees every loss, so all of them stop together.
+			for i, l := range all {
+				if first := i - i%c.RanksPerTrainer; math.Float64bits(l) != math.Float64bits(all[first]) {
+					errs[wc.Rank()] = fmt.Errorf("core: round %d: world rank %d evaluates to %v, its trainer's first rank to %v",
+						round, i, l, all[first])
+					return
+				}
+			}
 			if wc.Rank() == 0 {
 				for k := 0; k < c.Trainers; k++ {
 					res.RoundLosses[round][k] = all[k*c.RanksPerTrainer]
@@ -295,56 +304,4 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 	res.FinalBest = res.BestSeries[len(res.BestSeries)-1]
 	res.Models = models
 	return res, nil
-}
-
-// RunKIndependentFinal runs the K-independent baseline with the kind
-// package's one-shot API (the paper's Section IV-E selection) and returns
-// the selection result observed by world rank 0.
-func RunKIndependentFinal(c QualityConfig) (kind.Result, error) {
-	if err := c.Validate(); err != nil {
-		return kind.Result{}, err
-	}
-	c.LTFB = false
-	train, val, _, _, err := datasetFor(c)
-	if err != nil {
-		return kind.Result{}, err
-	}
-	worldSize := c.Trainers * c.RanksPerTrainer
-	w := comm.NewWorld(worldSize)
-	var out kind.Result
-	errs := make([]error, worldSize)
-	w.Run(func(wc *comm.Comm) {
-		trainerID := wc.Rank() / c.RanksPerTrainer
-		tc := wc.Split(trainerID, 0)
-		sub, err := reader.NewSubset(train, partitionIdx(c, trainerID))
-		if err != nil {
-			errs[wc.Rank()] = err
-			return
-		}
-		store := datastore.New(tc, sub, datastore.ModeDynamic)
-		model := cyclegan.New(c.Model, c.Seed+int64(trainerID)*101)
-		tr, err := trainer.New(trainer.Config{
-			ID: trainerID, BatchSize: c.BatchSize, XDim: jag.InputDim,
-			ShuffleSeed: c.Seed + int64(trainerID),
-		}, tc, model, store, sub)
-		if err != nil {
-			errs[wc.Rank()] = err
-			return
-		}
-		m := &kind.Member{TrainerID: trainerID, NumTrainers: c.Trainers, World: wc, T: tr}
-		res, err := m.Train(c.Rounds*c.RoundSteps, val, c.BatchSize)
-		if err != nil {
-			errs[wc.Rank()] = err
-			return
-		}
-		if wc.Rank() == 0 {
-			out = res
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return kind.Result{}, err
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -133,29 +134,29 @@ func TestRunPopulationGolden(t *testing.T) {
 }
 
 func TestRunPopulationMultiRank(t *testing.T) {
-	c := fastConfig(2)
-	c.RanksPerTrainer = 2
-	res, err := RunPopulation(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.RoundLosses[0]) != 2 {
-		t.Fatalf("expected 2 trainers, got %d", len(res.RoundLosses[0]))
-	}
-}
-
-func TestRunKIndependentFinal(t *testing.T) {
-	c := fastConfig(2)
-	c.Partition = PartitionRandom
-	res, err := RunKIndependentFinal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestTrainer < 0 || res.BestTrainer >= 2 {
-		t.Fatalf("best trainer = %d", res.BestTrainer)
-	}
-	if res.BestLoss <= 0 {
-		t.Fatalf("best loss = %v", res.BestLoss)
+	for _, ltfb := range []bool{true, false} {
+		c := fastConfig(2)
+		c.RanksPerTrainer = 2
+		c.LTFB = ltfb
+		if !ltfb {
+			c.Partition = PartitionRandom // the K-independent baseline of Figure 13
+		}
+		// RunPopulation fails if the two ranks of a trainer ever report
+		// different validation losses.
+		res, err := RunPopulation(c)
+		if err != nil {
+			t.Fatalf("LTFB=%v: %v", ltfb, err)
+		}
+		last := res.RoundLosses[len(res.RoundLosses)-1]
+		if len(last) != 2 {
+			t.Fatalf("LTFB=%v: expected 2 trainers, got %d", ltfb, len(last))
+		}
+		if want := math.Min(last[0], last[1]); res.FinalBest != want || want <= 0 {
+			t.Fatalf("LTFB=%v: final best %v, want the smaller of %v", ltfb, res.FinalBest, last)
+		}
+		if !ltfb && res.Adoptions != 0 {
+			t.Fatalf("K-independent trainers adopted %d models", res.Adoptions)
+		}
 	}
 }
 

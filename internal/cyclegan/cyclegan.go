@@ -104,8 +104,8 @@ func (c Config) Validate() error {
 // Surrogate is one replica of the CycleGAN surrogate with its optimizers.
 // It implements the trainer's Model contract structurally. Predict, Invert,
 // Eval and AdversarialScore only read the weights, so any number of
-// goroutines may call them on one Surrogate at once; TrainStep, ResetOptim
-// and loading weights are single-owner and must not overlap them.
+// goroutines may call them on one Surrogate at once; TrainStep and loading
+// weights are single-owner and must not overlap them.
 type Surrogate struct {
 	Cfg Config
 
@@ -335,12 +335,4 @@ func (s *Surrogate) AdversarialScore(x, y *tensor.Matrix) float64 {
 	adv, _ := nn.BCEWithLogits(logits, ones)
 	fid := nn.MAEValue(s.Decoder.Forward(z, false), y)
 	return adv + fid
-}
-
-// ResetOptim clears all optimizer state, e.g. after adopting a tournament
-// winner's weights.
-func (s *Surrogate) ResetOptim() {
-	s.optAE.Reset()
-	s.optDisc.Reset()
-	s.optGen.Reset()
 }

@@ -220,18 +220,6 @@ func TestDiscriminatorLearnsToSeparate(t *testing.T) {
 	}
 }
 
-func TestResetOptimAllowsContinuedTraining(t *testing.T) {
-	cfg := tinyConfig()
-	s := New(cfg, 9)
-	x, y := batch(cfg, 0, 16)
-	s.TrainStep(x, y, nn.NopReducer{})
-	s.ResetOptim()
-	losses := s.TrainStep(x, y, nn.NopReducer{})
-	if math.IsNaN(losses["fidelity"]) {
-		t.Fatal("training after ResetOptim diverged")
-	}
-}
-
 func TestReplicasStayIdenticalUnderSameData(t *testing.T) {
 	cfg := tinyConfig()
 	a := New(cfg, 10)

@@ -111,9 +111,6 @@ func New(c *comm.Comm, ds reader.Dataset, mode Mode) *Store {
 	return s
 }
 
-// Mode returns the store's configured mode.
-func (s *Store) Mode() Mode { return s.mode }
-
 // Stats returns a snapshot of this rank's data-movement counters.
 func (s *Store) Stats() Stats { return s.stats }
 

@@ -43,12 +43,3 @@ func InputAt(i int) [InputDim]float64 {
 
 // SimulateAt runs the simulator on the i-th plan point.
 func SimulateAt(cfg Config, i int) *Sample { return Simulate(cfg, InputAt(i)) }
-
-// Plan materializes plan points [start, start+n).
-func Plan(start, n int) [][InputDim]float64 {
-	out := make([][InputDim]float64, n)
-	for k := range out {
-		out[k] = InputAt(start + k)
-	}
-	return out
-}

@@ -98,20 +98,6 @@ func (s *Sample) Flatten() []float32 {
 	return append(out, s.Images...)
 }
 
-// Unflatten decodes a buffer produced by Flatten under cfg. It returns an
-// error if the length does not match the configured geometry.
-func Unflatten(cfg Config, buf []float32) (*Sample, error) {
-	if len(buf) != cfg.SampleDim() {
-		return nil, fmt.Errorf("jag: sample length %d, want %d", len(buf), cfg.SampleDim())
-	}
-	s := &Sample{
-		X:       append([]float32(nil), buf[:InputDim]...),
-		Scalars: append([]float32(nil), buf[InputDim:InputDim+ScalarDim]...),
-		Images:  append([]float32(nil), buf[InputDim+ScalarDim:]...),
-	}
-	return s, nil
-}
-
 // implosion holds the intermediate physical quantities the observables are
 // derived from.
 type implosion struct {

@@ -146,27 +146,21 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if len(buf) != Tiny8.SampleDim() {
 		t.Fatalf("flatten length %d, want %d", len(buf), Tiny8.SampleDim())
 	}
-	got, err := Unflatten(Tiny8, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The record layout every reader slices by: X | scalars | images.
 	for i := range s.X {
-		if got.X[i] != s.X[i] {
+		if buf[i] != s.X[i] {
 			t.Fatal("X corrupted")
 		}
 	}
 	for i := range s.Scalars {
-		if got.Scalars[i] != s.Scalars[i] {
+		if buf[InputDim+i] != s.Scalars[i] {
 			t.Fatal("scalars corrupted")
 		}
 	}
 	for i := range s.Images {
-		if got.Images[i] != s.Images[i] {
+		if buf[InputDim+ScalarDim+i] != s.Images[i] {
 			t.Fatal("images corrupted")
 		}
-	}
-	if _, err := Unflatten(Tiny8, buf[:len(buf)-1]); err == nil {
-		t.Fatal("want error for truncated buffer")
 	}
 }
 
@@ -208,11 +202,10 @@ func TestRadicalInverseInUnitInterval(t *testing.T) {
 // fill each decile of [0,1] with roughly n/10 points.
 func TestPlanUniformCoverage(t *testing.T) {
 	const n = 1000
-	pts := Plan(0, n)
 	for d := 0; d < InputDim; d++ {
 		var bins [10]int
-		for _, p := range pts {
-			b := int(p[d] * 10)
+		for i := 0; i < n; i++ {
+			b := int(InputAt(i)[d] * 10)
 			if b == 10 {
 				b = 9
 			}
@@ -231,10 +224,10 @@ func TestPlanUniformCoverage(t *testing.T) {
 // whole region).
 func TestPlanPrefixCoverage(t *testing.T) {
 	for _, start := range []int{0, 500, 5000} {
-		pts := Plan(start, 200)
 		for d := 0; d < InputDim; d++ {
 			lo, hi := 1.0, 0.0
-			for _, p := range pts {
+			for i := start; i < start+200; i++ {
+				p := InputAt(i)
 				if p[d] < lo {
 					lo = p[d]
 				}
@@ -250,9 +243,9 @@ func TestPlanPrefixCoverage(t *testing.T) {
 }
 
 func TestPlanDistinctPoints(t *testing.T) {
-	pts := Plan(0, 500)
 	seen := map[[InputDim]float64]bool{}
-	for _, p := range pts {
+	for i := 0; i < 500; i++ {
+		p := InputAt(i)
 		if seen[p] {
 			t.Fatalf("duplicate plan point %v", p)
 		}

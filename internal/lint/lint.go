@@ -1,4 +1,4 @@
-// Package lint is the project's static-analysis layer: four analyzers
+// Package lint is the project's static-analysis layer: three analyzers
 // that enforce the serving stack's concurrency and metrics invariants —
 // conventions the compiler cannot see and that have each produced (or
 // nearly produced) a real bug:
@@ -6,9 +6,6 @@
 //   - acquirerelease: every Registry.Acquire release func must run on
 //     all paths, or Registry.Replace drains stall until the drain
 //     deadline force-closes the displaced server.
-//   - atomicfield: structs holding sync/atomic fields (metrics.Histogram
-//     and friends) must never be copied; fields tagged `// lint:atomic`
-//     must only be touched through sync/atomic calls.
 //   - metricname: metric registrations use compile-time-constant names
 //     matching ^jag_[a-z0-9_]+$ with literal label keys, and a
 //     name registered under two kinds — a runtime panic today — is a
@@ -178,7 +175,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AcquireRelease,
-		AtomicField,
 		MetricName,
 		CtxFlow,
 	}

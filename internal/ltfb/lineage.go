@@ -55,16 +55,5 @@ func (l Lineage) Count() int {
 	return n
 }
 
-// Silos lists the visited trainer IDs in increasing order.
-func (l Lineage) Silos() []int {
-	var out []int
-	for id := 0; id < len(l)*8; id++ {
-		if l.Has(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy.
 func (l Lineage) Clone() Lineage { return append(Lineage(nil), l...) }

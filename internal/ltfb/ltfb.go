@@ -90,9 +90,6 @@ type Config struct {
 	// ExchangeFull ships every network instead of the generator subset —
 	// the exchange-volume ablation.
 	ExchangeFull bool
-	// ResetOptimOnAdopt clears optimizer state when adopting an incoming
-	// model, since the moments belonged to the losing weights.
-	ResetOptimOnAdopt bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -224,9 +221,6 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 	if adopted {
 		if err := nn.UnmarshalNetworks(m.exchangeSet(m.T.Model), verdict[1:1+netsLen]); err != nil {
 			return res, fmt.Errorf("ltfb: trainer %d adopt: %w", m.TrainerID, err)
-		}
-		if m.Cfg.ResetOptimOnAdopt {
-			m.T.Model.ResetOptim()
 		}
 		// The adopted model has seen its previous silos; from now on it
 		// also trains here.

@@ -287,7 +287,7 @@ func TestOddTrainerCountSitsOut(t *testing.T) {
 }
 
 func TestLoopAlternatesTrainingAndTournaments(t *testing.T) {
-	cfg := Config{NumTrainers: 2, RoundSteps: 2, PairSeed: 8, Metric: MetricEval, ResetOptimOnAdopt: true}
+	cfg := Config{NumTrainers: 2, RoundSteps: 2, PairSeed: 8, Metric: MetricEval}
 	var logged []RoundResult
 	buildPopulation(t, cfg, 1, nil, func(m *Member) {
 		logs, err := m.Loop(3)
@@ -317,7 +317,7 @@ func TestLoopRejectsInvalidConfig(t *testing.T) {
 }
 
 // A model without an AdversarialScorer must fall back to MetricEval instead
-// of failing — the regressor path.
+// of failing.
 func TestAdversarialMetricFallsBackToEval(t *testing.T) {
 	cfg := Config{NumTrainers: 2, RoundSteps: 1, PairSeed: 21, Metric: MetricAdversarial}
 	buildPopulation(t, cfg, 1, []int{15, 0}, func(m *Member) {
@@ -336,7 +336,7 @@ func TestAdversarialMetricFallsBackToEval(t *testing.T) {
 // Repeated tournaments across many rounds keep every trainer functional and
 // the scores finite — a soak test of the exchange machinery.
 func TestManyRoundsSoak(t *testing.T) {
-	cfg := Config{NumTrainers: 4, RoundSteps: 1, PairSeed: 31, Metric: MetricEval, ResetOptimOnAdopt: true}
+	cfg := Config{NumTrainers: 4, RoundSteps: 1, PairSeed: 31, Metric: MetricEval}
 	buildPopulation(t, cfg, 1, nil, func(m *Member) {
 		logs, err := m.Loop(10)
 		if err != nil {

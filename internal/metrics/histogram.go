@@ -21,8 +21,7 @@ import (
 type Histogram struct {
 	bounds []float64       // sorted upper bounds; +Inf bucket is implicit
 	counts []atomic.Uint64 // len(bounds)+1, last is the +Inf bucket
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	sum    atomic.Uint64   // float64 bits, CAS-updated
 }
 
 // ExpBuckets returns n exponentially spaced upper bounds starting at
@@ -77,7 +76,6 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.counts[h.bucketIdx(v)].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -102,9 +100,6 @@ func (h *Histogram) bucketIdx(v float64) int {
 	return lo
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snapshot captures the bucket counts at one instant. Concurrent
 // Observe calls may land between bucket reads — a snapshot is consistent
 // to within the handful of observations in flight, which is the usual
@@ -122,9 +117,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// Quantile estimates the q-quantile; see HistogramSnapshot.Quantile.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // HistogramSnapshot is an immutable copy of a histogram's state, the
 // unit the Prometheus exposition and the stats endpoints render from.

@@ -94,9 +94,6 @@ type Gauge struct{ s *series }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.s.val.Store(math.Float64bits(v)) }
 
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.val.Load()) }
-
 // Counter returns the counter for (name, labels), creating it at zero on
 // first use. It panics if the name is already registered as another
 // metric kind — one name, one type is a Prometheus invariant.

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,7 +22,7 @@ import (
 // There is one codec and it streams: WriteTo and ReadFrom convert weights
 // through a scratch chunk of at most chunkBytes, so writing or reading a
 // network costs that chunk whatever the network's size. The byte-slice forms
-// (MarshalWeights, UnmarshalWeights) are the same codec over a bytes.Buffer
+// (MarshalNetworks, UnmarshalNetworks) are the same codec over a bytes.Buffer
 // and a bytes.Reader.
 
 const weightsMagic = "NNW1"
@@ -105,14 +104,6 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 	e := newEncoder(w, n.WeightsSize())
 	e.weights(n)
 	return e.n, e.err
-}
-
-// MarshalWeights serializes all parameters into a fresh buffer.
-func (n *Network) MarshalWeights() []byte {
-	var buf bytes.Buffer
-	buf.Grow(n.WeightsSize())
-	_, _ = n.WriteTo(&buf) // a bytes.Buffer write cannot fail
-	return buf.Bytes()
 }
 
 // truncatedError is a decode error caused by the stream ending early, as
@@ -216,10 +207,4 @@ func (n *Network) ReadFrom(r io.Reader) (int64, error) {
 	d := newDecoder(r, n.WeightsSize())
 	err := d.weights(n)
 	return d.n, err
-}
-
-// UnmarshalWeights is ReadFrom over a MarshalWeights buffer.
-func (n *Network) UnmarshalWeights(buf []byte) error {
-	_, err := n.ReadFrom(bytes.NewReader(buf))
-	return err
 }

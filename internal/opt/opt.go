@@ -1,13 +1,12 @@
 // Package opt implements the stochastic-gradient optimizers used to train
 // the surrogate models. The paper's experiments use Adam with an initial
-// learning rate of 0.001 and mini-batches of 128 (Section IV); SGD with
-// momentum is provided as the classic baseline and for the ablation benches.
+// learning rate of 0.001 and mini-batches of 128 (Section IV), and Adam is
+// the only optimizer a model constructs; SGD with momentum, the learning-rate
+// schedule and Reset are reached from this package's tests alone.
 //
 // Optimizer state (momentum buffers, Adam moments) is keyed per parameter and
 // lives with the trainer, not the model: when LTFB replaces a model's weights
-// after a lost tournament, the trainer may either keep or reset that state
-// (see Reset), mirroring the choice LBANN faces when a migrated model resumes
-// under a new trainer.
+// after a lost tournament, the trainer keeps that state.
 package opt
 
 import (

@@ -89,9 +89,6 @@ func New(sim *des.Sim, p Params) *FS {
 	return fs
 }
 
-// Params returns the file system's configuration.
-func (fs *FS) Params() Params { return fs.p }
-
 // Stats returns a snapshot of the traffic counters.
 func (fs *FS) Stats() Stats { return fs.stats }
 
@@ -156,14 +153,4 @@ func (fs *FS) read(fileID int, bytes, extraLatency float64, done func(t float64)
 			done(end)
 		}
 	})
-}
-
-// InFlight returns the current total in-flight requests across all OSTs,
-// for contention assertions in tests.
-func (fs *FS) InFlight() int {
-	total := 0
-	for _, o := range fs.osts {
-		total += o.InFlight
-	}
-	return total
 }

@@ -302,13 +302,6 @@ func (v statsView) snapshot() StatsSnapshot {
 	return snap
 }
 
-// LatencyHistogram returns a snapshot of the end-to-end request latency
-// histogram (seconds), the raw-bucket form the Prometheus exposition
-// renders.
-func (s *Server) LatencyHistogram() metrics.HistogramSnapshot {
-	return s.stats.latencyH.Snapshot()
-}
-
 // Inflight returns the number of requests currently admitted to the
 // pipeline (queued or in a forward pass) — the live queue depth behind
 // the QueueDepth backpressure bound.

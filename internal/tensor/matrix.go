@@ -13,10 +13,7 @@
 // contract a new kernel has to keep.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major float32 matrix. The zero value is an empty
 // matrix; use New or FromSlice to create one with a shape.
@@ -139,17 +136,6 @@ func (m *Matrix) ApproxEqual(other *Matrix, tol float32) bool {
 		}
 	}
 	return true
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders small matrices for debugging; large matrices render as a

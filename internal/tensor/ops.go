@@ -15,24 +15,6 @@ func Add(dst, a, b *Matrix) {
 	}
 }
 
-// Sub computes dst = a - b elementwise.
-func Sub(dst, a, b *Matrix) {
-	dst.mustSameShape(a, "Sub")
-	dst.mustSameShape(b, "Sub")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// Hadamard computes dst = a ⊙ b (elementwise product).
-func Hadamard(dst, a, b *Matrix) {
-	dst.mustSameShape(a, "Hadamard")
-	dst.mustSameShape(b, "Hadamard")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
 // Scale multiplies every element of m by s in place.
 func Scale(m *Matrix, s float32) {
 	for i := range m.Data {
@@ -44,14 +26,6 @@ func Scale(m *Matrix, s float32) {
 func AddScaled(dst *Matrix, s float32, src *Matrix) {
 	dst.mustSameShape(src, "AddScaled")
 	axpy(s, src.Data, dst.Data)
-}
-
-// Apply sets dst[i] = fn(src[i]) for every element. dst may alias src.
-func Apply(dst, src *Matrix, fn func(float32) float32) {
-	dst.mustSameShape(src, "Apply")
-	for i, v := range src.Data {
-		dst.Data[i] = fn(v)
-	}
 }
 
 // AddRowVector adds the 1×Cols row vector v to every row of m in place,
@@ -166,16 +140,6 @@ func Mean(m *Matrix) float64 {
 	return Sum(m) / float64(n)
 }
 
-// Dot returns the Frobenius inner product of a and b.
-func Dot(a, b *Matrix) float64 {
-	a.mustSameShape(b, "Dot")
-	var s float64
-	for i, v := range a.Data {
-		s += float64(v) * float64(b.Data[i])
-	}
-	return s
-}
-
 // Norm2 returns the Frobenius norm of m.
 func Norm2(m *Matrix) float64 {
 	var s float64
@@ -183,21 +147,6 @@ func Norm2(m *Matrix) float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// matrix.
-func MaxAbs(m *Matrix) float32 {
-	var best float32
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // FillGaussian fills m with N(mean, std²) samples from rng.

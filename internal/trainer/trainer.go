@@ -31,8 +31,6 @@ type Model interface {
 	Nets() []*nn.Network
 	// ExchangeNets returns the networks shipped in LTFB tournaments.
 	ExchangeNets() []*nn.Network
-	// ResetOptim clears optimizer state after adopting foreign weights.
-	ResetOptim()
 }
 
 // AllreduceReducer averages gradients across the ranks of a trainer
