@@ -16,6 +16,7 @@ type coord struct {
 	depositCount int
 	readCount    int
 	slots        []any
+	dead         bool // the world aborted: the round will never complete
 }
 
 func newCoord(size int) *coord {
@@ -31,7 +32,7 @@ func (c *coord) exchange(rank int, val any) []any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.depositCount == c.size {
-		c.cond.Wait()
+		c.wait()
 	}
 	c.slots[rank] = val
 	c.depositCount++
@@ -39,7 +40,7 @@ func (c *coord) exchange(rank int, val any) []any {
 		c.cond.Broadcast()
 	}
 	for c.depositCount != c.size {
-		c.cond.Wait()
+		c.wait()
 	}
 	snap := make([]any, c.size)
 	copy(snap, c.slots)
@@ -52,27 +53,22 @@ func (c *coord) exchange(rank int, val any) []any {
 	return snap
 }
 
-// coordRegistry hands out one coord per (world, communicator key) so that
-// all rank handles of a split communicator share state.
-var (
-	coordRegMu sync.Mutex
-	coordReg   = map[*World]map[string]*coord{}
-)
+// wait is cond.Wait for a round that can still complete; in an aborted world
+// it panics instead (the deferred unlock of exchange runs).
+func (c *coord) wait() {
+	if !c.dead {
+		c.cond.Wait()
+	}
+	if c.dead {
+		panic(aborted{})
+	}
+}
 
-func coordFor(w *World, key string, size int) *coord {
-	coordRegMu.Lock()
-	defer coordRegMu.Unlock()
-	m, ok := coordReg[w]
-	if !ok {
-		m = map[string]*coord{}
-		coordReg[w] = m
-	}
-	c, ok := m[key]
-	if !ok {
-		c = newCoord(size)
-		m[key] = c
-	}
-	return c
+func (c *coord) abort() {
+	c.mu.Lock()
+	c.dead = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
 }
 
 // Barrier blocks until every rank of the communicator has entered it.
@@ -120,7 +116,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		world: c.world,
 		rank:  newRank,
 		group: group,
-		coord: coordFor(c.world, key2, len(group)),
+		coord: c.world.coordFor(key2, len(group)),
 	}
 }
 
@@ -163,17 +159,33 @@ func (c *Comm) allreduceRing(buf []float32, op reduceOp) {
 	left := (c.rank - 1 + n) % n
 	m := len(buf)
 
+	// A segment travels in a buffer that goes to the receiver with it, and
+	// the receiver sends its next segment in the one it has just read: the
+	// buffers go round the ring with the data, each rank starting with the
+	// one its last allreduce left it (c.spare) and ending with one again, so
+	// a communicator's allreduces stop allocating once every rank holds a
+	// buffer as long as the longest segment.
+	hand := c.spare
+	send := func(tag, seg int) {
+		lo, hi := segBounds(m, n, seg)
+		if cap(hand) < hi-lo {
+			hand = make([]float32, (m+n-1)/n)
+		}
+		out := hand[:hi-lo]
+		copy(out, buf[lo:hi])
+		c.sendRaw(right, tag, out, nil)
+	}
+
 	// Reduce-scatter: after step s, segment (r-s-1 mod n) on rank r holds
 	// partial sums of s+2 contributions; after n-1 steps rank r owns the
 	// fully reduced segment (r+1 mod n).
 	for s := 0; s < n-1; s++ {
 		sendSeg := ((c.rank-s)%n + n) % n
 		recvSeg := ((c.rank-s-1)%n + n) % n
-		lo, hi := segBounds(m, n, sendSeg)
-		c.sendRaw(right, base-s, append([]float32(nil), buf[lo:hi]...), nil)
-		in := c.recvRaw(left, base-s).floats
-		lo, hi = segBounds(m, n, recvSeg)
-		dst := buf[lo:hi]
+		send(base-s, sendSeg)
+		hand = c.recvRaw(left, base-s).floats
+		lo, hi := segBounds(m, n, recvSeg)
+		dst, in := buf[lo:hi], hand[:hi-lo]
 		switch op {
 		case opSum:
 			for i := range dst {
@@ -191,12 +203,12 @@ func (c *Comm) allreduceRing(buf []float32, op reduceOp) {
 	for s := 0; s < n-1; s++ {
 		sendSeg := ((c.rank+1-s)%n + n) % n
 		recvSeg := ((c.rank-s)%n + n) % n
-		lo, hi := segBounds(m, n, sendSeg)
-		c.sendRaw(right, base-(n-1)-s, append([]float32(nil), buf[lo:hi]...), nil)
-		in := c.recvRaw(left, base-(n-1)-s).floats
-		lo, hi = segBounds(m, n, recvSeg)
-		copy(buf[lo:hi], in)
+		send(base-(n-1)-s, sendSeg)
+		hand = c.recvRaw(left, base-(n-1)-s).floats
+		lo, hi := segBounds(m, n, recvSeg)
+		copy(buf[lo:hi], hand)
 	}
+	c.spare = hand
 }
 
 // AllreduceSumNaive is the gather-at-root + broadcast reference the ring

@@ -22,6 +22,8 @@ package comm
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/parallel"
 )
 
 // AnySource matches a message from any rank, like MPI_ANY_SOURCE.
@@ -44,6 +46,7 @@ type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	msgs []message
+	dead bool // the world aborted: a get will never be matched
 }
 
 func newMailbox() *mailbox {
@@ -59,27 +62,47 @@ func (m *mailbox) put(msg message) {
 	m.cond.Broadcast()
 }
 
-// get blocks until a message matching (src, tag) is available and removes it.
-// Scanning front-to-back preserves the non-overtaking order.
-func (m *mailbox) get(src, tag int) message {
+// get blocks until a message matching (src, tag) is available and removes it;
+// ok is false once the world has been aborted. Scanning front-to-back
+// preserves the non-overtaking order.
+func (m *mailbox) get(src, tag int) (msg message, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
+	for !m.dead {
 		for i, msg := range m.msgs {
 			if (src == AnySource || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
 				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
-				return msg
+				return msg, true
 			}
 		}
 		m.cond.Wait()
 	}
+	return message{}, false
 }
+
+func (m *mailbox) abort() {
+	m.mu.Lock()
+	m.dead = true
+	m.mu.Unlock()
+	m.cond.Broadcast()
+}
+
+// aborted is what a rank blocked in a receive or a rendezvous panics with
+// after another rank of its World has panicked: that rank will never send,
+// and World.Run reports its panic, not this one.
+type aborted struct{}
 
 // World is the set of all ranks in a run — the analogue of MPI_COMM_WORLD's
 // underlying process set. Create one per training job with NewWorld.
 type World struct {
 	size      int
 	mailboxes []*mailbox
+
+	mu     sync.Mutex
+	coords map[string]*coord // one per communicator, shared by its rank handles
+	failed bool              // a rank panicked in Run: every blocking call now panics
+	rank   int               // the first rank that did, and what it panicked with
+	cause  any
 }
 
 // NewWorld creates a world with n ranks. It panics if n < 1.
@@ -87,11 +110,45 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("comm: world size %d < 1", n))
 	}
-	w := &World{size: n, mailboxes: make([]*mailbox, n)}
+	w := &World{size: n, mailboxes: make([]*mailbox, n), coords: map[string]*coord{}}
 	for i := range w.mailboxes {
 		w.mailboxes[i] = newMailbox()
 	}
 	return w
+}
+
+// coordFor returns the coordination structure of the communicator named key,
+// creating it on the first rank's request.
+func (w *World) coordFor(key string, size int) *coord {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	c, ok := w.coords[key]
+	if !ok {
+		c = newCoord(size)
+		c.dead = w.failed
+		w.coords[key] = c
+	}
+	return c
+}
+
+// abort records the first panic of a rank and wakes every rank blocked on a
+// message or a rendezvous, which then panics with aborted in its turn.
+func (w *World) abort(rank int, cause any) {
+	if _, secondary := cause.(aborted); secondary {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed {
+		return
+	}
+	w.failed, w.rank, w.cause = true, rank, cause
+	for _, m := range w.mailboxes {
+		m.abort()
+	}
+	for _, c := range w.coords {
+		c.abort()
+	}
 }
 
 // Size returns the number of ranks in the world.
@@ -107,51 +164,34 @@ func (w *World) Comm(r int) *Comm {
 	for i := range group {
 		group[i] = i
 	}
-	return &Comm{world: w, rank: r, group: group, coord: worldCoord(w)}
-}
-
-// worldCoords caches one coordination structure per world so every rank's
-// world communicator shares it.
-var (
-	worldCoordMu sync.Mutex
-	worldCoords  = map[*World]*coord{}
-)
-
-func worldCoord(w *World) *coord {
-	worldCoordMu.Lock()
-	defer worldCoordMu.Unlock()
-	c, ok := worldCoords[w]
-	if !ok {
-		c = newCoord(w.size)
-		worldCoords[w] = c
-	}
-	return c
+	return &Comm{world: w, rank: r, group: group, coord: w.coordFor("world", w.size)}
 }
 
 // Run spawns fn on one goroutine per rank, passing each its world
-// communicator, and blocks until all return. A panic in any rank is
-// re-raised in the caller with the rank attached, so tests fail loudly
-// instead of deadlocking.
+// communicator, and blocks until all return. For that long the ranks count
+// as sharing the process's cores (parallel.AddRanks). A panic in any rank
+// aborts the world — ranks blocked waiting for it panic too instead of
+// waiting for ever — and the first one is re-raised in the caller with the
+// rank attached, so tests fail loudly instead of deadlocking.
 func (w *World) Run(fn func(c *Comm)) {
+	parallel.AddRanks(w.size)
+	defer parallel.AddRanks(-w.size)
 	var wg sync.WaitGroup
-	panics := make([]any, w.size)
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					panics[rank] = p
+					w.abort(rank, p)
 				}
 			}()
 			fn(w.Comm(rank))
 		}(r)
 	}
 	wg.Wait()
-	for rank, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("comm: rank %d panicked: %v", rank, p))
-		}
+	if w.failed {
+		panic(fmt.Sprintf("comm: rank %d panicked: %v", w.rank, w.cause))
 	}
 }
 
@@ -164,6 +204,9 @@ type Comm struct {
 	group []int // local rank -> global rank
 	coord *coord
 	seq   int // collective sequence number, advances identically on all ranks
+	// spare is the ring-segment buffer this rank was left holding by its
+	// last allreduce; the next one sends in it (see allreduceRing).
+	spare []float32
 }
 
 // Rank returns the caller's rank within this communicator.
@@ -216,7 +259,11 @@ func (c *Comm) recvRaw(src, tag int) message {
 	if src != AnySource {
 		gsrc = c.group[src]
 	}
-	return c.world.mailboxes[c.group[c.rank]].get(gsrc, tag)
+	msg, ok := c.world.mailboxes[c.group[c.rank]].get(gsrc, tag)
+	if !ok {
+		panic(aborted{})
+	}
+	return msg
 }
 
 // Request is a pending non-blocking receive, created by Irecv.
@@ -234,14 +281,22 @@ func (c *Comm) Irecv(src, tag int) *Request {
 		gsrc = c.group[src]
 	}
 	box := c.world.mailboxes[c.group[c.rank]]
-	go func() { r.ch <- box.get(gsrc, tag) }()
+	go func() {
+		if msg, ok := box.get(gsrc, tag); ok {
+			r.ch <- msg
+		}
+		close(r.ch) // with nothing sent, the world aborted: Wait panics
+	}()
 	return r
 }
 
 // Wait blocks until the request completes and returns the float payload; it
 // panics if the matched message carried bytes.
 func (r *Request) Wait() []float32 {
-	msg := <-r.ch
+	msg, ok := <-r.ch
+	if !ok {
+		panic(aborted{})
+	}
 	if msg.bytes != nil {
 		panic("comm: Wait matched a byte message")
 	}

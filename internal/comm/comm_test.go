@@ -3,10 +3,14 @@ package comm
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // runWithTimeout fails the test if the parallel section deadlocks.
@@ -473,6 +477,108 @@ func TestWorldRunPropagatesPanic(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// TestPanickingRankAbortsItsPeers: a rank that panics will never send what
+// its peers are blocked waiting for — in a ring step, at a barrier, in an
+// Irecv — so Run wakes them, and returns promptly with the panic of the rank
+// that failed first, not with one of the aborts it caused. (At the parent of
+// PR 22 the peers waited for ever and so did Run.)
+func TestPanickingRankAbortsItsPeers(t *testing.T) {
+	blocked := map[string]func(c *Comm){
+		"allreduce": func(c *Comm) { c.AllreduceSum(make([]float32, 64)) },
+		"barrier":   func(c *Comm) { c.Barrier() },
+		"irecv":     func(c *Comm) { c.Irecv((c.Rank()+1)%c.Size(), 7).Wait() },
+		"split":     func(c *Comm) { c.Split(c.Rank()%2, 0).Barrier() },
+	}
+	for name, wait := range blocked {
+		t.Run(name, func(t *testing.T) {
+			got := make(chan any, 1)
+			start := time.Now()
+			go func() {
+				defer func() { got <- recover() }()
+				NewWorld(4).Run(func(c *Comm) {
+					c.AllreduceSum(make([]float32, 8)) // the world works before the fault
+					if c.Rank() == 2 {
+						panic("rank two is out of memory")
+					}
+					wait(c)
+				})
+			}()
+			select {
+			case p := <-got:
+				if msg, _ := p.(string); msg != "comm: rank 2 panicked: rank two is out of memory" {
+					t.Fatalf("Run panicked with %v, want rank 2's panic", p)
+				}
+				if d := time.Since(start); d > time.Second {
+					t.Fatalf("Run took %v to report the panic", d)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run hangs: the panicking rank's peers were not woken")
+			}
+		})
+	}
+}
+
+// TestWorldSharesWorkers: for as long as a World runs, its ranks count as
+// sharing the process's Ps, so a rank's parallel loops get GOMAXPROCS/ranks
+// workers — one, when the ranks fill the cores. Worlds running side by side
+// add up; the share is returned when Run returns, by panic too.
+func TestWorldSharesWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	inside := func(ranks int) []int {
+		seen := make([]int, ranks)
+		NewWorld(ranks).Run(func(c *Comm) {
+			c.Barrier() // every rank is running
+			seen[c.Rank()] = parallel.Workers()
+			c.Barrier()
+		})
+		return seen
+	}
+	if got := parallel.Workers(); got != 2 {
+		t.Fatalf("Workers() = %d outside any world, want GOMAXPROCS = 2", got)
+	}
+	if got := inside(4); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
+		t.Fatalf("Workers() inside a 4-rank world on 2 Ps = %v, want 1 everywhere", got)
+	}
+	if got := inside(1); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("Workers() inside a 1-rank world on 2 Ps = %v, want 2", got)
+	}
+	runtime.GOMAXPROCS(8)
+	if got := inside(2); !reflect.DeepEqual(got, []int{4, 4}) {
+		t.Fatalf("Workers() inside a 2-rank world on 8 Ps = %v, want 4", got)
+	}
+	// Two worlds of two ranks at once are four ranks.
+	var both [2][]int
+	var wg sync.WaitGroup
+	var running, read sync.WaitGroup
+	running.Add(4)
+	read.Add(4)
+	for i := range both {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			both[i] = make([]int, 2)
+			NewWorld(2).Run(func(c *Comm) {
+				running.Done()
+				running.Wait() // all four ranks of both worlds are inside Run
+				both[i][c.Rank()] = parallel.Workers()
+				read.Done()
+				read.Wait() // and stay there until all four have looked
+			})
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(both, [2][]int{{2, 2}, {2, 2}}) {
+		t.Fatalf("Workers() inside two concurrent 2-rank worlds on 8 Ps = %v, want 2 everywhere", both)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		NewWorld(3).Run(func(c *Comm) { panic("boom") })
+	}()
+	if got := parallel.Workers(); got != 8 {
+		t.Fatalf("Workers() = %d after every world returned, one by panic; want 8", got)
+	}
 }
 
 func BenchmarkAllreduceRing8(b *testing.B)  { benchAllreduce(b, 8, 1<<14, false) }

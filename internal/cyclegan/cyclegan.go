@@ -118,6 +118,14 @@ type Surrogate struct {
 	optAE   opt.Optimizer
 	optDisc opt.Optimizer
 	optGen  opt.Optimizer
+
+	// The three groups TrainStep reduces and steps, each one gradient slab
+	// (nn.GradSlab): the autoencoder (E then Dec), D, and the generator (F
+	// then G).
+	aeP, dscP, genP []*nn.Param
+	// arena is where a TrainStep's activations and gradients live, until the
+	// next one; empty in a model that never trains.
+	arena tensor.Arena
 }
 
 // New builds a surrogate with weights drawn from seed. Two replicas built
@@ -158,6 +166,9 @@ func New(cfg Config, seed int64) *Surrogate {
 	s.optAE = opt.NewAdam(cfg.LR)
 	s.optDisc = opt.NewAdam(cfg.LR)
 	s.optGen = opt.NewAdam(cfg.LR)
+	s.aeP = append(s.Encoder.Params(), s.Decoder.Params()...)
+	s.dscP = s.Disc.Params()
+	s.genP = append(s.Forward.Params(), s.Inverse.Params()...)
 	return s
 }
 
@@ -177,14 +188,14 @@ func (s *Surrogate) ExchangeNets() []*nn.Network {
 // weightedMAE is MAE over the output bundle with the leading ScalarDim
 // columns up-weighted by w. The reported loss and the gradient are both
 // normalized by the total weight, so w only redistributes attention between
-// modalities.
-func weightedMAE(pred, target *tensor.Matrix, w float64) (float64, *tensor.Matrix) {
+// modalities. The gradient is drawn from a.
+func weightedMAE(pred, target *tensor.Matrix, w float64, a *tensor.Arena) (float64, *tensor.Matrix) {
 	if w == 1 || pred.Cols <= jag.ScalarDim {
-		return nn.MAE(pred, target)
+		return nn.MAE(pred, target, a)
 	}
 	rows, cols := pred.Rows, pred.Cols
 	total := float64(rows) * (w*float64(jag.ScalarDim) + float64(cols-jag.ScalarDim))
-	grad := tensor.New(rows, cols)
+	grad := a.New(rows, cols)
 	var loss float64
 	for r := 0; r < rows; r++ {
 		pr, tr, gr := pred.Row(r), target.Row(r), grad.Row(r)
@@ -207,95 +218,96 @@ func weightedMAE(pred, target *tensor.Matrix, w float64) (float64, *tensor.Matri
 	return loss / total, grad
 }
 
-// aeParams returns the autoencoder's parameters.
-func (s *Surrogate) aeParams() []*nn.Param {
-	return append(s.Encoder.Params(), s.Decoder.Params()...)
-}
-
-// genParams returns the generator phase's parameters (F and G).
-func (s *Surrogate) genParams() []*nn.Param {
-	return append(s.Forward.Params(), s.Inverse.Params()...)
+// useArena points every network's passes at a (nil: back at the heap).
+func (s *Surrogate) useArena(a *tensor.Arena) {
+	for _, n := range [...]*nn.Network{s.Encoder, s.Decoder, s.Forward, s.Inverse, s.Disc} {
+		n.UseArena(a)
+	}
 }
 
 // TrainStep runs one mini-batch through the three training phases and
 // returns the named loss values. x is the batch of 5-D inputs, y the
 // corresponding output bundles. r reduces gradients across replicas before
 // each optimizer step.
+//
+// Every matrix the step makes comes from the surrogate's arena and is
+// written over by the next step, so a step of a shape already seen allocates
+// next to nothing. The networks draw from the arena only while the step runs:
+// a pass made outside it, inference or not, allocates and returns as ever.
 func (s *Surrogate) TrainStep(x, y *tensor.Matrix, r nn.Reducer) map[string]float64 {
-	losses := make(map[string]float64, 5)
+	losses := make(map[string]float64, 6)
+	a := &s.arena
+	a.Reset()
+	s.useArena(a)
+	defer s.useArena(nil)
 
 	// Phase 1 — multimodal autoencoder: Dec(E(y)) ≈ y (internal
 	// consistency).
-	s.Encoder.ZeroGrad()
-	s.Decoder.ZeroGrad()
+	nn.ZeroGrad(s.aeP)
 	z := s.Encoder.Forward(y, true)
 	yRec := s.Decoder.Forward(z, true)
-	aeLoss, dRec := weightedMAE(yRec, y, s.Cfg.ScalarWeight)
+	aeLoss, dRec := weightedMAE(yRec, y, s.Cfg.ScalarWeight, a)
 	losses["autoencoder"] = aeLoss
 	dz := s.Decoder.Backward(dRec)
 	s.Encoder.Backward(dz)
-	aeP := s.aeParams()
-	r.Reduce(aeP)
-	s.optAE.Step(aeP)
+	r.Reduce(s.aeP)
+	s.optAE.Step(s.aeP)
 
 	// Phase 2 — discriminator: real latents E(y) vs fake latents F(x)
 	// (physical consistency, the adversarial term). Neither E nor F is
-	// updated here.
+	// updated here, so this F(x) is also the one phase 3 differentiates.
 	zReal := s.Encoder.Forward(y, false)
-	zFake := s.Forward.Forward(x, false)
-	s.Disc.ZeroGrad()
+	zGen := s.Forward.Forward(x, true)
+	nn.ZeroGrad(s.dscP)
 	logitsReal := s.Disc.Forward(zReal, true)
-	ones := tensor.New(logitsReal.Rows, 1)
+	ones := a.New(logitsReal.Rows, 1)
 	ones.Fill(1)
-	zeros := tensor.New(logitsReal.Rows, 1)
-	lossReal, dReal := nn.BCEWithLogits(logitsReal, ones)
+	zeros := a.New(logitsReal.Rows, 1)
+	zeros.Zero()
+	lossReal, dReal := nn.BCEWithLogits(logitsReal, ones, a)
 	s.Disc.Backward(dReal)
-	logitsFake := s.Disc.Forward(zFake, true)
-	lossFake, dFake := nn.BCEWithLogits(logitsFake, zeros)
+	logitsFake := s.Disc.Forward(zGen, true)
+	lossFake, dFake := nn.BCEWithLogits(logitsFake, zeros, a)
 	s.Disc.Backward(dFake)
 	losses["disc"] = lossReal + lossFake
-	dscP := s.Disc.Params()
-	r.Reduce(dscP)
-	s.optDisc.Step(dscP)
+	r.Reduce(s.dscP)
+	s.optDisc.Step(s.dscP)
 
 	// Phase 3 — generator: F (and G) trained on latent matching + fidelity
-	// + adversarial + cycle. Gradients flow through Dec and D but their
-	// accumulators are discarded at the start of their own phases.
-	s.Forward.ZeroGrad()
-	s.Inverse.ZeroGrad()
-	zGen := s.Forward.Forward(x, true)
+	// + adversarial + cycle. Gradients flow through Dec and D, which this
+	// phase does not train: only their input gradients are computed.
+	nn.ZeroGrad(s.genP)
 
-	latLoss, dLat := nn.MSE(zGen, zReal)
+	latLoss, dLat := nn.MSE(zGen, zReal, a)
 	losses["latent"] = latLoss
 	tensor.Scale(dLat, float32(s.Cfg.LatentWeight))
 
 	yPred := s.Decoder.Forward(zGen, true)
-	fidLoss, dPred := weightedMAE(yPred, y, s.Cfg.ScalarWeight)
+	fidLoss, dPred := weightedMAE(yPred, y, s.Cfg.ScalarWeight, a)
 	losses["fidelity"] = fidLoss
 	tensor.Scale(dPred, float32(s.Cfg.FidelityWeight))
-	dzFid := s.Decoder.Backward(dPred)
+	dzFid := s.Decoder.BackwardInput(dPred)
 
 	logitsGen := s.Disc.Forward(zGen, true)
-	advLoss, dAdv := nn.BCEWithLogits(logitsGen, ones)
+	advLoss, dAdv := nn.BCEWithLogits(logitsGen, ones, a)
 	losses["adversarial"] = advLoss
 	tensor.Scale(dAdv, float32(s.Cfg.AdversarialWeight))
-	dzAdv := s.Disc.Backward(dAdv)
+	dzAdv := s.Disc.BackwardInput(dAdv)
 
 	xRec := s.Inverse.Forward(zGen, true)
-	cycLoss, dCyc := nn.MAE(xRec, x)
+	cycLoss, dCyc := nn.MAE(xRec, x, a)
 	losses["cycle"] = cycLoss
 	tensor.Scale(dCyc, float32(s.Cfg.CycleWeight))
 	dzCyc := s.Inverse.Backward(dCyc)
 
-	dzTotal := tensor.New(zGen.Rows, zGen.Cols)
+	dzTotal := a.New(zGen.Rows, zGen.Cols)
 	tensor.Add(dzTotal, dzFid, dzAdv)
 	tensor.Add(dzTotal, dzTotal, dzCyc)
 	tensor.Add(dzTotal, dzTotal, dLat)
 	s.Forward.Backward(dzTotal)
 
-	genP := s.genParams()
-	r.Reduce(genP)
-	s.optGen.Step(genP)
+	r.Reduce(s.genP)
+	s.optGen.Step(s.genP)
 	return losses
 }
 
@@ -332,7 +344,7 @@ func (s *Surrogate) AdversarialScore(x, y *tensor.Matrix) float64 {
 	logits := s.Disc.Forward(z, false)
 	ones := tensor.New(logits.Rows, 1)
 	ones.Fill(1)
-	adv, _ := nn.BCEWithLogits(logits, ones)
+	adv, _ := nn.BCEWithLogits(logits, ones, nil)
 	fid := nn.MAEValue(s.Decoder.Forward(z, false), y)
 	return adv + fid
 }

@@ -2,6 +2,7 @@ package cyclegan
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -354,6 +355,182 @@ func TestSurrogateReadsAreConcurrent(t *testing.T) {
 			math.Float64bits(g.eval) != math.Float64bits(w.eval) ||
 			math.Float64bits(g.adv) != math.Float64bits(w.adv) {
 			t.Fatalf("worker %d: concurrent inference differs from the serial result", i)
+		}
+	}
+}
+
+// allocatingTrainStep is TrainStep as it was before the step drew from an
+// arena: every matrix from the heap, F(x) computed for phase 2 and again for
+// phase 3, a full Backward through Dec and D in phase 3, and each network's
+// gradients cleared on its own. It is the reference TrainStep is held to.
+func allocatingTrainStep(s *Surrogate, x, y *tensor.Matrix, r nn.Reducer) map[string]float64 {
+	losses := map[string]float64{}
+
+	s.Encoder.ZeroGrad()
+	s.Decoder.ZeroGrad()
+	z := s.Encoder.Forward(y, true)
+	yRec := s.Decoder.Forward(z, true)
+	aeLoss, dRec := weightedMAE(yRec, y, s.Cfg.ScalarWeight, nil)
+	losses["autoencoder"] = aeLoss
+	s.Encoder.Backward(s.Decoder.Backward(dRec))
+	aeP := append(s.Encoder.Params(), s.Decoder.Params()...)
+	r.Reduce(aeP)
+	s.optAE.Step(aeP)
+
+	zReal := s.Encoder.Forward(y, false)
+	zFake := s.Forward.Forward(x, false)
+	s.Disc.ZeroGrad()
+	logitsReal := s.Disc.Forward(zReal, true)
+	ones := tensor.New(logitsReal.Rows, 1)
+	ones.Fill(1)
+	zeros := tensor.New(logitsReal.Rows, 1)
+	lossReal, dReal := nn.BCEWithLogits(logitsReal, ones, nil)
+	s.Disc.Backward(dReal)
+	logitsFake := s.Disc.Forward(zFake, true)
+	lossFake, dFake := nn.BCEWithLogits(logitsFake, zeros, nil)
+	s.Disc.Backward(dFake)
+	losses["disc"] = lossReal + lossFake
+	r.Reduce(s.Disc.Params())
+	s.optDisc.Step(s.Disc.Params())
+
+	s.Forward.ZeroGrad()
+	s.Inverse.ZeroGrad()
+	zGen := s.Forward.Forward(x, true)
+	latLoss, dLat := nn.MSE(zGen, zReal, nil)
+	losses["latent"] = latLoss
+	tensor.Scale(dLat, float32(s.Cfg.LatentWeight))
+	yPred := s.Decoder.Forward(zGen, true)
+	fidLoss, dPred := weightedMAE(yPred, y, s.Cfg.ScalarWeight, nil)
+	losses["fidelity"] = fidLoss
+	tensor.Scale(dPred, float32(s.Cfg.FidelityWeight))
+	dzFid := s.Decoder.Backward(dPred)
+	logitsGen := s.Disc.Forward(zGen, true)
+	advLoss, dAdv := nn.BCEWithLogits(logitsGen, ones, nil)
+	losses["adversarial"] = advLoss
+	tensor.Scale(dAdv, float32(s.Cfg.AdversarialWeight))
+	dzAdv := s.Disc.Backward(dAdv)
+	xRec := s.Inverse.Forward(zGen, true)
+	cycLoss, dCyc := nn.MAE(xRec, x, nil)
+	losses["cycle"] = cycLoss
+	tensor.Scale(dCyc, float32(s.Cfg.CycleWeight))
+	dzCyc := s.Inverse.Backward(dCyc)
+	dzTotal := tensor.New(zGen.Rows, zGen.Cols)
+	tensor.Add(dzTotal, dzFid, dzAdv)
+	tensor.Add(dzTotal, dzTotal, dzCyc)
+	tensor.Add(dzTotal, dzTotal, dLat)
+	s.Forward.Backward(dzTotal)
+	genP := append(s.Forward.Params(), s.Inverse.Params()...)
+	r.Reduce(genP)
+	s.optGen.Step(genP)
+	return losses
+}
+
+// TestTrainStepMatchesAllocatingReference: twenty steps of the Tiny8 default
+// model on changing batches (one of another size, so the arena regrows), the
+// arena step beside the allocating one. After every step all six losses,
+// every weight of every network — so also the Dec and D updates that follow a
+// phase 3 which no longer computes their discarded gradients — and the F and
+// G gradients agree bit for bit.
+func TestTrainStepMatchesAllocatingReference(t *testing.T) {
+	cfg := DefaultConfig(jag.Tiny8)
+	got, want := New(cfg, 21), New(cfg, 21)
+	for step := 0; step < 20; step++ {
+		rows := 32
+		if step == 7 {
+			rows = 48
+		}
+		x, y := batch(cfg, 40*step, rows)
+		gl := got.TrainStep(x, y, nn.NopReducer{})
+		wl := allocatingTrainStep(want, x, y, nn.NopReducer{})
+		if len(gl) != 6 || len(wl) != 6 {
+			t.Fatalf("step %d: %d and %d losses, want six", step, len(gl), len(wl))
+		}
+		for name, w := range wl {
+			if math.Float64bits(gl[name]) != math.Float64bits(w) {
+				t.Fatalf("step %d: %s = %v, allocating step %v", step, name, gl[name], w)
+			}
+		}
+		for i, n := range got.Nets() {
+			ref := want.Nets()[i].Params()
+			for j, p := range n.Params() {
+				if !p.W.Equal(ref[j].W) {
+					t.Fatalf("step %d: %s %s differs from the allocating step's", step, n.Name, p.Name)
+				}
+				if (n == got.Forward || n == got.Inverse) && !p.Grad.Equal(ref[j].Grad) {
+					t.Fatalf("step %d: gradient of %s %s differs from the allocating step's", step, n.Name, p.Name)
+				}
+			}
+		}
+	}
+	// Outside a step the networks are back on the heap: what inference
+	// returns is the caller's and survives the next step.
+	x, y := batch(cfg, 0, 32)
+	pred := got.Predict(x)
+	keep := pred.Clone()
+	got.TrainStep(x, y, nn.NopReducer{})
+	if !pred.Equal(keep) {
+		t.Fatal("a train step wrote over a matrix Predict had returned")
+	}
+}
+
+// TestTrainStepSteadyStateAllocs: from the third step of a shape on, a step
+// allocates the map of losses it returns and nothing else of note — no
+// activation, gradient, temporary, parameter list or optimizer state. (The
+// parent of PR 22 made 406 allocations and 679 KB per step.) AllocsPerRun
+// counts at GOMAXPROCS 1, where a GEMM runs on the step's own goroutine, as
+// it does for a rank of a world that fills the cores; the bytes are read at
+// the ambient GOMAXPROCS, forks included.
+func TestTrainStepSteadyStateAllocs(t *testing.T) {
+	cfg := DefaultConfig(jag.Tiny8)
+	s := New(cfg, 11)
+	x, y := batch(cfg, 0, 32)
+	step := func() { s.TrainStep(x, y, nn.NopReducer{}) }
+	step()
+	step()
+	allocs := testing.AllocsPerRun(20, step)
+	if allocs > 8 {
+		t.Errorf("a steady-state step makes %v allocations, want at most 8", allocs)
+	}
+	const steps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	if perStep > 32<<10 {
+		t.Errorf("a steady-state step allocates %d bytes, want at most 32 KB", perStep)
+	}
+	t.Logf("%v allocations at GOMAXPROCS 1, %d bytes at GOMAXPROCS %d per step", allocs, perStep, runtime.GOMAXPROCS(0))
+}
+
+// TestAdoptionKeepsGradientSlabs: an LTFB adoption overwrites the generator's
+// weights in place (nn.UnmarshalNetworks into ExchangeNets). The gradient
+// slabs, the Adam moments and the arena stay where they are, and the next
+// step trains on as a model that had those weights all along would, given
+// the same optimizer state.
+func TestAdoptionKeepsGradientSlabs(t *testing.T) {
+	cfg := tinyConfig()
+	loser, winner := New(cfg, 1), New(cfg, 2)
+	x, y := batch(cfg, 0, 16)
+	loser.TrainStep(x, y, nn.NopReducer{})
+	winner.TrainStep(x, y, nn.NopReducer{})
+	slabs := [][]float32{nn.GradSlab(loser.aeP), nn.GradSlab(loser.dscP), nn.GradSlab(loser.genP)}
+	if err := nn.UnmarshalNetworks(loser.ExchangeNets(), nn.MarshalNetworks(winner.ExchangeNets())); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range loser.ExchangeNets() {
+		for j, p := range n.Params() {
+			if !p.W.Equal(winner.ExchangeNets()[i].Params()[j].W) {
+				t.Fatalf("%s %s: adoption did not write the winner's weights", n.Name, p.Name)
+			}
+		}
+	}
+	loser.TrainStep(x, y, nn.NopReducer{})
+	for i, group := range [][]*nn.Param{loser.aeP, loser.dscP, loser.genP} {
+		if after := nn.GradSlab(group); &after[0] != &slabs[i][0] {
+			t.Fatalf("group %d: the gradient slab moved across an adoption", i)
 		}
 	}
 }

@@ -20,7 +20,9 @@
 //
 // Training — Forward(x, true), Backward, ZeroGrad, an optimizer step, loading
 // weights — is single-owner: one goroutine at a time, and no inference pass
-// on the same network while weights change.
+// on the same network while weights change. For the length of a training
+// step its owner may lend the network an arena (Network.UseArena); what the
+// passes return is then the arena's, recycled at its next Reset.
 package nn
 
 import (
@@ -32,11 +34,12 @@ import (
 
 // Param is one trainable tensor together with its gradient accumulator.
 // Optimizers update W in place; Backward adds into Grad. Grad is nil until
-// the parameter first trains — ZeroGrad, Backward and a Reducer allocate it
-// through Accum — so a model that only ever runs Forward (a serving replica,
-// an LTFB scratch model, a reload canary) holds its weights and nothing
-// else. A nil Grad reads as "no gradient": optimizers skip the parameter and
-// the gradient norms count it as zero.
+// the parameter first trains — ZeroGrad, Backward and a Reducer lay it out
+// through GradSlab, as a view into the slab of the parameters it trains with
+// — so a model that only ever runs Forward (a serving replica, an LTFB
+// scratch model, a reload canary) holds its weights and nothing else. A nil
+// Grad reads as "no gradient": optimizers skip the parameter and the gradient
+// norms count it as zero.
 type Param struct {
 	Name string
 	W    *tensor.Matrix
@@ -48,28 +51,74 @@ func newParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols)}
 }
 
-// Accum returns the gradient accumulator, allocating it zeroed, in W's
-// shape, on first use.
-func (p *Param) Accum() *tensor.Matrix {
-	if p.Grad == nil {
-		p.Grad = tensor.New(p.W.Rows, p.W.Cols)
+// GradSlab returns the gradients of params as one slice: each Grad is a view
+// into it, in W's shape, one after the other in the order of params. That is
+// the buffer an allreduce sums in place and one clear zeroes. Parameters not
+// laid out that way yet — none has trained, or they trained apart, or in
+// another grouping — are moved into a new slab with the values they hold,
+// zero where there is none; asking again for the same params, or for a run of
+// consecutive ones, allocates nothing.
+func GradSlab(params []*Param) []float32 {
+	total := 0
+	for _, p := range params {
+		total += len(p.W.Data)
 	}
-	return p.Grad
+	if total == 0 {
+		return nil
+	}
+	first := params[0].Grad
+	if first == nil || cap(first.Data) < total {
+		return regroup(params, total)
+	}
+	slab := first.Data[:total]
+	off := 0
+	for _, p := range params {
+		if n := len(p.W.Data); n > 0 {
+			if p.Grad == nil || len(p.Grad.Data) != n || &p.Grad.Data[0] != &slab[off] {
+				return regroup(params, total)
+			}
+			off += n
+		}
+	}
+	return slab
 }
 
+// regroup lays params' gradients out in a fresh slab.
+func regroup(params []*Param, total int) []float32 {
+	slab := make([]float32, total)
+	off := 0
+	for _, p := range params {
+		end := off + len(p.W.Data)
+		view := slab[off:end]
+		if p.Grad != nil {
+			copy(view, p.Grad.Data)
+		}
+		p.Grad = tensor.FromSlice(p.W.Rows, p.W.Cols, view)
+		off = end
+	}
+	return slab
+}
+
+// ZeroGrad clears the gradients of params, laying them out as one slab
+// (GradSlab) if they are not.
+func ZeroGrad(params []*Param) { clear(GradSlab(params)) }
+
 // Layer is one differentiable operation. Any number of concurrent
-// Forward(x, false) calls are safe; training is single-owner (see the
-// package comment).
+// Forward(x, false, nil) calls are safe; training is single-owner (see the
+// package comment). Both passes take the arena their result, and any
+// temporary, comes from; nil is the heap.
 type Layer interface {
 	// Forward computes the layer output for input x. training says that a
 	// Backward for this mini-batch follows, so the layer keeps the operand
 	// it needs; with training false the layer is left untouched.
-	Forward(x *tensor.Matrix, training bool) *tensor.Matrix
+	Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix
 	// Backward receives dLoss/dOutput for the mini-batch of the last
-	// Forward(x, true) and returns dLoss/dInput, adding any parameter
-	// gradients into Params' Grad fields. It uses up what that Forward
-	// kept and panics if there is nothing to use.
-	Backward(dy *tensor.Matrix) *tensor.Matrix
+	// Forward(x, true, …) and returns dLoss/dInput. With accumulate it adds
+	// the parameter gradients into Params' Grad fields; without, the layer
+	// is one the loss flows through but does not train, and they are not
+	// computed. It uses up what that Forward kept and panics if there is
+	// nothing to use.
+	Backward(dy *tensor.Matrix, accumulate bool, a *tensor.Arena) *tensor.Matrix
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
 	// OutDim returns the layer's output width given its input width.
@@ -110,14 +159,14 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 }
 
 // Forward computes y = x·W + b.
-func (l *Linear) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
+func (l *Linear) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects width %d, got %d", l.In, x.Cols))
 	}
 	if training {
 		l.x = x
 	}
-	y := tensor.New(x.Rows, l.Out)
+	y := a.New(x.Rows, l.Out)
 	tensor.MatMul(y, x, l.Weight.W)
 	tensor.AddRowVector(y, l.Bias.W.Data)
 	return y
@@ -125,15 +174,24 @@ func (l *Linear) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 
 // Backward accumulates dW = xᵀ·dy and db = column-sums(dy), and returns
 // dx = dy·Wᵀ.
-func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) Backward(dy *tensor.Matrix, accumulate bool, a *tensor.Arena) *tensor.Matrix {
 	x := kept(&l.x, "Linear")
-	tensor.Gemm(l.Weight.Accum(), 1, x, tensor.Trans, dy, tensor.NoTrans, 1)
-	cs := tensor.ColSums(dy)
-	bias := l.Bias.Accum().Data
-	for j, v := range cs {
-		bias[j] += v
+	if accumulate {
+		if l.Weight.Grad == nil || l.Bias.Grad == nil {
+			GradSlab(l.Params())
+		}
+		tensor.Gemm(l.Weight.Grad, 1, x, tensor.Trans, dy, tensor.NoTrans, 1)
+		// The column sums are formed apart and added once, as they always
+		// were: a second Backward into the same accumulator adds its sum,
+		// not its rows one by one.
+		cs := a.New(1, l.Out)
+		tensor.ColSums(cs.Data, dy)
+		bias := l.Bias.Grad.Data
+		for j, v := range cs.Data {
+			bias[j] += v
+		}
 	}
-	dx := tensor.New(dy.Rows, l.In)
+	dx := a.New(dy.Rows, l.In)
 	tensor.Gemm(dx, 1, dy, tensor.NoTrans, l.Weight.W, tensor.Trans, 0)
 	return dx
 }
@@ -151,14 +209,16 @@ type ReLU struct {
 
 // Forward computes max(0, x). It builds no mask, so an inference pass
 // allocates only its output.
-func (r *ReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
+func (r *ReLU) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
 	if training {
 		r.x = x
 	}
-	y := tensor.New(x.Rows, x.Cols)
+	y := a.New(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
 			y.Data[i] = v
+		} else {
+			y.Data[i] = 0
 		}
 	}
 	return y
@@ -167,9 +227,9 @@ func (r *ReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 // Backward gates dy by the sign of the kept input. The gate is a multiply
 // by 0 or 1, not a branch, so a blocked −x, Inf or NaN gradient yields the
 // −0 or NaN a mask multiply would.
-func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (r *ReLU) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
 	x := kept(&r.x, "ReLU")
-	dx := tensor.New(dy.Rows, dy.Cols)
+	dx := a.New(dy.Rows, dy.Cols)
 	for i, v := range x.Data {
 		var gate float32
 		if v > 0 {
@@ -194,25 +254,25 @@ type LeakyReLU struct {
 }
 
 // Forward applies the leaky rectifier.
-func (l *LeakyReLU) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
+func (l *LeakyReLU) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
 	if training {
 		l.x = x
 	}
-	y := tensor.New(x.Rows, x.Cols)
+	y := a.New(x.Rows, x.Cols)
 	tensor.LeakyReLU(y, x, l.Alpha)
 	return y
 }
 
 // Backward scales dy by 1 or Alpha depending on the kept input's sign.
-func (l *LeakyReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (l *LeakyReLU) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
 	x := kept(&l.x, "LeakyReLU")
-	dx := tensor.New(dy.Rows, dy.Cols)
-	a := l.Alpha
+	dx := a.New(dy.Rows, dy.Cols)
+	alpha := l.Alpha
 	for i, v := range x.Data {
 		if v > 0 {
 			dx.Data[i] = dy.Data[i]
 		} else {
-			dx.Data[i] = a * dy.Data[i]
+			dx.Data[i] = alpha * dy.Data[i]
 		}
 	}
 	return dx
@@ -230,8 +290,8 @@ type Tanh struct {
 }
 
 // Forward computes tanh(x).
-func (t *Tanh) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	y := tensor.New(x.Rows, x.Cols)
+func (t *Tanh) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
+	y := a.New(x.Rows, x.Cols)
 	tensor.Tanh(y, x)
 	if training {
 		t.y = y
@@ -240,9 +300,9 @@ func (t *Tanh) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 }
 
 // Backward computes dy·(1 - y²) using the kept output.
-func (t *Tanh) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (t *Tanh) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
 	y := kept(&t.y, "Tanh")
-	dx := tensor.New(dy.Rows, dy.Cols)
+	dx := a.New(dy.Rows, dy.Cols)
 	for i, v := range y.Data {
 		dx.Data[i] = dy.Data[i] * (1 - v*v)
 	}
@@ -261,8 +321,8 @@ type Sigmoid struct {
 }
 
 // Forward computes σ(x).
-func (s *Sigmoid) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	y := tensor.New(x.Rows, x.Cols)
+func (s *Sigmoid) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
+	y := a.New(x.Rows, x.Cols)
 	tensor.Sigmoid(y, x)
 	if training {
 		s.y = y
@@ -271,9 +331,9 @@ func (s *Sigmoid) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 }
 
 // Backward computes dy·y·(1-y) using the kept output.
-func (s *Sigmoid) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (s *Sigmoid) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
 	y := kept(&s.y, "Sigmoid")
-	dx := tensor.New(dy.Rows, dy.Cols)
+	dx := a.New(dy.Rows, dy.Cols)
 	for i, v := range y.Data {
 		dx.Data[i] = dy.Data[i] * v * (1 - v)
 	}

@@ -12,13 +12,14 @@ import (
 // cross-entropy for the adversarial term. Each function returns the scalar
 // loss averaged over every element of the batch together with the gradient
 // with respect to pred, already scaled by 1/(rows·cols) so it can be fed
-// straight into Network.Backward.
+// straight into Network.Backward. The gradient is drawn from a (nil: the
+// heap), like the activations of the pass it closes.
 
 // MAE returns mean |pred-target| and its (sub)gradient sign(pred-target)/N.
-func MAE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
+func MAE(pred, target *tensor.Matrix, a *tensor.Arena) (float64, *tensor.Matrix) {
 	mustMatch(pred, target, "MAE")
 	n := float64(len(pred.Data))
-	grad := tensor.New(pred.Rows, pred.Cols)
+	grad := a.New(pred.Rows, pred.Cols)
 	var loss float64
 	inv := float32(1 / n)
 	for i, p := range pred.Data {
@@ -35,10 +36,10 @@ func MAE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
 }
 
 // MSE returns mean (pred-target)² and gradient 2(pred-target)/N.
-func MSE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
+func MSE(pred, target *tensor.Matrix, a *tensor.Arena) (float64, *tensor.Matrix) {
 	mustMatch(pred, target, "MSE")
 	n := float64(len(pred.Data))
-	grad := tensor.New(pred.Rows, pred.Cols)
+	grad := a.New(pred.Rows, pred.Cols)
 	var loss float64
 	inv := float32(2 / n)
 	for i, p := range pred.Data {
@@ -53,10 +54,10 @@ func MSE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
 // logits and targets in [0,1], with gradient (σ(logit)-target)/N. This is the
 // adversarial loss used to train the discriminator and, with flipped targets,
 // the generator.
-func BCEWithLogits(logits, target *tensor.Matrix) (float64, *tensor.Matrix) {
+func BCEWithLogits(logits, target *tensor.Matrix, a *tensor.Arena) (float64, *tensor.Matrix) {
 	mustMatch(logits, target, "BCEWithLogits")
 	n := float64(len(logits.Data))
-	grad := tensor.New(logits.Rows, logits.Cols)
+	grad := a.New(logits.Rows, logits.Cols)
 	inv := float32(1 / n)
 	var loss float64
 	for i, z := range logits.Data {

@@ -15,14 +15,24 @@ import (
 type Network struct {
 	Name   string
 	Layers []Layer
+
+	arena *tensor.Arena // where passes draw from (UseArena); nil is the heap
 }
+
+// UseArena makes every pass, forward or backward, draw what it returns and
+// its temporaries from a until UseArena(nil); those matrices are then a's,
+// and whoever resets it decides how long they live. It is for the owner of a
+// training step, for the length of the step: inference from other goroutines
+// is excluded then anyway, and at any other time Forward(x, false) returns a
+// matrix that is the caller's.
+func (n *Network) UseArena(a *tensor.Arena) { n.arena = a }
 
 // Forward runs the whole stack on mini-batch x. With training false it
 // changes nothing in the network and the result belongs to the caller; with
 // training true every layer keeps what the Backward that follows needs.
 func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	for _, l := range n.Layers {
-		x = l.Forward(x, training)
+		x = l.Forward(x, training, n.arena)
 	}
 	return x
 }
@@ -30,9 +40,16 @@ func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 // Backward propagates dLoss/dOutput through the stack in reverse, returning
 // dLoss/dInput. Parameter gradients accumulate into each Param's Grad. It
 // differentiates the last Forward(x, true), once, and panics without one.
-func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix { return n.backward(dy, true) }
+
+// BackwardInput is Backward for a network the loss flows through but does
+// not train: it returns the same dLoss/dInput and leaves every Grad as it
+// was, without computing the parameter gradients.
+func (n *Network) BackwardInput(dy *tensor.Matrix) *tensor.Matrix { return n.backward(dy, false) }
+
+func (n *Network) backward(dy *tensor.Matrix, accumulate bool) *tensor.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dy = n.Layers[i].Backward(dy)
+		dy = n.Layers[i].Backward(dy, accumulate, n.arena)
 	}
 	return dy
 }
@@ -46,13 +63,9 @@ func (n *Network) Params() []*Param {
 	return out
 }
 
-// ZeroGrad clears all accumulated gradients, allocating the accumulators
-// of a network that has not trained before.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.Accum().Zero()
-	}
-}
+// ZeroGrad clears all accumulated gradients, laying them out (GradSlab) in
+// a network that has not trained before.
+func (n *Network) ZeroGrad() { ZeroGrad(n.Params()) }
 
 // NumParams returns the total number of trainable scalars.
 func (n *Network) NumParams() int {

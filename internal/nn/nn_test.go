@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,20 +16,22 @@ import (
 	"repro/internal/tensor"
 )
 
+type lossFunc func(pred, target *tensor.Matrix, a *tensor.Arena) (float64, *tensor.Matrix)
+
 // numericGrad estimates dLoss/dparam by central differences for a scalar
 // loss function of the whole network output.
-func numericGrad(net *Network, x, target *tensor.Matrix, loss func(pred, target *tensor.Matrix) (float64, *tensor.Matrix), p *Param, idx int) float64 {
+func numericGrad(net *Network, x, target *tensor.Matrix, loss lossFunc, p *Param, idx int) float64 {
 	const eps = 1e-3
 	orig := p.W.Data[idx]
 	p.W.Data[idx] = orig + eps
-	up, _ := loss(net.Forward(x, false), target)
+	up, _ := loss(net.Forward(x, false), target, nil)
 	p.W.Data[idx] = orig - eps
-	down, _ := loss(net.Forward(x, false), target)
+	down, _ := loss(net.Forward(x, false), target, nil)
 	p.W.Data[idx] = orig
 	return (up - down) / (2 * eps)
 }
 
-func gradCheck(t *testing.T, net *Network, lossFn func(pred, target *tensor.Matrix) (float64, *tensor.Matrix), inDim, outDim int, tol float64) {
+func gradCheck(t *testing.T, net *Network, lossFn lossFunc, inDim, outDim int, tol float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	x := tensor.New(5, inDim)
@@ -38,7 +41,7 @@ func gradCheck(t *testing.T, net *Network, lossFn func(pred, target *tensor.Matr
 
 	net.ZeroGrad()
 	pred := net.Forward(x, true)
-	_, dy := lossFn(pred, target)
+	_, dy := lossFn(pred, target, nil)
 	net.Backward(dy)
 
 	for _, p := range net.Params() {
@@ -195,14 +198,14 @@ func TestWeightsRoundTripProperty(t *testing.T) {
 func TestLossValuesKnownInputs(t *testing.T) {
 	pred := tensor.FromSlice(1, 2, []float32{1, -1})
 	target := tensor.FromSlice(1, 2, []float32{0, 1})
-	mae, g := MAE(pred, target)
+	mae, g := MAE(pred, target, nil)
 	if math.Abs(mae-1.5) > 1e-6 {
 		t.Fatalf("MAE = %v, want 1.5", mae)
 	}
 	if g.Data[0] != 0.5 || g.Data[1] != -0.5 {
 		t.Fatalf("MAE grad = %v", g.Data)
 	}
-	mse, g2 := MSE(pred, target)
+	mse, g2 := MSE(pred, target, nil)
 	if math.Abs(mse-2.5) > 1e-6 {
 		t.Fatalf("MSE = %v, want 2.5", mse)
 	}
@@ -218,7 +221,7 @@ func TestBCEWithLogitsStability(t *testing.T) {
 	// Extreme logits must not overflow to Inf/NaN.
 	logits := tensor.FromSlice(1, 2, []float32{100, -100})
 	target := tensor.FromSlice(1, 2, []float32{1, 0})
-	loss, g := BCEWithLogits(logits, target)
+	loss, g := BCEWithLogits(logits, target, nil)
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss = %v", loss)
 	}
@@ -233,7 +236,7 @@ func TestBCEWithLogitsStability(t *testing.T) {
 func TestBCEWithLogitsChanceLevel(t *testing.T) {
 	logits := tensor.New(4, 1) // all zeros → p = 0.5
 	target := tensor.FromSlice(4, 1, []float32{1, 0, 1, 0})
-	loss, _ := BCEWithLogits(logits, target)
+	loss, _ := BCEWithLogits(logits, target, nil)
 	if math.Abs(loss-math.Log(2)) > 1e-6 {
 		t.Fatalf("chance-level BCE = %v, want ln2", loss)
 	}
@@ -270,7 +273,7 @@ func TestNumParamsAndGradNorm(t *testing.T) {
 	x.Fill(1)
 	target := tensor.New(2, 2)
 	pred := net.Forward(x, true)
-	_, dy := MSE(pred, target)
+	_, dy := MSE(pred, target, nil)
 	net.Backward(dy)
 	if net.GradNorm() <= 0 {
 		t.Fatal("grad norm must be positive after backward")
@@ -291,7 +294,7 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrad()
 		pred := net.Forward(x, true)
-		_, dy := MSE(pred, target)
+		_, dy := MSE(pred, target, nil)
 		net.Backward(dy)
 	}
 }
@@ -306,7 +309,7 @@ func TestReLUGateMatchesMaskMultiply(t *testing.T) {
 	dy := tensor.FromSlice(2, 4, []float32{7, -8, -9, nan, -inf, inf, 1, -2})
 	r := &ReLU{}
 	for _, training := range []bool{false, true} {
-		y := r.Forward(x, training)
+		y := r.Forward(x, training, nil)
 		for i, v := range x.Data {
 			var relu float32
 			if v > 0 {
@@ -317,7 +320,7 @@ func TestReLUGateMatchesMaskMultiply(t *testing.T) {
 			}
 		}
 	}
-	dx := r.Backward(dy)
+	dx := r.Backward(dy, true, nil)
 	for i, v := range x.Data {
 		var mask float32
 		if v > 0 {
@@ -331,7 +334,7 @@ func TestReLUGateMatchesMaskMultiply(t *testing.T) {
 		}
 	}
 	newAllocs := testing.AllocsPerRun(20, func() { tensor.New(x.Rows, x.Cols) })
-	if got := testing.AllocsPerRun(20, func() { r.Forward(x, false) }); got > newAllocs {
+	if got := testing.AllocsPerRun(20, func() { r.Forward(x, false, nil) }); got > newAllocs {
 		t.Fatalf("inference forward makes %v allocations, want the output's %v", got, newAllocs)
 	}
 }
@@ -371,19 +374,19 @@ func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
 	for _, c := range layers {
 		name, l := c.name, c.l
 		want := "nn: " + name + ".Backward before Forward"
-		mustPanic(t, name+" fresh", want, func() { l.Backward(dy) })
-		l.Forward(x, false)
-		mustPanic(t, name+" after inference", want, func() { l.Backward(dy) })
-		l.Forward(x, true)
-		first := l.Backward(dy)
-		mustPanic(t, name+" second Backward", want, func() { l.Backward(dy) })
+		mustPanic(t, name+" fresh", want, func() { l.Backward(dy, true, nil) })
+		l.Forward(x, false, nil)
+		mustPanic(t, name+" after inference", want, func() { l.Backward(dy, true, nil) })
+		l.Forward(x, true, nil)
+		first := l.Backward(dy, true, nil)
+		mustPanic(t, name+" second Backward", want, func() { l.Backward(dy, true, nil) })
 		// An inference pass on another batch between a training pass and
 		// its Backward leaves what the training pass kept alone.
 		other := tensor.New(7, 4)
 		tensor.FillGaussian(other, rng, 3, 2)
-		l.Forward(x, true)
-		l.Forward(other, false)
-		if again := l.Backward(dy); !again.Equal(first) {
+		l.Forward(x, true, nil)
+		l.Forward(other, false, nil)
+		if again := l.Backward(dy, true, nil); !again.Equal(first) {
 			t.Fatalf("%s: an inference pass changed the gradient of the pending training pass", name)
 		}
 	}
@@ -467,7 +470,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	}
 
 	// Backward straight after Forward allocates and accumulates ...
-	_, dy := MSE(net.Forward(x, true), target)
+	_, dy := MSE(net.Forward(x, true), target, nil)
 	net.Backward(dy)
 	// ... the same values as Backward into accumulators ZeroGrad made.
 	ref := build()
@@ -477,19 +480,135 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 			t.Fatalf("%s: ZeroGrad must leave a zeroed accumulator of the weight's shape", p.Name)
 		}
 	}
-	_, dy = MSE(ref.Forward(x, true), target)
+	_, dy = MSE(ref.Forward(x, true), target, nil)
 	ref.Backward(dy)
 	for i, p := range net.Params() {
 		if p.Grad == nil || !p.Grad.Equal(ref.Params()[i].Grad) {
 			t.Fatalf("%s: gradient differs between allocate-in-Backward and allocate-in-ZeroGrad", p.Name)
 		}
 	}
+
+	// Loading weights — a copy from another network, a checkpoint — writes
+	// through W and leaves the gradient slab where and as it was.
+	slab := GradSlab(ref.Params())
+	before := append([]float32(nil), slab...)
+	ref.CopyWeightsFrom(net)
+	var buf bytes.Buffer
+	if _, err := net.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	after := GradSlab(ref.Params())
+	if &after[0] != &slab[0] || !slices.Equal(after, before) {
+		t.Fatal("loading weights moved or changed the gradient slab")
+	}
+}
+
+// TestGradSlabIsTheGradients: the gradients of a group are consecutive views
+// of one slice, in the group's order and the weights' shapes; a network that
+// has not trained holds none. Asking again, or for a run of consecutive
+// parameters, returns the same memory; parameters that trained apart are
+// moved together with their values; one clear zeroes the lot.
+func TestGradSlabIsTheGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	enc := MLP("enc", []int{5, 4, 3}, ActTanh, ActNone, rng)
+	dec := MLP("dec", []int{3, 4, 5}, ActTanh, ActNone, rng)
+	group := append(enc.Params(), dec.Params()...)
+	if GradSlab(nil) != nil {
+		t.Fatal("no parameters, no slab")
+	}
+	for _, p := range group {
+		if p.Grad != nil {
+			t.Fatalf("%s: a fresh parameter holds a gradient", p.Name)
+		}
+	}
+
+	// The decoder trains on its own first, as a layer-by-layer user would.
+	x := tensor.New(2, 3)
+	x.Fill(0.5)
+	_, dy := MSE(dec.Forward(x, true), tensor.New(2, 5), nil)
+	dec.Backward(dy)
+	want := make([][]float32, len(group))
+	for i, p := range group {
+		want[i] = make([]float32, len(p.W.Data))
+		if p.Grad != nil {
+			copy(want[i], p.Grad.Data)
+		}
+	}
+	if dec.GradNorm() == 0 || enc.GradNorm() != 0 {
+		t.Fatal("only the decoder has a gradient so far")
+	}
+
+	slab := GradSlab(group)
+	if len(slab) != enc.NumParams()+dec.NumParams() {
+		t.Fatalf("slab of %d floats for %d weights", len(slab), enc.NumParams()+dec.NumParams())
+	}
+	off := 0
+	for i, p := range group {
+		g := p.Grad
+		if g == nil || g.Rows != p.W.Rows || g.Cols != p.W.Cols || &g.Data[0] != &slab[off] || !slices.Equal(g.Data, want[i]) {
+			t.Fatalf("%s: gradient is not the slab at %d holding what it held", p.Name, off)
+		}
+		off += len(g.Data)
+	}
+	if again := GradSlab(group); &again[0] != &slab[0] {
+		t.Fatal("a laid-out group was laid out again")
+	}
+	if sub := GradSlab(dec.Params()); &sub[0] != &slab[enc.NumParams()] || len(sub) != dec.NumParams() {
+		t.Fatal("a network's run of the group's slab is not its own slab")
+	}
+	if got := testing.AllocsPerRun(10, func() { GradSlab(group) }); got != 0 {
+		t.Fatalf("GradSlab on a laid-out group makes %v allocations", got)
+	}
+	dec.ZeroGrad()
+	if dec.GradNorm() != 0 || &GradSlab(group)[0] != &slab[0] {
+		t.Fatal("Network.ZeroGrad must clear its run of the slab in place")
+	}
+	slab[0], slab[len(slab)-1] = 1, 1
+	ZeroGrad(group)
+	if gradNorm(group) != 0 {
+		t.Fatal("ZeroGrad must clear the whole slab")
+	}
+}
+
+// TestBackwardInputSkipsParameterGradients: the input gradient of a network
+// the loss only flows through is Backward's, bit for bit, and its parameters'
+// gradients are left alone — absent if it never trained.
+func TestBackwardInputSkipsParameterGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	net := MLP("through", []int{4, 6, 3}, ActLeakyReLU, ActSigmoid, rng)
+	x := tensor.New(5, 4)
+	tensor.FillGaussian(x, rng, 0, 1)
+	dy := tensor.New(5, 3)
+	tensor.FillGaussian(dy, rng, 0, 1)
+
+	net.Forward(x, true)
+	dx := net.BackwardInput(dy)
+	for _, p := range net.Params() {
+		if p.Grad != nil {
+			t.Fatalf("%s: BackwardInput laid out a gradient", p.Name)
+		}
+	}
+	mustPanic(t, "second BackwardInput", "Backward before Forward", func() { net.BackwardInput(dy) })
+	net.Forward(x, true)
+	if want := net.Backward(dy); !dx.Equal(want) {
+		t.Fatal("BackwardInput and Backward disagree on dLoss/dInput")
+	}
+	held := append([]float32(nil), GradSlab(net.Params())...)
+	net.Forward(x, true)
+	net.BackwardInput(dy)
+	if !slices.Equal(GradSlab(net.Params()), held) {
+		t.Fatal("BackwardInput changed an accumulated gradient")
+	}
 }
 
 func TestClipGradNorm(t *testing.T) {
 	p := newParam("w", 2, 2)
-	p.Accum().Fill(3) // norm = sqrt(4*9) = 6
 	params := []*Param{p}
+	ZeroGrad(params)
+	p.Grad.Fill(3) // norm = sqrt(4*9) = 6
 	pre := ClipGradNorm(params, 3)
 	if math.Abs(pre-6) > 1e-6 {
 		t.Fatalf("pre-clip norm = %v, want 6", pre)

@@ -4,9 +4,10 @@
 // the only optimizer a model constructs; SGD with momentum, the learning-rate
 // schedule and Reset are reached from this package's tests alone.
 //
-// Optimizer state (momentum buffers, Adam moments) is keyed per parameter and
-// lives with the trainer, not the model: when LTFB replaces a model's weights
-// after a lost tournament, the trainer keeps that state.
+// Optimizer state (momentum buffers, Adam moments) lives with the trainer, not
+// the model: when LTFB replaces a model's weights after a lost tournament, the
+// trainer keeps that state. An Adam serves one parameter group — its moments
+// are two slabs in the group's order, as the gradients are (nn.GradSlab).
 package opt
 
 import (
@@ -80,49 +81,49 @@ func (s *SGD) Reset() { s.velocity = make(map[*nn.Param]*tensor.Matrix) }
 // Adam is the Kingma–Ba optimizer with bias-corrected first and second
 // moments; the paper's configuration uses lr=0.001 with the standard betas.
 type Adam struct {
-	Rate   float64
-	Beta1  float64
-	Beta2  float64
-	Eps    float64
-	t      int
-	moment map[*nn.Param]*adamState
-}
-
-type adamState struct {
-	m, v *tensor.Matrix
+	Rate  float64
+	Beta1 float64
+	Beta2 float64
+	Eps   float64
+	t     int
+	// m and v hold the moments of every parameter of the group, one after
+	// the other in Step's params order; nil until a parameter of it trains.
+	// first is that group's first parameter: with the length, what a later
+	// Step's group is recognised by.
+	m, v  []float32
+	first *nn.Param
 }
 
 // NewAdam returns Adam with the standard β₁=0.9, β₂=0.999, ε=1e-8.
 func NewAdam(lr float64) *Adam {
-	return &Adam{Rate: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, moment: make(map[*nn.Param]*adamState)}
+	return &Adam{Rate: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one Adam update, advancing the shared timestep.
+// Step applies one Adam update, advancing the shared timestep. Every Step
+// of one Adam takes the same params in the same order.
 func (a *Adam) Step(params []*nn.Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	lr := a.Rate * math.Sqrt(c2) / c1
-	b1 := float32(a.Beta1)
-	b2 := float32(a.Beta2)
-	eps := float32(a.Eps)
-	step := float32(lr)
+	total := 0
 	for _, p := range params {
-		if p.Grad == nil {
-			continue
+		total += len(p.W.Data)
+	}
+	off := 0
+	for _, p := range params {
+		end := off + len(p.W.Data)
+		if p.Grad != nil {
+			if a.m == nil {
+				a.m, a.v, a.first = make([]float32, total), make([]float32, total), params[0]
+			}
+			if len(a.m) != total || a.first != params[0] {
+				panic("opt: Adam.Step on a different parameter group")
+			}
+			tensor.AdamStep(p.W.Data, p.Grad.Data, a.m[off:end], a.v[off:end],
+				float32(a.Beta1), float32(a.Beta2), float32(a.Eps), float32(lr))
 		}
-		st, ok := a.moment[p]
-		if !ok {
-			st = &adamState{m: tensor.New(p.W.Rows, p.W.Cols), v: tensor.New(p.W.Rows, p.W.Cols)}
-			a.moment[p] = st
-		}
-		for i, g := range p.Grad.Data {
-			m := b1*st.m.Data[i] + (1-b1)*g
-			v := b2*st.v.Data[i] + (1-b2)*g*g
-			st.m.Data[i] = m
-			st.v.Data[i] = v
-			p.W.Data[i] -= step * m / (float32(math.Sqrt(float64(v))) + eps)
-		}
+		off = end
 	}
 }
 
@@ -135,7 +136,7 @@ func (a *Adam) SetLR(lr float64) { a.Rate = lr }
 // Reset clears the moment estimates and the timestep.
 func (a *Adam) Reset() {
 	a.t = 0
-	a.moment = make(map[*nn.Param]*adamState)
+	a.m, a.v, a.first = nil, nil, nil
 }
 
 // StepDecay returns a schedule that multiplies base by factor every interval

@@ -91,7 +91,7 @@ func TestResetClearsState(t *testing.T) {
 	p.Grad.Data[0] = 1
 	a.Step([]*nn.Param{p})
 	a.Reset()
-	if a.t != 0 || len(a.moment) != 0 {
+	if a.t != 0 || a.m != nil || a.v != nil {
 		t.Fatal("Adam.Reset must clear timestep and moments")
 	}
 	s := NewSGD(0.1, 0.9)
@@ -150,15 +150,15 @@ func TestOptimizersReduceNetworkLoss(t *testing.T) {
 			v := x.At(i, 0)*x.At(i, 1) + x.At(i, 2)
 			target.Set(i, 0, v)
 		}
-		first, _ := nn.MSE(net.Forward(x, false), target)
+		first, _ := nn.MSE(net.Forward(x, false), target, nil)
 		for i := 0; i < 150; i++ {
 			net.ZeroGrad()
 			pred := net.Forward(x, true)
-			_, dy := nn.MSE(pred, target)
+			_, dy := nn.MSE(pred, target, nil)
 			net.Backward(dy)
 			o.Step(net.Params())
 		}
-		last, _ := nn.MSE(net.Forward(x, false), target)
+		last, _ := nn.MSE(net.Forward(x, false), target, nil)
 		if last > first*0.5 {
 			t.Fatalf("%s: loss %g -> %g, wanted at least 2x reduction", name, first, last)
 		}
@@ -168,11 +168,13 @@ func TestOptimizersReduceNetworkLoss(t *testing.T) {
 func BenchmarkAdamStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	net := nn.MLP("bench", []int{128, 256, 128}, nn.ActReLU, nn.ActNone, rng)
-	for _, p := range net.Params() {
-		tensor.FillGaussian(p.Accum(), rng, 0, 0.01)
+	params := net.Params()
+	nn.ZeroGrad(params)
+	for _, p := range params {
+		tensor.FillGaussian(p.Grad, rng, 0, 0.01)
 	}
 	a := NewAdam(0.001)
-	params := net.Params()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Step(params)
@@ -195,9 +197,106 @@ func TestStepSkipsParamsThatNeverTrained(t *testing.T) {
 			t.Fatalf("%s: the trained parameter did not move", name)
 		}
 	}
+	// A group none of whose parameters has trained costs Adam no moments; the
+	// first that trains sizes them for the whole group, and the idle ones'
+	// stay zero.
 	a := NewAdam(0.1)
-	a.Step([]*nn.Param{{Name: "idle", W: tensor.New(1, 2)}})
-	if len(a.moment) != 0 {
-		t.Fatal("adam kept moments for a parameter that never trained")
+	group := []*nn.Param{{Name: "idle", W: tensor.New(1, 2)}, {Name: "late", W: tensor.New(1, 3)}}
+	a.Step(group)
+	if a.m != nil || a.v != nil {
+		t.Fatal("adam kept moments for a group that never trained")
+	}
+	nn.ZeroGrad(group[1:])
+	group[1].Grad.Fill(1)
+	a.Step(group)
+	if len(a.m) != 5 || len(a.v) != 5 || a.m[0] != 0 || a.m[1] != 0 || a.v[0] != 0 || a.v[1] != 0 || a.m[2] == 0 {
+		t.Fatalf("moments after the group's first gradient: m=%v v=%v, want 5 each with the idle parameter's zero", a.m, a.v)
+	}
+	if group[0].Grad != nil || group[0].W.Data[0] != 0 || group[1].W.Data[0] >= 0 {
+		t.Fatal("the step must move the trained parameter and only it")
+	}
+}
+
+// referenceAdam is the per-parameter, map-keyed Adam this package had before
+// the moments became slabs; Step must leave the bits it leaves.
+type referenceAdam struct {
+	rate, beta1, beta2, eps float64
+	t                       int
+	m, v                    map[*nn.Param][]float32
+}
+
+func (a *referenceAdam) step(params []*nn.Param) {
+	a.t++
+	c1 := 1 - math.Pow(a.beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.beta2, float64(a.t))
+	b1, b2, eps := float32(a.beta1), float32(a.beta2), float32(a.eps)
+	step := float32(a.rate * math.Sqrt(c2) / c1)
+	for _, p := range params {
+		if p.Grad == nil {
+			continue
+		}
+		if a.m[p] == nil {
+			a.m[p], a.v[p] = make([]float32, len(p.W.Data)), make([]float32, len(p.W.Data))
+		}
+		ms, vs := a.m[p], a.v[p]
+		for i, g := range p.Grad.Data {
+			m := b1*ms[i] + (1-b1)*g
+			v := b2*vs[i] + (1-b2)*g*g
+			ms[i] = m
+			vs[i] = v
+			p.W.Data[i] -= step * m / (float32(math.Sqrt(float64(v))) + eps)
+		}
+	}
+}
+
+// TestAdamSlabMatchesPerParamReference: thirty steps on a network whose
+// gradients change every step, one parameter joining late, against the
+// map-keyed loop: same weights, bit for bit.
+func TestAdamSlabMatchesPerParamReference(t *testing.T) {
+	build := func() *nn.Network {
+		return nn.MLP("adam", []int{7, 13, 5}, nn.ActTanh, nn.ActNone, rand.New(rand.NewSource(8)))
+	}
+	got, want := build(), build()
+	a := NewAdam(0.01)
+	ref := &referenceAdam{rate: 0.01, beta1: a.Beta1, beta2: a.Beta2, eps: a.Eps, m: map[*nn.Param][]float32{}, v: map[*nn.Param][]float32{}}
+	rng := rand.New(rand.NewSource(9))
+	gp, wp := got.Params(), want.Params()
+	for step := 0; step < 30; step++ {
+		if step == 0 {
+			nn.ZeroGrad(gp[:3]) // the last bias has not trained yet
+			nn.ZeroGrad(wp[:3])
+		} else {
+			nn.ZeroGrad(gp)
+			nn.ZeroGrad(wp)
+		}
+		for i, p := range gp {
+			if p.Grad != nil {
+				tensor.FillGaussian(p.Grad, rng, 0, math.Pow(10, float64(step%5-3)))
+				wp[i].Grad.CopyFrom(p.Grad)
+			}
+		}
+		a.Step(gp)
+		ref.step(wp)
+		for i, p := range gp {
+			for j, v := range p.W.Data {
+				if math.Float32bits(v) != math.Float32bits(wp[i].W.Data[j]) {
+					t.Fatalf("step %d %s[%d]: %v, reference %v", step, p.Name, j, v, wp[i].W.Data[j])
+				}
+			}
+		}
+	}
+	// An Adam serves one group: a different one is a caller's bug, also
+	// when it is as long (its moments would be the first group's).
+	twin := build().Params()
+	nn.ZeroGrad(twin)
+	for name, group := range map[string][]*nn.Param{"shorter": gp[:2], "as long": twin} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Step on another, %s parameter group must panic", name)
+				}
+			}()
+			a.Step(group)
+		}()
 	}
 }

@@ -5,7 +5,11 @@
 //
 // The package deliberately has no configuration beyond GOMAXPROCS; kernels
 // call For with a grain size and the package decides whether running serially
-// is cheaper than scheduling goroutines.
+// is cheaper than scheduling goroutines. The one other thing it is told is how
+// many SPMD ranks share the process (AddRanks): each rank's loops get an equal
+// share of the Ps — OpenMP threads per MPI rank, as the paper ran — and when
+// the ranks already fill them, a rank's loop runs on the rank's own goroutine
+// instead of forking onto cores the other ranks are waiting for.
 //
 // A For is a region: its goroutines start together and For returns when the
 // last has ended. Callers keep regions short — internal/tensor cuts a big
@@ -27,17 +31,27 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
+// ranks counts the rank goroutines of every comm.World.Run in progress.
+var ranks atomic.Int64
+
+// AddRanks records that n more goroutines, each calling For on its own
+// account, run in this process (n < 0: that they have ended). comm.World.Run
+// brackets its ranks with it; nothing else should need to.
+func AddRanks(n int) { ranks.Add(int64(n)) }
+
 // Workers reports the number of workers For will use for a sufficiently large
-// loop. It equals GOMAXPROCS at call time.
+// loop: GOMAXPROCS at call time, divided among the ranks of the Worlds that
+// are running, and never less than one.
 func Workers() int {
-	return runtime.GOMAXPROCS(0)
+	return max(1, runtime.GOMAXPROCS(0)/max(1, int(ranks.Load())))
 }
 
 // For executes fn over the half-open index range [lo, hi), splitting it into
 // contiguous chunks of at least grain iterations and running chunks on up to
-// GOMAXPROCS goroutines. fn receives sub-ranges [start, end) and must be safe
+// Workers goroutines. fn receives sub-ranges [start, end) and must be safe
 // to call concurrently on disjoint ranges. For blocks until every chunk has
 // completed.
 //

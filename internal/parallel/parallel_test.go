@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -112,5 +113,22 @@ func BenchmarkForOverhead(b *testing.B) {
 				sink[j] += 1
 			}
 		})
+	}
+}
+
+// TestWorkersIsTheRanksShare: Workers is GOMAXPROCS divided among the ranks
+// AddRanks has been told of, rounded down and never below one, and For forks
+// accordingly.
+func TestWorkersIsTheRanksShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct{ ranks, want int }{{0, 8}, {1, 8}, {2, 4}, {3, 2}, {8, 1}, {20, 1}} {
+		AddRanks(c.ranks)
+		got := Workers()
+		var chunks atomic.Int32
+		For(0, 64, 1, func(start, end int) { chunks.Add(1) })
+		AddRanks(-c.ranks)
+		if got != c.want || int(chunks.Load()) != c.want {
+			t.Fatalf("%d ranks on 8 Ps: Workers() = %d, For ran %d chunks, want %d", c.ranks, got, chunks.Load(), c.want)
+		}
 	}
 }

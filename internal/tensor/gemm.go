@@ -66,6 +66,13 @@ func gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 		kernel = gemmTT
 	}
 	t := plan(m, n, ka, parallel.Workers())
+	if t.tiles() == 1 {
+		// The whole of C on the caller's goroutine, as waves would run it,
+		// without the closure waves needs: a training step is some sixty
+		// GEMMs this small.
+		kernel(c, alpha, a, b, 0, m, 0, n)
+		return
+	}
 	t.waves(func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			i0, i1, j0, j1 := t.tile(idx)

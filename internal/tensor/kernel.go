@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Micro-kernels: the inner loops every GEMM variant is built from.
 //
 // There are two scalar kernels, axpy (y += s·x) and dot, and two grouped
@@ -9,7 +11,9 @@ package tensor
 // (kernel_amd64.s) chosen once at init from CPUID; everywhere else, and for
 // every tail the SIMD code does not cover, they run the scalar loops in this
 // file, which are also the reference the SIMD code is tested against
-// (TestMicroKernelsMatchScalar, FuzzGemmMatchesReference).
+// (TestMicroKernelsMatchScalar, FuzzGemmMatchesReference). AdamStep, the
+// optimizer's elementwise update, is the one kernel here that is not a GEMM
+// loop; it keeps the same rules (adamScalar is its reference).
 //
 // The contract a kernel must keep, because every loss, tournament decision
 // and checkpoint this repo has produced depends on the exact float32 bits:
@@ -84,6 +88,43 @@ func dot(x, y []float32) float32 {
 		s += float32(x[i] * y[i])
 	}
 	return s
+}
+
+// adamScalar is one Adam update of w from gradient g, with moments m and v,
+// all of one length: the portable AdamStep and the reference for the SIMD
+// one. c1 and c2 are 1−b1 and 1−b2. Every product is rounded before it is
+// added, and the operations on an element are, in this order,
+//
+//	m ← b1·m + c1·g
+//	v ← b2·v + (c2·g)·g
+//	w ← w − (step·m) / (√v + eps)
+//
+// with √ correctly rounded in float32 (through float64, which rounds the
+// same).
+func adamScalar(w, g, m, v []float32, b1, c1, b2, c2, step, eps float32) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	for i, gi := range g {
+		mi := float32(b1*m[i]) + float32(c1*gi)
+		vi := float32(b2*v[i]) + float32(float32(c2*gi)*gi)
+		m[i] = mi
+		v[i] = vi
+		w[i] -= float32(step*mi) / (float32(math.Sqrt(float64(vi))) + eps)
+	}
+}
+
+// AdamStep applies one Adam update to w in place from gradient g, advancing
+// the moments m and v; b1, b2, eps are Adam's constants and step the
+// bias-corrected learning rate. The four slices must be one length. See
+// adamScalar for the arithmetic, which the SIMD body (adamSIMD: on amd64
+// with AVX2, the longest prefix that is a multiple of eight) reproduces bit
+// for bit.
+func AdamStep(w, g, m, v []float32, b1, b2, eps, step float32) {
+	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
+		panic("tensor: AdamStep operands differ in length")
+	}
+	k := [6]float32{b1, 1 - b1, b2, 1 - b2, step, eps}
+	n := adamSIMD(w, g, m, v, &k)
+	adamScalar(w[n:], g[n:], m[n:], v[n:], k[0], k[1], k[2], k[3], k[4], k[5])
 }
 
 // checkGroup panics unless x holds four rows of n elements, row j starting

@@ -76,6 +76,18 @@ func dot4(out *[4]float32, x, y []float32, stride int) {
 	}
 }
 
+// adamSIMD applies AdamStep's update, with k holding b1, 1−b1, b2, 1−b2,
+// step, eps, to the longest prefix the AVX2 body covers and returns its
+// length: a multiple of eight, zero without AVX2.
+func adamSIMD(w, g, m, v []float32, k *[6]float32) int {
+	n8 := len(w) &^ 7
+	if !useAVX2 || n8 == 0 {
+		return 0
+	}
+	adamAVX2(&w[0], &g[0], &m[0], &v[0], uintptr(n8), k)
+	return n8
+}
+
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -95,3 +107,9 @@ func axpy4AVX2(y, x *float32, stride, n uintptr, s *[4]float32)
 //
 //go:noescape
 func dot4SSE(out *[4]float32, x, y *float32, stride, n uintptr)
+
+// adamAVX2 is adamSIMD for the first n elements; n must be a positive
+// multiple of 8.
+//
+//go:noescape
+func adamAVX2(w, grad, m, v *float32, n uintptr, k *[6]float32)

@@ -182,3 +182,94 @@ loop4:
 	ADDPS    X2, X6          // ((s0+s1)+s2)+s3
 	MOVUPS   X6, (DI)
 	RET
+
+// func adamAVX2(w, grad, m, v *float32, n uintptr, k *[6]float32)
+//
+// adamScalar, eight elements per YMM register: every VMULPS result is rounded
+// before VADDPS uses it, VSQRTPS and VDIVPS round as SQRTSS and DIVSS do, and
+// the operations of one element keep the scalar order. Two independent
+// 8-element tiles per iteration overlap one's divide with the other's square
+// root.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ k+40(FP), AX
+	VBROADCASTSS 0(AX), Y10  // b1
+	VBROADCASTSS 4(AX), Y11  // 1-b1
+	VBROADCASTSS 8(AX), Y12  // b2
+	VBROADCASTSS 12(AX), Y13 // 1-b2
+	VBROADCASTSS 16(AX), Y14 // step
+	VBROADCASTSS 20(AX), Y15 // eps
+	SHLQ $2, CX              // n in bytes
+	MOVQ CX, R11
+	ANDQ $-64, R11           // bytes covered by whole 16-element blocks
+	XORQ AX, AX              // byte offset into every operand
+	CMPQ AX, R11
+	JGE  adamtail
+
+adam16:
+	VMOVUPS (SI)(AX*1), Y0       // g
+	VMOVUPS 32(SI)(AX*1), Y5
+	VMULPS  (R8)(AX*1), Y10, Y1  // b1*m
+	VMULPS  32(R8)(AX*1), Y10, Y6
+	VMULPS  Y0, Y11, Y2          // (1-b1)*g
+	VMULPS  Y5, Y11, Y7
+	VADDPS  Y2, Y1, Y1           // m
+	VADDPS  Y7, Y6, Y6
+	VMOVUPS Y1, (R8)(AX*1)
+	VMOVUPS Y6, 32(R8)(AX*1)
+	VMULPS  (R9)(AX*1), Y12, Y2  // b2*v
+	VMULPS  32(R9)(AX*1), Y12, Y7
+	VMULPS  Y0, Y13, Y3          // (1-b2)*g
+	VMULPS  Y5, Y13, Y8
+	VMULPS  Y0, Y3, Y3           // ((1-b2)*g)*g
+	VMULPS  Y5, Y8, Y8
+	VADDPS  Y3, Y2, Y2           // v
+	VADDPS  Y8, Y7, Y7
+	VMOVUPS Y2, (R9)(AX*1)
+	VMOVUPS Y7, 32(R9)(AX*1)
+	VMULPS  Y1, Y14, Y1          // step*m
+	VMULPS  Y6, Y14, Y6
+	VSQRTPS Y2, Y2
+	VSQRTPS Y7, Y7
+	VADDPS  Y15, Y2, Y2          // sqrt(v)+eps
+	VADDPS  Y15, Y7, Y7
+	VDIVPS  Y2, Y1, Y1           // (step*m)/(sqrt(v)+eps)
+	VDIVPS  Y7, Y6, Y6
+	VMOVUPS (DI)(AX*1), Y3
+	VMOVUPS 32(DI)(AX*1), Y8
+	VSUBPS  Y1, Y3, Y3           // w - that
+	VSUBPS  Y6, Y8, Y8
+	VMOVUPS Y3, (DI)(AX*1)
+	VMOVUPS Y8, 32(DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, R11
+	JLT  adam16
+
+adamtail:
+	CMPQ AX, CX
+	JGE  adamdone
+	VMOVUPS (SI)(AX*1), Y0
+	VMULPS  (R8)(AX*1), Y10, Y1
+	VMULPS  Y0, Y11, Y2
+	VADDPS  Y2, Y1, Y1
+	VMOVUPS Y1, (R8)(AX*1)
+	VMULPS  (R9)(AX*1), Y12, Y2
+	VMULPS  Y0, Y13, Y3
+	VMULPS  Y0, Y3, Y3
+	VADDPS  Y3, Y2, Y2
+	VMOVUPS Y2, (R9)(AX*1)
+	VMULPS  Y1, Y14, Y1
+	VSQRTPS Y2, Y2
+	VADDPS  Y15, Y2, Y2
+	VDIVPS  Y2, Y1, Y1
+	VMOVUPS (DI)(AX*1), Y3
+	VSUBPS  Y1, Y3, Y3
+	VMOVUPS Y3, (DI)(AX*1)
+
+adamdone:
+	VZEROUPPER
+	RET

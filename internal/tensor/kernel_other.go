@@ -13,3 +13,6 @@ func axpy4(s *[4]float32, x []float32, stride int, y []float32) {
 func dot4(out *[4]float32, x, y []float32, stride int) {
 	dot4Scalar(out, x, y, stride)
 }
+
+// adamSIMD updates no element: adamScalar does them all.
+func adamSIMD(w, g, m, v []float32, k *[6]float32) int { return 0 }

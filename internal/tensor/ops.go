@@ -109,17 +109,19 @@ func leakyReLU(dst, src []float32, alpha float32) {
 	}
 }
 
-// ColSums returns the per-column sums of m as a length-Cols slice,
+// ColSums sets dst, of length m.Cols, to the per-column sums of m,
 // implementing bias gradients.
-func ColSums(m *Matrix) []float32 {
-	out := make([]float32, m.Cols)
+func ColSums(dst []float32, m *Matrix) {
+	if len(dst) != m.Cols {
+		panic("tensor: ColSums length mismatch")
+	}
+	clear(dst)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
-			out[j] += v
+			dst[j] += v
 		}
 	}
-	return out
 }
 
 // Sum returns the sum of all elements (accumulated in float64 for accuracy).

@@ -248,7 +248,8 @@ func TestReductions(t *testing.T) {
 	if got := Mean(m); got != -0.5 {
 		t.Fatalf("Mean = %v, want -0.5", got)
 	}
-	cs := ColSums(m)
+	cs := []float32{9, 9, 9} // overwritten, not added to
+	ColSums(cs, m)
 	want := []float32{-3, 3, -3}
 	for i := range cs {
 		if cs[i] != want[i] {
@@ -263,7 +264,8 @@ func TestReductions(t *testing.T) {
 func TestAddRowVectorAndColSumsRoundTrip(t *testing.T) {
 	m := New(3, 4)
 	AddRowVector(m, []float32{1, 2, 3, 4})
-	cs := ColSums(m)
+	cs := make([]float32, 4)
+	ColSums(cs, m)
 	for j, v := range cs {
 		if v != float32(3*(j+1)) {
 			t.Fatalf("col %d sum = %v, want %v", j, v, 3*(j+1))

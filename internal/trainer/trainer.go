@@ -34,44 +34,26 @@ type Model interface {
 }
 
 // AllreduceReducer averages gradients across the ranks of a trainer
-// communicator using the ring allreduce. All parameters are packed into one
-// buffer per Reduce call, matching how Aluminum aggregates small tensors.
-// The buffer is kept between calls, so a reducer serves one rank and is not
-// safe for concurrent use. Every rank packs every parameter — one that has
-// not trained on this rank yet contributes zeros (nn.Param.Accum) — so the
-// ranks' buffers always agree in length.
+// communicator using the ring allreduce. The gradients of one Reduce call are
+// one slab (nn.GradSlab) and the ring sums it where it lies, matching how
+// Aluminum aggregates small tensors into one buffer. Every rank reduces every
+// parameter — one that has not trained on this rank yet contributes zeros —
+// so the ranks' slabs always agree in length.
 type AllreduceReducer struct {
 	C *comm.Comm
-
-	buf []float32 // pack scratch, grown to the largest parameter set seen
 }
 
 // Reduce replaces every gradient with the cross-rank average.
-func (r *AllreduceReducer) Reduce(params []*nn.Param) {
+func (r AllreduceReducer) Reduce(params []*nn.Param) {
 	n := r.C.Size()
 	if n == 1 {
 		return
 	}
-	total := 0
-	for _, p := range params {
-		total += len(p.Accum().Data)
-	}
-	if cap(r.buf) < total {
-		r.buf = make([]float32, total)
-	}
-	buf := r.buf[:total]
-	off := 0
-	for _, p := range params {
-		off += copy(buf[off:], p.Grad.Data)
-	}
-	r.C.AllreduceSum(buf)
+	slab := nn.GradSlab(params)
+	r.C.AllreduceSum(slab)
 	inv := float32(1) / float32(n)
-	off = 0
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = buf[off+i] * inv
-		}
-		off += len(p.Grad.Data)
+	for i := range slab {
+		slab[i] *= inv
 	}
 }
 
@@ -108,7 +90,6 @@ type Trainer struct {
 	Store *datastore.Store
 	Data  reader.Dataset
 
-	reducer  AllreduceReducer
 	shuffler *reader.Shuffler
 	batches  [][]int
 	cursor   int
@@ -134,7 +115,6 @@ func New(cfg Config, c *comm.Comm, model Model, store *datastore.Store, data rea
 		Model:    model,
 		Store:    store,
 		Data:     data,
-		reducer:  AllreduceReducer{C: c},
 		shuffler: reader.NewShuffler(data.Len(), cfg.ShuffleSeed),
 		stats:    Stats{Losses: map[string]float64{}},
 	}, nil
@@ -150,9 +130,8 @@ func (t *Trainer) Stats() Stats {
 	return out
 }
 
-// Reducer returns the gradient reducer for this trainer rank. Every call
-// returns the same reducer, which reuses its pack buffer across steps.
-func (t *Trainer) Reducer() nn.Reducer { return &t.reducer }
+// Reducer returns the gradient reducer for this trainer rank.
+func (t *Trainer) Reducer() nn.Reducer { return AllreduceReducer{C: t.C} }
 
 // prepareEpoch lays out the next epoch's batch schedule. Partial trailing
 // batches are dropped so every rank always receives at least one sample.

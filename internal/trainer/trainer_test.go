@@ -1,6 +1,9 @@
 package trainer
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/jag"
 	"repro/internal/nn"
 	"repro/internal/reader"
+	"repro/internal/tensor"
 )
 
 // jagSliceDataset materializes n flattened JAG samples in memory.
@@ -258,16 +262,22 @@ func TestEvaluateConsistentAcrossStoreModes(t *testing.T) {
 	}
 }
 
+// fillGrads lays params' gradients out as a slab and sets every element to v.
+func fillGrads(params []*nn.Param, v float32) {
+	slab := nn.GradSlab(params)
+	for i := range slab {
+		slab[i] = v
+	}
+}
+
 func TestAllreduceReducerAverages(t *testing.T) {
 	w := comm.NewWorld(4)
 	results := make([]float32, 4)
 	w.Run(func(c *comm.Comm) {
 		m := tinySurrogate(2)
 		params := m.Forward.Params()
-		for _, p := range params {
-			p.Accum().Fill(float32(c.Rank() + 1)) // ranks contribute 1,2,3,4
-		}
-		(&AllreduceReducer{C: c}).Reduce(params)
+		fillGrads(params, float32(c.Rank()+1)) // ranks contribute 1,2,3,4
+		AllreduceReducer{C: c}.Reduce(params)
 		results[c.Rank()] = params[0].Grad.Data[0]
 	})
 	for r, v := range results {
@@ -278,21 +288,26 @@ func TestAllreduceReducerAverages(t *testing.T) {
 }
 
 // TestAllreduceReducerReusesScratch drives one reducer per rank through
-// parameter sets of different sizes, as the three phases of a train step do:
-// the kept pack buffer must neither leak one phase's values into the next
-// nor be reallocated once it has seen the largest set.
+// parameter sets of different sizes, as the three phases of a train step do.
+// The gradients are reduced where they lie — the slab before a Reduce is the
+// slab after it, one phase's values never show in the next — and once the
+// ring's segment buffers have carried the largest set, a Reduce allocates
+// nothing.
 func TestAllreduceReducerReusesScratch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nothing else runs while the ranks are counted
 	w := comm.NewWorld(2)
 	w.Run(func(c *comm.Comm) {
 		m := tinySurrogate(2)
-		r := &AllreduceReducer{C: c}
+		r := AllreduceReducer{C: c}
 		big, small := m.Decoder.Params(), m.Disc.Params()
-		var grown []float32
-		for step, params := range [][]*nn.Param{big, small, big, small} {
-			for _, p := range params {
-				p.Accum().Fill(float32((c.Rank() + 1) * (step + 1))) // ranks contribute s, 2s
-			}
+		sets := [][]*nn.Param{big, small, big, small}
+		for step, params := range sets {
+			fillGrads(params, float32((c.Rank()+1)*(step+1))) // ranks contribute s, 2s
+			slab := nn.GradSlab(params)
 			r.Reduce(params)
+			if after := nn.GradSlab(params); &after[0] != &slab[0] || len(after) != len(slab) {
+				t.Errorf("rank %d step %d: Reduce moved the gradient slab", c.Rank(), step)
+			}
 			want := 1.5 * float32(step+1)
 			for _, p := range params {
 				for i, v := range p.Grad.Data {
@@ -302,10 +317,28 @@ func TestAllreduceReducerReusesScratch(t *testing.T) {
 					}
 				}
 			}
-			if step == 0 {
-				grown = r.buf
-			} else if &r.buf[0] != &grown[0] {
-				t.Errorf("rank %d step %d: pack buffer reallocated", c.Rank(), step)
+		}
+		// A Reduce is collective and the allocation count is the process's,
+		// so the ranks run the Reduces together between barriers and rank 0
+		// reads one delta for both. The two barriers inside the window cost
+		// an allocation a rank each; dividing as testing.AllocsPerRun does
+		// drops them, and one allocation per Reduce on either rank reads 1.
+		const runs = 100
+		for _, params := range sets[:2] {
+			var before, after runtime.MemStats
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			for i := 0; i < runs; i++ {
+				r.Reduce(params)
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+				if got := (after.Mallocs - before.Mallocs) / runs; got != 0 {
+					t.Errorf("a steady-state Reduce of %d parameters makes %d allocations over both ranks, want 0", len(params), got)
+				}
 			}
 		}
 	})
@@ -313,7 +346,7 @@ func TestAllreduceReducerReusesScratch(t *testing.T) {
 
 // TestAllreduceReducerPacksUntrainedParams: gradient storage appears on
 // first training use, so a rank can reach a Reduce holding none. It still
-// packs every parameter — as zeros — or the ranks' buffers would disagree
+// reduces every parameter — as zeros — or the ranks' slabs would disagree
 // in length and the ring would mix parameters up.
 func TestAllreduceReducerPacksUntrainedParams(t *testing.T) {
 	w := comm.NewWorld(2)
@@ -321,11 +354,12 @@ func TestAllreduceReducerPacksUntrainedParams(t *testing.T) {
 	w.Run(func(c *comm.Comm) {
 		params := tinySurrogate(2).Forward.Params()
 		if c.Rank() == 0 {
+			nn.ZeroGrad(params)
 			for i, p := range params {
-				p.Accum().Fill(float32(2 * (i + 1)))
+				p.Grad.Fill(float32(2 * (i + 1)))
 			}
 		}
-		(&AllreduceReducer{C: c}).Reduce(params)
+		AllreduceReducer{C: c}.Reduce(params)
 		for _, p := range params {
 			results[c.Rank()] = append(results[c.Rank()], p.Grad.Data[0], p.Grad.Data[len(p.Grad.Data)-1])
 		}
@@ -344,10 +378,84 @@ func TestAllreduceReducerSingleRankNoop(t *testing.T) {
 	w.Run(func(c *comm.Comm) {
 		m := tinySurrogate(2)
 		params := m.Forward.Params()
-		params[0].Accum().Fill(3)
-		(&AllreduceReducer{C: c}).Reduce(params)
+		fillGrads(params, 3)
+		AllreduceReducer{C: c}.Reduce(params)
 		if params[0].Grad.Data[0] != 3 {
 			t.Error("single-rank reduce must be identity")
 		}
 	})
+}
+
+// packedReduce is the reducer this package had before gradients lived in a
+// slab: pack every gradient into a buffer, allreduce the buffer, unpack and
+// scale. It is kept as the reference the in-place Reduce must match bit for
+// bit; a parameter without a gradient packs as zeros.
+func packedReduce(c *comm.Comm, params []*nn.Param) [][]float32 {
+	var buf []float32
+	for _, p := range params {
+		if p.Grad != nil {
+			buf = append(buf, p.Grad.Data...)
+		} else {
+			buf = append(buf, make([]float32, len(p.W.Data))...)
+		}
+	}
+	c.AllreduceSum(buf)
+	inv := float32(1) / float32(c.Size())
+	out := make([][]float32, len(params))
+	for i, p := range params {
+		n := len(p.W.Data)
+		out[i] = make([]float32, n)
+		for j := range out[i] {
+			out[i][j] = buf[j] * inv
+		}
+		buf = buf[n:]
+	}
+	return out
+}
+
+// TestSlabReduceMatchesPackedReference: at one to four ranks, with gradients
+// whose sums round differently in every association, the in-place Reduce
+// leaves the bits the pack-allreduce-unpack reference computes — the slab is
+// the packed buffer, so the ring cuts it into the same segments. On the last
+// rank one parameter has never trained and one group trained layer by layer
+// (two slabs, not one); both are regrouped, not skipped.
+func TestSlabReduceMatchesPackedReference(t *testing.T) {
+	for ranks := 1; ranks <= 4; ranks++ {
+		comm.NewWorld(ranks).Run(func(c *comm.Comm) {
+			m := tinySurrogate(3)
+			rng := rand.New(rand.NewSource(int64(100*ranks + c.Rank())))
+			for _, params := range [][]*nn.Param{
+				append(m.Encoder.Params(), m.Decoder.Params()...), m.Disc.Params(),
+				append(m.Forward.Params(), m.Inverse.Params()...),
+			} {
+				last := c.Rank() == ranks-1
+				if last {
+					nn.GradSlab(params[:2])
+					nn.GradSlab(params[2:])
+				} else {
+					nn.GradSlab(params)
+				}
+				for _, p := range params {
+					tensor.FillGaussian(p.Grad, rng, 0, 1)
+				}
+				if last {
+					params[1].Grad = nil
+				}
+				want := packedReduce(c, params)
+				AllreduceReducer{C: c}.Reduce(params)
+				for i, p := range params {
+					got := make([]float32, len(p.W.Data)) // a lone rank reduces nothing: still no gradient, read as zeros
+					if p.Grad != nil {
+						got = p.Grad.Data
+					}
+					for j, v := range got {
+						if math.Float32bits(v) != math.Float32bits(want[i][j]) {
+							t.Errorf("%d ranks, rank %d, %s[%d]: %v, packed reference %v", ranks, c.Rank(), p.Name, j, v, want[i][j])
+							return
+						}
+					}
+				}
+			}
+		})
+	}
 }
