@@ -12,7 +12,8 @@
 // BENCH_19.json with the forward GEMMs at the shapes serving runs, which
 // PR 19 cut into tiles, BENCH_22.json with BenchmarkAdamStep and
 // BenchmarkAllreduceRing8 beside the train step PR 22 stopped allocating
-// in); CI regenerates
+// in, BENCH_23.json with BenchmarkJSONEnvelope, the call envelopes' own
+// codec); CI regenerates
 // the latest every run and uploads the fresh copy, so a perf regression is
 // visible as a JSON diff against the committed baseline.
 //

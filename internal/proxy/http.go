@@ -35,16 +35,6 @@ func newBackendRequest(ctx context.Context, b *Backend, r *http.Request, body []
 	return req, nil
 }
 
-// readSized reads a body whose Content-Length header said n bytes into
-// a buffer of exactly that size — io.ReadAll would reach the same bytes
-// by doubling, allocating about three times the body on the way. A body
-// that ends early is io.ErrUnexpectedEOF.
-func readSized(body io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, n)
-	_, err := io.ReadFull(body, buf)
-	return buf, err
-}
-
 // readBody buffers the inbound call body, rejecting oversized ones with
 // 413 — on the declared length when there is one, before reading a
 // byte. The buffered copy is what makes the request replayable across
@@ -54,17 +44,11 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return nil, false
 	}
-	var body []byte
-	var err error
-	switch n := r.ContentLength; {
-	case n > limit:
+	if r.ContentLength > limit {
 		return tooLarge()
-	case n >= 0:
-		body, err = readSized(r.Body, n)
-	default:
-		// Chunked: the length is only known once it has all arrived.
-		body, err = io.ReadAll(io.LimitReader(r.Body, limit+1))
 	}
+	// A chunked body's length is only known once it has all arrived.
+	body, err := serve.ReadBody(io.LimitReader(r.Body, limit+1), r.ContentLength)
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return nil, false
@@ -75,21 +59,12 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	return body, true
 }
 
-// maxSizedReply is the longest reply readAllBody sizes its buffer for on
-// the backend's word alone: the largest frame the wire format admits.
-// A backend claiming more is read the way a chunked reply is, paying
-// for bytes as they arrive.
-const maxSizedReply = 16 + 4*serve.MaxFrameElems
-
-// readAllBody drains and closes one backend reply. A reply shorter than
-// its Content-Length is an error, which attempt reports as a transport
-// failure.
+// readAllBody drains and closes one backend reply, into a buffer of its
+// declared size when it has one. A reply shorter than its Content-Length
+// is an error, which attempt reports as a transport failure.
 func readAllBody(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	if n := resp.ContentLength; n >= 0 && n <= maxSizedReply {
-		return readSized(resp.Body, n)
-	}
-	return io.ReadAll(resp.Body)
+	return serve.ReadBody(resp.Body, resp.ContentLength)
 }
 
 // errKind classifies a transport error for the errors_total metric.

@@ -162,7 +162,7 @@ type Proxy struct {
 	handler  http.Handler // the route mux inside serve.Lifecycle
 
 	// Fleet-wide counters; the per-backend instruments live on Backend.
-	rateLimited, noBackend, retries, hedges, hedgeWins *metrics.Counter
+	rateLimited, noBackend, retries, hedges, hedgeWins, panics *metrics.Counter
 }
 
 // New builds a proxy over the given backend base URLs (such as
@@ -193,6 +193,8 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 		"Second attempts raced for slow interactive requests.", nil)
 	p.hedgeWins = p.m.Counter("jag_proxy_hedge_wins_total",
 		"Hedged attempts that answered first.", nil)
+	p.panics = p.m.Counter("jag_proxy_panics_total",
+		"Handler panics answered with a 500.", nil)
 	seen := map[string]bool{}
 	for _, raw := range backendURLs {
 		b, err := newBackend(raw, cfg.ErrorWindow, p.m)
@@ -214,7 +216,7 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 	mux.HandleFunc("GET /v1/models/{name}/stats", p.servePass)
 	mux.HandleFunc("GET /healthz", p.serveHealthz)
 	mux.HandleFunc("GET /metrics", p.serveMetrics)
-	p.handler = serve.Lifecycle(mux, cfg.AccessLog)
+	p.handler = serve.Lifecycle(mux, cfg.AccessLog, p.panics.Inc)
 	return p, nil
 }
 
@@ -550,6 +552,9 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, out outcome) {
 			w.Header().Set(h, v)
 		}
 	}
+	// The body is held whole, so it leaves with its length: un-chunked, and
+	// the client can size its buffer as readAllBody sized this one.
+	w.Header().Set("Content-Length", strconv.Itoa(len(out.body)))
 	w.WriteHeader(out.status)
 	// The status line is already out; a short write means the client
 	// disconnected and there is nothing left to report.

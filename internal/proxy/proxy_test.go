@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/serve"
+	"repro/internal/tensor"
 )
 
 // fakeBackend is an httptest stand-in for one jagserve replica with a
@@ -477,14 +482,18 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // records waits for n JSON log records and returns them decoded.
 func (b *syncBuffer) records(t *testing.T, n int) []map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b.mu.Lock()
-		text := strings.TrimSpace(b.buf.String())
-		b.mu.Unlock()
+		text := strings.TrimSpace(b.String())
 		if lines := strings.Split(text, "\n"); text != "" && len(lines) >= n {
 			out := make([]map[string]any, len(lines))
 			for i, line := range lines {
@@ -647,5 +656,142 @@ func TestBodiesSizedFromContentLength(t *testing.T) {
 	})
 	if status, got := post(bytes.NewReader(payload)); status != http.StatusBadGateway {
 		t.Fatalf("short backend reply relayed as status %d (%d bytes), want 502", status, len(got))
+	}
+}
+
+// echoModel answers each two-value row with itself repeated to 600
+// values: a one-row JSON reply is past the 2 KB below which net/http
+// works out a Content-Length by itself.
+type echoModel struct{}
+
+func (echoModel) Dims() map[string]serve.Dims {
+	return map[string]serve.Dims{serve.MethodPredict: {In: 2, Out: 600}}
+}
+
+func (echoModel) Run(_ string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	y := tensor.New(x.Rows, 600)
+	for i := 0; i < x.Rows; i++ {
+		for j := range y.Row(i) {
+			y.Row(i)[j] = x.At(i, j%2) + float32(j)/1024
+		}
+	}
+	return y, nil
+}
+
+// TestCallRepliesDeclareTheirLength: both tiers hold a call reply whole
+// before they send it, so it leaves with a Content-Length and no chunked
+// framing — a JSON reply, a JGT1 frame, and a mixed-result reply (rows
+// beside row errors, which is rendered by encoding/json), direct from
+// the backend and through the proxy.
+func TestCallRepliesDeclareTheirLength(t *testing.T) {
+	srv := serve.NewServer(echoModel{}, serve.Config{MaxBatch: 4})
+	reg := serve.NewRegistry()
+	if err := reg.Register("jag", srv); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	direct := httptest.NewServer(serve.NewRegistryHandler(reg, serve.HandlerConfig{}))
+	defer direct.Close()
+	p, err := New([]string{direct.URL}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxied := httptest.NewServer(p)
+	defer proxied.Close()
+
+	frame, err := serve.EncodeFrame([][]float32{{0.25, 0.5}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []struct{ name, url string }{{"direct", direct.URL}, {"proxied", proxied.URL}} {
+		for _, c := range []struct {
+			name, contentType string
+			body              []byte
+			replyType, has    string
+		}{
+			{"json", "application/json", []byte(`{"inputs":[[0.25,0.5]]}`), "application/json", `{"outputs":[[0.25,`},
+			{"jgt1", serve.ContentTypeTensor, frame, serve.ContentTypeTensor, "JGT1"},
+			{"mixed", "application/json", []byte(`{"inputs":[[0.25,0.5],[1],[1,2]]}`), "application/json", `"errors":[null,{"status":400,`},
+		} {
+			resp, err := http.Post(tier.url+"/v1/models/jag/predict", c.contentType, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != c.replyType || !bytes.Contains(body, []byte(c.has)) || len(body) < 4096 {
+				t.Fatalf("%s %s: status %d, %s, %d bytes: %.80q", tier.name, c.name, resp.StatusCode, resp.Header.Get("Content-Type"), len(body), body)
+			}
+			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Errorf("%s %s: Content-Length %d, Transfer-Encoding %v, want %d and none", tier.name, c.name, resp.ContentLength, resp.TransferEncoding, len(body))
+			}
+		}
+	}
+}
+
+// TestPanickingProxyHandlerIsContained: a panic on the proxy's handler
+// goroutine (here from a corrupted backend table, met by pick) is a
+// counted 500 with the error envelope, and the connection serves the
+// next request. Called on the test's goroutine first: without the
+// recover in serve.Lifecycle that ends the test binary.
+func TestPanickingProxyHandlerIsContained(t *testing.T) {
+	var stderr syncBuffer
+	log.SetOutput(&stderr)
+	defer log.SetOutput(os.Stderr)
+	p, front := newTestProxy(t, Config{}, newFakeBackend(t))
+	whole := p.backends
+	p.backends = []*Backend{nil}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/models/jag/predict", strings.NewReader(`{"inputs":[[0.5]]}`))
+	req.Header.Set(serve.RequestIDHeader, "boom-2")
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, req)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `{"error":"internal error (request boom-2)"}`) {
+		t.Fatalf("panicking call: status %d, body %q", rec.Code, rec.Body)
+	}
+	if got := counterValue(p, "jag_proxy_panics_total", nil); got != 1 {
+		t.Fatalf("jag_proxy_panics_total = %d, want 1", got)
+	}
+	if !strings.Contains(stderr.String(), "(request boom-2)") {
+		t.Errorf("log lacks the request ID: %s", stderr.String())
+	}
+
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	var reused []bool
+	post := func() int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/models/jag/predict", strings.NewReader(`{"inputs":[[0.5]]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+		}))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	if code := post(); code != http.StatusInternalServerError {
+		t.Fatalf("panicking call over a connection: status %d, want 500", code)
+	}
+	p.backends = whole
+	if code := post(); code != http.StatusOK {
+		t.Fatalf("call after the panic: status %d, want 200", code)
+	}
+	if len(reused) != 2 || reused[0] || !reused[1] {
+		t.Errorf("connection reuse across the panic = %v, want the second request on the first's connection", reused)
+	}
+	if got := counterValue(p, "jag_proxy_panics_total", nil); got != 2 {
+		t.Errorf("jag_proxy_panics_total = %d, want 2", got)
 	}
 }

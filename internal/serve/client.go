@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -141,7 +140,7 @@ func (c *Client) Call(ctx context.Context, model, method string, inputs [][]floa
 		}
 		contentType = ContentTypeTensor
 	} else {
-		body, err = json.Marshal(PredictRequest{Inputs: inputs})
+		body, err = PredictRequest{Inputs: inputs}.encode()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -179,13 +178,13 @@ func (c *Client) Call(ctx context.Context, model, method string, inputs [][]floa
 		}
 		return rows, nil, nil
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %s %s: %w", model, method,
 			&StatusError{Code: http.StatusBadGateway, Detail: "broken reply: " + err.Error()})
 	}
 	var pr PredictResponse
-	if jsonErr := json.Unmarshal(raw, &pr); jsonErr == nil && (resp.StatusCode == http.StatusOK || pr.Errors != nil) {
+	if jsonErr := pr.UnmarshalJSON(raw); jsonErr == nil && (resp.StatusCode == http.StatusOK || pr.Errors != nil) {
 		return pr.Outputs, pr.Errors, nil
 	}
 	return nil, nil, fmt.Errorf("serve: %s %s: %w", model, method, statusError(resp, raw))
@@ -202,7 +201,7 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -262,7 +261,7 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		}
 		WriteJSON(w, code, resp)
 	})
-	return Lifecycle(mux, hc.AccessLog)
+	return Lifecycle(mux, hc.AccessLog, func() { reg.httpPanics.Add(1) })
 }
 
 // poolShape extracts the replica count and ensemble flag from models
@@ -318,8 +317,29 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 		}
 		inputs = rows
 	} else {
-		var req PredictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// The JSON body is held to the budget the frame has: no row wider
+		// than the method's input, no more rows than a frame of either
+		// width may carry, and no more bytes than such a request can need.
+		lim := envLimits{cols: dims.In, rows: max(MaxFrameElems/max(dims.In, dims.Out), 1)}
+		bodyCap := jsonBodyCap(dims.In, lim.rows)
+		tooLong := func() {
+			WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", bodyCap))
+		}
+		if r.ContentLength > bodyCap {
+			tooLong() // on its declared length, unread
+			return
+		}
+		req, err := decodeRequest(http.MaxBytesReader(w, r.Body, bodyCap), r.ContentLength, lim)
+		var cut *http.MaxBytesError
+		var bound *boundError
+		switch {
+		case errors.As(err, &cut):
+			tooLong()
+			return
+		case errors.As(err, &bound):
+			WriteError(w, bound.status, bound.msg)
+			return
+		case err != nil:
 			WriteError(w, http.StatusBadRequest, "bad json: "+err.Error())
 			return
 		}
@@ -423,8 +443,28 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 		status = batchStatus(rowErrs)
 	}
 	encStart := time.Now()
-	WriteJSON(w, status, resp)
+	// Rendered whole before the status line, so the reply leaves with its
+	// length (un-chunked, and a relay or client can size its buffer) and a
+	// row JSON cannot carry is a 500, not a 200 with nothing after it.
+	body, err := resp.encode()
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding reply: "+err.Error())
+		return
+	}
+	body = append(body, '\n') // as json.Encoder ends a document
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	// The status line is out; a failed write means the client hung up.
+	_, _ = w.Write(body)
 	recordEncode(encStart)
+}
+
+// jsonBodyCap is the longest JSON call body serveCall reads: rows rows of
+// cols values at jsonValueBytes each, and the envelope around them.
+func jsonBodyCap(cols, rows int) int64 {
+	const jsonValueBytes = 32 // twice a float32's longest shortest form, and its comma
+	return 1024 + int64(rows)*(int64(cols)*jsonValueBytes+2)
 }
 
 // mergeTraces folds per-row traces into one request-level span record:

@@ -3,8 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"os"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,5 +369,93 @@ func TestHTTPHealthAndStats(t *testing.T) {
 	resp.Body.Close()
 	if snap.Requests != 1 || snap.CacheHits != 1 {
 		t.Fatalf("stats = %+v, want 1 model request and 1 cache hit", snap)
+	}
+}
+
+// shapePanicModel is a scriptedModel whose Replicas — which the listing
+// and health routes read on the handler's goroutine — panics once armed.
+type shapePanicModel struct {
+	scriptedModel
+	armed atomic.Bool
+}
+
+func (m *shapePanicModel) Replicas() int {
+	if m.armed.Load() {
+		panic("shape: boom")
+	}
+	return 1
+}
+
+// TestPanickingHandlerIsContained: a handler that panics answers 500 with
+// the error envelope and the request's ID, is counted in
+// jag_http_panics_total and named in the access log, and the
+// connection's next request is served as if nothing had happened. The
+// first half calls the handler on the test's own goroutine, so without
+// the recover in Lifecycle the panic ends the test binary.
+func TestPanickingHandlerIsContained(t *testing.T) {
+	m := &shapePanicModel{}
+	s := NewServer(m, Config{MaxBatch: 4})
+	defer s.Close()
+	var logged, stderr syncBuffer
+	log.SetOutput(&stderr)
+	defer log.SetOutput(os.Stderr)
+	h := defaultHandler(t, s, HandlerConfig{AccessLog: slog.New(slog.NewJSONHandler(&logged, nil))})
+	m.armed.Store(true)
+
+	req := httptest.NewRequest(http.MethodGet, "/v1/models", nil)
+	req.Header.Set(RequestIDHeader, "boom-1")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var envelope struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(envelope.Error, "boom-1") || rec.Header().Get(RequestIDHeader) != "boom-1" {
+		t.Fatalf("panicking route: status %d, body %q (%v), want a 500 error envelope naming request boom-1", rec.Code, rec.Body, err)
+	}
+	if rec := logged.String(); !strings.Contains(rec, `"status":500`) || !strings.Contains(rec, `"request_id":"boom-1"`) || !strings.Contains(rec, `"panic":"shape: boom"`) {
+		t.Errorf("access log does not record the panic: %s", rec)
+	}
+	if out := stderr.String(); !strings.Contains(out, "(request boom-1): shape: boom") || !strings.Contains(out, "shapePanicModel") {
+		t.Errorf("log lacks the panic, its request ID or its stack: %s", out)
+	}
+
+	// Over a real connection: the panic, then a call and a scrape on the
+	// same keep-alive connection.
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	var reused []bool
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+		}))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	if code, body := do(http.MethodGet, "/healthz", ""); code != http.StatusInternalServerError || !strings.Contains(body, `{"error":"internal error`) {
+		t.Fatalf("panicking /healthz: status %d, body %q", code, body)
+	}
+	if code, body := do(http.MethodPost, predictPath, `{"input":[1,2]}`); code != http.StatusOK || !strings.Contains(body, `"outputs"`) {
+		t.Fatalf("call after the panic: status %d, body %q", code, body)
+	}
+	code, metrics := do(http.MethodGet, "/metrics", "")
+	if code != http.StatusOK || !strings.Contains(metrics, "jag_http_panics_total 2\n") {
+		t.Fatalf("scrape after two panics: status %d, jag_http_panics_total line missing or wrong:\n%s", code, metrics)
+	}
+	if !reflect.DeepEqual(reused, []bool{false, true, true}) {
+		t.Errorf("connection reuse across the panic = %v, want one connection for all three requests", reused)
 	}
 }

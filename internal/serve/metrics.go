@@ -19,7 +19,7 @@ import (
 // which Prometheus rate() absorbs as an ordinary counter reset; the
 // jag_generation gauge says when that happened.
 //
-// Metric reference (all series carry a model label):
+// Metric reference (all series but the last carry a model label):
 //
 //	jag_requests_total{model,method,lane}   completed rows
 //	jag_batches_total                       forward passes
@@ -44,6 +44,7 @@ import (
 //	jag_stage_latency_seconds{stage}        per-stage latency histograms
 //	                                        (queue_wait, batch_assembly,
 //	                                        forward, encode)
+//	jag_http_panics_total                   handler panics answered 500 (per process)
 //
 // docs/OBSERVABILITY.md is the operator-facing reference.
 
@@ -61,6 +62,8 @@ func MetricsHandler(reg *Registry) http.Handler {
 				collectModel(m, reg, name, s)
 			}
 		}
+		m.Counter("jag_http_panics_total", "Handler panics answered with a 500.", nil).
+			Add(uint64(reg.httpPanics.Load()))
 		WriteMetrics(w, m)
 	})
 }

@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"time"
 )
 
@@ -141,7 +143,15 @@ func NewAccessLogger(format string, w io.Writer) (*slog.Logger, error) {
 // through AddLogAttrs. A request that ends with nothing written because
 // its client went away is logged as 499, not as the 200 net/http would
 // have sent to nobody.
-func Lifecycle(next http.Handler, logger *slog.Logger) http.Handler {
+//
+// A handler that panics is contained to its request: onPanic is called
+// (the tier counts it), the panic and its stack are logged under the
+// request's ID, and the request is answered 500 with the error envelope
+// — on a connection that stays good for the next request, where
+// net/http's own recovery would have dropped it. Only a panic after the
+// reply has begun still cuts the connection: there is no other way left
+// to tell the client the body is not whole.
+func Lifecycle(next http.Handler, logger *slog.Logger, onPanic func()) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
 		if id == "" {
@@ -149,15 +159,16 @@ func Lifecycle(next http.Handler, logger *slog.Logger) http.Handler {
 		}
 		w.Header().Set(RequestIDHeader, id)
 		r.Header.Set(RequestIDHeader, id)
-		if logger == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
 		var extra []slog.Attr
-		r = r.WithContext(context.WithValue(r.Context(), logAttrsKey{}, &extra))
+		if logger != nil {
+			r = r.WithContext(context.WithValue(r.Context(), logAttrsKey{}, &extra))
+		}
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		next.ServeHTTP(sw, r)
+		serveContained(next, sw, r, id, onPanic)
+		if logger == nil {
+			return
+		}
 		status := sw.status
 		switch {
 		case status != 0:
@@ -176,6 +187,48 @@ func Lifecycle(next http.Handler, logger *slog.Logger) http.Handler {
 		}, extra...)
 		logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	})
+}
+
+// serveContained runs next and turns its panic into a counted, logged
+// 500 (see Lifecycle).
+func serveContained(next http.Handler, w *statusWriter, r *http.Request, id string, onPanic func()) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if v == http.ErrAbortHandler {
+			panic(v) // a handler's own request to drop the connection quietly
+		}
+		onPanic()
+		log.Printf("panic serving %s %s (request %s): %v\n%s", r.Method, r.URL.Path, id, v, debug.Stack())
+		AddLogAttrs(r.Context(), slog.String("panic", fmt.Sprint(v)))
+		if w.status != 0 {
+			panic(http.ErrAbortHandler)
+		}
+		w.Header().Del("Content-Length") // the reply the handler was preparing is not the one sent
+		WriteError(w, http.StatusInternalServerError, "internal error (request "+id+")")
+	}()
+	next.ServeHTTP(w, r)
+}
+
+// maxSizedBody is the longest body ReadBody sizes its buffer for on the
+// sender's word alone: the largest frame the wire format admits.
+const maxSizedBody = frameHeader + 4*MaxFrameElems
+
+// ReadBody reads a request or reply body whole. With a declared
+// Content-Length (declared >= 0) it reads into a buffer of exactly that
+// size — io.ReadAll reaches the same bytes by doubling, allocating about
+// three times the body on the way — and a body that ends early is
+// io.ErrUnexpectedEOF. An undeclared length, or one past the largest
+// frame, is read as it arrives, paying for bytes that came.
+func ReadBody(body io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 || declared > maxSizedBody {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, declared)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
 }
 
 // WriteJSON renders v as a JSON response body with the given status.

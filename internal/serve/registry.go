@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,6 +33,10 @@ type Registry struct {
 	// forcedCloses counts, per name, the Replace drains that hit the
 	// deadline and closed the old server out from under its holders.
 	forcedCloses map[string]int64
+	// httpPanics counts the handler panics the v1 surface answered with a
+	// 500. They belong to no model (the listing and health routes can
+	// panic too), so the count lives here rather than in a server's Stats.
+	httpPanics atomic.Int64
 }
 
 // regEntry is one registered server plus the bookkeeping Replace needs:

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -628,7 +629,15 @@ func TestUnitConservation(t *testing.T) {
 			mu                                            sync.Mutex
 			ok, hit, overloaded, closed, cancelled, other int64
 		)
-		started := make(chan struct{}, clients*units)
+		// The first third of the units run freely; the rest wait at a gate
+		// that opens once Close has begun, so Close lands with units in
+		// flight whatever the scheduler does with this goroutine — and no
+		// sooner than it has refused to admit: the units behind the gate
+		// meet a closing server, each one.
+		const free = clients * units / 3
+		var tickets atomic.Int64
+		started := make(chan struct{}, free)
+		gate := make(chan struct{})
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
@@ -656,7 +665,11 @@ func TestUnitConservation(t *testing.T) {
 							cancel()
 						}(rng.Intn(200))
 					}
-					started <- struct{}{}
+					if tickets.Add(1) <= free {
+						started <- struct{}{}
+					} else {
+						<-gate
+					}
 					ys, traces, errs := submitUnit(ctx, s, method, class, xs)
 					cancel()
 					mu.Lock()
@@ -683,11 +696,17 @@ func TestUnitConservation(t *testing.T) {
 				}
 			}(c)
 		}
-		// Close once a third of the units have started: some are queued,
-		// some mid-chunk, some not yet submitted.
-		for i := 0; i < clients*units/3; i++ {
+		// Close once the free third has started: some are queued, some
+		// mid-chunk, and the rest arrive while Close drains.
+		for i := 0; i < free; i++ {
 			<-started
 		}
+		go func() {
+			for !s.Closed() {
+				runtime.Gosched()
+			}
+			close(gate)
+		}()
 		s.Close()
 		wg.Wait()
 
