@@ -8,12 +8,12 @@
 // -fail-after consecutive failures drop it, -recover-after consecutive
 // successes reinstate it) and watched passively (transport errors and
 // 5xx trip a circuit breaker after -breaker-fails consecutive failures
-// or an -error-rate fraction of the recent window). Routing is weighted
+// or when half of the last 20 forwards failed). Routing is weighted
 // least-loaded using each backend's probed capacity — jagserve -probe
 // publishes its CostProbe-derived sustainable rows/s as capacity_qps on
-// the stats route, which the proxy refreshes every -capacity-interval —
-// falling back to power-of-two-choices on in-flight counts until every
-// backend reports one.
+// the stats route, which the proxy refreshes every 15 s — falling back
+// to power-of-two-choices on in-flight counts until every backend
+// reports one.
 //
 // A failed attempt (connect error, reply that died mid-body, or a
 // retryable 429/502/503/504) is retried on a backend the request has
@@ -77,16 +77,11 @@ func main() {
 		return nil
 	})
 	healthInterval := flag.Duration("health-interval", time.Second, "active /healthz probe period per backend")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "timeout for one health probe or capacity refresh")
 	failAfter := flag.Int("fail-after", 2, "consecutive probe failures before a backend is dropped")
 	recoverAfter := flag.Int("recover-after", 2, "consecutive probe successes before a dropped backend is reinstated")
 	breakerFails := flag.Int("breaker-fails", 3, "consecutive forward failures (transport error or 5xx) tripping the passive breaker")
-	errorRate := flag.Float64("error-rate", 0.5, "failure fraction of the recent-forwards window tripping the breaker")
-	capacityInterval := flag.Duration("capacity-interval", 15*time.Second, "period between capacity_qps refreshes from backend stats routes")
-	capacityModel := flag.String("capacity-model", "", "model whose capacity_qps weights routing (empty: each backend's first model)")
 	retries := flag.Int("retries", 2, "extra attempts (retries and hedges combined) after the first, each on an untried backend")
 	hedgeAfter := flag.Duration("hedge-after", 0, "race a second backend when an interactive request is unanswered after this long (0 disables; bulk never hedges)")
-	attemptTimeout := flag.Duration("attempt-timeout", 0, "timeout for one backend attempt (0: only the client's own deadline)")
 	rate := flag.Float64("rate", 0, "per-client token-bucket rate limit on call routes, requests/s (0 disables)")
 	burst := flag.Int("burst", 0, "rate-limit bucket size (0: max(1, ceil(rate)))")
 	maxBody := flag.Int64("max-body", 64<<20, "max call request body bytes (413 beyond)")
@@ -102,22 +97,17 @@ func main() {
 	}
 
 	p, err := proxy.New(backends, proxy.Config{
-		HealthInterval:   *healthInterval,
-		ProbeTimeout:     *probeTimeout,
-		FailAfter:        *failAfter,
-		RecoverAfter:     *recoverAfter,
-		BreakerFails:     *breakerFails,
-		ErrorRate:        *errorRate,
-		CapacityInterval: *capacityInterval,
-		CapacityModel:    *capacityModel,
-		MaxRetries:       *retries,
-		HedgeDelay:       *hedgeAfter,
-		AttemptTimeout:   *attemptTimeout,
-		RatePerSec:       *rate,
-		Burst:            *burst,
-		MaxBodyBytes:     *maxBody,
-		AccessLog:        accessLog,
-		Logf:             log.Printf,
+		HealthInterval: *healthInterval,
+		FailAfter:      *failAfter,
+		RecoverAfter:   *recoverAfter,
+		BreakerFails:   *breakerFails,
+		MaxRetries:     *retries,
+		HedgeDelay:     *hedgeAfter,
+		RatePerSec:     *rate,
+		Burst:          *burst,
+		MaxBodyBytes:   *maxBody,
+		AccessLog:      accessLog,
+		Logf:           log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

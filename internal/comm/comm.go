@@ -1,8 +1,10 @@
 // Package comm is an in-process message-passing library modelled on the
 // MPI/Aluminum layer of the paper's software stack (Figure 3). Ranks are
-// goroutines; each rank holds a Comm handle through which it sends tagged
-// messages, posts non-blocking receives, and participates in collectives
-// (ring allreduce, broadcast, barrier) and communicator splits.
+// goroutines; each rank holds a Comm handle through which it sends and
+// receives tagged messages and participates in collectives (ring allreduce,
+// broadcast, barrier) and communicator splits. Every receive blocks; there
+// is no non-blocking primitive until something overlaps with it (ROADMAP
+// direction 2(b)).
 //
 // The semantics follow MPI where it matters to the reproduction:
 //
@@ -264,43 +266,6 @@ func (c *Comm) recvRaw(src, tag int) message {
 		panic(aborted{})
 	}
 	return msg
-}
-
-// Request is a pending non-blocking receive, created by Irecv.
-type Request struct {
-	ch chan message
-}
-
-// Irecv posts a non-blocking receive for a float payload. The matching runs
-// on a background goroutine; Wait returns the payload. The data store uses
-// this to overlap shuffles with compute, as LBANN does (Section III-B).
-func (c *Comm) Irecv(src, tag int) *Request {
-	r := &Request{ch: make(chan message, 1)}
-	gsrc := AnySource
-	if src != AnySource {
-		gsrc = c.group[src]
-	}
-	box := c.world.mailboxes[c.group[c.rank]]
-	go func() {
-		if msg, ok := box.get(gsrc, tag); ok {
-			r.ch <- msg
-		}
-		close(r.ch) // with nothing sent, the world aborted: Wait panics
-	}()
-	return r
-}
-
-// Wait blocks until the request completes and returns the float payload; it
-// panics if the matched message carried bytes.
-func (r *Request) Wait() []float32 {
-	msg, ok := <-r.ch
-	if !ok {
-		panic(aborted{})
-	}
-	if msg.bytes != nil {
-		panic("comm: Wait matched a byte message")
-	}
-	return msg.floats
 }
 
 // SendrecvBytes sends sendData to dst and receives from src with the same

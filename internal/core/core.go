@@ -166,8 +166,7 @@ func datasetFor(c QualityConfig) (train, val *reader.SliceDataset, tx, ty *tenso
 	tx = tensor.New(c.TournSamples, jag.InputDim)
 	ty = tensor.New(c.TournSamples, c.Geometry.OutputDim())
 	for i, rec := range tourn {
-		copy(tx.Row(i), rec[:jag.InputDim])
-		copy(ty.Row(i), rec[jag.InputDim:])
+		reader.SplitRow(rec, i, tx, ty)
 	}
 	return
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/cyclegan"
 	"repro/internal/jag"
+	"repro/internal/nn"
 )
 
 func fastConfig(trainers int) QualityConfig {
@@ -180,6 +182,31 @@ func TestTrainSurrogateAndFigures78(t *testing.T) {
 	f8 := Figure8(model, 8).Render()
 	if strings.Count(f8, "\n") != 3+jag.Tiny8.NumImages() {
 		t.Fatalf("figure 8 malformed:\n%s", f8)
+	}
+}
+
+// TestTrainSurrogateGolden pins the weights TrainSurrogate returns — 30 steps
+// over five epochs of 100 samples in batches of 16, the last four of each
+// epoch dropped — to the checksum the commit before PR 24 produced with its
+// own shuffler/assemble/split loop: the one-rank trainer.Trainer that does
+// the walk now sees the same batches in the same order.
+func TestTrainSurrogateGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits are amd64's: other ports may fuse the multiply-adds outside internal/tensor's kernels")
+	}
+	cfg := cyclegan.DefaultConfig(jag.Tiny8)
+	cfg.EncoderHidden = []int{32}
+	cfg.ForwardHidden = []int{16}
+	cfg.InverseHidden = []int{12}
+	cfg.DiscHidden = []int{12}
+	model, err := TrainSurrogate(cfg, 100, 30, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(nn.MarshalNetworks(model.Nets()))
+	if got := h.Sum64(); got != 0x3604775a4ff4de4d {
+		t.Fatalf("weights checksum %#x, the parent's loop trained %#x", got, uint64(0x3604775a4ff4de4d))
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"repro/internal/ensemble"
 	"repro/internal/jag"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/perfmodel"
 	"repro/internal/reader"
 	"repro/internal/tensor"
+	"repro/internal/trainer"
 )
 
 // scalarNames labels the 15 observables for the Figure 7 table, matching
@@ -39,22 +39,16 @@ func TrainSurrogate(cfg cyclegan.Config, trainN, steps, batch int, seed int64) (
 		return nil, err
 	}
 	model := cyclegan.New(cfg, seed)
-	sh := reader.NewShuffler(trainN, seed)
-	epoch, cursor := 0, 0
-	batches := reader.Batches(sh.Epoch(0), batch, true)
-	for s := 0; s < steps; s++ {
-		if cursor >= len(batches) {
-			epoch++
-			batches = reader.Batches(sh.Epoch(epoch), batch, true)
-			cursor = 0
-		}
-		m, err := reader.AssembleBatch(ds, batches[cursor])
-		cursor++
-		if err != nil {
-			return nil, err
-		}
-		x, y := reader.SplitXY(m, jag.InputDim)
-		model.TrainStep(x, y, nn.NopReducer{})
+	// A single trainer of one rank: its store reads the in-memory corpus
+	// directly (ModeNone holds no second copy) and its reducer does nothing.
+	c := comm.NewWorld(1).Comm(0)
+	t, err := trainer.New(trainer.Config{BatchSize: batch, XDim: jag.InputDim, ShuffleSeed: seed},
+		c, model, datastore.New(c, ds, datastore.ModeNone), ds)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Advance(steps); err != nil {
+		return nil, err
 	}
 	return model, nil
 }
@@ -312,6 +306,9 @@ func runStoreEpochs(ds reader.Dataset, mode datastore.Mode, ranks, steps, batch 
 				return
 			}
 		}
+		// Only the traffic is of interest: x takes the whole sample.
+		x := tensor.New(len(reader.PartitionContiguous(batch, ranks, c.Rank())), ds.Dim())
+		y := tensor.New(x.Rows, 0)
 		sh := reader.NewShuffler(ds.Len(), 3)
 		step := 0
 		for epoch := 0; step < steps; epoch++ {
@@ -319,11 +316,7 @@ func runStoreEpochs(ds reader.Dataset, mode datastore.Mode, ranks, steps, batch 
 				if step >= steps {
 					break
 				}
-				parts := make([][]int, ranks)
-				for r := range parts {
-					parts[r] = reader.PartitionContiguousOf(b, ranks, r)
-				}
-				if _, err := s.Fetch(parts); err != nil {
+				if err := s.Fetch(b, x, y); err != nil {
 					errs[c.Rank()] = err
 					return
 				}

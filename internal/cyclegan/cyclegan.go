@@ -115,9 +115,9 @@ type Surrogate struct {
 	Inverse *nn.Network
 	Disc    *nn.Network
 
-	optAE   opt.Optimizer
-	optDisc opt.Optimizer
-	optGen  opt.Optimizer
+	optAE   *opt.Adam
+	optDisc *opt.Adam
+	optGen  *opt.Adam
 
 	// The three groups TrainStep reduces and steps, each one gradient slab
 	// (nn.GradSlab): the autoencoder (E then Dec), D, and the generator (F

@@ -15,9 +15,13 @@
 //     once, wholly, by exactly one rank before training (the paper's
 //     "minimizes the number of files each process opens concurrently").
 //
-// Fetch is collective over the trainer communicator and uses non-blocking
-// receives so a trainer can overlap the shuffle with back-propagation, as
-// LBANN does with background threads.
+// Fetch is collective over the trainer communicator and blocking: a rank
+// serves its own rows, sends what its peers need, then receives what it
+// needs, and the train step starts when the mini-batch is complete. LBANN
+// hides this shuffle behind back-propagation with background threads; here
+// nothing does yet (ROADMAP direction 2(b)): on the reference workload the
+// ranks already fill the cores, so there is no idle time an overlap could
+// fill and no measurement that could tell it from this.
 package datastore
 
 import (
@@ -78,6 +82,8 @@ type Store struct {
 	cache map[int][]float32
 	seq   int
 	stats Stats
+	row   []float32 // one sample: where ModeNone reads before the x|y split
+	out   []float32 // the message being packed for one destination
 
 	// Capacity bound (see SetCapacity); zero means unlimited.
 	capacity int
@@ -99,6 +105,7 @@ func New(c *comm.Comm, ds reader.Dataset, mode Mode) *Store {
 		dim:   ds.Dim(),
 		owner: make([]int32, ds.Len()),
 		cache: map[int][]float32{},
+		row:   make([]float32, ds.Dim()),
 	}
 	switch mode {
 	case ModeDynamic:
@@ -182,39 +189,32 @@ func (s *Store) Preload() error {
 	return nil
 }
 
-// Fetch is the per-step collective exchange: batchParts[r] lists the sample
-// indices rank r consumes this step, identical on every rank. It returns
-// this rank's samples as a row-per-sample matrix, in batchParts[rank] order.
-func (s *Store) Fetch(batchParts [][]int) (*tensor.Matrix, error) {
-	req, err := s.FetchAsync(batchParts)
-	if err != nil {
-		return nil, err
+// Fetch is the per-step collective exchange. batch is the step's whole
+// index list, identical on every rank; rank r consumes its contiguous share
+// of it (reader.PartitionContiguousOf), and Fetch writes sample k of this
+// rank's share into row k of x (the leading x.Cols values) and of y (the
+// rest), each exactly once. It blocks until the share is complete: local
+// rows first, then one packed message to every rank that consumes rows held
+// here, then one receive per remote owner in rank order. Sends are eager, so
+// the fixed order cannot deadlock.
+func (s *Store) Fetch(batch []int, x, y *tensor.Matrix) error {
+	me, size := s.c.Rank(), s.c.Size()
+	mine := reader.PartitionContiguousOf(batch, size, me)
+	if x.Rows != len(mine) || y.Rows != len(mine) || x.Cols+y.Cols != s.dim {
+		return fmt.Errorf("datastore: rank %d's share is %d samples of width %d, x is %dx%d and y %dx%d",
+			me, len(mine), s.dim, x.Rows, x.Cols, y.Rows, y.Cols)
 	}
-	return req.Wait()
-}
-
-// Pending is an in-flight Fetch whose receives have been posted; Wait
-// assembles the mini-batch. The trainer can run compute between FetchAsync
-// and Wait to overlap the shuffle with the backward pass.
-type Pending struct {
-	store *Store
-	mine  []int
-	rows  map[int][]float32 // locally resolved samples
-	recvs []pendingRecv
-}
-
-type pendingRecv struct {
-	from    int
-	samples []int
-	req     *comm.Request
-}
-
-// FetchAsync starts the exchange for a mini-batch and returns a Pending.
-func (s *Store) FetchAsync(batchParts [][]int) (*Pending, error) {
-	if len(batchParts) != s.c.Size() {
-		return nil, fmt.Errorf("datastore: %d batch parts for %d ranks", len(batchParts), s.c.Size())
+	if s.mode == ModeNone {
+		// Naive path: read everything this rank consumes from the files.
+		for k, i := range mine {
+			if err := s.ds.Sample(i, s.row); err != nil {
+				return err
+			}
+			reader.SplitRow(s.row, k, x, y)
+			s.stats.BackingReads++
+		}
+		return nil
 	}
-	me := s.c.Rank()
 	tag := fetchTagBase + s.seq%(1<<15)
 	s.seq++
 
@@ -222,8 +222,8 @@ func (s *Store) FetchAsync(batchParts [][]int) (*Pending, error) {
 	// Every rank applies the same rule, so ownership stays consistent
 	// without communication.
 	if s.mode == ModeDynamic {
-		for r, part := range batchParts {
-			for _, i := range part {
+		for r := 0; r < size; r++ {
+			for _, i := range reader.PartitionContiguousOf(batch, size, r) {
 				if s.owner[i] == -1 {
 					s.owner[i] = int32(r)
 				}
@@ -231,120 +231,91 @@ func (s *Store) FetchAsync(batchParts [][]int) (*Pending, error) {
 		}
 	}
 
-	p := &Pending{store: s, mine: batchParts[me], rows: map[int][]float32{}}
-
-	if s.mode == ModeNone {
-		// Naive path: read everything this rank consumes from the files.
-		for _, i := range p.mine {
-			buf := make([]float32, s.dim)
-			if err := s.ds.Sample(i, buf); err != nil {
-				return nil, err
-			}
-			p.rows[i] = buf
-			s.stats.BackingReads++
-		}
-		return p, nil
-	}
-
-	// Serve local needs and materialize first-touch reads.
-	for _, i := range p.mine {
+	// Serve local needs.
+	for k, i := range mine {
 		if int(s.owner[i]) != me {
 			continue
 		}
-		row, ok := s.cache[i]
-		if !ok {
-			row = make([]float32, s.dim)
-			if err := s.ds.Sample(i, row); err != nil {
-				return nil, err
-			}
-			if err := s.admit(i, row); err != nil {
-				return nil, err
-			}
-			s.stats.BackingReads++
-		} else {
-			s.touch(i)
+		row, err := s.held(i)
+		if err != nil {
+			return err
 		}
-		p.rows[i] = row
+		reader.SplitRow(row, k, x, y)
 		s.stats.LocalHits++
 	}
 
 	// Send every sample I own that another rank consumes, one packed
 	// message per destination, in the destination's batch order.
-	for r, part := range batchParts {
+	for r := 0; r < size; r++ {
 		if r == me {
 			continue
 		}
-		var payload []float32
-		for _, i := range part {
+		s.out = s.out[:0]
+		for _, i := range reader.PartitionContiguousOf(batch, size, r) {
 			if int(s.owner[i]) != me {
 				continue
 			}
-			row, ok := s.cache[i]
-			if !ok {
-				// Dynamic mode: a sample first consumed remotely in a prior
-				// step may be owned here without being cached yet, or it may
-				// have been evicted under a capacity bound.
-				row = make([]float32, s.dim)
-				if err := s.ds.Sample(i, row); err != nil {
-					return nil, err
-				}
-				if err := s.admit(i, row); err != nil {
-					return nil, err
-				}
-				s.stats.BackingReads++
-			} else {
-				s.touch(i)
+			row, err := s.held(i)
+			if err != nil {
+				return err
 			}
-			payload = append(payload, row...)
+			s.out = append(s.out, row...)
 		}
-		if payload != nil {
-			s.c.Send(r, tag, payload)
-			s.stats.BytesSent += int64(4 * len(payload))
+		if len(s.out) > 0 {
+			s.c.Send(r, tag, s.out) // Send copies: out is free again
+			s.stats.BytesSent += int64(4 * len(s.out))
 		}
 	}
 
-	// Post one receive per distinct remote owner of my samples.
-	needed := map[int][]int{}
-	for _, i := range p.mine {
-		if o := int(s.owner[i]); o != me {
-			needed[o] = append(needed[o], i)
-		}
-	}
-	for o := 0; o < s.c.Size(); o++ {
-		idx := needed[o]
-		if idx == nil {
+	// Receive from every remote owner of my samples: its message holds them
+	// in my batch order.
+	for o := 0; o < size; o++ {
+		if o == me {
 			continue
 		}
-		p.recvs = append(p.recvs, pendingRecv{from: o, samples: idx, req: s.c.Irecv(o, tag)})
+		n := 0
+		for _, i := range mine {
+			if int(s.owner[i]) == o {
+				n++
+			}
+		}
+		if n == 0 {
+			continue // it sent nothing
+		}
+		msg := s.c.Recv(o, tag)
+		if len(msg) != n*s.dim {
+			return fmt.Errorf("datastore: rank %d sent %d floats, want %d", o, len(msg), n*s.dim)
+		}
+		s.stats.BytesReceived += int64(4 * len(msg))
+		s.stats.RemoteSamples += int64(n)
+		for k, i := range mine {
+			if int(s.owner[i]) == o {
+				reader.SplitRow(msg[:s.dim], k, x, y)
+				msg = msg[s.dim:]
+			}
+		}
 	}
-	return p, nil
+	return nil
 }
 
-// Wait completes the exchange and returns this rank's mini-batch rows in
-// consumption order.
-func (p *Pending) Wait() (*tensor.Matrix, error) {
-	s := p.store
-	for _, r := range p.recvs {
-		payload := r.req.Wait()
-		want := len(r.samples) * s.dim
-		if len(payload) != want {
-			return nil, fmt.Errorf("datastore: rank %d sent %d floats, want %d", r.from, len(payload), want)
-		}
-		s.stats.BytesReceived += int64(4 * len(payload))
-		s.stats.RemoteSamples += int64(len(r.samples))
-		for k, i := range r.samples {
-			p.rows[i] = payload[k*s.dim : (k+1)*s.dim]
-		}
+// held returns the row of sample i, which this rank owns, from its cache.
+// A miss reads the backing dataset and caches the row: the sample is being
+// touched for the first time (dynamic mode — perhaps by a remote consumer)
+// or was evicted under a capacity bound.
+func (s *Store) held(i int) ([]float32, error) {
+	if row, ok := s.cache[i]; ok {
+		s.touch(i)
+		return row, nil
 	}
-	m := tensor.New(len(p.mine), s.dim)
-	for r, i := range p.mine {
-		row, ok := p.rows[i]
-		if !ok {
-			return nil, fmt.Errorf("datastore: sample %d missing after exchange", i)
-		}
-		copy(m.Row(r), row)
+	row := make([]float32, s.dim)
+	if err := s.ds.Sample(i, row); err != nil {
+		return nil, err
 	}
-	return m, nil
+	if err := s.admit(i, row); err != nil {
+		return nil, err
+	}
+	s.stats.BackingReads++
+	return row, nil
 }
 
 // StoreBytes returns the approximate host-memory footprint of this rank's

@@ -3,16 +3,18 @@ package datastore
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/bundle"
 	"repro/internal/comm"
 	"repro/internal/reader"
+	"repro/internal/tensor"
 )
 
 // makeBundleDS writes files×perFile samples of width dim; sample i has
-// row[0] = i so content is verifiable.
+// row[0] = i, row[dim-1] = 2i and 100i+j in between, so content and the
+// place of the x|y split are verifiable.
 func makeBundleDS(t testing.TB, files, perFile, dim int) *reader.BundleDataset {
 	t.Helper()
 	dir := t.TempDir()
@@ -22,6 +24,9 @@ func makeBundleDS(t testing.TB, files, perFile, dim int) *reader.BundleDataset {
 		recs := make([][]float32, perFile)
 		for i := range recs {
 			recs[i] = make([]float32, dim)
+			for j := range recs[i] {
+				recs[i][j] = float32(100*g + j)
+			}
 			recs[i][0] = float32(g)
 			recs[i][dim-1] = float32(g * 2)
 			g++
@@ -40,40 +45,35 @@ func makeBundleDS(t testing.TB, files, perFile, dim int) *reader.BundleDataset {
 	return ds
 }
 
-// partsFor splits batch across ranks contiguously.
-func partsFor(batch []int, ranks int) [][]int {
-	parts := make([][]int, ranks)
-	for r := 0; r < ranks; r++ {
-		parts[r] = reader.PartitionContiguousOf(batch, ranks, r)
-	}
-	return parts
+// testXDim is where the tests split a sample into x and y.
+const testXDim = 2
+
+// share returns rank's part of batch and an x and y of its shape.
+func share(batch []int, ranks, rank, dim int) (mine []int, x, y *tensor.Matrix) {
+	mine = reader.PartitionContiguousOf(batch, ranks, rank)
+	return mine, tensor.New(len(mine), testXDim), tensor.New(len(mine), dim-testXDim)
 }
 
-// runEpoch fetches every batch and verifies each rank got the rows it asked
-// for, returning per-rank stats.
-func runEpoch(t *testing.T, w *comm.World, ds reader.Dataset, mode Mode, batches [][]int, stores []*Store) {
+// runEpoch fetches every batch on every rank and verifies bitwise that each
+// rank's x and y hold what the reference puts there: Dataset.Sample per
+// index of its share, split at testXDim.
+func runEpoch(t *testing.T, w *comm.World, ds reader.Dataset, batches [][]int, stores []*Store) {
 	t.Helper()
-	ranks := w.Size()
-	var mu sync.Mutex
 	w.Run(func(c *comm.Comm) {
-		s := stores[c.Rank()]
+		want := make([]float32, ds.Dim())
 		for _, batch := range batches {
-			parts := partsFor(batch, ranks)
-			m, err := s.Fetch(parts)
-			if err != nil {
+			mine, x, y := share(batch, w.Size(), c.Rank(), ds.Dim())
+			if err := stores[c.Rank()].Fetch(batch, x, y); err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
-			mine := parts[c.Rank()]
-			if m.Rows != len(mine) {
-				t.Errorf("rank %d got %d rows, want %d", c.Rank(), m.Rows, len(mine))
-				return
-			}
 			for r, i := range mine {
-				if m.At(r, 0) != float32(i) || m.At(r, m.Cols-1) != float32(2*i) {
-					mu.Lock()
-					t.Errorf("rank %d row %d: content for sample %d wrong: %v", c.Rank(), r, i, m.Row(r))
-					mu.Unlock()
+				if err := ds.Sample(i, want); err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(x.Row(r), want[:testXDim]) || !slices.Equal(y.Row(r), want[testXDim:]) {
+					t.Errorf("rank %d row %d: sample %d is %v, fetched x %v y %v", c.Rank(), r, i, want, x.Row(r), y.Row(r))
 					return
 				}
 			}
@@ -98,7 +98,7 @@ func TestModeNoneAlwaysReadsBacking(t *testing.T) {
 	w := comm.NewWorld(4)
 	stores := newStores(w, ds, ModeNone)
 	for epoch := 0; epoch < 2; epoch++ {
-		runEpoch(t, w, ds, ModeNone, epochBatches(32, 8, 1, epoch), stores)
+		runEpoch(t, w, ds, epochBatches(32, 8, 1, epoch), stores)
 	}
 	var reads int64
 	for _, s := range stores {
@@ -118,7 +118,7 @@ func TestDynamicCachesAfterFirstEpoch(t *testing.T) {
 	w := comm.NewWorld(4)
 	stores := newStores(w, ds, ModeDynamic)
 	// Epoch 0: identity order → all reads hit backing once.
-	runEpoch(t, w, ds, ModeDynamic, epochBatches(32, 8, 1, 0), stores)
+	runEpoch(t, w, ds, epochBatches(32, 8, 1, 0), stores)
 	var reads0 int64
 	for _, s := range stores {
 		reads0 += s.Stats().BackingReads
@@ -128,7 +128,7 @@ func TestDynamicCachesAfterFirstEpoch(t *testing.T) {
 	}
 	// Epochs 1-3: shuffled → zero further backing reads, exchange instead.
 	for epoch := 1; epoch <= 3; epoch++ {
-		runEpoch(t, w, ds, ModeDynamic, epochBatches(32, 8, 1, epoch), stores)
+		runEpoch(t, w, ds, epochBatches(32, 8, 1, epoch), stores)
 	}
 	var reads, remote int64
 	for _, s := range stores {
@@ -167,7 +167,7 @@ func TestPreloadOwnershipByFile(t *testing.T) {
 	}
 	// Training epochs read nothing from the files.
 	before := stores[0].Stats().BackingReads
-	runEpoch(t, w, ds, ModePreload, epochBatches(24, 6, 2, 1), stores)
+	runEpoch(t, w, ds, epochBatches(24, 6, 2, 1), stores)
 	if stores[0].Stats().BackingReads != before {
 		t.Fatal("preloaded store must not touch the backing dataset during training")
 	}
@@ -182,60 +182,158 @@ func TestPreloadRequiresPreloadMode(t *testing.T) {
 	}
 }
 
+// TestFetchPartCountValidation: x and y must have the shape of the calling
+// rank's share — its row count, and the sample's width between them. The
+// check precedes the exchange, so a lone rank can make it.
 func TestFetchPartCountValidation(t *testing.T) {
 	ds := makeBundleDS(t, 2, 4, 5)
-	w := comm.NewWorld(2)
-	stores := newStores(w, ds, ModePreload)
-	w.Run(func(c *comm.Comm) {
-		if c.Rank() == 0 {
-			if _, err := stores[0].FetchAsync([][]int{{0}}); err == nil {
-				t.Error("wrong part count must error")
+	s := newStores(comm.NewWorld(2), ds, ModePreload)[1]
+	batch := []int{0, 1, 2, 3, 4} // rank 1's share is two samples
+	for _, shape := range [][3]int{{3, 2, 3}, {2, 2, 2}, {2, 5, 1}} {
+		x, y := tensor.New(shape[0], shape[1]), tensor.New(shape[0], shape[2])
+		if err := s.Fetch(batch, x, y); err == nil {
+			t.Errorf("x %dx%d, y %dx%d for a share of 2 samples of width 5 must error", x.Rows, x.Cols, y.Rows, y.Cols)
+		}
+	}
+	if err := s.Fetch(batch, tensor.New(2, 2), tensor.New(3, 3)); err == nil {
+		t.Error("y with a row more than x must error")
+	}
+}
+
+// twoEpochs drives fresh stores of the given mode through a fixed schedule —
+// epochs 0 and 1 of 32 samples in batches of 7, which neither two nor three
+// ranks divide and whose last batch is 4 — verifying every fetched row, and
+// returns the stores. capacity > 0 bounds each rank's cache.
+func twoEpochs(t *testing.T, ds reader.Dataset, mode Mode, ranks, capacity int) []*Store {
+	t.Helper()
+	w := comm.NewWorld(ranks)
+	stores := newStores(w, ds, mode)
+	for _, s := range stores {
+		s.SetCapacity(capacity)
+	}
+	if mode == ModePreload {
+		w.Run(func(c *comm.Comm) {
+			if err := stores[c.Rank()].Preload(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		runEpoch(t, w, ds, epochBatches(32, 7, 11, epoch), stores)
+	}
+	return stores
+}
+
+// TestUnevenBatchParts: Fetch ≡ the reference, bitwise, in every mode on 1, 2
+// and 3 ranks with batches the ranks do not divide, and under a capacity
+// bound that makes the dynamic store evict and re-read as it goes.
+func TestUnevenBatchParts(t *testing.T) {
+	ds := makeBundleDS(t, 4, 8, 6)
+	for _, mode := range []Mode{ModeNone, ModeDynamic, ModePreload} {
+		for ranks := 1; ranks <= 3; ranks++ {
+			twoEpochs(t, ds, mode, ranks, 0)
+		}
+	}
+	for ranks := 1; ranks <= 3; ranks++ {
+		twoEpochs(t, ds, ModeDynamic, ranks, 5)
+	}
+}
+
+// TestFetchStatsMatchParent pins every rank's counters after twoEpochs to
+// what the commit before the one-path Fetch (PR 24) counted on the same
+// schedule: the same samples are served from the same places in the same
+// order, evictions included.
+func TestFetchStatsMatchParent(t *testing.T) {
+	type run struct {
+		mode            Mode
+		ranks, capacity int
+	}
+	// LocalHits, RemoteSamples, BackingReads, BytesSent, BytesReceived, FilesPreread, Evictions
+	want := map[run][]Stats{
+		{ModeNone, 1, 0}:    {{0, 0, 64, 0, 0, 0, 0}},
+		{ModeNone, 2, 0}:    {{0, 0, 36, 0, 0, 0, 0}, {0, 0, 28, 0, 0, 0, 0}},
+		{ModeNone, 3, 0}:    {{0, 0, 28, 0, 0, 0, 0}, {0, 0, 18, 0, 0, 0, 0}, {0, 0, 18, 0, 0, 0, 0}},
+		{ModeDynamic, 1, 0}: {{64, 0, 32, 0, 0, 0, 0}},
+		{ModeDynamic, 1, 5}: {{64, 0, 63, 0, 0, 0, 58}},
+		{ModeDynamic, 2, 0}: {{28, 8, 18, 192, 192, 0, 0}, {20, 8, 14, 192, 192, 0, 0}},
+		{ModeDynamic, 2, 5}: {{28, 8, 36, 192, 192, 0, 31}, {20, 8, 26, 192, 192, 0, 21}},
+		{ModeDynamic, 3, 0}: {{19, 9, 14, 216, 216, 0, 0}, {10, 8, 9, 192, 192, 0, 0}, {11, 7, 9, 168, 168, 0, 0}},
+		{ModeDynamic, 3, 5}: {{19, 9, 27, 216, 216, 0, 22}, {10, 8, 17, 192, 192, 0, 12}, {11, 7, 16, 168, 168, 0, 11}},
+		{ModePreload, 1, 0}: {{64, 0, 32, 0, 0, 4, 0}},
+		{ModePreload, 2, 0}: {{20, 16, 16, 288, 384, 2, 0}, {16, 12, 16, 384, 288, 2, 0}},
+		{ModePreload, 3, 0}: {{12, 16, 16, 480, 384, 2, 0}, {4, 14, 8, 288, 336, 1, 0}, {4, 14, 8, 288, 336, 1, 0}},
+	}
+	ds := makeBundleDS(t, 4, 8, 6)
+	for r, ranks := range want {
+		for rank, s := range twoEpochs(t, ds, r.mode, r.ranks, r.capacity) {
+			if got := s.Stats(); got != ranks[rank] {
+				t.Errorf("%v on %d ranks, capacity %d, rank %d: %+v, the parent counted %+v", r.mode, r.ranks, r.capacity, rank, got, ranks[rank])
 			}
 		}
-	})
+	}
 }
 
-func TestFetchOverlapAsync(t *testing.T) {
-	ds := makeBundleDS(t, 2, 8, 5)
+// TestFetchSteadyStateAllocs: once the rows are cached a single-rank Fetch
+// allocates nothing — no matrix, map, channel or goroutine — and a two-rank
+// one only the copy comm.Send makes of each packed message, one per rank.
+func TestFetchSteadyStateAllocs(t *testing.T) {
+	ds := makeBundleDS(t, 2, 8, 6)
+	batch := []int{9, 2, 14, 7, 0, 11, 5}
+	const runs = 50
+
+	// In memory, so that ModeNone's reads are not the bundle reader's.
+	recs := make([][]float32, ds.Len())
+	for i := range recs {
+		recs[i] = make([]float32, ds.Dim())
+		if err := ds.Sample(i, recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem, err := reader.NewSliceDataset(ds.Dim(), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, x, y := share(batch, 1, 0, ds.Dim())
+	for _, mode := range []Mode{ModeNone, ModeDynamic} {
+		s := New(comm.NewWorld(1).Comm(0), mem, mode)
+		if got := testing.AllocsPerRun(runs, func() {
+			if err := s.Fetch(batch, x, y); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%v, one rank: %v allocations per Fetch, want 0", mode, got)
+		}
+	}
+
+	// Rank 1 keeps step with rank 0 (each needs the other's rows), so it
+	// makes exactly the runs+1 calls AllocsPerRun makes.
 	w := comm.NewWorld(2)
 	stores := newStores(w, ds, ModePreload)
-	w.Run(func(c *comm.Comm) {
-		if err := stores[c.Rank()].Preload(); err != nil {
-			t.Error(err)
-			return
-		}
-	})
 	w.Run(func(c *comm.Comm) {
 		s := stores[c.Rank()]
-		batches := epochBatches(16, 4, 3, 1)
-		pending, err := s.FetchAsync(partsFor(batches[0], 2))
-		if err != nil {
+		if err := s.Preload(); err != nil {
 			t.Error(err)
 			return
 		}
-		// "Compute" happens here, then the batch must still assemble.
-		m, err := pending.Wait()
-		if err != nil {
-			t.Error(err)
+		_, x, y := share(batch, 2, c.Rank(), ds.Dim())
+		fetch := func() {
+			if err := s.Fetch(batch, x, y); err != nil {
+				t.Error(err)
+			}
+		}
+		if c.Rank() == 1 {
+			for i := 0; i <= runs; i++ {
+				fetch()
+			}
 			return
 		}
-		if m.Rows != 2 {
-			t.Errorf("rows = %d", m.Rows)
+		if got := testing.AllocsPerRun(runs, fetch); got > 2 {
+			t.Errorf("two ranks: %v allocations per step, want at most the 2 message copies", got)
 		}
 	})
-}
-
-func TestUnevenBatchParts(t *testing.T) {
-	// 7 samples over 2 ranks: parts of 4 and 3.
-	ds := makeBundleDS(t, 1, 7, 5)
-	w := comm.NewWorld(2)
-	stores := newStores(w, ds, ModePreload)
-	w.Run(func(c *comm.Comm) {
-		if err := stores[c.Rank()].Preload(); err != nil {
-			t.Error(err)
-		}
-	})
-	runEpoch(t, w, ds, ModePreload, [][]int{{6, 5, 4, 3, 2, 1, 0}}, stores)
+	if st := stores[0].Stats(); st.RemoteSamples == 0 || st.BytesSent == 0 {
+		t.Fatalf("the two-rank batch exchanged nothing: %+v", st)
+	}
 }
 
 func TestSingleRankStoreLocalOnly(t *testing.T) {
@@ -248,13 +346,14 @@ func TestSingleRankStoreLocalOnly(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		m, err := s.Fetch([][]int{{3, 1, 7}})
-		if err != nil {
+		batch := []int{3, 1, 7}
+		_, x, y := share(batch, 1, 0, ds.Dim())
+		if err := s.Fetch(batch, x, y); err != nil {
 			t.Error(err)
 			return
 		}
-		if m.At(0, 0) != 3 || m.At(2, 0) != 7 {
-			t.Errorf("content wrong: %v", m)
+		if x.At(0, 0) != 3 || x.At(2, 0) != 7 || y.At(1, y.Cols-1) != 2 {
+			t.Errorf("content wrong: x %v y %v", x, y)
 		}
 	})
 	st := stores[0].Stats()
@@ -267,7 +366,7 @@ func TestDynamicOwnershipConsistentAcrossRanks(t *testing.T) {
 	ds := makeBundleDS(t, 2, 8, 5)
 	w := comm.NewWorld(4)
 	stores := newStores(w, ds, ModeDynamic)
-	runEpoch(t, w, ds, ModeDynamic, epochBatches(16, 8, 9, 0), stores)
+	runEpoch(t, w, ds, epochBatches(16, 8, 9, 0), stores)
 	for i := 0; i < 16; i++ {
 		o := stores[0].Owner(i)
 		if o < 0 {
@@ -320,11 +419,15 @@ func BenchmarkFetchPreloaded4Ranks(b *testing.B) {
 		}
 	})
 	batches := epochBatches(256, 32, 5, 1)
+	xs, ys := make([]*tensor.Matrix, 4), make([]*tensor.Matrix, 4)
+	for r := range xs {
+		_, xs[r], ys[r] = share(batches[0], 4, r, ds.Dim())
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := batches[i%len(batches)]
 		w.Run(func(c *comm.Comm) {
-			if _, err := stores[c.Rank()].Fetch(partsFor(batch, 4)); err != nil {
+			if err := stores[c.Rank()].Fetch(batch, xs[c.Rank()], ys[c.Rank()]); err != nil {
 				b.Error(err)
 			}
 		})
@@ -360,9 +463,10 @@ func TestCapacityDynamicEvictsAndRereads(t *testing.T) {
 		}
 		// Two epochs over 32 samples with only 8 cache slots: the second
 		// epoch must re-read evicted samples from the backing store.
+		_, x, y := share(make([]int, 8), 1, 0, ds.Dim())
 		for epoch := 0; epoch < 2; epoch++ {
 			for _, b := range epochBatches(32, 8, 4, epoch) {
-				if _, err := s.Fetch(partsFor(b, 1)); err != nil {
+				if err := s.Fetch(b, x, y); err != nil {
 					t.Error(err)
 					return
 				}
@@ -386,8 +490,9 @@ func TestCapacityUnlimitedByDefault(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
 		s := New(c, ds, ModeDynamic)
+		_, x, y := share(make([]int, 8), 1, 0, ds.Dim())
 		for _, b := range epochBatches(16, 8, 4, 0) {
-			if _, err := s.Fetch(partsFor(b, 1)); err != nil {
+			if err := s.Fetch(b, x, y); err != nil {
 				t.Error(err)
 				return
 			}

@@ -25,7 +25,7 @@ func quadGrad(p *nn.Param, target []float32) float64 {
 	return math.Sqrt(norm)
 }
 
-func testConverges(t *testing.T, o Optimizer, steps int, tol float64) {
+func testConverges(t *testing.T, o *Adam, steps int, tol float64) {
 	t.Helper()
 	p := quadParam(4)
 	p.W.Data = []float32{5, -3, 2, 9}
@@ -40,19 +40,7 @@ func testConverges(t *testing.T, o Optimizer, steps int, tol float64) {
 	}
 }
 
-func TestSGDConverges(t *testing.T)         { testConverges(t, NewSGD(0.1, 0), 200, 1e-3) }
-func TestSGDMomentumConverges(t *testing.T) { testConverges(t, NewSGD(0.05, 0.9), 300, 1e-3) }
-func TestAdamConverges(t *testing.T)        { testConverges(t, NewAdam(0.1), 400, 1e-2) }
-
-func TestSGDSingleStepExactValue(t *testing.T) {
-	p := quadParam(1)
-	p.W.Data[0] = 2
-	p.Grad.Data[0] = 3
-	NewSGD(0.5, 0).Step([]*nn.Param{p})
-	if p.W.Data[0] != 0.5 {
-		t.Fatalf("w = %v, want 2 - 0.5*3 = 0.5", p.W.Data[0])
-	}
-}
+func TestAdamConverges(t *testing.T) { testConverges(t, NewAdam(0.1), 400, 1e-2) }
 
 func TestAdamFirstStepMagnitude(t *testing.T) {
 	// With bias correction the very first Adam step has magnitude ≈ lr,
@@ -69,99 +57,30 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 	}
 }
 
-func TestMomentumAcceleratesOnConstantGradient(t *testing.T) {
-	plain := quadParam(1)
-	mom := quadParam(1)
-	sgd := NewSGD(0.01, 0)
-	sgdM := NewSGD(0.01, 0.9)
-	for i := 0; i < 10; i++ {
-		plain.Grad.Data[0] = 1
-		mom.Grad.Data[0] = 1
-		sgd.Step([]*nn.Param{plain})
-		sgdM.Step([]*nn.Param{mom})
-	}
-	if !(mom.W.Data[0] < plain.W.Data[0]) {
-		t.Fatalf("momentum should travel farther: %v vs %v", mom.W.Data[0], plain.W.Data[0])
-	}
-}
-
-func TestResetClearsState(t *testing.T) {
-	p := quadParam(1)
-	a := NewAdam(0.1)
-	p.Grad.Data[0] = 1
-	a.Step([]*nn.Param{p})
-	a.Reset()
-	if a.t != 0 || a.m != nil || a.v != nil {
-		t.Fatal("Adam.Reset must clear timestep and moments")
-	}
-	s := NewSGD(0.1, 0.9)
-	s.Step([]*nn.Param{p})
-	s.Reset()
-	if len(s.velocity) != 0 {
-		t.Fatal("SGD.Reset must clear velocity")
-	}
-}
-
-func TestSetLR(t *testing.T) {
-	for _, o := range []Optimizer{NewSGD(0.1, 0), NewAdam(0.1)} {
-		o.SetLR(0.42)
-		if o.LR() != 0.42 {
-			t.Fatalf("%T SetLR not applied", o)
-		}
-	}
-}
-
-func TestStepDecaySchedule(t *testing.T) {
-	sched := StepDecay(0.5, 10)
-	cases := []struct {
-		step int
-		want float64
-	}{{0, 1}, {9, 1}, {10, 0.5}, {19, 0.5}, {20, 0.25}}
-	for _, c := range cases {
-		if got := sched(c.step, 1); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("sched(%d) = %v, want %v", c.step, got, c.want)
-		}
-	}
-	// Non-positive interval means constant.
-	if got := StepDecay(0.5, 0)(100, 3); got != 3 {
-		t.Fatalf("zero-interval decay = %v, want 3", got)
-	}
-	o := NewSGD(1, 0)
-	ApplySchedule(o, sched, 10, 1)
-	if o.LR() != 0.5 {
-		t.Fatalf("ApplySchedule gave %v", o.LR())
-	}
-}
-
-// Training an actual tiny network with each optimizer must reduce the loss —
-// an end-to-end sanity check of the Param wiring.
+// Training an actual tiny network must reduce the loss — an end-to-end sanity
+// check of the Param wiring.
 func TestOptimizersReduceNetworkLoss(t *testing.T) {
-	for name, mk := range map[string]func() Optimizer{
-		"sgd":  func() Optimizer { return NewSGD(0.05, 0.9) },
-		"adam": func() Optimizer { return NewAdam(0.01) },
-	} {
-		rng := rand.New(rand.NewSource(5))
-		net := nn.MLP("opt-"+name, []int{3, 16, 1}, nn.ActTanh, nn.ActNone, rng)
-		o := mk()
-		x := tensor.New(32, 3)
-		tensor.FillGaussian(x, rng, 0, 1)
-		target := tensor.New(32, 1)
-		for i := 0; i < 32; i++ {
-			v := x.At(i, 0)*x.At(i, 1) + x.At(i, 2)
-			target.Set(i, 0, v)
-		}
-		first, _ := nn.MSE(net.Forward(x, false), target, nil)
-		for i := 0; i < 150; i++ {
-			net.ZeroGrad()
-			pred := net.Forward(x, true)
-			_, dy := nn.MSE(pred, target, nil)
-			net.Backward(dy)
-			o.Step(net.Params())
-		}
-		last, _ := nn.MSE(net.Forward(x, false), target, nil)
-		if last > first*0.5 {
-			t.Fatalf("%s: loss %g -> %g, wanted at least 2x reduction", name, first, last)
-		}
+	rng := rand.New(rand.NewSource(5))
+	net := nn.MLP("opt-adam", []int{3, 16, 1}, nn.ActTanh, nn.ActNone, rng)
+	o := NewAdam(0.01)
+	x := tensor.New(32, 3)
+	tensor.FillGaussian(x, rng, 0, 1)
+	target := tensor.New(32, 1)
+	for i := 0; i < 32; i++ {
+		v := x.At(i, 0)*x.At(i, 1) + x.At(i, 2)
+		target.Set(i, 0, v)
+	}
+	first, _ := nn.MSE(net.Forward(x, false), target, nil)
+	for i := 0; i < 150; i++ {
+		net.ZeroGrad()
+		pred := net.Forward(x, true)
+		_, dy := nn.MSE(pred, target, nil)
+		net.Backward(dy)
+		o.Step(net.Params())
+	}
+	last, _ := nn.MSE(net.Forward(x, false), target, nil)
+	if last > first*0.5 {
+		t.Fatalf("loss %g -> %g, wanted at least 2x reduction", first, last)
 	}
 }
 
@@ -185,17 +104,15 @@ func BenchmarkAdamStep(b *testing.B) {
 // storage (nn.Param allocates it on first training use) is left alone, and
 // costs no optimizer state either.
 func TestStepSkipsParamsThatNeverTrained(t *testing.T) {
-	for name, o := range map[string]Optimizer{"sgd": NewSGD(0.1, 0), "momentum": NewSGD(0.1, 0.9), "adam": NewAdam(0.1)} {
-		trained, idle := quadParam(2), &nn.Param{Name: "idle", W: tensor.New(1, 2)}
-		idle.W.Fill(3)
-		trained.Grad.Fill(1)
-		o.Step([]*nn.Param{idle, trained})
-		if idle.Grad != nil || idle.W.Data[0] != 3 || idle.W.Data[1] != 3 {
-			t.Fatalf("%s: a parameter with no gradient was touched: %+v", name, idle)
-		}
-		if trained.W.Data[0] >= 0 {
-			t.Fatalf("%s: the trained parameter did not move", name)
-		}
+	trained, idle := quadParam(2), &nn.Param{Name: "idle", W: tensor.New(1, 2)}
+	idle.W.Fill(3)
+	trained.Grad.Fill(1)
+	NewAdam(0.1).Step([]*nn.Param{idle, trained})
+	if idle.Grad != nil || idle.W.Data[0] != 3 || idle.W.Data[1] != 3 {
+		t.Fatalf("a parameter with no gradient was touched: %+v", idle)
+	}
+	if trained.W.Data[0] >= 0 {
+		t.Fatal("the trained parameter did not move")
 	}
 	// A group none of whose parameters has trained costs Adam no moments; the
 	// first that trains sizes them for the whole group, and the idle ones'

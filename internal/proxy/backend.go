@@ -52,7 +52,7 @@ type Backend struct {
 	// window is a ring of recent forward outcomes (true = failure) for
 	// the error-rate trip: a backend failing half its traffic is down
 	// even if successes keep interleaving.
-	window     []bool
+	window     [errorWindow]bool
 	windowPos  int
 	windowFill int
 	lastErr    string
@@ -60,7 +60,7 @@ type Backend struct {
 
 // newBackend validates and normalizes one backend URL and registers the
 // backend's series with m, so each exists at 0 from the first scrape.
-func newBackend(raw string, window int, m *metrics.Registry) (*Backend, error) {
+func newBackend(raw string, m *metrics.Registry) (*Backend, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: backend %q: %w", raw, err)
@@ -72,9 +72,8 @@ func newBackend(raw string, window int, m *metrics.Registry) (*Backend, error) {
 		return nil, fmt.Errorf("proxy: backend %q: missing host", raw)
 	}
 	b := &Backend{
-		name:   u.Host,
-		base:   strings.TrimRight(u.String(), "/"),
-		window: make([]bool, window),
+		name: u.Host,
+		base: strings.TrimRight(u.String(), "/"),
 	}
 	b.healthy.Store(true) // optimistic until the first probe says otherwise
 
@@ -139,8 +138,8 @@ func (b *Backend) lastError() string {
 // noteForward records one forwarded request's outcome for the passive
 // circuit breaker and reports whether the breaker just tripped: the
 // backend was healthy and either BreakerFails consecutive forwards
-// failed or the rolling window's error rate reached rateThresh.
-func (b *Backend) noteForward(failed bool, detail string, breakerFails int, rateThresh float64) (trip bool) {
+// failed or the rolling window's error rate reached errorRate.
+func (b *Backend) noteForward(failed bool, detail string, breakerFails int) (trip bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if failed {
@@ -152,12 +151,10 @@ func (b *Backend) noteForward(failed bool, detail string, breakerFails int, rate
 	} else {
 		b.consecFails = 0
 	}
-	if len(b.window) > 0 {
-		b.window[b.windowPos] = failed
-		b.windowPos = (b.windowPos + 1) % len(b.window)
-		if b.windowFill < len(b.window) {
-			b.windowFill++
-		}
+	b.window[b.windowPos] = failed
+	b.windowPos = (b.windowPos + 1) % errorWindow
+	if b.windowFill < errorWindow {
+		b.windowFill++
 	}
 	if !failed || !b.healthy.Load() {
 		return false
@@ -165,18 +162,16 @@ func (b *Backend) noteForward(failed bool, detail string, breakerFails int, rate
 	if b.consecFails >= breakerFails {
 		return true
 	}
-	if b.windowFill == len(b.window) && len(b.window) > 0 {
-		errs := 0
-		for _, bad := range b.window {
-			if bad {
-				errs++
-			}
-		}
-		if float64(errs)/float64(len(b.window)) >= rateThresh {
-			return true
+	if b.windowFill < errorWindow {
+		return false
+	}
+	errs := 0
+	for _, bad := range b.window {
+		if bad {
+			errs++
 		}
 	}
-	return false
+	return float64(errs)/errorWindow >= errorRate
 }
 
 // noteProbe records one active-probe outcome and reports whether the

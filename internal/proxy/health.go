@@ -21,7 +21,7 @@ import (
 func (p *Proxy) maintain(ctx context.Context) {
 	health := time.NewTicker(p.cfg.HealthInterval)
 	defer health.Stop()
-	capacity := time.NewTicker(p.cfg.CapacityInterval)
+	capacity := time.NewTicker(capacityInterval)
 	defer capacity.Stop()
 	sweep := time.NewTicker(time.Minute)
 	defer sweep.Stop()
@@ -59,7 +59,7 @@ func (p *Proxy) probeSweep(ctx context.Context) {
 // transition, if any. A 503 /healthz (backend reports itself closed or
 // degraded) counts as a failed probe just like a connect error.
 func (p *Proxy) probeOne(ctx context.Context, b *Backend) {
-	pctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	ok, detail := true, ""
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.base+"/healthz", nil)
@@ -100,22 +100,18 @@ func (p *Proxy) capacitySweep(ctx context.Context) {
 }
 
 // refreshCapacity reads one backend's capacity_qps via the serve
-// client. With Config.CapacityModel unset, the backend's first listed
-// model stands in for the whole process — jagserve publishes the same
-// probed rate per model, so any of them works.
+// client. The backend's first listed model stands in for the whole
+// process — jagserve publishes the same probed rate per model, so any of
+// them works.
 func (p *Proxy) refreshCapacity(ctx context.Context, b *Backend) {
-	cctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
+	cctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	client := serve.NewClient(b.base).WithHTTPClient(p.probeHC)
-	model := p.cfg.CapacityModel
-	if model == "" {
-		models, err := client.Models(cctx)
-		if err != nil || len(models) == 0 {
-			return
-		}
-		model = models[0].Name
+	models, err := client.Models(cctx)
+	if err != nil || len(models) == 0 {
+		return
 	}
-	stats, err := client.Stats(cctx, model)
+	stats, err := client.Stats(cctx, models[0].Name)
 	if err != nil {
 		return
 	}

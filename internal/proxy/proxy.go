@@ -12,12 +12,12 @@
 //     successes reinstate it;
 //   - passive circuit breaking: transport errors, timeouts, and 5xx on
 //     forwarded traffic trip a backend after Config.BreakerFails
-//     consecutive failures or a Config.ErrorRate fraction of its recent
-//     window — the prober then owns reinstatement;
+//     consecutive failures or when half of its last 20 forwards failed
+//     — the prober then owns reinstatement;
 //   - weighted least-loaded routing: when every candidate reports a
 //     probed capacity (jagserve -probe publishes CostProbe-derived QPS
-//     on its stats route; the proxy refreshes it every
-//     Config.CapacityInterval), requests go to the backend with the
+//     on its stats route; the proxy refreshes it every 15 s), requests
+//     go to the backend with the
 //     lowest (inflight+1)/capacity; otherwise power-of-two-choices on
 //     in-flight counts;
 //   - bounded retries and hedging: a failed attempt (connect error,
@@ -41,9 +41,11 @@ package proxy
 import (
 	"context"
 	"fmt"
+	"log"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -56,8 +58,6 @@ import (
 type Config struct {
 	// HealthInterval is the active /healthz probe period (default 1s).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one probe or capacity refresh (default 2s).
-	ProbeTimeout time.Duration
 	// FailAfter is the consecutive probe failures that drop a backend
 	// (default 2).
 	FailAfter int
@@ -67,17 +67,6 @@ type Config struct {
 	// BreakerFails is the consecutive forward failures (transport error
 	// or 5xx) that trip the passive breaker (default 3).
 	BreakerFails int
-	// ErrorRate is the failure fraction of the recent-forwards window
-	// that trips the breaker even without a consecutive run
-	// (default 0.5); ErrorWindow is the window size (default 20).
-	ErrorRate   float64
-	ErrorWindow int
-	// CapacityInterval is the period between capacity refreshes from
-	// backend stats routes (default 15s). CapacityModel names the model
-	// whose capacity_qps seeds routing weights; "" uses each backend's
-	// first listed model.
-	CapacityInterval time.Duration
-	CapacityModel    string
 	// MaxRetries is the extra attempts (retries and hedges combined)
 	// after the first, each on a backend the request has not tried yet
 	// (default 2).
@@ -88,9 +77,6 @@ type Config struct {
 	// header: a priority set inside a JSON body selects the backend's
 	// bulk lane but does not suppress hedging.
 	HedgeDelay time.Duration
-	// AttemptTimeout bounds one backend attempt; 0 leaves only the
-	// client's own context/deadline.
-	AttemptTimeout time.Duration
 	// RatePerSec enables per-client token-bucket rate limiting on call
 	// routes at this refill rate; 0 disables. Burst is the bucket size
 	// (default max(1, ceil(RatePerSec))).
@@ -105,12 +91,22 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// What nobody has needed to tune.
+const (
+	// probeTimeout bounds one health probe or capacity refresh.
+	probeTimeout = 2 * time.Second
+	// errorRate is the failure fraction of a backend's last errorWindow
+	// forwards that trips the breaker even without a consecutive run.
+	errorRate   = 0.5
+	errorWindow = 20
+	// capacityInterval is the period between capacity refreshes from the
+	// backends' stats routes.
+	capacityInterval = 15 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
@@ -120,15 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerFails <= 0 {
 		c.BreakerFails = 3
-	}
-	if c.ErrorRate <= 0 || c.ErrorRate > 1 {
-		c.ErrorRate = 0.5
-	}
-	if c.ErrorWindow <= 0 {
-		c.ErrorWindow = 20
-	}
-	if c.CapacityInterval <= 0 {
-		c.CapacityInterval = 15 * time.Second
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
@@ -158,7 +145,7 @@ type Proxy struct {
 	m        *metrics.Registry
 	limiter  *rateLimiter
 	hc       *http.Client // forwards: no global timeout, per-attempt ctx
-	probeHC  *http.Client // probes + capacity refresh: ProbeTimeout
+	probeHC  *http.Client // probes + capacity refresh: probeTimeout
 	handler  http.Handler // the route mux inside serve.Lifecycle
 
 	// Fleet-wide counters; the per-backend instruments live on Backend.
@@ -181,7 +168,7 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		probeHC: &http.Client{Timeout: cfg.ProbeTimeout},
+		probeHC: &http.Client{Timeout: probeTimeout},
 	}
 	p.rateLimited = p.m.Counter("jag_proxy_rate_limited_total",
 		"Requests shed by per-client frontend rate limiting.", nil)
@@ -194,10 +181,10 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 	p.hedgeWins = p.m.Counter("jag_proxy_hedge_wins_total",
 		"Hedged attempts that answered first.", nil)
 	p.panics = p.m.Counter("jag_proxy_panics_total",
-		"Handler panics answered with a 500.", nil)
+		"Panics contained: a handler's answered with a 500, a backend attempt's failed as a transport error.", nil)
 	seen := map[string]bool{}
 	for _, raw := range backendURLs {
-		b, err := newBackend(raw, cfg.ErrorWindow, p.m)
+		b, err := newBackend(raw, p.m)
 		if err != nil {
 			return nil, err
 		}
@@ -449,25 +436,13 @@ var forwardHeaders = []string{
 // attempt forwards the request to one backend, buffers the whole reply,
 // and feeds the passive breaker with the observed outcome.
 func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body []byte, hedged bool) outcome {
-	if p.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.AttemptTimeout)
-		defer cancel()
-	}
 	req, err := newBackendRequest(ctx, b, r, body)
 	if err != nil {
 		return outcome{b: b, err: err, hedged: hedged}
 	}
 	b.inflight.Add(1)
 	start := time.Now()
-	resp, err := p.hc.Do(req)
-	var status int
-	var header http.Header
-	var raw []byte
-	if err == nil {
-		status, header = resp.StatusCode, resp.Header
-		raw, err = readAllBody(resp)
-	}
+	status, header, raw, err := p.forward(req)
 	b.latency.Observe(time.Since(start).Seconds())
 	b.inflight.Add(-1)
 
@@ -495,9 +470,31 @@ func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body [
 	return outcome{b: b, status: status, header: header, body: raw, hedged: hedged}
 }
 
+// forward sends req and buffers the whole reply. It runs on an attempt
+// goroutine, outside serve.Lifecycle's recover, so a panic under it — in
+// the transport, in a body reader — would end the process: here it is
+// counted, logged, and becomes this attempt's transport error, which
+// feeds the breaker and lets dispatch retry elsewhere or answer 502.
+func (p *Proxy) forward(req *http.Request) (status int, header http.Header, raw []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.panics.Inc()
+			log.Printf("panic forwarding %s %s (request %s): %v\n%s", req.Method, req.URL,
+				req.Header.Get(serve.RequestIDHeader), v, debug.Stack())
+			err = fmt.Errorf("panic: %v", v)
+		}
+	}()
+	resp, err := p.hc.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	raw, err = readAllBody(resp)
+	return resp.StatusCode, resp.Header, raw, err
+}
+
 // noteForward feeds the passive breaker and performs the trip.
 func (p *Proxy) noteForward(b *Backend, failed bool, detail string) {
-	if b.noteForward(failed, detail, p.cfg.BreakerFails, p.cfg.ErrorRate) {
+	if b.noteForward(failed, detail, p.cfg.BreakerFails) {
 		p.setHealth(b, false, "breaker: "+detail)
 	}
 }

@@ -99,8 +99,8 @@ func counterValue(p *Proxy, name string, labels metrics.Labels) uint64 {
 }
 
 func TestPickWeightedLeastLoaded(t *testing.T) {
-	b1, _ := newBackend("http://a:1", 4, metrics.NewRegistry())
-	b2, _ := newBackend("http://b:2", 4, metrics.NewRegistry())
+	b1, _ := newBackend("http://a:1", metrics.NewRegistry())
+	b2, _ := newBackend("http://b:2", metrics.NewRegistry())
 	p := &Proxy{backends: []*Backend{b1, b2}}
 	// b1: high capacity, some load; b2: low capacity, same load. Score
 	// (inflight+1)/capacity favors b1.
@@ -128,8 +128,8 @@ func TestPickPowerOfTwoFallback(t *testing.T) {
 	// No capacities: P2C on inflight. With a 0-load and a loaded backend
 	// the 0-load one must win every draw that offers both, i.e. always
 	// (two candidates means both are always compared).
-	b1, _ := newBackend("http://a:1", 4, metrics.NewRegistry())
-	b2, _ := newBackend("http://b:2", 4, metrics.NewRegistry())
+	b1, _ := newBackend("http://a:1", metrics.NewRegistry())
+	b2, _ := newBackend("http://b:2", metrics.NewRegistry())
 	b2.inflight.Store(50)
 	p := &Proxy{backends: []*Backend{b1, b2}}
 	for i := 0; i < 20; i++ {
@@ -223,7 +223,7 @@ func TestPassiveBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	})
 	p, front := newTestProxy(t, Config{MaxRetries: 2, BreakerFails: 2}, bad, good)
 	badB := p.Backends()[0]
-	for i := 0; i < 12 && badB.Healthy(); i++ {
+	for i := 0; i < 64 && badB.Healthy(); i++ { // pick is random: about every second call tries the bad backend first
 		postCall(t, front.URL, nil)
 	}
 	if badB.Healthy() {
@@ -793,5 +793,67 @@ func TestPanickingProxyHandlerIsContained(t *testing.T) {
 	}
 	if got := counterValue(p, "jag_proxy_panics_total", nil); got != 2 {
 		t.Errorf("jag_proxy_panics_total = %d, want 2", got)
+	}
+}
+
+// panickyTransport panics on every request to one backend and forwards
+// the rest.
+type panickyTransport struct {
+	host string
+	next http.RoundTripper
+}
+
+func (t panickyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Host == t.host {
+		panic("transport fell over")
+	}
+	return t.next.RoundTrip(r)
+}
+
+// TestPanickingAttemptIsContained: a panic on one of dispatch's attempt
+// goroutines — outside serve.Lifecycle's recover, so at the parent of PR 24
+// it ended the test binary — is that backend's failed attempt: counted,
+// held against the backend until its breaker trips, and the request is
+// answered by the other backend; with no other backend left it is a 502.
+func TestPanickingAttemptIsContained(t *testing.T) {
+	var stderr syncBuffer
+	log.SetOutput(&stderr)
+	defer log.SetOutput(os.Stderr)
+	bad, good := newFakeBackend(t), newFakeBackend(t)
+	p, front := newTestProxy(t, Config{BreakerFails: 2}, bad, good)
+	badB, goodB := p.backends[0], p.backends[1]
+	p.hc = &http.Client{Transport: panickyTransport{host: badB.name, next: p.hc.Transport}}
+
+	panicked := 0
+	for i := 0; i < 64 && badB.Healthy(); i++ { // pick is random: about every second call tries the bad backend first
+		resp := postCall(t, front.URL, map[string]string{serve.RequestIDHeader: "boom-3"})
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(backendHeader) != goodB.name {
+			t.Fatalf("call %d: status %d from %q, want 200 from the backend whose transport works", i, resp.StatusCode, resp.Header.Get(backendHeader))
+		}
+		panicked = int(counterValue(p, "jag_proxy_panics_total", nil))
+	}
+	if panicked != 2 || badB.Healthy() {
+		t.Fatalf("%d panics contained, backend healthy=%v: want the breaker tripped by the second", panicked, badB.Healthy())
+	}
+	if got := counterValue(p, "jag_proxy_retries_total", nil); got != 2 {
+		t.Errorf("jag_proxy_retries_total = %d, want one per panicked attempt", got)
+	}
+	if got := counterValue(p, "jag_proxy_requests_total", metrics.Labels{"backend": badB.name, "code": "error"}); got != 2 {
+		t.Errorf("the panicked attempts count as %d transport errors, want 2", got)
+	}
+	if badB.Inflight() != 0 || bad.calls.Load() != 0 {
+		t.Errorf("bad backend: inflight %d, calls %d, want 0 and 0", badB.Inflight(), bad.calls.Load())
+	}
+	if !strings.Contains(stderr.String(), "transport fell over") || !strings.Contains(stderr.String(), "(request boom-3)") {
+		t.Errorf("log lacks the panic or the request ID: %s", stderr.String())
+	}
+
+	// Nothing else to try: the panic is the answer's reason, not the process's end.
+	goodB.healthy.Store(false)
+	p.backends = p.backends[:1]
+	resp := postCall(t, front.URL, nil)
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), "panic: transport fell over") {
+		t.Fatalf("lone panicking backend: status %d, body %q, want 502 naming the panic", resp.StatusCode, body)
 	}
 }

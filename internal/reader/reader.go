@@ -208,16 +208,7 @@ func (s *Subset) Sample(i int, dst []float32) error {
 // over n samples, with earlier partitions absorbing the remainder — the
 // LTFB data partitioning: trainer k gets a contiguous run of files/samples.
 func PartitionContiguous(n, parts, part int) []int {
-	if parts < 1 || part < 0 || part >= parts {
-		panic(fmt.Sprintf("reader: partition %d of %d invalid", part, parts))
-	}
-	base := n / parts
-	rem := n % parts
-	lo := part*base + min(part, rem)
-	size := base
-	if part < rem {
-		size++
-	}
+	lo, size := partitionBounds(n, parts, part)
 	out := make([]int, size)
 	for i := range out {
 		out[i] = lo + i
@@ -225,31 +216,36 @@ func PartitionContiguous(n, parts, part int) []int {
 	return out
 }
 
+// partitionBounds is the one remainder rule: partition part of parts over n
+// items starts at lo and holds size of them.
+func partitionBounds(n, parts, part int) (lo, size int) {
+	if parts < 1 || part < 0 || part >= parts {
+		panic(fmt.Sprintf("reader: partition %d of %d invalid", part, parts))
+	}
+	base, rem := n/parts, n%parts
+	lo, size = part*base+min(part, rem), base
+	if part < rem {
+		size++
+	}
+	return lo, size
+}
+
 // PartitionRandom returns a uniformly random subset of size n/parts (plus
 // remainder spread across low parts) without replacement, drawn with the
 // given seed — the K-independent baseline's "random 1/k subset"
 // (Section IV-E).
 func PartitionRandom(n, parts, part int, seed int64) []int {
-	if parts < 1 || part < 0 || part >= parts {
-		panic(fmt.Sprintf("reader: partition %d of %d invalid", part, parts))
-	}
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	return PartitionContiguousOf(perm, parts, part)
+	return PartitionContiguousOf(rng.Perm(n), parts, part)
 }
 
-// PartitionContiguousOf slices partition part of parts out of an explicit
-// index list, with the same remainder rule as PartitionContiguous.
+// PartitionContiguousOf returns partition part of parts of an explicit index
+// list — a view of idx, not a copy — with the same remainder rule as
+// PartitionContiguous. It is how a mini-batch is shared out over the ranks
+// of a trainer.
 func PartitionContiguousOf(idx []int, parts, part int) []int {
-	n := len(idx)
-	base := n / parts
-	rem := n % parts
-	lo := part*base + min(part, rem)
-	size := base
-	if part < rem {
-		size++
-	}
-	return append([]int(nil), idx[lo:lo+size]...)
+	lo, size := partitionBounds(len(idx), parts, part)
+	return idx[lo : lo+size]
 }
 
 // Shuffler produces a deterministic permutation of [0,n) per epoch. All
@@ -306,29 +302,25 @@ func Batches(perm []int, batch int, dropLast bool) [][]int {
 	return out
 }
 
-// AssembleBatch gathers the given samples into a row-per-sample matrix.
-func AssembleBatch(ds Dataset, idx []int) (*tensor.Matrix, error) {
-	m := tensor.New(len(idx), ds.Dim())
-	for r, i := range idx {
-		if err := ds.Sample(i, m.Row(r)); err != nil {
-			return nil, err
-		}
+// SplitRow writes one flattened sample into row r of x (its leading x.Cols
+// values, the inputs) and of y (the rest, the outputs).
+func SplitRow(sample []float32, r int, x, y *tensor.Matrix) {
+	if len(sample) != x.Cols+y.Cols {
+		panic(fmt.Sprintf("reader: sample of width %d into x|y of %d+%d columns", len(sample), x.Cols, y.Cols))
 	}
-	return m, nil
+	copy(x.Row(r), sample[:x.Cols])
+	copy(y.Row(r), sample[x.Cols:])
 }
 
-// SplitXY splits a batch of flattened samples into input columns [0,xDim)
-// and output columns [xDim,Dim) as two fresh matrices.
-func SplitXY(batch *tensor.Matrix, xDim int) (x, y *tensor.Matrix) {
-	if xDim < 0 || xDim > batch.Cols {
-		panic(fmt.Sprintf("reader: xDim %d outside [0,%d]", xDim, batch.Cols))
+// FillXY reads samples idx of ds into rows 0..len(idx) of x and y, split as
+// SplitRow splits them.
+func FillXY(ds Dataset, idx []int, x, y *tensor.Matrix) error {
+	row := make([]float32, ds.Dim())
+	for r, i := range idx {
+		if err := ds.Sample(i, row); err != nil {
+			return err
+		}
+		SplitRow(row, r, x, y)
 	}
-	x = tensor.New(batch.Rows, xDim)
-	y = tensor.New(batch.Rows, batch.Cols-xDim)
-	for r := 0; r < batch.Rows; r++ {
-		row := batch.Row(r)
-		copy(x.Row(r), row[:xDim])
-		copy(y.Row(r), row[xDim:])
-	}
-	return x, y
+	return nil
 }

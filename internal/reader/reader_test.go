@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bundle"
+	"repro/internal/tensor"
 )
 
 func sliceDS(t *testing.T, n, dim int) *SliceDataset {
@@ -287,37 +288,55 @@ func TestBatches(t *testing.T) {
 
 func TestAssembleBatchAndSplitXY(t *testing.T) {
 	ds := sliceDS(t, 6, 4)
-	m, err := AssembleBatch(ds, []int{5, 0, 2})
-	if err != nil {
+	x, y := tensor.New(3, 1), tensor.New(3, 3)
+	if err := FillXY(ds, []int{5, 0, 2}, x, y); err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows != 3 || m.Cols != 4 {
-		t.Fatalf("batch shape %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(0, 0) != 500 || m.At(2, 3) != 203 {
-		t.Fatalf("batch content wrong: %v", m)
-	}
-	x, y := SplitXY(m, 1)
-	if x.Cols != 1 || y.Cols != 3 {
-		t.Fatalf("split shapes %d/%d", x.Cols, y.Cols)
+	if x.At(0, 0) != 500 || y.At(2, 2) != 203 {
+		t.Fatalf("batch content wrong: x %v y %v", x, y)
 	}
 	if x.At(1, 0) != 0 || y.At(1, 0) != 1 {
-		t.Fatalf("split content wrong")
+		t.Fatalf("split content wrong: x %v y %v", x, y)
 	}
-	if _, err := AssembleBatch(ds, []int{99}); err == nil {
+	// A shorter index list fills the leading rows and leaves the rest.
+	if err := FillXY(ds, []int{1}, x, y); err != nil {
+		t.Fatal(err)
+	}
+	if x.At(0, 0) != 100 || y.At(0, 2) != 103 || x.At(1, 0) != 0 || y.At(2, 2) != 203 {
+		t.Fatalf("partial fill wrong: x %v y %v", x, y)
+	}
+	if err := FillXY(ds, []int{99}, x, y); err == nil {
 		t.Fatal("bad index must error")
 	}
 }
 
 func TestSplitXYPanics(t *testing.T) {
-	ds := sliceDS(t, 2, 3)
-	m, _ := AssembleBatch(ds, []int{0, 1})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("xDim out of range must panic")
+			t.Fatal("x and y that do not add up to the sample's width must panic")
 		}
 	}()
-	SplitXY(m, 4)
+	SplitRow(make([]float32, 3), 0, tensor.New(2, 1), tensor.New(2, 3))
+}
+
+// TestPartitionContiguousOfIsAView: the parts are sub-slices of the list in
+// order, covering it, sized by PartitionContiguous's rule.
+func TestPartitionContiguousOfIsAView(t *testing.T) {
+	idx := []int{9, 8, 7, 6, 5, 4, 3}
+	at := 0
+	for part := 0; part < 3; part++ {
+		got := PartitionContiguousOf(idx, 3, part)
+		if len(got) != len(PartitionContiguous(len(idx), 3, part)) {
+			t.Fatalf("part %d has %d items", part, len(got))
+		}
+		if len(got) > 0 && &got[0] != &idx[at] {
+			t.Fatalf("part %d is not idx[%d:]", part, at)
+		}
+		at += len(got)
+	}
+	if at != len(idx) {
+		t.Fatalf("parts cover %d of %d items", at, len(idx))
+	}
 }
 
 func BenchmarkBundleDatasetRandomAccess(b *testing.B) {

@@ -5,12 +5,15 @@
 // Matrices are row-major float32. Mini-batches are stored one sample per row,
 // so a Linear layer's forward pass is a single GEMM over the whole batch.
 //
-// Gemm is four row-streaming loops (one per transpose mode), none of them
-// cache-blocked, parallelized over output rows with internal/parallel. Their
-// inner loops are the micro-kernels of kernel.go: scalar axpy and dot
-// everywhere, and on amd64 SIMD versions under the two backward-pass
-// variants (Aᵀ·B and A·Bᵀ) that produce the same bits. kernel.go states the
-// contract a new kernel has to keep.
+// Gemm is four row-streaming loops (one per transpose mode) run over a cut of
+// the output that tile.go plans: blocks of rows by panels of columns, each
+// panel of B small enough to stay in L2 and no tile longer than about a
+// millisecond, issued in waves of one tile per worker through
+// internal/parallel; small products are cut into row chunks only. The bits
+// never depend on the cut. The inner loops are the micro-kernels of
+// kernel.go: scalar axpy and dot everywhere, and on amd64 SIMD versions under
+// the two backward-pass variants (Aᵀ·B and A·Bᵀ) that produce the same bits.
+// kernel.go states the contract a new kernel has to keep.
 package tensor
 
 import "fmt"

@@ -82,7 +82,7 @@ type Stats struct {
 }
 
 // Trainer is one rank's view of a trainer. All ranks of the trainer must
-// call its collective methods (Advance, RunEpoch, Evaluate) together.
+// call its collective methods (Advance, Evaluate) together.
 type Trainer struct {
 	Cfg   Config
 	C     *comm.Comm
@@ -94,6 +94,9 @@ type Trainer struct {
 	batches  [][]int
 	cursor   int
 	stats    Stats
+	// x and y hold this rank's share of the step's mini-batch: the store
+	// fills them, TrainStep reads them, and the next step overwrites them.
+	x, y *tensor.Matrix
 }
 
 // New wires a trainer rank together. Every rank of the trainer passes the
@@ -109,6 +112,9 @@ func New(cfg Config, c *comm.Comm, model Model, store *datastore.Store, data rea
 	if cfg.XDim < 1 || cfg.XDim >= data.Dim() {
 		return nil, fmt.Errorf("trainer %d: xDim %d outside (0,%d)", cfg.ID, cfg.XDim, data.Dim())
 	}
+	// Every batch is full (the trailing short one is dropped), so the
+	// rank's share of a step has the same size every time.
+	share := len(reader.PartitionContiguous(cfg.BatchSize, c.Size(), c.Rank()))
 	return &Trainer{
 		Cfg:      cfg,
 		C:        c,
@@ -117,6 +123,8 @@ func New(cfg Config, c *comm.Comm, model Model, store *datastore.Store, data rea
 		Data:     data,
 		shuffler: reader.NewShuffler(data.Len(), cfg.ShuffleSeed),
 		stats:    Stats{Losses: map[string]float64{}},
+		x:        tensor.New(share, cfg.XDim),
+		y:        tensor.New(share, data.Dim()-cfg.XDim),
 	}, nil
 }
 
@@ -133,40 +141,26 @@ func (t *Trainer) Stats() Stats {
 // Reducer returns the gradient reducer for this trainer rank.
 func (t *Trainer) Reducer() nn.Reducer { return AllreduceReducer{C: t.C} }
 
-// prepareEpoch lays out the next epoch's batch schedule. Partial trailing
-// batches are dropped so every rank always receives at least one sample.
-func (t *Trainer) prepareEpoch() {
-	perm := t.shuffler.Epoch(t.stats.Epochs)
-	t.batches = reader.Batches(perm, t.Cfg.BatchSize, true)
-	t.cursor = 0
-}
-
-// StepsPerEpoch returns the number of optimizer steps one epoch takes.
-func (t *Trainer) StepsPerEpoch() int { return t.Data.Len() / t.Cfg.BatchSize }
-
 // Advance runs the next n mini-batch steps, crossing epoch boundaries as
-// needed. It is collective across the trainer's ranks.
+// needed: it is the one walk from a shuffler's batches to TrainStep. Partial
+// trailing batches are dropped so every rank always receives at least one
+// sample. It is collective across the trainer's ranks.
 func (t *Trainer) Advance(n int) error {
 	for i := 0; i < n; i++ {
-		if t.batches == nil || t.cursor >= len(t.batches) {
+		if t.cursor == len(t.batches) {
 			if t.batches != nil {
 				t.stats.Epochs++
 			}
-			t.prepareEpoch()
+			t.batches = reader.Batches(t.shuffler.Epoch(t.stats.Epochs), t.Cfg.BatchSize, true)
+			t.cursor = 0
 		}
 		batch := t.batches[t.cursor]
 		t.cursor++
 
-		parts := make([][]int, t.C.Size())
-		for r := range parts {
-			parts[r] = reader.PartitionContiguousOf(batch, len(parts), r)
-		}
-		m, err := t.Store.Fetch(parts)
-		if err != nil {
+		if err := t.Store.Fetch(batch, t.x, t.y); err != nil {
 			return fmt.Errorf("trainer %d rank %d: %w", t.Cfg.ID, t.C.Rank(), err)
 		}
-		x, y := reader.SplitXY(m, t.Cfg.XDim)
-		losses := t.Model.TrainStep(x, y, t.Reducer())
+		losses := t.Model.TrainStep(t.x, t.y, t.Reducer())
 		t.stats.Steps++
 		for k, v := range losses {
 			// Running mean over all steps.
@@ -177,35 +171,23 @@ func (t *Trainer) Advance(n int) error {
 	return nil
 }
 
-// RunEpoch advances exactly one epoch's worth of steps.
-func (t *Trainer) RunEpoch() error {
-	if t.batches == nil || t.cursor >= len(t.batches) {
-		return t.Advance(t.StepsPerEpoch())
-	}
-	return t.Advance(len(t.batches) - t.cursor)
-}
-
 // Evaluate computes the model's mean Eval objective over a validation
 // dataset, data-parallel: each rank evaluates a contiguous shard and the
 // result is allreduced, so every rank returns the same value.
 func (t *Trainer) Evaluate(val reader.Dataset, batchSize int) (float64, error) {
 	idx := reader.PartitionContiguous(val.Len(), t.C.Size(), t.C.Rank())
+	x := tensor.New(min(batchSize, len(idx)), t.Cfg.XDim)
+	y := tensor.New(x.Rows, val.Dim()-t.Cfg.XDim)
 	var lossSum float64
-	var rows int
 	for lo := 0; lo < len(idx); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		m, err := reader.AssembleBatch(val, idx[lo:hi])
-		if err != nil {
+		part := idx[lo:min(lo+batchSize, len(idx))]
+		bx, by := x.SliceRows(0, len(part)), y.SliceRows(0, len(part))
+		if err := reader.FillXY(val, part, bx, by); err != nil {
 			return 0, err
 		}
-		x, y := reader.SplitXY(m, t.Cfg.XDim)
-		lossSum += t.Model.Eval(x, y) * float64(m.Rows)
-		rows += m.Rows
+		lossSum += t.Model.Eval(bx, by) * float64(len(part))
 	}
-	buf := []float32{float32(lossSum), float32(rows)}
+	buf := []float32{float32(lossSum), float32(len(idx))}
 	t.C.AllreduceSum(buf)
 	if buf[1] == 0 {
 		return 0, fmt.Errorf("trainer %d: empty validation set", t.Cfg.ID)

@@ -163,23 +163,6 @@ func TestAdvanceCrossesEpochs(t *testing.T) {
 	}
 }
 
-func TestRunEpochStepCount(t *testing.T) {
-	ds := jagSliceDataset(t, jag.Tiny8, 0, 48)
-	w := comm.NewWorld(2)
-	trainers := buildTrainers(t, w, ds, 16)
-	w.Run(func(c *comm.Comm) {
-		if err := trainers[c.Rank()].RunEpoch(); err != nil {
-			t.Error(err)
-		}
-	})
-	if got := trainers[0].Stats().Steps; got != 3 {
-		t.Fatalf("RunEpoch took %d steps, want 3", got)
-	}
-	if got := trainers[0].StepsPerEpoch(); got != 3 {
-		t.Fatalf("StepsPerEpoch = %d, want 3", got)
-	}
-}
-
 func TestTrainingReducesLossAndEval(t *testing.T) {
 	ds := jagSliceDataset(t, jag.Tiny8, 0, 64)
 	val := jagSliceDataset(t, jag.Tiny8, 2000, 32)
