@@ -1,7 +1,6 @@
-// Command jaglint is the project's static-analysis multichecker: three
-// analyzers (internal/lint) that enforce the serving stack's
-// concurrency and metrics invariants — release-on-all-paths for
-// Registry.Acquire pins, compile-time-validated metric names, and
+// Command jaglint is the project's static-analysis multichecker: two
+// analyzers (internal/lint) that enforce the serving stack's metrics
+// and lifecycle invariants — compile-time-validated metric names and
 // intact context chains.
 // docs/STATIC_ANALYSIS.md documents each invariant with bad/good
 // examples and the suppression syntax.
@@ -16,7 +15,7 @@
 // load errors — the same convention as go vet, so CI treats it as a
 // gate. Suppress a single finding with an explanation:
 //
-//	s, release, _ := reg.Acquire(name) // lint:ignore acquirerelease release escapes via closure
+//	ctx := context.Background() // lint:ignore ctxflow audit write must outlive the request
 //
 // The driver typechecks from source against build-cache export data
 // (`go list -export`), so it needs no network and no modules beyond

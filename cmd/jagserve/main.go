@@ -31,10 +31,9 @@
 // NaN-weight checkpoint is rejected while the old model keeps serving
 // (the rejection shows up under "reload" in /healthz). Per-model stats
 // and /healthz report the serving generation (1 + completed reloads).
-// -drain-deadline bounds how long a swap waits for in-flight callers of
-// the old model: past it the old model is force-closed (its remaining
-// rows fail with 503) and the stats' forced_closes counter increments;
-// the default of 0 waits forever.
+// A swap waits only for the old model's passes over rows it already
+// admitted, never for a client to read its reply; a request that meets
+// the old model closed is answered by the new one.
 //
 // Endpoints:
 //
@@ -114,7 +113,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-request deadline; rows still queued past it are dropped without a forward pass (0 disables; requests override via deadline_ms)")
 	watch := flag.Bool("watch", false, "watch each model's spec/checkpoint path and hot-swap newly written checkpoints in without dropping traffic (canary-tested; a bad checkpoint is rejected and the old model keeps serving)")
 	reloadInterval := flag.Duration("reload-interval", 2*time.Second, "poll period for -watch")
-	drainDeadline := flag.Duration("drain-deadline", 0, "max time a hot swap waits for in-flight callers of the old model before force-closing it (counted as forced_closes in stats; 0 waits forever)")
 	debugAddr := flag.String("debug-addr", "", "optional private listen address serving /debug/pprof/* and a duplicate /metrics (no auth — never expose publicly)")
 	logFormat := flag.String("log-format", "", "structured access log on stderr: \"text\" or \"json\" (empty disables)")
 	flag.Parse()
@@ -159,7 +157,6 @@ func main() {
 		CacheSize:  *cacheSize,
 	}
 	reg := serve.NewRegistry()
-	reg.SetDrainDeadline(*drainDeadline)
 	for i := range entries {
 		e := &entries[i]
 		if *watch {

@@ -28,10 +28,10 @@
 //
 // Serving is also live across model updates: the LTFB loop keeps
 // promoting new tournament winners, so serve.Registry.Replace
-// atomically swaps the server behind a name — requests in flight drain
-// against the old pool (the HTTP layer pins its server per request via
-// Registry.Acquire, and Replace waits for the last holder before
-// closing it) while new requests answer from the new one, with a
+// atomically swaps the server behind a name and closes the old one —
+// a request whose rows reached the old pool is answered whole by it, a
+// request that meets it closed is resubmitted to the new one, and the
+// swap waits for the old pool's passes, never for a client — with a
 // per-name generation counter recording each swap. A serve.Reloader
 // automates the swap from disk: it polls a spec/checkpoint path
 // (cheap stat signature first, SHA-256 content fingerprint second, so
@@ -46,9 +46,7 @@
 // /v1/models/{name}/{method} (content-negotiated JSON or binary
 // little-endian float32 tensor frames, serve/wire.go), GET
 // /v1/models/{name}/stats, and /healthz with per-model readiness and
-// reload state; -watch -reload-interval runs a Reloader per model, and
-// -drain-deadline bounds how long a swap waits for stragglers before
-// force-closing the old model.
+// reload state; -watch -reload-interval runs a Reloader per model.
 // cmd/ltfbtrain -checkpoint saves a trained population's best models
 // with the spec sidecar jagserve -models loads; serve.Client is the Go
 // client; and examples/serving walks the whole train → checkpoint →
@@ -76,13 +74,12 @@
 // backend kill included (docs/FLEET.md, examples/fleet).
 //
 // The conventions this stack depends on are machine-checked:
-// cmd/jaglint runs internal/lint's three analyzers (released
-// Registry.Acquire pins, canonical jag_* metric names, flowing
-// contexts) over every package, in CI and inside tier-1 via
-// TestSuiteCleanOnRepo, which also runs go vet (whose copylocks
-// check catches a copied lock-free metric struct);
-// docs/STATIC_ANALYSIS.md documents each invariant and the
-// lint:ignore suppression syntax.
+// cmd/jaglint runs internal/lint's two analyzers (canonical jag_*
+// metric names, flowing contexts) over every package, in CI and
+// inside tier-1 via TestSuiteCleanOnRepo, which also runs go vet
+// (whose copylocks check catches a copied lock-free metric struct);
+// docs/STATIC_ANALYSIS.md documents each invariant and the lint:ignore
+// suppression syntax.
 //
 // Start with README.md for the layout and quickstart, docs/SERVING.md
 // and docs/FLEET.md for the serving and fleet operator guides, and

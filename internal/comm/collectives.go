@@ -294,26 +294,6 @@ func (c *Comm) BcastBytes(root int, buf []byte) {
 	}
 }
 
-// Gather collects each rank's contribution at root, which receives them
-// indexed by rank; other ranks receive nil.
-func (c *Comm) Gather(root int, data []float32) [][]float32 {
-	tag := c.nextCollTag()
-	n := c.Size()
-	if c.rank != root {
-		c.sendRaw(root, tag, append([]float32(nil), data...), nil)
-		return nil
-	}
-	out := make([][]float32, n)
-	out[root] = append([]float32(nil), data...)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		out[r] = c.recvRaw(r, tag).floats
-	}
-	return out
-}
-
 // AllgatherFloat64 exchanges one float64 per rank and returns the full
 // vector on every rank; used for tournament metric comparison.
 func (c *Comm) AllgatherFloat64(v float64) []float64 {
@@ -324,27 +304,4 @@ func (c *Comm) AllgatherFloat64(v float64) []float64 {
 		out[i] = x.(float64)
 	}
 	return out
-}
-
-// ReduceSum accumulates every rank's buf elementwise at root (other ranks'
-// buffers are left untouched), using rank order for deterministic rounding.
-func (c *Comm) ReduceSum(root int, buf []float32) {
-	tag := c.nextCollTag()
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	if c.rank != root {
-		c.sendRaw(root, tag, append([]float32(nil), buf...), nil)
-		return
-	}
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		in := c.recvRaw(r, tag).floats
-		for i := range buf {
-			buf[i] += in[i]
-		}
-	}
 }

@@ -298,22 +298,6 @@ func TestBcastBytes(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	w := NewWorld(4)
-	runWithTimeout(t, w, func(c *Comm) {
-		out := c.Gather(1, []float32{float32(c.Rank() * 10)})
-		if c.Rank() == 1 {
-			for r := 0; r < 4; r++ {
-				if out[r][0] != float32(r*10) {
-					t.Errorf("gathered[%d] = %v", r, out[r])
-				}
-			}
-		} else if out != nil {
-			t.Errorf("non-root rank %d got non-nil %v", c.Rank(), out)
-		}
-	})
-}
-
 func TestAllgatherFloat64(t *testing.T) {
 	w := NewWorld(5)
 	runWithTimeout(t, w, func(c *Comm) {
@@ -582,23 +566,6 @@ func benchAllreduce(b *testing.B, n, m int, naive bool) {
 				c.AllreduceSum(buf)
 			}
 		})
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	w := NewWorld(4)
-	results := make([][]float32, 4)
-	runWithTimeout(t, w, func(c *Comm) {
-		buf := []float32{float32(c.Rank() + 1), 1}
-		c.ReduceSum(2, buf)
-		results[c.Rank()] = buf
-	})
-	if results[2][0] != 10 || results[2][1] != 4 {
-		t.Fatalf("root buffer = %v, want [10 4]", results[2])
-	}
-	// Non-root buffers untouched.
-	if results[0][0] != 1 || results[3][0] != 4 {
-		t.Fatalf("non-root buffers modified: %v %v", results[0], results[3])
 	}
 }
 

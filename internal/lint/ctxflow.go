@@ -12,8 +12,8 @@ import (
 //
 //   - calling context.Background() or context.TODO() severs the chain —
 //     downstream work outlives the request, queued rows stop being
-//     droppable, and Registry.Replace drains wait on work whose caller
-//     is long gone; reported.
+//     droppable, and the passes a Registry.Replace waits for serve
+//     callers that are long gone; reported.
 //   - passing context.Background()/TODO() as the context argument of a
 //     callee (a Server.Call-style API whose first parameter is a
 //     Context) while holding a perfectly good ctx is the same bug one
@@ -107,4 +107,30 @@ func checkCtxBody(pass *Pass, body *ast.BlockStmt) {
 			calleeFunc(info, call).Name())
 		return true
 	})
+}
+
+// walkWithStack walks root depth-first, calling fn with each node and
+// the stack of its ancestors (outermost first, excluding the node
+// itself). Returning false skips the subtree.
+func walkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		descend := fn(n, stack)
+		if descend {
+			stack = append(stack, n)
+		}
+		return descend
+	})
+}
+
+// parentNode returns the innermost ancestor on the stack.
+func parentNode(stack []ast.Node) ast.Node {
+	if len(stack) == 0 {
+		return nil
+	}
+	return stack[len(stack)-1]
 }

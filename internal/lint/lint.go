@@ -1,11 +1,8 @@
-// Package lint is the project's static-analysis layer: three analyzers
-// that enforce the serving stack's concurrency and metrics invariants —
+// Package lint is the project's static-analysis layer: two analyzers
+// that enforce the serving stack's metrics and lifecycle invariants —
 // conventions the compiler cannot see and that have each produced (or
 // nearly produced) a real bug:
 //
-//   - acquirerelease: every Registry.Acquire release func must run on
-//     all paths, or Registry.Replace drains stall until the drain
-//     deadline force-closes the displaced server.
 //   - metricname: metric registrations use compile-time-constant names
 //     matching ^jag_[a-z0-9_]+$ with literal label keys, and a
 //     name registered under two kinds — a runtime panic today — is a
@@ -174,33 +171,12 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the project's analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AcquireRelease,
 		MetricName,
 		CtxFlow,
 	}
 }
 
 // --- shared AST/type helpers -------------------------------------------
-
-// inspectWithStack walks every node of the files depth-first, calling
-// fn with the node and the stack of its ancestors (outermost first,
-// excluding the node itself). Returning false skips the subtree.
-func inspectWithStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			descend := fn(n, stack)
-			if descend {
-				stack = append(stack, n)
-			}
-			return descend
-		})
-	}
-}
 
 // namedTypeName returns the name of t's core named type, unwrapping
 // pointers and aliases; "" when t has no name.
@@ -257,18 +233,4 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath string, names ...st
 		}
 	}
 	return false
-}
-
-// enclosingFuncBody returns the body of the innermost function literal
-// or declaration on the stack.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
-	}
-	return nil
 }

@@ -3,7 +3,7 @@
 // the standard library alone. A fixture directory under testdata holds
 // one package of .go files annotated with expectations:
 //
-//	s, _, ok := reg.Acquire("m") // want "release func .* is discarded"
+//	r.Counter("requests_total", "no prefix", nil) // want "does not match"
 //
 // Run loads the fixture, runs one analyzer, and fails the test for
 // every expectation with no matching diagnostic (the analyzer went

@@ -1,9 +1,9 @@
 // Package metrics provides the repo's instrumentation primitives: the
 // measurement and reporting helpers the experiment harness uses
-// (speedup/efficiency arithmetic, per-scalar correlation for the
-// prediction-quality figures, fixed-width text tables), plus the serving-side observability core — lock-free
-// streaming latency histograms with exponential buckets and quantile
-// estimation (histogram.go), and a labeled named-metric registry that
+// (per-scalar correlation for the prediction-quality figures,
+// fixed-width text tables), plus the serving-side observability core —
+// lock-free streaming latency histograms with exponential buckets and
+// quantiles (histogram.go), and a labeled named-metric registry that
 // renders the Prometheus text exposition format (registry.go).
 // internal/serve builds its /metrics endpoint and per-stage tracing on
 // these; docs/OBSERVABILITY.md documents the exposed surface.
@@ -14,29 +14,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Speedup returns baseline/t for each time in times.
-func Speedup(baseline float64, times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t > 0 {
-			out[i] = baseline / t
-		}
-	}
-	return out
-}
-
-// Efficiency returns speedup divided by resource scale for each point —
-// the paper's parallel efficiency (109% at 64 trainers).
-func Efficiency(speedups, scales []float64) []float64 {
-	out := make([]float64, len(speedups))
-	for i := range speedups {
-		if scales[i] > 0 {
-			out[i] = speedups[i] / scales[i]
-		}
-	}
-	return out
-}
 
 // Pearson returns the linear correlation of two equal-length series, or 0
 // for degenerate input. The Figure 7 reproduction reports it per scalar.

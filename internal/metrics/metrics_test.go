@@ -6,20 +6,6 @@ import (
 	"testing"
 )
 
-func TestSpeedupAndEfficiency(t *testing.T) {
-	sp := Speedup(100, []float64{100, 50, 25, 0})
-	want := []float64{1, 2, 4, 0}
-	for i := range want {
-		if sp[i] != want[i] {
-			t.Fatalf("speedup = %v", sp)
-		}
-	}
-	eff := Efficiency([]float64{1, 2, 4}, []float64{1, 2, 8})
-	if eff[0] != 1 || eff[1] != 1 || eff[2] != 0.5 {
-		t.Fatalf("efficiency = %v", eff)
-	}
-}
-
 func TestPearson(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	if got := Pearson(a, []float64{2, 4, 6, 8}); math.Abs(got-1) > 1e-12 {

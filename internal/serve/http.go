@@ -99,12 +99,6 @@ type ModelStats struct {
 	// Reloads counts the hot swaps this name has been through
 	// (Generation - 1).
 	Reloads int64 `json:"reloads"`
-	// ForcedCloses counts the hot swaps whose drain hit the registry's
-	// drain deadline: the displaced server was closed while callers
-	// still held it, failing their remaining rows with 503s. Non-zero
-	// means swaps are outpacing the slowest callers — raise the drain
-	// deadline or put deadlines on the slow requests.
-	ForcedCloses int64 `json:"forced_closes"`
 	// CapacityQPS is the probed sustainable row rate published by
 	// Server.SetCapacityQPS (jagserve -probe), 0 when never probed.
 	// A fleet router reads it to weight least-loaded routing. A
@@ -171,10 +165,12 @@ type HandlerConfig struct {
 // HandlerConfig.AccessLog set, each request also produces one
 // structured log record carrying the same ID and spans.
 //
-// Call routes pin their server with Registry.Acquire, so a hot swap
-// (Registry.Replace, e.g. a Reloader promoting a new checkpoint)
-// drains in-flight calls against the old model instead of failing
-// them; requests admitted after the swap answer from the new one.
+// A hot swap (Registry.Replace, e.g. a Reloader promoting a new
+// checkpoint) never fails a call: a request whose rows reached the old
+// model before the swap is answered whole by it, and one that reaches
+// the old server after the swap closed it is resubmitted whole to the
+// new one. The swap waits for the old model's passes, not for any
+// client to read its reply.
 //
 // Call bodies are content-negotiated: a JSON PredictRequest, or a
 // binary tensor frame (Content-Type ContentTypeTensor, options via the
@@ -207,22 +203,18 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/models/{name}/{method}", func(w http.ResponseWriter, r *http.Request) {
 		name, method := r.PathValue("name"), r.PathValue("method")
-		// Acquire, not Get: the handler may hold the server across a
-		// long batched call, and a concurrent hot swap must drain it
-		// before closing rather than fail its rows with ErrClosed.
-		s, release, ok := reg.Acquire(name)
+		s, ok := reg.Get(name)
 		if !ok {
 			WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have: %s)",
 				name, strings.Join(reg.Names(), ", ")))
 			return
 		}
-		defer release()
 		if _, ok := s.Dims()[method]; !ok {
 			WriteError(w, http.StatusNotFound, fmt.Sprintf("model %q has no method %q (serves: %s)",
 				name, method, strings.Join(s.Methods(), ", ")))
 			return
 		}
-		serveCall(w, r, s, method, hc)
+		serveCall(w, r, reg, name, s, method, hc)
 	})
 	mux.HandleFunc("GET /v1/models/{name}/stats", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -233,7 +225,7 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 		}
 		gen := reg.Generation(name)
 		WriteJSON(w, http.StatusOK, ModelStats{StatsSnapshot: s.Stats(), Generation: gen, Reloads: gen - 1,
-			ForcedCloses: reg.ForcedCloses(name), CapacityQPS: s.CapacityQPS()})
+			CapacityQPS: s.CapacityQPS()})
 	})
 	mux.Handle("GET /metrics", MetricsHandler(reg))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -279,9 +271,11 @@ func poolShape(m Model) (replicas int, ensemble bool) {
 
 // serveCall is the transport-agnostic core of a batched model-method
 // call: decode the inputs (JSON envelope or binary tensor frame),
-// submit every row to the method's batching queue under one lifecycle,
-// and render the aligned results over the negotiated transport.
-func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string, hc HandlerConfig) {
+// submit every row to the method's batching queue under one lifecycle —
+// on s, the server name resolved to, or on its successor if a swap
+// closed s first — and render the aligned results over the negotiated
+// transport.
+func serveCall(w http.ResponseWriter, r *http.Request, reg *Registry, name string, s *Server, method string, hc HandlerConfig) {
 	dims := s.Dims()[method]
 	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeTensor)
 
@@ -382,7 +376,7 @@ func serveCall(w http.ResponseWriter, r *http.Request, s *Server, method string,
 	// A decoded request is a complete unit — every row it will ever send
 	// is here — so it goes on the lane whole, from this goroutine, and is
 	// dispatched as soon as a worker is free.
-	s.submit(ctx, method, class, true, inputs, outputs, traces, errs)
+	s = reg.submit(ctx, name, s, method, class, true, inputs, outputs, traces, errs)
 	rowErrs, failed := collectRowErrors(errs)
 	if agg, ok := mergeTraces(traces, errs); ok {
 		// Before the status line: headers are frozen at first write. The

@@ -38,7 +38,6 @@ import (
 //	jag_reloads_total                       completed hot swaps
 //	jag_reload_rejected_total               reload attempts rolled back
 //	jag_reload_error                        1 while the last reload attempt failed
-//	jag_forced_closes_total                 drains cut short by the drain deadline
 //	jag_uptime_seconds                      current generation's serving time
 //	jag_request_latency_seconds             end-to-end latency histogram
 //	jag_stage_latency_seconds{stage}        per-stage latency histograms
@@ -123,8 +122,6 @@ func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
 	gen := reg.Generation(name)
 	m.Gauge("jag_generation", "Hot-swap generation (1 = never swapped).", l).Set(float64(gen))
 	m.Counter("jag_reloads_total", "Completed hot swaps.", l).Add(uint64(gen - 1))
-	m.Counter("jag_forced_closes_total", "Hot-swap drains cut short by the drain deadline.", l).
-		Add(uint64(reg.ForcedCloses(name)))
 	if rs, ok := reg.ReloadState(name); ok {
 		m.Counter("jag_reload_rejected_total", "Reload attempts rejected (load error or canary failure).", l).
 			Add(uint64(rs.Rejections))

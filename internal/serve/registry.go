@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry maps model names to independently configured Servers — one
@@ -16,68 +16,35 @@ import (
 // Beyond lookup, the registry is the hot-reload point: Replace
 // atomically swaps the server behind a name, so a long-running process
 // picks up new LTFB tournament winners without dropping traffic. The
-// swap protocol is reference-counted — callers that hold a server
-// across a multi-row call use Acquire, and Replace drains those
-// references before closing the displaced server — so an in-flight
-// request never observes ErrClosed because of a reload. Every name
-// carries a generation counter (1 at Register, +1 per Replace) that
-// the HTTP surface reports in stats and health.
+// displaced server closes, finishing the submissions already on it, and
+// a request that looked the name up before the swap but reaches the old
+// server after it closed is resubmitted whole to the successor (submit).
+// No swap waits on a client, and no client sees an error across one.
+// Every name carries a generation counter (1 at Register, +1 per
+// Replace) that the HTTP surface reports in stats and health.
 type Registry struct {
 	mu       sync.RWMutex
-	servers  map[string]*regEntry
+	servers  map[string]regEntry
 	watchers map[string]*Reloader
 	closed   bool
-	// drainDeadline bounds how long Replace waits for Acquire holders
-	// before force-closing the displaced server; 0 waits forever.
-	drainDeadline time.Duration
-	// forcedCloses counts, per name, the Replace drains that hit the
-	// deadline and closed the old server out from under its holders.
-	forcedCloses map[string]int64
 	// httpPanics counts the handler panics the v1 surface answered with a
 	// 500. They belong to no model (the listing and health routes can
 	// panic too), so the count lives here rather than in a server's Stats.
 	httpPanics atomic.Int64
 }
 
-// regEntry is one registered server plus the bookkeeping Replace needs:
-// the reference count of in-flight Acquire holders and the name's swap
-// generation.
+// regEntry is one registered server and the name's swap generation.
 type regEntry struct {
 	srv *Server
 	gen int64
-	// refs counts Acquire holders. Adds happen under the registry read
-	// lock while the entry is still reachable, so by the time Replace
-	// (which swaps the entry out under the write lock) calls Wait, no
-	// new holder can appear.
-	refs sync.WaitGroup
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		servers:      make(map[string]*regEntry),
-		watchers:     make(map[string]*Reloader),
-		forcedCloses: make(map[string]int64),
+		servers:  make(map[string]regEntry),
+		watchers: make(map[string]*Reloader),
 	}
-}
-
-// SetDrainDeadline bounds the drain phase of every later Replace: if
-// Acquire holders of the displaced server have not all released it
-// within d, the server is closed anyway — stragglers' in-flight Calls
-// fail with ErrClosed and the forced close is counted (ForcedCloses,
-// surfaced as forced_closes in the per-model stats). The zero value
-// restores the default of waiting indefinitely.
-//
-// This is the availability-vs-correctness trade of a rolling deploy: an
-// unbounded drain can never fail a request, but one stuck caller (a
-// client that never reads its response, a bulk sweep with no deadline)
-// then pins the old generation — and its memory — forever. A bounded
-// drain guarantees the swap finishes; the cost is that requests still
-// riding the old server past the deadline are cut off.
-func (r *Registry) SetDrainDeadline(d time.Duration) {
-	r.mu.Lock()
-	r.drainDeadline = d
-	r.mu.Unlock()
 }
 
 // validModelName reports whether name is usable as the {name} path
@@ -116,17 +83,16 @@ func (r *Registry) Register(name string, s *Server) error {
 	if _, ok := r.servers[name]; ok {
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
-	r.servers[name] = &regEntry{srv: s, gen: 1}
+	r.servers[name] = regEntry{srv: s, gen: 1}
 	return nil
 }
 
 // Replace atomically swaps the server behind an already-registered
-// name: requests admitted after Replace route to s, the name's
-// generation increments, and the displaced server is drained — Replace
-// blocks until every Acquire holder has released it and its in-flight
-// batches have completed — then closed. When a drain deadline is set
-// (SetDrainDeadline), the wait is bounded: holders that outlive it are
-// force-closed and counted. The new server must be open and distinct
+// name: lookups after the swap return s, the name's generation
+// increments, and the displaced server is closed. Replace returns once
+// it is drained: the submissions that began on it have every row
+// answered, by the old model. It waits for those passes only, never for
+// a client to read its reply. The new server must be open and distinct
 // from the current one; on any error the registration is untouched.
 func (r *Registry) Replace(name string, s *Server) error {
 	if s == nil {
@@ -152,52 +118,15 @@ func (r *Registry) Replace(name string, s *Server) error {
 		r.mu.Unlock()
 		return fmt.Errorf("serve: model %q replaced with itself", name)
 	}
-	r.servers[name] = &regEntry{srv: s, gen: old.gen + 1}
-	deadline := r.drainDeadline
+	r.servers[name] = regEntry{srv: s, gen: old.gen + 1}
 	r.mu.Unlock()
-
-	// The old entry is unreachable now, so its refcount can only fall.
-	// Wait for the last holder, then drain the pipeline: requests the
-	// holders already admitted complete against the old model. With a
-	// drain deadline set, a holder that outlives it is not waited for:
-	// the old server closes anyway (its remaining Calls fail with
-	// ErrClosed) so a stuck caller cannot pin the displaced generation
-	// forever. The waiting goroutine lives until the last straggler
-	// releases — bounded by the holders' own lifetimes.
-	if deadline <= 0 {
-		old.refs.Wait()
-	} else {
-		released := make(chan struct{})
-		go func() {
-			old.refs.Wait()
-			close(released)
-		}()
-		timer := time.NewTimer(deadline)
-		select {
-		case <-released:
-			timer.Stop()
-		case <-timer.C:
-			r.mu.Lock()
-			r.forcedCloses[name]++
-			r.mu.Unlock()
-		}
-	}
 	old.srv.Close()
 	return nil
 }
 
-// ForcedCloses returns how many Replace drains for name hit the drain
-// deadline and force-closed the displaced server (see SetDrainDeadline).
-func (r *Registry) ForcedCloses(name string) int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.forcedCloses[name]
-}
-
-// Get returns the named server. The snapshot is not protected against
-// a concurrent Replace — a caller that submits requests to the server
-// should use Acquire instead, so a swap drains it first. Get is for
-// read-only peeks (listings, stats) where racing a swap is harmless.
+// Get returns the named server. A concurrent Replace may close it at any
+// moment; a caller that submits rows to it does so through submit, which
+// follows the name to the successor.
 func (r *Registry) Get(name string) (*Server, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -208,27 +137,22 @@ func (r *Registry) Get(name string) (*Server, bool) {
 	return e.srv, true
 }
 
-// Acquire returns the named server pinned against hot swaps: a
-// concurrent Replace routes new work elsewhere immediately but will
-// not close this server until release is called. Callers must call
-// release exactly once, after their last use of the server; release is
-// idempotent so a defer is always safe.
-func (r *Registry) Acquire(name string) (s *Server, release func(), ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.servers[name]
-	if !ok {
-		return nil, nil, false
+// submit runs a request's rows on s, the server name resolved to when the
+// caller looked it up, and returns the server that answered them. A swap
+// that closed s in between makes s refuse the request whole; it is then
+// resubmitted whole to whatever name resolves to now, until a server
+// takes it or name resolves to that same server or to nothing (a closed
+// registry: the rows keep ErrClosed).
+func (r *Registry) submit(ctx context.Context, name string, s *Server, method string, class Priority, complete bool,
+	xs, ys [][]float32, traces []Trace, errs []error) *Server {
+	for !s.submit(ctx, method, class, complete, xs, ys, traces, errs) {
+		next, ok := r.Get(name)
+		if !ok || next == s {
+			break
+		}
+		s = next
 	}
-	return e.srv, e.releaseFunc(), true
-}
-
-// releaseFunc takes one reference on the entry and returns the
-// idempotent closure that drops it. Callers hold the registry lock.
-func (e *regEntry) releaseFunc() func() {
-	e.refs.Add(1)
-	var once sync.Once
-	return func() { once.Do(e.refs.Done) }
+	return s
 }
 
 // Generation returns the name's swap generation: 1 from Register,

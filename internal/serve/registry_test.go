@@ -1,12 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/cyclegan"
-	"repro/internal/jag"
+	"repro/internal/tensor"
 )
 
 // newNamedServer builds a single-replica server for registry tests.
@@ -73,120 +80,207 @@ func TestRegistryClose(t *testing.T) {
 	}
 }
 
-// TestReplaceDrainDeadline pins the bounded-drain contract: with a
-// drain deadline set, a Replace whose old server has an Acquire holder
-// that never releases returns once the deadline passes, force-closes
-// the old server (its remaining Calls fail with ErrClosed), and counts
-// the forced close — while a holder that releases promptly never trips
-// the counter.
-func TestReplaceDrainDeadline(t *testing.T) {
+// newGenerationServer starts a one-worker server over a scriptedModel
+// whose every output value is gen, so a reply names the generation that
+// served it.
+func newGenerationServer(t *testing.T, cfg Config, gen float32) (*Server, *scriptedModel) {
+	t.Helper()
+	s, m := newScriptedServer(t, cfg)
+	reply := func(rows int) *tensor.Matrix {
+		y := tensor.New(rows, 2)
+		for i := range y.Data {
+			y.Data[i] = gen
+		}
+		return y
+	}
+	m.reply.Store(&reply)
+	return s, m
+}
+
+// hugeReplyModel answers every row with a 16 MB JGT1 row: more than the
+// loopback socket buffers hold, so a client that stops reading leaves the
+// handler blocked in its write.
+type hugeReplyModel struct{}
+
+func (hugeReplyModel) Dims() map[string]Dims {
+	return map[string]Dims{MethodPredict: {In: 1, Out: 4 << 20}}
+}
+
+func (hugeReplyModel) Run(_ string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	return tensor.New(x.Rows, 4<<20), nil
+}
+
+// TestStalledReaderDoesNotPinSwap: a client that sends a request and
+// never reads its reply must not hold the generation that answered it. The
+// handler is stuck writing 16 MB into a full socket, and Replace still
+// returns at once with the old server closed: a swap waits for passes
+// over admitted rows, never for a client.
+func TestStalledReaderDoesNotPinSwap(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetDrainDeadline(60 * time.Millisecond)
-	a, b, c := newNamedServer(t, 1), newNamedServer(t, 2), newNamedServer(t, 3)
-	if err := reg.Register("jag", a); err != nil {
+	defer reg.Close()
+	old := NewServer(hugeReplyModel{}, Config{MaxBatch: 1})
+	next := NewServer(hugeReplyModel{}, Config{MaxBatch: 1})
+	defer next.Close()
+	if err := reg.Register("m", old); err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(NewRegistryHandler(reg, HandlerConfig{}))
+	defer ts.Close()
 
-	// A well-behaved holder: acquire, release, then swap. No force.
-	if _, release, ok := reg.Acquire("jag"); !ok {
-		t.Fatal("Acquire failed")
-	} else {
-		release()
-	}
-	if err := reg.Replace("jag", b); err != nil {
+	frame, err := EncodeFrame([][]float32{{0.5}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.ForcedCloses("jag"); n != 0 {
-		t.Fatalf("clean drain counted as forced: %d", n)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !a.Closed() {
-		t.Fatal("clean drain left the old server open")
+	// Closed first among the defers: it unblocks the handler's write, or
+	// a Replace this test gave up on, before ts.Close waits for them.
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/models/m/predict HTTP/1.1\r\nHost: stalled\r\nContent-Type: %s\r\nAccept: %s\r\nContent-Length: %d\r\n\r\n",
+		ContentTypeTensor, ContentTypeTensor, len(frame))
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
 	}
+	// The row is answered; its reply is what the client does not read.
+	waitFor(t, "the stalled request's row to be answered", func() bool { return old.Stats().Requests == 1 })
 
-	// A straggler that never releases: Replace must not block forever.
-	held, release, ok := reg.Acquire("jag")
-	if !ok || held != b {
-		t.Fatal("Acquire returned the wrong server")
-	}
+	swapped := make(chan error, 1)
 	start := time.Now()
-	if err := reg.Replace("jag", c); err != nil {
-		t.Fatal(err)
+	go func() { swapped <- reg.Replace("m", next) }()
+	select {
+	case err := <-swapped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Replace still blocked 2s after the swap began: a client that stops reading holds the old generation")
 	}
-	elapsed := time.Since(start)
-	if elapsed < 50*time.Millisecond {
-		t.Fatalf("Replace returned before the drain deadline: %v", elapsed)
+	t.Logf("Replace returned in %v beside a stalled reader", time.Since(start))
+	if !old.Closed() {
+		t.Fatal("displaced server not closed when Replace returned")
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("Replace took far longer than the deadline: %v", elapsed)
-	}
-	if !b.Closed() {
-		t.Fatal("deadline passed but the old server was not force-closed")
-	}
-	if n := reg.ForcedCloses("jag"); n != 1 {
-		t.Fatalf("ForcedCloses = %d, want 1", n)
-	}
-	// The straggler sees ErrClosed, not a hang or a panic.
-	if _, err := predict(held, make([]float32, jag.InputDim)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("straggler Predict error = %v, want ErrClosed", err)
-	}
-	release() // late release is harmless
-	if n := reg.ForcedCloses("jag"); n != 1 {
-		t.Fatalf("late release moved the counter: %d", n)
-	}
-	if gen := reg.Generation("jag"); gen != 3 {
-		t.Fatalf("generation = %d, want 3", gen)
+	if got, _ := reg.Get("m"); got != next || reg.Generation("m") != 2 {
+		t.Fatal("swap did not land")
 	}
 }
 
-// TestReplaceLeakedAcquireForcesClose leaks an Acquire pin outright —
-// the release func is discarded, the exact bug jaglint's acquirerelease
-// analyzer exists to catch in production code (test files are outside
-// its scope, which is what lets this test stage the failure mode).
-// The pin can never be released, so Replace must block for the full
-// drain deadline, then force-close the displaced server and count it.
-func TestReplaceLeakedAcquireForcesClose(t *testing.T) {
-	const deadline = 80 * time.Millisecond
+// TestSwapMidRequestKeepsOneGeneration: a request is answered whole by
+// the generation it started on. Its six rows go on the lane in three
+// chunks (QueueDepth 4); the first is held in generation 1's model while
+// Replace lands, the later two still run on generation 1, and Replace
+// returns only once the last of them is answered.
+func TestSwapMidRequestKeepsOneGeneration(t *testing.T) {
+	cfg := Config{MaxBatch: 64, MaxDelay: time.Minute, QueueDepth: 4}
+	old, m := newGenerationServer(t, cfg, 1)
+	next, _ := newGenerationServer(t, cfg, 2)
 	reg := NewRegistry()
-	reg.SetDrainDeadline(deadline)
-	old, next := newNamedServer(t, 1), newNamedServer(t, 2)
-	if err := reg.Register("jag", old); err != nil {
+	if err := reg.Register("m", old); err != nil {
 		t.Fatal(err)
 	}
+	defer reg.Close()
+	ts := httptest.NewServer(NewRegistryHandler(reg, HandlerConfig{}))
+	defer ts.Close()
 
-	leaked, _, ok := reg.Acquire("jag") // release deliberately leaked
-	if !ok || leaked != old {
-		t.Fatal("Acquire failed")
+	gate := make(chan struct{})
+	m.gate.Store(&gate)
+	const rows = 6
+	type reply struct {
+		resp PredictResponse
+		code int
+		err  error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		body, _ := json.Marshal(PredictRequest{Inputs: scriptedRows(0, rows)})
+		resp, err := http.Post(ts.URL+"/v1/models/m/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var r reply
+		r.code, r.err = resp.StatusCode, json.NewDecoder(resp.Body).Decode(&r.resp)
+		replied <- r
+	}()
+	select {
+	case <-m.entered:
+	case <-time.After(unitTimeout):
+		t.Fatal("the request's first chunk never reached the model")
 	}
 
-	// Replace must not return before the deadline: the leaked pin keeps
-	// the drain WaitGroup open, and only the timer can end the wait.
-	start := time.Now()
-	if err := reg.Replace("jag", next); err != nil {
+	swapped := make(chan error, 1)
+	go func() { swapped <- reg.Replace("m", next) }()
+	waitFor(t, "the swap to route lookups to generation 2", func() bool {
+		got, _ := reg.Get("m")
+		return got == next
+	})
+	m.gate.CompareAndSwap(&gate, nil)
+	close(gate)
+
+	select {
+	case err := <-swapped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(unitTimeout):
+		t.Fatal("Replace never returned")
+	}
+	if n := old.Stats().Requests; n != rows {
+		t.Fatalf("Replace returned with %d of the request's %d rows answered", n, rows)
+	}
+	r := <-replied
+	if r.err != nil || r.code != http.StatusOK || r.resp.Errors != nil || len(r.resp.Outputs) != rows {
+		t.Fatalf("reply: status %d, %v, %+v", r.code, r.err, r.resp)
+	}
+	for i, y := range r.resp.Outputs {
+		if len(y) != 2 || y[0] != 1 || y[1] != 1 {
+			t.Fatalf("row %d answered %v, want generation 1's [1 1]", i, y)
+		}
+	}
+}
+
+// TestStaleServerFollowsSwap: a request that looked the name up before a
+// swap but reaches the displaced server after it closed is refused there
+// whole and answered by the successor. Once the registry itself is
+// closed, the name resolves to a closed server that refuses it too, and
+// the request's rows are ErrClosed (503s) rather than going round.
+func TestStaleServerFollowsSwap(t *testing.T) {
+	cfg := Config{MaxBatch: 64, MaxDelay: time.Minute}
+	stale, _ := newGenerationServer(t, cfg, 1)
+	next, _ := newGenerationServer(t, cfg, 2)
+	reg := NewRegistry()
+	if err := reg.Register("m", stale); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if elapsed < deadline {
-		t.Fatalf("Replace returned in %v, before the %v drain deadline — the leaked pin should have blocked it", elapsed, deadline)
+	if err := reg.Replace("m", next); err != nil {
+		t.Fatal(err)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("Replace took %v, far past the %v deadline", elapsed, deadline)
+	xs := scriptedRows(0, 3)
+	call := func() ([][]float32, []error, *Server) {
+		ys := make([][]float32, len(xs))
+		traces := make([]Trace, len(xs))
+		errs := make([]error, len(xs))
+		got := reg.submit(context.Background(), "m", stale, MethodPredict, Interactive, true, xs, ys, traces, errs)
+		return ys, errs, got
 	}
 
-	if !old.Closed() {
-		t.Fatal("leaked pin survived the deadline: old server still open")
+	ys, errs, got := call()
+	if got != next {
+		t.Fatal("the request was not answered by the successor")
 	}
-	if n := reg.ForcedCloses("jag"); n != 1 {
-		t.Fatalf("ForcedCloses = %d, want 1 after a leaked pin", n)
+	for i, err := range errs {
+		if err != nil || len(ys[i]) != 2 || ys[i][0] != 2 {
+			t.Fatalf("row %d: %v, %v; want generation 2's answer", i, ys[i], err)
+		}
 	}
-	// The leaked holder's server is dead; calls fail fast.
-	if _, err := predict(leaked, make([]float32, jag.InputDim)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("leaked holder Predict error = %v, want ErrClosed", err)
-	}
-	// The replacement is live and unaffected by the forced close.
-	if s, ok := reg.Get("jag"); !ok || s != next {
-		t.Fatal("replacement server not installed")
-	}
-	if _, err := predict(next, make([]float32, jag.InputDim)); err != nil {
-		t.Fatalf("replacement Predict failed: %v", err)
+
+	reg.Close()
+	_, errs, _ = call()
+	for i, err := range errs {
+		if !errors.Is(err, ErrClosed) || rowStatus(err) != http.StatusServiceUnavailable {
+			t.Fatalf("row %d after Registry.Close: %v, want ErrClosed (503)", i, err)
+		}
 	}
 }

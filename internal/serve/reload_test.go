@@ -105,20 +105,25 @@ func TestReplaceUnderConcurrentTraffic(t *testing.T) {
 			}
 			for k := 0; !stop.Load(); k++ {
 				i := (g + k) % inputs
-				// The HTTP handler's protocol: pin the server against
-				// the swap for exactly as long as the call needs it.
-				s, release, ok := reg.Acquire("m")
+				// The HTTP handler's protocol: look the name up, then
+				// submit through the registry, which follows a swap that
+				// closed the server in between to its successor.
+				s, ok := reg.Get("m")
 				if !ok {
 					t.Error("model vanished from the registry")
 					return
 				}
-				y, err := s.Call(ctx, MethodPredict, testInput(i), lane)
-				release()
-				if err != nil {
+				var (
+					ys  [1][]float32
+					tr  [1]Trace
+					err [1]error
+				)
+				reg.submit(ctx, "m", s, MethodPredict, lane, false, [][]float32{testInput(i)}, ys[:], tr[:], err[:])
+				if err := err[0]; err != nil {
 					t.Errorf("row dropped during swap (lane %v): %v", lane, err)
 					return
 				}
-				if !matchesSomeGeneration(i, y) {
+				if !matchesSomeGeneration(i, ys[0]) {
 					t.Errorf("reply for input %d matches no generation's reference", i)
 					return
 				}
@@ -154,60 +159,77 @@ func TestReplaceUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestAcquirePinsAcrossReplace pins the drain contract in isolation:
-// Replace routes new lookups to the replacement immediately but blocks
-// until the last Acquire holder releases the displaced server, which
-// stays fully usable in the meantime.
+// TestAcquirePinsAcrossReplace pins the hold in isolation: an
+// in-progress submission holds its server across Replace. New lookups
+// route to the replacement as soon as the swap lands, and a submission
+// that starts on the displaced server after that follows the name to the
+// replacement; Replace blocks until the held submission's row is
+// answered, by the old model.
 func TestAcquirePinsAcrossReplace(t *testing.T) {
+	cfg := Config{MaxBatch: 1, MaxDelay: time.Minute}
+	oldSrv, m := newGenerationServer(t, cfg, 1)
+	next, _ := newGenerationServer(t, cfg, 2)
 	reg := NewRegistry()
-	oldSrv := newSeedServer(t, 1, Config{MaxBatch: 1})
 	if err := reg.Register("m", oldSrv); err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
 
-	s, release, ok := reg.Acquire("m")
-	if !ok || s != oldSrv {
-		t.Fatal("Acquire did not return the registered server")
+	gate := make(chan struct{})
+	m.gate.Store(&gate)
+	type outcome struct {
+		y   []float32
+		err error
+	}
+	held := make(chan outcome, 1)
+	go func() {
+		ys, _, errs := submitUnit(context.Background(), oldSrv, MethodPredict, Interactive, scriptedRows(0, 1))
+		held <- outcome{ys[0], errs[0]}
+	}()
+	select {
+	case <-m.entered:
+	case <-time.After(unitTimeout):
+		t.Fatal("the held submission never reached the model")
 	}
 
-	next := newSeedServer(t, 2, Config{MaxBatch: 1})
 	done := make(chan error, 1)
 	go func() { done <- reg.Replace("m", next) }()
 
 	// New lookups route to the replacement as soon as the swap lands.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got, _ := reg.Get("m"); got == next {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("swap never routed new lookups to the replacement")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the swap to route new lookups to the replacement", func() bool {
+		got, _ := reg.Get("m")
+		return got == next
+	})
 
-	// The displaced server is pinned: Replace has not returned and the
-	// held server still answers.
+	// The displaced server is held: Replace has not returned while the
+	// submission's row is in its pass...
 	select {
 	case err := <-done:
-		t.Fatalf("Replace returned (%v) while a holder still pins the old server", err)
+		t.Fatalf("Replace returned (%v) while a submission still holds the old server", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if oldSrv.Closed() {
-		t.Fatal("pinned server closed under the holder")
-	}
-	if _, err := predict(s, testInput(0)); err != nil {
-		t.Fatalf("pinned server stopped serving: %v", err)
+	// ...but it takes nothing new: a submission that starts on it now is
+	// answered by the replacement.
+	waitFor(t, "Replace to close the displaced server", oldSrv.Closed)
+	var (
+		ys   [1][]float32
+		tr   [1]Trace
+		errs [1]error
+	)
+	if got := reg.submit(context.Background(), "m", oldSrv, MethodPredict, Interactive, true, scriptedRows(1, 1), ys[:], tr[:], errs[:]); got != next || errs[0] != nil || ys[0][0] != 2 {
+		t.Fatalf("late submission: %v, %v; want the replacement's answer", ys[0], errs[0])
 	}
 
-	release()
-	release() // idempotent: a second call must not unblock anything twice
+	m.gate.CompareAndSwap(&gate, nil)
+	close(gate)
+	if r := <-held; r.err != nil || r.y[0] != 1 {
+		t.Fatalf("held submission: %v, %v; want the old model's answer", r.y, r.err)
+	}
 	if err := <-done; err != nil {
 		t.Fatalf("Replace: %v", err)
 	}
 	if !oldSrv.Closed() {
-		t.Fatal("displaced server not closed after the last release")
+		t.Fatal("displaced server not closed when Replace returned")
 	}
 }
 
@@ -342,8 +364,7 @@ func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	}
 
 	// MaxBatch 1: the served row is bitwise the new model's pass.
-	s, release, _ := reg.Acquire("m")
-	defer release()
+	s, _ := reg.Get("m")
 	if got := s.CapacityQPS(); got != 1234 {
 		// An unprobed replacement at 0 would drop a whole fleet of
 		// reloading backends from weighted routing to P2C.
@@ -418,11 +439,10 @@ func TestReloaderRejectsCorruptCheckpoint(t *testing.T) {
 	reg, rl, ckpt := newWatchedServer(t, Config{MaxBatch: 1})
 	serving := func() {
 		t.Helper()
-		s, release, ok := reg.Acquire("m")
+		s, ok := reg.Get("m")
 		if !ok {
 			t.Fatal("model gone")
 		}
-		defer release()
 		if _, err := predict(s, testInput(0)); err != nil {
 			t.Fatalf("old generation stopped serving: %v", err)
 		}

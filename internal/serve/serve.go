@@ -52,8 +52,8 @@
 //     configured Servers, each with its own pool, cache, lanes, and
 //     stats — one process serving several named models. The registry is
 //     also the hot-swap point: Replace atomically substitutes the
-//     server behind a name (Acquire holders drain first, bounded by an
-//     optional drain deadline; a per-name generation counter records
+//     server behind a name and closes the old one, which finishes the
+//     submissions already on it (a per-name generation counter records
 //     each swap), and a Reloader (reload.go) automates it from disk —
 //     polling a spec/checkpoint path by stat signature then SHA-256
 //     fingerprint, canary-testing the rebuilt pool, and promoting new
@@ -326,11 +326,16 @@ type Server struct {
 	// rate (rows/s); 0 until SetCapacityQPS publishes a probe result.
 	capacity atomic.Uint64
 
-	mu     sync.Mutex // guards the queues, turn and closed
-	work   *sync.Cond // on mu: a queue may have become due
+	mu     sync.Mutex // guards the queues, turn, closed and submitting
+	work   *sync.Cond // on mu: a queue may have become due, or a closed server's last submission ended
 	turn   int        // where in order the next worker starts looking
 	closed bool
-	wg     sync.WaitGroup // the workers
+	// submitting counts the submissions in progress. A submission counts
+	// itself in before Close or is refused whole, and the workers of a
+	// closed server stay until the count is zero, so every chunk of a
+	// submission that began in time is served.
+	submitting int
+	wg         sync.WaitGroup // the workers
 }
 
 // NewServer starts the forward-pass workers — one per model replica, the
@@ -455,8 +460,25 @@ func (s *Server) CallTrace(ctx context.Context, method string, x []float32, clas
 // each answered before the next is queued, so one large submission
 // cannot trip its own backpressure (ErrOverloaded is for contention
 // between callers, not for one caller's row count).
+//
+// A server closed before the submission starts refuses it whole: every
+// row gets ErrClosed and submit returns false. Once started, a submission
+// holds the server open until its last chunk is answered, so Close
+// cannot cut it short.
 func (s *Server) submit(ctx context.Context, method string, class Priority, complete bool,
-	xs, ys [][]float32, traces []Trace, errs []error) {
+	xs, ys [][]float32, traces []Trace, errs []error) bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		for i := range errs {
+			errs[i] = ErrClosed
+		}
+		return false
+	}
+	s.submitting++
+	s.mu.Unlock()
+	defer s.leave()
+
 	var reject error
 	q, ok := s.queues[method]
 	switch {
@@ -469,12 +491,25 @@ func (s *Server) submit(ctx context.Context, method string, class Priority, comp
 		for i := range errs {
 			errs[i] = reject
 		}
-		return
+		return true
 	}
 	chunk := max(s.cfg.QueueDepth/2, 1)
 	for lo := 0; lo < len(xs); lo += chunk {
 		hi := min(lo+chunk, len(xs))
 		s.submitChunk(ctx, method, q, class, complete, xs[lo:hi], ys[lo:hi], traces[lo:hi], errs[lo:hi])
+	}
+	return true
+}
+
+// leave ends a submission. The last to end on a closed server lets its
+// workers go.
+func (s *Server) leave() {
+	s.mu.Lock()
+	s.submitting--
+	last := s.closed && s.submitting == 0
+	s.mu.Unlock()
+	if last {
+		s.work.Broadcast()
 	}
 }
 
@@ -495,7 +530,7 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 			key = method + "\x00" + quantKey(x, cacheQuantum)
 			if y, ok := s.cache.get(key); ok {
 				s.stats.cacheHits.Add(1)
-				ys[i], traces[i] = y, Trace{CacheHit: true}
+				ys[i], traces[i], errs[i] = y, Trace{CacheHit: true}, nil
 				continue
 			}
 		}
@@ -525,14 +560,6 @@ func (s *Server) submitChunk(ctx context.Context, method string, q *methodQueue,
 	u.left.Store(int32(n))
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.inflight.Add(int64(-n))
-		for k := range u.reqs {
-			errs[u.reqs[k].i] = ErrClosed
-		}
-		return
-	}
 	now := time.Now()
 	for k := range u.reqs {
 		u.reqs[k].enqueued = now
@@ -712,9 +739,10 @@ func (s *Server) take(q *methodQueue, rows []*request) []*request {
 
 // next is the batcher: it blocks until some queue is due and returns that
 // queue, up to MaxBatch of its live rows (appended to rows), and when it
-// took them. The queue is nil once the server is closed and drained.
-// Nothing is due while rows are still waiting for companions; the worker
-// then sleeps with timer set to the end of the earliest window.
+// took them. The queue is nil once the server is closed, no submission is
+// still in progress, and the queues are drained. Nothing is due while
+// rows are still waiting for companions; the worker then sleeps with
+// timer set to the end of the earliest window.
 func (s *Server) next(rows []*request, timer *time.Timer) (*methodQueue, []*request, time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -732,7 +760,7 @@ func (s *Server) next(rows []*request, timer *time.Timer) (*methodQueue, []*requ
 				return q, rows, now
 			}
 			// Every row taken had been abandoned: look again.
-		case s.closed:
+		case s.closed && s.submitting == 0:
 			return nil, nil, now // closing makes every row due, so the queues are empty
 		default:
 			if !wake.IsZero() {
@@ -880,9 +908,11 @@ func (s *Server) SetCapacityQPS(qps float64) {
 // published one via SetCapacityQPS.
 func (s *Server) CapacityQPS() float64 { return math.Float64frombits(s.capacity.Load()) }
 
-// Close drains the pipeline and releases the workers. Rows already
-// admitted are served (stale ones are still dropped unserved); concurrent
-// and later Call requests return ErrClosed. Calling it again is harmless.
+// Close drains the pipeline and releases the workers. Submissions that
+// began before Close finish on this server, every chunk of them (stale
+// rows are still dropped unserved); later ones return ErrClosed. Close
+// waits for the passes over those rows, never for what a caller does
+// with the answers. Calling it again is harmless.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true

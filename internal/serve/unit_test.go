@@ -360,6 +360,47 @@ func TestIdleWorkerServesEveryMethod(t *testing.T) {
 	}
 }
 
+// TestCloseServesEveryChunk: a submission that began before Close
+// finishes on its server. Its six rows go on the lane in three chunks
+// (QueueDepth 4); Close arrives while the first is in the model, and the
+// two chunks not yet queued are served all the same, not refused with
+// ErrClosed. Close returns once they are; a submission after it is
+// refused whole.
+func TestCloseServesEveryChunk(t *testing.T) {
+	s, m := newScriptedServer(t, Config{MaxBatch: 64, MaxDelay: time.Minute, QueueDepth: 4})
+	gate := make(chan struct{})
+	m.gate.Store(&gate)
+	var wg sync.WaitGroup
+	goUnit(t, &wg, s, MethodPredict, Interactive, 0, 6)
+	select {
+	case <-m.entered:
+	case <-time.After(unitTimeout):
+		t.Fatal("the first chunk never reached the model")
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to begin", s.Closed)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a submission was in progress")
+	default:
+	}
+	m.gate.CompareAndSwap(&gate, nil)
+	close(gate)
+	wg.Wait() // goUnit checked every row was served
+	<-closed
+	if n := len(m.log()); n != 3 {
+		t.Fatalf("%d passes, want one per chunk", n)
+	}
+	_, _, errs := submitUnit(context.Background(), s, MethodPredict, Interactive, scriptedRows(10, 1))
+	if !errors.Is(errs[0], ErrClosed) {
+		t.Fatalf("submission after Close = %v, want ErrClosed", errs[0])
+	}
+}
+
 // replicated gives a model a parallel width, as *Pool has.
 type replicated struct {
 	Model
