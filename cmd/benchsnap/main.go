@@ -13,7 +13,8 @@
 // PR 19 cut into tiles, BENCH_22.json with BenchmarkAdamStep and
 // BenchmarkAllreduceRing8 beside the train step PR 22 stopped allocating
 // in, BENCH_23.json with BenchmarkJSONEnvelope, the call envelopes' own
-// codec); CI regenerates
+// codec, BENCH_27.json with BenchmarkPoolFromCheckpoint's retained_MB, the
+// live heap a served checkpoint keeps); CI regenerates
 // the latest every run and uploads the fresh copy, so a perf regression is
 // visible as a JSON diff against the committed baseline.
 //

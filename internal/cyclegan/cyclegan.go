@@ -18,9 +18,14 @@
 // TrainStep runs the three phases (autoencoder, discriminator, generator)
 // on one mini-batch, reducing each phase's gradients through the supplied
 // reducer before its optimizer step — this is the hook data-parallel
-// trainers use to allreduce. In LTFB tournaments only the generator side
-// (F, G, and the decoder they rely on) is exchanged while discriminators
-// stay local (Section III-C); ExchangeNets returns exactly that subset.
+// trainers use to allreduce.
+//
+// Only the generator side — F, G and the decoder they rely on — is used
+// once a model is trained: it is what LTFB tournaments exchange while
+// discriminators stay local (Section III-C), and all that Predict and
+// Invert run. Generator is that subset. A Surrogate embeds it beside the
+// encoder, the discriminator and the optimizer state, and a serving tier
+// keeps the Generator alone.
 package cyclegan
 
 import (
@@ -101,7 +106,35 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Surrogate is one replica of the CycleGAN surrogate with its optimizers.
+// Generator is the part of the surrogate that inference runs: the forward
+// model F, the decoder and the inverse model G. Predict and Invert only read
+// the weights, so any number of goroutines may call them on one Generator at
+// once. A Generator copied out of a Surrogate shares its networks and keeps
+// nothing else of it alive.
+type Generator struct {
+	Forward *nn.Network
+	Decoder *nn.Network
+	Inverse *nn.Network
+}
+
+// Nets returns the generator's networks in LTFB exchange order: F, G, Dec.
+func (g *Generator) Nets() []*nn.Network {
+	return []*nn.Network{g.Forward, g.Inverse, g.Decoder}
+}
+
+// Predict runs the forward surrogate: output bundles for a batch of inputs.
+func (g *Generator) Predict(x *tensor.Matrix) *tensor.Matrix {
+	return g.Decoder.Forward(g.Forward.Forward(x, false), false)
+}
+
+// Invert runs the inverse surrogate: inferred inputs for a batch of inputs'
+// latents (the self-consistency path G(F(x))).
+func (g *Generator) Invert(x *tensor.Matrix) *tensor.Matrix {
+	return g.Inverse.Forward(g.Forward.Forward(x, false), false)
+}
+
+// Surrogate is one replica of the CycleGAN surrogate with its optimizers:
+// the Generator, plus the encoder and discriminator only training reads.
 // It implements the trainer's Model contract structurally. Predict, Invert,
 // Eval and AdversarialScore only read the weights, so any number of
 // goroutines may call them on one Surrogate at once; TrainStep and loading
@@ -109,10 +142,8 @@ func (c Config) Validate() error {
 type Surrogate struct {
 	Cfg Config
 
+	Generator
 	Encoder *nn.Network
-	Decoder *nn.Network
-	Forward *nn.Network
-	Inverse *nn.Network
 	Disc    *nn.Network
 
 	optAE   *opt.Adam
@@ -155,13 +186,17 @@ func New(cfg Config, seed int64) *Surrogate {
 	dscDims := append([]int{cfg.LatentDim}, cfg.DiscHidden...)
 	dscDims = append(dscDims, 1)
 
+	// The weights are drawn E, Dec, F, G, D: the calls below run in their
+	// lexical order.
 	s := &Surrogate{
 		Cfg:     cfg,
 		Encoder: nn.MLP("encoder", encDims, nn.ActLeakyReLU, nn.ActNone, rng),
-		Decoder: nn.MLP("decoder", decDims, nn.ActLeakyReLU, nn.ActSigmoid, rng),
-		Forward: nn.MLP("forward", fwdDims, nn.ActLeakyReLU, nn.ActNone, rng),
-		Inverse: nn.MLP("inverse", invDims, nn.ActLeakyReLU, nn.ActSigmoid, rng),
-		Disc:    nn.MLP("disc", dscDims, nn.ActLeakyReLU, nn.ActNone, rng),
+		Generator: Generator{
+			Decoder: nn.MLP("decoder", decDims, nn.ActLeakyReLU, nn.ActSigmoid, rng),
+			Forward: nn.MLP("forward", fwdDims, nn.ActLeakyReLU, nn.ActNone, rng),
+			Inverse: nn.MLP("inverse", invDims, nn.ActLeakyReLU, nn.ActSigmoid, rng),
+		},
+		Disc: nn.MLP("disc", dscDims, nn.ActLeakyReLU, nn.ActNone, rng),
 	}
 	s.optAE = opt.NewAdam(cfg.LR)
 	s.optDisc = opt.NewAdam(cfg.LR)
@@ -172,7 +207,8 @@ func New(cfg Config, seed int64) *Surrogate {
 	return s
 }
 
-// Nets returns every network of the surrogate.
+// Nets returns every network of the surrogate, in checkpoint order: E, Dec,
+// F, G, D. (s.Generator.Nets() is the generator's three.)
 func (s *Surrogate) Nets() []*nn.Network {
 	return []*nn.Network{s.Encoder, s.Decoder, s.Forward, s.Inverse, s.Disc}
 }
@@ -181,9 +217,7 @@ func (s *Surrogate) Nets() []*nn.Network {
 // generator side (forward, inverse, decoder). The discriminator and encoder
 // stay local, mimicking "educating a student with multiple teachers" and
 // cutting exchange volume (Section III-C).
-func (s *Surrogate) ExchangeNets() []*nn.Network {
-	return []*nn.Network{s.Forward, s.Inverse, s.Decoder}
-}
+func (s *Surrogate) ExchangeNets() []*nn.Network { return s.Generator.Nets() }
 
 // weightedMAE is MAE over the output bundle with the leading ScalarDim
 // columns up-weighted by w. The reported loss and the gradient are both
@@ -309,17 +343,6 @@ func (s *Surrogate) TrainStep(x, y *tensor.Matrix, r nn.Reducer) map[string]floa
 	r.Reduce(s.genP)
 	s.optGen.Step(s.genP)
 	return losses
-}
-
-// Predict runs the forward surrogate: output bundles for a batch of inputs.
-func (s *Surrogate) Predict(x *tensor.Matrix) *tensor.Matrix {
-	return s.Decoder.Forward(s.Forward.Forward(x, false), false)
-}
-
-// Invert runs the inverse surrogate: inferred inputs for a batch of inputs'
-// latents (the self-consistency path G(F(x))).
-func (s *Surrogate) Invert(x *tensor.Matrix) *tensor.Matrix {
-	return s.Inverse.Forward(s.Forward.Forward(x, false), false)
 }
 
 // Eval returns the validation objective the paper uses for tournaments and

@@ -1,8 +1,11 @@
 package cyclegan
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,6 +52,47 @@ func TestNewDeterministic(t *testing.T) {
 	c := New(tinyConfig(), 8)
 	if c.Forward.Params()[0].W.Equal(a.Forward.Params()[0].W) {
 		t.Fatal("different seeds should give different weights")
+	}
+}
+
+// TestWeightStreamsMatchParent: New draws E, Dec, F, G, D from one rng, and
+// the exchange stream is F, G, Dec. The SHA-256 digests of both streams below
+// were written by the commit before Generator existed, so the embedding moved
+// no draw and no exchanged byte. A copied Generator is the surrogate's
+// generator: the same networks, the same predictions.
+func TestWeightStreamsMatchParent(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		cfg            Config
+		seed           int64
+		all, exchanged string
+	}{
+		{"tiny", tinyConfig(), 7,
+			"c39b4787f5458af957456991b06a8ce76fbcd908f07f5da45af148e9e98c64a2",
+			"86dc18abb1ad51127d2cc8c664a8ffb79cba57813f312904e278ffe8c17c54d7"},
+		{"Tiny8 default", DefaultConfig(jag.Tiny8), 21,
+			"3ed0fe9acb00d4d481cd237138a004cb0a3ef7f8034ee65c60648e4c478d153a",
+			"76c50da3e19d822726875089ef49d6aedb977eeed92ce5e9a501f7954f500b7e"},
+	} {
+		s := New(c.cfg, c.seed)
+		digest := func(nets []*nn.Network) string {
+			sum := sha256.Sum256(nn.MarshalNetworks(nets))
+			return hex.EncodeToString(sum[:])
+		}
+		if got := digest(s.Nets()); got != c.all {
+			t.Errorf("%s: New's weights digest %s, want %s", c.name, got, c.all)
+		}
+		if got := digest(s.ExchangeNets()); got != c.exchanged {
+			t.Errorf("%s: exchange stream digest %s, want %s", c.name, got, c.exchanged)
+		}
+		g := s.Generator
+		if !slices.Equal(g.Nets(), s.ExchangeNets()) {
+			t.Errorf("%s: Generator.Nets() is not ExchangeNets()", c.name)
+		}
+		x, _ := batch(c.cfg, 0, 3)
+		if !g.Predict(x).Equal(s.Predict(x)) || !g.Invert(x).Equal(s.Invert(x)) {
+			t.Errorf("%s: a copied Generator predicts differently from its surrogate", c.name)
+		}
 	}
 }
 

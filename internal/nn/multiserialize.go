@@ -71,8 +71,9 @@ func ReadNetworks(r io.Reader, nets []*Network) error {
 		bd := decoder{r: blob, buf: d.buf}
 		err := bd.weights(n)
 		var short truncatedError
-		if errors.As(err, &short) && blob.N > 0 {
-			// The set's stream ended, not the blob.
+		if blob.N > 0 && (err == nil || errors.As(err, &short)) {
+			// The set's stream ended, not the blob: short of the network's
+			// weights, or past them but before the declared length.
 			return truncatedError(fmt.Sprintf("nn: network-set buffer truncated in net %d", i))
 		}
 		if err != nil {

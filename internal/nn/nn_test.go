@@ -744,6 +744,10 @@ func TestUnmarshalNetworksErrors(t *testing.T) {
 		{"param count", edit(16, 1), mk(5), "nn: net 0 (a): nn: weight buffer has 5 params, network has 4"},
 		{"blob one byte short", edit(8, 0xff), mk(5), `nn: net 0 (a): nn: weight buffer truncated in param "linear_4x2.b" data`},
 		{"blob four bytes long", edit(8, 4), mk(5), "nn: net 0 (a): nn: weight buffer has 4 trailing bytes"},
+		// The last blob has nothing after it to find missing: the stream
+		// ends before its declared length, which FuzzReadNetworks found
+		// accepted.
+		{"last blob four bytes long", edit(12+aLen, 4), mk(5), "nn: network-set buffer truncated in net 1"},
 	} {
 		err := UnmarshalNetworks(c.nets, c.buf)
 		if err == nil || err.Error() != c.want {

@@ -12,48 +12,57 @@ import (
 )
 
 // Pool is the unit of serving parallelism: a list of replicas, each a
-// concurrent execution unit. Inference only reads a surrogate's weights
-// (any number of concurrent nn Forward(x, false) passes), so Run takes no
-// lock, several replicas may be the same *cyclegan.Surrogate, and a replica
-// costs no weights beyond its checkpoint's one set. The surrogates must not
-// be trained while the pool serves them. In round-robin mode every replica
-// answers alone (workers over one checkpoint, or different checkpoints
-// for cheap A/B capacity); in ensemble mode each batch runs through every
-// replica and the predictions are averaged — the serving-side use of the
-// LTFB insight that a population of tournament survivors carries more
-// information than any single member (Section III-C's lineage argument).
+// concurrent execution unit running a cyclegan.Generator — the forward
+// model, decoder and inverse that predict and invert read, and nothing of
+// the encoder, discriminator or optimizer state that only training does.
+// Inference only reads the weights (any number of concurrent nn
+// Forward(x, false) passes), so Run takes no lock, several replicas may be
+// the same generator, and a replica costs no weights beyond its
+// checkpoint's one generator. The generators must not be trained while the
+// pool serves them. In round-robin mode every replica answers alone
+// (workers over one checkpoint, or different checkpoints for cheap A/B
+// capacity); in ensemble mode each batch runs through every replica and
+// the predictions are averaged — the serving-side use of the LTFB insight
+// that a population of tournament survivors carries more information than
+// any single member (Section III-C's lineage argument).
 type Pool struct {
-	replicas []*cyclegan.Surrogate
+	replicas []*cyclegan.Generator
+	outDim   int
 	next     atomic.Uint64
 	ensemble bool
 }
 
-// NewPool wraps already-built surrogates. All replicas must share the
-// same geometry. ensemble selects averaging across replicas instead of
-// round-robin dispatch.
+// NewPool serves already-built surrogates through their generators. All
+// replicas must share the same geometry. ensemble selects averaging across
+// replicas instead of round-robin dispatch.
 func NewPool(replicas []*cyclegan.Surrogate, ensemble bool) (*Pool, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("serve: pool needs at least one replica")
 	}
 	dim := replicas[0].Cfg.Geometry.OutputDim()
+	gens := make([]*cyclegan.Generator, len(replicas))
 	for i, r := range replicas {
 		if r.Cfg.Geometry.OutputDim() != dim {
 			return nil, fmt.Errorf("serve: replica %d output dim %d, want %d",
 				i, r.Cfg.Geometry.OutputDim(), dim)
 		}
+		gens[i] = &r.Generator
 	}
-	return &Pool{replicas: replicas, ensemble: ensemble}, nil
+	return &Pool{replicas: gens, outDim: dim, ensemble: ensemble}, nil
 }
 
 // NewPoolFromCheckpoints builds a pool of `replicas` replicas with
 // architecture cfg. Each distinct checkpoint path is loaded once and the
-// replicas take the loaded surrogates round-robin, so one path with
+// replicas take the loaded generators round-robin, so one path with
 // replicas = N is N workers over one weight set, and the top-k tournament
 // checkpoints give a k-way ensemble. In ensemble mode the pool holds
 // exactly one replica per path regardless of `replicas`: every batch
 // runs through every replica, so duplicates would both bias the average
-// toward repeated checkpoints and add pure wasted compute. Optimizer
-// state is not restored — serving is inference-only.
+// toward repeated checkpoints and add pure wasted compute. A checkpoint is
+// read whole into a surrogate, so a damaged file is refused as training
+// would refuse it, and the pool keeps a copy of its Generator: the
+// encoder, discriminator and optimizer state are garbage once the load
+// returns.
 func NewPoolFromCheckpoints(cfg cyclegan.Config, paths []string, replicas int, ensemble bool) (*Pool, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("serve: no checkpoint paths")
@@ -61,21 +70,23 @@ func NewPoolFromCheckpoints(cfg cyclegan.Config, paths []string, replicas int, e
 	if ensemble || replicas < len(paths) {
 		replicas = len(paths)
 	}
-	loaded := make(map[string]*cyclegan.Surrogate, len(paths))
-	models := make([]*cyclegan.Surrogate, replicas)
-	for i := range models {
+	loaded := make(map[string]*cyclegan.Generator, len(paths))
+	gens := make([]*cyclegan.Generator, replicas)
+	for i := range gens {
 		path := paths[i%len(paths)]
-		m := loaded[path]
-		if m == nil {
-			m = cyclegan.New(cfg, 0)
+		g := loaded[path]
+		if g == nil {
+			m := cyclegan.New(cfg, 0)
 			if _, err := checkpoint.Load(path, m.Nets()); err != nil {
 				return nil, err
 			}
-			loaded[path] = m
+			gen := m.Generator // a copy: &m.Generator would keep all of m
+			g = &gen
+			loaded[path] = g
 		}
-		models[i] = m
+		gens[i] = g
 	}
-	return NewPool(models, ensemble)
+	return &Pool{replicas: gens, outDim: cfg.Geometry.OutputDim(), ensemble: ensemble}, nil
 }
 
 // Pool implements the Model contract the Server batches over.
@@ -88,7 +99,7 @@ func (p *Pool) Replicas() int { return len(p.replicas) }
 func (p *Pool) Ensemble() bool { return p.ensemble }
 
 // OutputDim returns the width of one prediction row.
-func (p *Pool) OutputDim() int { return p.replicas[0].Cfg.Geometry.OutputDim() }
+func (p *Pool) OutputDim() int { return p.outDim }
 
 // Dims enumerates the surrogate's served methods: the forward pass
 // ("predict": 5-D design point to output bundle) and the inverse pass
@@ -101,12 +112,12 @@ func (p *Pool) Dims() map[string]Dims {
 }
 
 // pass returns the per-replica forward function for method.
-func pass(method string) (func(*cyclegan.Surrogate, *tensor.Matrix) *tensor.Matrix, error) {
+func pass(method string) (func(*cyclegan.Generator, *tensor.Matrix) *tensor.Matrix, error) {
 	switch method {
 	case MethodPredict:
-		return (*cyclegan.Surrogate).Predict, nil
+		return (*cyclegan.Generator).Predict, nil
 	case MethodInvert:
-		return (*cyclegan.Surrogate).Invert, nil
+		return (*cyclegan.Generator).Invert, nil
 	}
 	return nil, fmt.Errorf("%w %q", ErrUnknownMethod, method)
 }

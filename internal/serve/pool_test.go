@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -66,12 +67,13 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 		t.Fatal("reloaded invert differs from in-memory model")
 	}
 	// A replica is loaded, canaried and served without ever training,
-	// so it carries weights only: no gradient accumulators.
+	// so each generator network carries weights only: no gradient
+	// accumulators.
 	if err := canary(pool); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range pool.replicas {
-		for _, n := range r.Nets() {
+	for i, g := range pool.replicas {
+		for _, n := range g.Nets() {
 			for _, p := range n.Params() {
 				if p.Grad != nil {
 					t.Fatalf("replica %d %s %s holds gradient storage", i, n.Name, p.Name)
@@ -102,7 +104,8 @@ func TestPoolDims(t *testing.T) {
 }
 
 // TestPoolEnsembleAverages checks that ensemble mode returns the
-// elementwise mean of the member predictions.
+// elementwise mean of the member predictions, bit for bit: the sum in
+// replica order, then one scaling.
 func TestPoolEnsembleAverages(t *testing.T) {
 	cfg := testModelCfg()
 	a := cyclegan.New(cfg, 1)
@@ -121,7 +124,7 @@ func TestPoolEnsembleAverages(t *testing.T) {
 	want := tensor.New(ya.Rows, ya.Cols)
 	tensor.Add(want, ya, yb)
 	tensor.Scale(want, 0.5)
-	if !got.ApproxEqual(want, 1e-6) {
+	if !got.Equal(want) {
 		t.Fatal("ensemble output is not the replica mean")
 	}
 
@@ -133,7 +136,7 @@ func TestPoolEnsembleAverages(t *testing.T) {
 	wantInv := tensor.New(ia.Rows, ia.Cols)
 	tensor.Add(wantInv, ia, ib)
 	tensor.Scale(wantInv, 0.5)
-	if !gotInv.ApproxEqual(wantInv, 1e-6) {
+	if !gotInv.Equal(wantInv) {
 		t.Fatal("ensemble invert output is not the replica mean")
 	}
 }
@@ -180,7 +183,7 @@ func TestPoolEnsembleLeavesReplicasIntact(t *testing.T) {
 }
 
 // TestPoolSharesOneWeightSet: replicas are workers, not copies. A 4-replica
-// round-robin pool built from one checkpoint holds one surrogate four times
+// round-robin pool built from one checkpoint holds one generator four times
 // and serves four concurrent callers from it, bit-for-bit (run under -race:
 // at the parent of PR 16 the shared layers' stored inputs raced); an
 // ensemble still loads one distinct model per checkpoint.
@@ -304,6 +307,77 @@ func TestPoolEnsembleFromCheckpoints(t *testing.T) {
 	if got.Equal(models[0].Predict(x)) || got.Equal(models[1].Predict(x)) {
 		t.Fatal("ensemble output equals a single member")
 	}
+}
+
+// liveHeap returns the bytes of heap still in use once a full collection
+// has run.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// savePaper64 writes a paper-geometry (Default64) surrogate, a 50.6 MB file,
+// and returns it with its config and path.
+func savePaper64(tb testing.TB) (*cyclegan.Surrogate, cyclegan.Config, string) {
+	cfg := cyclegan.DefaultConfig(jag.Default64)
+	model := cyclegan.New(cfg, 5)
+	path := filepath.Join(tb.TempDir(), "paper64.ckpt")
+	if err := checkpoint.Save(path, 0, model.Nets()); err != nil {
+		tb.Fatal(err)
+	}
+	return model, cfg, path
+}
+
+// TestPoolFromCheckpointHoldsOnlyTheGenerator: a pool loaded from a
+// paper-geometry checkpoint keeps F, the decoder and G — 25.4 MB of weights —
+// and lets the 25.2 MB encoder, the discriminator and the optimizers go; the
+// 30 MB bound sits between the generator and the whole 50.7 MB surrogate.
+// The pool still answers both methods with the saved surrogate's bits.
+func TestPoolFromCheckpointHoldsOnlyTheGenerator(t *testing.T) {
+	model, cfg, path := savePaper64(t)
+	before := liveHeap()
+	pool, err := NewPoolFromCheckpoints(cfg, []string{path}, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := int64(liveHeap()) - int64(before)
+	t.Logf("a Default64 pool retains %.1f MB", float64(retained)/1e6)
+	if retained > 30e6 {
+		t.Fatalf("a Default64 pool retains %.1f MB, want at most 30 MB (its generator's 25.4 MB of weights)", float64(retained)/1e6)
+	}
+	x := testBatch(2)
+	for method, want := range map[string]*tensor.Matrix{MethodPredict: model.Predict(x), MethodInvert: model.Invert(x)} {
+		got, err := pool.Run(method, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: the pool's generator differs from the saved surrogate", method)
+		}
+	}
+}
+
+// BenchmarkPoolFromCheckpoint loads a paper-geometry checkpoint into a pool,
+// as jagserve and a hot swap do. retained_MB is the live heap one pool holds
+// once the load's garbage is collected: its generator's weights.
+func BenchmarkPoolFromCheckpoint(b *testing.B) {
+	_, cfg, path := savePaper64(b)
+	before := liveHeap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pool *Pool
+	for i := 0; i < b.N; i++ {
+		pool = nil // the previous pool is garbage before the next load
+		var err error
+		if pool, err = NewPoolFromCheckpoints(cfg, []string{path}, 1, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(int64(liveHeap())-int64(before))/1e6, "retained_MB")
+	runtime.KeepAlive(pool)
 }
 
 // TestPoolValidation covers the error paths.

@@ -22,7 +22,7 @@
 // load batches still fill — by backlog, not by timer.
 //
 // The pipeline serves any Model: a small interface exposing named
-// methods (a *Pool of cyclegan replicas serves "predict" and "invert")
+// methods (a *Pool of cyclegan generators serves "predict" and "invert")
 // with per-method tensor widths. Each method has its own queue and a
 // batch is filled from one queue, so rows bound for different forward
 // passes never mix, while every method shares the server's workers
