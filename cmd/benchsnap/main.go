@@ -14,7 +14,9 @@
 // BenchmarkAllreduceRing8 beside the train step PR 22 stopped allocating
 // in, BENCH_23.json with BenchmarkJSONEnvelope, the call envelopes' own
 // codec, BENCH_27.json with BenchmarkPoolFromCheckpoint's retained_MB, the
-// live heap a served checkpoint keeps); CI regenerates
+// live heap a served checkpoint keeps, BENCH_28.json with
+// BenchmarkSigmoid16x49167 and BenchmarkFrameCodec, the decoder's output
+// activation and the JGT1 codec on a paper-geometry reply); CI regenerates
 // the latest every run and uploads the fresh copy, so a perf regression is
 // visible as a JSON diff against the committed baseline.
 //

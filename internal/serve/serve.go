@@ -82,8 +82,10 @@
 // http.go adds the versioned HTTP surface used by cmd/jagserve
 // (/v1/models, /v1/models/{name}/{method}, per-model stats and
 // reload-aware /healthz) with both JSON and binary tensor transports
-// (wire.go); client.go is the matching Go client. docs/SERVING.md is
-// the operator guide.
+// (wire.go: on a little-endian host a JGT1 payload is the floats' own
+// memory, written from the rows and read into the decoded slice with one
+// copy and no per-float conversion); client.go is the matching Go
+// client. docs/SERVING.md is the operator guide.
 package serve
 
 import (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Binary tensor transport. At the paper's Default64 geometry one output
@@ -40,10 +41,21 @@ const (
 	MaxFrameElems = 1 << 26
 )
 
-// wireChunk is the scratch both directions convert floats through: the
-// reply writer's whole buffer, and the unit in which the decoder takes
-// payload off the wire.
+// wireChunk is the unit in which the decoder takes payload off the wire,
+// and on a big-endian host the scratch both directions convert floats
+// through.
 const wireChunk = 64 << 10
+
+// nativeLE reports whether this host keeps a float32 in the frame's byte
+// order. Then a payload is the floats' own memory: the encoder copies it
+// (or hands it to the writer) and the decoder reads into it, with no
+// per-float conversion. A big-endian host converts each float.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes is the memory of s, 4*len(s) bytes.
+func floatBytes(s []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
+}
 
 // frameCols validates that rows is a rectangle the frame format can
 // carry and returns its width.
@@ -75,8 +87,19 @@ func putFrameHeader(dst []byte, rows, cols int) {
 
 // putFloats writes src into dst as little-endian float32s.
 func putFloats(dst []byte, src []float32) {
+	if nativeLE {
+		copy(dst, floatBytes(src))
+		return
+	}
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+// getFloats reads len(dst) little-endian float32s from src.
+func getFloats(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }
 
@@ -97,20 +120,29 @@ func EncodeFrame(rows [][]float32) ([]byte, error) {
 }
 
 // writeFrame streams the frame EncodeFrame would build — rows of width
-// cols, already validated by frameCols — to w through one wireChunk of
-// scratch, so a reply costs that scratch rather than a second copy of
-// every row.
+// cols, already validated by frameCols — to w without a second copy of
+// every row: each row's own bytes on a little-endian host, one wireChunk of
+// converted scratch at a time on a big-endian one.
 func writeFrame(w io.Writer, rows [][]float32, cols int) error {
-	scratch := make([]byte, max(frameHeader, min(4*cols, wireChunk)))
+	var scratch []byte
+	if nativeLE {
+		scratch = make([]byte, frameHeader)
+	} else {
+		scratch = make([]byte, max(frameHeader, min(4*cols, wireChunk)))
+	}
 	putFrameHeader(scratch, len(rows), cols)
 	if _, err := w.Write(scratch[:frameHeader]); err != nil {
 		return err
 	}
 	for _, r := range rows {
 		for len(r) > 0 {
-			n := min(len(r), len(scratch)/4)
-			putFloats(scratch, r[:n])
-			if _, err := w.Write(scratch[:4*n]); err != nil {
+			n, b := len(r), floatBytes(r)
+			if !nativeLE {
+				n = min(len(r), len(scratch)/4)
+				b = scratch[:4*n]
+				putFloats(b, r[:n])
+			}
+			if _, err := w.Write(b); err != nil {
 				return err
 			}
 			r = r[n:]
@@ -155,30 +187,38 @@ func DecodeFrame(r io.Reader, wantCols, maxRows int) ([][]float32, error) {
 	if wantCols > 0 && cols != uint32(wantCols) {
 		return nil, fmt.Errorf("serve: frame has %d cols, want %d", cols, wantCols)
 	}
-	// Take the payload off the wire a wireChunk at a time and convert
-	// each chunk into the float slice as it arrives. The slice starts at
-	// no more than decodeStart and doubles, never past the header's
-	// claim, only once the floats it holds have really arrived: a
-	// 16-byte frame declaring MaxFrameElems would otherwise demand
-	// 256 MiB before the first payload byte is checked, and a truncated
-	// frame costs at most ~2x what was sent.
+	// Take the payload off the wire a wireChunk at a time, straight into
+	// the float slice's bytes (through a chunk of scratch and a
+	// conversion on a big-endian host). The slice starts at no more than
+	// decodeStart and doubles, never past the header's claim, only once
+	// the floats it holds have really arrived: a 16-byte frame declaring
+	// MaxFrameElems would otherwise demand 256 MiB before the first
+	// payload byte is checked, and a truncated frame costs at most ~2x
+	// what was sent.
 	const decodeStart = 1 << 18 // floats: 1 MiB
 	elems := int(rows) * int(cols)
-	chunk := make([]byte, min(4*elems, wireChunk))
+	var chunk []byte
+	if !nativeLE {
+		chunk = make([]byte, min(4*elems, wireChunk))
+	}
 	flat := make([]float32, 0, min(elems, decodeStart))
 	for len(flat) < elems {
-		n := min(elems-len(flat), len(chunk)/4)
-		if _, err := io.ReadFull(r, chunk[:4*n]); err != nil {
-			return nil, fmt.Errorf("serve: truncated frame payload: %w", err)
-		}
+		n := min(elems-len(flat), wireChunk/4)
 		if len(flat)+n > cap(flat) {
 			grown := make([]float32, len(flat), min(elems, 2*cap(flat)))
 			copy(grown, flat)
 			flat = grown
 		}
 		dst := flat[len(flat) : len(flat)+n]
-		for i := range dst {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
+		buf := floatBytes(dst)
+		if !nativeLE {
+			buf = chunk[:4*n]
+		}
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("serve: truncated frame payload: %w", err)
+		}
+		if !nativeLE {
+			getFloats(dst, buf)
 		}
 		flat = flat[:len(flat)+n]
 	}

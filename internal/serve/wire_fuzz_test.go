@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -10,7 +11,8 @@ import (
 // bytes. The decoder sits on the public HTTP surface, so the contract
 // under fuzzing is absolute: never panic, never trust the header's
 // claimed size into an allocation the payload doesn't back, and on
-// success return a rectangular matrix whose re-encoding reproduces the
+// success return a rectangular matrix whose every float is its payload
+// word read as little-endian bits, and whose re-encoding reproduces the
 // consumed bytes exactly (bit-level float fidelity, NaN payloads
 // included).
 func FuzzDecodeFrame(f *testing.F) {
@@ -66,6 +68,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		for i, r := range rows {
 			if len(r) != cols {
 				t.Fatalf("ragged decode: row %d has %d cols, want %d", i, len(r), cols)
+			}
+			payload := data[frameHeader+4*i*cols:]
+			for j, v := range r {
+				if want := math.Float32frombits(binary.LittleEndian.Uint32(payload[4*j:])); math.Float32bits(v) != math.Float32bits(want) {
+					t.Fatalf("row %d col %d decoded as %#08x, payload word %#08x", i, j, math.Float32bits(v), math.Float32bits(want))
+				}
 			}
 		}
 		enc, err := EncodeFrame(rows)

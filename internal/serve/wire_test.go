@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -28,13 +29,27 @@ func wireBatch(n, cols int) [][]float32 {
 	return rows
 }
 
+// wireSpecials are float32 bit patterns a codec that converted through
+// float64, or canonicalised NaNs, would change: quiet and signalling NaNs
+// of both signs with payloads, −0, denormals, ±Inf and the extremes.
+var wireSpecials = []uint32{
+	0x7fc00000, 0xffc00000, 0x7fc12345, 0x7f800001, 0xff800001, 0x7fbfffff, 0xffffffff,
+	0x80000000, 0x00000001, 0x80000001, 0x007fffff, 0x807fffff,
+	0x7f800000, 0xff800000, 0x7f7fffff, 0xff7fffff,
+}
+
 // TestWireRoundTrip checks bitwise fidelity through encode/decode,
 // including NaN payloads (the transport must not canonicalize values —
-// validation is the serving layer's job).
+// validation is the serving layer's job): every payload word is the
+// float's bits in little-endian order, from EncodeFrame and from
+// writeFrame alike, and decodes back to the same bits.
 func TestWireRoundTrip(t *testing.T) {
 	rows := wireBatch(5, 9)
 	rows[2][3] = float32(math.NaN())
 	rows[4][0] = float32(math.Inf(-1))
+	for k, bits := range wireSpecials {
+		rows[k%5][k/5] = math.Float32frombits(bits)
+	}
 	buf, err := EncodeFrame(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -42,17 +57,30 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(buf) != frameHeader+4*5*9 {
 		t.Fatalf("frame length %d, want %d", len(buf), frameHeader+4*5*9)
 	}
-	got, err := DecodeFrame(bytes.NewReader(buf), 9, 5)
-	if err != nil {
+	var streamed bytes.Buffer
+	if err := writeFrame(&streamed, rows, 9); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(rows) {
-		t.Fatalf("rows %d, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			if math.Float32bits(got[i][j]) != math.Float32bits(rows[i][j]) {
-				t.Fatalf("row %d col %d: %v != %v", i, j, got[i][j], rows[i][j])
+	for name, frame := range map[string][]byte{"EncodeFrame": buf, "writeFrame": streamed.Bytes()} {
+		for i := range rows {
+			for j, v := range rows[i] {
+				if w := binary.LittleEndian.Uint32(frame[frameHeader+4*(i*9+j):]); w != math.Float32bits(v) {
+					t.Fatalf("%s: row %d col %d on the wire %#08x, want %#08x", name, i, j, w, math.Float32bits(v))
+				}
+			}
+		}
+		got, err := DecodeFrame(bytes.NewReader(frame), 9, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("%s: rows %d, want %d", name, len(got), len(rows))
+		}
+		for i := range rows {
+			for j := range rows[i] {
+				if math.Float32bits(got[i][j]) != math.Float32bits(rows[i][j]) {
+					t.Fatalf("%s: row %d col %d: %#08x != %#08x", name, i, j, math.Float32bits(got[i][j]), math.Float32bits(rows[i][j]))
+				}
 			}
 		}
 	}
@@ -65,6 +93,47 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if got, err := DecodeFrame(bytes.NewReader(buf), 0, 0); err != nil || len(got) != 0 {
 		t.Fatalf("empty frame: %v rows, err %v", len(got), err)
+	}
+}
+
+// TestWireByteOrderPathsAgree runs the codec both ways this build has: the
+// one-copy path of a little-endian host and the per-float conversion of a
+// big-endian one, which writes and reads little-endian words on any host.
+// Frames, streamed replies and decodes agree byte and bit for bit, for rows
+// longer than a wireChunk and a reader that returns short reads.
+func TestWireByteOrderPathsAgree(t *testing.T) {
+	rows := wireBatch(3, wireChunk/4+7)
+	for k, bits := range wireSpecials {
+		rows[1][wireChunk/4-9+k] = math.Float32frombits(bits)
+	}
+	run := func() (enc, streamed []byte, dec [][]float32) {
+		enc, err := EncodeFrame(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w bytes.Buffer
+		if err := writeFrame(&w, rows, len(rows[0])); err != nil {
+			t.Fatal(err)
+		}
+		if dec, err = DecodeFrame(iotest.HalfReader(bytes.NewReader(enc)), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		return enc, w.Bytes(), dec
+	}
+	enc, streamed, dec := run()
+	nativeLE = !nativeLE
+	defer func() { nativeLE = !nativeLE }()
+	enc2, streamed2, dec2 := run()
+	if !bytes.Equal(enc, enc2) || !bytes.Equal(streamed, streamed2) || !bytes.Equal(enc, streamed) {
+		t.Fatal("the two byte-order paths encode different frames")
+	}
+	for i := range rows {
+		for j, v := range rows[i] {
+			if math.Float32bits(dec[i][j]) != math.Float32bits(v) || math.Float32bits(dec2[i][j]) != math.Float32bits(v) {
+				t.Fatalf("row %d col %d: decoded %#08x and %#08x, want %#08x", i, j,
+					math.Float32bits(dec[i][j]), math.Float32bits(dec2[i][j]), math.Float32bits(v))
+			}
+		}
 	}
 }
 
@@ -274,5 +343,44 @@ func BenchmarkWireBinaryVsJSON(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkFrameCodec is the JGT1 layer of sweep_paper's reply: 16 rows of
+// the Default64 output bundle, written as the handler streams a reply
+// (writeFrame into a buffer that keeps its capacity between passes) and
+// read as the client decodes one (DecodeFrame). ns/row is the number to
+// compare.
+func BenchmarkFrameCodec(b *testing.B) {
+	rows := benchWireBatch()
+	frame, err := EncodeFrame(rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shape := strconv.Itoa(len(rows)) + "x" + strconv.Itoa(len(rows[0]))
+	perRow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+	}
+	b.Run("encode/"+shape, func(b *testing.B) {
+		var buf bytes.Buffer
+		buf.Grow(len(frame))
+		b.SetBytes(int64(len(frame)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := writeFrame(&buf, rows, len(rows[0])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRow(b)
+	})
+	b.Run("decode/"+shape, func(b *testing.B) {
+		b.SetBytes(int64(len(frame)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeFrame(bytes.NewReader(frame), 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRow(b)
 	})
 }

@@ -12,8 +12,10 @@ import "math"
 // every tail the SIMD code does not cover, they run the scalar loops in this
 // file, which are also the reference the SIMD code is tested against
 // (TestMicroKernelsMatchScalar, FuzzGemmMatchesReference). AdamStep, the
-// optimizer's elementwise update, is the one kernel here that is not a GEMM
-// loop; it keeps the same rules (adamScalar is its reference).
+// optimizer's elementwise update, and Sigmoid, the decoder's output
+// activation, are the kernels here that are not GEMM loops; AdamStep keeps
+// the same rules (adamScalar is its reference), Sigmoid the rule of its own
+// below (sigmoidScalar is its reference).
 //
 // The contract a kernel must keep, because every loss, tournament decision
 // and checkpoint this repo has produced depends on the exact float32 bits:
@@ -45,6 +47,18 @@ import "math"
 //     run them in any order on any goroutines; it never cuts k. Every kernel
 //     call covers all the updates of the elements it is given, so the cut
 //     cannot show in the result.
+//   - Sigmoid. The reference is float32(1/(1+math.Exp(−float64(v)))) with
+//     math.Exp as the running binary computes it. That is the one place FMA
+//     appears: math's amd64 exp takes a path built on VFMADD when the CPU
+//     has AVX and FMA (and GODEBUG leaves them on), and the SIMD sigmoid
+//     follows that path lane by lane — same constants, same operations,
+//     same order — in float64, then adds 1, divides and rounds once to
+//     float32. It is selected at init only when the CPU has AVX2 and FMA and
+//     math.Exp agrees with a Go transcription of the FMA path (expFMA) on
+//     probes where the FMA and plain paths differ; anywhere else the scalar
+//     loop runs. A group of four holding a lane with |v| > 708 or a NaN,
+//     where math.Exp leaves its straight-line path, also goes through the
+//     scalar loop.
 //
 // Results are bit-identical to the scalar loops for every non-NaN value,
 // including ±0, ±Inf and denormals. A NaN result is a NaN in both, but its
@@ -125,6 +139,15 @@ func AdamStep(w, g, m, v []float32, b1, b2, eps, step float32) {
 	k := [6]float32{b1, 1 - b1, b2, 1 - b2, step, eps}
 	n := adamSIMD(w, g, m, v, &k)
 	adamScalar(w[n:], g[n:], m[n:], v[n:], k[0], k[1], k[2], k[3], k[4], k[5])
+}
+
+// sigmoidScalar sets dst[i] = 1/(1+e^−src[i]), computed in float64 through
+// math.Exp and rounded once to float32: the portable sigmoid, and the
+// reference for the SIMD one.
+func sigmoidScalar(dst, src []float32) {
+	for i, v := range src {
+		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
+	}
 }
 
 // checkGroup panics unless x holds four rows of n elements, row j starting

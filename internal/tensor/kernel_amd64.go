@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // useAVX2 reports whether the CPU and the OS support 256-bit AVX2 code. It
 // is read once at init and there is no override: without AVX2, axpy4 is the
 // scalar loop. dot4 needs only SSE, which every amd64 has.
@@ -21,6 +23,71 @@ func detectAVX2() bool {
 	const avx2 = 1 << 5
 	_, b, _, _ := cpuid(7, 0)
 	return b&avx2 != 0
+}
+
+// useSigmoidAVX2 reports whether sigmoid runs sigmoidAVX2. The kernel
+// follows math.Exp's FMA path, which math takes only when the CPU has AVX
+// and FMA and GODEBUG has not switched either off; so besides AVX2 and FMA
+// on the CPU, math.Exp itself must agree with that path where it differs
+// from the plain one. Read once at init; otherwise the scalar loop runs.
+var useSigmoidAVX2 = useAVX2 && detectFMA() && mathExpUsesFMA()
+
+func detectFMA() bool {
+	const fma = 1 << 12
+	_, _, c, _ := cpuid(1, 0)
+	return c&fma != 0
+}
+
+// expProbes are inputs on which math.Exp's FMA and plain amd64 paths round
+// differently (to the last bit), in both directions.
+var expProbes = [...]float64{-9.98, -9.96, -8.81, -8.6}
+
+// mathExpUsesFMA reports whether math.Exp, in this process, is its amd64
+// FMA path: whether it agrees with expFMA on every probe.
+func mathExpUsesFMA() bool {
+	for _, x := range expProbes {
+		if math.Float64bits(math.Exp(x)) != math.Float64bits(expFMA(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// The constants of math's amd64 exp (src/math/exp_amd64.s): log2(e), ln 2
+// split into upper and lower parts, and the polynomial coefficients,
+// highest first.
+const (
+	expLog2e = 1.4426950408889634073599246810018920
+	expLn2U  = 0.69314718055966295651160180568695068359375
+	expLn2L  = 0.28235290563031577122588448175013436025525412068e-12
+)
+
+var expTaylor = [...]float64{
+	2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
+	8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1,
+	0.5, 1,
+}
+
+// expFMA is math.Exp's amd64 FMA path (src/math/exp_amd64.s, label avxfma)
+// for |x| ≤ 708, operation for operation, with the same constants. The
+// float64() conversions keep the compiler from fusing what that path rounds
+// separately.
+func expFMA(x float64) float64 {
+	n := int64(math.RoundToEven(expLog2e * x)) // CVTSD2SL, default rounding
+	fn := float64(n)
+	x = math.FMA(-fn, expLn2U, x)
+	x = math.FMA(-fn, expLn2L, x)
+	x *= 0.0625
+	p := expTaylor[0]
+	for _, c := range expTaylor[1:] {
+		p = math.FMA(p, x, c)
+	}
+	x = float64(x * p)
+	for range 3 {
+		x = float64(x * (x + 2))
+	}
+	x = math.FMA(x, x+2, 1)
+	return x * math.Float64frombits(uint64(n+1023)<<52)
 }
 
 // axpy4 computes y += s[0]·x0, then s[1]·x1, s[2]·x2, s[3]·x3, where row xj
@@ -88,6 +155,23 @@ func adamSIMD(w, g, m, v []float32, k *[6]float32) int {
 	return n8
 }
 
+// sigmoid sets dst[i] to sigmoidScalar's value for src[i]. With the kernel
+// selected, sigmoidAVX2 takes the groups of four; a group holding a lane it
+// leaves (|src[i]| > 708 or NaN, where math.Exp leaves its straight-line
+// path) and the last len%4 elements go through the scalar loop.
+func sigmoid(dst, src []float32) {
+	dst = dst[:len(src)]
+	for useSigmoidAVX2 && len(src) >= 4 {
+		n := int(sigmoidAVX2(&dst[0], &src[0], uintptr(len(src)&^3)))
+		if n < len(src)&^3 {
+			n += 4
+			sigmoidScalar(dst[n-4:n], src[n-4:n])
+		}
+		dst, src = dst[n:], src[n:]
+	}
+	sigmoidScalar(dst, src)
+}
+
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -113,3 +197,16 @@ func dot4SSE(out *[4]float32, x, y *float32, stride, n uintptr)
 //
 //go:noescape
 func adamAVX2(w, grad, m, v *float32, n uintptr, k *[6]float32)
+
+// sigmoidAVX2 is sigmoid for the groups of four from the start of src up to
+// the first that holds a lane out of its range; it returns how many
+// elements it did. n must be a multiple of 4.
+//
+//go:noescape
+func sigmoidAVX2(dst, src *float32, n uintptr) uintptr
+
+// expAVX2 sets dst[i] = math.Exp(src[i]) with sigmoidAVX2's exponential;
+// n must be a positive multiple of 4 and every |src[i]| ≤ 708. Tests only.
+//
+//go:noescape
+func expAVX2(dst, src *float64, n uintptr)

@@ -1,7 +1,9 @@
 #include "textflag.h"
 
 // SIMD micro-kernels. The numerical contract (ascending p, no FMA, lane
-// layout of dot) is written down in kernel.go; read it before editing.
+// layout of dot; and the Sigmoid rule, the one place FMA appears because
+// math.Exp's amd64 path uses it) is written down in kernel.go; read it
+// before editing.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -271,5 +273,154 @@ adamtail:
 	VMOVUPS Y3, (DI)(AX*1)
 
 adamdone:
+	VZEROUPPER
+	RET
+
+// Constants of the sigmoid kernel, each repeated across a 32-byte vector.
+// The float64 ones are those of math's amd64 exp (src/math/exp_amd64.s),
+// written the same way so the assembler rounds them to the same bits.
+#define SPLAT(off, v) DATA sigk<>+(off)(SB)/8, v; DATA sigk<>+(off+8)(SB)/8, v; DATA sigk<>+(off+16)(SB)/8, v; DATA sigk<>+(off+24)(SB)/8, v
+SPLAT(0, $1.4426950408889634073599246810018920)          // LOG2E
+SPLAT(32, $0.69314718055966295651160180568695068359375)  // LN2U
+SPLAT(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+SPLAT(96, $0.0625)
+SPLAT(128, $2.4801587301587301587e-5)                    // Taylor coefficients, highest first
+SPLAT(160, $1.9841269841269841270e-4)
+SPLAT(192, $1.3888888888888888889e-3)
+SPLAT(224, $8.3333333333333333333e-3)
+SPLAT(256, $4.1666666666666666667e-2)
+SPLAT(288, $1.6666666666666666667e-1)
+SPLAT(320, $0.5)
+SPLAT(352, $1.0)
+SPLAT(384, $2.0)
+SPLAT(416, $1023)                                        // exponent bias, int64
+SPLAT(448, $0x8000000080000000)                          // float32 sign bits
+SPLAT(480, $0x7fffffff7fffffff)                          // float32 magnitude bits
+SPLAT(512, $0x4431000044310000)                          // float32 708.0
+GLOBL sigk<>(SB), (NOPTR+RODATA), $544
+
+// EXP4 sets the four float64 lanes of x to e^x, each |x| ≤ 708, by the
+// operations math.Exp's FMA path performs on one: n = round(x·LOG2E) (the
+// default MXCSR rounds as CVTSD2SL does); x −= n·LN2U and x −= n·LN2L, each
+// fused; x /= 16; the Horner chain p = p·x + c, fused, from the highest
+// coefficient; x = x·p; x = x·(x+2) three times; x = x·(x+2) + 1, fused; and
+// x·2ⁿ, with 2ⁿ built by adding n to the exponent field of 1. t is scratch;
+// ny and nx are the YMM and XMM names of one more scratch register.
+#define EXP4(x, t, ny, nx) \
+	VMULPD       sigk<>+0(SB), x, t    \
+	VCVTPD2DQY   t, nx                 \
+	VCVTDQ2PD    nx, t                 \
+	VFNMADD231PD sigk<>+32(SB), t, x   \
+	VFNMADD231PD sigk<>+64(SB), t, x   \
+	VMULPD       sigk<>+96(SB), x, x   \
+	VMOVUPD      sigk<>+128(SB), t     \
+	VFMADD213PD  sigk<>+160(SB), x, t  \
+	VFMADD213PD  sigk<>+192(SB), x, t  \
+	VFMADD213PD  sigk<>+224(SB), x, t  \
+	VFMADD213PD  sigk<>+256(SB), x, t  \
+	VFMADD213PD  sigk<>+288(SB), x, t  \
+	VFMADD213PD  sigk<>+320(SB), x, t  \
+	VFMADD213PD  sigk<>+352(SB), x, t  \
+	VMULPD       t, x, x               \
+	VADDPD       sigk<>+384(SB), x, t  \
+	VMULPD       t, x, x               \
+	VADDPD       sigk<>+384(SB), x, t  \
+	VMULPD       t, x, x               \
+	VADDPD       sigk<>+384(SB), x, t  \
+	VMULPD       t, x, x               \
+	VADDPD       sigk<>+384(SB), x, t  \
+	VFMADD213PD  sigk<>+352(SB), t, x  \
+	VPMOVSXDQ    nx, ny                \
+	VPADDQ       sigk<>+416(SB), ny, ny \
+	VPSLLQ       $52, ny, ny           \
+	VMULPD       ny, x, x
+
+// SIGMOID4 sets the four float64 lanes of x to 1/(1+e^x): EXP4, then 1+e
+// and the division, each rounded as ADDSD and DIVSD round.
+#define SIGMOID4(x, t, ny, nx) \
+	EXP4(x, t, ny, nx)                 \
+	VADDPD       sigk<>+352(SB), x, x  \
+	VMOVUPD      sigk<>+352(SB), t     \
+	VDIVPD       x, t, x
+
+// func sigmoidAVX2(dst, src *float32, n uintptr) uintptr
+//
+// dst[i] = float32(1/(1+math.Exp(-float64(src[i])))) for the groups of four
+// from the start of src, n a multiple of 4, up to the first group holding a
+// lane with |src[i]| > 708 or a NaN: the return value is the number of
+// elements done. Lanes are widened exactly (VCVTPS2PD), negated, put through
+// SIGMOID4 and rounded once to float32 (VCVTPD2PS), as CVTSD2SS rounds. Two
+// groups go per iteration while both are in range.
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $2, CX              // n in bytes
+	XORQ AX, AX              // byte offset into src and dst
+
+sigloop:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  sigone              // fewer than eight left
+	VMOVUPS (SI)(AX*1), Y0
+	VANDPS  sigk<>+480(SB), Y0, Y1
+	VCMPPS  $0x16, sigk<>+512(SB), Y1, Y1 // |v| > 708 or unordered
+	VPTEST  Y1, Y1
+	JNZ     sigone           // one of the two groups leaves the kernel
+	VXORPS  sigk<>+448(SB), Y0, Y0        // x = −v
+	VCVTPS2PD    X0, Y2
+	VEXTRACTF128 $1, Y0, X3
+	VCVTPS2PD    X3, Y3
+	SIGMOID4(Y2, Y4, Y5, X5)
+	SIGMOID4(Y3, Y6, Y7, X7)
+	VCVTPD2PSY Y2, X2
+	VCVTPD2PSY Y3, X3
+	VMOVUPS X2, (DI)(AX*1)
+	VMOVUPS X3, 16(DI)(AX*1)
+	ADDQ $32, AX
+	JMP  sigloop
+
+sigone:
+	CMPQ AX, CX
+	JGE  sigdone
+	VMOVUPS (SI)(AX*1), X0
+	VANDPS  sigk<>+480(SB), X0, X1
+	VCMPPS  $0x16, sigk<>+512(SB), X1, X1
+	VPTEST  X1, X1
+	JNZ     sigdone          // this group is the caller's
+	VXORPS  sigk<>+448(SB), X0, X0
+	VCVTPS2PD X0, Y2
+	SIGMOID4(Y2, Y4, Y5, X5)
+	VCVTPD2PSY Y2, X2
+	VMOVUPS X2, (DI)(AX*1)
+	ADDQ $16, AX
+	JMP  sigloop
+
+sigdone:
+	SHRQ $2, AX
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func expAVX2(dst, src *float64, n uintptr)
+//
+// dst[i] = math.Exp(src[i]) through EXP4, four at a time; n is a positive
+// multiple of 4 and every |src[i]| ≤ 708. Only the tests call it: it holds
+// sigmoidAVX2's exponential to math.Exp bit for bit in float64, where a
+// change that a float32 result would hide still shows.
+TEXT ·expAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX              // n in bytes
+	XORQ AX, AX
+
+exploop:
+	VMOVUPD (SI)(AX*1), Y0
+	EXP4(Y0, Y1, Y2, X2)
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  exploop
 	VZEROUPPER
 	RET

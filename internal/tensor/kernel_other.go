@@ -16,3 +16,6 @@ func dot4(out *[4]float32, x, y []float32, stride int) {
 
 // adamSIMD updates no element: adamScalar does them all.
 func adamSIMD(w, g, m, v []float32, k *[6]float32) int { return 0 }
+
+// sigmoid is sigmoidScalar.
+func sigmoid(dst, src []float32) { sigmoidScalar(dst, src) }

@@ -468,3 +468,113 @@ func TestMicroKernelBounds(t *testing.T) {
 		}
 	}
 }
+
+// sigmoidRef is the Sigmoid rule's reference (kernel.go): the float64
+// expression through math.Exp as this binary computes it, rounded once.
+func sigmoidRef(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+
+// checkSigmoid runs sigmoid from src into a fresh slice and holds every
+// element to sigmoidRef.
+func checkSigmoid(t *testing.T, what string, src []float32) {
+	t.Helper()
+	dst := make([]float32, len(src))
+	sigmoid(dst, src)
+	for i, v := range src {
+		if want := sigmoidRef(v); !sameBits(dst[i], want) {
+			t.Fatalf("%s: element %d: sigmoid(%g = %#08x) = %#08x, want %#08x", what, i, v,
+				math.Float32bits(v), math.Float32bits(dst[i]), math.Float32bits(want))
+		}
+	}
+}
+
+// TestSigmoidMatchesMathExp holds the sigmoid the build selected (the AVX2
+// kernel where math.Exp takes its FMA path) to the scalar expression, bit
+// for bit: across the whole float32 space, at the edges of the kernel's and
+// math's ranges, with an out-of-range lane in each position of a group, at
+// every length and offset the tail handling sees, and in place. On amd64,
+// TestSigmoidExpLanesMatchMathExp checks the kernel's float64 exponential on
+// its own, where a change the float32 rounding hides still shows.
+func TestSigmoidMatchesMathExp(t *testing.T) {
+	// About 2^20 bit patterns strided across all 2^32, NaNs and infinities
+	// included, so groups that leave the kernel sit among ones that do not.
+	const stride = 4093
+	sweep := make([]float32, 0, 1<<32/stride+1)
+	for b := uint64(0); b < 1<<32; b += stride {
+		sweep = append(sweep, math.Float32frombits(uint32(b)))
+	}
+	checkSigmoid(t, "strided sweep", sweep)
+
+	// Signed zeros, infinities, quiet and signalling NaNs of both signs,
+	// denormals, the extremes; then the float32 neighbours of 708 (the
+	// kernel's range), 709.78 (where math.Exp overflows), 103.97 (where the
+	// sigmoid leaves the float32 denormals) and 88.7 (where it leaves the
+	// normals), on both sides of zero.
+	edges := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32}
+	for _, bits := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fbfffff, 0x7fffffff,
+		0x00000001, 0x80000003, 0x007fffff, 0x807fffff, 0x00800000, 0x80800000} {
+		edges = append(edges, math.Float32frombits(bits))
+	}
+	for _, c := range []float64{708, 709.78, 103.97, 88.7} {
+		for _, v := range []float32{float32(c), float32(-c)} {
+			edges = append(edges, v)
+			lo, hi := v, v
+			for range 3 {
+				lo = math.Nextafter32(lo, float32(math.Inf(-1)))
+				hi = math.Nextafter32(hi, float32(math.Inf(1)))
+				edges = append(edges, lo, hi)
+			}
+		}
+	}
+	checkSigmoid(t, "edges", edges)
+
+	// One lane out of the kernel's range in each position of the middle
+	// group: that group goes to the scalar loop, its neighbours do not.
+	for pos := 0; pos < 4; pos++ {
+		for _, out := range []float32{float32(math.NaN()), float32(math.Inf(1)), math.Nextafter32(708, 709), -1e30} {
+			src := make([]float32, 12)
+			for i := range src {
+				src[i] = float32(i)/2 - 3
+			}
+			src[4+pos] = out
+			checkSigmoid(t, fmt.Sprintf("lane %d = %g", pos, out), src)
+		}
+	}
+
+	// Every length 0..67 at offsets 0..3; the elements around the slice
+	// keep their guard value.
+	rng := rand.New(rand.NewSource(28))
+	buf := make([]float32, 72)
+	for i := range buf {
+		buf[i] = float32(rng.NormFloat64() * 8)
+	}
+	buf[37] = float32(math.NaN())
+	const guard = float32(-12345)
+	for off := 0; off < 4; off++ {
+		for n := 0; n <= 67; n++ {
+			dst := make([]float32, len(buf))
+			for i := range dst {
+				dst[i] = guard
+			}
+			sigmoid(dst[off:off+n], buf[off:off+n])
+			for i, got := range dst {
+				want := guard
+				if i >= off && i < off+n {
+					want = sigmoidRef(buf[i])
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("off=%d n=%d: dst[%d] = %#08x, want %#08x", off, n, i, math.Float32bits(got), math.Float32bits(want))
+				}
+			}
+		}
+	}
+
+	// dst aliasing src.
+	inPlace := append([]float32(nil), sweep...)
+	sigmoid(inPlace, inPlace)
+	for i, v := range sweep {
+		if want := sigmoidRef(v); !sameBits(inPlace[i], want) {
+			t.Fatalf("in place: element %d: sigmoid(%#08x) = %#08x, want %#08x", i, math.Float32bits(v), math.Float32bits(inPlace[i]), math.Float32bits(want))
+		}
+	}
+}

@@ -13,7 +13,10 @@
 // never depend on the cut. The inner loops are the micro-kernels of
 // kernel.go: scalar axpy and dot everywhere, and on amd64 SIMD versions under
 // the two backward-pass variants (Aᵀ·B and A·Bᵀ) that produce the same bits.
-// kernel.go states the contract a new kernel has to keep.
+// Two elementwise operations have SIMD kernels on amd64 too: AdamStep, and
+// Sigmoid, the decoder's output activation, which follows math.Exp's own
+// FMA path lane by lane and so gives math.Exp's bits. kernel.go states the
+// contract a new kernel has to keep.
 package tensor
 
 import "fmt"

@@ -56,7 +56,9 @@ func addRowVector(x, v []float32) {
 // counts: the activations built on them are tiled at this rate.
 const expWork = 16
 
-// Sigmoid sets dst[i] = 1/(1+e^−src[i]) for every element. dst may alias src.
+// Sigmoid sets dst[i] = 1/(1+e^−src[i]) for every element, computed in
+// float64 through math.Exp and rounded once (kernel.go, sigmoidScalar). dst
+// may alias src.
 func Sigmoid(dst, src *Matrix) {
 	dst.mustSameShape(src, "Sigmoid")
 	if oneTile(src, expWork) {
@@ -64,12 +66,6 @@ func Sigmoid(dst, src *Matrix) {
 		return
 	}
 	forRowBlocks(src, expWork, func(lo, hi int) { sigmoid(dst.Data[lo:hi], src.Data[lo:hi]) })
-}
-
-func sigmoid(dst, src []float32) {
-	for i, v := range src {
-		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
 }
 
 // Tanh sets dst[i] = tanh(src[i]) for every element. dst may alias src.

@@ -357,6 +357,20 @@ func benchGemm(b *testing.B, m, k, n int, ta, tb Op) {
 	}
 }
 
+// BenchmarkSigmoid16x49167 is the paper64 decoder's output activation on
+// sweep_paper's 16-row frame, through Sigmoid's tiling. It writes a second
+// matrix, so every pass sees the same standard-normal pre-activations.
+func BenchmarkSigmoid16x49167(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	x := randomMatrix(rng, 16, 49167)
+	y := New(16, 49167)
+	b.SetBytes(int64(8 * len(x.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Sigmoid(y, x)
+	}
+}
+
 // BenchmarkGemmNaive128 is the ablation baseline: the textbook triple loop.
 func BenchmarkGemmNaive128(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
