@@ -73,13 +73,12 @@
 // fleet_test.go validates it against a measured 3-backend fleet,
 // backend kill included (docs/FLEET.md, examples/fleet).
 //
-// The conventions this stack depends on are machine-checked:
-// cmd/jaglint runs internal/lint's two analyzers (canonical jag_*
-// metric names, flowing contexts) over every package, in CI and
-// inside tier-1 via TestSuiteCleanOnRepo, which also runs go vet
-// (whose copylocks check catches a copied lock-free metric struct);
-// docs/STATIC_ANALYSIS.md documents each invariant and the lint:ignore
-// suppression syntax.
+// The conventions this stack depends on are tier-1 tests in
+// lint_test.go: TestSuiteCleanOnRepo runs go vet (whose copylocks check
+// catches a copied lock-free metric struct) and finds contexts minted
+// where a ctx was at hand, TestCtxFlow pins that check's shapes, and
+// TestMetricName scrapes a live proxy and its backends for canonical
+// jag_* families; docs/STATIC_ANALYSIS.md documents each.
 //
 // Start with README.md for the layout and quickstart, docs/SERVING.md
 // and docs/FLEET.md for the serving and fleet operator guides, and

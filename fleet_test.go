@@ -44,7 +44,7 @@ const (
 type fleetModel struct{}
 
 func (fleetModel) Dims() map[string]serve.Dims {
-	return map[string]serve.Dims{serve.MethodPredict: {In: 2, Out: 2}}
+	return map[string]serve.Dims{serve.MethodPredict: {In: 2, Out: 2}, serve.MethodInvert: {In: 2, Out: 2}}
 }
 
 func (fleetModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {

@@ -128,7 +128,8 @@ func (r *Registry) SetHistogram(name, help string, labels Labels, snap Histogram
 }
 
 // series resolves or creates the series for (name, labels); make, when
-// non-nil, builds the new series value.
+// non-nil, builds the new series value. Names and, when a series is
+// created, label keys are checked; a malformed one panics.
 func (r *Registry) series(name, help, kind string, labels Labels, make_ func() *series) *series {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
@@ -154,6 +155,9 @@ func (r *Registry) series(name, help, kind string, labels Labels, make_ func() *
 		if len(labels) > 0 {
 			s.labels = make(Labels, len(labels))
 			for k, v := range labels {
+				if !validLabelKey(k) {
+					panic(fmt.Sprintf("metrics: invalid label key %q", k))
+				}
 				s.labels[k] = v
 			}
 		}
@@ -165,21 +169,23 @@ func (r *Registry) series(name, help, kind string, labels Labels, make_ func() *
 // validMetricName enforces the Prometheus metric-name charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*.
 func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
 	for i, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c == ':' || c >= '0' && c <= '9' && i > 0) {
 			return false
 		}
 	}
-	return true
+	return name != ""
+}
+
+// validLabelKey enforces the project's label-key charset
+// [a-z_][a-z0-9_]*, a subset of Prometheus's.
+func validLabelKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; !(c >= 'a' && c <= 'z' || c == '_' || c >= '0' && c <= '9' && i > 0) {
+			return false
+		}
+	}
+	return key != ""
 }
 
 // WritePrometheus renders every registered family in the Prometheus

@@ -80,18 +80,23 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 	r.Gauge("x_total", "", nil)
 }
 
+// TestRegistryInvalidNamePanics: a malformed metric name, or a label key
+// outside [a-z_][a-z0-9_]*, panics where the series is created.
 func TestRegistryInvalidNamePanics(t *testing.T) {
 	r := NewRegistry()
-	for _, bad := range []string{"", "9lives", "has space", "dash-ed"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("name %q must panic", bad)
-				}
-			}()
-			r.Counter(bad, "", nil)
+	mustPanic := func(what, bad string, register func()) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s %q must panic", what, bad)
+			}
 		}()
+		register()
 	}
+	for _, bad := range []string{"", "9lives", "has space", "dash-ed"} {
+		mustPanic("name", bad, func() { r.Counter(bad, "", nil) })
+		mustPanic("label key", bad, func() { r.Counter("x_total", "", Labels{"model": "jag", bad: "v"}) })
+	}
+	mustPanic("label key", "Model", func() { r.Gauge("jag_queue_depth", "", Labels{"Model": "jag"}) })
 }
 
 func TestRegistryLabelEscaping(t *testing.T) {

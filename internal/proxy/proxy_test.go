@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/http/httptrace"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -855,5 +856,58 @@ func TestPanickingAttemptIsContained(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), "panic: transport fell over") {
 		t.Fatalf("lone panicking backend: status %d, body %q, want 502 naming the panic", resp.StatusCode, body)
+	}
+}
+
+// TestProxyGoroutinesReturnToBaseline: a proxy that has probed, hedged,
+// cancelled the losing attempts and dialled a refused backend leaves
+// nothing running once its context is cancelled and its connections are
+// closed — no prober, no attempt goroutine, no connection reader.
+func TestProxyGoroutinesReturnToBaseline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var cancelled atomic.Int64
+	slow, fast, gone := newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)
+	gone.srv.Close() // its URL now refuses connections
+	slow.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a request read to its end sees its client leave
+		select {
+		case <-time.After(2 * time.Second):
+		case <-r.Context().Done():
+			cancelled.Add(1)
+		}
+	})
+	p, front := newTestProxy(t, Config{HealthInterval: 10 * time.Millisecond, HedgeDelay: 20 * time.Millisecond}, slow, fast, gone)
+	p.Backends()[0].setCapacity(1000) // least-loaded picks the slow backend first: calls hedge
+	p.Backends()[1].setCapacity(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.Start(ctx)
+	client := &http.Client{}
+	for i := 0; i < 50; i++ {
+		resp, err := client.Post(front.URL+"/v1/models/jag/predict", "application/json", strings.NewReader(`{"inputs":[[0.5]]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("call %d: status %d", i, resp.StatusCode)
+		}
+	}
+	cancel()
+	for _, s := range []*httptest.Server{front, slow.srv, fast.srv} {
+		s.Close()
+	}
+	for _, c := range []*http.Client{client, p.hc, p.probeHC} {
+		c.CloseIdleConnections()
+	}
+	if hedges := counterValue(p, "jag_proxy_hedges_total", nil); hedges == 0 || cancelled.Load() == 0 {
+		t.Fatalf("%d hedges, %d attempts cancelled mid-flight; want both", hedges, cancelled.Load())
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, %d before the proxy started:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
