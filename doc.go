@@ -78,7 +78,9 @@
 // catches a copied lock-free metric struct) and finds contexts minted
 // where a ctx was at hand, TestCtxFlow pins that check's shapes, and
 // TestMetricName scrapes a live proxy and its backends for canonical
-// jag_* families; docs/STATIC_ANALYSIS.md documents each.
+// jag_* families, and TestExportedNamesHaveCallers fails on an exported
+// internal/ name that only tests call; docs/STATIC_ANALYSIS.md documents
+// each.
 //
 // Start with README.md for the layout and quickstart, docs/SERVING.md
 // and docs/FLEET.md for the serving and fleet operator guides, and

@@ -134,22 +134,11 @@ func segBounds(m, n, i int) (lo, hi int) {
 }
 
 // AllreduceSum replaces buf on every rank with the elementwise sum across
-// ranks, using the bandwidth-optimal ring algorithm (reduce-scatter followed
-// by allgather). The result is bitwise identical on every rank, which the
-// data-parallel trainer relies on to keep model replicas in lockstep.
-func (c *Comm) AllreduceSum(buf []float32) { c.allreduceRing(buf, opSum) }
-
-// AllreduceMax replaces buf on every rank with the elementwise maximum.
-func (c *Comm) AllreduceMax(buf []float32) { c.allreduceRing(buf, opMax) }
-
-type reduceOp int
-
-const (
-	opSum reduceOp = iota
-	opMax
-)
-
-func (c *Comm) allreduceRing(buf []float32, op reduceOp) {
+// ranks — the only reduction the trainers need — using the bandwidth-optimal
+// ring algorithm (reduce-scatter followed by allgather). The result is
+// bitwise identical on every rank, which the data-parallel trainer relies on
+// to keep model replicas in lockstep.
+func (c *Comm) AllreduceSum(buf []float32) {
 	n := c.Size()
 	if n == 1 {
 		return
@@ -186,17 +175,8 @@ func (c *Comm) allreduceRing(buf []float32, op reduceOp) {
 		hand = c.recvRaw(left, base-s).floats
 		lo, hi := segBounds(m, n, recvSeg)
 		dst, in := buf[lo:hi], hand[:hi-lo]
-		switch op {
-		case opSum:
-			for i := range dst {
-				dst[i] += in[i]
-			}
-		case opMax:
-			for i := range dst {
-				if in[i] > dst[i] {
-					dst[i] = in[i]
-				}
-			}
+		for i := range dst {
+			dst[i] += in[i]
 		}
 	}
 	// Allgather: circulate the reduced segments.

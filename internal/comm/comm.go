@@ -207,7 +207,7 @@ type Comm struct {
 	coord *coord
 	seq   int // collective sequence number, advances identically on all ranks
 	// spare is the ring-segment buffer this rank was left holding by its
-	// last allreduce; the next one sends in it (see allreduceRing).
+	// last allreduce; the next one sends in it (see AllreduceSum).
 	spare []float32
 }
 

@@ -204,22 +204,6 @@ func TestAllreduceSumMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestAllreduceMax(t *testing.T) {
-	w := NewWorld(4)
-	results := make([][]float32, 4)
-	runWithTimeout(t, w, func(c *Comm) {
-		buf := []float32{float32(c.Rank()), -float32(c.Rank()), 5}
-		c.AllreduceMax(buf)
-		results[c.Rank()] = buf
-	})
-	want := []float32{3, 0, 5}
-	for r, got := range results {
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rank %d got %v want %v", r, got, want)
-		}
-	}
-}
-
 func TestAllreduceNaiveMatchesRing(t *testing.T) {
 	const n, m = 5, 37
 	w := NewWorld(n)

@@ -14,6 +14,11 @@ import (
 	"repro/internal/tensor"
 )
 
+// nopReducer leaves gradients untouched: single-replica training.
+type nopReducer struct{}
+
+func (nopReducer) Reduce([]*nn.Param) {}
+
 // tinyConfig returns a very small surrogate for fast tests.
 func tinyConfig() Config {
 	cfg := DefaultConfig(jag.Tiny8)
@@ -140,7 +145,7 @@ func TestTrainStepReturnsAllLosses(t *testing.T) {
 	cfg := tinyConfig()
 	s := New(cfg, 2)
 	x, y := batch(cfg, 0, 8)
-	losses := s.TrainStep(x, y, nn.NopReducer{})
+	losses := s.TrainStep(x, y, nopReducer{})
 	for _, k := range []string{"autoencoder", "disc", "fidelity", "adversarial", "cycle"} {
 		v, ok := losses[k]
 		if !ok {
@@ -159,7 +164,7 @@ func TestTrainingImprovesEval(t *testing.T) {
 	xVal, yVal := batch(cfg, 1000, 32)
 	before := s.Eval(xVal, yVal)
 	for step := 0; step < 60; step++ {
-		s.TrainStep(xTr, yTr, nn.NopReducer{})
+		s.TrainStep(xTr, yTr, nopReducer{})
 	}
 	after := s.Eval(xVal, yVal)
 	if !(after < before*0.8) {
@@ -171,10 +176,10 @@ func TestAutoencoderLossDecreases(t *testing.T) {
 	cfg := tinyConfig()
 	s := New(cfg, 4)
 	x, y := batch(cfg, 0, 32)
-	first := s.TrainStep(x, y, nn.NopReducer{})["autoencoder"]
+	first := s.TrainStep(x, y, nopReducer{})["autoencoder"]
 	var last float64
 	for i := 0; i < 40; i++ {
-		last = s.TrainStep(x, y, nn.NopReducer{})["autoencoder"]
+		last = s.TrainStep(x, y, nopReducer{})["autoencoder"]
 	}
 	if !(last < first*0.8) {
 		t.Fatalf("autoencoder loss %v -> %v", first, last)
@@ -210,7 +215,7 @@ func TestCycleConsistencyImproves(t *testing.T) {
 	}
 	before := cycleOf()
 	for i := 0; i < 80; i++ {
-		s.TrainStep(x, y, nn.NopReducer{})
+		s.TrainStep(x, y, nopReducer{})
 	}
 	if after := cycleOf(); !(after < before) {
 		t.Fatalf("cycle consistency did not improve: %v -> %v", before, after)
@@ -254,7 +259,7 @@ func TestDiscriminatorLearnsToSeparate(t *testing.T) {
 	s := New(cfg, 8)
 	x, y := batch(cfg, 0, 64)
 	for i := 0; i < 30; i++ {
-		s.TrainStep(x, y, nn.NopReducer{})
+		s.TrainStep(x, y, nopReducer{})
 	}
 	zReal := s.Encoder.Forward(y, false)
 	zFake := s.Forward.Forward(x, false)
@@ -271,8 +276,8 @@ func TestReplicasStayIdenticalUnderSameData(t *testing.T) {
 	b := New(cfg, 10)
 	x, y := batch(cfg, 0, 16)
 	for i := 0; i < 5; i++ {
-		a.TrainStep(x, y, nn.NopReducer{})
-		b.TrainStep(x, y, nn.NopReducer{})
+		a.TrainStep(x, y, nopReducer{})
+		b.TrainStep(x, y, nopReducer{})
 	}
 	pa, pb := a.Forward.Params(), b.Forward.Params()
 	for i := range pa {
@@ -288,7 +293,7 @@ func BenchmarkTrainStepTiny(b *testing.B) {
 	x, y := batch(cfg, 0, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TrainStep(x, y, nn.NopReducer{})
+		s.TrainStep(x, y, nopReducer{})
 	}
 }
 
@@ -335,7 +340,7 @@ func TestGradientsAllocatedOnFirstTrainStep(t *testing.T) {
 	}
 	for step, want := range golden {
 		bx, by := batch(cfg, 16*step, 16)
-		got := s.TrainStep(bx, by, nn.NopReducer{})
+		got := s.TrainStep(bx, by, nopReducer{})
 		if len(got) != len(want) {
 			t.Fatalf("step %d: %d losses, want %d", step, len(got), len(want))
 		}
@@ -366,7 +371,7 @@ func TestSurrogateReadsAreConcurrent(t *testing.T) {
 	cfg := tinyConfig()
 	s := New(cfg, 12)
 	bx, by := batch(cfg, 0, 16)
-	s.TrainStep(bx, by, nn.NopReducer{}) // a trained model serves the same way
+	s.TrainStep(bx, by, nopReducer{}) // a trained model serves the same way
 
 	const workers = 8
 	type result struct {
@@ -484,8 +489,8 @@ func TestTrainStepMatchesAllocatingReference(t *testing.T) {
 			rows = 48
 		}
 		x, y := batch(cfg, 40*step, rows)
-		gl := got.TrainStep(x, y, nn.NopReducer{})
-		wl := allocatingTrainStep(want, x, y, nn.NopReducer{})
+		gl := got.TrainStep(x, y, nopReducer{})
+		wl := allocatingTrainStep(want, x, y, nopReducer{})
 		if len(gl) != 6 || len(wl) != 6 {
 			t.Fatalf("step %d: %d and %d losses, want six", step, len(gl), len(wl))
 		}
@@ -511,7 +516,7 @@ func TestTrainStepMatchesAllocatingReference(t *testing.T) {
 	x, y := batch(cfg, 0, 32)
 	pred := got.Predict(x)
 	keep := pred.Clone()
-	got.TrainStep(x, y, nn.NopReducer{})
+	got.TrainStep(x, y, nopReducer{})
 	if !pred.Equal(keep) {
 		t.Fatal("a train step wrote over a matrix Predict had returned")
 	}
@@ -528,7 +533,7 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(jag.Tiny8)
 	s := New(cfg, 11)
 	x, y := batch(cfg, 0, 32)
-	step := func() { s.TrainStep(x, y, nn.NopReducer{}) }
+	step := func() { s.TrainStep(x, y, nopReducer{}) }
 	step()
 	step()
 	allocs := testing.AllocsPerRun(20, step)
@@ -558,8 +563,8 @@ func TestAdoptionKeepsGradientSlabs(t *testing.T) {
 	cfg := tinyConfig()
 	loser, winner := New(cfg, 1), New(cfg, 2)
 	x, y := batch(cfg, 0, 16)
-	loser.TrainStep(x, y, nn.NopReducer{})
-	winner.TrainStep(x, y, nn.NopReducer{})
+	loser.TrainStep(x, y, nopReducer{})
+	winner.TrainStep(x, y, nopReducer{})
 	slabs := [][]float32{nn.GradSlab(loser.aeP), nn.GradSlab(loser.dscP), nn.GradSlab(loser.genP)}
 	if err := nn.UnmarshalNetworks(loser.ExchangeNets(), nn.MarshalNetworks(winner.ExchangeNets())); err != nil {
 		t.Fatal(err)
@@ -571,7 +576,7 @@ func TestAdoptionKeepsGradientSlabs(t *testing.T) {
 			}
 		}
 	}
-	loser.TrainStep(x, y, nn.NopReducer{})
+	loser.TrainStep(x, y, nopReducer{})
 	for i, group := range [][]*nn.Param{loser.aeP, loser.dscP, loser.genP} {
 		if after := nn.GradSlab(group); &after[0] != &slabs[i][0] {
 			t.Fatalf("group %d: the gradient slab moved across an adoption", i)

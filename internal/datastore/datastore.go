@@ -25,9 +25,7 @@
 package datastore
 
 import (
-	"container/list"
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/reader"
@@ -67,7 +65,6 @@ type Stats struct {
 	BytesSent     int64
 	BytesReceived int64
 	FilesPreread  int64 // whole files read during Preload
-	Evictions     int64 // samples dropped by the capacity bound
 }
 
 // Store is one rank's view of a trainer's distributed data store. All ranks
@@ -84,11 +81,6 @@ type Store struct {
 	stats Stats
 	row   []float32 // one sample: where ModeNone reads before the x|y split
 	out   []float32 // the message being packed for one destination
-
-	// Capacity bound (see SetCapacity); zero means unlimited.
-	capacity int
-	lru      *list.List
-	lruIndex map[int]*list.Element
 }
 
 // fetchTagBase keeps store traffic clear of the trainer's gradient and
@@ -120,12 +112,6 @@ func New(c *comm.Comm, ds reader.Dataset, mode Mode) *Store {
 
 // Stats returns a snapshot of this rank's data-movement counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// Owner returns the owning rank of sample i, or -1 if not yet owned.
-func (s *Store) Owner(i int) int { return int(s.owner[i]) }
-
-// OwnedSamples returns how many samples this rank currently holds.
-func (s *Store) OwnedSamples() int { return len(s.cache) }
 
 // assignPreloadOwnership maps every sample to a rank: by backing file when
 // the dataset is file-mapped (round-robin over files), by index otherwise.
@@ -165,9 +151,7 @@ func (s *Store) Preload() error {
 			}
 			s.stats.FilesPreread++
 			for k, i := range idx {
-				if err := s.admit(i, recs[k]); err != nil {
-					return err
-				}
+				s.cache[i] = recs[k]
 				s.stats.BackingReads++
 			}
 		}
@@ -181,9 +165,7 @@ func (s *Store) Preload() error {
 		if err := s.ds.Sample(i, buf); err != nil {
 			return err
 		}
-		if err := s.admit(i, buf); err != nil {
-			return err
-		}
+		s.cache[i] = buf
 		s.stats.BackingReads++
 	}
 	return nil
@@ -299,42 +281,17 @@ func (s *Store) Fetch(batch []int, x, y *tensor.Matrix) error {
 }
 
 // held returns the row of sample i, which this rank owns, from its cache.
-// A miss reads the backing dataset and caches the row: the sample is being
-// touched for the first time (dynamic mode — perhaps by a remote consumer)
-// or was evicted under a capacity bound.
+// A miss reads the backing dataset and caches the row: in dynamic mode the
+// sample is being touched for the first time, perhaps by a remote consumer.
 func (s *Store) held(i int) ([]float32, error) {
 	if row, ok := s.cache[i]; ok {
-		s.touch(i)
 		return row, nil
 	}
 	row := make([]float32, s.dim)
 	if err := s.ds.Sample(i, row); err != nil {
 		return nil, err
 	}
-	if err := s.admit(i, row); err != nil {
-		return nil, err
-	}
+	s.cache[i] = row
 	s.stats.BackingReads++
 	return row, nil
-}
-
-// StoreBytes returns the approximate host-memory footprint of this rank's
-// shard, which the performance model compares against node capacity.
-func (s *Store) StoreBytes() float64 {
-	return float64(len(s.cache)) * float64(4*s.dim)
-}
-
-// ImbalanceFactor returns max over ranks of owned samples divided by the
-// balanced share — 1.0 is perfect balance. It is collective (allreduce).
-// Dynamic ownership follows the epoch-0 consumption pattern and is typically
-// less balanced than preload's file-round-robin, which is why the paper's
-// preloaded store still beats the dynamic store in steady state.
-func (s *Store) ImbalanceFactor() float64 {
-	buf := []float32{float32(len(s.cache))}
-	s.c.AllreduceMax(buf)
-	share := float64(s.ds.Len()) / float64(s.c.Size())
-	if share == 0 {
-		return 1
-	}
-	return math.Max(1, float64(buf[0])/share)
 }

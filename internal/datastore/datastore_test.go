@@ -154,16 +154,16 @@ func TestPreloadOwnershipByFile(t *testing.T) {
 	})
 	// Files round-robin over 3 ranks: rank r owns files r, r+3.
 	for r, s := range stores {
-		if s.OwnedSamples() != 8 {
-			t.Fatalf("rank %d owns %d samples, want 8", r, s.OwnedSamples())
+		if len(s.cache) != 8 {
+			t.Fatalf("rank %d owns %d samples, want 8", r, len(s.cache))
 		}
 		if s.Stats().FilesPreread != 2 {
 			t.Fatalf("rank %d preread %d files, want 2", r, s.Stats().FilesPreread)
 		}
 	}
 	// Sample 0 lives in file 0 → rank 0; sample 4 in file 1 → rank 1.
-	if stores[0].Owner(0) != 0 || stores[0].Owner(4) != 1 || stores[0].Owner(20) != 2 {
-		t.Fatalf("ownership wrong: %d %d %d", stores[0].Owner(0), stores[0].Owner(4), stores[0].Owner(20))
+	if o := stores[0].owner; o[0] != 0 || o[4] != 1 || o[20] != 2 {
+		t.Fatalf("ownership wrong: %d %d %d", o[0], o[4], o[20])
 	}
 	// Training epochs read nothing from the files.
 	before := stores[0].Stats().BackingReads
@@ -203,14 +203,11 @@ func TestFetchPartCountValidation(t *testing.T) {
 // twoEpochs drives fresh stores of the given mode through a fixed schedule —
 // epochs 0 and 1 of 32 samples in batches of 7, which neither two nor three
 // ranks divide and whose last batch is 4 — verifying every fetched row, and
-// returns the stores. capacity > 0 bounds each rank's cache.
-func twoEpochs(t *testing.T, ds reader.Dataset, mode Mode, ranks, capacity int) []*Store {
+// returns the stores.
+func twoEpochs(t *testing.T, ds reader.Dataset, mode Mode, ranks int) []*Store {
 	t.Helper()
 	w := comm.NewWorld(ranks)
 	stores := newStores(w, ds, mode)
-	for _, s := range stores {
-		s.SetCapacity(capacity)
-	}
 	if mode == ModePreload {
 		w.Run(func(c *comm.Comm) {
 			if err := stores[c.Rank()].Preload(); err != nil {
@@ -225,49 +222,42 @@ func twoEpochs(t *testing.T, ds reader.Dataset, mode Mode, ranks, capacity int) 
 }
 
 // TestUnevenBatchParts: Fetch ≡ the reference, bitwise, in every mode on 1, 2
-// and 3 ranks with batches the ranks do not divide, and under a capacity
-// bound that makes the dynamic store evict and re-read as it goes.
+// and 3 ranks with batches the ranks do not divide.
 func TestUnevenBatchParts(t *testing.T) {
 	ds := makeBundleDS(t, 4, 8, 6)
 	for _, mode := range []Mode{ModeNone, ModeDynamic, ModePreload} {
 		for ranks := 1; ranks <= 3; ranks++ {
-			twoEpochs(t, ds, mode, ranks, 0)
+			twoEpochs(t, ds, mode, ranks)
 		}
-	}
-	for ranks := 1; ranks <= 3; ranks++ {
-		twoEpochs(t, ds, ModeDynamic, ranks, 5)
 	}
 }
 
 // TestFetchStatsMatchParent pins every rank's counters after twoEpochs to
 // what the commit before the one-path Fetch (PR 24) counted on the same
 // schedule: the same samples are served from the same places in the same
-// order, evictions included.
+// order.
 func TestFetchStatsMatchParent(t *testing.T) {
 	type run struct {
-		mode            Mode
-		ranks, capacity int
+		mode  Mode
+		ranks int
 	}
-	// LocalHits, RemoteSamples, BackingReads, BytesSent, BytesReceived, FilesPreread, Evictions
+	// LocalHits, RemoteSamples, BackingReads, BytesSent, BytesReceived, FilesPreread
 	want := map[run][]Stats{
-		{ModeNone, 1, 0}:    {{0, 0, 64, 0, 0, 0, 0}},
-		{ModeNone, 2, 0}:    {{0, 0, 36, 0, 0, 0, 0}, {0, 0, 28, 0, 0, 0, 0}},
-		{ModeNone, 3, 0}:    {{0, 0, 28, 0, 0, 0, 0}, {0, 0, 18, 0, 0, 0, 0}, {0, 0, 18, 0, 0, 0, 0}},
-		{ModeDynamic, 1, 0}: {{64, 0, 32, 0, 0, 0, 0}},
-		{ModeDynamic, 1, 5}: {{64, 0, 63, 0, 0, 0, 58}},
-		{ModeDynamic, 2, 0}: {{28, 8, 18, 192, 192, 0, 0}, {20, 8, 14, 192, 192, 0, 0}},
-		{ModeDynamic, 2, 5}: {{28, 8, 36, 192, 192, 0, 31}, {20, 8, 26, 192, 192, 0, 21}},
-		{ModeDynamic, 3, 0}: {{19, 9, 14, 216, 216, 0, 0}, {10, 8, 9, 192, 192, 0, 0}, {11, 7, 9, 168, 168, 0, 0}},
-		{ModeDynamic, 3, 5}: {{19, 9, 27, 216, 216, 0, 22}, {10, 8, 17, 192, 192, 0, 12}, {11, 7, 16, 168, 168, 0, 11}},
-		{ModePreload, 1, 0}: {{64, 0, 32, 0, 0, 4, 0}},
-		{ModePreload, 2, 0}: {{20, 16, 16, 288, 384, 2, 0}, {16, 12, 16, 384, 288, 2, 0}},
-		{ModePreload, 3, 0}: {{12, 16, 16, 480, 384, 2, 0}, {4, 14, 8, 288, 336, 1, 0}, {4, 14, 8, 288, 336, 1, 0}},
+		{ModeNone, 1}:    {{0, 0, 64, 0, 0, 0}},
+		{ModeNone, 2}:    {{0, 0, 36, 0, 0, 0}, {0, 0, 28, 0, 0, 0}},
+		{ModeNone, 3}:    {{0, 0, 28, 0, 0, 0}, {0, 0, 18, 0, 0, 0}, {0, 0, 18, 0, 0, 0}},
+		{ModeDynamic, 1}: {{64, 0, 32, 0, 0, 0}},
+		{ModeDynamic, 2}: {{28, 8, 18, 192, 192, 0}, {20, 8, 14, 192, 192, 0}},
+		{ModeDynamic, 3}: {{19, 9, 14, 216, 216, 0}, {10, 8, 9, 192, 192, 0}, {11, 7, 9, 168, 168, 0}},
+		{ModePreload, 1}: {{64, 0, 32, 0, 0, 4}},
+		{ModePreload, 2}: {{20, 16, 16, 288, 384, 2}, {16, 12, 16, 384, 288, 2}},
+		{ModePreload, 3}: {{12, 16, 16, 480, 384, 2}, {4, 14, 8, 288, 336, 1}, {4, 14, 8, 288, 336, 1}},
 	}
 	ds := makeBundleDS(t, 4, 8, 6)
 	for r, ranks := range want {
-		for rank, s := range twoEpochs(t, ds, r.mode, r.ranks, r.capacity) {
+		for rank, s := range twoEpochs(t, ds, r.mode, r.ranks) {
 			if got := s.Stats(); got != ranks[rank] {
-				t.Errorf("%v on %d ranks, capacity %d, rank %d: %+v, the parent counted %+v", r.mode, r.ranks, r.capacity, rank, got, ranks[rank])
+				t.Errorf("%v on %d ranks, rank %d: %+v, the parent counted %+v", r.mode, r.ranks, rank, got, ranks[rank])
 			}
 		}
 	}
@@ -368,35 +358,16 @@ func TestDynamicOwnershipConsistentAcrossRanks(t *testing.T) {
 	stores := newStores(w, ds, ModeDynamic)
 	runEpoch(t, w, ds, epochBatches(16, 8, 9, 0), stores)
 	for i := 0; i < 16; i++ {
-		o := stores[0].Owner(i)
+		o := stores[0].owner[i]
 		if o < 0 {
 			t.Fatalf("sample %d unowned after epoch 0", i)
 		}
 		for r := 1; r < 4; r++ {
-			if stores[r].Owner(i) != o {
-				t.Fatalf("sample %d: rank %d thinks owner %d, rank 0 thinks %d", i, r, stores[r].Owner(i), o)
+			if stores[r].owner[i] != o {
+				t.Fatalf("sample %d: rank %d thinks owner %d, rank 0 thinks %d", i, r, stores[r].owner[i], o)
 			}
 		}
 	}
-}
-
-func TestStoreBytesAndImbalance(t *testing.T) {
-	ds := makeBundleDS(t, 4, 4, 5)
-	w := comm.NewWorld(2)
-	stores := newStores(w, ds, ModePreload)
-	w.Run(func(c *comm.Comm) {
-		s := stores[c.Rank()]
-		if err := s.Preload(); err != nil {
-			t.Error(err)
-			return
-		}
-		if got := s.StoreBytes(); got != float64(8*4*5) {
-			t.Errorf("StoreBytes = %v, want %v", got, 8*4*5)
-		}
-		if f := s.ImbalanceFactor(); f != 1 {
-			t.Errorf("balanced preload imbalance = %v, want 1", f)
-		}
-	})
 }
 
 func TestModeStrings(t *testing.T) {
@@ -432,73 +403,4 @@ func BenchmarkFetchPreloaded4Ranks(b *testing.B) {
 			}
 		})
 	}
-}
-
-func TestCapacityPreloadFailsWhenTooSmall(t *testing.T) {
-	ds := makeBundleDS(t, 4, 4, 5)
-	w := comm.NewWorld(2)
-	errs := make([]error, 2)
-	w.Run(func(c *comm.Comm) {
-		s := New(c, ds, ModePreload)
-		s.SetCapacity(3) // each rank owns 8 samples
-		errs[c.Rank()] = s.Preload()
-	})
-	for r, err := range errs {
-		if err == nil {
-			t.Fatalf("rank %d preload should fail over capacity", r)
-		}
-	}
-}
-
-func TestCapacityDynamicEvictsAndRereads(t *testing.T) {
-	ds := makeBundleDS(t, 2, 16, 5)
-	w := comm.NewWorld(1)
-	var st Stats
-	w.Run(func(c *comm.Comm) {
-		s := New(c, ds, ModeDynamic)
-		s.SetCapacity(8)
-		if s.Capacity() != 8 {
-			t.Error("capacity not recorded")
-			return
-		}
-		// Two epochs over 32 samples with only 8 cache slots: the second
-		// epoch must re-read evicted samples from the backing store.
-		_, x, y := share(make([]int, 8), 1, 0, ds.Dim())
-		for epoch := 0; epoch < 2; epoch++ {
-			for _, b := range epochBatches(32, 8, 4, epoch) {
-				if err := s.Fetch(b, x, y); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-		if s.OwnedSamples() > 8 {
-			t.Errorf("cache grew to %d despite capacity 8", s.OwnedSamples())
-		}
-		st = s.Stats()
-	})
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions under the capacity bound")
-	}
-	if st.BackingReads <= 32 {
-		t.Fatalf("expected re-reads after eviction, got %d backing reads", st.BackingReads)
-	}
-}
-
-func TestCapacityUnlimitedByDefault(t *testing.T) {
-	ds := makeBundleDS(t, 2, 8, 5)
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		s := New(c, ds, ModeDynamic)
-		_, x, y := share(make([]int, 8), 1, 0, ds.Dim())
-		for _, b := range epochBatches(16, 8, 4, 0) {
-			if err := s.Fetch(b, x, y); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		if s.Stats().Evictions != 0 {
-			t.Error("unlimited store must not evict")
-		}
-	})
 }

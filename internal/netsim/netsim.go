@@ -125,12 +125,6 @@ func (f Fabric) AllreduceTime(bytes float64, gpus, gpusPerNode int) float64 {
 	return intra + inter
 }
 
-// P2PTime returns the time to move bytes between two trainers over
-// InfiniBand — the LTFB generator exchange.
-func (f Fabric) P2PTime(bytes float64) float64 {
-	return f.IBLatency + bytes/f.IBBandwidth
-}
-
 // ComputeTime returns the time for flops of GEMM work spread evenly over
 // gpus GPUs.
 func (f Fabric) ComputeTime(flops float64, gpus int) float64 {
@@ -138,40 +132,4 @@ func (f Fabric) ComputeTime(flops float64, gpus int) float64 {
 		gpus = 1
 	}
 	return flops / (f.GPUFlops * float64(gpus))
-}
-
-// HostPressureFactor returns the host-memory slowdown multiplier when each
-// node of a trainer holds storeBytesPerNode of data-store contents. Below
-// half of node memory there is no pressure; beyond it the factor grows
-// linearly, and this is what makes small per-trainer partitions faster per
-// access (the paper's "cache effects").
-func (f Fabric) HostPressureFactor(storeBytesPerNode float64) float64 {
-	frac := storeBytesPerNode / f.NodeMemory
-	if frac <= 0.5 {
-		return 1
-	}
-	return 1 + f.MemoryPressure*(frac-0.5)/0.5
-}
-
-// ShuffleTime returns the per-step cost of the data-store mini-batch
-// shuffle for one trainer: each of ranks ranks receives its share of the
-// mini-batch from peer ranks (IB for peers on other nodes) and stages it
-// through host memory under the current pressure factor.
-func (f Fabric) ShuffleTime(miniBatchBytes float64, ranks, gpusPerNode int, storeBytesPerNode float64) float64 {
-	if ranks < 1 {
-		ranks = 1
-	}
-	perRank := miniBatchBytes / float64(ranks)
-	pressure := f.HostPressureFactor(storeBytesPerNode)
-	host := perRank / f.HostBandwidth * pressure
-	if ranks == 1 {
-		// Single rank: samples are already local; only host staging applies.
-		return host
-	}
-	nodes := Nodes(ranks, gpusPerNode)
-	net := f.IBLatency + perRank/f.IBBandwidth
-	if nodes == 1 {
-		net = f.NVLinkLatency + perRank/f.NVLinkBandwidth
-	}
-	return host + net
 }

@@ -69,54 +69,6 @@ func TestComputeTimeScalesInversely(t *testing.T) {
 	}
 }
 
-func TestHostPressureFactor(t *testing.T) {
-	f := Lassen()
-	if got := f.HostPressureFactor(0.25 * f.NodeMemory); got != 1 {
-		t.Fatalf("low occupancy factor %v, want 1", got)
-	}
-	half := f.HostPressureFactor(0.5 * f.NodeMemory)
-	full := f.HostPressureFactor(1.0 * f.NodeMemory)
-	if half != 1 {
-		t.Fatalf("half occupancy factor %v, want 1", half)
-	}
-	if full <= 1 || full > 2 {
-		t.Fatalf("full occupancy factor %v outside (1,2]", full)
-	}
-	if !(f.HostPressureFactor(0.9*f.NodeMemory) < full) {
-		t.Fatal("pressure must increase with occupancy")
-	}
-}
-
-func TestShuffleTime(t *testing.T) {
-	f := Lassen()
-	mb := 128 * 200e3 // a paper-scale mini-batch in bytes
-	single := f.ShuffleTime(mb, 1, 4, 1e9)
-	multi := f.ShuffleTime(mb, 16, 4, 1e9)
-	if single <= 0 || multi <= 0 {
-		t.Fatal("shuffle times must be positive")
-	}
-	// Pressure raises shuffle cost.
-	pressured := f.ShuffleTime(mb, 16, 4, f.NodeMemory)
-	if !(pressured > multi) {
-		t.Fatalf("memory pressure should slow the shuffle: %v vs %v", pressured, multi)
-	}
-	// Intra-node shuffle (4 ranks, 1 node) beats cross-node at equal rank count.
-	intra := f.ShuffleTime(mb, 4, 4, 1e9)
-	inter := f.ShuffleTime(mb, 4, 1, 1e9)
-	if !(inter > intra) {
-		t.Fatalf("cross-node shuffle %v should exceed intra-node %v", inter, intra)
-	}
-}
-
-func TestP2PTime(t *testing.T) {
-	f := Lassen()
-	small := f.P2PTime(1e3)
-	big := f.P2PTime(1e9)
-	if !(big > small && small > 0) {
-		t.Fatalf("p2p times wrong: %v %v", small, big)
-	}
-}
-
 func TestRingTimeEdgeCases(t *testing.T) {
 	f := Lassen()
 	if f.ringTime(1e6, 1, 1e9, 1e-6) != 0 {

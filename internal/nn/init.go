@@ -14,24 +14,3 @@ func GlorotUniform(w *tensor.Matrix, rng *rand.Rand) {
 	limit := math.Sqrt(6 / float64(w.Rows+w.Cols))
 	tensor.FillUniform(w, rng, -limit, limit)
 }
-
-// HeNormal fills w with N(0, 2/in) samples, the standard initializer for
-// ReLU stacks.
-func HeNormal(w *tensor.Matrix, rng *rand.Rand) {
-	std := math.Sqrt(2 / float64(w.Rows))
-	tensor.FillGaussian(w, rng, 0, std)
-}
-
-// Reinitialize re-draws every weight matrix of net using init and zeroes the
-// biases, leaving the architecture intact. LTFB uses this to give each
-// trainer a distinct starting point in the initial-state space.
-func Reinitialize(net *Network, rng *rand.Rand, init func(*tensor.Matrix, *rand.Rand)) {
-	for _, l := range net.Layers {
-		lin, ok := l.(*Linear)
-		if !ok {
-			continue
-		}
-		init(lin.Weight.W, rng)
-		lin.Bias.W.Zero()
-	}
-}

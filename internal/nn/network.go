@@ -91,36 +91,17 @@ func (n *Network) CopyWeightsFrom(src *Network) {
 }
 
 // GradNorm returns the Frobenius norm of the concatenated gradient, useful
-// for divergence diagnostics.
-func (n *Network) GradNorm() float64 { return gradNorm(n.Params()) }
-
-// gradNorm is the L2 norm of the concatenated gradients of params; a
-// parameter that never trained contributes nothing.
-func gradNorm(params []*Param) float64 {
+// for divergence diagnostics; a parameter that never trained contributes
+// nothing.
+func (n *Network) GradNorm() float64 {
 	var sq float64
-	for _, p := range params {
+	for _, p := range n.Params() {
 		if p.Grad != nil {
 			v := tensor.Norm2(p.Grad)
 			sq += v * v
 		}
 	}
 	return math.Sqrt(sq)
-}
-
-// ClipGradNorm rescales all gradients so their global L2 norm does not
-// exceed maxNorm, returning the pre-clip norm. Trainers use it to keep GAN
-// phases from destabilizing each other.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	norm := gradNorm(params)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, p := range params {
-			if p.Grad != nil {
-				tensor.Scale(p.Grad, scale)
-			}
-		}
-	}
-	return norm
 }
 
 // Activation names an elementwise nonlinearity for Spec-driven construction.

@@ -6,9 +6,3 @@ package nn
 type Reducer interface {
 	Reduce(params []*Param)
 }
-
-// NopReducer leaves gradients untouched: single-replica training.
-type NopReducer struct{}
-
-// Reduce is a no-op.
-func (NopReducer) Reduce([]*Param) {}

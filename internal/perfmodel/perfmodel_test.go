@@ -223,6 +223,30 @@ func TestPressureGrowsWithOccupancy(t *testing.T) {
 	if !(high > 1) {
 		t.Fatalf("sparse baseline should see memory pressure, got %v", high)
 	}
+
+	// Pressure raises the shuffle's cost.
+	relieved := s
+	relieved.Fabric.MemoryPressure = 0
+	if !(s.shuffleTime() > relieved.shuffleTime()) {
+		t.Fatalf("memory pressure should slow the shuffle: %v vs %v", s.shuffleTime(), relieved.shuffleTime())
+	}
+
+	// One rank pays host staging only, at its pressure.
+	one := PaperScenario(1_000_000)
+	densePlacement(&one, 1)
+	if got, want := one.shuffleTime(), float64(one.BatchSize)*one.SampleBytes/one.Fabric.HostBandwidth*one.pressure(); got != want || one.pressure() <= 1 {
+		t.Fatalf("one-rank shuffle %v, want host staging alone %v (pressure %v)", got, want, one.pressure())
+	}
+
+	// A trainer on one node (NVLink) shuffles cheaper than one spread over
+	// nodes (IB), at equal rank count and no pressure on either.
+	intra := PaperScenario(100_000)
+	densePlacement(&intra, 4)
+	inter := intra
+	inter.GPUsPerNode = 1
+	if intra.pressure() != 1 || inter.pressure() != 1 || !(inter.shuffleTime() > intra.shuffleTime()) {
+		t.Fatalf("cross-node shuffle %v should exceed intra-node %v", inter.shuffleTime(), intra.shuffleTime())
+	}
 }
 
 func BenchmarkFigure11Model(b *testing.B) {

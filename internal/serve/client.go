@@ -38,12 +38,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("HTTP %d", e.Code)
 }
 
-// Retryable reports whether the failure says "not now" rather than
-// "never": the request itself was acceptable but this replica could not
-// serve it, so repeating it — ideally against another replica — can
-// succeed. Hard 4xx (unknown model, malformed body) stay non-retryable.
-func (e *StatusError) Retryable() bool { return RetryableStatus(e.Code) }
-
 // RetryableStatus reports whether an HTTP status from a serving backend
 // is worth retrying: 429 (rate limited), 502 (broken reply), 503
 // (shedding or draining), 504 (deadline passed in queue).

@@ -17,6 +17,11 @@ import (
 	"repro/internal/tensor"
 )
 
+// nopReducer leaves gradients untouched: single-replica training.
+type nopReducer struct{}
+
+func (nopReducer) Reduce([]*nn.Param) {}
+
 // testBatch builds a deterministic input batch.
 func testBatch(n int) *tensor.Matrix {
 	x := tensor.New(n, jag.InputDim)
@@ -172,8 +177,8 @@ func TestPoolEnsembleLeavesReplicasIntact(t *testing.T) {
 		copy(y.Row(i), jag.SimulateAt(cfg.Geometry, i).Output())
 	}
 	for step := 0; step < 2; step++ {
-		la := a.TrainStep(x, y, nn.NopReducer{})
-		lt := twin.TrainStep(x, y, nn.NopReducer{})
+		la := a.TrainStep(x, y, nopReducer{})
+		lt := twin.TrainStep(x, y, nopReducer{})
 		for name, v := range lt {
 			if math.Float64bits(la[name]) != math.Float64bits(v) {
 				t.Fatalf("step %d %s: served replica lost %v, never-served twin %v", step, name, la[name], v)

@@ -15,7 +15,7 @@ import (
 
 // These tests pin the typed-error contract jagproxy's retry loop builds
 // on: whole-request failures from Client.Call and the GET helpers must
-// surface as *StatusError with the right Code and Retryable verdict,
+// surface as *StatusError with the right Code and RetryableStatus verdict,
 // and a shedding backend must keep row errors aligned with the request
 // rows rather than escalating to a whole-request failure.
 
@@ -40,7 +40,7 @@ func TestClientStatusErrorTyped(t *testing.T) {
 	if se.Code != http.StatusServiceUnavailable || se.RetryAfter != 2*time.Second {
 		t.Fatalf("typed 503 = %+v, want Code 503 RetryAfter 2s", se)
 	}
-	if !se.Retryable() {
+	if !RetryableStatus(se.Code) {
 		t.Error("503 must be retryable")
 	}
 
@@ -52,7 +52,7 @@ func TestClientStatusErrorTyped(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("unknown-model error = %v, want a *StatusError in the chain", err)
 	}
-	if se.Code != http.StatusNotFound || se.Retryable() {
+	if se.Code != http.StatusNotFound || RetryableStatus(se.Code) {
 		t.Fatalf("typed 404 = %+v, want non-retryable Code 404", se)
 	}
 	if se.Detail == "" {
@@ -106,7 +106,7 @@ func TestClientMidBodyDropRetryable(t *testing.T) {
 			if !errors.As(err, &se) {
 				t.Fatalf("mid-body drop error = %v, want a *StatusError", err)
 			}
-			if se.Code != http.StatusBadGateway || !se.Retryable() {
+			if se.Code != http.StatusBadGateway || !RetryableStatus(se.Code) {
 				t.Fatalf("mid-body drop = %+v, want retryable 502", se)
 			}
 		})

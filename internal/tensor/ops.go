@@ -22,12 +22,6 @@ func Scale(m *Matrix, s float32) {
 	}
 }
 
-// AddScaled computes dst += s*src (axpy over whole matrices).
-func AddScaled(dst *Matrix, s float32, src *Matrix) {
-	dst.mustSameShape(src, "AddScaled")
-	axpy(s, src.Data, dst.Data)
-}
-
 // AddRowVector adds the 1×Cols row vector v to every row of m in place,
 // implementing bias addition.
 func AddRowVector(m *Matrix, v []float32) {

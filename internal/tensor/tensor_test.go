@@ -234,10 +234,6 @@ func TestElementwiseOps(t *testing.T) {
 	if !dst.Equal(FromSlice(2, 2, []float32{11, 22, 33, 44})) {
 		t.Fatalf("Add = %v", dst)
 	}
-	AddScaled(dst, 0, a)
-	if !dst.Equal(FromSlice(2, 2, []float32{11, 22, 33, 44})) {
-		t.Fatal("AddScaled with s=0 must be a no-op")
-	}
 }
 
 func TestReductions(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io"
 	"io/fs"
+	"maps"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -21,8 +22,9 @@ import (
 	"repro/internal/serve"
 )
 
-// Two conventions go vet cannot see — contexts flow, metric families are
-// jag_ snake case — held as tests (docs/STATIC_ANALYSIS.md).
+// Three conventions go vet cannot see — contexts flow, metric families are
+// jag_ snake case, every exported name has a caller — held as tests
+// (docs/STATIC_ANALYSIS.md).
 
 // ctxMints returns the position of each context.Background() or
 // context.TODO() call inside a function (declared or literal) that has a
@@ -72,18 +74,12 @@ func ctxMints(fset *token.FileSet, f *ast.File) []token.Position {
 	return found
 }
 
-// TestSuiteCleanOnRepo runs go vet over the module — go test runs only a
-// subset of vet that leaves copylocks out, and copylocks is what catches
-// a copied metrics.Histogram or serve.Stats — and checks every non-test
-// Go file outside testdata/ for a context minted where a ctx was at hand.
-func TestSuiteCleanOnRepo(t *testing.T) {
-	if !testing.Short() {
-		if out, err := exec.Command("go", "vet", "./...").CombinedOutput(); err != nil {
-			t.Errorf("go vet ./...: %v\n%s", err, out)
-		}
-	}
+// moduleFiles parses every non-test Go file of the module outside
+// testdata/ and dot directories, in walk order.
+func moduleFiles(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
 	fset := token.NewFileSet()
-	files := 0
+	var files []*ast.File
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -94,21 +90,171 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		for _, pos := range ctxMints(fset, f) {
-			t.Errorf("%s: context minted inside a function that receives a ctx — pass the ctx, or derive from it", pos)
-		}
-		return nil
+		files = append(files, f)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t.Logf("scanned %d files", files); files < 50 {
-		t.Fatalf("scanned only %d files — the walk lost the module?", files)
+	if t.Logf("scanned %d files", len(files)); len(files) < 50 {
+		t.Fatalf("scanned only %d files — the walk lost the module?", len(files))
 	}
+	return fset, files
+}
+
+// TestSuiteCleanOnRepo runs go vet over the module — go test runs only a
+// subset of vet that leaves copylocks out, and copylocks is what catches
+// a copied metrics.Histogram or serve.Stats — and checks every non-test
+// Go file outside testdata/ for a context minted where a ctx was at hand.
+func TestSuiteCleanOnRepo(t *testing.T) {
+	if !testing.Short() {
+		if out, err := exec.Command("go", "vet", "./...").CombinedOutput(); err != nil {
+			t.Errorf("go vet ./...: %v\n%s", err, out)
+		}
+	}
+	fset, files := moduleFiles(t)
+	for _, f := range files {
+		for _, pos := range ctxMints(fset, f) {
+			t.Errorf("%s: context minted inside a function that receives a ctx — pass the ctx, or derive from it", pos)
+		}
+	}
+}
+
+// exemptNames are exported names under internal/ that may go without a
+// non-test caller, each with its reason. A key is a bare identifier (any
+// declaration of that name) or pkg.Name / pkg.Type.Method.
+var exemptNames = map[string]string{
+	"String":                      "fmt.Stringer: fmt calls it",
+	"Error":                       "error: callers reach it through the interface",
+	"Len":                         "sort.Interface / heap.Interface",
+	"Less":                        "sort.Interface / heap.Interface",
+	"Swap":                        "sort.Interface / heap.Interface",
+	"Push":                        "heap.Interface: container/heap calls it",
+	"Pop":                         "heap.Interface: container/heap calls it",
+	"ServeHTTP":                   "http.Handler: net/http calls it",
+	"UnmarshalJSON":               "json.Unmarshaler: encoding/json calls it",
+	"WriteTo":                     "io.WriterTo: io.Copy calls it",
+	"ReadFrom":                    "io.ReaderFrom: io.Copy calls it",
+	"WriteHeader":                 "http.ResponseWriter: net/http calls it",
+	"comm.Comm.AllreduceSumNaive": "the reference the ring allreduce is tested and timed against",
+	"tensor.Matrix.Equal":         "an assertion helper the tests of many packages share",
+	"tensor.Matrix.ApproxEqual":   "an assertion helper the tests of many packages share",
+	"ltfb.MetricEval":             "the zero Metric: a Config that sets none gets it",
+}
+
+// knownTestOnly are exported names under internal/ that only tests call
+// and that have not been deleted yet. The list only shrinks: a name that
+// gains a caller or disappears fails the test until it is taken off.
+var knownTestOnly = map[string]bool{
+	"des.Sim.Schedule":        true,
+	"des.Sim.RunUntil":        true,
+	"des.Sim.Pending":         true,
+	"des.Server.FreeAt":       true,
+	"ltfb.Member.Loop":        true,
+	"ltfb.Lineage.Has":        true,
+	"nn.Network.NumParams":    true,
+	"nn.Network.GradNorm":     true,
+	"parallel.ForEach":        true,
+	"tensor.Matrix.Reshape":   true,
+	"tensor.Matrix.Transpose": true,
+	"tensor.FillGaussian":     true,
+}
+
+// TestExportedNamesHaveCallers fails for every exported func, method,
+// type, var or const declared under internal/ whose identifier no
+// non-test file of the module uses (bench/, cmd/ and examples/ count).
+// Names match by identifier alone — a use of any Clone keeps every Clone
+// — so the check finds a lower bound of the test-only API.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	fset, files := moduleFiles(t)
+	type decl struct {
+		key string // pkg.Name or pkg.Type.Method
+		pos token.Position
+	}
+	declared := map[string][]decl{} // identifier -> its declarations under internal/
+	names := map[*ast.Ident]bool{}  // top-level declaring identifiers and receivers
+	for _, f := range files {
+		path := filepath.ToSlash(fset.Position(f.Package).Filename)
+		internal := strings.HasPrefix(path, "internal/")
+		add := func(id *ast.Ident, key string) {
+			names[id] = true
+			if internal && id.IsExported() {
+				declared[id.Name] = append(declared[id.Name], decl{f.Name.Name + "." + key, fset.Position(id.Pos())})
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				key := d.Name.Name
+				if d.Recv != nil {
+					typ := d.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if ix, ok := typ.(*ast.IndexExpr); ok {
+						typ = ix.X
+					}
+					key = typ.(*ast.Ident).Name + "." + key
+				}
+				add(d.Name, key)
+				if d.Recv != nil { // a method does not use its own receiver type
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							names[id] = true
+						}
+						return true
+					})
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name, spec.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add(id, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	used := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !names[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+
+	known := map[string]bool{}
+	for _, name := range slices.Sorted(maps.Keys(declared)) {
+		for _, d := range declared[name] {
+			switch {
+			case knownTestOnly[d.key]:
+				known[d.key] = true
+				if used[name] {
+					t.Errorf("%s: %s is no longer test-only — take it off knownTestOnly", d.pos, d.key)
+				}
+			case used[name] || exemptNames[name] != "" || exemptNames[d.key] != "":
+			default:
+				t.Errorf("%s: %s has no caller outside tests — delete it, or give it one", d.pos, d.key)
+			}
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(knownTestOnly)) {
+		if !known[key] {
+			t.Errorf("%s is declared nowhere under internal/ — take it off knownTestOnly", key)
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(exemptNames)) {
+		if _, ok := declared[key[strings.LastIndex(key, ".")+1:]]; !ok {
+			t.Errorf("exempt name %s is declared nowhere under internal/ — take it off exemptNames", key)
+		}
+	}
+	t.Logf("%d exported identifiers under internal/, %d exempt, %d known test-only", len(declared), len(exemptNames), len(knownTestOnly))
 }
 
 // ctxFlowCases holds every shape the check must flag (marked "flagged")
