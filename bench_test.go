@@ -312,10 +312,9 @@ func (m dispatchModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, err
 // argument (Section II-C): fixed per-dispatch cost is paid once per
 // batch instead of once per request. On CPU-only hosts the real
 // per-pass cost is just allocation + scheduling hops + the flush
-// timer, so — exactly like ensemble.Config.TaskOverhead models
-// Merlin's per-task scheduler cost — dispatchModel adds the
-// kernel-launch/RPC overhead of a production accelerator deployment
-// (20µs is the order of a CUDA launch plus inference-server hop).
+// timer, so dispatchModel adds the kernel-launch/RPC overhead of a
+// production accelerator deployment (20µs is the order of a CUDA launch
+// plus inference-server hop).
 func benchServe(b *testing.B, maxBatch int) {
 	g := jag.Config{ImageSize: 4, Views: 3, Channels: 2}
 	cfg := cyclegan.DefaultConfig(g)

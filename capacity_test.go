@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -71,14 +72,23 @@ func lowLoadBracket(t *testing.T, path string, rep perfmodel.ServingReport, meas
 	if rep.Saturated {
 		t.Fatalf("%s: low-load scenario saturated: %+v", path, rep)
 	}
+	var mem runtime.MemStats
 	for round := 1; ; round++ {
+		runtime.ReadMemStats(&mem)
+		gcBefore := mem.NumGC
 		snap := measure()
+		runtime.ReadMemStats(&mem)
 		r50 := snap.LatencyP50Ms / 1e3 / rep.P50
 		r99 := snap.LatencyP99Ms / 1e3 / rep.P99
 		in50 := r50 >= 1/capP50Within && r50 <= capP50Within
 		in99 := r99 >= 1/capP99Within && r99 <= capP99Within
 		t.Logf("%s round %d: p50 %.3fms vs predicted %.3fms (ratio %.2f, tolerance %.1fx), p99 %.3fms vs %.3fms (ratio %.2f, tolerance %.1fx)",
 			path, round, snap.LatencyP50Ms, 1e3*rep.P50, r50, capP50Within, snap.LatencyP99Ms, 1e3*rep.P99, r99, capP99Within)
+		// Where a slow tail comes from: each stage's own p99, and whether
+		// the collector ran while the round was measured.
+		t.Logf("%s round %d: stage p99 queue_wait %.3fms, batch_assembly %.3fms, forward %.3fms; %d GC cycles",
+			path, round, snap.Stages[serve.StageQueueWait].P99Ms, snap.Stages[serve.StageAssembly].P99Ms,
+			snap.Stages[serve.StageForward].P99Ms, mem.NumGC-gcBefore)
 		if in50 && in99 {
 			return snap
 		}

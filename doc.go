@@ -79,8 +79,8 @@
 // where a ctx was at hand, TestCtxFlow pins that check's shapes, and
 // TestMetricName scrapes a live proxy and its backends for canonical
 // jag_* families, and TestExportedNamesHaveCallers fails on an exported
-// internal/ name that only tests call; docs/STATIC_ANALYSIS.md documents
-// each.
+// internal/ name that only tests call, with exemptNames its one exception
+// list; docs/STATIC_ANALYSIS.md documents each.
 //
 // Start with README.md for the layout and quickstart, docs/SERVING.md
 // and docs/FLEET.md for the serving and fleet operator guides, and

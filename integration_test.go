@@ -110,9 +110,15 @@ func TestEndToEndDiskBackedLTFB(t *testing.T) {
 		if tc.Rank() == 0 {
 			before[trainerID] = loss
 		}
-		if _, err := m.Loop(4); err != nil {
-			t.Error(err)
-			return
+		for round := 0; round < 4; round++ {
+			if err := tr.Advance(m.Cfg.RoundSteps); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := m.Tournament(round); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 		loss, err = tr.Evaluate(val, 16)
 		if err != nil {

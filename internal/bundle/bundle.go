@@ -99,7 +99,7 @@ func (w *writer) flush() error {
 }
 
 // Reader provides random per-sample access to one bundle file. It is safe
-// for concurrent Sample calls (reads use ReadAt).
+// for concurrent SampleInto calls (reads use ReadAt).
 type Reader struct {
 	f     *os.File
 	path  string
@@ -149,15 +149,6 @@ func (r *Reader) NumSamples() int { return r.count }
 
 // Dim returns the per-sample width.
 func (r *Reader) Dim() int { return r.dim }
-
-// Sample reads sample i into a fresh slice.
-func (r *Reader) Sample(i int) ([]float32, error) {
-	out := make([]float32, r.dim)
-	if err := r.SampleInto(i, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // SampleInto reads sample i into dst, which must have length Dim.
 func (r *Reader) SampleInto(i int, dst []float32) error {

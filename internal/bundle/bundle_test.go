@@ -35,9 +35,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.NumSamples() != 37 || r.Dim() != 11 {
 		t.Fatalf("header says %d samples x %d, want 37x11", r.NumSamples(), r.Dim())
 	}
+	got := make([]float32, r.Dim())
 	for i := range recs {
-		got, err := r.Sample(i)
-		if err != nil {
+		if err := r.SampleInto(i, got); err != nil {
 			t.Fatal(err)
 		}
 		for j := range got {
@@ -89,7 +89,7 @@ func TestEmptyBundle(t *testing.T) {
 	if r.NumSamples() != 0 {
 		t.Fatalf("empty bundle has %d samples", r.NumSamples())
 	}
-	if _, err := r.Sample(0); err == nil {
+	if err := r.SampleInto(0, nil); err == nil {
 		t.Fatal("reading from empty bundle must error")
 	}
 }
@@ -113,10 +113,10 @@ func TestSampleBoundsAndDstWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Sample(-1); err == nil {
+	if err := r.SampleInto(-1, make([]float32, 3)); err == nil {
 		t.Fatal("negative index must error")
 	}
-	if _, err := r.Sample(4); err == nil {
+	if err := r.SampleInto(4, make([]float32, 3)); err == nil {
 		t.Fatal("out-of-range index must error")
 	}
 	if err := r.SampleInto(0, make([]float32, 2)); err == nil {
@@ -181,10 +181,10 @@ func TestConcurrentSampleReads(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			got := make([]float32, r.Dim())
 			for k := 0; k < 200; k++ {
 				i := rng.Intn(64)
-				got, err := r.Sample(i)
-				if err != nil {
+				if err := r.SampleInto(i, got); err != nil {
 					errs <- err
 					return
 				}

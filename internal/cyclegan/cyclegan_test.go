@@ -263,8 +263,15 @@ func TestDiscriminatorLearnsToSeparate(t *testing.T) {
 	}
 	zReal := s.Encoder.Forward(y, false)
 	zFake := s.Forward.Forward(x, false)
-	realMean := tensor.Mean(s.Disc.Forward(zReal, false))
-	fakeMean := tensor.Mean(s.Disc.Forward(zFake, false))
+	mean := func(m *tensor.Matrix) float64 {
+		var sum float64
+		for _, v := range m.Data {
+			sum += float64(v)
+		}
+		return sum / float64(len(m.Data))
+	}
+	realMean := mean(s.Disc.Forward(zReal, false))
+	fakeMean := mean(s.Disc.Forward(zFake, false))
 	if !(realMean > fakeMean) {
 		t.Fatalf("discriminator not separating: real %v vs fake %v", realMean, fakeMean)
 	}
@@ -515,7 +522,7 @@ func TestTrainStepMatchesAllocatingReference(t *testing.T) {
 	// returns is the caller's and survives the next step.
 	x, y := batch(cfg, 0, 32)
 	pred := got.Predict(x)
-	keep := pred.Clone()
+	keep := tensor.FromSlice(pred.Rows, pred.Cols, slices.Clone(pred.Data))
 	got.TrainStep(x, y, nopReducer{})
 	if !pred.Equal(keep) {
 		t.Fatal("a train step wrote over a matrix Predict had returned")

@@ -28,15 +28,6 @@ func New() *Sim { return &Sim{} }
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Schedule runs fn at Now()+delay. Negative delays panic: the past is
-// immutable in a DES.
-func (s *Sim) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: invalid delay %v", delay))
-	}
-	s.At(s.now+delay, fn)
-}
-
 // At runs fn at absolute time t, which must not precede Now().
 func (s *Sim) At(t float64, fn func()) {
 	if t < s.now {
@@ -49,33 +40,12 @@ func (s *Sim) At(t float64, fn func()) {
 // Run processes events until the queue is empty and returns the final time.
 func (s *Sim) Run() float64 {
 	for s.queue.Len() > 0 {
-		s.step()
+		ev := heap.Pop(&s.queue).(*event)
+		s.now = ev.time
+		ev.fn()
 	}
 	return s.now
 }
-
-// RunUntil processes events with time ≤ t, then advances the clock to t
-// (even if idle) and returns the number of events processed.
-func (s *Sim) RunUntil(t float64) int {
-	n := 0
-	for s.queue.Len() > 0 && s.queue[0].time <= t {
-		s.step()
-		n++
-	}
-	if t > s.now {
-		s.now = t
-	}
-	return n
-}
-
-func (s *Sim) step() {
-	ev := heap.Pop(&s.queue).(*event)
-	s.now = ev.time
-	ev.fn()
-}
-
-// Pending returns the number of scheduled events not yet fired.
-func (s *Sim) Pending() int { return s.queue.Len() }
 
 type event struct {
 	time float64
@@ -150,19 +120,4 @@ func (sv *Server) Submit(dur float64, done func(start, end float64)) {
 			done(start, end)
 		}
 	})
-}
-
-// FreeAt returns the earliest time a channel becomes available, never before
-// Now(); a caller can use it to estimate queueing delay.
-func (sv *Server) FreeAt() float64 {
-	best := sv.freeAt[0]
-	for _, t := range sv.freeAt[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	if best < sv.sim.now {
-		best = sv.sim.now
-	}
-	return best
 }

@@ -10,9 +10,9 @@ import (
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
 	var order []int
-	s.Schedule(3, func() { order = append(order, 3) })
-	s.Schedule(1, func() { order = append(order, 1) })
-	s.Schedule(2, func() { order = append(order, 2) })
+	s.At(3, func() { order = append(order, 3) })
+	s.At(1, func() { order = append(order, 1) })
+	s.At(2, func() { order = append(order, 2) })
 	end := s.Run()
 	if !reflect.DeepEqual(order, []int{1, 2, 3}) {
 		t.Fatalf("order = %v", order)
@@ -25,9 +25,9 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 func TestTieBreakBySchedulingOrder(t *testing.T) {
 	s := New()
 	var order []string
-	s.Schedule(5, func() { order = append(order, "a") })
-	s.Schedule(5, func() { order = append(order, "b") })
-	s.Schedule(5, func() { order = append(order, "c") })
+	s.At(5, func() { order = append(order, "a") })
+	s.At(5, func() { order = append(order, "b") })
+	s.At(5, func() { order = append(order, "c") })
 	s.Run()
 	if !reflect.DeepEqual(order, []string{"a", "b", "c"}) {
 		t.Fatalf("order = %v", order)
@@ -37,9 +37,9 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := New()
 	var times []float64
-	s.Schedule(1, func() {
+	s.At(1, func() {
 		times = append(times, s.Now())
-		s.Schedule(2, func() { times = append(times, s.Now()) })
+		s.At(s.Now()+2, func() { times = append(times, s.Now()) })
 	})
 	s.Run()
 	if !reflect.DeepEqual(times, []float64{1, 3}) {
@@ -49,7 +49,7 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestScheduleInPastPanics(t *testing.T) {
 	s := New()
-	s.Schedule(10, func() {})
+	s.At(10, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
@@ -57,44 +57,6 @@ func TestScheduleInPastPanics(t *testing.T) {
 		}
 	}()
 	s.At(5, func() {})
-}
-
-func TestInvalidDelayPanics(t *testing.T) {
-	s := New()
-	for _, d := range []float64{-1, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("delay %v must panic", d)
-				}
-			}()
-			s.Schedule(d, func() {})
-		}()
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	fired := 0
-	for i := 1; i <= 5; i++ {
-		s.Schedule(float64(i), func() { fired++ })
-	}
-	n := s.RunUntil(3)
-	if n != 3 || fired != 3 {
-		t.Fatalf("RunUntil processed %d (fired %d), want 3", n, fired)
-	}
-	if s.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", s.Pending())
-	}
-	// Advancing an idle sim moves the clock.
-	s.Run()
-	s.RunUntil(100)
-	if s.Now() != 100 {
-		t.Fatalf("idle advance gave %v", s.Now())
-	}
 }
 
 func TestServerSingleChannelFIFO(t *testing.T) {
@@ -130,7 +92,7 @@ func TestServerSubmitAfterIdle(t *testing.T) {
 	sv := NewServer(s, 1)
 	var end2 float64
 	sv.Submit(5, nil)
-	s.Schedule(100, func() {
+	s.At(100, func() {
 		sv.Submit(5, func(start, end float64) {
 			if start != 100 {
 				t.Errorf("start = %v, want 100 (no service in idle gap)", start)
@@ -152,25 +114,14 @@ func TestServerInFlight(t *testing.T) {
 	if sv.InFlight != 2 {
 		t.Fatalf("InFlight = %d, want 2", sv.InFlight)
 	}
-	s.RunUntil(15)
-	if sv.InFlight != 1 {
-		t.Fatalf("InFlight after first completion = %d, want 1", sv.InFlight)
-	}
+	var between int
+	s.At(15, func() { between = sv.InFlight })
 	s.Run()
+	if between != 1 {
+		t.Fatalf("InFlight after first completion = %d, want 1", between)
+	}
 	if sv.InFlight != 0 {
 		t.Fatalf("InFlight at end = %d", sv.InFlight)
-	}
-}
-
-func TestServerFreeAt(t *testing.T) {
-	s := New()
-	sv := NewServer(s, 1)
-	if sv.FreeAt() != 0 {
-		t.Fatalf("idle FreeAt = %v", sv.FreeAt())
-	}
-	sv.Submit(7, nil)
-	if sv.FreeAt() != 7 {
-		t.Fatalf("busy FreeAt = %v, want 7", sv.FreeAt())
 	}
 }
 
@@ -212,7 +163,7 @@ func TestSimulationDeterminism(t *testing.T) {
 		var ends []float64
 		for i := 0; i < 20; i++ {
 			dur := float64((i*7)%5 + 1)
-			s.Schedule(float64(i%4), func() {
+			s.At(float64(i%4), func() {
 				sv.Submit(dur, func(_, end float64) { ends = append(ends, end) })
 			})
 		}
@@ -229,7 +180,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for j := 0; j < 1000; j++ {
-			s.Schedule(float64(j%17), func() {})
+			s.At(float64(j%17), func() {})
 		}
 		s.Run()
 	}

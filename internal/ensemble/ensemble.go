@@ -4,9 +4,7 @@
 // the paper, 10,000 files for the 10M-sample corpus. The paper's Merlin
 // system exists because JAG is so fast that scheduler overhead dominates a
 // naive one-job-per-simulation workflow; this package reproduces that
-// economics with a worker pool that batches simulations file-at-a-time, and
-// exposes a per-task overhead knob so the benchmark can show the
-// batched-vs-naive gap.
+// economics with a worker pool that batches simulations file-at-a-time.
 package ensemble
 
 import (
@@ -33,9 +31,6 @@ type Config struct {
 	OutDir string
 	// Workers is the worker-pool width; 0 means one.
 	Workers int
-	// TaskOverhead simulates scheduler cost per dispatched task (the
-	// Merlin motivation); zero for library use.
-	TaskOverhead time.Duration
 }
 
 // Validate reports whether the campaign is well-formed.
@@ -86,9 +81,6 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for f := range tasks {
-				if cfg.TaskOverhead > 0 {
-					time.Sleep(cfg.TaskOverhead)
-				}
 				paths[f], errs[f] = writeFile(cfg, f)
 			}
 		}()

@@ -2,7 +2,6 @@ package ensemble
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/jag"
 	"repro/internal/reader"
@@ -80,24 +79,6 @@ func TestRunValidation(t *testing.T) {
 	bad := Config{Geometry: jag.Config{}, Samples: 5, SamplesPerFile: 5, OutDir: t.TempDir()}
 	if _, err := Run(bad); err == nil {
 		t.Fatal("invalid geometry must error")
-	}
-}
-
-func TestTaskOverheadSlowsCampaign(t *testing.T) {
-	base := Config{Geometry: jag.Tiny8, Samples: 8, SamplesPerFile: 2, OutDir: t.TempDir(), Workers: 1}
-	fast, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowCfg := base
-	slowCfg.OutDir = t.TempDir()
-	slowCfg.TaskOverhead = 30 * time.Millisecond
-	slow, err := Run(slowCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Elapsed < fast.Elapsed+100*time.Millisecond {
-		t.Fatalf("scheduler overhead not visible: %v vs %v", slow.Elapsed, fast.Elapsed)
 	}
 }
 

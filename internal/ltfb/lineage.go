@@ -27,14 +27,6 @@ func (l Lineage) Add(id int) {
 	l[id/8] |= 1 << (id % 8)
 }
 
-// Has reports whether trainer id has been visited.
-func (l Lineage) Has(id int) bool {
-	if id < 0 || id >= len(l)*8 {
-		return false
-	}
-	return l[id/8]&(1<<(id%8)) != 0
-}
-
 // Merge ors other into l; both must have the same size.
 func (l Lineage) Merge(other Lineage) {
 	for i := range l {
@@ -43,17 +35,3 @@ func (l Lineage) Merge(other Lineage) {
 		}
 	}
 }
-
-// Count returns the number of visited silos.
-func (l Lineage) Count() int {
-	n := 0
-	for _, b := range l {
-		for ; b != 0; b &= b - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns an independent copy.
-func (l Lineage) Clone() Lineage { return append(Lineage(nil), l...) }

@@ -235,23 +235,3 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 	res.PeerLoss = float64(scores[1])
 	return res, nil
 }
-
-// Loop alternates RoundSteps of training with a tournament, for the given
-// number of rounds, returning the per-round results.
-func (m *Member) Loop(rounds int) ([]RoundResult, error) {
-	if err := m.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]RoundResult, 0, rounds)
-	for r := 0; r < rounds; r++ {
-		if err := m.T.Advance(m.Cfg.RoundSteps); err != nil {
-			return out, err
-		}
-		res, err := m.Tournament(r)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

@@ -171,6 +171,24 @@ func buildPopulation(t *testing.T, cfg Config, ranksPer int, preSteps []int, fn 
 	return members
 }
 
+// playRounds alternates RoundSteps of training with a tournament for the
+// given number of rounds, as core.RunPopulation does, and returns this
+// trainer's per-round results.
+func playRounds(m *Member, rounds int) ([]RoundResult, error) {
+	var out []RoundResult
+	for r := 0; r < rounds; r++ {
+		if err := m.T.Advance(m.Cfg.RoundSteps); err != nil {
+			return out, err
+		}
+		res, err := m.Tournament(r)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
 func forwardWeights(m *Member) []byte {
 	return nn.MarshalNetworks(m.T.Model.ExchangeNets())
 }
@@ -286,36 +304,6 @@ func TestOddTrainerCountSitsOut(t *testing.T) {
 	}
 }
 
-func TestLoopAlternatesTrainingAndTournaments(t *testing.T) {
-	cfg := Config{NumTrainers: 2, RoundSteps: 2, PairSeed: 8, Metric: MetricEval}
-	var logged []RoundResult
-	buildPopulation(t, cfg, 1, nil, func(m *Member) {
-		logs, err := m.Loop(3)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if m.TrainerID == 0 {
-			logged = logs
-		}
-	})
-	if len(logged) != 3 {
-		t.Fatalf("loop logged %d rounds, want 3", len(logged))
-	}
-	for i, r := range logged {
-		if r.Round != i {
-			t.Fatalf("round numbering wrong: %+v", logged)
-		}
-	}
-}
-
-func TestLoopRejectsInvalidConfig(t *testing.T) {
-	m := &Member{Cfg: Config{NumTrainers: 0, RoundSteps: 1}}
-	if _, err := m.Loop(1); err == nil {
-		t.Fatal("invalid config must error")
-	}
-}
-
 // A model without an AdversarialScorer must fall back to MetricEval instead
 // of failing.
 func TestAdversarialMetricFallsBackToEval(t *testing.T) {
@@ -338,7 +326,7 @@ func TestAdversarialMetricFallsBackToEval(t *testing.T) {
 func TestManyRoundsSoak(t *testing.T) {
 	cfg := Config{NumTrainers: 4, RoundSteps: 1, PairSeed: 31, Metric: MetricEval}
 	buildPopulation(t, cfg, 1, nil, func(m *Member) {
-		logs, err := m.Loop(10)
+		logs, err := playRounds(m, 10)
 		if err != nil {
 			t.Error(err)
 			return

@@ -85,9 +85,6 @@ func (c *Counter) Add(n uint64) { c.s.val.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.s.val.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.s.val.Load() }
-
 // Gauge is a value that can go up and down. Updates are lock-free.
 type Gauge struct{ s *series }
 

@@ -64,8 +64,8 @@ func TestRegistrySameSeriesSharedHandle(t *testing.T) {
 	c2 := r.Counter("x_total", "", Labels{"model": "a"})
 	c1.Inc()
 	c2.Add(2)
-	if c1.Value() != 3 {
-		t.Fatalf("handles not shared: %d", c1.Value())
+	if c1.s.val.Load() != 3 {
+		t.Fatalf("handles not shared: %d", c1.s.val.Load())
 	}
 }
 
@@ -128,8 +128,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := r.Counter("c_total", "", Labels{"g": "a"}).Value() +
-		r.Counter("c_total", "", Labels{"g": "b"}).Value(); got != 800 {
+	if got := r.Counter("c_total", "", Labels{"g": "a"}).s.val.Load() +
+		r.Counter("c_total", "", Labels{"g": "b"}).s.val.Load(); got != 800 {
 		t.Fatalf("lost updates: %d", got)
 	}
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -67,15 +66,6 @@ func (n *Network) Params() []*Param {
 // a network that has not trained before.
 func (n *Network) ZeroGrad() { ZeroGrad(n.Params()) }
 
-// NumParams returns the total number of trainable scalars.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W.Data)
-	}
-	return total
-}
-
 // CopyWeightsFrom overwrites n's weights with src's. The two networks must
 // have identical parameter shapes (i.e. the same architecture); it panics
 // otherwise. Gradients are not copied.
@@ -88,20 +78,6 @@ func (n *Network) CopyWeightsFrom(src *Network) {
 	for i, p := range dst {
 		p.W.CopyFrom(from[i].W)
 	}
-}
-
-// GradNorm returns the Frobenius norm of the concatenated gradient, useful
-// for divergence diagnostics; a parameter that never trained contributes
-// nothing.
-func (n *Network) GradNorm() float64 {
-	var sq float64
-	for _, p := range n.Params() {
-		if p.Grad != nil {
-			v := tensor.Norm2(p.Grad)
-			sq += v * v
-		}
-	}
-	return math.Sqrt(sq)
 }
 
 // Activation names an elementwise nonlinearity for Spec-driven construction.

@@ -35,7 +35,7 @@ func gradCheck(t *testing.T, net *Network, lossFn lossFunc, inDim, outDim int, t
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	x := tensor.New(5, inDim)
-	tensor.FillGaussian(x, rng, 0, 1)
+	tensor.FillUniform(x, rng, -1, 1)
 	target := tensor.New(5, outDim)
 	tensor.FillUniform(target, rng, 0.1, 0.9)
 
@@ -228,7 +228,7 @@ func TestBCEWithLogitsStability(t *testing.T) {
 	if loss > 1e-6 {
 		t.Fatalf("confident correct predictions should have ~0 loss, got %v", loss)
 	}
-	if n := tensor.Norm2(g); math.IsNaN(n) || math.IsInf(n, 0) {
+	if slices.ContainsFunc(g.Data, func(v float32) bool { return math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) }) {
 		t.Fatal("gradient has NaN or Inf")
 	}
 }
@@ -242,35 +242,32 @@ func TestBCEWithLogitsChanceLevel(t *testing.T) {
 	}
 }
 
-func TestNumParamsAndGradNorm(t *testing.T) {
-	net := MLP("np", []int{3, 4, 2}, ActReLU, ActNone, rand.New(rand.NewSource(22)))
-	want := 3*4 + 4 + 4*2 + 2
-	if got := net.NumParams(); got != want {
-		t.Fatalf("NumParams = %d, want %d", got, want)
+func nonZero(v float32) bool { return v != 0 }
+
+// hasGradient reports whether any gradient of n holds a non-zero value.
+func hasGradient(n *Network) bool {
+	for _, p := range n.Params() {
+		if p.Grad != nil && slices.ContainsFunc(p.Grad.Data, nonZero) {
+			return true
+		}
 	}
-	if net.GradNorm() != 0 {
-		t.Fatal("fresh network must have zero grad norm")
+	return false
+}
+
+// numWeights counts n's trainable scalars.
+func numWeights(n *Network) int {
+	total := 0
+	for _, p := range n.Params() {
+		total += len(p.W.Data)
 	}
-	x := tensor.New(2, 3)
-	x.Fill(1)
-	target := tensor.New(2, 2)
-	pred := net.Forward(x, true)
-	_, dy := MSE(pred, target, nil)
-	net.Backward(dy)
-	if net.GradNorm() <= 0 {
-		t.Fatal("grad norm must be positive after backward")
-	}
-	net.ZeroGrad()
-	if net.GradNorm() != 0 {
-		t.Fatal("ZeroGrad must clear gradients")
-	}
+	return total
 }
 
 func BenchmarkMLPForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	net := MLP("bench", []int{64, 256, 256, 64}, ActLeakyReLU, ActNone, rng)
 	x := tensor.New(128, 64)
-	tensor.FillGaussian(x, rng, 0, 1)
+	tensor.FillUniform(x, rng, -1, 1)
 	target := tensor.New(128, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -340,7 +337,7 @@ func mustPanic(t *testing.T, name, want string, f func()) {
 func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	x := tensor.New(3, 4)
-	tensor.FillGaussian(x, rng, 0, 1)
+	tensor.FillUniform(x, rng, -1, 1)
 	dy := tensor.New(3, 4)
 	dy.Fill(1)
 	layers := []struct {
@@ -365,7 +362,7 @@ func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
 		// An inference pass on another batch between a training pass and
 		// its Backward leaves what the training pass kept alone.
 		other := tensor.New(7, 4)
-		tensor.FillGaussian(other, rng, 3, 2)
+		tensor.FillUniform(other, rng, 1, 5)
 		l.Forward(x, true, nil)
 		l.Forward(other, false, nil)
 		if again := l.Backward(dy, true, nil); !again.Equal(first) {
@@ -395,7 +392,7 @@ func TestConcurrentForwardOnOneNetwork(t *testing.T) {
 	xs := make([]*tensor.Matrix, workers)
 	for i := range xs {
 		xs[i] = tensor.New(1+i, 6) // batch sizes on both sides of the GEMM's parallel grain
-		tensor.FillGaussian(xs[i], rng, 0, 1)
+		tensor.FillUniform(xs[i], rng, -1, 1)
 	}
 	for _, net := range nets {
 		want := make([]*tensor.Matrix, workers)
@@ -436,7 +433,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 		}}
 	}
 	x := tensor.New(5, 4)
-	tensor.FillGaussian(x, rand.New(rand.NewSource(32)), 0, 1)
+	tensor.FillUniform(x, rand.New(rand.NewSource(32)), -1, 1)
 	target := tensor.New(5, 3)
 
 	net := build()
@@ -447,8 +444,8 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 			t.Fatalf("%s: Forward allocated a gradient", p.Name)
 		}
 	}
-	if net.GradNorm() != 0 {
-		t.Fatal("a network that never trained must have zero gradient norm")
+	if hasGradient(net) {
+		t.Fatal("a network that never trained must hold no gradient")
 	}
 
 	// Backward straight after Forward allocates and accumulates ...
@@ -458,7 +455,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	ref := build()
 	ref.ZeroGrad()
 	for _, p := range ref.Params() {
-		if p.Grad == nil || p.Grad.Rows != p.W.Rows || p.Grad.Cols != p.W.Cols || tensor.Norm2(p.Grad) != 0 {
+		if p.Grad == nil || p.Grad.Rows != p.W.Rows || p.Grad.Cols != p.W.Cols || slices.ContainsFunc(p.Grad.Data, nonZero) {
 			t.Fatalf("%s: ZeroGrad must leave a zeroed accumulator of the weight's shape", p.Name)
 		}
 	}
@@ -519,13 +516,13 @@ func TestGradSlabIsTheGradients(t *testing.T) {
 			copy(want[i], p.Grad.Data)
 		}
 	}
-	if dec.GradNorm() == 0 || enc.GradNorm() != 0 {
+	if !hasGradient(dec) || hasGradient(enc) {
 		t.Fatal("only the decoder has a gradient so far")
 	}
 
 	slab := GradSlab(group)
-	if len(slab) != enc.NumParams()+dec.NumParams() {
-		t.Fatalf("slab of %d floats for %d weights", len(slab), enc.NumParams()+dec.NumParams())
+	if len(slab) != numWeights(enc)+numWeights(dec) {
+		t.Fatalf("slab of %d floats for %d weights", len(slab), numWeights(enc)+numWeights(dec))
 	}
 	off := 0
 	for i, p := range group {
@@ -538,19 +535,19 @@ func TestGradSlabIsTheGradients(t *testing.T) {
 	if again := GradSlab(group); &again[0] != &slab[0] {
 		t.Fatal("a laid-out group was laid out again")
 	}
-	if sub := GradSlab(dec.Params()); &sub[0] != &slab[enc.NumParams()] || len(sub) != dec.NumParams() {
+	if sub := GradSlab(dec.Params()); &sub[0] != &slab[numWeights(enc)] || len(sub) != numWeights(dec) {
 		t.Fatal("a network's run of the group's slab is not its own slab")
 	}
 	if got := testing.AllocsPerRun(10, func() { GradSlab(group) }); got != 0 {
 		t.Fatalf("GradSlab on a laid-out group makes %v allocations", got)
 	}
 	dec.ZeroGrad()
-	if dec.GradNorm() != 0 || &GradSlab(group)[0] != &slab[0] {
+	if hasGradient(dec) || &GradSlab(group)[0] != &slab[0] {
 		t.Fatal("Network.ZeroGrad must clear its run of the slab in place")
 	}
 	slab[0], slab[len(slab)-1] = 1, 1
 	ZeroGrad(group)
-	if enc.GradNorm() != 0 || dec.GradNorm() != 0 {
+	if hasGradient(enc) || hasGradient(dec) {
 		t.Fatal("ZeroGrad must clear the whole slab")
 	}
 }
@@ -562,9 +559,9 @@ func TestBackwardInputSkipsParameterGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	net := MLP("through", []int{4, 6, 3}, ActLeakyReLU, ActSigmoid, rng)
 	x := tensor.New(5, 4)
-	tensor.FillGaussian(x, rng, 0, 1)
+	tensor.FillUniform(x, rng, -1, 1)
 	dy := tensor.New(5, 3)
-	tensor.FillGaussian(dy, rng, 0, 1)
+	tensor.FillUniform(dy, rng, -1, 1)
 
 	net.Forward(x, true)
 	dx := net.BackwardInput(dy)

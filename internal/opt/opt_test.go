@@ -64,11 +64,11 @@ func TestOptimizersReduceNetworkLoss(t *testing.T) {
 	net := nn.MLP("opt-adam", []int{3, 16, 1}, nn.ActTanh, nn.ActNone, rng)
 	o := NewAdam(0.01)
 	x := tensor.New(32, 3)
-	tensor.FillGaussian(x, rng, 0, 1)
+	tensor.FillUniform(x, rng, -1, 1)
 	target := tensor.New(32, 1)
 	for i := 0; i < 32; i++ {
 		v := x.At(i, 0)*x.At(i, 1) + x.At(i, 2)
-		target.Set(i, 0, v)
+		target.Data[i] = v
 	}
 	first, _ := nn.MSE(net.Forward(x, false), target, nil)
 	for i := 0; i < 150; i++ {
@@ -90,7 +90,7 @@ func BenchmarkAdamStep(b *testing.B) {
 	params := net.Params()
 	nn.ZeroGrad(params)
 	for _, p := range params {
-		tensor.FillGaussian(p.Grad, rng, 0, 0.01)
+		tensor.FillUniform(p.Grad, rng, -0.01, 0.01)
 	}
 	a := NewAdam(0.001)
 	b.ReportAllocs()
@@ -188,7 +188,8 @@ func TestAdamSlabMatchesPerParamReference(t *testing.T) {
 		}
 		for i, p := range gp {
 			if p.Grad != nil {
-				tensor.FillGaussian(p.Grad, rng, 0, math.Pow(10, float64(step%5-3)))
+				scale := math.Pow(10, float64(step%5-3))
+				tensor.FillUniform(p.Grad, rng, -scale, scale)
 				wp[i].Grad.CopyFrom(p.Grad)
 			}
 		}

@@ -95,14 +95,3 @@ func chunkOf(wg *sync.WaitGroup, fn func(start, end int), start, end int) {
 	defer wg.Done()
 	fn(start, end)
 }
-
-// ForEach runs fn(i) for every i in [0, n), parallelized with For using the
-// given grain. It is a convenience wrapper for loops whose body is already
-// chunky enough that per-index dispatch overhead does not matter.
-func ForEach(n, grain int, fn func(i int)) {
-	For(0, n, grain, func(start, end int) {
-		for i := start; i < end; i++ {
-			fn(i)
-		}
-	})
-}

@@ -61,17 +61,6 @@ func TestForNonPositiveGrain(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	const n = 257
-	var marks [n]int32
-	ForEach(n, 8, func(i int) { atomic.AddInt32(&marks[i], 1) })
-	for i, m := range marks {
-		if m != 1 {
-			t.Fatalf("index %d visited %d times, want 1", i, m)
-		}
-	}
-}
-
 // Property: for any range offset and size, every index is visited exactly once
 // regardless of grain.
 func TestForPartitionProperty(t *testing.T) {

@@ -62,19 +62,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Stats accumulates traffic counters for assertions and reporting.
-type Stats struct {
-	Opens     int64
-	Reads     int64
-	BytesRead int64
-}
-
 // FS is one simulated file system attached to a des.Sim.
 type FS struct {
-	sim   *des.Sim
-	p     Params
-	osts  []*des.Server
-	stats Stats
+	sim  *des.Sim
+	p    Params
+	osts []*des.Server
 }
 
 // New creates a file system on sim; it panics on invalid params.
@@ -88,9 +80,6 @@ func New(sim *des.Sim, p Params) *FS {
 	}
 	return fs
 }
-
-// Stats returns a snapshot of the traffic counters.
-func (fs *FS) Stats() Stats { return fs.stats }
 
 // OSTFor returns the OST index file fileID is stored on.
 func (fs *FS) OSTFor(fileID int) int {
@@ -119,7 +108,6 @@ func (fs *FS) effBandwidth(ost *des.Server) float64 {
 // Open charges a file-open (metadata) operation and fires done at the
 // completion instant.
 func (fs *FS) Open(fileID int, done func(t float64)) {
-	fs.stats.Opens++
 	ost := fs.osts[fs.OSTFor(fileID)]
 	ost.Submit(fs.p.OpenLatency, func(_, end float64) {
 		if done != nil {
@@ -144,8 +132,6 @@ func (fs *FS) read(fileID int, bytes, extraLatency float64, done func(t float64)
 	if bytes < 0 {
 		panic(fmt.Sprintf("pfs: negative read size %v", bytes))
 	}
-	fs.stats.Reads++
-	fs.stats.BytesRead += int64(bytes)
 	ost := fs.osts[fs.OSTFor(fileID)]
 	dur := extraLatency + bytes/fs.effBandwidth(ost)
 	ost.Submit(dur, func(_, end float64) {

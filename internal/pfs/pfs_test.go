@@ -45,9 +45,6 @@ func TestOpenChargesLatency(t *testing.T) {
 	if done != 1 {
 		t.Fatalf("open completed at %v, want 1", done)
 	}
-	if fs.Stats().Opens != 1 {
-		t.Fatalf("opens = %d", fs.Stats().Opens)
-	}
 }
 
 func TestSequentialReadBandwidth(t *testing.T) {
@@ -157,19 +154,6 @@ func TestAggregateScalingThenSaturation(t *testing.T) {
 	}
 	if t32, t4 := run(32), run(4); t32 <= t4 {
 		t.Fatalf("32 clients (%v) should exceed 4 clients (%v)", t32, t4)
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	sim := des.New()
-	fs := New(sim, testParams())
-	fs.Open(0, nil)
-	fs.ReadSequential(0, 100, nil)
-	fs.ReadRandom(1, 50, nil)
-	sim.Run()
-	st := fs.Stats()
-	if st.Opens != 1 || st.Reads != 2 || st.BytesRead != 150 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

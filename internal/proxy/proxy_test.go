@@ -8,11 +8,14 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,8 +98,28 @@ func postCall(t *testing.T, base string, hdr map[string]string) *http.Response {
 	return resp
 }
 
+// counterValue reads one counter series from the proxy's exposition, as a
+// /metrics scrape would; a series not created yet reads 0.
 func counterValue(p *Proxy, name string, labels metrics.Labels) uint64 {
-	return p.Metrics().Counter(name, "", labels).Value()
+	var b strings.Builder
+	if err := p.Metrics().WritePrometheus(&b); err != nil {
+		panic(err)
+	}
+	var pairs []string
+	for _, k := range slices.Sorted(maps.Keys(labels)) {
+		pairs = append(pairs, fmt.Sprintf("%s=%q", k, labels[k]))
+	}
+	series := name
+	if pairs != nil {
+		series += "{" + strings.Join(pairs, ",") + "}"
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, _ := strconv.ParseUint(v, 10, 64)
+			return n
+		}
+	}
+	return 0
 }
 
 func TestPickWeightedLeastLoaded(t *testing.T) {

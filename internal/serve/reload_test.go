@@ -563,7 +563,7 @@ func (c canaryModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error
 	}
 	y := tensor.New(x.Rows, 3)
 	if c.nanOut {
-		y.Set(0, 1, float32(math.NaN()))
+		y.Data[1] = float32(math.NaN()) // row 0, column 1
 	}
 	return y, nil
 }

@@ -19,11 +19,13 @@ const (
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C, the workhorse of every layer
 // forward and backward pass. Shapes after applying the ops must satisfy
-// op(A): m×k, op(B): k×n, C: m×n; Gemm panics otherwise. C must not share
-// memory with A or B — the kernels scale and write C while they still read
-// both — and Gemm panics if it does, whether through one *Matrix passed twice,
-// two Matrix values over one slice, or a SliceRows/Reshape view. A and B may
-// be the same matrix.
+// op(A): m×k, op(B): k×n, C: m×n; Gemm panics otherwise. At most one operand
+// may be transposed (a layer's forward pass and its two backward products
+// are A·B, Aᵀ·B and A·Bᵀ); Gemm panics on Aᵀ·Bᵀ. C must not share memory
+// with A or B — the kernels scale and write C while they still read both —
+// and Gemm panics if it does, whether through one *Matrix passed twice, two
+// Matrix values over one slice, or a SliceRows view. A and B may be the same
+// matrix.
 func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32) {
 	gemm(c, alpha, a, transA, b, transB, beta, planTiles)
 }
@@ -31,6 +33,9 @@ func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 // gemm is Gemm with the cut of C into tiles left to plan. Every cut gives the
 // same bits; tests hand it cuts planTiles never makes.
 func gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32, plan func(m, n, k, workers int) tiling) {
+	if transA == Trans && transB == Trans {
+		panic("tensor: Gemm takes at most one transposed operand")
+	}
 	m, ka := a.Rows, a.Cols
 	if transA == Trans {
 		m, ka = a.Cols, a.Rows
@@ -58,12 +63,10 @@ func gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 	}
 	kernel := gemmNN
 	switch {
-	case transA == Trans && transB == NoTrans:
+	case transA == Trans:
 		kernel = gemmTN
-	case transA == NoTrans && transB == Trans:
+	case transB == Trans:
 		kernel = gemmNT
-	case transA == Trans && transB == Trans:
-		kernel = gemmTT
 	}
 	t := plan(m, n, ka, parallel.Workers())
 	if t.tiles() == 1 {
@@ -91,7 +94,7 @@ func overlap(x, y []float32) bool {
 // MatMul computes C = A*B, zeroing C first.
 func MatMul(c, a, b *Matrix) { Gemm(c, 1, a, NoTrans, b, NoTrans, 0) }
 
-// The four kernels below each add alpha·op(A)·op(B) into one tile of C, rows
+// The three kernels below each add alpha·op(A)·op(B) into one tile of C, rows
 // [i0, i1) by columns [j0, j1), over the whole of k: the calls a full-width
 // pass would make, on sub-slices.
 
@@ -166,25 +169,6 @@ func gemmNT(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int) {
 		}
 		for ; j < j1; j++ {
 			ci[j] += float32(alpha * dot(ai, b.Data[j*k:(j+1)*k]))
-		}
-	}
-}
-
-// gemmTT: C += alpha * Aᵀ*Bᵀ. Rare; kept for completeness of the kernel set.
-func gemmTT(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int) {
-	k := a.Rows // op(A) is a.Cols × a.Rows
-	n := b.Rows
-	mA := a.Cols
-	kB := b.Cols
-	for i := i0; i < i1; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		for j := j0; j < j1; j++ {
-			bj := b.Data[j*kB : (j+1)*kB]
-			var sum float32
-			for p := 0; p < k; p++ {
-				sum += a.Data[p*mA+i] * bj[p]
-			}
-			ci[j] += alpha * sum
 		}
 	}
 }

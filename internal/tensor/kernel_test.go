@@ -22,10 +22,11 @@ func firstBitDiff(got, want []float32) int {
 	return -1
 }
 
-// gemmRef is Gemm as it was before the grouped kernels and the tiles: every
-// variant one scalar axpy or dot at a time over whole rows, serially. It is
-// the bit-level reference for Gemm (a tiling only cuts output rows and
-// columns, never k, so each element's serial order is the same order).
+// gemmRef is Gemm as it was before the grouped kernels and the tiles: each of
+// the three variants one scalar axpy or dot at a time over whole rows,
+// serially. It is the bit-level reference for Gemm (a tiling only cuts
+// output rows and columns, never k, so each element's serial order is the
+// same order).
 func gemmRef(c *Matrix, alpha float32, a *Matrix, ta Op, b *Matrix, tb Op, beta float32) {
 	m, n := c.Rows, c.Cols
 	k := a.Cols
@@ -42,28 +43,19 @@ func gemmRef(c *Matrix, alpha float32, a *Matrix, ta Op, b *Matrix, tb Op, beta 
 	}
 	for i := 0; i < m; i++ {
 		ci := c.Data[i*n : (i+1)*n]
-		switch {
-		case tb == NoTrans:
-			for p := 0; p < k; p++ {
-				aip := a.Data[i*k+p]
-				if ta == Trans {
-					aip = a.Data[p*m+i]
-				}
-				if s := alpha * aip; s != 0 {
-					axpy(s, b.Data[p*n:(p+1)*n], ci)
-				}
-			}
-		case ta == NoTrans:
+		if tb == Trans {
 			for j := range ci {
 				ci[j] += float32(alpha * dot(a.Data[i*k:(i+1)*k], b.Data[j*k:(j+1)*k]))
 			}
-		default:
-			for j := range ci {
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += a.Data[p*m+i] * b.Data[j*k+p]
-				}
-				ci[j] += alpha * sum
+			continue
+		}
+		for p := 0; p < k; p++ {
+			aip := a.Data[i*k+p]
+			if ta == Trans {
+				aip = a.Data[p*m+i]
+			}
+			if s := alpha * aip; s != 0 {
+				axpy(s, b.Data[p*n:(p+1)*n], ci)
 			}
 		}
 	}
@@ -85,7 +77,7 @@ var specials = []float32{
 func unalignedMatrix(rng *rand.Rand, rows, cols, off int) *Matrix {
 	backing := make([]float32, off+rows*cols)
 	m := &Matrix{Rows: rows, Cols: cols, Data: backing[off : off+rows*cols : off+rows*cols]}
-	FillGaussian(m, rng, 0, 1)
+	fillGaussian(m, rng)
 	return m
 }
 
@@ -150,7 +142,7 @@ func (gc gemmCase) check(t *testing.T) {
 			mat.Data[rng.Intn(len(mat.Data))] = specials[rng.Intn(len(specials))]
 		}
 	}
-	want := c.Clone()
+	want := clone(c)
 	gemmRef(want, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
 	plan := planTiles
 	if gc.cut.rows != 0 {
@@ -166,7 +158,8 @@ func (gc gemmCase) check(t *testing.T) {
 var (
 	gemmAlphas = []float32{1, 0.5, -1}
 	gemmBetas  = []float32{0, 1, 0.25}
-	gemmModes  = [][2]Op{{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans}}
+	// gemmModes are the op pairs Gemm takes; it panics on Aᵀ·Bᵀ.
+	gemmModes = [][2]Op{{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}}
 )
 
 // TestGemmMatchesScalarReferenceBitwise is the property the whole kernel
@@ -289,7 +282,7 @@ func FuzzGemmMatchesReference(f *testing.F) {
 	f.Add(int64(9), uint8(33), uint8(21), uint8(50), uint8(1), uint8(0), uint8(1), uint8(1), uint8(4), uint8(3), uint8(17), uint8(1), uint8(18), uint8(2))
 	f.Add(int64(10), uint8(20), uint8(40), uint8(67), uint8(3), uint8(1), uint8(2), uint8(6), uint8(1), uint8(15), uint8(7), uint8(7), uint8(66), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n, mode, alpha, beta, off, zero, special, chunk, rows, cols, width uint8) {
-		md := gemmModes[mode%4]
+		md := gemmModes[int(mode)%len(gemmModes)]
 		gc := gemmCase{
 			seed: seed, m: int(m % 68), k: int(k % 68), n: int(n % 68), ta: md[0], tb: md[1],
 			alpha: gemmAlphas[alpha%3], beta: gemmBetas[beta%3],

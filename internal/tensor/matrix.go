@@ -5,7 +5,7 @@
 // Matrices are row-major float32. Mini-batches are stored one sample per row,
 // so a Linear layer's forward pass is a single GEMM over the whole batch.
 //
-// Gemm is four row-streaming loops (one per transpose mode) run over a cut of
+// Gemm is three row-streaming loops (A·B, Aᵀ·B, A·Bᵀ) run over a cut of
 // the output that tile.go plans: blocks of rows by panels of columns, each
 // panel of B small enough to stay in L2 and no tile longer than about a
 // millisecond, issued in waves of one tile per worker through
@@ -51,18 +51,8 @@ func FromSlice(rows, cols int, data []float32) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // CopyFrom copies src's elements into m. The shapes must match.
 func (m *Matrix) CopyFrom(src *Matrix) {
@@ -84,33 +74,12 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// Reshape returns a view of m with a new shape covering the same backing
-// storage. It panics if the element counts differ.
-func (m *Matrix) Reshape(rows, cols int) *Matrix {
-	if rows*cols != m.Rows*m.Cols {
-		panic(fmt.Sprintf("tensor: cannot reshape %dx%d to %dx%d", m.Rows, m.Cols, rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: m.Data}
-}
-
 // SliceRows returns a view of rows [lo, hi) sharing storage with m.
 func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %d rows", lo, hi, m.Rows))
 	}
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = v
-		}
-	}
-	return out
 }
 
 // Equal reports whether m and other have identical shape and elements.

@@ -114,40 +114,6 @@ func ColSums(dst []float32, m *Matrix) {
 	}
 }
 
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func Sum(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements, or 0 for an empty matrix.
-func Mean(m *Matrix) float64 {
-	n := len(m.Data)
-	if n == 0 {
-		return 0
-	}
-	return Sum(m) / float64(n)
-}
-
-// Norm2 returns the Frobenius norm of m.
-func Norm2(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// FillGaussian fills m with N(mean, std²) samples from rng.
-func FillGaussian(m *Matrix, rng *rand.Rand, mean, std float64) {
-	for i := range m.Data {
-		m.Data[i] = float32(rng.NormFloat64()*std + mean)
-	}
-}
-
 // FillUniform fills m with samples drawn uniformly from [lo, hi).
 func FillUniform(m *Matrix, rng *rand.Rand, lo, hi float64) {
 	for i := range m.Data {

@@ -72,15 +72,6 @@ type Config struct {
 	ShuffleSeed int64
 }
 
-// Stats aggregates training progress.
-type Stats struct {
-	Steps  int
-	Epochs int
-	// Losses holds running means of the model's named losses over all
-	// steps taken so far.
-	Losses map[string]float64
-}
-
 // Trainer is one rank's view of a trainer. All ranks of the trainer must
 // call its collective methods (Advance, Evaluate) together.
 type Trainer struct {
@@ -93,7 +84,7 @@ type Trainer struct {
 	shuffler *reader.Shuffler
 	batches  [][]int
 	cursor   int
-	stats    Stats
+	epochs   int // epochs finished
 	// x and y hold this rank's share of the step's mini-batch: the store
 	// fills them, TrainStep reads them, and the next step overwrites them.
 	x, y *tensor.Matrix
@@ -122,20 +113,9 @@ func New(cfg Config, c *comm.Comm, model Model, store *datastore.Store, data rea
 		Store:    store,
 		Data:     data,
 		shuffler: reader.NewShuffler(data.Len(), cfg.ShuffleSeed),
-		stats:    Stats{Losses: map[string]float64{}},
 		x:        tensor.New(share, cfg.XDim),
 		y:        tensor.New(share, data.Dim()-cfg.XDim),
 	}, nil
-}
-
-// Stats returns a snapshot of training progress.
-func (t *Trainer) Stats() Stats {
-	out := t.stats
-	out.Losses = make(map[string]float64, len(t.stats.Losses))
-	for k, v := range t.stats.Losses {
-		out.Losses[k] = v
-	}
-	return out
 }
 
 // Reducer returns the gradient reducer for this trainer rank.
@@ -149,9 +129,9 @@ func (t *Trainer) Advance(n int) error {
 	for i := 0; i < n; i++ {
 		if t.cursor == len(t.batches) {
 			if t.batches != nil {
-				t.stats.Epochs++
+				t.epochs++
 			}
-			t.batches = reader.Batches(t.shuffler.Epoch(t.stats.Epochs), t.Cfg.BatchSize, true)
+			t.batches = reader.Batches(t.shuffler.Epoch(t.epochs), t.Cfg.BatchSize, true)
 			t.cursor = 0
 		}
 		batch := t.batches[t.cursor]
@@ -160,13 +140,7 @@ func (t *Trainer) Advance(n int) error {
 		if err := t.Store.Fetch(batch, t.x, t.y); err != nil {
 			return fmt.Errorf("trainer %d rank %d: %w", t.Cfg.ID, t.C.Rank(), err)
 		}
-		losses := t.Model.TrainStep(t.x, t.y, t.Reducer())
-		t.stats.Steps++
-		for k, v := range losses {
-			// Running mean over all steps.
-			old := t.stats.Losses[k]
-			t.stats.Losses[k] = old + (v-old)/float64(t.stats.Steps)
-		}
+		t.Model.TrainStep(t.x, t.y, t.Reducer())
 	}
 	return nil
 }

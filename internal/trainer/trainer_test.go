@@ -154,12 +154,8 @@ func TestAdvanceCrossesEpochs(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	st := trainers[0].Stats()
-	if st.Steps != 5 {
-		t.Fatalf("steps = %d, want 5", st.Steps)
-	}
-	if st.Epochs != 2 {
-		t.Fatalf("epochs = %d, want 2", st.Epochs)
+	if tr := trainers[0]; tr.epochs != 2 || tr.cursor != 1 {
+		t.Fatalf("after 5 steps: %d epochs done and step %d of the next, want 2 and 1", tr.epochs, tr.cursor)
 	}
 }
 
@@ -199,10 +195,6 @@ func TestTrainingReducesLossAndEval(t *testing.T) {
 	}
 	if !(after < before*0.95) {
 		t.Fatalf("training did not improve eval: %v -> %v", before, after)
-	}
-	losses := trainers[0].Stats().Losses
-	if losses["autoencoder"] <= 0 || losses["fidelity"] <= 0 {
-		t.Fatalf("running losses missing: %v", losses)
 	}
 }
 
@@ -419,7 +411,7 @@ func TestSlabReduceMatchesPackedReference(t *testing.T) {
 					nn.GradSlab(params)
 				}
 				for _, p := range params {
-					tensor.FillGaussian(p.Grad, rng, 0, 1)
+					tensor.FillUniform(p.Grad, rng, -1, 1)
 				}
 				if last {
 					params[1].Grad = nil

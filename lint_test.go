@@ -142,33 +142,18 @@ var exemptNames = map[string]string{
 	"ltfb.MetricEval":             "the zero Metric: a Config that sets none gets it",
 }
 
-// knownTestOnly are exported names under internal/ that only tests call
-// and that have not been deleted yet. The list only shrinks: a name that
-// gains a caller or disappears fails the test until it is taken off.
-var knownTestOnly = map[string]bool{
-	"des.Sim.Schedule":        true,
-	"des.Sim.RunUntil":        true,
-	"des.Sim.Pending":         true,
-	"des.Server.FreeAt":       true,
-	"ltfb.Member.Loop":        true,
-	"ltfb.Lineage.Has":        true,
-	"nn.Network.NumParams":    true,
-	"nn.Network.GradNorm":     true,
-	"parallel.ForEach":        true,
-	"tensor.Matrix.Reshape":   true,
-	"tensor.Matrix.Transpose": true,
-	"tensor.FillGaussian":     true,
-}
-
 // TestExportedNamesHaveCallers fails for every exported func, method,
-// type, var or const declared under internal/ whose identifier no
-// non-test file of the module uses (bench/, cmd/ and examples/ count).
-// Names match by identifier alone — a use of any Clone keeps every Clone
-// — so the check finds a lower bound of the test-only API.
+// type, var or const declared under internal/ that no non-test file of the
+// module uses (bench/, cmd/ and examples/ count). It parses and does not
+// type-check (docs/STATIC_ANALYSIS.md says why). A package-level name
+// matches exactly: bare in its own package, pkg.Name elsewhere. A method
+// matches by identifier — any x.Clone keeps every Clone method — so for
+// methods the check finds a lower bound of the test-only API.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	fset, files := moduleFiles(t)
 	type decl struct {
 		key string // pkg.Name or pkg.Type.Method
+		use string // the used key that counts as a caller: dir.Name, or a method's Name
 		pos token.Position
 	}
 	declared := map[string][]decl{} // identifier -> its declarations under internal/
@@ -179,7 +164,11 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		add := func(id *ast.Ident, key string) {
 			names[id] = true
 			if internal && id.IsExported() {
-				declared[id.Name] = append(declared[id.Name], decl{f.Name.Name + "." + key, fset.Position(id.Pos())})
+				use := filepath.ToSlash(filepath.Dir(path)) + "." + id.Name
+				if strings.Contains(key, ".") {
+					use = id.Name
+				}
+				declared[id.Name] = append(declared[id.Name], decl{f.Name.Name + "." + key, use, fset.Position(id.Pos())})
 			}
 		}
 		for _, d := range f.Decls {
@@ -219,34 +208,50 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			}
 		}
 	}
+	// used holds dir.Name for each use of a package-level name of dir — bare
+	// in dir's own files, through an import of dir elsewhere — and Name for
+	// every identifier a file uses except one selected through an import
+	// (slices.Clone), which counts only as that package's.
 	used := map[string]bool{}
 	for _, f := range files {
+		dir := filepath.ToSlash(filepath.Dir(fset.Position(f.Package).Filename))
+		imports := map[string]string{} // import name -> path, module-relative for the module's own
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name], _ = strings.CutPrefix(path, "repro/")
+		}
+		member := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !names[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if pkg, ok := imports[x.Name]; ok {
+						used[pkg+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				member[n.Sel] = true
+			case *ast.Ident:
+				if !names[n] {
+					used[n.Name] = true
+					if !member[n] {
+						used[dir+"."+n.Name] = true
+					}
+				}
 			}
 			return true
 		})
 	}
 
-	known := map[string]bool{}
 	for _, name := range slices.Sorted(maps.Keys(declared)) {
 		for _, d := range declared[name] {
-			switch {
-			case knownTestOnly[d.key]:
-				known[d.key] = true
-				if used[name] {
-					t.Errorf("%s: %s is no longer test-only — take it off knownTestOnly", d.pos, d.key)
-				}
-			case used[name] || exemptNames[name] != "" || exemptNames[d.key] != "":
-			default:
+			if !used[d.use] && exemptNames[name] == "" && exemptNames[d.key] == "" {
 				t.Errorf("%s: %s has no caller outside tests — delete it, or give it one", d.pos, d.key)
 			}
-		}
-	}
-	for _, key := range slices.Sorted(maps.Keys(knownTestOnly)) {
-		if !known[key] {
-			t.Errorf("%s is declared nowhere under internal/ — take it off knownTestOnly", key)
 		}
 	}
 	for _, key := range slices.Sorted(maps.Keys(exemptNames)) {
@@ -254,7 +259,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			t.Errorf("exempt name %s is declared nowhere under internal/ — take it off exemptNames", key)
 		}
 	}
-	t.Logf("%d exported identifiers under internal/, %d exempt, %d known test-only", len(declared), len(exemptNames), len(knownTestOnly))
+	t.Logf("%d exported identifiers under internal/, %d exempt", len(declared), len(exemptNames))
 }
 
 // ctxFlowCases holds every shape the check must flag (marked "flagged")
