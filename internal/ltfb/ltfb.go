@@ -169,9 +169,13 @@ func copyAllWeights(dst, src trainer.Model) {
 }
 
 // Tournament runs one round. Collective: every rank of every trainer must
-// call it with the same round number. It returns this trainer's result.
+// call it with the same round number. It returns this trainer's result, or
+// an error before any exchange when the configuration is invalid.
 func (m *Member) Tournament(round int) (RoundResult, error) {
 	res := RoundResult{Round: round, Partner: -1}
+	if err := m.Cfg.Validate(); err != nil {
+		return res, err
+	}
 	pairs := Pairing(m.Cfg.NumTrainers, m.Cfg.PairSeed, round)
 	partner := PartnerOf(pairs, m.TrainerID)
 	res.Partner = partner

@@ -94,6 +94,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// The training loop's tournament step refuses an invalid configuration
+// instead of sitting every trainer out.
+func TestLoopRejectsInvalidConfig(t *testing.T) {
+	m := &Member{Cfg: Config{NumTrainers: 0, RoundSteps: 1}}
+	if _, err := m.Tournament(0); err == nil {
+		t.Fatal("invalid config must error")
+	}
+}
+
 // tinySurrogate builds a small surrogate for tournament tests.
 func tinySurrogate(seed int64) *cyclegan.Surrogate {
 	cfg := cyclegan.DefaultConfig(jag.Tiny8)
