@@ -203,9 +203,10 @@ func BenchmarkFig13LTFBvsKIndependent(b *testing.B) {
 
 // --- Ablation benches (exchange policy and tournament interval) ---
 
-// benchExchange measures one LTFB tournament round with the given exchange
-// policy and reports the payload volume.
-func benchExchange(b *testing.B, full bool) {
+// BenchmarkAblationExchangeGeneratorOnly measures one LTFB tournament round
+// with the paper's generator-only exchange (discriminators stay local) and
+// reports the payload volume.
+func BenchmarkAblationExchangeGeneratorOnly(b *testing.B) {
 	cfgM := cyclegan.DefaultConfig(jag.Tiny8)
 	cfgM.EncoderHidden = []int{32}
 	cfgM.ForwardHidden = []int{16}
@@ -239,7 +240,7 @@ func benchExchange(b *testing.B, full bool) {
 				return
 			}
 			m := &ltfb.Member{
-				Cfg:       ltfb.Config{NumTrainers: 2, RoundSteps: 1, PairSeed: 3, ExchangeFull: full},
+				Cfg:       ltfb.Config{NumTrainers: 2, RoundSteps: 1, PairSeed: 3},
 				TrainerID: wc.Rank(), World: wc, T: tr,
 				Scratch: cyclegan.New(cfgM, 99), TournX: tx, TournY: ty,
 			}
@@ -247,24 +248,12 @@ func benchExchange(b *testing.B, full bool) {
 				b.Error(err)
 			}
 			if wc.Rank() == 0 {
-				if full {
-					payload = len(nn.MarshalNetworks(model.Nets()))
-				} else {
-					payload = len(nn.MarshalNetworks(model.ExchangeNets()))
-				}
+				payload = len(nn.MarshalNetworks(model.ExchangeNets()))
 			}
 		})
 	}
 	b.ReportMetric(float64(payload), "bytes/exchange")
 }
-
-// BenchmarkAblationExchangeGeneratorOnly measures the paper's generator-only
-// exchange (discriminators stay local).
-func BenchmarkAblationExchangeGeneratorOnly(b *testing.B) { benchExchange(b, false) }
-
-// BenchmarkAblationExchangeFullModel measures the full-model exchange the
-// paper avoids; compare bytes/exchange against generator-only.
-func BenchmarkAblationExchangeFullModel(b *testing.B) { benchExchange(b, true) }
 
 // benchInterval measures final quality at a fixed total step budget with
 // the given tournament interval.

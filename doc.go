@@ -78,9 +78,10 @@
 // catches a copied lock-free metric struct) and finds contexts minted
 // where a ctx was at hand, TestCtxFlow pins that check's shapes, and
 // TestMetricName scrapes a live proxy and its backends for canonical
-// jag_* families, and TestExportedNamesHaveCallers fails on an exported
-// internal/ name that only tests call, with exemptNames its one exception
-// list; docs/STATIC_ANALYSIS.md documents each.
+// jag_* families, and TestExportedNamesHaveCallers type-checks the module
+// and fails on an exported internal/ name that only tests reach, with
+// exemptNames its one exception list; docs/STATIC_ANALYSIS.md documents
+// each.
 //
 // Start with README.md for the layout and quickstart, docs/SERVING.md
 // and docs/FLEET.md for the serving and fleet operator guides, and

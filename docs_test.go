@@ -105,9 +105,9 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		// convention checks CI's static-analysis job runs by name; and
 		// docs/SERVING.md's hot-swap section, whose stalled-reader test
 		// shows a swap waits for no client.
-		"lint_test.go":                    {"func TestSuiteCleanOnRepo", "func TestCtxFlow", "func TestMetricName", "func TestExportedNamesHaveCallers", "var exemptNames"},
+		"lint_test.go":                    {"func TestSuiteCleanOnRepo", "func TestCtxFlow", "func TestMetricName", "func TestExportedNamesHaveCallers", "var exemptNames", "var stdInterfaces", "func typedModule"},
 		"internal/serve/registry_test.go": {"func TestStalledReaderDoesNotPinSwap"},
-		".github/workflows/ci.yml":        {"static-analysis:", "TestExportedNamesHaveCallers", "race-stress:", "gofmt -s -l", "examples/fleet", "ProxyOverhead", "GemmTN128", "FuzzGemmMatchesReference", "GOARCH=arm64 go vet"},
+		".github/workflows/ci.yml":        {"static-analysis:", "export data for the typed caller check", "TestExportedNamesHaveCallers", "race-stress:", "gofmt -s -l", "examples/fleet", "ProxyOverhead", "GemmTN128", "FuzzGemmMatchesReference", "GOARCH=arm64 go vet"},
 		// EXPERIMENTS.md's Kernels section and the verify notes.
 		"internal/tensor/kernel_test.go": {"func FuzzGemmMatchesReference", "func TestMicroKernelsMatchScalar"},
 		"internal/core/core_test.go":     {"func TestRunPopulationGolden"},

@@ -5,8 +5,10 @@
 // tournament winner) can resume where it stopped.
 //
 // Format: magic "CKP1" | uint64 step | network-set stream (nn.WriteNetworks).
-// Files are written atomically (temp file + rename), so a crash mid-write
-// never corrupts the previous checkpoint. Save and Load stream the weights
+// Files are written atomically (temp file + rename, WriteAtomic, which the
+// serving tier's spec sidecar goes through too) with mode 0644, so a crash
+// mid-write never corrupts the previous checkpoint and a server running as
+// another user can read the weights as it reads their spec. Save and Load stream the weights
 // between the networks and the file through fixed buffers, so neither holds
 // a copy of the file in memory however large the model is.
 package checkpoint
@@ -45,26 +47,38 @@ func write(w io.Writer, step int64, nets []*nn.Network) error {
 	return bw.Flush()
 }
 
-// Save writes the networks and step counter to path atomically.
+// Save writes the networks and step counter to path atomically
+// (WriteAtomic).
 func Save(path string, step int64, nets []*nn.Network) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
+	if err := WriteAtomic(path, func(w io.Writer) error { return write(w, step, nets) }); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	tmpName := tmp.Name()
-	if err := write(tmp, step, nets); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: write: %w", err)
+	return nil
+}
+
+// WriteAtomic writes the file at path as fill streams it, with mode 0644
+// whatever the umask: fill writes a temporary file in path's directory,
+// which is closed and renamed over path, so a reader of path sees the old
+// file or the new one and never half of one. On error the temporary file
+// is removed and path is left as it was.
+func WriteAtomic(path string, fill func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: close: %w", err)
+	stage, err := "write", fill(tmp)
+	if cerr := tmp.Close(); err == nil {
+		stage, err = "close", cerr
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: rename: %w", err)
+	if err == nil {
+		stage, err = "chmod", os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		stage, err = "rename", os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("%s: %w", stage, err)
 	}
 	return nil
 }

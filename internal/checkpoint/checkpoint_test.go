@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -89,6 +91,41 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want 1", len(entries))
+	}
+}
+
+// TestSavedCheckpointIsWorldReadable: a checkpoint lands with mode 0644,
+// like the spec beside it, so a server running as another user can load
+// it. A write that fails leaves the file before it as it was, and no
+// temporary file.
+func TestSavedCheckpointIsWorldReadable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := Save(path, 1, tinySurrogate(5).Nets()); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o644 {
+		t.Fatalf("checkpoint mode %v, want -rw-r--r--", info.Mode().Perm())
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(w io.Writer) error {
+		w.Write([]byte("half"))
+		return errors.New("disk full")
+	}
+	if err := WriteAtomic(path, fail); err == nil || err.Error() != "write: disk full" {
+		t.Fatalf("failed fill: error %v, want write: disk full", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a failed write changed the file (%v)", err)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("directory has %d entries after a failed write, want 1 (%v)", len(entries), err)
 	}
 }
 

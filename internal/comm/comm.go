@@ -10,7 +10,9 @@
 //
 //   - Point-to-point messages are matched by (source, tag) with the MPI
 //     non-overtaking guarantee: two messages from the same source with the
-//     same tag arrive in send order.
+//     same tag arrive in send order. Every receive names its source and its
+//     tag; there is no MPI_ANY_SOURCE or MPI_ANY_TAG, because no exchange
+//     of the reproduction waits for whichever peer speaks first.
 //   - Sends are eager and buffered: Send never blocks, so Sendrecv-style
 //     exchanges (the LTFB generator swap) cannot deadlock.
 //   - Collectives must be called by every rank of a communicator in the same
@@ -27,12 +29,6 @@ import (
 
 	"repro/internal/parallel"
 )
-
-// AnySource matches a message from any rank, like MPI_ANY_SOURCE.
-const AnySource = -1
-
-// AnyTag matches a message with any tag, like MPI_ANY_TAG.
-const AnyTag = -1
 
 // message is one in-flight point-to-point payload. Exactly one of floats and
 // bytes is non-nil.
@@ -64,15 +60,15 @@ func (m *mailbox) put(msg message) {
 	m.cond.Broadcast()
 }
 
-// get blocks until a message matching (src, tag) is available and removes it;
-// ok is false once the world has been aborted. Scanning front-to-back
-// preserves the non-overtaking order.
+// get blocks until a message from global rank src with tag is available and
+// removes it; ok is false once the world has been aborted. Scanning
+// front-to-back preserves the non-overtaking order.
 func (m *mailbox) get(src, tag int) (msg message, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.dead {
 		for i, msg := range m.msgs {
-			if (src == AnySource || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
+			if msg.src == src && msg.tag == tag {
 				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
 				return msg, true
 			}
@@ -152,9 +148,6 @@ func (w *World) abort(rank int, cause any) {
 		c.abort()
 	}
 }
-
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
 
 // Comm returns the world communicator handle for global rank r. Each rank
 // goroutine must use only its own handle.
@@ -236,9 +229,9 @@ func (c *Comm) sendRaw(dst, tag int, floats []float32, bytes []byte) {
 	c.world.mailboxes[g].put(message{src: c.group[c.rank], tag: tag, floats: floats, bytes: bytes})
 }
 
-// Recv blocks until a float payload with matching source and tag arrives and
-// returns it. src may be AnySource and tag may be AnyTag. Receiving a byte
-// payload with Recv is a programming error and panics.
+// Recv blocks until a float payload from local rank src with the given tag
+// arrives and returns it. Receiving a byte payload with Recv is a
+// programming error and panics.
 func (c *Comm) Recv(src, tag int) []float32 {
 	msg := c.recvRaw(src, tag)
 	if msg.bytes != nil {
@@ -247,7 +240,8 @@ func (c *Comm) Recv(src, tag int) []float32 {
 	return msg.floats
 }
 
-// RecvBytes blocks until a byte payload with matching source and tag arrives.
+// RecvBytes blocks until a byte payload from local rank src with the given
+// tag arrives.
 func (c *Comm) RecvBytes(src, tag int) []byte {
 	msg := c.recvRaw(src, tag)
 	if msg.floats != nil {
@@ -257,11 +251,7 @@ func (c *Comm) RecvBytes(src, tag int) []byte {
 }
 
 func (c *Comm) recvRaw(src, tag int) message {
-	gsrc := AnySource
-	if src != AnySource {
-		gsrc = c.group[src]
-	}
-	msg, ok := c.world.mailboxes[c.group[c.rank]].get(gsrc, tag)
+	msg, ok := c.world.mailboxes[c.group[c.rank]].get(c.group[src], tag)
 	if !ok {
 		panic(aborted{})
 	}

@@ -96,27 +96,6 @@ func TestTagMatching(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	w := NewWorld(3)
-	runWithTimeout(t, w, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			var sum float32
-			for i := 0; i < 2; i++ {
-				got := c.Recv(AnySource, AnyTag)
-				sum += got[0]
-			}
-			if sum != 3 {
-				t.Errorf("sum = %v, want 3", sum)
-			}
-		case 1:
-			c.Send(0, 11, []float32{1})
-		case 2:
-			c.Send(0, 22, []float32{2})
-		}
-	})
-}
-
 func TestBytesAndFloatsSeparateTypes(t *testing.T) {
 	w := NewWorld(2)
 	runWithTimeout(t, w, func(c *Comm) {

@@ -100,13 +100,8 @@ func FigureS1Table(cost perfmodel.ServingCost) *metrics.Table {
 // ROADMAP's "millions of users" target needs. Pass the cfg returned by
 // ProbeServingCost.
 func FigureS1PaperTable(cost perfmodel.ServingCost, probed cyclegan.Config) (*metrics.Table, error) {
-	tinyFlops, err := figS1Arch(probed).ServeFlopsPerRow(perfmodel.ServePredict)
-	if err != nil {
-		return nil, err
-	}
-	hostFlops := tinyFlops / cost.RowSec
-	paper, err := perfmodel.ServingCostFromArch(perfmodel.PaperArch(), perfmodel.ServePredict,
-		hostFlops, cost.PassSec)
+	hostFlops := figS1Arch(probed).ServeFlopsPerRow() / cost.RowSec
+	paper, err := perfmodel.ServingCostFromArch(perfmodel.PaperArch(), hostFlops, cost.PassSec)
 	if err != nil {
 		return nil, err
 	}

@@ -422,8 +422,8 @@ func TestSurrogateReadsAreConcurrent(t *testing.T) {
 func allocatingTrainStep(s *Surrogate, x, y *tensor.Matrix, r nn.Reducer) map[string]float64 {
 	losses := map[string]float64{}
 
-	s.Encoder.ZeroGrad()
-	s.Decoder.ZeroGrad()
+	nn.ZeroGrad(s.Encoder.Params())
+	nn.ZeroGrad(s.Decoder.Params())
 	z := s.Encoder.Forward(y, true)
 	yRec := s.Decoder.Forward(z, true)
 	aeLoss, dRec := weightedMAE(yRec, y, s.Cfg.ScalarWeight, nil)
@@ -435,7 +435,7 @@ func allocatingTrainStep(s *Surrogate, x, y *tensor.Matrix, r nn.Reducer) map[st
 
 	zReal := s.Encoder.Forward(y, false)
 	zFake := s.Forward.Forward(x, false)
-	s.Disc.ZeroGrad()
+	nn.ZeroGrad(s.Disc.Params())
 	logitsReal := s.Disc.Forward(zReal, true)
 	ones := tensor.New(logitsReal.Rows, 1)
 	ones.Fill(1)
@@ -449,8 +449,8 @@ func allocatingTrainStep(s *Surrogate, x, y *tensor.Matrix, r nn.Reducer) map[st
 	r.Reduce(s.Disc.Params())
 	s.optDisc.Step(s.Disc.Params())
 
-	s.Forward.ZeroGrad()
-	s.Inverse.ZeroGrad()
+	nn.ZeroGrad(s.Forward.Params())
+	nn.ZeroGrad(s.Inverse.Params())
 	zGen := s.Forward.Forward(x, true)
 	latLoss, dLat := nn.MSE(zGen, zReal, nil)
 	losses["latent"] = latLoss

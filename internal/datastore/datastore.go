@@ -114,13 +114,14 @@ func New(c *comm.Comm, ds reader.Dataset, mode Mode) *Store {
 func (s *Store) Stats() Stats { return s.stats }
 
 // assignPreloadOwnership maps every sample to a rank: by backing file when
-// the dataset is file-mapped (round-robin over files), by index otherwise.
+// the dataset is a set of bundle files (round-robin over files), by index
+// otherwise.
 func (s *Store) assignPreloadOwnership() {
 	size := int32(s.c.Size())
-	if fm, ok := s.ds.(reader.FileMapped); ok {
-		for f := 0; f < fm.NumFiles(); f++ {
+	if bd, ok := s.ds.(*reader.BundleDataset); ok {
+		for f := 0; f < bd.NumFiles(); f++ {
 			o := int32(f) % size
-			for _, i := range fm.FileSamples(f) {
+			for _, i := range bd.FileSamples(f) {
 				s.owner[i] = o
 			}
 		}

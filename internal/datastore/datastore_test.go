@@ -62,7 +62,7 @@ func runEpoch(t *testing.T, w *comm.World, ds reader.Dataset, batches [][]int, s
 	w.Run(func(c *comm.Comm) {
 		want := make([]float32, ds.Dim())
 		for _, batch := range batches {
-			mine, x, y := share(batch, w.Size(), c.Rank(), ds.Dim())
+			mine, x, y := share(batch, c.Size(), c.Rank(), ds.Dim())
 			if err := stores[c.Rank()].Fetch(batch, x, y); err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
@@ -81,10 +81,11 @@ func runEpoch(t *testing.T, w *comm.World, ds reader.Dataset, batches [][]int, s
 	})
 }
 
-func newStores(w *comm.World, ds reader.Dataset, mode Mode) []*Store {
-	stores := make([]*Store, w.Size())
+// newStores makes a world of the given ranks and a store on each rank.
+func newStores(ranks int, ds reader.Dataset, mode Mode) (*comm.World, []*Store) {
+	w, stores := comm.NewWorld(ranks), make([]*Store, ranks)
 	w.Run(func(c *comm.Comm) { stores[c.Rank()] = New(c, ds, mode) })
-	return stores
+	return w, stores
 }
 
 func epochBatches(n, batch int, seed int64, epoch int) [][]int {
@@ -95,8 +96,7 @@ func epochBatches(n, batch int, seed int64, epoch int) [][]int {
 
 func TestModeNoneAlwaysReadsBacking(t *testing.T) {
 	ds := makeBundleDS(t, 4, 8, 6)
-	w := comm.NewWorld(4)
-	stores := newStores(w, ds, ModeNone)
+	w, stores := newStores(4, ds, ModeNone)
 	for epoch := 0; epoch < 2; epoch++ {
 		runEpoch(t, w, ds, epochBatches(32, 8, 1, epoch), stores)
 	}
@@ -115,8 +115,7 @@ func TestModeNoneAlwaysReadsBacking(t *testing.T) {
 
 func TestDynamicCachesAfterFirstEpoch(t *testing.T) {
 	ds := makeBundleDS(t, 4, 8, 6)
-	w := comm.NewWorld(4)
-	stores := newStores(w, ds, ModeDynamic)
+	w, stores := newStores(4, ds, ModeDynamic)
 	// Epoch 0: identity order → all reads hit backing once.
 	runEpoch(t, w, ds, epochBatches(32, 8, 1, 0), stores)
 	var reads0 int64
@@ -145,8 +144,7 @@ func TestDynamicCachesAfterFirstEpoch(t *testing.T) {
 
 func TestPreloadOwnershipByFile(t *testing.T) {
 	ds := makeBundleDS(t, 6, 4, 5)
-	w := comm.NewWorld(3)
-	stores := newStores(w, ds, ModePreload)
+	w, stores := newStores(3, ds, ModePreload)
 	w.Run(func(c *comm.Comm) {
 		if err := stores[c.Rank()].Preload(); err != nil {
 			t.Error(err)
@@ -175,8 +173,7 @@ func TestPreloadOwnershipByFile(t *testing.T) {
 
 func TestPreloadRequiresPreloadMode(t *testing.T) {
 	ds := makeBundleDS(t, 2, 2, 5)
-	w := comm.NewWorld(2)
-	stores := newStores(w, ds, ModeDynamic)
+	_, stores := newStores(2, ds, ModeDynamic)
 	if err := stores[0].Preload(); err == nil {
 		t.Fatal("Preload outside ModePreload must error")
 	}
@@ -187,7 +184,8 @@ func TestPreloadRequiresPreloadMode(t *testing.T) {
 // check precedes the exchange, so a lone rank can make it.
 func TestFetchPartCountValidation(t *testing.T) {
 	ds := makeBundleDS(t, 2, 4, 5)
-	s := newStores(comm.NewWorld(2), ds, ModePreload)[1]
+	_, stores := newStores(2, ds, ModePreload)
+	s := stores[1]
 	batch := []int{0, 1, 2, 3, 4} // rank 1's share is two samples
 	for _, shape := range [][3]int{{3, 2, 3}, {2, 2, 2}, {2, 5, 1}} {
 		x, y := tensor.New(shape[0], shape[1]), tensor.New(shape[0], shape[2])
@@ -206,8 +204,7 @@ func TestFetchPartCountValidation(t *testing.T) {
 // returns the stores.
 func twoEpochs(t *testing.T, ds reader.Dataset, mode Mode, ranks int) []*Store {
 	t.Helper()
-	w := comm.NewWorld(ranks)
-	stores := newStores(w, ds, mode)
+	w, stores := newStores(ranks, ds, mode)
 	if mode == ModePreload {
 		w.Run(func(c *comm.Comm) {
 			if err := stores[c.Rank()].Preload(); err != nil {
@@ -297,8 +294,7 @@ func TestFetchSteadyStateAllocs(t *testing.T) {
 
 	// Rank 1 keeps step with rank 0 (each needs the other's rows), so it
 	// makes exactly the runs+1 calls AllocsPerRun makes.
-	w := comm.NewWorld(2)
-	stores := newStores(w, ds, ModePreload)
+	w, stores := newStores(2, ds, ModePreload)
 	w.Run(func(c *comm.Comm) {
 		s := stores[c.Rank()]
 		if err := s.Preload(); err != nil {
@@ -328,8 +324,7 @@ func TestFetchSteadyStateAllocs(t *testing.T) {
 
 func TestSingleRankStoreLocalOnly(t *testing.T) {
 	ds := makeBundleDS(t, 2, 4, 5)
-	w := comm.NewWorld(1)
-	stores := newStores(w, ds, ModePreload)
+	w, stores := newStores(1, ds, ModePreload)
 	w.Run(func(c *comm.Comm) {
 		s := stores[0]
 		if err := s.Preload(); err != nil {
@@ -354,8 +349,7 @@ func TestSingleRankStoreLocalOnly(t *testing.T) {
 
 func TestDynamicOwnershipConsistentAcrossRanks(t *testing.T) {
 	ds := makeBundleDS(t, 2, 8, 5)
-	w := comm.NewWorld(4)
-	stores := newStores(w, ds, ModeDynamic)
+	w, stores := newStores(4, ds, ModeDynamic)
 	runEpoch(t, w, ds, epochBatches(16, 8, 9, 0), stores)
 	for i := 0; i < 16; i++ {
 		o := stores[0].owner[i]

@@ -87,9 +87,6 @@ type Config struct {
 	// PairSeed seeds the per-round pairings; identical on all ranks.
 	PairSeed int64
 	Metric   Metric
-	// ExchangeFull ships every network instead of the generator subset —
-	// the exchange-volume ablation.
-	ExchangeFull bool
 }
 
 // Validate reports whether the configuration is usable.
@@ -142,14 +139,6 @@ type RoundResult struct {
 	Adopted   bool    // whether the incoming candidate replaced ours
 }
 
-// exchangeSet returns the networks shipped in tournaments for model.
-func (m *Member) exchangeSet(model trainer.Model) []*nn.Network {
-	if m.Cfg.ExchangeFull {
-		return model.Nets()
-	}
-	return model.ExchangeNets()
-}
-
 // score evaluates a candidate model on the local tournament set.
 func (m *Member) score(model trainer.Model) float64 {
 	if m.Cfg.Metric == MetricAdversarial {
@@ -185,7 +174,7 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 
 	ranksPer := m.World.Size() / m.Cfg.NumTrainers
 	lin := m.Lineage()
-	netsLen := nn.NetworksSize(m.exchangeSet(m.T.Model))
+	netsLen := nn.NetworksSize(m.T.Model.ExchangeNets())
 	payloadLen := netsLen + len(lin)
 	verdict := make([]byte, 1+payloadLen)
 
@@ -193,7 +182,7 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 		// Masters swap generator payloads across trainers (Figure 6b); the
 		// model's lineage bitset rides along after the weights.
 		tag := ltfbTagBase + round%(1<<10)
-		myBytes := append(nn.MarshalNetworks(m.exchangeSet(m.T.Model)), lin...)
+		myBytes := append(nn.MarshalNetworks(m.T.Model.ExchangeNets()), lin...)
 		partnerMaster := partner * ranksPer
 		incoming := m.World.SendrecvBytes(partnerMaster, myBytes, partnerMaster, tag)
 		if len(incoming) != payloadLen {
@@ -204,7 +193,7 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 		// model keeps our encoder and discriminator, adopts their
 		// generator.
 		copyAllWeights(m.Scratch, m.T.Model)
-		if err := nn.UnmarshalNetworks(m.exchangeSet(m.Scratch), incoming[:netsLen]); err != nil {
+		if err := nn.UnmarshalNetworks(m.Scratch.ExchangeNets(), incoming[:netsLen]); err != nil {
 			return res, fmt.Errorf("ltfb: trainer %d: %w", m.TrainerID, err)
 		}
 		res.LocalLoss = m.score(m.T.Model)
@@ -223,7 +212,7 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 	adopted := verdict[0] == 1
 	res.Adopted = adopted
 	if adopted {
-		if err := nn.UnmarshalNetworks(m.exchangeSet(m.T.Model), verdict[1:1+netsLen]); err != nil {
+		if err := nn.UnmarshalNetworks(m.T.Model.ExchangeNets(), verdict[1:1+netsLen]); err != nil {
 			return res, fmt.Errorf("ltfb: trainer %d adopt: %w", m.TrainerID, err)
 		}
 		// The adopted model has seen its previous silos; from now on it

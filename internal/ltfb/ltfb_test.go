@@ -273,21 +273,6 @@ func TestAdversarialMetricRuns(t *testing.T) {
 	})
 }
 
-func TestExchangeFullShipsEverything(t *testing.T) {
-	cfg := Config{NumTrainers: 2, RoundSteps: 1, PairSeed: 4, Metric: MetricEval, ExchangeFull: true}
-	members := buildPopulation(t, cfg, 1, []int{20, 0}, func(m *Member) {
-		if _, err := m.Tournament(0); err != nil {
-			t.Error(err)
-		}
-	})
-	// With full exchange the weaker trainer's discriminator also matches.
-	d0 := nn.MarshalNetworks([]*nn.Network{members[0].T.Model.(*cyclegan.Surrogate).Disc})
-	d1 := nn.MarshalNetworks([]*nn.Network{members[1].T.Model.(*cyclegan.Surrogate).Disc})
-	if string(d0) != string(d1) {
-		t.Fatal("ExchangeFull must ship the discriminator too")
-	}
-}
-
 func TestOddTrainerCountSitsOut(t *testing.T) {
 	cfg := Config{NumTrainers: 3, RoundSteps: 1, PairSeed: 7, Metric: MetricEval}
 	results := make([]RoundResult, 3)

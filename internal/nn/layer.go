@@ -12,8 +12,8 @@
 //     writes no layer field and returns a matrix the caller owns, so any
 //     number of goroutines may run it on one network at once.
 //   - Forward(x, true) also keeps, in each layer, the operand its Backward
-//     needs (the input, or for Tanh and Sigmoid the output, which is the
-//     matrix it returns — read it, do not write it, until Backward has run).
+//     needs (the input, or for Sigmoid the output, which is the matrix it
+//     returns — read it, do not write it, until Backward has run).
 //     Backward consumes what was kept, accumulates parameter gradients and
 //     returns the gradient with respect to the input; a Backward with nothing
 //     kept panics rather than differentiate an older batch.
@@ -121,8 +121,6 @@ type Layer interface {
 	Backward(dy *tensor.Matrix, accumulate bool, a *tensor.Arena) *tensor.Matrix
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
-	// OutDim returns the layer's output width given its input width.
-	OutDim(in int) int
 }
 
 // kept takes the operand a layer's Forward(x, true) left in slot, so one
@@ -199,53 +197,6 @@ func (l *Linear) Backward(dy *tensor.Matrix, accumulate bool, a *tensor.Arena) *
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// OutDim returns the layer's fixed output width.
-func (l *Linear) OutDim(int) int { return l.Out }
-
-// ReLU applies max(0, x) elementwise.
-type ReLU struct {
-	x *tensor.Matrix // forward input; Backward gates on its sign
-}
-
-// Forward computes max(0, x). It builds no mask, so an inference pass
-// allocates only its output.
-func (r *ReLU) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
-	if training {
-		r.x = x
-	}
-	y := a.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		} else {
-			y.Data[i] = 0
-		}
-	}
-	return y
-}
-
-// Backward gates dy by the sign of the kept input. The gate is a multiply
-// by 0 or 1, not a branch, so a blocked −x, Inf or NaN gradient yields the
-// −0 or NaN a mask multiply would.
-func (r *ReLU) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
-	x := kept(&r.x, "ReLU")
-	dx := a.New(dy.Rows, dy.Cols)
-	for i, v := range x.Data {
-		var gate float32
-		if v > 0 {
-			gate = 1
-		}
-		dx.Data[i] = dy.Data[i] * gate
-	}
-	return dx
-}
-
-// Params returns nil: ReLU has no trainable state.
-func (r *ReLU) Params() []*Param { return nil }
-
-// OutDim is the identity for activations.
-func (r *ReLU) OutDim(in int) int { return in }
-
 // LeakyReLU applies x for x>0 and Alpha·x otherwise; the paper-standard GAN
 // activation.
 type LeakyReLU struct {
@@ -281,40 +232,6 @@ func (l *LeakyReLU) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor
 // Params returns nil: LeakyReLU has no trainable state.
 func (l *LeakyReLU) Params() []*Param { return nil }
 
-// OutDim is the identity for activations.
-func (l *LeakyReLU) OutDim(in int) int { return in }
-
-// Tanh applies the hyperbolic tangent elementwise.
-type Tanh struct {
-	y *tensor.Matrix
-}
-
-// Forward computes tanh(x).
-func (t *Tanh) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
-	y := a.New(x.Rows, x.Cols)
-	tensor.Tanh(y, x)
-	if training {
-		t.y = y
-	}
-	return y
-}
-
-// Backward computes dy·(1 - y²) using the kept output.
-func (t *Tanh) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
-	y := kept(&t.y, "Tanh")
-	dx := a.New(dy.Rows, dy.Cols)
-	for i, v := range y.Data {
-		dx.Data[i] = dy.Data[i] * (1 - v*v)
-	}
-	return dx
-}
-
-// Params returns nil: Tanh has no trainable state.
-func (t *Tanh) Params() []*Param { return nil }
-
-// OutDim is the identity for activations.
-func (t *Tanh) OutDim(in int) int { return in }
-
 // Sigmoid applies the logistic function elementwise.
 type Sigmoid struct {
 	y *tensor.Matrix
@@ -342,6 +259,3 @@ func (s *Sigmoid) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.M
 
 // Params returns nil: Sigmoid has no trainable state.
 func (s *Sigmoid) Params() []*Param { return nil }
-
-// OutDim is the identity for activations.
-func (s *Sigmoid) OutDim(in int) int { return in }

@@ -25,7 +25,7 @@ func NetworksSize(nets []*Network) int {
 	return size
 }
 
-// WriteNetworks streams a set of networks to w; see Network.WriteTo.
+// WriteNetworks streams a set of networks to w, each as its NNW1 blob.
 func WriteNetworks(w io.Writer, nets []*Network) error {
 	e := newEncoder(w, NetworksSize(nets))
 	e.header(setMagic, len(nets))

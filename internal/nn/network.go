@@ -9,8 +9,9 @@ import (
 
 // Network is an ordered stack of layers trained as a unit — the analogue of
 // an LBANN "model". Any number of goroutines may call Forward(x, false) on
-// one Network at once; everything else (Forward(x, true), Backward, ZeroGrad,
-// writing weights) is single-owner and must not overlap an inference pass.
+// one Network at once; everything else (Forward(x, true), Backward, clearing
+// gradients, writing weights) is single-owner and must not overlap an
+// inference pass.
 type Network struct {
 	Name   string
 	Layers []Layer
@@ -62,10 +63,6 @@ func (n *Network) Params() []*Param {
 	return out
 }
 
-// ZeroGrad clears all accumulated gradients, laying them out (GradSlab) in
-// a network that has not trained before.
-func (n *Network) ZeroGrad() { ZeroGrad(n.Params()) }
-
 // CopyWeightsFrom overwrites n's weights with src's. The two networks must
 // have identical parameter shapes (i.e. the same architecture); it panics
 // otherwise. Gradients are not copied.
@@ -86,9 +83,7 @@ type Activation string
 // Supported activations for MLP construction.
 const (
 	ActNone      Activation = "none"
-	ActReLU      Activation = "relu"
 	ActLeakyReLU Activation = "lrelu"
-	ActTanh      Activation = "tanh"
 	ActSigmoid   Activation = "sigmoid"
 )
 
@@ -97,12 +92,8 @@ func newActivation(a Activation) Layer {
 	switch a {
 	case ActNone:
 		return nil
-	case ActReLU:
-		return &ReLU{}
 	case ActLeakyReLU:
 		return &LeakyReLU{Alpha: 0.2}
-	case ActTanh:
-		return &Tanh{}
 	case ActSigmoid:
 		return &Sigmoid{}
 	default:

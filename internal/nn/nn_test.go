@@ -39,7 +39,7 @@ func gradCheck(t *testing.T, net *Network, lossFn lossFunc, inDim, outDim int, t
 	target := tensor.New(5, outDim)
 	tensor.FillUniform(target, rng, 0.1, 0.9)
 
-	net.ZeroGrad()
+	ZeroGrad(net.Params())
 	pred := net.Forward(x, true)
 	_, dy := lossFn(pred, target, nil)
 	net.Backward(dy)
@@ -62,12 +62,6 @@ func TestGradientCheckLinearMSE(t *testing.T) {
 	gradCheck(t, net, MSE, 4, 3, 1e-2)
 }
 
-func TestGradientCheckDeepTanhMSE(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := MLP("deep", []int{6, 8, 8, 2}, ActTanh, ActNone, rng)
-	gradCheck(t, net, MSE, 6, 2, 2e-2)
-}
-
 func TestGradientCheckLeakyReLUBCE(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := MLP("disc", []int{5, 8, 1}, ActLeakyReLU, ActNone, rng)
@@ -76,28 +70,28 @@ func TestGradientCheckLeakyReLUBCE(t *testing.T) {
 
 func TestGradientCheckSigmoidHead(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	net := MLP("sig", []int{3, 6, 2}, ActReLU, ActSigmoid, rng)
+	net := MLP("sig", []int{3, 6, 2}, ActLeakyReLU, ActSigmoid, rng)
 	gradCheck(t, net, MSE, 3, 2, 2e-2)
 }
 
 func TestMLPDeterministicConstruction(t *testing.T) {
-	a := MLP("a", []int{5, 7, 3}, ActReLU, ActNone, rand.New(rand.NewSource(9)))
-	b := MLP("b", []int{5, 7, 3}, ActReLU, ActNone, rand.New(rand.NewSource(9)))
+	a := MLP("a", []int{5, 7, 3}, ActLeakyReLU, ActNone, rand.New(rand.NewSource(9)))
+	b := MLP("b", []int{5, 7, 3}, ActLeakyReLU, ActNone, rand.New(rand.NewSource(9)))
 	pa, pb := a.Params(), b.Params()
 	for i := range pa {
 		if !pa[i].W.Equal(pb[i].W) {
 			t.Fatalf("same seed produced different weights at param %d", i)
 		}
 	}
-	c := MLP("c", []int{5, 7, 3}, ActReLU, ActNone, rand.New(rand.NewSource(10)))
+	c := MLP("c", []int{5, 7, 3}, ActLeakyReLU, ActNone, rand.New(rand.NewSource(10)))
 	if c.Params()[0].W.Equal(pa[0].W) {
 		t.Fatal("different seeds produced identical weights")
 	}
 }
 
 func TestCopyWeightsFrom(t *testing.T) {
-	src := MLP("src", []int{4, 6, 2}, ActTanh, ActNone, rand.New(rand.NewSource(11)))
-	dst := MLP("dst", []int{4, 6, 2}, ActTanh, ActNone, rand.New(rand.NewSource(12)))
+	src := MLP("src", []int{4, 6, 2}, ActLeakyReLU, ActNone, rand.New(rand.NewSource(11)))
+	dst := MLP("dst", []int{4, 6, 2}, ActLeakyReLU, ActNone, rand.New(rand.NewSource(12)))
 	dst.CopyWeightsFrom(src)
 	ps, pd := src.Params(), dst.Params()
 	for i := range ps {
@@ -124,16 +118,16 @@ func TestCopyWeightsMismatchPanics(t *testing.T) {
 }
 
 func TestWeightsRoundTrip(t *testing.T) {
-	net := MLP("rt", []int{7, 9, 4}, ActLeakyReLU, ActTanh, rand.New(rand.NewSource(15)))
+	net := MLP("rt", []int{7, 9, 4}, ActLeakyReLU, ActSigmoid, rand.New(rand.NewSource(15)))
 	var buf bytes.Buffer
-	if _, err := net.WriteTo(&buf); err != nil {
+	if err := WriteNetworks(&buf, []*Network{net}); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != net.WeightsSize() {
-		t.Fatalf("WeightsSize %d != written %d", net.WeightsSize(), buf.Len())
+	if want := 12 + net.WeightsSize(); buf.Len() != want || NetworksSize([]*Network{net}) != want {
+		t.Fatalf("one-network set of %d bytes (NetworksSize %d), want 12 + WeightsSize = %d", buf.Len(), NetworksSize([]*Network{net}), want)
 	}
-	clone := MLP("clone", []int{7, 9, 4}, ActLeakyReLU, ActTanh, rand.New(rand.NewSource(16)))
-	if _, err := clone.ReadFrom(&buf); err != nil {
+	clone := MLP("clone", []int{7, 9, 4}, ActLeakyReLU, ActSigmoid, rand.New(rand.NewSource(16)))
+	if err := ReadNetworks(&buf, []*Network{clone}); err != nil {
 		t.Fatal(err)
 	}
 	po, pc := net.Params(), clone.Params()
@@ -146,11 +140,7 @@ func TestWeightsRoundTrip(t *testing.T) {
 
 func TestUnmarshalWeightsErrors(t *testing.T) {
 	net := MLP("err", []int{3, 2}, ActNone, ActNone, rand.New(rand.NewSource(17)))
-	var w bytes.Buffer
-	if _, err := net.WriteTo(&w); err != nil {
-		t.Fatal(err)
-	}
-	buf := w.Bytes()
+	buf := MarshalNetworks([]*Network{net})
 	other := MLP("other", []int{3, 5}, ActNone, ActNone, rand.New(rand.NewSource(18)))
 	for _, tc := range []struct {
 		into *Network
@@ -163,23 +153,24 @@ func TestUnmarshalWeightsErrors(t *testing.T) {
 		{net, append(append([]byte(nil), buf...), 0), "trailing bytes"},
 		{other, buf, "shape mismatch"},
 	} {
-		if _, err := tc.into.ReadFrom(bytes.NewReader(tc.buf)); err == nil {
+		if err := ReadNetworks(bytes.NewReader(tc.buf), []*Network{tc.into}); err == nil {
 			t.Fatalf("want error for %s", tc.what)
 		}
 	}
 }
 
-// Property: WriteTo→ReadFrom is the identity for arbitrary architectures.
+// Property: WriteNetworks→ReadNetworks of a one-network set is the identity
+// for arbitrary architectures.
 func TestWeightsRoundTripProperty(t *testing.T) {
 	f := func(seed int64, d1, d2 uint8) bool {
 		dims := []int{int(d1%7) + 1, int(d2%9) + 1, int(d1%3) + 1}
-		a := MLP("a", dims, ActReLU, ActNone, rand.New(rand.NewSource(seed)))
-		b := MLP("b", dims, ActReLU, ActNone, rand.New(rand.NewSource(seed+1)))
+		a := MLP("a", dims, ActLeakyReLU, ActNone, rand.New(rand.NewSource(seed)))
+		b := MLP("b", dims, ActLeakyReLU, ActNone, rand.New(rand.NewSource(seed+1)))
 		var buf bytes.Buffer
-		if _, err := a.WriteTo(&buf); err != nil {
+		if err := WriteNetworks(&buf, []*Network{a}); err != nil {
 			return false
 		}
-		if _, err := b.ReadFrom(&buf); err != nil {
+		if err := ReadNetworks(&buf, []*Network{b}); err != nil {
 			return false
 		}
 		pa, pb := a.Params(), b.Params()
@@ -271,50 +262,10 @@ func BenchmarkMLPForwardBackward(b *testing.B) {
 	target := tensor.New(128, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
+		ZeroGrad(net.Params())
 		pred := net.Forward(x, true)
 		_, dy := MSE(pred, target, nil)
 		net.Backward(dy)
-	}
-}
-
-// TestReLUGateMatchesMaskMultiply pins the bits of ReLU.Backward to the 0/1
-// mask multiply it replaced (−0 and NaN included), checks that the forward
-// values do not depend on the training flag, and that an inference pass
-// allocates its output and nothing else.
-func TestReLUGateMatchesMaskMultiply(t *testing.T) {
-	inf, nan := float32(math.Inf(1)), float32(math.NaN())
-	x := tensor.FromSlice(2, 4, []float32{-1, 0, 2, 3, -4, 5, nan, -6})
-	dy := tensor.FromSlice(2, 4, []float32{7, -8, -9, nan, -inf, inf, 1, -2})
-	r := &ReLU{}
-	for _, training := range []bool{false, true} {
-		y := r.Forward(x, training, nil)
-		for i, v := range x.Data {
-			var relu float32
-			if v > 0 {
-				relu = v
-			}
-			if y.Data[i] != relu {
-				t.Fatalf("training=%v: forward[%d] = %v, want %v", training, i, y.Data[i], relu)
-			}
-		}
-	}
-	dx := r.Backward(dy, true, nil)
-	for i, v := range x.Data {
-		var mask float32
-		if v > 0 {
-			mask = 1
-		}
-		want := math.Float32bits(dy.Data[i] * mask)
-		got := dx.Data[i]
-		bothNaN := got != got && dy.Data[i] != dy.Data[i]
-		if math.Float32bits(got) != want && !bothNaN {
-			t.Fatalf("dx[%d] bits %#x, want %#x", i, math.Float32bits(got), want)
-		}
-	}
-	newAllocs := testing.AllocsPerRun(20, func() { tensor.New(x.Rows, x.Cols) })
-	if got := testing.AllocsPerRun(20, func() { r.Forward(x, false, nil) }); got > newAllocs {
-		t.Fatalf("inference forward makes %v allocations, want the output's %v", got, newAllocs)
 	}
 }
 
@@ -345,9 +296,7 @@ func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
 		l    Layer
 	}{
 		{"Linear", NewLinear(4, 4, rng)},
-		{"ReLU", &ReLU{}},
 		{"LeakyReLU", &LeakyReLU{Alpha: 0.2}},
-		{"Tanh", &Tanh{}},
 		{"Sigmoid", &Sigmoid{}},
 	}
 	for _, c := range layers {
@@ -370,7 +319,7 @@ func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
 		}
 	}
 
-	net := MLP("tape", []int{4, 5, 4}, ActTanh, ActSigmoid, rng)
+	net := MLP("tape", []int{4, 5, 4}, ActLeakyReLU, ActSigmoid, rng)
 	mustPanic(t, "Network fresh", "Backward before Forward", func() { net.Backward(dy) })
 	net.Forward(x, false)
 	mustPanic(t, "Network after inference", "Backward before Forward", func() { net.Backward(dy) })
@@ -386,7 +335,7 @@ func TestConcurrentForwardOnOneNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	nets := []*Network{
 		MLP("a", []int{6, 16, 16, 3}, ActLeakyReLU, ActSigmoid, rng),
-		MLP("b", []int{6, 9, 3}, ActReLU, ActTanh, rng),
+		MLP("b", []int{6, 9, 3}, ActLeakyReLU, ActNone, rng),
 	}
 	const workers = 8
 	xs := make([]*tensor.Matrix, workers)
@@ -429,7 +378,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(31))
 		return &Network{Name: "lazy", Layers: []Layer{
-			NewLinear(4, 6, rng), &ReLU{}, NewLinear(6, 3, rng),
+			NewLinear(4, 6, rng), &LeakyReLU{Alpha: 0.2}, NewLinear(6, 3, rng),
 		}}
 	}
 	x := tensor.New(5, 4)
@@ -453,7 +402,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	net.Backward(dy)
 	// ... the same values as Backward into accumulators ZeroGrad made.
 	ref := build()
-	ref.ZeroGrad()
+	ZeroGrad(ref.Params())
 	for _, p := range ref.Params() {
 		if p.Grad == nil || p.Grad.Rows != p.W.Rows || p.Grad.Cols != p.W.Cols || slices.ContainsFunc(p.Grad.Data, nonZero) {
 			t.Fatalf("%s: ZeroGrad must leave a zeroed accumulator of the weight's shape", p.Name)
@@ -473,10 +422,10 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	before := append([]float32(nil), slab...)
 	ref.CopyWeightsFrom(net)
 	var buf bytes.Buffer
-	if _, err := net.WriteTo(&buf); err != nil {
+	if err := WriteNetworks(&buf, []*Network{net}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.ReadFrom(&buf); err != nil {
+	if err := ReadNetworks(&buf, []*Network{ref}); err != nil {
 		t.Fatal(err)
 	}
 	after := GradSlab(ref.Params())
@@ -492,8 +441,8 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 // moved together with their values; one clear zeroes the lot.
 func TestGradSlabIsTheGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	enc := MLP("enc", []int{5, 4, 3}, ActTanh, ActNone, rng)
-	dec := MLP("dec", []int{3, 4, 5}, ActTanh, ActNone, rng)
+	enc := MLP("enc", []int{5, 4, 3}, ActLeakyReLU, ActNone, rng)
+	dec := MLP("dec", []int{3, 4, 5}, ActLeakyReLU, ActNone, rng)
 	group := append(enc.Params(), dec.Params()...)
 	if GradSlab(nil) != nil {
 		t.Fatal("no parameters, no slab")
@@ -541,9 +490,9 @@ func TestGradSlabIsTheGradients(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { GradSlab(group) }); got != 0 {
 		t.Fatalf("GradSlab on a laid-out group makes %v allocations", got)
 	}
-	dec.ZeroGrad()
+	ZeroGrad(dec.Params())
 	if hasGradient(dec) || &GradSlab(group)[0] != &slab[0] {
-		t.Fatal("Network.ZeroGrad must clear its run of the slab in place")
+		t.Fatal("ZeroGrad of a network's run of the slab must clear it in place")
 	}
 	slab[0], slab[len(slab)-1] = 1, 1
 	ZeroGrad(group)
@@ -600,24 +549,23 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // and byte-slice forms on a network wider than the conversion chunk: the
 // same bytes come out of both, sizes are exact, a reader that trickles one
 // byte at a time decodes to the same weights, and a failing writer's error
-// comes back (with the count written so far) instead of being swallowed.
+// comes back instead of being swallowed.
 func TestStreamingCodecMatchesBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	big := MLP("big", []int{150, 150, 3}, ActReLU, ActNone, rng) // 150×150×4 B > chunkBytes
+	big := MLP("big", []int{150, 150, 3}, ActLeakyReLU, ActNone, rng) // 150×150×4 B > chunkBytes
 	small := MLP("small", []int{3, 2}, ActNone, ActNone, rng)
 	if big.WeightsSize() <= chunkBytes {
 		t.Fatalf("test network of %d bytes does not span chunks of %d", big.WeightsSize(), chunkBytes)
 	}
 
 	var stream bytes.Buffer
-	n, err := big.WriteTo(&stream)
-	if err != nil || int(n) != big.WeightsSize() || stream.Len() != big.WeightsSize() {
-		t.Fatalf("WriteTo = %d, %v; buffer %d; want %d bytes", n, err, stream.Len(), big.WeightsSize())
+	one := []*Network{big}
+	if err := WriteNetworks(&stream, one); err != nil || stream.Len() != NetworksSize(one) {
+		t.Fatalf("WriteNetworks: %v, %d bytes, want %d", err, stream.Len(), NetworksSize(one))
 	}
-	clone := MLP("clone", []int{150, 150, 3}, ActReLU, ActNone, rand.New(rand.NewSource(42)))
-	n, err = clone.ReadFrom(iotest.OneByteReader(bytes.NewReader(stream.Bytes())))
-	if err != nil || int(n) != big.WeightsSize() {
-		t.Fatalf("ReadFrom = %d, %v; want %d bytes", n, err, big.WeightsSize())
+	clone := MLP("clone", []int{150, 150, 3}, ActLeakyReLU, ActNone, rand.New(rand.NewSource(42)))
+	if err := ReadNetworks(iotest.OneByteReader(bytes.NewReader(stream.Bytes())), []*Network{clone}); err != nil {
+		t.Fatal(err)
 	}
 	for i, p := range big.Params() {
 		if !p.W.Equal(clone.Params()[i].W) {
@@ -642,10 +590,8 @@ func TestStreamingCodecMatchesBuffers(t *testing.T) {
 	}
 
 	for _, room := range []int{0, 6, 20, chunkBytes + 100} {
-		w := &failAfter{n: room}
-		n, err := big.WriteTo(w)
-		if err == nil || err.Error() != "disk full" || int(n) != room {
-			t.Fatalf("WriteTo a writer with room for %d bytes = %d, %v", room, n, err)
+		if err := WriteNetworks(&failAfter{n: room}, one); err == nil || err.Error() != "disk full" {
+			t.Fatalf("WriteNetworks of one network with room for %d bytes: %v", room, err)
 		}
 		if err := WriteNetworks(&failAfter{n: room}, nets); err == nil || err.Error() != "disk full" {
 			t.Fatalf("WriteNetworks with room for %d bytes: %v", room, err)

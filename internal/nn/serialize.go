@@ -19,19 +19,20 @@ import (
 // Architecture metadata is not encoded; both sides of an exchange construct
 // the same architecture locally (as LBANN does) and only weights travel.
 //
-// There is one codec and it streams: WriteTo and ReadFrom convert weights
-// through a scratch chunk of at most chunkBytes, so writing or reading a
-// network costs that chunk whatever the network's size. The byte-slice forms
-// (MarshalNetworks, UnmarshalNetworks) are the same codec over a bytes.Buffer
-// and a bytes.Reader.
+// Networks travel in sets (multiserialize.go): an NNW1 blob is one member
+// of an NNS1 stream, never a stream of its own. There is one codec and it
+// streams: WriteNetworks and ReadNetworks convert weights through a scratch
+// chunk of at most chunkBytes, so writing or reading a set costs that chunk
+// whatever its size. The byte-slice forms (MarshalNetworks,
+// UnmarshalNetworks) are the same codec over a bytes.Buffer and a
+// bytes.Reader.
 
 const weightsMagic = "NNW1"
 
 // chunkBytes bounds the scratch floats are converted through.
 const chunkBytes = 64 << 10
 
-// WeightsSize returns the exact byte length WriteTo will produce, which the
-// performance model uses as the exchange volume.
+// WeightsSize returns the exact byte length of n's NNW1 blob.
 func (n *Network) WeightsSize() int {
 	size := 4 + 4
 	for _, p := range n.Params() {
@@ -45,7 +46,6 @@ func (n *Network) WeightsSize() int {
 type encoder struct {
 	w   io.Writer
 	buf []byte // float conversion scratch
-	n   int64  // bytes written
 	err error
 }
 
@@ -59,9 +59,7 @@ func (e *encoder) write(p []byte) {
 	if e.err != nil {
 		return
 	}
-	n, err := e.w.Write(p)
-	e.n += int64(n)
-	e.err = err
+	_, e.err = e.w.Write(p)
 }
 
 // header writes a four-byte magic and one count.
@@ -98,14 +96,6 @@ func (e *encoder) weights(n *Network) {
 	}
 }
 
-// WriteTo streams all parameters to w in the NNW1 format. It implements
-// io.WriterTo.
-func (n *Network) WriteTo(w io.Writer) (int64, error) {
-	e := newEncoder(w, n.WeightsSize())
-	e.weights(n)
-	return e.n, e.err
-}
-
 // truncatedError is a decode error caused by the stream ending early, as
 // opposed to holding the wrong thing. ReadNetworks uses the distinction to
 // tell a short network blob from a short file.
@@ -117,7 +107,6 @@ func (e truncatedError) Error() string { return string(e) }
 type decoder struct {
 	r   io.Reader
 	buf []byte // float conversion scratch
-	n   int64  // bytes consumed
 }
 
 // newDecoder is newEncoder's counterpart.
@@ -129,15 +118,14 @@ func newDecoder(r io.Reader, size int) *decoder {
 // caller's description of what is missing; any other failure is the
 // reader's own error.
 func (d *decoder) read(p []byte, format string, args ...any) error {
-	n, err := io.ReadFull(d.r, p)
-	d.n += int64(n)
-	switch err {
+	switch _, err := io.ReadFull(d.r, p); err {
 	case nil:
 		return nil
 	case io.EOF, io.ErrUnexpectedEOF:
 		return truncatedError(fmt.Sprintf(format, args...))
+	default:
+		return fmt.Errorf("nn: %w", err)
 	}
-	return fmt.Errorf("nn: %w", err)
 }
 
 func (d *decoder) floats(data []float32, format string, args ...any) error {
@@ -158,7 +146,6 @@ func (d *decoder) floats(data []float32, format string, args ...any) error {
 // error; the bytes that are left are counted and discarded.
 func (d *decoder) end(what string) error {
 	n, err := io.Copy(io.Discard, d.r)
-	d.n += n
 	if err != nil {
 		return fmt.Errorf("nn: %w", err)
 	}
@@ -196,15 +183,4 @@ func (d *decoder) weights(n *Network) error {
 		}
 	}
 	return d.end("weight buffer")
-}
-
-// ReadFrom overwrites n's parameters with the NNW1 stream r, which must
-// have been produced by WriteTo on a network with identical architecture and
-// must end where the weights do. It returns an error (leaving the parameters
-// read so far modified) on any mismatch, truncation or trailing byte. It
-// implements io.ReaderFrom.
-func (n *Network) ReadFrom(r io.Reader) (int64, error) {
-	d := newDecoder(r, n.WeightsSize())
-	err := d.weights(n)
-	return d.n, err
 }

@@ -61,7 +61,7 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 // check of the Param wiring.
 func TestOptimizersReduceNetworkLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	net := nn.MLP("opt-adam", []int{3, 16, 1}, nn.ActTanh, nn.ActNone, rng)
+	net := nn.MLP("opt-adam", []int{3, 16, 1}, nn.ActLeakyReLU, nn.ActNone, rng)
 	o := NewAdam(0.01)
 	x := tensor.New(32, 3)
 	tensor.FillUniform(x, rng, -1, 1)
@@ -72,7 +72,7 @@ func TestOptimizersReduceNetworkLoss(t *testing.T) {
 	}
 	first, _ := nn.MSE(net.Forward(x, false), target, nil)
 	for i := 0; i < 150; i++ {
-		net.ZeroGrad()
+		nn.ZeroGrad(net.Params())
 		pred := net.Forward(x, true)
 		_, dy := nn.MSE(pred, target, nil)
 		net.Backward(dy)
@@ -86,7 +86,7 @@ func TestOptimizersReduceNetworkLoss(t *testing.T) {
 
 func BenchmarkAdamStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	net := nn.MLP("bench", []int{128, 256, 128}, nn.ActReLU, nn.ActNone, rng)
+	net := nn.MLP("bench", []int{128, 256, 128}, nn.ActLeakyReLU, nn.ActNone, rng)
 	params := net.Params()
 	nn.ZeroGrad(params)
 	for _, p := range params {
@@ -171,7 +171,7 @@ func (a *referenceAdam) step(params []*nn.Param) {
 // map-keyed loop: same weights, bit for bit.
 func TestAdamSlabMatchesPerParamReference(t *testing.T) {
 	build := func() *nn.Network {
-		return nn.MLP("adam", []int{7, 13, 5}, nn.ActTanh, nn.ActNone, rand.New(rand.NewSource(8)))
+		return nn.MLP("adam", []int{7, 13, 5}, nn.ActLeakyReLU, nn.ActNone, rand.New(rand.NewSource(8)))
 	}
 	got, want := build(), build()
 	a := NewAdam(0.01)

@@ -49,27 +49,13 @@ import (
 // good as the calibrated constants — the tier-1 capacity test validates
 // prediction against a measured in-process benchmark.
 
-// Serving method names, mirroring internal/serve (not imported: the
-// model depends on costs, not on the serving runtime).
-const (
-	ServePredict = "predict"
-	ServeInvert  = "invert"
-)
-
-// ServeFlopsPerRow returns the forward-only GEMM work of one served row
-// of the given method: predict runs the forward net and the decoder
-// (Dec(F(x))), invert the forward and inverse nets (G(F(x))), at ~2
-// flops per parameter per row. Training's 6-flop forward+backward cost
+// ServeFlopsPerRow returns the forward-only GEMM work of one served
+// predict row: the forward net and the decoder (Dec(F(x))) at ~2 flops per
+// parameter per row. Training's 6-flop forward+backward cost
 // (FlopsPerSample) never applies to serving.
-func (a Arch) ServeFlopsPerRow(method string) (float64, error) {
-	_, dec, fwd, inv, _ := a.Params()
-	switch method {
-	case ServePredict:
-		return 2 * float64(fwd+dec), nil
-	case ServeInvert:
-		return 2 * float64(fwd+inv), nil
-	}
-	return 0, fmt.Errorf("perfmodel: unknown serving method %q", method)
+func (a Arch) ServeFlopsPerRow() float64 {
+	_, dec, fwd, _, _ := a.Params()
+	return 2 * float64(fwd+dec)
 }
 
 // ServingCost is the calibrated cost of one batched forward pass:
@@ -86,20 +72,16 @@ type ServingCost struct {
 // Cost returns the modeled duration of one forward pass of b rows.
 func (c ServingCost) Cost(b float64) float64 { return c.PassSec + b*c.RowSec }
 
-// ServingCostFromArch projects a serving cost for an architecture from
-// first principles: the method's forward-only GEMM work divided by the
-// host's effective GEMM throughput (calibrate flopsPerSec by probing
-// any model on the same host: RowSec·flops/row of the probed net), plus
-// a fixed per-pass cost.
-func ServingCostFromArch(a Arch, method string, flopsPerSec, passSec float64) (ServingCost, error) {
+// ServingCostFromArch projects a predict serving cost for an architecture
+// from first principles: its forward-only GEMM work divided by the host's
+// effective GEMM throughput (calibrate flopsPerSec by probing any model on
+// the same host: RowSec·flops/row of the probed net), plus a fixed
+// per-pass cost.
+func ServingCostFromArch(a Arch, flopsPerSec, passSec float64) (ServingCost, error) {
 	if flopsPerSec <= 0 {
 		return ServingCost{}, fmt.Errorf("perfmodel: flopsPerSec must be positive, got %g", flopsPerSec)
 	}
-	flops, err := a.ServeFlopsPerRow(method)
-	if err != nil {
-		return ServingCost{}, err
-	}
-	return ServingCost{PassSec: passSec, RowSec: flops / flopsPerSec}, nil
+	return ServingCost{PassSec: passSec, RowSec: a.ServeFlopsPerRow() / flopsPerSec}, nil
 }
 
 // ServingScenario describes one serving configuration to be costed, the

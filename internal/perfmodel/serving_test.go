@@ -23,42 +23,28 @@ func testServing() ServingScenario {
 
 func TestServeFlopsPerRow(t *testing.T) {
 	a := PaperArch()
-	_, dec, fwd, inv, _ := a.Params()
-	pred, err := a.ServeFlopsPerRow(ServePredict)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dec, fwd, _, _ := a.Params()
+	pred := a.ServeFlopsPerRow()
 	if pred != 2*float64(fwd+dec) {
 		t.Fatalf("predict flops = %g, want 2*(fwd+dec)", pred)
-	}
-	invf, err := a.ServeFlopsPerRow(ServeInvert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if invf != 2*float64(fwd+inv) {
-		t.Fatalf("invert flops = %g, want 2*(fwd+inv)", invf)
 	}
 	// Serving is forward-only: one served predict row must cost far
 	// less than one training sample (6 flops/param over 3 phases).
 	if pred >= a.FlopsPerSample()/2 {
 		t.Fatal("serving a row should be much cheaper than training on it")
 	}
-	if _, err := a.ServeFlopsPerRow("nope"); err == nil {
-		t.Fatal("unknown method must fail")
-	}
 }
 
 func TestServingCostFromArch(t *testing.T) {
 	a := PaperArch()
-	c, err := ServingCostFromArch(a, ServePredict, 1e12, 20e-6)
+	c, err := ServingCostFromArch(a, 1e12, 20e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flops, _ := a.ServeFlopsPerRow(ServePredict)
-	if c.PassSec != 20e-6 || c.RowSec != flops/1e12 {
+	if c.PassSec != 20e-6 || c.RowSec != a.ServeFlopsPerRow()/1e12 {
 		t.Fatalf("unexpected projected cost %+v", c)
 	}
-	if _, err := ServingCostFromArch(a, ServePredict, 0, 0); err == nil {
+	if _, err := ServingCostFromArch(a, 0, 0); err == nil {
 		t.Fatal("zero throughput must fail")
 	}
 }

@@ -2,7 +2,10 @@
 // over in-memory and bundle-file storage, deterministic per-epoch shuffling,
 // dataset partitioning (contiguous file ranges for LTFB trainers, random
 // 1/k subsets for the K-independent baseline), and mini-batch assembly into
-// tensors.
+// tensors. The data store is the one reader of a BundleDataset's file
+// layout (NumFiles, FileSamples, ReadFile): it preloads file by file. The
+// performance model does not import this package; it simulates file access
+// on the pfs model instead.
 //
 // SGD requires each mini-batch to be drawn uniformly from the whole
 // dataset (Section IV-C): the per-epoch permutation guarantees that, and —
@@ -27,19 +30,6 @@ type Dataset interface {
 	Dim() int
 	// Sample copies sample i into dst (length Dim).
 	Sample(i int, dst []float32) error
-}
-
-// FileMapped is implemented by datasets whose samples live in files; the
-// data store uses it to assign preload ownership by file, and the
-// performance model uses it to count file accesses.
-type FileMapped interface {
-	Dataset
-	// NumFiles returns the number of backing files.
-	NumFiles() int
-	// FileOf returns the backing file of sample i and its index within it.
-	FileOf(i int) (file, local int)
-	// FileSamples returns the sample indices stored in the given file.
-	FileSamples(file int) []int
 }
 
 // SliceDataset is an in-memory dataset.

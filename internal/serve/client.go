@@ -84,9 +84,6 @@ type Client struct {
 	// Priority is the queue lane requests are submitted under; the zero
 	// value is Interactive.
 	Priority Priority
-	// DeadlineMs bounds each call's time in the serving pipeline
-	// (independent of the context deadline); 0 uses the server default.
-	DeadlineMs int
 }
 
 // NewClient targets a server base URL such as "http://localhost:8080".
@@ -151,9 +148,6 @@ func (c *Client) Call(ctx context.Context, model, method string, inputs [][]floa
 	}
 	if c.Priority != Interactive {
 		req.Header.Set(PriorityHeader, c.Priority.String())
-	}
-	if c.DeadlineMs > 0 {
-		req.Header.Set(DeadlineHeader, strconv.Itoa(c.DeadlineMs))
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

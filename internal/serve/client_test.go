@@ -188,7 +188,6 @@ func TestClientBinaryAcceptHeader(t *testing.T) {
 	c := NewClient(ts.URL)
 	c.Binary = true
 	c.Priority = Bulk
-	c.DeadlineMs = 250
 	if _, _, err := c.Call(context.Background(), "m", MethodPredict, [][]float32{{0.5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +198,8 @@ func TestClientBinaryAcceptHeader(t *testing.T) {
 	if !strings.Contains(accept, ContentTypeTensor) || !strings.Contains(accept, "application/json") {
 		t.Fatalf("binary Accept %q must allow the JSON fallback", accept)
 	}
-	if got.Get(PriorityHeader) != "bulk" || got.Get(DeadlineHeader) != "250" {
-		t.Fatalf("option headers lost: priority=%q deadline=%q",
-			got.Get(PriorityHeader), got.Get(DeadlineHeader))
+	if got.Get(PriorityHeader) != "bulk" {
+		t.Fatalf("option header lost: priority=%q", got.Get(PriorityHeader))
 	}
 }
 

@@ -3,10 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cyclegan"
 )
 
@@ -31,35 +33,20 @@ type ModelSpec struct {
 // SpecPath returns the conventional sidecar path for a checkpoint.
 func SpecPath(checkpointPath string) string { return checkpointPath + ".spec.json" }
 
-// SaveSpec writes the spec as indented JSON, atomically (temp file +
-// rename) so a checkpoint watcher polling the path never reads a
-// half-written spec.
+// SaveSpec writes the spec as indented JSON through checkpoint.WriteAtomic,
+// like the checkpoint it describes: a checkpoint watcher polling the path
+// never reads a half-written spec, and the file is 0644.
 func SaveSpec(path string, spec ModelSpec) error {
 	buf, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serve: marshal spec: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".spec-*")
+	err = checkpoint.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(buf, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: write spec: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: close spec: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: chmod spec: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: rename spec: %w", err)
+		return fmt.Errorf("serve: spec: %w", err)
 	}
 	return nil
 }

@@ -163,7 +163,6 @@ func TestClientSheddingBackendRowErrors(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := NewClient(ts.URL)
-			c.DeadlineMs = 5000
 			r := &results[i]
 			r.outs, r.rowErrs, r.err = c.Call(context.Background(), "slow", MethodPredict, inputs)
 		}(i)

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Add computes dst = a + b elementwise. All shapes must match; dst may alias
 // a or b.
@@ -46,8 +43,8 @@ func addRowVector(x, v []float32) {
 	}
 }
 
-// expWork is what one exp or tanh costs, in the multiply-adds tileWork
-// counts: the activations built on them are tiled at this rate.
+// expWork is what one exp costs, in the multiply-adds tileWork counts: the
+// activation built on it is tiled at this rate.
 const expWork = 16
 
 // Sigmoid sets dst[i] = 1/(1+e^−src[i]) for every element, computed in
@@ -60,22 +57,6 @@ func Sigmoid(dst, src *Matrix) {
 		return
 	}
 	forRowBlocks(src, expWork, func(lo, hi int) { sigmoid(dst.Data[lo:hi], src.Data[lo:hi]) })
-}
-
-// Tanh sets dst[i] = tanh(src[i]) for every element. dst may alias src.
-func Tanh(dst, src *Matrix) {
-	dst.mustSameShape(src, "Tanh")
-	if oneTile(src, expWork) {
-		tanh(dst.Data, src.Data)
-		return
-	}
-	forRowBlocks(src, expWork, func(lo, hi int) { tanh(dst.Data[lo:hi], src.Data[lo:hi]) })
-}
-
-func tanh(dst, src []float32) {
-	for i, v := range src {
-		dst[i] = float32(math.Tanh(float64(v)))
-	}
 }
 
 // LeakyReLU sets dst[i] = src[i] where that is positive and alpha·src[i]

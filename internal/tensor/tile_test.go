@@ -181,7 +181,6 @@ func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 			plain func(dst []float32)
 		}{
 			{"Sigmoid", func(dst *Matrix) { Sigmoid(dst, x) }, func(dst []float32) { sigmoid(dst, x.Data) }},
-			{"Tanh", func(dst *Matrix) { Tanh(dst, x) }, func(dst []float32) { tanh(dst, x.Data) }},
 			{"LeakyReLU", func(dst *Matrix) { LeakyReLU(dst, x, 0.2) }, func(dst []float32) { leakyReLU(dst, x.Data, 0.2) }},
 			{"AddRowVector", func(dst *Matrix) { copy(dst.Data, x.Data); AddRowVector(dst, v) },
 				func(dst []float32) { copy(dst, x.Data); addRowVector(dst, v) }},

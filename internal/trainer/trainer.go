@@ -79,7 +79,6 @@ type Trainer struct {
 	C     *comm.Comm
 	Model Model
 	Store *datastore.Store
-	Data  reader.Dataset
 
 	shuffler *reader.Shuffler
 	batches  [][]int
@@ -111,7 +110,6 @@ func New(cfg Config, c *comm.Comm, model Model, store *datastore.Store, data rea
 		C:        c,
 		Model:    model,
 		Store:    store,
-		Data:     data,
 		shuffler: reader.NewShuffler(data.Len(), cfg.ShuffleSeed),
 		x:        tensor.New(share, cfg.XDim),
 		y:        tensor.New(share, data.Dim()-cfg.XDim),

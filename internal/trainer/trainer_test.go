@@ -39,10 +39,11 @@ func tinySurrogate(seed int64) *cyclegan.Surrogate {
 	return cyclegan.New(cfg, seed)
 }
 
-// buildTrainers constructs one trainer spanning all ranks of a world.
-func buildTrainers(t *testing.T, w *comm.World, ds reader.Dataset, batch int) []*Trainer {
+// buildTrainers makes a world of the given ranks and one trainer spanning
+// all of them.
+func buildTrainers(t *testing.T, ranks int, ds reader.Dataset, batch int) (*comm.World, []*Trainer) {
 	t.Helper()
-	trainers := make([]*Trainer, w.Size())
+	w, trainers := comm.NewWorld(ranks), make([]*Trainer, ranks)
 	w.Run(func(c *comm.Comm) {
 		store := datastore.New(c, ds, datastore.ModeDynamic)
 		tr, err := New(Config{ID: 0, BatchSize: batch, XDim: jag.InputDim, ShuffleSeed: 42}, c, tinySurrogate(7), store, ds)
@@ -52,7 +53,7 @@ func buildTrainers(t *testing.T, w *comm.World, ds reader.Dataset, batch int) []
 		}
 		trainers[c.Rank()] = tr
 	})
-	return trainers
+	return w, trainers
 }
 
 func TestNewValidation(t *testing.T) {
@@ -74,8 +75,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestDataParallelReplicasStayIdentical(t *testing.T) {
 	ds := jagSliceDataset(t, jag.Tiny8, 0, 64)
-	w := comm.NewWorld(4)
-	trainers := buildTrainers(t, w, ds, 16)
+	w, trainers := buildTrainers(t, 4, ds, 16)
 	w.Run(func(c *comm.Comm) {
 		if err := trainers[c.Rank()].Advance(6); err != nil {
 			t.Error(err)
@@ -146,8 +146,7 @@ func TestDataParallelMatchesSerial(t *testing.T) {
 
 func TestAdvanceCrossesEpochs(t *testing.T) {
 	ds := jagSliceDataset(t, jag.Tiny8, 0, 32)
-	w := comm.NewWorld(2)
-	trainers := buildTrainers(t, w, ds, 16)
+	w, trainers := buildTrainers(t, 2, ds, 16)
 	// 2 steps per epoch; advancing 5 steps crosses 2 epoch boundaries.
 	w.Run(func(c *comm.Comm) {
 		if err := trainers[c.Rank()].Advance(5); err != nil {
@@ -162,8 +161,7 @@ func TestAdvanceCrossesEpochs(t *testing.T) {
 func TestTrainingReducesLossAndEval(t *testing.T) {
 	ds := jagSliceDataset(t, jag.Tiny8, 0, 64)
 	val := jagSliceDataset(t, jag.Tiny8, 2000, 32)
-	w := comm.NewWorld(2)
-	trainers := buildTrainers(t, w, ds, 32)
+	w, trainers := buildTrainers(t, 2, ds, 32)
 	evals := make([]float64, 2)
 	var before, after float64
 	w.Run(func(c *comm.Comm) {

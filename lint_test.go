@@ -1,14 +1,20 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"io/fs"
 	"maps"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -121,145 +127,310 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 }
 
 // exemptNames are exported names under internal/ that may go without a
-// non-test caller, each with its reason. A key is a bare identifier (any
-// declaration of that name) or pkg.Name / pkg.Type.Method.
+// non-test use, each with its reason. A key is pkg.Name, or pkg.Type.Member
+// for a method or field. An entry the check no longer reports fails it.
 var exemptNames = map[string]string{
-	"String":                      "fmt.Stringer: fmt calls it",
-	"Error":                       "error: callers reach it through the interface",
-	"Len":                         "sort.Interface / heap.Interface",
-	"Less":                        "sort.Interface / heap.Interface",
-	"Swap":                        "sort.Interface / heap.Interface",
-	"Push":                        "heap.Interface: container/heap calls it",
-	"Pop":                         "heap.Interface: container/heap calls it",
-	"ServeHTTP":                   "http.Handler: net/http calls it",
-	"UnmarshalJSON":               "json.Unmarshaler: encoding/json calls it",
-	"WriteTo":                     "io.WriterTo: io.Copy calls it",
-	"ReadFrom":                    "io.ReaderFrom: io.Copy calls it",
-	"WriteHeader":                 "http.ResponseWriter: net/http calls it",
 	"comm.Comm.AllreduceSumNaive": "the reference the ring allreduce is tested and timed against",
 	"tensor.Matrix.Equal":         "an assertion helper the tests of many packages share",
 	"tensor.Matrix.ApproxEqual":   "an assertion helper the tests of many packages share",
 	"ltfb.MetricEval":             "the zero Metric: a Config that sets none gets it",
 }
 
-// TestExportedNamesHaveCallers fails for every exported func, method,
-// type, var or const declared under internal/ that no non-test file of the
-// module uses (bench/, cmd/ and examples/ count). It parses and does not
-// type-check (docs/STATIC_ANALYSIS.md says why). A package-level name
-// matches exactly: bare in its own package, pkg.Name elsewhere. A method
-// matches by identifier — any x.Clone keeps every Clone method — so for
-// methods the check finds a lower bound of the test-only API.
+// stdInterfaces are the standard interfaces through which the standard
+// library calls the module's methods; a method that implements one counts
+// as used. An interface the module's own code calls through — its own, or
+// a standard one such as http.Flusher — is found from those calls.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"net/http", "Handler"},
+	{"net/http", "ResponseWriter"},
+	{"net/http", "RoundTripper"},
+	{"encoding/json", "Unmarshaler"},
+	{"container/heap", "Interface"},
+	{"sort", "Interface"},
+}
+
+// typedPackage is one type-checked non-test package of the module.
+type typedPackage struct {
+	*types.Package
+	files []*ast.File
+}
+
+// typedModule type-checks every non-test package of the module, as built
+// for the host's GOOS/GOARCH, into one Info. The module's packages are
+// checked from source in dependency order; everything else, and the extra
+// standard packages named in std, comes from the compiler export data that
+// `go list -export` reports, which a warm build cache makes cheap. The
+// returned importer reaches those standard packages.
+func typedModule(t *testing.T, std ...string) (*token.FileSet, []typedPackage, *types.Info, types.Importer) {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./..."}, std...)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v\n%s", err, stderr.String())
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	var module []listed
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		exports[p.ImportPath] = p.Export
+		if !p.Standard {
+			module = append(module, p) // -deps lists a package after its imports
+		}
+	}
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
+	})
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: imp}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []typedPackage
+	for _, p := range module {
+		dir, err := filepath.Rel(wd, p.Dir) // positions read module-relative
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		pkgs = append(pkgs, typedPackage{pkg, files})
+	}
+	if len(pkgs) < 30 {
+		t.Fatalf("type-checked only %d packages of the module — go list lost it?", len(pkgs))
+	}
+	return fset, pkgs, info, imp
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestExportedNamesHaveCallers type-checks the module (typedModule) and
+// fails for every exported name declared under internal/ that non-test
+// code does not reach — bench/, cmd/ and examples/ count:
+//
+//   - a func, method, type or var that no non-test code names. A method,
+//     interface methods included, counts as named when code calls it
+//     through an interface it implements, or when it implements one of
+//     stdInterfaces; a method's own receiver does not name its type;
+//   - a struct field without a tag (a tagged field is set by a decoder)
+//     that no composite literal, assignment or &x.F of non-test code sets;
+//   - a constant that non-test code names only as an operand of == or !=,
+//     or as a switch case.
+//
+// docs/STATIC_ANALYSIS.md says what it costs.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	fset, files := moduleFiles(t)
-	type decl struct {
-		key string // pkg.Name or pkg.Type.Method
-		use string // the used key that counts as a caller: dir.Name, or a method's Name
-		pos token.Position
-	}
-	declared := map[string][]decl{} // identifier -> its declarations under internal/
-	names := map[*ast.Ident]bool{}  // top-level declaring identifiers and receivers
-	for _, f := range files {
-		path := filepath.ToSlash(fset.Position(f.Package).Filename)
-		internal := strings.HasPrefix(path, "internal/")
-		add := func(id *ast.Ident, key string) {
-			names[id] = true
-			if internal && id.IsExported() {
-				use := filepath.ToSlash(filepath.Dir(path)) + "." + id.Name
-				if strings.Contains(key, ".") {
-					use = id.Name
-				}
-				declared[id.Name] = append(declared[id.Name], decl{f.Name.Name + "." + key, use, fset.Position(id.Pos())})
-			}
+	start := time.Now()
+	var std []string
+	for _, s := range stdInterfaces {
+		if s.pkg != "" {
+			std = append(std, s.pkg)
 		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				key := d.Name.Name
-				if d.Recv != nil {
-					typ := d.Recv.List[0].Type
-					if star, ok := typ.(*ast.StarExpr); ok {
-						typ = star.X
-					}
-					if ix, ok := typ.(*ast.IndexExpr); ok {
-						typ = ix.X
-					}
-					key = typ.(*ast.Ident).Name + "." + key
-				}
-				add(d.Name, key)
-				if d.Recv != nil { // a method does not use its own receiver type
-					ast.Inspect(d.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							names[id] = true
-						}
-						return true
-					})
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(spec.Name, spec.Name.Name)
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							add(id, id.Name)
-						}
-					}
-				}
+	}
+	fset, pkgs, info, imp := typedModule(t, std...)
+
+	origin := func(obj types.Object) types.Object {
+		switch o := obj.(type) {
+		case *types.Func:
+			return o.Origin()
+		case *types.Var:
+			return o.Origin()
+		}
+		return obj
+	}
+	ident := func(e ast.Expr) *ast.Ident {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return e
+		case *ast.SelectorExpr:
+			return e.Sel
+		}
+		return nil
+	}
+	notUses := map[*ast.Ident]bool{} // receivers, and operands of a comparison
+	set := map[types.Object]bool{}   // struct fields non-test code sets
+	setField := func(e ast.Expr) {
+		if id := ident(e); id != nil {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				set[v.Origin()] = true
 			}
 		}
 	}
-	// used holds dir.Name for each use of a package-level name of dir — bare
-	// in dir's own files, through an import of dir elsewhere — and Name for
-	// every identifier a file uses except one selected through an import
-	// (slices.Clone), which counts only as that package's.
-	used := map[string]bool{}
-	for _, f := range files {
-		dir := filepath.ToSlash(filepath.Dir(fset.Position(f.Package).Filename))
-		imports := map[string]string{} // import name -> path, module-relative for the module's own
-		for _, imp := range f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			name := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name], _ = strings.CutPrefix(path, "repro/")
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Recv != nil {
+						ast.Inspect(n.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								notUses[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						notUses[ident(n.X)], notUses[ident(n.Y)] = true, true
+					}
+				case *ast.SwitchStmt:
+					if n.Tag != nil { // a tagless switch's cases are expressions of their own
+						for _, c := range n.Body.List {
+							for _, e := range c.(*ast.CaseClause).List {
+								notUses[ident(e)] = true
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+					for i, e := range n.Elts {
+						if kv, isKV := e.(*ast.KeyValueExpr); isKV {
+							setField(kv.Key)
+						} else if ok {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setField(lhs)
+					}
+				case *ast.IncDecStmt:
+					setField(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setField(n.X)
+					}
+				}
+				return true
+			})
 		}
-		member := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if pkg, ok := imports[x.Name]; ok {
-						used[pkg+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				member[n.Sel] = true
-			case *ast.Ident:
-				if !names[n] {
-					used[n.Name] = true
-					if !member[n] {
-						used[dir+"."+n.Name] = true
-					}
-				}
+	}
+	used := map[types.Object]bool{}
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	var called []ifaceMethod // interface methods non-test code calls, or the standard library does
+	for id, obj := range info.Uses {
+		if notUses[id] {
+			continue
+		}
+		used[origin(obj)] = true
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			if iface, ok := fn.Signature().Recv().Type().Underlying().(*types.Interface); ok {
+				called = append(called, ifaceMethod{iface, fn.Name()})
 			}
-			return true
+		}
+	}
+	for _, s := range stdInterfaces {
+		scope := types.Universe
+		if s.pkg != "" {
+			p, err := imp.Import(s.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		iface := scope.Lookup(s.name).Type().Underlying().(*types.Interface)
+		for m := range iface.Methods() {
+			called = append(called, ifaceMethod{iface, m.Name()})
+		}
+	}
+	implementsCalled := func(named *types.Named, name string) bool {
+		return slices.ContainsFunc(called, func(c ifaceMethod) bool {
+			return c.name == name && (types.Implements(named, c.iface) || types.Implements(types.NewPointer(named), c.iface))
 		})
 	}
 
-	for _, name := range slices.Sorted(maps.Keys(declared)) {
-		for _, d := range declared[name] {
-			if !used[d.use] && exemptNames[name] == "" && exemptNames[d.key] == "" {
-				t.Errorf("%s: %s has no caller outside tests — delete it, or give it one", d.pos, d.key)
+	findings := map[string]string{} // pkg.Name or pkg.Type.Member -> what is wrong, at its position
+	report := func(key string, obj types.Object, what string) {
+		findings[key] = fmt.Sprintf("%s: %s %s", fset.Position(obj.Pos()), key, what)
+	}
+	declared := 0
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path(), "repro/internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			key := p.Name() + "." + name
+			if obj.Exported() {
+				declared++
+				if _, isConst := obj.(*types.Const); isConst && !used[obj] {
+					report(key, obj, "is at most compared against outside tests")
+				} else if !used[obj] {
+					report(key, obj, "has no use outside tests")
+				}
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for m := range iface.ExplicitMethods() {
+					if m.Exported() && !used[m] {
+						report(key+"."+m.Name(), m, "is called by nothing outside tests")
+					}
+				}
+				continue
+			}
+			for m := range named.Methods() {
+				if m.Exported() && !used[m] && !implementsCalled(named, m.Name()) {
+					report(key+"."+m.Name(), m, "has no caller outside tests")
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" && !set[f] {
+						report(key+"."+f.Name(), f, "is set by nothing outside tests")
+					}
+				}
 			}
 		}
 	}
-	for _, key := range slices.Sorted(maps.Keys(exemptNames)) {
-		if _, ok := declared[key[strings.LastIndex(key, ".")+1:]]; !ok {
-			t.Errorf("exempt name %s is declared nowhere under internal/ — take it off exemptNames", key)
+	for _, key := range slices.Sorted(maps.Keys(findings)) {
+		if exemptNames[key] == "" {
+			t.Errorf("%s — delete it, or give it a caller", findings[key])
 		}
 	}
-	t.Logf("%d exported identifiers under internal/, %d exempt", len(declared), len(exemptNames))
+	for _, key := range slices.Sorted(maps.Keys(exemptNames)) {
+		if findings[key] == "" {
+			t.Errorf("exempt name %s is not reported — it has a use now, or is gone: take it off exemptNames", key)
+		}
+	}
+	t.Logf("type-checked %d packages in %v; %d exported package-level names under internal/, %d exempt",
+		len(pkgs), time.Since(start).Round(time.Millisecond), declared, len(exemptNames))
 }
 
 // ctxFlowCases holds every shape the check must flag (marked "flagged")
