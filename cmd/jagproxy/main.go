@@ -9,9 +9,10 @@
 // successes reinstate it) and watched passively (transport errors and
 // 5xx trip a circuit breaker after -breaker-fails consecutive failures
 // or when half of the last 20 forwards failed). Routing is weighted
-// least-loaded using each backend's probed capacity — jagserve -probe
-// publishes its CostProbe-derived sustainable rows/s as capacity_qps on
-// the stats route, which the proxy refreshes every 15 s — falling back
+// least-loaded using each backend's probed capacity — jagserve probes
+// each model as it loads it, at start-up and on every hot swap, and
+// publishes the sustainable rows/s as capacity_qps on the stats route,
+// which the proxy refreshes every 15 s — falling back
 // to power-of-two-choices on in-flight counts until every backend
 // reports one.
 //

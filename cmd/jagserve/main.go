@@ -22,15 +22,23 @@
 // Default64-geometry images ship as raw little-endian float32 tensors
 // instead of JSON arrays.
 //
+// Every model is loaded one way (serve.Open), at start-up and on each
+// hot swap: its pool is canary-tested with one forward pass per method,
+// so a corrupt or NaN-weight checkpoint is never served, and its predict
+// path is cost-probed at the effective -max-batch, publishing the
+// sustainable rows/s as capacity_qps on the stats route (read by
+// cmd/jagproxy for weighted routing).
+//
 // With -watch, each model's spec/checkpoint path is polled (every
 // -reload-interval) and a newly written checkpoint — e.g. the next
 // LTFB tournament winner saved by a concurrently running ltfbtrain —
-// is hot-swapped in without dropping traffic: the replacement pool is
-// canary-tested with one forward pass per method before promotion, the
-// old model drains its in-flight batches and closes, and a corrupt or
-// NaN-weight checkpoint is rejected while the old model keeps serving
-// (the rejection shows up under "reload" in /healthz). Per-model stats
-// and /healthz report the serving generation (1 + completed reloads).
+// is hot-swapped in without dropping traffic: the replacement is
+// loaded, canary-tested and probed before promotion, so capacity_qps
+// is the new generation's own; the old model drains its in-flight
+// batches and closes, and a checkpoint that fails to load or fails the
+// canary is rejected while the old model keeps serving (the rejection
+// shows up under "reload" in /healthz). Per-model stats and /healthz
+// report the serving generation (1 + completed reloads).
 // A swap waits only for the old model's passes over rows it already
 // admitted, never for a client to read its reply; a request that meets
 // the old model closed is answered by the new one.
@@ -109,7 +117,6 @@ func main() {
 	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait before flushing a partial batch; HTTP requests are dispatched as soon as a worker is idle and do not wait for it")
 	queueDepth := flag.Int("queue-depth", 0, "max in-flight requests per model before 503 (0 = 4*max-batch)")
 	cacheSize := flag.Int("cache-size", 1024, "per-model LRU response-cache entries, filled by the interactive lane only (0 disables)")
-	probe := flag.Bool("probe", true, "cost-probe each model's predict path at startup and publish the sustainable rows/s as capacity_qps on its stats route (read by cmd/jagproxy for weighted routing)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline; rows still queued past it are dropped without a forward pass (0 disables; requests override via deadline_ms)")
 	watch := flag.Bool("watch", false, "watch each model's spec/checkpoint path and hot-swap newly written checkpoints in without dropping traffic (canary-tested; a bad checkpoint is rejected and the old model keeps serving)")
 	reloadInterval := flag.Duration("reload-interval", 2*time.Second, "poll period for -watch")
@@ -122,106 +129,43 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// entry is one fully resolved model to register. watchPath is what
-	// -watch polls: the original flag value, so a directory spec keeps
-	// resolving even if the spec file inside it is replaced. baseline
-	// is the content fingerprint captured before the serving pool was
-	// built, so a checkpoint written during the (slow) load window is
-	// promoted on the first poll rather than adopted as serving.
-	type entry struct {
-		name      string
-		spec      serve.ModelSpec
-		watchPath string
-		baseline  string
-	}
-	var entries []entry
-
-	for _, m := range models {
-		spec, err := serve.ResolveSpec(m.path)
-		if err != nil {
-			log.Fatalf("model %s: %v", m.name, err)
-		}
-		if len(spec.Checkpoints) == 0 {
-			log.Fatalf("model %s: spec at %s lists no checkpoints", m.name, m.path)
-		}
-		entries = append(entries, entry{name: m.name, spec: spec, watchPath: m.path})
-	}
-	if len(entries) == 0 {
+	if len(models) == 0 {
 		log.Fatal("need -models name=path")
 	}
 
-	cfg := serve.Config{
-		MaxBatch:   *maxBatch,
-		MaxDelay:   *maxDelay,
-		QueueDepth: *queueDepth,
-		CacheSize:  *cacheSize,
+	// -watch: NewReloader loads each model as Open does and polls its
+	// path. The watchers stop (watchCancel) before reg.Close so a swap
+	// cannot race the terminal shutdown.
+	cfg := serve.LoadConfig{
+		Replicas: *replicas,
+		Ensemble: *ensemble,
+		Server: serve.Config{
+			MaxBatch:   *maxBatch,
+			MaxDelay:   *maxDelay,
+			QueueDepth: *queueDepth,
+			CacheSize:  *cacheSize,
+		},
+		Logf: log.Printf,
 	}
 	reg := serve.NewRegistry()
-	for i := range entries {
-		e := &entries[i]
-		if *watch {
-			// Fingerprint before loading: if a new winner lands while
-			// the checkpoints are being read, the first poll sees a
-			// changed hash and promotes it.
-			fp, err := serve.SpecFingerprint(e.watchPath)
-			if err != nil {
-				log.Fatalf("model %s: %v", e.name, err)
-			}
-			e.baseline = fp
-		}
-		pool, err := serve.NewPoolFromCheckpoints(e.spec.Model, e.spec.Checkpoints, *replicas, *ensemble)
-		if err != nil {
-			log.Fatalf("model %s: %v", e.name, err)
-		}
-		srv := serve.NewServer(pool, cfg)
-		if err := reg.Register(e.name, srv); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("model %s: %d worker(s) over one weight set per checkpoint (%d checkpoint(s)), ensemble=%v, methods %v",
-			e.name, pool.Replicas(), len(e.spec.Checkpoints), pool.Ensemble(), srv.Methods())
-		if *probe {
-			// Publish this process's sustainable throughput so a fleet
-			// router (cmd/jagproxy) can weight traffic by real capacity
-			// instead of assuming identical replicas. Probe the predict
-			// path — it is what fleet routing balances — and fall back to
-			// the first method for models without one.
-			method := serve.MethodPredict
-			if _, ok := pool.Dims()[method]; !ok {
-				method = srv.Methods()[0]
-			}
-			res, err := serve.CostProbe(pool, method, *maxBatch)
-			if err != nil {
-				log.Printf("model %s: capacity probe failed (capacity_qps stays 0): %v", e.name, err)
-			} else {
-				qps := res.QPS(*maxBatch, pool.Replicas())
-				srv.SetCapacityQPS(qps)
-				log.Printf("model %s: probed capacity %.0f rows/s (%s: pass %.3gs + %.3gs/row at B=%d, %d worker(s))",
-					e.name, qps, method, res.PassSec, res.RowSec, *maxBatch, pool.Replicas())
-			}
-		}
-	}
-
-	// -watch: one reloader per model polls its spec/checkpoint path and
-	// hot-swaps new LTFB winners in under live traffic. The watchers
-	// stop (watchCancel) before reg.Close so a swap cannot race the
-	// terminal shutdown.
 	watchCtx, watchCancel := context.WithCancel(context.Background())
 	defer watchCancel()
-	if *watch {
-		for _, e := range entries {
-			rl, err := serve.NewReloader(reg, e.name, e.watchPath, serve.ReloaderConfig{
-				Interval: *reloadInterval,
-				Replicas: *replicas,
-				Ensemble: *ensemble,
-				Server:   cfg,
-				Logf:     log.Printf,
-				Baseline: e.baseline,
-			})
+	for _, m := range models {
+		if *watch {
+			rl, err := serve.NewReloader(reg, m.name, m.path, cfg)
 			if err != nil {
-				log.Fatalf("model %s: %v", e.name, err)
+				log.Fatalf("model %s: %v", m.name, err)
 			}
-			go rl.Run(watchCtx)
-			log.Printf("model %s: watching %s (every %v)", e.name, e.watchPath, *reloadInterval)
+			go rl.Run(watchCtx, *reloadInterval)
+			log.Printf("model %s: watching %s (every %v)", m.name, m.path, *reloadInterval)
+			continue
+		}
+		srv, err := serve.Open(m.path, cfg)
+		if err != nil {
+			log.Fatalf("model %s: %v", m.name, err)
+		}
+		if err := reg.Register(m.name, srv); err != nil {
+			log.Fatal(err)
 		}
 	}
 

@@ -90,7 +90,10 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		"internal/serve/middleware.go":  {"func Lifecycle", "func AddLogAttrs"},
 		"internal/metrics/histogram.go": {"func LatencyBuckets"},
 		"cmd/benchsnap/main.go":         {"jag-bench/v1", `"table"`},
-		"cmd/jagserve/main.go":          {`"debug-addr"`, `"log-format"`},
+		"cmd/jagserve/main.go":          {`"debug-addr"`, `"log-format"`, "serve.Open(", "serve.NewReloader("},
+		// docs/SERVING.md's hot-reload section: one load path, canary
+		// and probe at start-up and on every swap.
+		"internal/serve/reload.go": {"func Open(", "canary(pool)", "CostProbe(pool, MethodPredict, max(maxBatch, 2))"},
 		// docs/FLEET.md's contract surface: the proxy library, its CLI
 		// flags, the typed retry classification, the fleet capacity
 		// model, and the tier-1 fleet validation.
@@ -107,7 +110,7 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		// shows a swap waits for no client.
 		"lint_test.go":                    {"func TestSuiteCleanOnRepo", "func TestCtxFlow", "func TestMetricName", "func TestExportedNamesHaveCallers", "var exemptNames", "var stdInterfaces", "func typedModule"},
 		"internal/serve/registry_test.go": {"func TestStalledReaderDoesNotPinSwap"},
-		".github/workflows/ci.yml":        {"static-analysis:", "export data for the typed caller check", "TestExportedNamesHaveCallers", "race-stress:", "gofmt -s -l", "examples/fleet", "ProxyOverhead", "GemmTN128", "FuzzGemmMatchesReference", "GOARCH=arm64 go vet"},
+		".github/workflows/ci.yml":        {"-probe=false", "-max-batch 1", "static-analysis:", "export data for the typed caller check", "TestExportedNamesHaveCallers", "race-stress:", "gofmt -s -l", "examples/fleet", "ProxyOverhead", "GemmTN128", "FuzzGemmMatchesReference", "GOARCH=arm64 go vet"},
 		// EXPERIMENTS.md's Kernels section and the verify notes.
 		"internal/tensor/kernel_test.go": {"func FuzzGemmMatchesReference", "func TestMicroKernelsMatchScalar"},
 		"internal/core/core_test.go":     {"func TestRunPopulationGolden"},

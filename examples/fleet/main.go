@@ -78,8 +78,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fleet: ")
 
-	// 1. Three identical replicas — what `jagserve -addr :0 -probe`
-	// gives you as separate processes, condensed into one.
+	// 1. Three identical replicas — what `jagserve -addr :0` gives you
+	// as separate processes (each probing its own capacity at start-up),
+	// condensed into one.
 	var backends []*backend
 	var urls []string
 	for i := 0; i < 3; i++ {

@@ -53,6 +53,11 @@ func main() {
 	reg := serve.NewRegistry()
 	defer reg.Close()
 	ckpts := map[string]string{}
+	load := serve.LoadConfig{
+		Replicas: 2,
+		Server:   serve.Config{MaxBatch: 32, MaxDelay: 2 * time.Millisecond, CacheSize: 256},
+	}
+	var rl *serve.Reloader
 	for i, name := range []string{"campaign-a", "campaign-b"} {
 		fmt.Printf("training tiny surrogate %q...\n", name)
 		model, err := core.TrainSurrogate(cfg, 256, 60+60*i, 16, int64(3+i))
@@ -73,22 +78,23 @@ func main() {
 		}
 
 		// 3. Load the checkpoint into a 2-replica pool behind its own
-		// micro-batching queue and register it under its name. Each
-		// registered model gets independent lanes, cache, and stats;
-		// predict and invert batch separately inside each server.
-		loaded, err := serve.ResolveSpec(ckpt)
+		// micro-batching queue and register it under its name — the one
+		// load path jagserve uses: serve.Open canary-tests the pool and
+		// probes its capacity before anything is served. campaign-a is
+		// watched for new tournament winners (step 6), so a Reloader
+		// opens and registers it. Each registered model gets independent
+		// lanes, cache, and stats; predict and invert batch separately
+		// inside each server.
+		if name == "campaign-a" {
+			if rl, err = serve.NewReloader(reg, name, ckpt, load); err != nil {
+				log.Fatal(err)
+			}
+			continue
+		}
+		srv, err := serve.Open(ckpt, load)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pool, err := serve.NewPoolFromCheckpoints(loaded.Model, loaded.Checkpoints, 2, false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv := serve.NewServer(pool, serve.Config{
-			MaxBatch:  32,
-			MaxDelay:  2 * time.Millisecond,
-			CacheSize: 256,
-		})
 		if err := reg.Register(name, srv); err != nil {
 			log.Fatal(err)
 		}
@@ -149,20 +155,13 @@ func main() {
 
 	// 6. Hot checkpoint reload: the LTFB loop keeps promoting new
 	// tournament winners, and a serving process that needs a restart to
-	// pick one up is always stale. A Reloader watches the checkpoint
-	// path; when a new winner lands it rebuilds the pool, smoke-tests
-	// it with a canary forward pass (a corrupt or NaN checkpoint is
-	// rejected and the old model keeps serving), and atomically swaps
+	// pick one up is always stale. The Reloader from step 3 watches the
+	// checkpoint path; when a new winner lands it builds the next
+	// generation through serve.Open (a corrupt or NaN checkpoint fails
+	// the canary and the old model keeps serving), and atomically swaps
 	// it in — in-flight requests drain against the old model, new ones
 	// answer from the new. cmd/jagserve runs exactly this loop under
 	// -watch -reload-interval; here we poll once, explicitly.
-	rl, err := serve.NewReloader(reg, "campaign-a", ckpts["campaign-a"], serve.ReloaderConfig{
-		Replicas: 2,
-		Server:   serve.Config{MaxBatch: 32, MaxDelay: 2 * time.Millisecond, CacheSize: 256},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	before, _, err := cl.Call(ctx, "campaign-a", serve.MethodPredict, [][]float32{{0.5, 0.5, 0.5, 0.5, 0.5}})
 	if err != nil {
 		log.Fatal(err)

@@ -15,8 +15,9 @@
 //     consecutive failures or when half of its last 20 forwards failed
 //     — the prober then owns reinstatement;
 //   - weighted least-loaded routing: when every candidate reports a
-//     probed capacity (jagserve -probe publishes CostProbe-derived QPS
-//     on its stats route; the proxy refreshes it every 15 s), requests
+//     probed capacity (jagserve publishes CostProbe-derived QPS for
+//     each model it loads on its stats route; the proxy refreshes it
+//     every 15 s), requests
 //     go to the backend with the
 //     lowest (inflight+1)/capacity; otherwise power-of-two-choices on
 //     in-flight counts;

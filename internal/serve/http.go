@@ -99,11 +99,11 @@ type ModelStats struct {
 	// Reloads counts the hot swaps this name has been through
 	// (Generation - 1).
 	Reloads int64 `json:"reloads"`
-	// CapacityQPS is the probed sustainable row rate published by
-	// Server.SetCapacityQPS (jagserve -probe), 0 when never probed.
-	// A fleet router reads it to weight least-loaded routing. A
-	// Reloader hot swap carries the displaced generation's value over
-	// to the replacement (stale beats zero) until it is re-probed.
+	// CapacityQPS is the probed sustainable row rate Open publishes
+	// when it loads the model, 0 when never probed (a server built
+	// without Open). A fleet router reads it to weight least-loaded
+	// routing. A Reloader hot swap goes through Open too, so after a
+	// swap it is the new generation's own probe.
 	CapacityQPS float64 `json:"capacity_qps,omitempty"`
 }
 

@@ -44,9 +44,11 @@ func (p ProbeResult) Cost(b int) float64 { return p.PassSec + float64(b)*p.RowSe
 
 // QPS returns the sustainable row throughput the fit implies for a
 // server flushing full batches of maxBatch rows across workers parallel
-// execution units: workers·B/t(B). It is the number jagserve -probe
-// publishes via Server.SetCapacityQPS for fleet routing, and matches
-// perfmodel.ServingScenario.MaxQPS at zero cache hit rate.
+// execution units: workers·B/t(B). It is the number Open publishes via
+// Server.SetCapacityQPS for fleet routing (at the server's effective
+// MaxBatch, fitted at no fewer than 2 rows, so a cap of 1 has a rate
+// too), and matches perfmodel.ServingScenario.MaxQPS at zero cache hit
+// rate.
 func (p ProbeResult) QPS(maxBatch, workers int) float64 {
 	if maxBatch < 1 || workers < 1 {
 		return 0

@@ -23,28 +23,26 @@ import (
 // Every name carries a generation counter (1 at Register, +1 per
 // Replace) that the HTTP surface reports in stats and health.
 type Registry struct {
-	mu       sync.RWMutex
-	servers  map[string]regEntry
-	watchers map[string]*Reloader
-	closed   bool
+	mu      sync.RWMutex
+	servers map[string]regEntry
+	closed  bool
 	// httpPanics counts the handler panics the v1 surface answered with a
 	// 500. They belong to no model (the listing and health routes can
 	// panic too), so the count lives here rather than in a server's Stats.
 	httpPanics atomic.Int64
 }
 
-// regEntry is one registered server and the name's swap generation.
+// regEntry is one registered server, the name's swap generation, and
+// the Reloader watching the name (nil when nothing does).
 type regEntry struct {
 	srv *Server
 	gen int64
+	rl  *Reloader
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		servers:  make(map[string]regEntry),
-		watchers: make(map[string]*Reloader),
-	}
+	return &Registry{servers: make(map[string]regEntry)}
 }
 
 // validModelName reports whether name is usable as the {name} path
@@ -68,7 +66,10 @@ func validModelName(name string) bool {
 
 // Register adds a named server at generation 1. The name must be
 // URL-safe ([A-Za-z0-9][A-Za-z0-9._-]*) and not already taken.
-func (r *Registry) Register(name string, s *Server) error {
+func (r *Registry) Register(name string, s *Server) error { return r.register(name, s, nil) }
+
+// register adds a named server with its watcher, if any (NewReloader).
+func (r *Registry) register(name string, s *Server, rl *Reloader) error {
 	if !validModelName(name) {
 		return fmt.Errorf("serve: invalid model name %q", name)
 	}
@@ -83,7 +84,7 @@ func (r *Registry) Register(name string, s *Server) error {
 	if _, ok := r.servers[name]; ok {
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
-	r.servers[name] = regEntry{srv: s, gen: 1}
+	r.servers[name] = regEntry{srv: s, gen: 1, rl: rl}
 	return nil
 }
 
@@ -118,7 +119,7 @@ func (r *Registry) Replace(name string, s *Server) error {
 		r.mu.Unlock()
 		return fmt.Errorf("serve: model %q replaced with itself", name)
 	}
-	r.servers[name] = regEntry{srv: s, gen: old.gen + 1}
+	r.servers[name] = regEntry{srv: s, gen: old.gen + 1, rl: old.rl}
 	r.mu.Unlock()
 	old.srv.Close()
 	return nil
@@ -185,32 +186,16 @@ func (r *Registry) Len() int {
 	return len(r.servers)
 }
 
-// attachWatcher records the reloader watching a name, so the health
-// surface can report reload state next to readiness. One watcher per
-// name; NewReloader calls this.
-func (r *Registry) attachWatcher(name string, rl *Reloader) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.servers[name]; !ok {
-		return fmt.Errorf("serve: cannot watch unregistered model %q", name)
-	}
-	if _, ok := r.watchers[name]; ok {
-		return fmt.Errorf("serve: model %q already has a reloader", name)
-	}
-	r.watchers[name] = rl
-	return nil
-}
-
 // ReloadState reports the watching reloader's state for a name; ok is
-// false when the name has no reloader attached.
+// false when the name has no reloader.
 func (r *Registry) ReloadState(name string) (ReloadState, bool) {
 	r.mu.RLock()
-	rl, ok := r.watchers[name]
+	e := r.servers[name]
 	r.mu.RUnlock()
-	if !ok {
+	if e.rl == nil {
 		return ReloadState{}, false
 	}
-	return rl.State(), true
+	return e.rl.State(), true
 }
 
 // Close shuts down every registered server, draining their pipelines.

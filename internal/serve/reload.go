@@ -22,13 +22,13 @@ import (
 // always stale. The reloader polls a spec/checkpoint path (the same
 // flexible path cmd/jagserve's -models flag takes), fingerprints the
 // spec file and every checkpoint it lists, and when the content
-// changes it builds a fresh replica pool, smoke-tests it with a canary
-// forward pass per method, and promotes it with Registry.Replace —
-// new requests route to the new model while the old server drains its
-// in-flight batches and closes. A replacement that fails to load or
-// fails the canary is rolled back: the old model keeps serving, the
-// failure is recorded in the reload state (surfaced via /healthz), and
-// the next content change retries.
+// changes it builds the next generation through Open — pool, canary
+// pass per method, Server, capacity probe — and promotes it with
+// Registry.Replace: new requests route to the new model while the old
+// server drains its in-flight batches and closes. A replacement that
+// fails to load or fails the canary is rolled back: the old model keeps
+// serving, the failure is recorded in the reload state (surfaced via
+// /healthz), and the next content change retries.
 //
 // Change detection is two-stage: a cheap stat signature (path, size,
 // mtime of spec + checkpoints) decides whether to hash at all, and the
@@ -39,7 +39,7 @@ type Reloader struct {
 	reg  *Registry
 	name string
 	path string
-	cfg  ReloaderConfig
+	cfg  LoadConfig
 
 	mu         sync.Mutex
 	sig        string // last stat signature seen
@@ -51,29 +51,59 @@ type Reloader struct {
 	lastErr    string
 }
 
-// ReloaderConfig tunes a Reloader.
-type ReloaderConfig struct {
-	// Interval is the Run polling period (default 2s).
-	Interval time.Duration
-	// Replicas and Ensemble shape the rebuilt pool, like the matching
+// LoadConfig says how Open builds a served model from a spec path, at
+// start-up and for every generation a Reloader promotes.
+type LoadConfig struct {
+	// Replicas and Ensemble shape the pool, like the matching
 	// cmd/jagserve flags (Replicas is raised to the checkpoint count).
 	Replicas int
 	Ensemble bool
-	// Server configures the rebuilt Server; zero values take the
-	// Config defaults.
+	// Server configures the Server; zero values take the Config
+	// defaults.
 	Server Config
-	// Logf, when set, receives one line per swap and per failed
-	// attempt (e.g. log.Printf). nil silences the reloader.
+	// Logf, when set, receives one line per load (pool shape and probed
+	// capacity) and, from a Reloader's Run, one per swap and per failed
+	// attempt (e.g. log.Printf). nil silences both.
 	Logf func(format string, args ...any)
-	// Baseline is the SpecFingerprint of the content the currently
-	// serving model was built from. Set it when the files may change
-	// between building the serving pool and constructing the reloader
-	// (compute the fingerprint before loading the checkpoints, as
-	// cmd/jagserve -watch does); a checkpoint written in that window
-	// is then promoted on the first poll instead of being silently
-	// adopted as already-serving. Empty fingerprints the path at
-	// construction time.
-	Baseline string
+}
+
+// Open turns a flexible spec path (see FindSpec) into a started Server:
+// it loads the checkpoints the spec lists into a pool, refuses the pool
+// unless one canary pass per method returns finite rows of the declared
+// shape, starts the Server, and probes the predict path at the server's
+// effective MaxBatch, publishing the fitted row rate as CapacityQPS for
+// fleet routing. Every served model goes through here: cmd/jagserve's
+// start-up, NewReloader, and each hot swap.
+func Open(path string, cfg LoadConfig) (*Server, error) {
+	spec, err := ResolveSpec(path)
+	if err != nil {
+		return nil, err
+	}
+	pool, err := NewPoolFromCheckpoints(spec.Model, spec.Checkpoints, cfg.Replicas, cfg.Ensemble)
+	if err != nil {
+		return nil, err
+	}
+	if err := canary(pool); err != nil {
+		return nil, err
+	}
+	srv := NewServer(pool, cfg.Server)
+	// The fit needs two batch sizes; the rate is the one the server runs.
+	maxBatch := srv.cfg.MaxBatch
+	res, err := CostProbe(pool, MethodPredict, max(maxBatch, 2))
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	srv.SetCapacityQPS(res.QPS(maxBatch, pool.Replicas()))
+	cfg.logf("%s: %d worker(s) over one weight set per checkpoint (%d checkpoint(s)), ensemble=%v, probed capacity %.0f rows/s (predict: pass %.3gs + %.3gs/row at B=%d)",
+		path, pool.Replicas(), len(spec.Checkpoints), pool.Ensemble(), srv.CapacityQPS(), res.PassSec, res.RowSec, maxBatch)
+	return srv, nil
+}
+
+func (c LoadConfig) logf(format string, args ...any) {
+	if c.Logf != nil {
+		c.Logf(format, args...)
+	}
 }
 
 // ReloadState is a reloader's reportable state, embedded in the
@@ -107,27 +137,25 @@ type ReloadState struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// NewReloader attaches a watcher for the named (already registered)
-// model to the registry and fingerprints the path's current content as
-// the baseline, so the first poll only swaps if the files changed
-// after the serving model was built. It does not start polling: call
-// Run (or Check, for explicit single polls).
-func NewReloader(reg *Registry, name, path string, cfg ReloaderConfig) (*Reloader, error) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
+// NewReloader builds the model at path through Open and registers it
+// under name with this reloader watching it, in one step. It
+// fingerprints the path's content before loading, so a checkpoint
+// written while the pool loads is promoted on the first poll rather
+// than taken for the serving generation. It does not start polling:
+// call Run (or Check, for explicit single polls).
+func NewReloader(reg *Registry, name, path string, cfg LoadConfig) (*Reloader, error) {
 	rl := &Reloader{reg: reg, name: name, path: path, cfg: cfg}
-	if err := reg.attachWatcher(name, rl); err != nil {
+	var err error
+	if rl.sig, rl.hash, err = rl.fingerprint(); err != nil {
 		return nil, err
 	}
-	if cfg.Baseline != "" {
-		// The caller pinned what is actually serving; the stat
-		// signature stays empty so the first poll compares content.
-		rl.hash = cfg.Baseline
-	} else if sig, hash, _, err := rl.fingerprint(); err == nil {
-		// Best-effort: if the path is unreadable now, leave the
-		// fingerprint empty and let the first successful poll load it.
-		rl.sig, rl.hash = sig, hash
+	srv, err := Open(path, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := reg.register(name, srv, rl); err != nil {
+		srv.Close()
+		return nil, err
 	}
 	return rl, nil
 }
@@ -148,10 +176,13 @@ func (rl *Reloader) State() ReloadState {
 	}
 }
 
-// Run polls until ctx is cancelled, logging swaps and failures through
-// the configured Logf.
-func (rl *Reloader) Run(ctx context.Context) {
-	tick := time.NewTicker(rl.cfg.Interval)
+// Run polls every period (2s when not positive) until ctx is
+// cancelled, logging swaps and failures through the configured Logf.
+func (rl *Reloader) Run(ctx context.Context, every time.Duration) {
+	if every <= 0 {
+		every = 2 * time.Second
+	}
+	tick := time.NewTicker(every)
 	defer tick.Stop()
 	// Bad-content failures are latched by the stat signature (no
 	// re-attempt until the files change), but a fingerprint/stat error
@@ -169,12 +200,12 @@ func (rl *Reloader) Run(ctx context.Context) {
 			case err != nil:
 				if msg := err.Error(); msg != lastLogged {
 					lastLogged = msg
-					rl.logf("model %s: reload rejected, generation %d keeps serving: %v",
+					rl.cfg.logf("model %s: reload rejected, generation %d keeps serving: %v",
 						rl.name, rl.reg.Generation(rl.name), err)
 				}
 			case swapped:
 				lastLogged = ""
-				rl.logf("model %s: hot-swapped to generation %d from %s",
+				rl.cfg.logf("model %s: hot-swapped to generation %d from %s",
 					rl.name, rl.reg.Generation(rl.name), rl.path)
 			default:
 				lastLogged = ""
@@ -183,13 +214,7 @@ func (rl *Reloader) Run(ctx context.Context) {
 	}
 }
 
-func (rl *Reloader) logf(format string, args ...any) {
-	if rl.cfg.Logf != nil {
-		rl.cfg.Logf(format, args...)
-	}
-}
-
-// Check runs one poll step: detect change, rebuild, canary, promote.
+// Check runs one poll step: detect change, Open, promote.
 // It returns whether a swap happened. An error means the old model
 // kept serving — unreadable path, failed load, or canary rejection —
 // and stays recorded in State while the rejected content remains on
@@ -221,7 +246,7 @@ func (rl *Reloader) check() (swapped, examined bool, err error) {
 	lastSig, lastHash := rl.sig, rl.hash
 	rl.mu.Unlock()
 
-	sig, hash, spec, err := rl.fingerprint()
+	sig, hash, err := rl.fingerprint()
 	if err != nil {
 		return false, false, err
 	}
@@ -238,18 +263,9 @@ func (rl *Reloader) check() (swapped, examined bool, err error) {
 		return false, true, nil // touched or rewritten with identical bytes
 	}
 
-	pool, err := NewPoolFromCheckpoints(spec.Model, spec.Checkpoints, rl.cfg.Replicas, rl.cfg.Ensemble)
+	srv, err := Open(rl.path, rl.cfg)
 	if err != nil {
 		return false, true, fmt.Errorf("serve: reload %s: %w", rl.name, err)
-	}
-	if err := canary(pool); err != nil {
-		return false, true, fmt.Errorf("serve: reload %s: %w", rl.name, err)
-	}
-	srv := NewServer(pool, rl.cfg.Server)
-	if old, ok := rl.reg.Get(rl.name); ok {
-		// Stale beats zero: an unprobed replacement reporting 0 would
-		// drop the whole fleet from weighted routing to P2C.
-		srv.SetCapacityQPS(old.CapacityQPS())
 	}
 	if err := rl.reg.Replace(rl.name, srv); err != nil {
 		srv.Close()
@@ -263,46 +279,24 @@ func (rl *Reloader) check() (swapped, examined bool, err error) {
 }
 
 // fingerprint resolves the watched path and returns the stat signature
-// and content hash over the spec file plus every checkpoint it lists,
-// along with the loaded spec (so a changed poll does not re-parse it).
-func (rl *Reloader) fingerprint() (sig, hash string, spec ModelSpec, err error) {
+// and content hash over the spec file plus every checkpoint it lists.
+func (rl *Reloader) fingerprint() (sig, hash string, err error) {
 	specPath, err := FindSpec(rl.path)
 	if err != nil {
-		return "", "", ModelSpec{}, err
-	}
-	spec, err = LoadSpec(specPath)
-	if err != nil {
-		return "", "", ModelSpec{}, err
-	}
-	if len(spec.Checkpoints) == 0 {
-		return "", "", ModelSpec{}, fmt.Errorf("serve: spec %s lists no checkpoints", specPath)
-	}
-	files := append([]string{specPath}, spec.Checkpoints...)
-	sig, err = statSignature(files)
-	if err != nil {
-		return "", "", ModelSpec{}, err
-	}
-	hash, err = contentFingerprint(files)
-	if err != nil {
-		return "", "", ModelSpec{}, err
-	}
-	return sig, hash, spec, nil
-}
-
-// SpecFingerprint returns the content fingerprint of a flexible model
-// path (see FindSpec): one hex SHA-256 over the spec file and every
-// checkpoint it lists. Two paths with equal fingerprints would build
-// bitwise-identical models.
-func SpecFingerprint(path string) (string, error) {
-	specPath, err := FindSpec(path)
-	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	spec, err := LoadSpec(specPath)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
-	return contentFingerprint(append([]string{specPath}, spec.Checkpoints...))
+	files := append([]string{specPath}, spec.Checkpoints...)
+	if sig, err = statSignature(files); err != nil {
+		return "", "", err
+	}
+	if hash, err = contentFingerprint(files); err != nil {
+		return "", "", err
+	}
+	return sig, hash, nil
 }
 
 // statSignature is the cheap change detector: a string over each
@@ -334,7 +328,7 @@ func contentFingerprint(paths []string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// canary smoke-tests a freshly built model before it is promoted: one
+// canary smoke-tests a freshly built model before Open serves it: one
 // single-row forward pass per method with a mid-cube input. The output
 // must have the declared shape and carry only finite values — a
 // checkpoint whose weights decode but compute garbage (NaN/Inf) is

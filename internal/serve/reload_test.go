@@ -300,38 +300,41 @@ func saveTestCheckpoint(t *testing.T, path string, step int64, m *cyclegan.Surro
 	}
 }
 
-// newWatchedServer builds a checkpoint on disk, a server loaded from
-// it, and a reloader watching it; Check is driven explicitly by the
+// newWatchedServer builds a checkpoint on disk and a reloader that
+// loads, registers and watches it; Check is driven explicitly by the
 // tests for determinism.
 func newWatchedServer(t *testing.T, cfg Config) (reg *Registry, rl *Reloader, ckpt string) {
 	t.Helper()
 	ckpt = filepath.Join(t.TempDir(), "model.ckpt")
 	saveTestCheckpoint(t, ckpt, 1, cyclegan.New(testModelCfg(), 1))
-	spec, err := ResolveSpec(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPoolFromCheckpoints(spec.Model, spec.Checkpoints, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg = NewRegistry()
-	if err := reg.Register("m", NewServer(pool, cfg)); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(reg.Close)
-	rl, err = NewReloader(reg, "m", ckpt, ReloaderConfig{Server: cfg})
+	rl, err := NewReloader(reg, "m", ckpt, LoadConfig{Server: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return reg, rl, ckpt
 }
 
+// poisonedSurrogate is a structurally valid model whose weights are all
+// NaN: it loads fine and must fail the canary.
+func poisonedSurrogate() *cyclegan.Surrogate {
+	m := cyclegan.New(testModelCfg(), 3)
+	for _, net := range m.Nets() {
+		for _, p := range net.Params() {
+			for i := range p.W.Data {
+				p.W.Data[i] = float32(math.NaN())
+			}
+		}
+	}
+	return m
+}
+
 // TestReloaderSwapsOnNewCheckpoint drives the happy path: no change is
 // a no-op, a rewrite with identical content is a no-op (fingerprint,
 // not mtime, decides), and a new winner checkpoint hot-swaps the
 // generation whose outputs then match the new model bitwise and which
-// inherits the displaced generation's probed capacity.
+// publishes its own probed capacity, not the displaced generation's.
 func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	reg, rl, ckpt := newWatchedServer(t, Config{MaxBatch: 1})
 
@@ -351,7 +354,7 @@ func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	// A new tournament winner lands.
 	saveTestCheckpoint(t, ckpt, 2, cyclegan.New(testModelCfg(), 2))
 	old, _ := reg.Get("m")
-	old.SetCapacityQPS(1234) // what jagserve -probe published at startup
+	old.SetCapacityQPS(1234) // a value no probe of the new generation returns
 	swapped, err := rl.Check()
 	if err != nil || !swapped {
 		t.Fatalf("new checkpoint check = %v, %v; want swap", swapped, err)
@@ -365,10 +368,10 @@ func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 
 	// MaxBatch 1: the served row is bitwise the new model's pass.
 	s, _ := reg.Get("m")
-	if got := s.CapacityQPS(); got != 1234 {
-		// An unprobed replacement at 0 would drop a whole fleet of
-		// reloading backends from weighted routing to P2C.
-		t.Fatalf("capacity_qps = %v after the swap, want the displaced server's 1234", got)
+	if got := s.CapacityQPS(); got <= 0 || got == 1234 {
+		// 0 would drop a whole fleet of reloading backends from weighted
+		// routing to P2C; 1234 would be the displaced generation's.
+		t.Fatalf("capacity_qps = %v after the swap, want the replacement's own probe", got)
 	}
 	x := testInput(2)
 	got, err := predict(s, x)
@@ -385,48 +388,6 @@ func TestReloaderSwapsOnNewCheckpoint(t *testing.T) {
 	st := rl.State()
 	if st.Reloads != 1 || st.Generation != 2 || st.LastError != "" || st.LastSwap.IsZero() || st.Fingerprint == "" {
 		t.Fatalf("reloader state after swap: %+v", st)
-	}
-}
-
-// TestReloaderBaselinePinsServingContent covers the startup race the
-// Baseline option exists for: a checkpoint written between building
-// the serving pool and constructing the reloader. With the baseline
-// pinned to the content the pool was actually built from, the first
-// poll promotes the interloper instead of silently adopting it as
-// already-serving.
-func TestReloaderBaselinePinsServingContent(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
-	saveTestCheckpoint(t, ckpt, 1, cyclegan.New(testModelCfg(), 1))
-	baseline, err := SpecFingerprint(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ResolveSpec(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPoolFromCheckpoints(spec.Model, spec.Checkpoints, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	if err := reg.Register("m", NewServer(pool, Config{MaxBatch: 1})); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(reg.Close)
-
-	// The training side drops a new winner in the window.
-	saveTestCheckpoint(t, ckpt, 2, cyclegan.New(testModelCfg(), 2))
-
-	rl, err := NewReloader(reg, "m", ckpt, ReloaderConfig{Server: Config{MaxBatch: 1}, Baseline: baseline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swapped, err := rl.Check(); err != nil || !swapped {
-		t.Fatalf("first poll = %v, %v; want the interloper promoted", swapped, err)
-	}
-	if gen := reg.Generation("m"); gen != 2 {
-		t.Fatalf("generation = %d, want 2", gen)
 	}
 }
 
@@ -475,15 +436,7 @@ func TestReloaderRejectsCorruptCheckpoint(t *testing.T) {
 	}
 
 	// Valid format, poisoned weights: loads fine, canary must reject.
-	poisoned := cyclegan.New(testModelCfg(), 3)
-	for _, net := range poisoned.Nets() {
-		for _, p := range net.Params() {
-			for i := range p.W.Data {
-				p.W.Data[i] = float32(math.NaN())
-			}
-		}
-	}
-	saveTestCheckpoint(t, ckpt, 3, poisoned)
+	saveTestCheckpoint(t, ckpt, 3, poisonedSurrogate())
 	if swapped, err := rl.Check(); err == nil || swapped || !strings.Contains(err.Error(), "canary") {
 		t.Fatalf("NaN checkpoint check = %v, %v; want canary rejection", swapped, err)
 	}
@@ -502,26 +455,70 @@ func TestReloaderRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestNewReloaderValidation: a reloader needs a registered name and
-// refuses to double-watch.
+// TestNewReloaderValidation: NewReloader loads and registers the model
+// itself, so an unreadable path is an error and a name already taken —
+// by Register or by another reloader — is refused.
 func TestNewReloaderValidation(t *testing.T) {
 	reg := NewRegistry()
-	if _, err := NewReloader(reg, "ghost", "nowhere", ReloaderConfig{}); err == nil {
-		t.Fatal("reloader attached to an unregistered model")
+	t.Cleanup(reg.Close)
+	if _, err := NewReloader(reg, "m", "nowhere", LoadConfig{}); err == nil {
+		t.Fatal("reloader built from an unreadable path")
 	}
-	s := newSeedServer(t, 1, Config{MaxBatch: 1})
-	t.Cleanup(s.Close)
-	if err := reg.Register("m", s); err != nil {
+	if reg.Len() != 0 {
+		t.Fatal("a failed NewReloader registered a model")
+	}
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	saveTestCheckpoint(t, ckpt, 1, cyclegan.New(testModelCfg(), 1))
+	if err := reg.Register("m", newSeedServer(t, 1, Config{MaxBatch: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReloader(reg, "m", "nowhere", ReloaderConfig{}); err != nil {
-		t.Fatalf("unreadable path must not block construction (baseline is best-effort): %v", err)
+	if _, err := NewReloader(reg, "m", ckpt, LoadConfig{}); err == nil {
+		t.Fatal("reloader registered over a taken name")
 	}
-	if _, err := NewReloader(reg, "m", "nowhere", ReloaderConfig{}); err == nil {
+	if _, ok := reg.ReloadState("m"); ok {
+		t.Fatal("a Register-ed model reports reload state")
+	}
+	if _, err := NewReloader(reg, "w", ckpt, LoadConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReloader(reg, "w", ckpt, LoadConfig{}); err == nil {
 		t.Fatal("second reloader on one name accepted")
 	}
-	if _, ok := reg.ReloadState("m"); !ok {
+	if _, ok := reg.ReloadState("w"); !ok {
 		t.Fatal("reload state not reachable through the registry")
+	}
+}
+
+// TestOpenRefusesNaNCheckpoint: start-up runs the same canary as a hot
+// swap, so a checkpoint computing NaN is never served.
+func TestOpenRefusesNaNCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	saveTestCheckpoint(t, ckpt, 1, poisonedSurrogate())
+	srv, err := Open(ckpt, LoadConfig{})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Open served a NaN checkpoint")
+	}
+	if !strings.Contains(err.Error(), "canary") {
+		t.Fatalf("Open of a NaN checkpoint = %v; want canary rejection", err)
+	}
+}
+
+// TestOpenProbesAtEffectiveMaxBatch: a model opened at the default cap
+// (MaxBatch 0 runs at 64) or at MaxBatch 1 publishes a positive
+// capacity — the probe fits two batch sizes whatever the cap.
+func TestOpenProbesAtEffectiveMaxBatch(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
+	saveTestCheckpoint(t, ckpt, 1, cyclegan.New(testModelCfg(), 1))
+	for _, cfg := range []Config{{}, {MaxBatch: 1}} {
+		srv, err := Open(ckpt, LoadConfig{Server: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qps := srv.CapacityQPS(); qps <= 0 {
+			t.Errorf("MaxBatch %d: capacity_qps = %v, want > 0", cfg.MaxBatch, qps)
+		}
+		srv.Close()
 	}
 }
 

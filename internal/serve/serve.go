@@ -56,8 +56,11 @@
 //     submissions already on it (a per-name generation counter records
 //     each swap), and a Reloader (reload.go) automates it from disk —
 //     polling a spec/checkpoint path by stat signature then SHA-256
-//     fingerprint, canary-testing the rebuilt pool, and promoting new
-//     LTFB winners with rollback on corrupt checkpoints;
+//     fingerprint, building the next generation through Open, and
+//     promoting new LTFB winners with rollback on corrupt checkpoints.
+//     Open is the one way a spec path becomes a served model, at
+//     start-up and on every swap: load the pool, canary-test each
+//     method, start the Server, probe its capacity;
 //   - an LRU response cache (cache.go) keyed on (method, quantized
 //     input), exploiting that surrogate queries cluster around design
 //     points of interest; every lane is served from it, only the
@@ -895,8 +898,8 @@ func (s *Server) view() statsView {
 func (s *Server) Stats() StatsSnapshot { return s.view().snapshot() }
 
 // SetCapacityQPS publishes the server's probed sustainable throughput
-// in rows per second — typically ProbeResult.QPS from a startup
-// CostProbe. It surfaces on the stats route as capacity_qps and on
+// in rows per second — ProbeResult.QPS from the CostProbe Open runs
+// when it loads a model. It surfaces on the stats route as capacity_qps and on
 // /metrics as jag_capacity_qps, where a fleet router (cmd/jagproxy)
 // reads it to weight its routing. Zero means "not probed".
 func (s *Server) SetCapacityQPS(qps float64) {

@@ -45,28 +45,15 @@ func TestHotReloadUnderHTTPTraffic(t *testing.T) {
 	}
 
 	// Serve it the way cmd/jagserve -models jag=... -watch does.
-	srvCfg := serve.Config{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, QueueDepth: 128}
-	loaded, err := serve.ResolveSpec(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := serve.NewPoolFromCheckpoints(loaded.Model, loaded.Checkpoints, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := serve.NewRegistry()
-	if err := reg.Register("jag", serve.NewServer(pool, srvCfg)); err != nil {
-		t.Fatal(err)
-	}
-	rl, err := serve.NewReloader(reg, "jag", ckpt, serve.ReloaderConfig{
-		Interval: 2 * time.Millisecond,
-		Server:   srvCfg,
+	rl, err := serve.NewReloader(reg, "jag", ckpt, serve.LoadConfig{
+		Server: serve.Config{MaxBatch: 8, MaxDelay: 500 * time.Microsecond, QueueDepth: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	watchCtx, stopWatch := context.WithCancel(context.Background())
-	go rl.Run(watchCtx)
+	go rl.Run(watchCtx, 2*time.Millisecond)
 	ts := httptest.NewServer(serve.NewRegistryHandler(reg, serve.HandlerConfig{}))
 	t.Cleanup(func() {
 		ts.Close()
