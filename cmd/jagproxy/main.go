@@ -11,14 +11,15 @@
 // or when half of the last 20 forwards failed). Routing is weighted
 // least-loaded using each backend's probed capacity — jagserve probes
 // each model as it loads it, at start-up and on every hot swap, and
-// publishes the sustainable rows/s as capacity_qps on the stats route,
-// which the proxy refreshes every 15 s — falling back
-// to power-of-two-choices on in-flight counts until every backend
-// reports one.
+// publishes the sustainable rows/s as capacity_qps in its /healthz
+// reply, which every active probe reads — falling back to
+// power-of-two-choices on in-flight counts until every backend reports
+// one.
 //
 // A failed attempt (connect error, reply that died mid-body, or a
 // retryable 429/502/503/504) is retried on a backend the request has
-// not tried yet, up to -retries extra attempts. Interactive-lane
+// not tried yet, up to -retries extra attempts (-retries 0: one attempt
+// only). Interactive-lane
 // requests (no X-Priority header, or "interactive") additionally hedge:
 // if the first backend has not answered within -hedge-after, a second
 // race starts and the first full reply wins. Bulk requests never hedge.
@@ -81,7 +82,7 @@ func main() {
 	failAfter := flag.Int("fail-after", 2, "consecutive probe failures before a backend is dropped")
 	recoverAfter := flag.Int("recover-after", 2, "consecutive probe successes before a dropped backend is reinstated")
 	breakerFails := flag.Int("breaker-fails", 3, "consecutive forward failures (transport error or 5xx) tripping the passive breaker")
-	retries := flag.Int("retries", 2, "extra attempts (retries and hedges combined) after the first, each on an untried backend")
+	retries := flag.Int("retries", 2, "extra attempts (retries and hedges combined) after the first, each on an untried backend (0: none)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "race a second backend when an interactive request is unanswered after this long (0 disables; bulk never hedges)")
 	rate := flag.Float64("rate", 0, "per-client token-bucket rate limit on call routes, requests/s (0 disables)")
 	burst := flag.Int("burst", 0, "rate-limit bucket size (0: max(1, ceil(rate)))")
@@ -97,12 +98,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Config reads MaxRetries 0 as "default"; a negative count is none.
+	maxRetries := *retries
+	if maxRetries <= 0 {
+		maxRetries = -1
+	}
 	p, err := proxy.New(backends, proxy.Config{
 		HealthInterval: *healthInterval,
 		FailAfter:      *failAfter,
 		RecoverAfter:   *recoverAfter,
 		BreakerFails:   *breakerFails,
-		MaxRetries:     *retries,
+		MaxRetries:     maxRetries,
 		HedgeDelay:     *hedgeAfter,
 		RatePerSec:     *rate,
 		Burst:          *burst,

@@ -26,8 +26,8 @@
 // hot swap: its pool is canary-tested with one forward pass per method,
 // so a corrupt or NaN-weight checkpoint is never served, and its predict
 // path is cost-probed at the effective -max-batch, publishing the
-// sustainable rows/s as capacity_qps on the stats route (read by
-// cmd/jagproxy for weighted routing).
+// sustainable rows/s as capacity_qps on the stats route and in /healthz
+// (read by cmd/jagproxy's health probe for weighted routing).
 //
 // With -watch, each model's spec/checkpoint path is polled (every
 // -reload-interval) and a newly written checkpoint — e.g. the next

@@ -97,8 +97,8 @@ func TestDocNamedEntryPointsExist(t *testing.T) {
 		// docs/FLEET.md's contract surface: the proxy library, its CLI
 		// flags, the typed retry classification, the fleet capacity
 		// model, and the tier-1 fleet validation.
-		"internal/proxy/proxy.go":     {"func New", "serve.Lifecycle"},
-		"internal/proxy/backend.go":   {"jag_proxy_health_transitions_total"},
+		"internal/proxy/proxy.go":     {"func New", "serve.Lifecycle", "func (p *Proxy) Metrics", "jag_proxy_health_transitions_total"},
+		"internal/serve/http.go":      {`ModelHealth{Status: "ok", Generation: reg.Generation(name), CapacityQPS: s.CapacityQPS()}`},
 		"cmd/jagproxy/main.go":        {`"backend"`, `"hedge-after"`, `"rate"`},
 		"internal/serve/client.go":    {"type StatusError", "func RetryableStatus"},
 		"internal/perfmodel/fleet.go": {"type FleetScenario"},

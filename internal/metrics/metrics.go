@@ -3,10 +3,11 @@
 // (per-scalar correlation for the prediction-quality figures,
 // fixed-width text tables), plus the serving-side observability core —
 // lock-free streaming latency histograms with exponential buckets and
-// quantiles (histogram.go), and a labeled named-metric registry that
-// renders the Prometheus text exposition format (registry.go).
-// internal/serve builds its /metrics endpoint and per-stage tracing on
-// these; docs/OBSERVABILITY.md documents the exposed surface.
+// quantiles (histogram.go), and a labeled named-metric registry that a
+// scrape fills from those instruments and renders in the Prometheus text
+// exposition format (registry.go). internal/serve and internal/proxy
+// build their /metrics endpoints on these, a new registry per scrape;
+// docs/OBSERVABILITY.md documents the exposed surface.
 package metrics
 
 import (

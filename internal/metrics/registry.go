@@ -7,22 +7,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Registry is a named-metric registry: counters, gauges, and histograms
-// keyed by (name, labels), rendered in the Prometheus text exposition
-// format. It is the aggregation point between instrumented code (which
-// holds the returned metric handles and updates them lock-free) and a
-// /metrics scrape (which walks the registry and writes every family).
+// Registry is one scrape's worth of named metrics — counters, gauges
+// and histograms keyed by (name, labels) — rendered in the Prometheus
+// text exposition format. It is built fresh per scrape by one goroutine
+// and never shared: instrumented code keeps its own lock-free state
+// (atomic counters, Histogram) and a /metrics handler copies that state
+// in here, then writes it out. That is why it has no lock and no
+// handles.
 //
 // Labels follow the Prometheus conventions the serving stack uses:
-// model, method, lane, stage. A (name, label-set) pair resolves to the
-// same handle every time, so both "create once, hold the handle" and
-// "look up per update" callers see one shared series.
+// model, method, lane, stage, backend.
 type Registry struct {
-	mu       sync.Mutex
 	families map[string]*family
 }
 
@@ -33,16 +30,11 @@ type family struct {
 	series     map[string]*series
 }
 
-// series is one (name, labels) sample: exactly one of the value kinds is
-// live, matching the family kind.
+// series is one (name, labels) sample: val for a counter or gauge, hist
+// for a histogram.
 type series struct {
-	labels Labels
-	val    atomic.Uint64 // counter count / gauge float bits
-	hist   *Histogram
-	// snap, when set, is a pre-aggregated histogram published via
-	// SetHistogram — exposition state for histograms whose live half
-	// lives elsewhere (e.g. a serve.Server's per-stage instruments).
-	snap *HistogramSnapshot
+	val  float64
+	hist HistogramSnapshot
 }
 
 // Labels is one metric's label set. The zero value labels nothing.
@@ -76,63 +68,32 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Counter is a monotonically increasing count. Updates are lock-free.
-type Counter struct{ s *series }
-
-// Add increments the counter by n (non-negative).
-func (c *Counter) Add(n uint64) { c.s.val.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.s.val.Add(1) }
-
-// Gauge is a value that can go up and down. Updates are lock-free.
-type Gauge struct{ s *series }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.s.val.Store(math.Float64bits(v)) }
-
-// Counter returns the counter for (name, labels), creating it at zero on
-// first use. It panics if the name is already registered as another
-// metric kind — one name, one type is a Prometheus invariant.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	return &Counter{s: r.series(name, help, "counter", labels, nil)}
+// Counter adds n to the counter (name, labels), creating it at zero
+// first: two calls on one series render their sum. It panics if the
+// name is already registered as another metric kind — one name, one
+// type is a Prometheus invariant.
+func (r *Registry) Counter(name, help string, labels Labels, n uint64) {
+	r.series(name, help, "counter", labels).val += float64(n)
 }
 
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	return &Gauge{s: r.series(name, help, "gauge", labels, nil)}
+// Gauge sets the gauge (name, labels) to v.
+func (r *Registry) Gauge(name, help string, labels Labels, v float64) {
+	r.series(name, help, "gauge", labels).val = v
 }
 
-// Histogram returns the live histogram for (name, labels), creating it
-// with the given bucket bounds on first use (later calls ignore bounds
-// and return the existing instrument).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
-	s := r.series(name, help, "histogram", labels, func() *series {
-		return &series{hist: NewHistogram(bounds)}
-	})
-	return s.hist
+// Histogram sets the histogram (name, labels) to snap, a snapshot of a
+// live Histogram taken by its owner.
+func (r *Registry) Histogram(name, help string, labels Labels, snap HistogramSnapshot) {
+	r.series(name, help, "histogram", labels).hist = snap
 }
 
-// SetHistogram publishes a pre-aggregated histogram snapshot under
-// (name, labels), replacing any earlier snapshot. It is the exposition
-// path for histograms owned and updated elsewhere: the owner snapshots
-// its live instrument at scrape time and hands the copy over here.
-func (r *Registry) SetHistogram(name, help string, labels Labels, snap HistogramSnapshot) {
-	s := r.series(name, help, "histogram", labels, func() *series { return &series{} })
-	r.mu.Lock()
-	s.snap = &snap
-	r.mu.Unlock()
-}
-
-// series resolves or creates the series for (name, labels); make, when
-// non-nil, builds the new series value. Names and, when a series is
-// created, label keys are checked; a malformed one panics.
-func (r *Registry) series(name, help, kind string, labels Labels, make_ func() *series) *series {
+// series resolves or creates the series for (name, labels). Names and,
+// when a series is created, label keys are checked; a malformed one
+// panics.
+func (r *Registry) series(name, help, kind string, labels Labels) *series {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
@@ -143,21 +104,12 @@ func (r *Registry) series(name, help, kind string, labels Labels, make_ func() *
 	key := labels.key()
 	s, ok := f.series[key]
 	if !ok {
-		if make_ != nil {
-			s = make_()
-		} else {
-			s = &series{}
-		}
-		// Copy the labels: the caller may reuse its map.
-		if len(labels) > 0 {
-			s.labels = make(Labels, len(labels))
-			for k, v := range labels {
-				if !validLabelKey(k) {
-					panic(fmt.Sprintf("metrics: invalid label key %q", k))
-				}
-				s.labels[k] = v
+		for k := range labels {
+			if !validLabelKey(k) {
+				panic(fmt.Sprintf("metrics: invalid label key %q", k))
 			}
 		}
+		s = &series{}
 		f.series[key] = s
 	}
 	return s
@@ -185,21 +137,18 @@ func validLabelKey(key string) bool {
 	return key != ""
 }
 
-// WritePrometheus renders every registered family in the Prometheus
-// text exposition format (version 0.0.4): families sorted by name,
-// series sorted by label key, histograms as cumulative _bucket/_sum/
-// _count series. The write is a point-in-time view; lock-free updates
-// racing it shift a sample by at most the in-flight handful.
+// WritePrometheus renders every family in the Prometheus text
+// exposition format (version 0.0.4): families sorted by name, series
+// sorted by label key, histograms as cumulative _bucket/_sum/_count
+// series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+	names := make([]string, 0, len(r.families))
+	for name := range r.families {
+		names = append(names, name)
 	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
+	sort.Strings(names)
+	for _, name := range names {
+		f := r.families[name]
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
 				return err
@@ -208,26 +157,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		r.mu.Lock()
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		rows := make([]*series, len(keys))
-		for i, k := range keys {
-			rows[i] = f.series[k]
-		}
-		r.mu.Unlock()
-		for i, s := range rows {
+		for _, k := range keys {
+			s := f.series[k]
 			var err error
-			switch f.kind {
-			case "counter":
-				err = writeSample(w, f.name, keys[i], "", float64(s.val.Load()))
-			case "gauge":
-				err = writeSample(w, f.name, keys[i], "", math.Float64frombits(s.val.Load()))
-			case "histogram":
-				err = writeHistogram(w, f.name, keys[i], histSnapshot(s))
+			if f.kind == "histogram" {
+				err = writeHistogram(w, f.name, k, s.hist)
+			} else {
+				err = writeSample(w, f.name, k, "", s.val)
 			}
 			if err != nil {
 				return err
@@ -235,18 +176,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// histSnapshot returns the series' exposition state: the published
-// snapshot if one was set, else a fresh snapshot of the live histogram.
-func histSnapshot(s *series) HistogramSnapshot {
-	if s.snap != nil {
-		return *s.snap
-	}
-	if s.hist != nil {
-		return s.hist.Snapshot()
-	}
-	return HistogramSnapshot{}
 }
 
 // writeSample renders one "name{labels} value" line; extraLabel, when

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -15,18 +14,18 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // deterministic values, for the exposition golden test.
 func buildTestRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("jag_requests_total", "Completed rows.", Labels{"model": "jag", "method": "predict", "lane": "interactive"}).Add(42)
-	r.Counter("jag_requests_total", "Completed rows.", Labels{"model": "jag", "method": "predict", "lane": "bulk"}).Add(7)
-	r.Counter("jag_requests_total", "Completed rows.", Labels{"model": "jag", "method": "invert", "lane": "interactive"}).Add(3)
-	r.Gauge("jag_queue_depth", "In-flight requests.", Labels{"model": "jag"}).Set(5)
-	r.Gauge("jag_cache_hit_rate", "Hit fraction of answered rows.", Labels{"model": "jag"}).Set(0.25)
-	h := r.Histogram("jag_stage_latency_seconds", "Per-stage latency.", []float64{0.001, 0.01, 0.1},
-		Labels{"model": "jag", "stage": "forward"})
+	r.Counter("jag_requests_total", "Completed rows.", Labels{"model": "jag", "method": "predict", "lane": "interactive"}, 42)
+	r.Counter("jag_requests_total", "Completed rows.", Labels{"model": "jag", "method": "predict", "lane": "bulk"}, 7)
+	r.Counter("jag_requests_total", "Completed rows.", Labels{"model": "jag", "method": "invert", "lane": "interactive"}, 3)
+	r.Gauge("jag_queue_depth", "In-flight requests.", Labels{"model": "jag"}, 5)
+	r.Gauge("jag_cache_hit_rate", "Hit fraction of answered rows.", Labels{"model": "jag"}, 0.25)
+	h := NewHistogram([]float64{0.001, 0.01, 0.1})
 	for _, v := range []float64{0.0005, 0.002, 0.003, 0.05, 2} {
 		h.Observe(v)
 	}
+	r.Histogram("jag_stage_latency_seconds", "Per-stage latency.", Labels{"model": "jag", "stage": "forward"}, h.Snapshot())
 	snap := HistogramSnapshot{Bounds: []float64{0.001, 0.01}, Counts: []uint64{1, 2, 0}, Count: 3, Sum: 0.0105}
-	r.SetHistogram("jag_request_latency_seconds", "End-to-end latency.", Labels{"model": "jag"}, snap)
+	r.Histogram("jag_request_latency_seconds", "End-to-end latency.", Labels{"model": "jag"}, snap)
 	return r
 }
 
@@ -57,27 +56,31 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	}
 }
 
+// TestRegistrySameSeriesSharedHandle: two Counter calls on one (name,
+// labels), through different label maps, render one series holding
+// their sum.
 func TestRegistrySameSeriesSharedHandle(t *testing.T) {
 	r := NewRegistry()
-	l := Labels{"model": "a"}
-	c1 := r.Counter("x_total", "", l)
-	c2 := r.Counter("x_total", "", Labels{"model": "a"})
-	c1.Inc()
-	c2.Add(2)
-	if c1.s.val.Load() != 3 {
-		t.Fatalf("handles not shared: %d", c1.s.val.Load())
+	r.Counter("x_total", "", Labels{"model": "a"}, 1)
+	r.Counter("x_total", "", Labels{"model": "a"}, 2)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE x_total counter\nx_total{model=\"a\"} 3\n"; b.String() != want {
+		t.Fatalf("got %q, want %q", b.String(), want)
 	}
 }
 
 func TestRegistryKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "", nil)
+	r.Counter("x_total", "", nil, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("kind conflict must panic")
 		}
 	}()
-	r.Gauge("x_total", "", nil)
+	r.Gauge("x_total", "", nil, 0)
 }
 
 // TestRegistryInvalidNamePanics: a malformed metric name, or a label key
@@ -93,43 +96,20 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 		register()
 	}
 	for _, bad := range []string{"", "9lives", "has space", "dash-ed"} {
-		mustPanic("name", bad, func() { r.Counter(bad, "", nil) })
-		mustPanic("label key", bad, func() { r.Counter("x_total", "", Labels{"model": "jag", bad: "v"}) })
+		mustPanic("name", bad, func() { r.Counter(bad, "", nil, 0) })
+		mustPanic("label key", bad, func() { r.Counter("x_total", "", Labels{"model": "jag", bad: "v"}, 0) })
 	}
-	mustPanic("label key", "Model", func() { r.Gauge("jag_queue_depth", "", Labels{"Model": "jag"}) })
+	mustPanic("label key", "Model", func() { r.Gauge("jag_queue_depth", "", Labels{"Model": "jag"}, 0) })
 }
 
 func TestRegistryLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("g", "", Labels{"path": `a"b\c` + "\nd"}).Set(1)
+	r.Gauge("g", "", Labels{"path": `a"b\c` + "\nd"}, 1)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `path="a\"b\\c\nd"`) {
 		t.Fatalf("label not escaped: %s", b.String())
-	}
-}
-
-// TestRegistryConcurrent exercises creation and updates under -race.
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Counter("c_total", "", Labels{"g": string(rune('a' + g%2))}).Inc()
-				r.Histogram("h", "", []float64{1, 2}, nil).Observe(float64(i))
-				var b strings.Builder
-				_ = r.WritePrometheus(&b)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := r.Counter("c_total", "", Labels{"g": "a"}).s.val.Load() +
-		r.Counter("c_total", "", Labels{"g": "b"}).s.val.Load(); got != 800 {
-		t.Fatalf("lost updates: %d", got)
 	}
 }

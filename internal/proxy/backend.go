@@ -12,13 +12,13 @@ import (
 )
 
 // Backend is one jagserve replica behind the front door. The hot path
-// touches only its atomics (in-flight count for routing, health bit for
-// candidate selection, capacity bits for weighting); the mutex guards
-// the cold bookkeeping the health machinery reads and writes — breaker
-// windows and probe streaks. Its jag_proxy_* metric handles are resolved
-// once in newBackend, so an attempt updates them without touching the
-// registry. Backends are created once at proxy construction and only
-// ever handled by pointer.
+// touches only its atomics and latency histogram (in-flight count for
+// routing, health bit for candidate selection, capacity bits for
+// weighting, attempt counters for /metrics, which Proxy.Metrics renders
+// per scrape); the mutex guards the cold bookkeeping the health
+// machinery reads and writes — breaker windows and probe streaks.
+// Backends are created once at proxy construction and only ever handled
+// by pointer.
 type Backend struct {
 	name string // host:port — the metrics label and log handle
 	base string // normalized base URL, no trailing slash
@@ -26,17 +26,14 @@ type Backend struct {
 	inflight atomic.Int64
 	healthy  atomic.Bool
 	// capacity holds the float64 bits of the backend's probed
-	// sustainable row rate (rows/s), refreshed from its stats route;
-	// 0 until the first successful capacity sweep.
+	// sustainable row rate (rows/s), read off each successful /healthz
+	// probe; 0 until the first probe that reports one.
 	capacity atomic.Uint64
 
-	latency     *metrics.Histogram          // attempt latency, connect to full reply
-	codes       [6]*metrics.Counter         // attempts by outcome: [0] transport error, [n] status nxx
-	errs        map[string]*metrics.Counter // counted failures by kind: timeout, conn, status_5xx
-	transitions map[string]*metrics.Counter // health flips by direction: up, down
-	healthyG    *metrics.Gauge              // the three scrape-time gauges
-	inflightG   *metrics.Gauge
-	capacityG   *metrics.Gauge
+	latency     *metrics.Histogram              // attempt latency, connect to full reply
+	codes       [len(codeClasses)]atomic.Uint64 // attempts by outcome, indexed like codeClasses
+	errs        [len(errKinds)]atomic.Uint64    // counted failures by kind, indexed like errKinds
+	transitions [2]atomic.Uint64                // health flips: [0] to down, [1] to up
 
 	mu sync.Mutex
 	// consecFails counts consecutive forward failures (transport error
@@ -58,9 +55,21 @@ type Backend struct {
 	lastErr    string
 }
 
-// newBackend validates and normalizes one backend URL and registers the
-// backend's series with m, so each exists at 0 from the first scrape.
-func newBackend(raw string, m *metrics.Registry) (*Backend, error) {
+// Attempt outcomes, the code label of jag_proxy_requests_total: a
+// transport error, or the reply's status class.
+var codeClasses = [...]string{"error", "1xx", "2xx", "3xx", "4xx", "5xx"}
+
+// Counted attempt failures, the kind label of jag_proxy_errors_total.
+const (
+	errTimeout = iota
+	errConn
+	errStatus5xx
+)
+
+var errKinds = [...]string{errTimeout: "timeout", errConn: "conn", errStatus5xx: "status_5xx"}
+
+// newBackend validates and normalizes one backend URL.
+func newBackend(raw string) (*Backend, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: backend %q: %w", raw, err)
@@ -72,36 +81,11 @@ func newBackend(raw string, m *metrics.Registry) (*Backend, error) {
 		return nil, fmt.Errorf("proxy: backend %q: missing host", raw)
 	}
 	b := &Backend{
-		name: u.Host,
-		base: strings.TrimRight(u.String(), "/"),
+		name:    u.Host,
+		base:    strings.TrimRight(u.String(), "/"),
+		latency: metrics.NewHistogram(metrics.LatencyBuckets()),
 	}
 	b.healthy.Store(true) // optimistic until the first probe says otherwise
-
-	lbl := metrics.Labels{"backend": b.name}
-	b.latency = m.Histogram("jag_proxy_request_latency_seconds",
-		"Backend attempt latency (connect to full reply), per backend.",
-		metrics.LatencyBuckets(), lbl)
-	for i, code := range []string{"error", "1xx", "2xx", "3xx", "4xx", "5xx"} {
-		b.codes[i] = m.Counter("jag_proxy_requests_total",
-			"Forwarded attempts per backend and status class.",
-			metrics.Labels{"backend": b.name, "code": code})
-	}
-	b.errs = make(map[string]*metrics.Counter)
-	for _, kind := range []string{"timeout", "conn", "status_5xx"} {
-		b.errs[kind] = m.Counter("jag_proxy_errors_total",
-			"Backend attempt failures by kind.",
-			metrics.Labels{"backend": b.name, "kind": kind})
-	}
-	b.transitions = make(map[string]*metrics.Counter)
-	for _, to := range []string{"up", "down"} {
-		b.transitions[to] = m.Counter("jag_proxy_health_transitions_total",
-			"Backend health flips, labeled by direction.",
-			metrics.Labels{"backend": b.name, "to": to})
-	}
-	b.healthyG = m.Gauge("jag_proxy_backend_healthy", "1 while the backend is routed to.", lbl)
-	b.inflightG = m.Gauge("jag_proxy_backend_inflight", "Proxied requests outstanding on the backend.", lbl)
-	b.capacityG = m.Gauge("jag_proxy_backend_capacity_qps",
-		"Backend's probed sustainable row rate (rows/s), 0 until reported.", lbl)
 	return b, nil
 }
 

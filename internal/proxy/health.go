@@ -2,27 +2,30 @@ package proxy
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/serve"
 )
 
-// Active health probing and capacity refresh. The prober is the single
-// authority for reinstatement: a backend dropped by either a failed
-// probe or the passive breaker returns to rotation only after
-// Config.RecoverAfter consecutive probe successes, so one lucky request
-// cannot resurrect a flapping replica.
+// Active health probing. The prober is the single authority for
+// reinstatement: a backend dropped by either a failed probe or the
+// passive breaker returns to rotation only after Config.RecoverAfter
+// consecutive probe successes, so one lucky request cannot resurrect a
+// flapping replica. Each successful probe also reads the backend's
+// probed capacity off the /healthz reply, so a swapped or late-started
+// backend is weighted from its next probe on.
 
 // maintain runs the periodic sweeps until ctx is cancelled.
 func (p *Proxy) maintain(ctx context.Context) {
 	health := time.NewTicker(p.cfg.HealthInterval)
 	defer health.Stop()
-	capacity := time.NewTicker(capacityInterval)
-	defer capacity.Stop()
 	sweep := time.NewTicker(time.Minute)
 	defer sweep.Stop()
 	for {
@@ -31,8 +34,6 @@ func (p *Proxy) maintain(ctx context.Context) {
 			return
 		case <-health.C:
 			p.probeSweep(ctx)
-		case <-capacity.C:
-			p.capacitySweep(ctx)
 		case <-sweep.C:
 			if p.limiter != nil {
 				p.limiter.sweep(time.Now())
@@ -57,7 +58,11 @@ func (p *Proxy) probeSweep(ctx context.Context) {
 
 // probeOne performs one active probe and applies the resulting health
 // transition, if any. A 503 /healthz (backend reports itself closed or
-// degraded) counts as a failed probe just like a connect error.
+// degraded) counts as a failed probe just like a connect error. A 200
+// sets the backend's capacity from its first model by name — jagserve
+// probes every model it loads, so any of them stands in for the
+// process; a failed probe, or a reply naming no model, keeps the last
+// weight.
 func (p *Proxy) probeOne(ctx context.Context, b *Backend) {
 	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
@@ -68,10 +73,13 @@ func (p *Proxy) probeOne(ctx context.Context, b *Backend) {
 	} else if resp, err := p.probeHC.Do(req); err != nil {
 		ok, detail = false, err.Error()
 	} else {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		resp.Body.Close()
+		var h serve.HealthResponse
 		if resp.StatusCode != http.StatusOK {
 			ok, detail = false, fmt.Sprintf("healthz HTTP %d", resp.StatusCode)
+		} else if json.Unmarshal(raw, &h) == nil && len(h.Models) > 0 {
+			b.setCapacity(h.Models[slices.Min(slices.Collect(maps.Keys(h.Models)))].CapacityQPS)
 		}
 	}
 	down, up := b.noteProbe(ok, detail, p.cfg.FailAfter, p.cfg.RecoverAfter)
@@ -81,39 +89,4 @@ func (p *Proxy) probeOne(ctx context.Context, b *Backend) {
 	case up:
 		p.setHealth(b, true, "probe recovered")
 	}
-}
-
-// capacitySweep refreshes each backend's probed capacity from its stats
-// route, seeding the weighted least-loaded router. A backend that
-// cannot answer keeps its previous weight — stale beats zero, which
-// would silently demote the whole fleet to power-of-two-choices.
-func (p *Proxy) capacitySweep(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, b := range p.backends {
-		wg.Add(1)
-		go func(b *Backend) {
-			defer wg.Done()
-			p.refreshCapacity(ctx, b)
-		}(b)
-	}
-	wg.Wait()
-}
-
-// refreshCapacity reads one backend's capacity_qps via the serve
-// client. The backend's first listed model stands in for the whole
-// process — jagserve publishes the same probed rate per model, so any of
-// them works.
-func (p *Proxy) refreshCapacity(ctx context.Context, b *Backend) {
-	cctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	client := serve.NewClient(b.base).WithHTTPClient(p.probeHC)
-	models, err := client.Models(cctx)
-	if err != nil || len(models) == 0 {
-		return
-	}
-	stats, err := client.Stats(cctx, models[0].Name)
-	if err != nil {
-		return
-	}
-	b.setCapacity(stats.CapacityQPS)
 }

@@ -68,15 +68,15 @@ func readAllBody(resp *http.Response) ([]byte, error) {
 }
 
 // errKind classifies a transport error for the errors_total metric.
-func errKind(err error) string {
+func errKind(err error) int {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return "timeout"
+		return errTimeout
 	}
 	var nerr net.Error
 	if errors.As(err, &nerr) && nerr.Timeout() {
-		return "timeout"
+		return errTimeout
 	}
-	return "conn"
+	return errConn
 }
 
 // clientKey identifies the caller for rate limiting: the remote IP,

@@ -16,10 +16,9 @@
 //     — the prober then owns reinstatement;
 //   - weighted least-loaded routing: when every candidate reports a
 //     probed capacity (jagserve publishes CostProbe-derived QPS for
-//     each model it loads on its stats route; the proxy refreshes it
-//     every 15 s), requests
-//     go to the backend with the
-//     lowest (inflight+1)/capacity; otherwise power-of-two-choices on
+//     each model it loads in its /healthz reply, which every active
+//     probe reads), requests go to the backend with the lowest
+//     (inflight+1)/capacity; otherwise power-of-two-choices on
 //     in-flight counts;
 //   - bounded retries and hedging: a failed attempt (connect error,
 //     broken reply, retryable status — see serve.RetryableStatus) is
@@ -27,9 +26,10 @@
 //     interactive-lane requests additionally hedge after
 //     Config.HedgeDelay, racing a second backend (bulk never hedges);
 //   - per-client token-bucket rate limiting with 429 + Retry-After;
-//   - observability: jag_proxy_* metric families on GET /metrics (every
-//     handle resolved once at construction, so the attempt path touches
-//     no registry lock), and the request lifecycle internal/serve's v1
+//   - observability: jag_proxy_* metric families on GET /metrics,
+//     counted in atomics on the attempt path and rendered into a new
+//     registry per scrape (Metrics), as jagserve does; and the request
+//     lifecycle internal/serve's v1
 //     handler runs — serve.Lifecycle: X-Request-Id accepted or minted,
 //     echoed and forwarded so one correlation ID traces a request
 //     proxy→backend, plus an optional structured access log whose
@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -70,7 +71,7 @@ type Config struct {
 	BreakerFails int
 	// MaxRetries is the extra attempts (retries and hedges combined)
 	// after the first, each on a backend the request has not tried yet
-	// (default 2).
+	// (default 2; negative for none).
 	MaxRetries int
 	// HedgeDelay races a second backend when an interactive request has
 	// not answered within it; 0 disables hedging. Bulk-lane requests
@@ -94,15 +95,12 @@ type Config struct {
 
 // What nobody has needed to tune.
 const (
-	// probeTimeout bounds one health probe or capacity refresh.
+	// probeTimeout bounds one health probe.
 	probeTimeout = 2 * time.Second
 	// errorRate is the failure fraction of a backend's last errorWindow
 	// forwards that trips the breaker even without a consecutive run.
 	errorRate   = 0.5
 	errorWindow = 20
-	// capacityInterval is the period between capacity refreshes from the
-	// backends' stats routes.
-	capacityInterval = 15 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -139,18 +137,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Proxy fronts a set of jagserve backends. It is an http.Handler;
-// Start launches the health/capacity maintenance loops.
+// Start launches the health maintenance loop.
 type Proxy struct {
 	cfg      Config
 	backends []*Backend
-	m        *metrics.Registry
 	limiter  *rateLimiter
 	hc       *http.Client // forwards: no global timeout, per-attempt ctx
-	probeHC  *http.Client // probes + capacity refresh: probeTimeout
+	probeHC  *http.Client // health probes: probeTimeout
 	handler  http.Handler // the route mux inside serve.Lifecycle
 
 	// Fleet-wide counters; the per-backend instruments live on Backend.
-	rateLimited, noBackend, retries, hedges, hedgeWins, panics *metrics.Counter
+	rateLimited, noBackend, retries, hedges, hedgeWins, panics atomic.Uint64
 }
 
 // New builds a proxy over the given backend base URLs (such as
@@ -163,7 +160,6 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg: cfg,
-		m:   metrics.NewRegistry(),
 		hc: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
@@ -171,21 +167,9 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 		}},
 		probeHC: &http.Client{Timeout: probeTimeout},
 	}
-	p.rateLimited = p.m.Counter("jag_proxy_rate_limited_total",
-		"Requests shed by per-client frontend rate limiting.", nil)
-	p.noBackend = p.m.Counter("jag_proxy_no_backend_total",
-		"Requests failed because no backend was available.", nil)
-	p.retries = p.m.Counter("jag_proxy_retries_total",
-		"Attempts relaunched on another backend after a retryable failure.", nil)
-	p.hedges = p.m.Counter("jag_proxy_hedges_total",
-		"Second attempts raced for slow interactive requests.", nil)
-	p.hedgeWins = p.m.Counter("jag_proxy_hedge_wins_total",
-		"Hedged attempts that answered first.", nil)
-	p.panics = p.m.Counter("jag_proxy_panics_total",
-		"Panics contained: a handler's answered with a 500, a backend attempt's failed as a transport error.", nil)
 	seen := map[string]bool{}
 	for _, raw := range backendURLs {
-		b, err := newBackend(raw, p.m)
+		b, err := newBackend(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -204,27 +188,64 @@ func New(backendURLs []string, cfg Config) (*Proxy, error) {
 	mux.HandleFunc("GET /v1/models/{name}/stats", p.servePass)
 	mux.HandleFunc("GET /healthz", p.serveHealthz)
 	mux.HandleFunc("GET /metrics", p.serveMetrics)
-	p.handler = serve.Lifecycle(mux, cfg.AccessLog, p.panics.Inc)
+	p.handler = serve.Lifecycle(mux, cfg.AccessLog, func() { p.panics.Add(1) })
 	return p, nil
 }
 
-// Start launches the maintenance loops — active health probing,
-// capacity refresh, rate-limiter cleanup — until ctx is cancelled. It
-// runs one synchronous probe + capacity sweep first, so a proxy whose
-// backends are already up routes with fresh state from its first
-// request.
+// Start launches the maintenance loop — active health probing, which
+// also reads each backend's capacity, and rate-limiter cleanup — until
+// ctx is cancelled. It runs one synchronous probe sweep first, so a
+// proxy whose backends are already up routes with fresh health and
+// weights from its first request.
 func (p *Proxy) Start(ctx context.Context) {
 	p.probeSweep(ctx)
-	p.capacitySweep(ctx)
 	go p.maintain(ctx)
 }
 
 // Backends exposes the backend set (for /healthz and tests).
 func (p *Proxy) Backends() []*Backend { return p.backends }
 
-// Metrics exposes the proxy's metric registry (for tests and embedding
-// scrapes).
-func (p *Proxy) Metrics() *metrics.Registry { return p.m }
+// Metrics renders the proxy's instruments into a new registry, the
+// GET /metrics exposition: the fleet counters, then per backend its
+// attempt counters, latency histogram and the healthy/inflight/capacity
+// gauges. Every series is present, at 0 before any traffic, so rate()
+// needs no first-sample special case.
+func (p *Proxy) Metrics() *metrics.Registry {
+	m := metrics.NewRegistry()
+	m.Counter("jag_proxy_rate_limited_total", "Requests shed by per-client frontend rate limiting.", nil, p.rateLimited.Load())
+	m.Counter("jag_proxy_no_backend_total", "Requests failed because no backend was available.", nil, p.noBackend.Load())
+	m.Counter("jag_proxy_retries_total", "Attempts relaunched on another backend after a retryable failure.", nil, p.retries.Load())
+	m.Counter("jag_proxy_hedges_total", "Second attempts raced for slow interactive requests.", nil, p.hedges.Load())
+	m.Counter("jag_proxy_hedge_wins_total", "Hedged attempts that answered first.", nil, p.hedgeWins.Load())
+	m.Counter("jag_proxy_panics_total",
+		"Panics contained: a handler's answered with a 500, a backend attempt's failed as a transport error.", nil, p.panics.Load())
+	for _, b := range p.backends {
+		l := metrics.Labels{"backend": b.name}
+		m.Histogram("jag_proxy_request_latency_seconds", "Backend attempt latency (connect to full reply), per backend.",
+			l, b.latency.Snapshot())
+		for i, code := range codeClasses {
+			m.Counter("jag_proxy_requests_total", "Forwarded attempts per backend and status class.",
+				metrics.Labels{"backend": b.name, "code": code}, b.codes[i].Load())
+		}
+		for i, kind := range errKinds {
+			m.Counter("jag_proxy_errors_total", "Backend attempt failures by kind.",
+				metrics.Labels{"backend": b.name, "kind": kind}, b.errs[i].Load())
+		}
+		for i, to := range []string{"down", "up"} {
+			m.Counter("jag_proxy_health_transitions_total", "Backend health flips, labeled by direction.",
+				metrics.Labels{"backend": b.name, "to": to}, b.transitions[i].Load())
+		}
+		up := 0.0
+		if b.Healthy() {
+			up = 1
+		}
+		m.Gauge("jag_proxy_backend_healthy", "1 while the backend is routed to.", l, up)
+		m.Gauge("jag_proxy_backend_inflight", "Proxied requests outstanding on the backend.", l, float64(b.Inflight()))
+		m.Gauge("jag_proxy_backend_capacity_qps", "Backend's probed sustainable row rate (rows/s), 0 until reported.",
+			l, b.CapacityQPS())
+	}
+	return m
+}
 
 func (p *Proxy) logf(format string, args ...any) {
 	if p.cfg.Logf != nil {
@@ -302,7 +323,7 @@ func (p *Proxy) pick(tried map[*Backend]bool) *Backend {
 func (p *Proxy) serveCall(w http.ResponseWriter, r *http.Request) {
 	if p.limiter != nil {
 		if ok, retryAfter := p.limiter.allow(clientKey(r), time.Now()); !ok {
-			p.rateLimited.Inc()
+			p.rateLimited.Add(1)
 			sec := int(retryAfter.Seconds() + 0.999)
 			if sec < 1 {
 				sec = 1
@@ -377,6 +398,7 @@ func (p *Proxy) dispatch(r *http.Request, body []byte, hedge bool) outcome {
 		}
 		tried[b] = true
 		launched++
+		b.inflight.Add(1) // attempt takes it off once the outcome is counted
 		go func() { results <- p.attempt(actx, b, r, body, hedged) }()
 		return true
 	}
@@ -398,13 +420,13 @@ func (p *Proxy) dispatch(r *http.Request, body []byte, hedge bool) outcome {
 			pending--
 			if out.relayable() {
 				if out.hedged {
-					p.hedgeWins.Inc()
+					p.hedgeWins.Add(1)
 				}
 				return out
 			}
 			last = out
 			if ctx.Err() == nil && launch(false) {
-				p.retries.Inc()
+				p.retries.Add(1)
 				pending++
 				continue
 			}
@@ -415,7 +437,7 @@ func (p *Proxy) dispatch(r *http.Request, body []byte, hedge bool) outcome {
 		case <-hedgeC:
 			hedgeC = nil
 			if launch(true) {
-				p.hedges.Inc()
+				p.hedges.Add(1)
 				pending++
 			}
 		case <-ctx.Done():
@@ -435,16 +457,21 @@ var forwardHeaders = []string{
 }
 
 // attempt forwards the request to one backend, buffers the whole reply,
-// and feeds the passive breaker with the observed outcome.
+// and feeds the passive breaker with the observed outcome. The caller
+// has counted it in b's in-flight gauge; attempt takes it off after
+// counting the outcome, so a backend at 0 in flight has every attempt
+// it served in jag_proxy_requests_total.
 func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body []byte, hedged bool) outcome {
-	req, err := newBackendRequest(ctx, b, r, body)
-	if err != nil {
-		return outcome{b: b, err: err, hedged: hedged}
-	}
-	b.inflight.Add(1)
 	start := time.Now()
-	status, header, raw, err := p.forward(req)
+	status, header, raw, err := p.forward(ctx, b, r, body)
 	b.latency.Observe(time.Since(start).Seconds())
+	class := 0 // transport error
+	if err == nil {
+		// Clamped: a hostile backend may answer any three-digit status,
+		// and everything from 500 up is a failure below anyway.
+		class = min(max(status/100, 1), 5)
+	}
+	b.codes[class].Add(1)
 	b.inflight.Add(-1)
 
 	if err != nil {
@@ -452,39 +479,40 @@ func (p *Proxy) attempt(ctx context.Context, b *Backend, r *http.Request, body [
 		// died mid-body. Don't hold it against the backend when our own
 		// client vanished — the cancellation is the caller's, not the
 		// backend's.
-		b.codes[0].Inc()
 		if r.Context().Err() == nil && ctx.Err() != context.Canceled {
 			p.noteForward(b, true, err.Error())
-			b.errs[errKind(err)].Inc()
+			b.errs[errKind(err)].Add(1)
 		}
 		return outcome{b: b, err: err, hedged: hedged}
 	}
-	// Clamped: a hostile backend may answer any three-digit status, and
-	// everything from 500 up is a failure below anyway.
-	b.codes[min(max(status/100, 1), 5)].Inc()
 	if status >= 500 {
 		p.noteForward(b, true, fmt.Sprintf("HTTP %d", status))
-		b.errs["status_5xx"].Inc()
+		b.errs[errStatus5xx].Add(1)
 	} else {
 		p.noteForward(b, false, "")
 	}
 	return outcome{b: b, status: status, header: header, body: raw, hedged: hedged}
 }
 
-// forward sends req and buffers the whole reply. It runs on an attempt
-// goroutine, outside serve.Lifecycle's recover, so a panic under it — in
-// the transport, in a body reader — would end the process: here it is
-// counted, logged, and becomes this attempt's transport error, which
-// feeds the breaker and lets dispatch retry elsewhere or answer 502.
-func (p *Proxy) forward(req *http.Request) (status int, header http.Header, raw []byte, err error) {
+// forward sends r to b and buffers the whole reply. It runs on an
+// attempt goroutine, outside serve.Lifecycle's recover, so a panic under
+// it — in the transport, in a body reader — would end the process: here
+// it is counted, logged, and becomes this attempt's transport error,
+// which feeds the breaker and lets dispatch retry elsewhere or answer
+// 502.
+func (p *Proxy) forward(ctx context.Context, b *Backend, r *http.Request, body []byte) (status int, header http.Header, raw []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.panics.Inc()
-			log.Printf("panic forwarding %s %s (request %s): %v\n%s", req.Method, req.URL,
-				req.Header.Get(serve.RequestIDHeader), v, debug.Stack())
+			p.panics.Add(1)
+			log.Printf("panic forwarding %s %s%s (request %s): %v\n%s", r.Method, b.base, r.URL.RequestURI(),
+				r.Header.Get(serve.RequestIDHeader), v, debug.Stack())
 			err = fmt.Errorf("panic: %v", v)
 		}
 	}()
+	req, err := newBackendRequest(ctx, b, r, body)
+	if err != nil {
+		return 0, nil, nil, err
+	}
 	resp, err := p.hc.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -506,11 +534,11 @@ func (p *Proxy) setHealth(b *Backend, up bool, reason string) {
 	if b.healthy.Swap(up) == up {
 		return
 	}
-	to := "down"
+	to, i := "down", 0
 	if up {
-		to = "up"
+		to, i = "up", 1
 	}
-	b.transitions[to].Inc()
+	b.transitions[i].Add(1)
 	p.logf("proxy: backend %s %s (%s)", b.name, to, reason)
 }
 
@@ -533,7 +561,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, out outcome) {
 	}
 	switch {
 	case out.err == errNoBackend:
-		p.noBackend.Inc()
+		p.noBackend.Add(1)
 		w.Header().Set("Retry-After", "1")
 		serve.WriteError(w, http.StatusServiceUnavailable, "no backend available")
 		return
@@ -612,17 +640,6 @@ func (p *Proxy) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, status, resp)
 }
 
-// serveMetrics refreshes the point-in-time backend gauges and renders
-// the registry; counters and histograms are written on the hot path.
 func (p *Proxy) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	for _, b := range p.backends {
-		up := 0.0
-		if b.Healthy() {
-			up = 1
-		}
-		b.healthyG.Set(up)
-		b.inflightG.Set(float64(b.Inflight()))
-		b.capacityG.Set(b.CapacityQPS())
-	}
-	serve.WriteMetrics(w, p.m)
+	serve.WriteMetrics(w, p.Metrics())
 }

@@ -28,12 +28,14 @@ import (
 )
 
 // fakeBackend is an httptest stand-in for one jagserve replica with a
-// scriptable call handler and a healthz switch.
+// scriptable call handler, a healthz switch and the capacity its healthz
+// reports (none while 0).
 type fakeBackend struct {
-	srv     *httptest.Server
-	healthy atomic.Bool
-	calls   atomic.Int64
-	handler atomic.Value // func(w http.ResponseWriter, r *http.Request)
+	srv      *httptest.Server
+	healthy  atomic.Bool
+	capacity atomic.Int64
+	calls    atomic.Int64
+	handler  atomic.Value // func(w http.ResponseWriter, r *http.Request)
 }
 
 func newFakeBackend(t *testing.T) *fakeBackend {
@@ -48,6 +50,10 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !f.healthy.Load() {
 			http.Error(w, "closed", http.StatusServiceUnavailable)
+			return
+		}
+		if qps := f.capacity.Load(); qps > 0 {
+			fmt.Fprintf(w, `{"status":"ok","models":{"jag":{"status":"ok","generation":1,"capacity_qps":%d}}}`, qps)
 			return
 		}
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -123,8 +129,8 @@ func counterValue(p *Proxy, name string, labels metrics.Labels) uint64 {
 }
 
 func TestPickWeightedLeastLoaded(t *testing.T) {
-	b1, _ := newBackend("http://a:1", metrics.NewRegistry())
-	b2, _ := newBackend("http://b:2", metrics.NewRegistry())
+	b1, _ := newBackend("http://a:1")
+	b2, _ := newBackend("http://b:2")
 	p := &Proxy{backends: []*Backend{b1, b2}}
 	// b1: high capacity, some load; b2: low capacity, same load. Score
 	// (inflight+1)/capacity favors b1.
@@ -152,8 +158,8 @@ func TestPickPowerOfTwoFallback(t *testing.T) {
 	// No capacities: P2C on inflight. With a 0-load and a loaded backend
 	// the 0-load one must win every draw that offers both, i.e. always
 	// (two candidates means both are always compared).
-	b1, _ := newBackend("http://a:1", metrics.NewRegistry())
-	b2, _ := newBackend("http://b:2", metrics.NewRegistry())
+	b1, _ := newBackend("http://a:1")
+	b2, _ := newBackend("http://b:2")
 	b2.inflight.Store(50)
 	p := &Proxy{backends: []*Backend{b1, b2}}
 	for i := 0; i < 20; i++ {
@@ -215,6 +221,35 @@ func TestActiveProbeDropAndReinstate(t *testing.T) {
 	}
 }
 
+// TestCapacityFollowsHealthProbe: the routing weight comes from each
+// /healthz probe, not a slower loop of its own — a backend that reports
+// a new capacity is weighted by it from the next sweep on, and one whose
+// probe fails keeps the last weight it reported.
+func TestCapacityFollowsHealthProbe(t *testing.T) {
+	f := newFakeBackend(t)
+	p, err := New([]string{f.srv.URL}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := p.Backends()[0]
+	for i, step := range []struct {
+		capacity int64
+		healthy  bool
+		want     float64
+	}{
+		{100, true, 100},
+		{300, true, 300},
+		{500, false, 300}, // 503: the capacity it would report is never read
+	} {
+		f.capacity.Store(step.capacity)
+		f.healthy.Store(step.healthy)
+		p.probeSweep(context.Background())
+		if got := b.CapacityQPS(); got != step.want {
+			t.Fatalf("sweep %d: capacity %g, want %g", i, got, step.want)
+		}
+	}
+}
+
 func TestRetryOnRetryableStatus(t *testing.T) {
 	bad := newFakeBackend(t)
 	good := newFakeBackend(t)
@@ -236,6 +271,25 @@ func TestRetryOnRetryableStatus(t *testing.T) {
 	}
 	if v := counterValue(p, "jag_proxy_retries_total", nil); v == 0 {
 		t.Fatal("no retries counted despite a 503-ing backend in rotation")
+	}
+}
+
+// TestNegativeMaxRetriesMakesOneAttempt: MaxRetries < 0 is no retry at
+// all (jagproxy -retries 0), while the zero value keeps the default 2 —
+// a 503 from the first-picked backend is then the answer.
+func TestNegativeMaxRetriesMakesOneAttempt(t *testing.T) {
+	bad, good := newFakeBackend(t), newFakeBackend(t)
+	bad.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
+	})
+	p, front := newTestProxy(t, Config{MaxRetries: -1}, bad, good)
+	p.Backends()[0].setCapacity(1000) // least-loaded picks the bad backend first
+	p.Backends()[1].setCapacity(1)
+	if resp := postCall(t, front.URL, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want the first attempt's 503", resp.StatusCode)
+	}
+	if got := counterValue(p, "jag_proxy_retries_total", nil); got != 0 || good.calls.Load() != 0 {
+		t.Fatalf("retries_total %d, good backend called %d times: want one attempt only", got, good.calls.Load())
 	}
 }
 
@@ -434,8 +488,8 @@ func scrape(t *testing.T, base string) string {
 func TestMetricsExposition(t *testing.T) {
 	f := newFakeBackend(t)
 	p, front := newTestProxy(t, Config{}, f)
-	// Handles are resolved at construction, so every series exists at 0
-	// before the first request — rate() needs no first-sample special case.
+	// Every series is rendered at 0 before the first request — rate()
+	// needs no first-sample special case.
 	name := p.Backends()[0].Name()
 	text := scrape(t, front.URL)
 	for _, want := range []string{
@@ -464,6 +518,119 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestProxyCountersConserve: every attempt the proxy launches is one
+// jag_proxy_requests_total sample, so once nothing is in flight one
+// render shows Σ requests_total = routed calls + retries + hedges, and
+// no more hedges won than were raced. One backend answers 503 (calls
+// retry), one answers late (calls hedge), and scrapes run beside the
+// traffic — under -race that is the concurrent read of every
+// instrument the attempt path writes.
+func TestProxyCountersConserve(t *testing.T) {
+	refusing, slow, fast := newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)
+	refusing.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
+	})
+	slow.handler.Store(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(20 * time.Millisecond):
+			fmt.Fprint(w, `{"outputs":[[1]]}`)
+		case <-r.Context().Done():
+		}
+	})
+	p, front := newTestProxy(t, Config{HedgeDelay: 2 * time.Millisecond, HealthInterval: 5 * time.Millisecond, RecoverAfter: 1},
+		refusing, slow, fast)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.Start(ctx) // reinstates the refusing backend each time its breaker trips
+
+	const clients, perClient = 4, 40
+	done := make(chan struct{})
+	var scrapes sync.WaitGroup
+	for range 2 {
+		scrapes.Add(1)
+		go func() {
+			defer scrapes.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					if err := p.Metrics().WritePrometheus(io.Discard); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var calls sync.WaitGroup
+	for range clients {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			for range perClient {
+				resp, err := http.Post(front.URL+"/v1/models/jag/predict", "application/json", strings.NewReader(`{"inputs":[[0.5]]}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("call: status %d, want 200", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	calls.Wait()
+	close(done)
+	scrapes.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, b := range p.Backends() {
+		for b.Inflight() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("backend %s still has %d attempts in flight", b.Name(), b.Inflight())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var text strings.Builder
+	if err := p.Metrics().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	value := func(series string) uint64 {
+		for _, line := range strings.Split(text.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no %s series in:\n%s", series, text.String())
+		return 0
+	}
+	var attempts uint64
+	for _, b := range p.Backends() {
+		for _, code := range codeClasses {
+			attempts += value(fmt.Sprintf(`jag_proxy_requests_total{backend=%q,code=%q}`, b.Name(), code))
+		}
+	}
+	retries, hedges, wins := value("jag_proxy_retries_total"), value("jag_proxy_hedges_total"), value("jag_proxy_hedge_wins_total")
+	t.Logf("%d calls: %d attempts, %d retries, %d hedges, %d hedge wins", clients*perClient, attempts, retries, hedges, wins)
+	if retries == 0 || hedges == 0 {
+		t.Fatalf("retries %d, hedges %d: the traffic must exercise both", retries, hedges)
+	}
+	if want := uint64(clients*perClient) + retries + hedges; attempts != want {
+		t.Errorf("Σ jag_proxy_requests_total = %d, want calls + retries + hedges = %d", attempts, want)
+	}
+	if wins > hedges {
+		t.Errorf("hedge_wins_total %d > hedges_total %d", wins, hedges)
 	}
 }
 
@@ -776,6 +943,7 @@ func TestPanickingProxyHandlerIsContained(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `{"error":"internal error (request boom-2)"}`) {
 		t.Fatalf("panicking call: status %d, body %q", rec.Code, rec.Body)
 	}
+	p.backends = whole // Metrics walks the backends
 	if got := counterValue(p, "jag_proxy_panics_total", nil); got != 1 {
 		t.Fatalf("jag_proxy_panics_total = %d, want 1", got)
 	}
@@ -805,6 +973,7 @@ func TestPanickingProxyHandlerIsContained(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
+	p.backends = []*Backend{nil}
 	if code := post(); code != http.StatusInternalServerError {
 		t.Fatalf("panicking call over a connection: status %d, want 500", code)
 	}

@@ -101,8 +101,8 @@ type ModelStats struct {
 	Reloads int64 `json:"reloads"`
 	// CapacityQPS is the probed sustainable row rate Open publishes
 	// when it loads the model, 0 when never probed (a server built
-	// without Open). A fleet router reads it to weight least-loaded
-	// routing. A Reloader hot swap goes through Open too, so after a
+	// without Open). /healthz carries the same value (ModelHealth),
+	// where a fleet router reads it. A Reloader hot swap goes through Open too, so after a
 	// swap it is the new generation's own probe.
 	CapacityQPS float64 `json:"capacity_qps,omitempty"`
 }
@@ -121,6 +121,10 @@ type ModelHealth struct {
 	Ensemble bool   `json:"ensemble,omitempty"`
 	// Generation is the model's hot-swap generation (see ModelInfo).
 	Generation int64 `json:"generation"`
+	// CapacityQPS is the current generation's probed sustainable row
+	// rate, the stats route's capacity_qps; a fleet proxy weights its
+	// routing by it from every health probe.
+	CapacityQPS float64 `json:"capacity_qps,omitempty"`
 	// Reload is the checkpoint watcher's state when the model has one:
 	// watched path, last check/swap times, and the last rejected
 	// reload (a non-empty last_error means a new checkpoint failed its
@@ -236,7 +240,7 @@ func NewRegistryHandler(reg *Registry, hc HandlerConfig) http.Handler {
 			if !ok {
 				continue
 			}
-			mh := ModelHealth{Status: "ok", Generation: reg.Generation(name)}
+			mh := ModelHealth{Status: "ok", Generation: reg.Generation(name), CapacityQPS: s.CapacityQPS()}
 			mh.Replicas, mh.Ensemble = poolShape(s.Model())
 			if rs, ok := reg.ReloadState(name); ok {
 				mh.Reload = &rs

@@ -61,8 +61,8 @@ func MetricsHandler(reg *Registry) http.Handler {
 				collectModel(m, reg, name, s)
 			}
 		}
-		m.Counter("jag_http_panics_total", "Handler panics answered with a 500.", nil).
-			Add(uint64(reg.httpPanics.Load()))
+		m.Counter("jag_http_panics_total", "Handler panics answered with a 500.", nil,
+			uint64(reg.httpPanics.Load()))
 		WriteMetrics(w, m)
 	})
 }
@@ -86,56 +86,55 @@ func collectModel(m *metrics.Registry, reg *Registry, name string, s *Server) {
 		for lane, n := range v.rows[i] {
 			if n > 0 {
 				m.Counter("jag_requests_total", "Completed rows by model, method, and priority lane.",
-					metrics.Labels{"model": name, "method": method, "lane": Priority(lane).String()}).Add(uint64(n))
+					metrics.Labels{"model": name, "method": method, "lane": Priority(lane).String()}, uint64(n))
 			}
 		}
 	}
-	m.Counter("jag_batches_total", "Forward passes run.", l).Add(uint64(v.batches))
-	m.Counter("jag_overloads_total", "Rows rejected by queue-depth backpressure.", l).Add(uint64(v.overloads))
-	m.Counter("jag_expired_total", "Rows dropped before a forward pass: deadline passed.", l).Add(uint64(v.expired))
-	m.Counter("jag_cancelled_total", "Rows dropped before a forward pass: context cancelled.", l).Add(uint64(v.cancelled))
-	m.Counter("jag_model_failures_total", "Rows failed by the model's own forward pass.", l).Add(uint64(v.failures))
-	m.Counter("jag_cache_hits_total", "Rows answered from the LRU response cache.", l).Add(uint64(v.cacheHits))
-	m.Counter("jag_cache_misses_total", "Rows looked up in the LRU response cache, not found, and answered by the model.", l).Add(uint64(v.cacheMisses))
+	m.Counter("jag_batches_total", "Forward passes run.", l, uint64(v.batches))
+	m.Counter("jag_overloads_total", "Rows rejected by queue-depth backpressure.", l, uint64(v.overloads))
+	m.Counter("jag_expired_total", "Rows dropped before a forward pass: deadline passed.", l, uint64(v.expired))
+	m.Counter("jag_cancelled_total", "Rows dropped before a forward pass: context cancelled.", l, uint64(v.cancelled))
+	m.Counter("jag_model_failures_total", "Rows failed by the model's own forward pass.", l, uint64(v.failures))
+	m.Counter("jag_cache_hits_total", "Rows answered from the LRU response cache.", l, uint64(v.cacheHits))
+	m.Counter("jag_cache_misses_total", "Rows looked up in the LRU response cache, not found, and answered by the model.", l, uint64(v.cacheMisses))
 	hitRate := 0.0
 	if total := v.cacheHits + v.cacheMisses; total > 0 {
 		hitRate = float64(v.cacheHits) / float64(total)
 	}
-	m.Gauge("jag_cache_hit_rate", "Cache hits over answered rows.", l).Set(hitRate)
-	m.Gauge("jag_cache_entries", "Rows held by the LRU response cache (interactive-lane rows only).", l).Set(float64(v.cacheEntries))
-	m.Gauge("jag_cache_bytes", "Row data held by the LRU response cache: entries x row width x 4.", l).Set(float64(v.cacheBytes))
-	m.Gauge("jag_queue_depth", "Rows admitted and not yet answered.", l).Set(float64(s.Inflight()))
+	m.Gauge("jag_cache_hit_rate", "Cache hits over answered rows.", l, hitRate)
+	m.Gauge("jag_cache_entries", "Rows held by the LRU response cache (interactive-lane rows only).", l, float64(v.cacheEntries))
+	m.Gauge("jag_cache_bytes", "Row data held by the LRU response cache: entries x row width x 4.", l, float64(v.cacheBytes))
+	m.Gauge("jag_queue_depth", "Rows admitted and not yet answered.", l, float64(s.Inflight()))
 	for lane, depth := range s.LaneDepths() {
 		m.Gauge("jag_lane_depth", "Rows queued per priority lane.",
-			metrics.Labels{"model": name, "lane": lane}).Set(float64(depth))
+			metrics.Labels{"model": name, "lane": lane}, float64(depth))
 	}
-	m.Gauge("jag_mean_batch", "Mean rows per forward pass.", l).Set(v.meanBatch())
-	m.Gauge("jag_capacity_qps", "Probed sustainable row rate (rows/s), 0 until probed.", l).
-		Set(s.CapacityQPS())
+	m.Gauge("jag_mean_batch", "Mean rows per forward pass.", l, v.meanBatch())
+	m.Gauge("jag_capacity_qps", "Probed sustainable row rate (rows/s), 0 until probed.", l, s.CapacityQPS())
 	ready := 1.0
 	if s.Closed() {
 		ready = 0
 	}
-	m.Gauge("jag_model_ready", "1 while the model accepts requests.", l).Set(ready)
-	m.Gauge("jag_uptime_seconds", "Serving time of the current generation.", l).Set(v.uptime)
+	m.Gauge("jag_model_ready", "1 while the model accepts requests.", l, ready)
+	m.Gauge("jag_uptime_seconds", "Serving time of the current generation.", l, v.uptime)
 
 	gen := reg.Generation(name)
-	m.Gauge("jag_generation", "Hot-swap generation (1 = never swapped).", l).Set(float64(gen))
-	m.Counter("jag_reloads_total", "Completed hot swaps.", l).Add(uint64(gen - 1))
+	m.Gauge("jag_generation", "Hot-swap generation (1 = never swapped).", l, float64(gen))
+	m.Counter("jag_reloads_total", "Completed hot swaps.", l, uint64(gen-1))
 	if rs, ok := reg.ReloadState(name); ok {
-		m.Counter("jag_reload_rejected_total", "Reload attempts rejected (load error or canary failure).", l).
-			Add(uint64(rs.Rejections))
+		m.Counter("jag_reload_rejected_total", "Reload attempts rejected (load error or canary failure).", l,
+			uint64(rs.Rejections))
 		failed := 0.0
 		if rs.LastError != "" {
 			failed = 1
 		}
-		m.Gauge("jag_reload_error", "1 while the most recent reload attempt failed.", l).Set(failed)
+		m.Gauge("jag_reload_error", "1 while the most recent reload attempt failed.", l, failed)
 	}
 
-	m.SetHistogram("jag_request_latency_seconds", "End-to-end request latency (enqueue to scatter).",
+	m.Histogram("jag_request_latency_seconds", "End-to-end request latency (enqueue to scatter).",
 		l, v.latency)
 	for i, h := range v.stages {
-		m.SetHistogram("jag_stage_latency_seconds", "Per-stage latency: queue_wait, batch_assembly, forward, encode.",
+		m.Histogram("jag_stage_latency_seconds", "Per-stage latency: queue_wait, batch_assembly, forward, encode.",
 			metrics.Labels{"model": name, "stage": stageNames[i]}, h)
 	}
 }

@@ -630,4 +630,8 @@ func TestV1ReloadSurfaces(t *testing.T) {
 	if mh.Reload.Reloads != 1 || mh.Reload.LastError == "" || mh.Reload.Path != ckpt {
 		t.Fatalf("healthz reload state: %+v", mh.Reload)
 	}
+	// The swapped-in generation's probe, as the stats route reports it.
+	if mh.CapacityQPS <= 0 || mh.CapacityQPS != snap.CapacityQPS {
+		t.Fatalf("healthz capacity_qps = %g, want the stats route's %g (> 0)", mh.CapacityQPS, snap.CapacityQPS)
+	}
 }

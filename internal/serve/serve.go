@@ -899,9 +899,10 @@ func (s *Server) Stats() StatsSnapshot { return s.view().snapshot() }
 
 // SetCapacityQPS publishes the server's probed sustainable throughput
 // in rows per second — ProbeResult.QPS from the CostProbe Open runs
-// when it loads a model. It surfaces on the stats route as capacity_qps and on
-// /metrics as jag_capacity_qps, where a fleet router (cmd/jagproxy)
-// reads it to weight its routing. Zero means "not probed".
+// when it loads a model. It surfaces as capacity_qps on the stats route
+// and on /healthz, where a fleet router (cmd/jagproxy) reads it to
+// weight its routing, and on /metrics as jag_capacity_qps. Zero means
+// "not probed".
 func (s *Server) SetCapacityQPS(qps float64) {
 	if qps < 0 || math.IsNaN(qps) || math.IsInf(qps, 0) {
 		qps = 0
