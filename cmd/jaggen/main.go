@@ -1,7 +1,8 @@
 // Command jaggen runs the ensemble workflow: it executes the synthetic JAG
 // simulator over the Halton sampling plan and packs the results into bundle
 // files, reproducing (at configurable scale) the paper's 10,000-file HDF5
-// corpus generation.
+// corpus generation. A sample's images cost one emission profile per view,
+// so -channels adds little time; -size sets it, quadratically.
 //
 // Usage:
 //

@@ -4,7 +4,9 @@
 // the paper, 10,000 files for the 10M-sample corpus. The paper's Merlin
 // system exists because JAG is so fast that scheduler overhead dominates a
 // naive one-job-per-simulation workflow; this package reproduces that
-// economics with a worker pool that batches simulations file-at-a-time.
+// economics with a worker pool that batches simulations file-at-a-time. A
+// sample's images cost one emission profile per view, whatever the number
+// of channels, and its flattened record is the simulator's own allocation.
 package ensemble
 
 import (

@@ -66,37 +66,34 @@ func (c Config) OutputDim() int { return ScalarDim + c.ImageDim() }
 // SampleDim returns the full flattened sample width (inputs + outputs).
 func (c Config) SampleDim() int { return InputDim + c.OutputDim() }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. An image side needs
+// two pixels at least, since its pixel grid spans [-1,1] end to end.
 func (c Config) Validate() error {
-	if c.ImageSize < 1 || c.Views < 1 || c.Channels < 1 {
+	if c.ImageSize < 2 || c.Views < 1 || c.Channels < 1 {
 		return fmt.Errorf("jag: invalid config %+v", c)
 	}
 	return nil
 }
 
 // Sample is one simulated experiment: the 5-D input and the multimodal
-// output bundle.
+// output bundle. X, Scalars and Images are consecutive views of the one
+// SampleDim-long slice Flatten returns, so a write through either shows in
+// the other.
 type Sample struct {
 	X       []float32 // length InputDim, each in [0,1]
 	Scalars []float32 // length ScalarDim, each in [0,1]
 	Images  []float32 // length ImageDim, each in [0,1], view-major then channel
+	flat    []float32 // X ++ Scalars ++ Images
 }
 
 // Output returns scalars and images concatenated (scalars first), the layout
-// the multimodal autoencoder trains on.
-func (s *Sample) Output() []float32 {
-	out := make([]float32, 0, len(s.Scalars)+len(s.Images))
-	out = append(out, s.Scalars...)
-	return append(out, s.Images...)
-}
+// the multimodal autoencoder trains on. It is the tail of Flatten's slice,
+// not a copy.
+func (s *Sample) Output() []float32 { return s.flat[InputDim:] }
 
-// Flatten encodes the sample as inputs ++ scalars ++ images.
-func (s *Sample) Flatten() []float32 {
-	out := make([]float32, 0, len(s.X)+len(s.Scalars)+len(s.Images))
-	out = append(out, s.X...)
-	out = append(out, s.Scalars...)
-	return append(out, s.Images...)
-}
+// Flatten returns the sample as inputs ++ scalars ++ images. It is the
+// sample's own storage, not a copy: X, Scalars and Images alias it.
+func (s *Sample) Flatten() []float32 { return s.flat }
 
 // implosion holds the intermediate physical quantities the observables are
 // derived from.
@@ -166,24 +163,21 @@ func Simulate(cfg Config, x [InputDim]float64) *Sample {
 		}
 	}
 	im := physics(x, cfg.Wiggle)
-	s := &Sample{
-		X:       make([]float32, InputDim),
-		Scalars: make([]float32, ScalarDim),
-		Images:  make([]float32, cfg.ImageDim()),
-	}
+	flat := make([]float32, cfg.SampleDim())
+	const o = InputDim + ScalarDim
+	s := &Sample{X: flat[:InputDim:InputDim], Scalars: flat[InputDim:o:o], Images: flat[o:], flat: flat}
 	for i, v := range x {
 		s.X[i] = float32(v)
 	}
-	s.Scalars = scalars(im)
+	scalars(im, s.Scalars)
 	renderImages(cfg, im, s.Images)
 	return s
 }
 
-// scalars derives the 15 observable signatures from the implosion state.
-// Every output is squashed into [0,1] so the surrogate can train without
-// per-channel normalization.
-func scalars(im implosion) []float32 {
-	out := make([]float32, ScalarDim)
+// scalars writes the 15 observable signatures of the implosion state into
+// out. Every output is squashed into [0,1] so the surrogate can train
+// without per-channel normalization.
+func scalars(im implosion, out []float32) {
 	out[0] = squash(im.yield, 1.0)                           // neutron yield
 	out[1] = squash(im.temp, 0.8)                            // burn-averaged Tion
 	out[2] = squash(im.bangTime, 1.2)                        // bang time
@@ -199,7 +193,6 @@ func scalars(im implosion) []float32 {
 	out[12] = squash(im.rhoR*im.rhoR/(0.2+im.temp), 2.0)     // downscatter ratio
 	out[13] = squash(im.pressure*im.burnWidth, 0.4)          // confinement product
 	out[14] = squash(im.temp/math.Max(0.05, im.radius), 3.0) // emission-weighted gradient
-	return out
 }
 
 // viewAngles spreads the lines of sight over a quarter turn.
@@ -212,10 +205,18 @@ func viewAngle(view, views int) float64 {
 
 // renderImages rasterizes one hot-spot image per (view, channel) into dst,
 // which must have length cfg.ImageDim(). Layout: view-major, then channel,
-// then rows.
+// then rows. A view's channels differ only in a scalar weight, so each
+// pixel's emission profile is computed once and written to every channel.
 func renderImages(cfg Config, im implosion, dst []float32) {
 	n := cfg.ImageSize
 	px := n * n
+	// Hyperspectral weight: channel c integrates photon energies
+	// ∝ exp(-E_c/T); hotter implosions light up harder channels.
+	w := make([]float64, cfg.Channels)
+	for c := range w {
+		ec := 0.4 + 0.9*float64(c)
+		w[c] = math.Exp(-ec / math.Max(0.08, im.temp))
+	}
 	for v := 0; v < cfg.Views; v++ {
 		theta := viewAngle(v, cfg.Views)
 		cosT, sinT := math.Cos(theta), math.Sin(theta)
@@ -232,28 +233,21 @@ func renderImages(cfg Config, im implosion, dst []float32) {
 		ringR := im.radius * (1.6 + 0.3*im.p4*sinT)
 		ringW := 0.06 + 0.1*im.burnWidth
 		ringAmp := 0.35 * im.rhoR
-		for c := 0; c < cfg.Channels; c++ {
-			// Hyperspectral weight: channel c integrates photon energies
-			// ∝ exp(-E_c/T); hotter implosions light up harder channels.
-			ec := 0.4 + 0.9*float64(c)
-			w := math.Exp(-ec / math.Max(0.08, im.temp))
-			base := (v*cfg.Channels + c) * px
-			for iy := 0; iy < n; iy++ {
-				y := (float64(iy)/float64(n-1))*2 - 1
-				for ix := 0; ix < n; ix++ {
-					xx := (float64(ix)/float64(n-1))*2 - 1
-					// Rotate into the view frame.
-					xr := xx*cosT + y*sinT
-					yr := -xx*sinT + y*cosT
-					core := math.Exp(-math.Pow(xr*xr/(a*a)+yr*yr/(b*b), 1.3))
-					r := math.Sqrt(xr*xr + yr*yr)
-					dr := (r - ringR) / ringW
-					ring := ringAmp * math.Exp(-dr*dr)
-					val := w * (core + ring)
-					if val > 1 {
-						val = 1
-					}
-					dst[base+iy*n+ix] = float32(val)
+		base := v * cfg.Channels * px
+		for iy := 0; iy < n; iy++ {
+			y := (float64(iy)/float64(n-1))*2 - 1
+			for ix := 0; ix < n; ix++ {
+				xx := (float64(ix)/float64(n-1))*2 - 1
+				// Rotate into the view frame.
+				xr := xx*cosT + y*sinT
+				yr := -xx*sinT + y*cosT
+				core := math.Exp(-math.Pow(xr*xr/(a*a)+yr*yr/(b*b), 1.3))
+				r := math.Sqrt(xr*xr + yr*yr)
+				dr := (r - ringR) / ringW
+				ring := ringAmp * math.Exp(-dr*dr)
+				shape := core + ring
+				for c, wc := range w {
+					dst[base+c*px+iy*n+ix] = float32(min(wc*shape, 1))
 				}
 			}
 		}

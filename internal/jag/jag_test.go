@@ -1,6 +1,9 @@
 package jag
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -45,9 +48,51 @@ func TestSimulateShapesAndRanges(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	for _, cfg := range []Config{{}, {ImageSize: 8, Views: 0, Channels: 1}, {ImageSize: -1, Views: 1, Channels: 1}} {
+	for _, cfg := range []Config{{}, {ImageSize: 8, Views: 0, Channels: 1}, {ImageSize: -1, Views: 1, Channels: 1},
+		// One pixel per side cannot span [-1,1]: its coordinate is 0/0.
+		{ImageSize: 1, Views: 3, Channels: 2}} {
 		if cfg.Validate() == nil {
 			t.Fatalf("config %+v should be invalid", cfg)
+		}
+	}
+	// The smallest valid grid renders finite pixels.
+	g := Config{ImageSize: 2, Views: 3, Channels: 2}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range SimulateAt(g, 5).Images {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("2x2 pixel %d = %v", i, v)
+		}
+	}
+}
+
+// TestSimulateGolden pins the simulator's output bits on geometries beyond
+// the Tiny8 that the ensemble golden covers: more channels per view, the
+// paper's 64x64, a single view and channel, and a wiggled odd-sized grid.
+// The digest is SHA-256 over the little-endian float32 bits of
+// SimulateAt(g, i).Flatten() for i = 0..299, first 8 bytes in hex.
+func TestSimulateGolden(t *testing.T) {
+	for _, c := range []struct {
+		g    Config
+		want string
+	}{
+		{Tiny8, "e43d2368e4f2832a"},
+		{Small16, "205e28b450f999c4"},
+		{Default64, "9c02207e75d7af2f"},
+		{Config{ImageSize: 5, Views: 1, Channels: 1}, "df13d4003c1ebb28"},
+		{Config{ImageSize: 7, Views: 5, Channels: 3, Wiggle: 1}, "c44187c39688b188"},
+	} {
+		h := sha256.New()
+		var b [4]byte
+		for i := 0; i < 300; i++ {
+			for _, v := range SimulateAt(c.g, i).Flatten() {
+				binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != c.want {
+			t.Errorf("%+v: digest %s, want %s", c.g, got, c.want)
 		}
 	}
 }
@@ -146,21 +191,29 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if len(buf) != Tiny8.SampleDim() {
 		t.Fatalf("flatten length %d, want %d", len(buf), Tiny8.SampleDim())
 	}
-	// The record layout every reader slices by: X | scalars | images.
-	for i := range s.X {
-		if buf[i] != s.X[i] {
-			t.Fatal("X corrupted")
+	// The record layout every reader slices by: X | scalars | images. Each
+	// field is a view of the flattened record itself, not a copy of it.
+	for _, f := range []struct {
+		name string
+		got  []float32
+		off  int
+	}{{"X", s.X, 0}, {"Scalars", s.Scalars, InputDim}, {"Images", s.Images, InputDim + ScalarDim}} {
+		if &f.got[0] != &buf[f.off] {
+			t.Fatalf("%s is not Flatten()[%d:]", f.name, f.off)
 		}
 	}
-	for i := range s.Scalars {
-		if buf[InputDim+i] != s.Scalars[i] {
-			t.Fatal("scalars corrupted")
-		}
+	if len(s.X) != InputDim || len(s.Scalars) != ScalarDim || len(s.Images) != Tiny8.ImageDim() {
+		t.Fatalf("field lengths %d/%d/%d", len(s.X), len(s.Scalars), len(s.Images))
 	}
-	for i := range s.Images {
-		if buf[InputDim+ScalarDim+i] != s.Images[i] {
-			t.Fatal("images corrupted")
-		}
+	// Two samples share no storage.
+	other := SimulateAt(Tiny8, 11).Flatten()
+	if &other[0] == &buf[0] || &other[len(other)-1] == &buf[len(buf)-1] {
+		t.Fatal("two SimulateAt calls share storage")
+	}
+	// A sample and its record are one allocation, plus the Sample header
+	// and the per-call channel weights.
+	if n := testing.AllocsPerRun(20, func() { SimulateAt(Tiny8, 11).Flatten() }); n > 3 {
+		t.Fatalf("SimulateAt(...).Flatten() makes %v allocations, want at most 3", n)
 	}
 }
 
@@ -172,6 +225,9 @@ func TestOutputLayout(t *testing.T) {
 	}
 	if out[0] != s.Scalars[0] || out[ScalarDim] != s.Images[0] {
 		t.Fatal("output layout must be scalars then images")
+	}
+	if &out[0] != &s.Flatten()[InputDim] {
+		t.Fatal("Output() must be Flatten()[InputDim:]")
 	}
 }
 
