@@ -24,7 +24,7 @@ import (
 type Config struct {
 	Geometry jag.Config
 	// Samples is the total number of simulations; the plan is the Halton
-	// sequence starting at PlanOffset.
+	// sequence starting at PlanOffset, which must not be negative.
 	Samples    int
 	PlanOffset int
 	// SamplesPerFile sets the bundle size (the paper uses 1,000).
@@ -42,6 +42,9 @@ func (c Config) Validate() error {
 	}
 	if c.Samples < 1 || c.SamplesPerFile < 1 {
 		return fmt.Errorf("ensemble: invalid sizes %+v", c)
+	}
+	if c.PlanOffset < 0 {
+		return fmt.Errorf("ensemble: negative plan offset %d", c.PlanOffset)
 	}
 	if c.OutDir == "" {
 		return fmt.Errorf("ensemble: no output directory")

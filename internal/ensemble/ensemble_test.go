@@ -80,6 +80,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Fatal("invalid geometry must error")
 	}
+	// A negative offset reaches the degenerate Halton points the plan
+	// skips, and below -20 every sample is the cube's origin.
+	neg := Config{Geometry: jag.Tiny8, Samples: 5, SamplesPerFile: 5, PlanOffset: -1, OutDir: t.TempDir()}
+	if _, err := Run(neg); err == nil {
+		t.Fatal("negative plan offset must error")
+	}
 }
 
 func TestGenerateInMemoryMatchesPlan(t *testing.T) {
