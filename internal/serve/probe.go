@@ -60,12 +60,13 @@ func (p ProbeResult) QPS(maxBatch, workers int) float64 {
 	return float64(workers) * float64(maxBatch) / c
 }
 
-// One batch size's timing loop runs at least probeMinReps passes and
-// keeps sampling until probeBudget has elapsed, so a fast model gets
-// many samples behind its minimum while probing a slow model stays
-// bounded.
+// One batch size's timing loop stops, after at least probeMinReps
+// passes, once its minimum has settled: no pass has lowered it by more
+// than 1 % for max(8, k) passes, where pass k made the last such drop.
+// Whatever the minimum does, the loop stops at the first pass that ends
+// past probeBudget (or at 10 000 passes).
 const (
-	probeMinReps = 5
+	probeMinReps = 3
 	probeBudget  = 150 * time.Millisecond
 )
 
@@ -119,9 +120,9 @@ func timePass(m Model, method string, d Dims, b int) (float64, int, error) {
 	}
 	var x tensor.Matrix // one gather matrix for every pass, as a worker keeps
 	out := make([]float32, d.Out)
-	best := 0.0
-	reps := 0
-	for start := time.Now(); reps < probeMinReps || time.Since(start) < probeBudget; reps++ {
+	best, floor, last := 0.0, 0.0, 0 // minimum; the minimum after its last >1 % drop, on pass last
+	start := time.Now()
+	for reps := 1; ; reps++ {
 		t0 := time.Now()
 		gather(&x, rows, d.In)
 		y, err := m.Run(method, &x)
@@ -132,12 +133,15 @@ func timePass(m Model, method string, d Dims, b int) (float64, int, error) {
 			copy(out, y.Row(i))
 		}
 		el := time.Since(t0).Seconds()
-		if reps == 0 || el < best {
+		if reps == 1 || el < best {
 			best = el
 		}
-		if reps >= 10_000 { // tiny models: enough signal, stop burning CPU
-			break
+		if reps == 1 || el < 0.99*floor {
+			floor, last = el, reps
+		}
+		settled := reps-last >= max(8, last) // confirmed for as many passes as it took to find
+		if reps >= probeMinReps && (settled || time.Since(start) >= probeBudget) || reps >= 10_000 {
+			return best, reps, nil
 		}
 	}
-	return best, reps, nil
 }
