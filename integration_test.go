@@ -96,7 +96,7 @@ func TestEndToEndDiskBackedLTFB(t *testing.T) {
 			TrainerID: trainerID,
 			World:     wc,
 			T:         tr,
-			Scratch:   cyclegan.New(modelCfg, 0),
+			Scratch:   cyclegan.NewZero(modelCfg),
 			TournX:    tx,
 			TournY:    ty,
 		}

@@ -330,13 +330,53 @@ func TestLoadRejectsDamagedFiles(t *testing.T) {
 	}
 }
 
+// pinnedSmall16 is the SHA-256 of Save(path, 7, New(DefaultConfig(Small16),
+// 1).Nets()) as the per-float encoder wrote it, before the codec copied a
+// little-endian host's floats in bulk.
+const pinnedSmall16 = "7e58e3e97f188042c6f973ae7e868cfbb6f34ad26e7079b4035be0e71d7a88fb"
+
+// TestSavedBytesPinned: a fixed-seed Small16 checkpoint is the same file on
+// both byte-order paths of the codec — the one-copy path of a little-endian
+// host and the per-float conversion of a big-endian one, which writes and
+// reads little-endian words on any host — and the same file the per-float
+// encoder wrote. Each path loads it back bit for bit.
+func TestSavedBytesPinned(t *testing.T) {
+	cfg := cyclegan.DefaultConfig(jag.Small16)
+	model := cyclegan.New(cfg, 1)
+	want := nn.MarshalNetworks(model.Nets())
+	dir := t.TempDir()
+	run := func(name string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := Save(path, 7, model.Nets()); err != nil {
+			t.Fatal(err)
+		}
+		if fp, err := Fingerprint(path); err != nil || fp != pinnedSmall16 {
+			t.Fatalf("%s: saved file fingerprints %q (%v), want %q", name, fp, err, pinnedSmall16)
+		}
+		loaded := cyclegan.NewZero(cfg)
+		if step, err := Load(path, loaded.Nets()); err != nil || step != 7 {
+			t.Fatalf("%s: Load = step %d, %v; want 7", name, step, err)
+		}
+		if !bytes.Equal(nn.MarshalNetworks(loaded.Nets()), want) {
+			t.Fatalf("%s: loaded weights differ from the saved ones", name)
+		}
+	}
+	run("native.ckpt")
+	tensor.NativeLE = !tensor.NativeLE
+	defer func() { tensor.NativeLE = !tensor.NativeLE }()
+	run("flipped.ckpt")
+}
+
 // BenchmarkCheckpointSaveLoad saves and re-loads the paper-geometry
-// surrogate (a 50 MB file). Run with -benchmem: B/op is what one
-// save + load costs in transient memory, which streaming holds to the
-// codec's and bufio's fixed buffers; building and parsing the file in
-// memory cost about four times the file.
+// surrogate (a 50 MB file), as two sub-benchmarks so each side's cost shows
+// apart; the load fills a zero-weight surrogate, as serving does. Run with
+// -benchmem: B/op is what one save or load costs in transient memory,
+// which streaming holds to bufio's fixed buffers; building and parsing the
+// file in memory cost about four times the file.
 func BenchmarkCheckpointSaveLoad(b *testing.B) {
-	model := cyclegan.New(cyclegan.DefaultConfig(jag.Default64), 1)
+	cfg := cyclegan.DefaultConfig(jag.Default64)
+	model := cyclegan.New(cfg, 1)
 	path := filepath.Join(b.TempDir(), "paper64.ckpt")
 	if err := Save(path, 1, model.Nets()); err != nil {
 		b.Fatal(err)
@@ -345,15 +385,23 @@ func BenchmarkCheckpointSaveLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(2 * info.Size()) // written once, read once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Save(path, int64(i), model.Nets()); err != nil {
-			b.Fatal(err)
+	b.Run("save", func(b *testing.B) {
+		b.SetBytes(info.Size())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := Save(path, int64(i), model.Nets()); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := Load(path, model.Nets()); err != nil {
-			b.Fatal(err)
+	})
+	dst := cyclegan.NewZero(cfg)
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(info.Size())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(path, dst.Nets()); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

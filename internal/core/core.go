@@ -237,7 +237,7 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 			TrainerID: trainerID,
 			World:     wc,
 			T:         tr,
-			Scratch:   cyclegan.New(c.Model, 0),
+			Scratch:   cyclegan.NewZero(c.Model), // copyAllWeights fills all five nets
 			TournX:    tx,
 			TournY:    ty,
 		}

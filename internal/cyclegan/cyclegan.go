@@ -163,13 +163,24 @@ type Surrogate struct {
 // from the same (cfg, seed) are bitwise identical, which data-parallel
 // training relies on.
 func New(cfg Config, seed int64) *Surrogate {
+	return build(cfg, rand.New(rand.NewSource(seed)))
+}
+
+// NewZero builds a surrogate of cfg's architecture with every weight zero,
+// for a checkpoint load or a weight copy to fill. It draws nothing: New
+// would draw every weight (about 12.6 M of them at the paper's 64x64
+// geometry) only for the load to overwrite them.
+func NewZero(cfg Config) *Surrogate { return build(cfg, nil) }
+
+// build lays out the five networks with weights drawn from rng, or zero
+// where rng is nil (nn.NewLinear).
+func build(cfg Config, rng *rand.Rand) *Surrogate {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if cfg.ScalarWeight == 0 {
 		cfg.ScalarWeight = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
 	outDim := cfg.Geometry.OutputDim()
 
 	encDims := append([]int{outDim}, cfg.EncoderHidden...)

@@ -1,9 +1,11 @@
 package cyclegan
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -97,6 +99,44 @@ func TestWeightStreamsMatchParent(t *testing.T) {
 		x, _ := batch(c.cfg, 0, 3)
 		if !g.Predict(x).Equal(s.Predict(x)) || !g.Invert(x).Equal(s.Invert(x)) {
 			t.Errorf("%s: a copied Generator predicts differently from its surrogate", c.name)
+		}
+	}
+}
+
+// TestNewZeroIsNewsLayout: NewZero lays out the networks New does — names,
+// shapes, config and stream size alike — with every weight zero, and once
+// New's weights are read into it, it is that model: the same stream back
+// out, the same predictions and inversions, bit for bit.
+func TestNewZeroIsNewsLayout(t *testing.T) {
+	for _, cfg := range []Config{tinyConfig(), DefaultConfig(jag.Tiny8)} {
+		s, z := New(cfg, 5), NewZero(cfg)
+		if !reflect.DeepEqual(z.Cfg, s.Cfg) {
+			t.Fatalf("NewZero's config %+v, want New's %+v", z.Cfg, s.Cfg)
+		}
+		for i, n := range z.Nets() {
+			ps := s.Nets()[i].Params()
+			if n.Name != s.Nets()[i].Name || len(n.Params()) != len(ps) {
+				t.Fatalf("net %d is %s with %d params, want %s with %d", i, n.Name, len(n.Params()), s.Nets()[i].Name, len(ps))
+			}
+			for j, p := range n.Params() {
+				if p.Name != ps[j].Name || p.W.Rows != ps[j].W.Rows || p.W.Cols != ps[j].W.Cols {
+					t.Fatalf("%s param %d is %s %dx%d, want %s %dx%d", n.Name, j, p.Name, p.W.Rows, p.W.Cols, ps[j].Name, ps[j].W.Rows, ps[j].W.Cols)
+				}
+				if slices.ContainsFunc(p.W.Data, func(v float32) bool { return v != 0 }) {
+					t.Fatalf("%s param %s holds a non-zero weight", n.Name, p.Name)
+				}
+			}
+		}
+		stream := nn.MarshalNetworks(s.Nets())
+		if err := nn.UnmarshalNetworks(z.Nets(), stream); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nn.MarshalNetworks(z.Nets()), stream) {
+			t.Fatal("a loaded NewZero surrogate writes a different stream")
+		}
+		x, _ := batch(cfg, 0, 3)
+		if !z.Predict(x).Equal(s.Predict(x)) || !z.Invert(x).Equal(s.Invert(x)) {
+			t.Fatal("a loaded NewZero surrogate predicts differently from the model it was loaded from")
 		}
 	}
 }

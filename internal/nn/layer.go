@@ -144,7 +144,9 @@ type Linear struct {
 	x       *tensor.Matrix // input kept by Forward(x, true) for Backward
 }
 
-// NewLinear creates a Linear layer with Glorot-uniform weights and zero bias.
+// NewLinear creates a Linear layer with Glorot-uniform weights drawn from
+// rng and zero bias. A nil rng draws nothing and leaves the weights zero,
+// for a load or a copy to fill.
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
 		In:     in,
@@ -152,7 +154,9 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 		Weight: newParam(fmt.Sprintf("linear_%dx%d.w", in, out), in, out),
 		Bias:   newParam(fmt.Sprintf("linear_%dx%d.b", in, out), 1, out),
 	}
-	GlorotUniform(l.Weight.W, rng)
+	if rng != nil {
+		GlorotUniform(l.Weight.W, rng)
+	}
 	return l
 }
 

@@ -105,7 +105,8 @@ func newActivation(a Activation) Layer {
 // at least two entries (input and output width); hidden is applied after
 // every layer except the last, output after the last (ActNone for a linear
 // head). The rng seeds the weight initialization, so two MLPs built with
-// identically-seeded rngs are identical.
+// identically-seeded rngs are identical; a nil rng leaves every weight zero
+// (NewLinear).
 func MLP(name string, dims []int, hidden, output Activation, rng *rand.Rand) *Network {
 	if len(dims) < 2 {
 		panic("nn: MLP needs at least input and output dims")

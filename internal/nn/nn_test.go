@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -657,5 +658,101 @@ func TestUnmarshalNetworksErrors(t *testing.T) {
 	}
 	if err := UnmarshalNetworks(mk(5), good); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCodecByteOrderPathsAgree runs the codec both ways this build has: the
+// one-copy path of a little-endian host and the per-float conversion of a
+// big-endian one, which writes and reads little-endian words on any host.
+// Both write the bytes a reference encoder lays out word by word, for
+// params longer than a conversion chunk and floats with NaN payloads, signed
+// zeros, infinities and subnormals; both read them back bit for bit from a
+// reader that returns short reads; and both refuse every cut of the stream
+// with the same error.
+func TestCodecByteOrderPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	nets := []*Network{
+		MLP("big", []int{150, 150, 3}, ActLeakyReLU, ActNone, rng), // 150×150×4 B > chunkBytes
+		MLP("small", []int{3, 2}, ActNone, ActNone, rng),
+	}
+	w := nets[0].Params()[0].W.Data
+	for k, bits := range []uint32{0x7fc00001, 0xffa00000, 0x80000000, 0x7f800000, 0xff800000, 0x00000001, 0x807fffff} {
+		w[chunkBytes/4-3+k] = math.Float32frombits(bits)
+	}
+	want := binary.LittleEndian.AppendUint32([]byte(setMagic), uint32(len(nets)))
+	for _, n := range nets {
+		want = binary.LittleEndian.AppendUint32(want, uint32(n.WeightsSize()))
+		want = binary.LittleEndian.AppendUint32(append(want, weightsMagic...), uint32(len(n.Params())))
+		for _, p := range n.Params() {
+			want = binary.LittleEndian.AppendUint32(want, uint32(p.W.Rows))
+			want = binary.LittleEndian.AppendUint32(want, uint32(p.W.Cols))
+			for _, v := range p.W.Data {
+				want = binary.LittleEndian.AppendUint32(want, math.Float32bits(v))
+			}
+		}
+	}
+	cuts := []int{0, 7, 12, 30, 5000, chunkBytes + 3, len(want) - 1}
+	run := func() (errs []string) {
+		var stream bytes.Buffer
+		if err := WriteNetworks(&stream, nets); err != nil || !bytes.Equal(stream.Bytes(), want) {
+			t.Fatalf("NativeLE=%v: WriteNetworks (%v) wrote bytes other than the reference encoding", tensor.NativeLE, err)
+		}
+		into := []*Network{
+			MLP("big", []int{150, 150, 3}, ActLeakyReLU, ActNone, nil),
+			MLP("small", []int{3, 2}, ActNone, ActNone, nil),
+		}
+		if err := ReadNetworks(iotest.HalfReader(bytes.NewReader(want)), into); err != nil {
+			t.Fatalf("NativeLE=%v: %v", tensor.NativeLE, err)
+		}
+		for i, n := range nets {
+			for j, p := range n.Params() {
+				for k, v := range p.W.Data {
+					if got := into[i].Params()[j].W.Data[k]; math.Float32bits(got) != math.Float32bits(v) {
+						t.Fatalf("NativeLE=%v: net %d param %d float %d read as %#08x, want %#08x",
+							tensor.NativeLE, i, j, k, math.Float32bits(got), math.Float32bits(v))
+					}
+				}
+			}
+		}
+		for _, cut := range cuts {
+			err := ReadNetworks(bytes.NewReader(want[:cut]), into)
+			if err == nil {
+				t.Fatalf("NativeLE=%v: a stream cut at %d bytes was accepted", tensor.NativeLE, cut)
+			}
+			errs = append(errs, err.Error())
+		}
+		if err := WriteNetworks(&failAfter{n: chunkBytes + 100}, nets); err == nil || err.Error() != "disk full" {
+			t.Fatalf("NativeLE=%v: a failing writer's error came back as %v", tensor.NativeLE, err)
+		}
+		return errs
+	}
+	native := run()
+	tensor.NativeLE = !tensor.NativeLE
+	defer func() { tensor.NativeLE = !tensor.NativeLE }()
+	flipped := run()
+	for i, cut := range cuts {
+		if native[i] != flipped[i] {
+			t.Errorf("cut at %d: the byte-order paths refuse with %q and %q", cut, native[i], flipped[i])
+		}
+	}
+}
+
+// TestMLPWithoutRNGIsZero: an MLP built with a nil rng has the layout of a
+// seeded one, names and shapes alike, with every weight zero.
+func TestMLPWithoutRNGIsZero(t *testing.T) {
+	dims := []int{5, 7, 3}
+	seeded := MLP("m", dims, ActLeakyReLU, ActSigmoid, rand.New(rand.NewSource(9)))
+	zero := MLP("m", dims, ActLeakyReLU, ActSigmoid, nil)
+	ps, pz := seeded.Params(), zero.Params()
+	if len(ps) != len(pz) || len(seeded.Layers) != len(zero.Layers) {
+		t.Fatalf("nil-rng MLP has %d params and %d layers, want %d and %d", len(pz), len(zero.Layers), len(ps), len(seeded.Layers))
+	}
+	for i, p := range pz {
+		if p.Name != ps[i].Name || p.W.Rows != ps[i].W.Rows || p.W.Cols != ps[i].W.Cols {
+			t.Fatalf("param %d is %s %dx%d, want %s %dx%d", i, p.Name, p.W.Rows, p.W.Cols, ps[i].Name, ps[i].W.Rows, ps[i].W.Cols)
+		}
+		if slices.ContainsFunc(p.W.Data, nonZero) {
+			t.Fatalf("param %s of a nil-rng MLP holds a non-zero weight", p.Name)
+		}
 	}
 }

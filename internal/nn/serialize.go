@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"repro/internal/tensor"
 )
 
 // Weight serialization backs the LTFB model exchange and the checkpoint
@@ -21,16 +22,30 @@ import (
 //
 // Networks travel in sets (multiserialize.go): an NNW1 blob is one member
 // of an NNS1 stream, never a stream of its own. There is one codec and it
-// streams: WriteNetworks and ReadNetworks convert weights through a scratch
-// chunk of at most chunkBytes, so writing or reading a set costs that chunk
-// whatever its size. The byte-slice forms (MarshalNetworks,
-// UnmarshalNetworks) are the same codec over a bytes.Buffer and a
-// bytes.Reader.
+// streams. On a little-endian host a param's payload is its floats' own
+// memory: WriteNetworks hands it to the writer and ReadNetworks reads into
+// it (tensor.WriteFloatsLE, ReadFloatsLE), one copy per float slice and no
+// scratch beyond a header's. A big-endian host converts weights through a
+// scratch chunk of at most chunkBytes. Either way writing or reading a set
+// costs no more than that chunk whatever its size. The byte-slice forms
+// (MarshalNetworks, UnmarshalNetworks) are the same codec over a
+// bytes.Buffer and a bytes.Reader.
 
 const weightsMagic = "NNW1"
 
-// chunkBytes bounds the scratch floats are converted through.
+// chunkBytes bounds the scratch floats are converted through on a
+// big-endian host.
 const chunkBytes = 64 << 10
+
+// scratchBytes sizes the codec's scratch for a stream of size bytes in
+// total: the 8 bytes of a header where floats need no conversion, else a
+// conversion chunk no larger than the stream.
+func scratchBytes(size int) int {
+	if tensor.NativeLE {
+		return 8
+	}
+	return max(8, min(size, chunkBytes))
+}
 
 // WeightsSize returns the exact byte length of n's NNW1 blob.
 func (n *Network) WeightsSize() int {
@@ -45,14 +60,13 @@ func (n *Network) WeightsSize() int {
 // turns the remaining calls into no-ops.
 type encoder struct {
 	w   io.Writer
-	buf []byte // float conversion scratch
+	buf []byte // header and float conversion scratch
 	err error
 }
 
-// newEncoder returns an encoder for a stream of size bytes in total; a
-// stream smaller than chunkBytes gets a scratch no larger than itself.
+// newEncoder returns an encoder for a stream of size bytes in total.
 func newEncoder(w io.Writer, size int) *encoder {
-	return &encoder{w: w, buf: make([]byte, min(size, chunkBytes))}
+	return &encoder{w: w, buf: make([]byte, scratchBytes(size))}
 }
 
 func (e *encoder) write(p []byte) {
@@ -75,13 +89,8 @@ func (e *encoder) u32(v int) {
 }
 
 func (e *encoder) floats(data []float32) {
-	for len(data) > 0 && e.err == nil {
-		n := min(len(data), len(e.buf)/4)
-		for i, v := range data[:n] {
-			binary.LittleEndian.PutUint32(e.buf[4*i:], math.Float32bits(v))
-		}
-		e.write(e.buf[:4*n])
-		data = data[n:]
+	if e.err == nil {
+		e.err = tensor.WriteFloatsLE(e.w, data, e.buf)
 	}
 }
 
@@ -106,19 +115,25 @@ func (e truncatedError) Error() string { return string(e) }
 // decoder reads the wire format from r.
 type decoder struct {
 	r   io.Reader
-	buf []byte // float conversion scratch
+	buf []byte // header and float conversion scratch
 }
 
 // newDecoder is newEncoder's counterpart.
 func newDecoder(r io.Reader, size int) *decoder {
-	return &decoder{r: r, buf: make([]byte, min(size, chunkBytes))}
+	return &decoder{r: r, buf: make([]byte, scratchBytes(size))}
 }
 
 // read fills p. A stream that ends first is a truncatedError carrying the
 // caller's description of what is missing; any other failure is the
 // reader's own error.
 func (d *decoder) read(p []byte, format string, args ...any) error {
-	switch _, err := io.ReadFull(d.r, p); err {
+	_, err := io.ReadFull(d.r, p)
+	return readErr(err, format, args...)
+}
+
+// readErr is read's classification of an io.ReadFull error.
+func readErr(err error, format string, args ...any) error {
+	switch err {
 	case nil:
 		return nil
 	case io.EOF, io.ErrUnexpectedEOF:
@@ -129,17 +144,7 @@ func (d *decoder) read(p []byte, format string, args ...any) error {
 }
 
 func (d *decoder) floats(data []float32, format string, args ...any) error {
-	for len(data) > 0 {
-		n := min(len(data), len(d.buf)/4)
-		if err := d.read(d.buf[:4*n], format, args...); err != nil {
-			return err
-		}
-		for i := range data[:n] {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[4*i:]))
-		}
-		data = data[n:]
-	}
-	return nil
+	return readErr(tensor.ReadFloatsLE(d.r, data, d.buf), format, args...)
 }
 
 // end checks that nothing is left of the stream, which what names in the

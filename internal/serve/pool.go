@@ -59,9 +59,10 @@ func NewPool(replicas []*cyclegan.Surrogate, ensemble bool) (*Pool, error) {
 // exactly one replica per path regardless of `replicas`: every batch
 // runs through every replica, so duplicates would both bias the average
 // toward repeated checkpoints and add pure wasted compute. A checkpoint is
-// read whole into a surrogate, so a damaged file is refused as training
-// would refuse it, and the pool keeps a copy of its Generator: the
-// encoder, discriminator and optimizer state are garbage once the load
+// read whole into a zero-weight surrogate (cyclegan.NewZero: nothing is
+// drawn that the load overwrites), so a damaged file is refused as
+// training would refuse it, and the pool keeps a copy of its Generator:
+// the encoder, discriminator and optimizer state are garbage once the load
 // returns.
 func NewPoolFromCheckpoints(cfg cyclegan.Config, paths []string, replicas int, ensemble bool) (*Pool, error) {
 	if len(paths) == 0 {
@@ -76,7 +77,7 @@ func NewPoolFromCheckpoints(cfg cyclegan.Config, paths []string, replicas int, e
 		path := paths[i%len(paths)]
 		g := loaded[path]
 		if g == nil {
-			m := cyclegan.New(cfg, 0)
+			m := cyclegan.NewZero(cfg)
 			if _, err := checkpoint.Load(path, m.Nets()); err != nil {
 				return nil, err
 			}

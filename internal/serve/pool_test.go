@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,6 +88,98 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPoolFromCheckpointMatchesSeededLoad is the differential check on the
+// zero-weight load: a pool from NewPoolFromCheckpoints answers Predict and
+// Invert with the bits of a surrogate built from a seed by New and then
+// loaded from the same file, at two geometries.
+func TestPoolFromCheckpointMatchesSeededLoad(t *testing.T) {
+	for _, g := range []jag.Config{jag.Tiny8, jag.Small16} {
+		cfg := cyclegan.DefaultConfig(g)
+		path := filepath.Join(t.TempDir(), "model.ckpt")
+		if err := checkpoint.Save(path, 3, cyclegan.New(cfg, 31).Nets()); err != nil {
+			t.Fatal(err)
+		}
+		ref := cyclegan.New(cfg, 32)
+		if _, err := checkpoint.Load(path, ref.Nets()); err != nil {
+			t.Fatal(err)
+		}
+		pool, err := NewPoolFromCheckpoints(cfg, []string{path}, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := testBatch(5)
+		for _, c := range []struct {
+			method string
+			want   *tensor.Matrix
+		}{{MethodPredict, ref.Predict(x)}, {MethodInvert, ref.Invert(x)}} {
+			got, err := pool.Run(c.method, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range c.want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("%v %s: element %d is %#08x, want %#08x", g, c.method, i,
+						math.Float32bits(got.Data[i]), math.Float32bits(v))
+				}
+			}
+		}
+	}
+}
+
+// TestPoolFromCheckpointRefusesDamagedTrainingNets: the pool keeps only the
+// generator, but it reads the whole checkpoint, so a file whose encoder or
+// discriminator blob is cut short or of the wrong shape is refused as a
+// training resume would refuse it.
+func TestPoolFromCheckpointRefusesDamagedTrainingNets(t *testing.T) {
+	cfg := testModelCfg()
+	m := cyclegan.New(cfg, 9)
+	other := cfg
+	other.EncoderHidden = []int{12}
+	other.DiscHidden = []int{6}
+	o := cyclegan.New(other, 9)
+	dir := t.TempDir()
+	save := func(name string, nets ...*nn.Network) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := checkpoint.Save(path, 0, nets); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	good := save("good.ckpt", m.Nets()...)
+	// The encoder's blob length sits after the 12-byte file header and the
+	// 8-byte set header.
+	shortEncoder := bytes.Clone(good)
+	binary.LittleEndian.PutUint32(shortEncoder[20:], binary.LittleEndian.Uint32(shortEncoder[20:])-4)
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"file cut in the encoder", good[:100], "truncated in net 0"},
+		{"encoder blob a float short", shortEncoder, "net 0 (encoder)"},
+		{"encoder of another shape", save("enc.ckpt", o.Encoder, m.Decoder, m.Forward, m.Inverse, m.Disc), "net 0 (encoder)"},
+		{"file cut in the discriminator", good[:len(good)-1], "truncated in net 4"},
+		{"discriminator of another shape", save("disc.ckpt", m.Encoder, m.Decoder, m.Forward, m.Inverse, o.Disc), "net 4 (disc)"},
+	} {
+		path := filepath.Join(dir, "damaged.ckpt")
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPoolFromCheckpoints(cfg, []string{path}, 1, false); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewPoolFromCheckpoints error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	path := filepath.Join(dir, "good.ckpt")
+	if _, err := NewPoolFromCheckpoints(cfg, []string{path}, 1, false); err != nil {
+		t.Fatalf("the undamaged file: %v", err)
 	}
 }
 

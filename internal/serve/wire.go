@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"unsafe"
+
+	"repro/internal/tensor"
 )
 
 // Binary tensor transport. At the paper's Default64 geometry one output
@@ -41,21 +41,11 @@ const (
 	MaxFrameElems = 1 << 26
 )
 
-// wireChunk is the unit in which the decoder takes payload off the wire,
-// and on a big-endian host the scratch both directions convert floats
-// through.
+// wireChunk is the scratch a big-endian host converts floats through, in
+// both directions. A little-endian host has none: a payload is the floats'
+// own memory, which the encoder copies or hands to the writer and the
+// decoder reads into (tensor.PutFloatsLE, WriteFloatsLE, ReadFloatsLE).
 const wireChunk = 64 << 10
-
-// nativeLE reports whether this host keeps a float32 in the frame's byte
-// order. Then a payload is the floats' own memory: the encoder copies it
-// (or hands it to the writer) and the decoder reads into it, with no
-// per-float conversion. A big-endian host converts each float.
-var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// floatBytes is the memory of s, 4*len(s) bytes.
-func floatBytes(s []float32) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
-}
 
 // frameCols validates that rows is a rectangle the frame format can
 // carry and returns its width.
@@ -85,24 +75,6 @@ func putFrameHeader(dst []byte, rows, cols int) {
 	binary.LittleEndian.PutUint32(dst[12:], uint32(cols))
 }
 
-// putFloats writes src into dst as little-endian float32s.
-func putFloats(dst []byte, src []float32) {
-	if nativeLE {
-		copy(dst, floatBytes(src))
-		return
-	}
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
-
-// getFloats reads len(dst) little-endian float32s from src.
-func getFloats(dst []float32, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-}
-
 // EncodeFrame renders a rectangular batch as one binary tensor frame.
 // All rows must share one width; a zero-row batch encodes as an empty
 // frame.
@@ -114,7 +86,7 @@ func EncodeFrame(rows [][]float32) ([]byte, error) {
 	buf := make([]byte, frameSize(len(rows), cols))
 	putFrameHeader(buf, len(rows), cols)
 	for i, r := range rows {
-		putFloats(buf[frameHeader+4*i*cols:], r)
+		tensor.PutFloatsLE(buf[frameHeader+4*i*cols:], r)
 	}
 	return buf, nil
 }
@@ -125,7 +97,7 @@ func EncodeFrame(rows [][]float32) ([]byte, error) {
 // converted scratch at a time on a big-endian one.
 func writeFrame(w io.Writer, rows [][]float32, cols int) error {
 	var scratch []byte
-	if nativeLE {
+	if tensor.NativeLE {
 		scratch = make([]byte, frameHeader)
 	} else {
 		scratch = make([]byte, max(frameHeader, min(4*cols, wireChunk)))
@@ -135,17 +107,8 @@ func writeFrame(w io.Writer, rows [][]float32, cols int) error {
 		return err
 	}
 	for _, r := range rows {
-		for len(r) > 0 {
-			n, b := len(r), floatBytes(r)
-			if !nativeLE {
-				n = min(len(r), len(scratch)/4)
-				b = scratch[:4*n]
-				putFloats(b, r[:n])
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			r = r[n:]
+		if err := tensor.WriteFloatsLE(w, r, scratch); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -159,7 +122,7 @@ func writeFrame(w io.Writer, rows [][]float32, cols int) error {
 // count different from wantCols (0 = any), and a payload shorter than
 // the header claims are all errors, never panics. Allocation is
 // bounded by bytes actually received, not by the header's claim. Rows
-// are views of one backing slice.
+// are views of a few blocks of whole rows.
 func DecodeFrame(r io.Reader, wantCols, maxRows int) ([][]float32, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -187,44 +150,45 @@ func DecodeFrame(r io.Reader, wantCols, maxRows int) ([][]float32, error) {
 	if wantCols > 0 && cols != uint32(wantCols) {
 		return nil, fmt.Errorf("serve: frame has %d cols, want %d", cols, wantCols)
 	}
-	// Take the payload off the wire a wireChunk at a time, straight into
-	// the float slice's bytes (through a chunk of scratch and a
-	// conversion on a big-endian host). The slice starts at no more than
-	// decodeStart and doubles, never past the header's claim, only once
-	// the floats it holds have really arrived: a 16-byte frame declaring
-	// MaxFrameElems would otherwise demand 256 MiB before the first
-	// payload byte is checked, and a truncated frame costs at most ~2x
-	// what was sent.
+	// The payload arrives into blocks of whole rows, each read straight
+	// into its floats' bytes (through a wireChunk of scratch and a
+	// conversion on a big-endian host), so each payload byte is written
+	// once. A block is allocated only once the floats before it have
+	// arrived, and holds no more than decodeStart floats or as many as have
+	// arrived, whichever is more: a 16-byte frame declaring MaxFrameElems
+	// would otherwise demand 256 MiB before the first payload byte is
+	// checked, and a truncated frame costs at most ~2x what was sent. A row
+	// wider than its block is the one thing that grows, doubling, as it
+	// arrives.
 	const decodeStart = 1 << 18 // floats: 1 MiB
-	elems := int(rows) * int(cols)
+	width, elems := int(cols), int(rows)*int(cols)
 	var chunk []byte
-	if !nativeLE {
+	if !tensor.NativeLE {
 		chunk = make([]byte, min(4*elems, wireChunk))
 	}
-	flat := make([]float32, 0, min(elems, decodeStart))
-	for len(flat) < elems {
-		n := min(elems-len(flat), wireChunk/4)
-		if len(flat)+n > cap(flat) {
-			grown := make([]float32, len(flat), min(elems, 2*cap(flat)))
-			copy(grown, flat)
-			flat = grown
+	var blocks [][]float32
+	for got := 0; got < elems; {
+		budget := max(decodeStart, got)
+		want := max(1, min(elems-got, budget)/width) * width
+		block := make([]float32, min(want, budget))
+		err := tensor.ReadFloatsLE(r, block, chunk)
+		for err == nil && len(block) < want {
+			grown := make([]float32, min(want, 2*len(block)))
+			copy(grown, block)
+			err = tensor.ReadFloatsLE(r, grown[len(block):], chunk)
+			block = grown
 		}
-		dst := flat[len(flat) : len(flat)+n]
-		buf := floatBytes(dst)
-		if !nativeLE {
-			buf = chunk[:4*n]
-		}
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("serve: truncated frame payload: %w", err)
 		}
-		if !nativeLE {
-			getFloats(dst, buf)
-		}
-		flat = flat[:len(flat)+n]
+		blocks = append(blocks, block)
+		got += want
 	}
-	out := make([][]float32, rows)
-	for i := range out {
-		out[i] = flat[i*int(cols) : (i+1)*int(cols)]
+	out := make([][]float32, 0, rows)
+	for _, block := range blocks {
+		for ; len(block) > 0; block = block[width:] {
+			out = append(out, block[:width:width])
+		}
 	}
 	return out, nil
 }

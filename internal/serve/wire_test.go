@@ -14,6 +14,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/jag"
+	"repro/internal/tensor"
 )
 
 // wireBatch builds an n-row batch of width cols with a deterministic
@@ -121,8 +122,8 @@ func TestWireByteOrderPathsAgree(t *testing.T) {
 		return enc, w.Bytes(), dec
 	}
 	enc, streamed, dec := run()
-	nativeLE = !nativeLE
-	defer func() { nativeLE = !nativeLE }()
+	tensor.NativeLE = !tensor.NativeLE
+	defer func() { tensor.NativeLE = !tensor.NativeLE }()
 	enc2, streamed2, dec2 := run()
 	if !bytes.Equal(enc, enc2) || !bytes.Equal(streamed, streamed2) || !bytes.Equal(enc, streamed) {
 		t.Fatal("the two byte-order paths encode different frames")
@@ -198,43 +199,51 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestDecodeFrameAllocationFollowsBytesReceived measures the decoder's
-// two allocation promises. A frame several times the float slice's
-// starting size decodes bit for bit from a reader that trickles, for
-// well under the old cost of a grown byte payload plus a float copy
-// (about four payloads); and a 256 MiB claim backed by a kilobyte costs
-// about the starting size, not the claim.
+// two allocation promises. A frame several times the first block's size
+// decodes bit for bit from a reader that trickles, on both byte-order paths,
+// whether its rows fill several blocks or one row outgrows its block, for
+// well under the old cost of a grown byte payload plus a float copy (about
+// four payloads); and a 256 MiB claim backed by a kilobyte costs about the
+// first block, not the claim.
 func TestDecodeFrameAllocationFollowsBytesReceived(t *testing.T) {
-	in := wireBatch(600, 1000) // 2.4 MB of payload: two doublings past 1 MiB
-	in[7][3] = float32(math.NaN())
-	buf, err := EncodeFrame(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out [][]float32
-	cost := allocatedBy(func() {
-		out, err = DecodeFrame(iotest.HalfReader(bytes.NewReader(buf)), 1000, 600)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("decoded %d rows, want %d", len(out), len(in))
-	}
-	for i := range in {
-		for j := range in[i] {
-			if math.Float32bits(out[i][j]) != math.Float32bits(in[i][j]) {
-				t.Fatalf("row %d col %d: %v, want %v", i, j, out[i][j], in[i][j])
-			}
+	defer func(native bool) { tensor.NativeLE = native }(tensor.NativeLE)
+	for _, shape := range [][2]int{{600, 1000}, {1, 600000}} { // 2.4 MB of payload each
+		in := wireBatch(shape[0], shape[1])
+		in[0][3] = float32(math.NaN())
+		buf, err := EncodeFrame(in)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if limit := uint64(3 * len(buf)); cost > limit {
-		t.Fatalf("decoding a %d-byte frame allocated %d bytes, want under %d", len(buf), cost, limit)
+		for range 2 {
+			var out [][]float32
+			cost := allocatedBy(func() {
+				out, err = DecodeFrame(iotest.HalfReader(bytes.NewReader(buf)), shape[1], shape[0])
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != len(in) {
+				t.Fatalf("%v: decoded %d rows, want %d", shape, len(out), len(in))
+			}
+			for i := range in {
+				for j := range in[i] {
+					if math.Float32bits(out[i][j]) != math.Float32bits(in[i][j]) {
+						t.Fatalf("%v NativeLE=%v: row %d col %d: %v, want %v", shape, tensor.NativeLE, i, j, out[i][j], in[i][j])
+					}
+				}
+			}
+			if limit := uint64(3 * len(buf)); cost > limit {
+				t.Fatalf("%v NativeLE=%v: decoding a %d-byte frame allocated %d bytes, want under %d", shape, tensor.NativeLE, len(buf), cost, limit)
+			}
+			tensor.NativeLE = !tensor.NativeLE
+		}
 	}
 
 	hdr := make([]byte, frameHeader, frameHeader+1024)
 	putFrameHeader(hdr, 1<<13, 1<<13) // 64 Mi elements
 	short := append(hdr, make([]byte, 1024)...)
-	cost = allocatedBy(func() { _, err = DecodeFrame(bytes.NewReader(short), 0, 0) })
+	var err error
+	cost := allocatedBy(func() { _, err = DecodeFrame(bytes.NewReader(short), 0, 0) })
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated 256 MiB claim: %v", err)
 	}
