@@ -3,7 +3,9 @@ package repro
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -428,6 +430,113 @@ func BenchmarkProxyOverhead(b *testing.B) {
 					b.Fatalf("call failed: err=%v rowErrs=%v", err, rowErrs)
 				}
 			}
+		})
+	}
+}
+
+// interactiveGap spaces BenchmarkInteractiveBesideBulk's calls: each is
+// due a gap after the one before, as an open-loop user's would be.
+const interactiveGap = 2 * time.Millisecond
+
+// BenchmarkInteractiveBesideBulk is fleet_mixed's latency in one backend:
+// single-row tiny8 JSON calls through jagproxy, one due every
+// interactiveGap, alone ("idle") and while a goroutine drives 64-row small16
+// JGT1 calls on the bulk lane in a closed loop ("beside_bulk"). A call's
+// latency runs from its due time, so the timer that starts it counts: the
+// timer and every network crossing that lands while a bulk pass runs wait
+// for the rest of the pass's current wave (internal/tensor's tile.go), and
+// the gap between the two p50s is what the tile bound buys. idle is not the
+// bare call: an idle process sleeps in the poller, whose timeout is coarse,
+// so its timer wakes late too. p50_us and p90_us are per call; ns/op is the
+// call period, not a latency; bulk_calls says the sweep ran. Run it for a
+// few hundred calls at least, so p90 has samples to stand on.
+func BenchmarkInteractiveBesideBulk(b *testing.B) {
+	reg := serve.NewRegistry()
+	defer reg.Close()
+	for _, m := range []struct {
+		name string
+		geom jag.Config
+	}{{"tiny8", jag.Tiny8}, {"small16", jag.Small16}} {
+		pool, err := serve.NewPool([]*cyclegan.Surrogate{cyclegan.New(cyclegan.DefaultConfig(m.geom), 9)}, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := reg.Register(m.name, serve.NewServer(pool, serve.Config{MaxBatch: 64, MaxDelay: 2 * time.Millisecond})); err != nil {
+			b.Fatal(err)
+		}
+	}
+	backend := httptest.NewServer(serve.NewRegistryHandler(reg, serve.HandlerConfig{}))
+	defer backend.Close()
+	p, err := proxy.New([]string{backend.URL}, proxy.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.Start(ctx)
+	front := httptest.NewServer(p)
+	defer front.Close()
+
+	bulkRows := make([][]float32, 64)
+	for i := range bulkRows {
+		bulkRows[i] = make([]float32, jag.InputDim)
+		for d := range bulkRows[i] {
+			bulkRows[i][d] = float32((i*31+d*17)%101) / 101
+		}
+	}
+	for _, bulk := range []bool{false, true} {
+		name := "idle"
+		if bulk {
+			name = "beside_bulk"
+		}
+		b.Run(name, func(b *testing.B) {
+			var wg sync.WaitGroup
+			var bulkCalls atomic.Int64
+			stop := make(chan struct{})
+			if bulk {
+				sweep := serve.NewClient(front.URL)
+				sweep.Binary, sweep.Priority = true, serve.Bulk
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						bulkCalls.Add(1)
+						if _, rowErrs, err := sweep.Call(ctx, "small16", serve.MethodPredict, bulkRows); err != nil || rowErrs != nil {
+							b.Errorf("bulk call failed: err=%v rowErrs=%v", err, rowErrs)
+							return
+						}
+					}
+				}()
+				time.Sleep(50 * time.Millisecond) // the sweep is under way before the first timed call
+			}
+			cl := serve.NewClient(front.URL)
+			x := make([]float32, jag.InputDim)
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for d := range x {
+					x[d] = float32((i*7+d*13)%997) / 997
+				}
+				due := start.Add(time.Duration(i) * interactiveGap)
+				time.Sleep(time.Until(due))
+				if _, rowErrs, err := cl.Call(ctx, "tiny8", serve.MethodPredict, [][]float32{x}); err != nil || rowErrs != nil {
+					b.Fatalf("call failed: err=%v rowErrs=%v", err, rowErrs)
+				}
+				lat[i] = time.Since(due)
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[b.N/2])/1e3, "p50_us")
+			b.ReportMetric(float64(lat[b.N*9/10])/1e3, "p90_us")
+			b.ReportMetric(float64(bulkCalls.Load()), "bulk_calls")
 		})
 	}
 }

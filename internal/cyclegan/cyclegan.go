@@ -294,7 +294,7 @@ func (s *Surrogate) TrainStep(x, y *tensor.Matrix, r nn.Reducer) map[string]floa
 	aeLoss, dRec := weightedMAE(yRec, y, s.Cfg.ScalarWeight, a)
 	losses["autoencoder"] = aeLoss
 	dz := s.Decoder.Backward(dRec)
-	s.Encoder.Backward(dz)
+	s.Encoder.BackwardParams(dz)
 	r.Reduce(s.aeP)
 	s.optAE.Step(s.aeP)
 
@@ -310,10 +310,10 @@ func (s *Surrogate) TrainStep(x, y *tensor.Matrix, r nn.Reducer) map[string]floa
 	zeros := a.New(logitsReal.Rows, 1)
 	zeros.Zero()
 	lossReal, dReal := nn.BCEWithLogits(logitsReal, ones, a)
-	s.Disc.Backward(dReal)
+	s.Disc.BackwardParams(dReal)
 	logitsFake := s.Disc.Forward(zGen, true)
 	lossFake, dFake := nn.BCEWithLogits(logitsFake, zeros, a)
-	s.Disc.Backward(dFake)
+	s.Disc.BackwardParams(dFake)
 	losses["disc"] = lossReal + lossFake
 	r.Reduce(s.dscP)
 	s.optDisc.Step(s.dscP)
@@ -349,7 +349,7 @@ func (s *Surrogate) TrainStep(x, y *tensor.Matrix, r nn.Reducer) map[string]floa
 	tensor.Add(dzTotal, dzFid, dzAdv)
 	tensor.Add(dzTotal, dzTotal, dzCyc)
 	tensor.Add(dzTotal, dzTotal, dLat)
-	s.Forward.Backward(dzTotal)
+	s.Forward.BackwardParams(dzTotal)
 
 	r.Reduce(s.genP)
 	s.optGen.Step(s.genP)

@@ -179,23 +179,28 @@ func (l *Linear) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tens
 func (l *Linear) Backward(dy *tensor.Matrix, accumulate bool, a *tensor.Arena) *tensor.Matrix {
 	x := kept(&l.x, "Linear")
 	if accumulate {
-		if l.Weight.Grad == nil || l.Bias.Grad == nil {
-			GradSlab(l.Params())
-		}
-		tensor.Gemm(l.Weight.Grad, 1, x, tensor.Trans, dy, tensor.NoTrans, 1)
-		// The column sums are formed apart and added once, as they always
-		// were: a second Backward into the same accumulator adds its sum,
-		// not its rows one by one.
-		cs := a.New(1, l.Out)
-		tensor.ColSums(cs.Data, dy)
-		bias := l.Bias.Grad.Data
-		for j, v := range cs.Data {
-			bias[j] += v
-		}
+		l.accumulate(x, dy, a)
 	}
 	dx := a.New(dy.Rows, l.In)
 	tensor.Gemm(dx, 1, dy, tensor.NoTrans, l.Weight.W, tensor.Trans, 0)
 	return dx
+}
+
+// accumulate adds dW = xᵀ·dy and db = column-sums(dy) into the gradients.
+func (l *Linear) accumulate(x, dy *tensor.Matrix, a *tensor.Arena) {
+	if l.Weight.Grad == nil || l.Bias.Grad == nil {
+		GradSlab(l.Params())
+	}
+	tensor.Gemm(l.Weight.Grad, 1, x, tensor.Trans, dy, tensor.NoTrans, 1)
+	// The column sums are formed apart and added once, as they always were:
+	// a second Backward into the same accumulator adds its sum, not its rows
+	// one by one.
+	cs := a.New(1, l.Out)
+	tensor.ColSums(cs.Data, dy)
+	bias := l.Bias.Grad.Data
+	for j, v := range cs.Data {
+		bias[j] += v
+	}
 }
 
 // Params returns the weight and bias parameters.

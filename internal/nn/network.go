@@ -47,6 +47,20 @@ func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix { return n.backward
 // was, without computing the parameter gradients.
 func (n *Network) BackwardInput(dy *tensor.Matrix) *tensor.Matrix { return n.backward(dy, false) }
 
+// BackwardParams is Backward for a network whose input gradient nothing
+// reads — the first network of a chain, or one trained on its own loss: it
+// accumulates the same parameter gradients, bit for bit, and returns nothing,
+// so a first layer that is Linear never forms its dy·Wᵀ.
+func (n *Network) BackwardParams(dy *tensor.Matrix) {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if l, ok := n.Layers[i].(*Linear); ok && i == 0 {
+			l.accumulate(kept(&l.x, "Linear"), dy, n.arena)
+			return
+		}
+		dy = n.Layers[i].Backward(dy, true, n.arena)
+	}
+}
+
 func (n *Network) backward(dy *tensor.Matrix, accumulate bool) *tensor.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dy = n.Layers[i].Backward(dy, accumulate, n.arena)

@@ -533,6 +533,47 @@ func TestBackwardInputSkipsParameterGradients(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsSkipsTheInputGradient: a network whose input gradient
+// nothing reads accumulates Backward's parameter gradients, bit for bit, uses
+// up its forward pass, and does not form the first layer's dy·Wᵀ — it
+// allocates one 5×7 matrix less than Backward. A network that does not start with a Linear
+// layer runs the whole of Backward.
+func TestBackwardParamsSkipsTheInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	net := MLP("first", []int{7, 6, 3}, ActLeakyReLU, ActSigmoid, rng)
+	act := &Network{Name: "act-first", Layers: append([]Layer{&LeakyReLU{Alpha: 0.2}}, net.Layers...)}
+	x := tensor.New(5, 7)
+	tensor.FillUniform(x, rng, -1, 1)
+	dy := tensor.New(5, 3)
+	tensor.FillUniform(dy, rng, -1, 1)
+
+	for _, n := range []*Network{net, act} {
+		ZeroGrad(n.Params())
+		n.Forward(x, true)
+		n.Backward(dy)
+		n.Forward(x, true)
+		n.Backward(dy) // twice, so the test sees accumulation too
+		want := append([]float32(nil), GradSlab(n.Params())...)
+
+		ZeroGrad(n.Params())
+		n.Forward(x, true)
+		n.BackwardParams(dy)
+		n.Forward(x, true)
+		n.BackwardParams(dy)
+		if got := GradSlab(n.Params()); !slices.Equal(got, want) {
+			t.Fatalf("%s: BackwardParams and Backward accumulate different gradients", n.Name)
+		}
+		mustPanic(t, n.Name+": second BackwardParams", "Backward before Forward", func() { n.BackwardParams(dy) })
+	}
+
+	allocs := func(f func()) float64 { return testing.AllocsPerRun(5, f) }
+	full := allocs(func() { net.Forward(x, true); net.Backward(dy) })
+	params := allocs(func() { net.Forward(x, true); net.BackwardParams(dy) })
+	if dx := allocs(func() { tensor.New(5, 7) }); params != full-dx {
+		t.Fatalf("BackwardParams allocates %v per pass, Backward %v: want the %v of a 5x7 dx fewer", params, full, dx)
+	}
+}
+
 // failAfter is an io.Writer that accepts n bytes and then fails.
 type failAfter struct{ n int }
 

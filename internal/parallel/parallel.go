@@ -12,20 +12,24 @@
 // instead of forking onto cores the other ranks are waiting for.
 //
 // A For is a region: its goroutines start together and For returns when the
-// last has ended. Callers keep regions short — internal/tensor cuts a big
-// GEMM into a sequence of Fors of about a millisecond each instead of one
-// that occupies every P for the whole pass — because of how the Go scheduler
-// finds the rest of the process's work. A P looks at its timers, the run
-// queues and then the network poller only when the goroutine it runs ends or
-// blocks (runtime.findRunnable); while every P is inside a long computation,
-// a reply that has arrived on a socket, a timer that has fired and a
-// goroutine made runnable by either all wait for the computation, or for the
-// 10 ms after which sysmon preempts it. A server that runs a bulk forward
-// pass beside interactive requests therefore pays the length of the pass's
-// regions at every hop of every request. The goroutines of a region have to
-// end for this to work: a long-lived worker that pulls pieces off a counter
-// never returns its P, and runtime.Gosched puts the caller on the global run
-// queue, which is ahead of the poller in that search.
+// last has ended. Callers keep regions short — internal/tensor runs a pass
+// whose row chunks cost at most about a millisecond as one For of those
+// chunks, and cuts a longer one into a sequence of Fors of tiles of a few
+// hundred microseconds each instead of one that occupies every P for the whole
+// pass — because of how the Go scheduler finds the rest of the process's work.
+// A P looks at its timers, the run queues and then the network poller only
+// when the goroutine it runs ends or blocks (runtime.findRunnable); while
+// every P is inside a long computation, a reply that has arrived on a socket,
+// a timer that has fired and a goroutine made runnable by either all wait for
+// the computation, or for the 10 ms after which sysmon preempts it. A server
+// that runs a bulk forward pass beside interactive requests therefore pays, at
+// every hop of every request that lands during the pass, the rest of the
+// region it lands in; each extra region the pass is cut into costs one
+// fork/join, a parked thread woken (tensor's BenchmarkWaves). That is the
+// trade tile.go's two bounds strike. The goroutines of a region have to end
+// for this to work: a long-lived worker that pulls pieces off a counter never
+// returns its P, and runtime.Gosched puts the caller on the global run queue,
+// which is ahead of the poller in that search.
 package parallel
 
 import (

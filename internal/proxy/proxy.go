@@ -268,8 +268,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.handler.Se
 // outage, or every healthy backend already tried) it falls back to any
 // untried backend — health state can be stale, and a desperate attempt
 // beats a certain failure. Among candidates: weighted least-loaded by
-// (inflight+1)/capacity when every candidate has a probed capacity,
-// else power-of-two-choices on in-flight counts.
+// (inflight+1)/capacity over those with a probed capacity — one that has
+// not reported yet waits for its first probe, or for a retry — and
+// power-of-two-choices on in-flight counts only when none has one.
 func (p *Proxy) pick(tried map[*Backend]bool) *Backend {
 	cands := make([]*Backend, 0, len(p.backends))
 	for _, b := range p.backends {
@@ -290,21 +291,16 @@ func (p *Proxy) pick(tried map[*Backend]bool) *Backend {
 	case 1:
 		return cands[0]
 	}
-	weighted := true
+	var best *Backend
+	bestScore := 0.0
 	for _, b := range cands {
-		if b.CapacityQPS() <= 0 {
-			weighted = false
-			break
-		}
-	}
-	if weighted {
-		best, bestScore := cands[0], 0.0
-		for i, b := range cands {
-			score := float64(b.inflight.Load()+1) / b.CapacityQPS()
-			if i == 0 || score < bestScore {
+		if capacity := b.CapacityQPS(); capacity > 0 {
+			if score := float64(b.inflight.Load()+1) / capacity; best == nil || score < bestScore {
 				best, bestScore = b, score
 			}
 		}
+	}
+	if best != nil {
 		return best
 	}
 	i := rand.IntN(len(cands))

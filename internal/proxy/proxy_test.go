@@ -250,6 +250,36 @@ func TestCapacityFollowsHealthProbe(t *testing.T) {
 	}
 }
 
+// TestPickWeightsTheProbedSubset: a backend that has not reported its
+// capacity yet does not pull the rest of the fleet off weighted routing —
+// first attempts go by (inflight+1)/capacity among the probed ones, and the
+// unprobed backend takes a retry once they are all tried.
+func TestPickWeightsTheProbedSubset(t *testing.T) {
+	fast, _ := newBackend("http://a:1")
+	slow, _ := newBackend("http://b:2")
+	fresh, _ := newBackend("http://c:3")
+	p := &Proxy{backends: []*Backend{fast, slow, fresh}}
+	fast.setCapacity(1000)
+	slow.setCapacity(10)
+	fast.inflight.Store(5)
+	slow.inflight.Store(5) // fresh is idle: P2C would pick it every time
+	for i := 0; i < 20; i++ {
+		if got := p.pick(map[*Backend]bool{}); got != fast {
+			t.Fatalf("pick chose %s, want the high-capacity backend %s", got.Name(), fast.Name())
+		}
+	}
+	if got := p.pick(map[*Backend]bool{fast: true}); got != slow {
+		t.Fatalf("pick with the best tried chose %s, want the other probed backend %s", got.Name(), slow.Name())
+	}
+	if got := p.pick(map[*Backend]bool{fast: true, slow: true}); got != fresh {
+		t.Fatalf("pick with every probed backend tried chose %v, want %s", got, fresh.Name())
+	}
+	fresh.setCapacity(1000) // its first probe: now the idle one wins
+	if got := p.pick(map[*Backend]bool{}); got != fresh {
+		t.Fatalf("pick chose %s after the idle backend reported, want %s", got.Name(), fresh.Name())
+	}
+}
+
 func TestRetryOnRetryableStatus(t *testing.T) {
 	bad := newFakeBackend(t)
 	good := newFakeBackend(t)

@@ -43,8 +43,10 @@ func addRowVector(x, v []float32) {
 	}
 }
 
-// expWork is what one exp costs, in the multiply-adds tileWork counts: the
-// activation built on it is tiled at this rate.
+// expWork is what one exp costs, in the multiply-adds tile.go's bounds count:
+// the activation built on it is tiled at this rate. It charges the scalar
+// exp; the AVX2 Sigmoid costs about a fifth of that, but charging it so
+// gained nothing measurable (EXPERIMENTS.md, "Long passes in short tiles").
 const expWork = 16
 
 // Sigmoid sets dst[i] = 1/(1+e^−src[i]) for every element, computed in

@@ -9,16 +9,34 @@ import "repro/internal/parallel"
 // serves two ends. A tile's panel of B is small enough to stay in L2 while
 // the tile's rows go over it, where a whole row of a wide layer streams the
 // whole of B past the cache once per row. And no goroutine computes for
-// longer than one tile, so the scheduler gets a P back every fraction of a
-// millisecond (internal/parallel says why that matters to everything else
-// in the process).
+// longer than one tile, so the scheduler gets a P back at the end of every
+// wave (internal/parallel says why that matters to everything else in the
+// process).
+//
+// The length of a wave is a trade with one cost model. A request that
+// crosses the process while a pass runs waits, at each crossing, for the
+// rest of the wave it lands in: half a tile on average. Each extra wave costs
+// one fork/join, a parked thread woken (BenchmarkWaves: 20–140 µs at tiles of
+// 50–250 µs on a 2-vCPU host). A short pass buys nothing from being cut finer, so it keeps
+// its one wave of whole row chunks while a chunk costs at most chunkWork; a
+// longer pass — the bulk passes of the small16 and paper64 models — is cut
+// into tiles of at most tileWork. Both bounds are counted in multiply-adds
+// of the scalar forward kernel, so a faster gemmNN shortens a tile in time
+// and both must be re-sized with it.
 const (
 	// gemmGrain is the minimum number of output rows per parallel chunk; small
 	// batches run serially.
 	gemmGrain = 8
-	// tileWork bounds one tile, in multiply-adds: about a millisecond of the
-	// scalar kernel. It is the only tuning constant; nothing overrides it.
-	tileWork = 1 << 21
+	// chunkWork bounds a row chunk that runs whole, in multiply-adds: 1–3 ms
+	// of the scalar kernel as timed on a 2-vCPU host. A pass whose chunks fit
+	// is one wave (or one tile on the caller's goroutine), as it was before
+	// there were tiles; everything Tiny8 runs is such a pass.
+	chunkWork = 1 << 21
+	// tileWork bounds one tile of a pass whose chunks do not fit chunkWork:
+	// an eighth of it, 150–400 µs, so a request beside a bulk pass waits out
+	// a fraction of that at each crossing instead of a millisecond or more.
+	// Neither bound is overridden anywhere.
+	tileWork = 1 << 18
 	// panelFloats is the most of B a tile goes over, 512 KB, so that it stays
 	// in L2 from the tile's first row to its last.
 	panelFloats = 128 << 10
@@ -69,21 +87,21 @@ func (t tiling) tile(idx int) (i0, i1, j0, j1 int) {
 }
 
 // planTiles cuts an m×n output whose every cell costs k multiply-adds for
-// the given number of workers, so that no tile costs more than tileWork. k is
-// never cut: a tile sees the whole of its cells' updates, in order, which is
-// what keeps the result independent of the cut (kernel.go).
+// the given number of workers. k is never cut: a tile sees the whole of its
+// cells' updates, in order, which is what keeps the result independent of the
+// cut (kernel.go).
 //
 // Rows are first chunked as a GEMM's rows always were — one chunk per worker,
 // none under gemmGrain rows while there are rows to fill it — and if a chunk
-// costs no more than tileWork, that is the plan: one wave, or one tile on the
-// caller's goroutine. Otherwise the panel is the widest whose share of B is
-// panelFloats, and the row block is what tileWork then allows. When k is so
-// long that such a panel would be under minPanel columns, B is not blocked
-// for the cache at all: the panel is as wide as one row within tileWork can
-// be, minPanel at the least — so a tile exceeds tileWork only where it is one
-// row by minPanel columns (or the whole of a narrower C) and k is beyond
-// tileWork/minPanel. Blocks and panels are then evened out so the last of
-// each is not a sliver.
+// costs no more than chunkWork, that is the plan: one wave, or one tile on the
+// caller's goroutine. Otherwise no tile may cost more than tileWork: the
+// panel is the widest whose share of B is panelFloats, and the row block is
+// what tileWork then allows. When k is so long that such a panel would be
+// under minPanel columns, B is not blocked for the cache at all: the panel is
+// as wide as one row within tileWork can be, minPanel at the least — so a
+// tile exceeds tileWork only where it is one row by minPanel columns (or the
+// whole of a narrower C) and k is beyond tileWork/minPanel. Blocks and panels
+// are then evened out so the last of each is not a sliver.
 func planTiles(m, n, k, workers int) tiling {
 	chunks := min(workers, ceilDiv(m, gemmGrain))
 	t := tiling{m: m, n: n, chunk: ceilDiv(m, chunks), cols: n, width: workers}
@@ -91,7 +109,7 @@ func planTiles(m, n, k, workers int) tiling {
 		t.width = chunks
 	}
 	t.rows = t.chunk
-	if t.rows*n*k > tileWork {
+	if t.rows*n*k > chunkWork {
 		cols := panelFloats / k &^ (panelAlign - 1)
 		if cols < minPanel {
 			cols = max(minPanel, tileWork/k&^(panelAlign-1))
@@ -128,5 +146,6 @@ func forRowBlocks(m *Matrix, work int, span func(lo, hi int)) {
 }
 
 // oneTile reports whether an elementwise pass over m at work multiply-adds an
-// element is small enough to stay a plain loop on the caller's goroutine.
-func oneTile(m *Matrix, work int) bool { return len(m.Data)*work <= tileWork }
+// element is small enough to stay a plain loop on the caller's goroutine: the
+// whole pass fits one chunk.
+func oneTile(m *Matrix, work int) bool { return len(m.Data)*work <= chunkWork }

@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/parallel"
 )
 
 // tileCost is what a tile costs at k multiply-adds a cell.
@@ -14,9 +17,14 @@ func tileCost(i0, i1, j0, j1, k int) int { return (i1 - i0) * (j1 - j0) * k }
 // checkCut fails unless the tiles of t cover every cell of the m×n output
 // exactly once, keep to the cut's own block and panel sizes, start panels on
 // panelAlign columns, and — for a cut planTiles made — cost no more than
-// tileWork except where planTiles says they may.
+// chunkWork where the plan is whole row chunks and tileWork where it cut
+// them, except where planTiles says they may.
 func checkCut(t *testing.T, tl tiling, k int, planned bool) {
 	t.Helper()
+	bound := tileWork
+	if tl.rows == tl.chunk && tl.cols == tl.n {
+		bound = chunkWork
+	}
 	seen := make([]uint8, tl.m*tl.n)
 	for idx := 0; idx < tl.tiles(); idx++ {
 		i0, i1, j0, j1 := tl.tile(idx)
@@ -28,7 +36,7 @@ func checkCut(t *testing.T, tl tiling, k int, planned bool) {
 			if j0%panelAlign != 0 {
 				t.Fatalf("%+v k=%d: tile %d starts at column %d", tl, k, idx, j0)
 			}
-			if cost := tileCost(i0, i1, j0, j1, k); cost > tileWork && (i1-i0 > 1 || j1-j0 > minPanel || k <= tileWork/minPanel) {
+			if cost := tileCost(i0, i1, j0, j1, k); cost > bound && (i1-i0 > 1 || j1-j0 > minPanel || k <= tileWork/minPanel) {
 				t.Fatalf("%+v k=%d: tile %d, rows [%d,%d) by columns [%d,%d), costs %d", tl, k, idx, i0, i1, j0, j1, cost)
 			}
 		}
@@ -87,11 +95,11 @@ func goroutineID() string {
 
 // TestServingShapesTileAsIntended pins the shape of the work, not its speed,
 // for two workers (the reference host): the bulk passes of fleet_mixed and
-// sweep_paper are many short waves, and everything Tiny8 runs is what it was
-// before there were tiles — which is why interactive_tiny and train_ltfb do
-// not move.
+// sweep_paper and the paper64 cost probe are many short waves of tiles no
+// larger than tileWork, and everything Tiny8 runs is what it was before there
+// were tiles — which is why interactive_tiny and train_ltfb do not move.
 func TestServingShapesTileAsIntended(t *testing.T) {
-	for _, shape := range [][3]int{{64, 128, 3087}, {16, 128, 49167}} {
+	for _, shape := range [][3]int{{64, 128, 3087}, {16, 128, 49167}, {64, 128, 49167}} {
 		m, k, n := shape[0], shape[1], shape[2]
 		tl := planTiles(m, n, k, 2)
 		if waves := (tl.tiles() + tl.width - 1) / tl.width; waves < 2 || tl.width != 2 {
@@ -99,7 +107,9 @@ func TestServingShapesTileAsIntended(t *testing.T) {
 		}
 		for idx := 0; idx < tl.tiles(); idx++ {
 			i0, i1, j0, j1 := tl.tile(idx)
-			if cost := tileCost(i0, i1, j0, j1, k); cost > tileWork || (j1-j0)*k > panelFloats {
+			// 2¹⁸ is the pin itself, not tileWork read back: a change to the
+			// bound changes this line too.
+			if cost := tileCost(i0, i1, j0, j1, k); cost > 1<<18 || (j1-j0)*k > panelFloats {
 				t.Errorf("%dx%dx%d: tile %d costs %d over %d floats of B", m, k, n, idx, cost, (j1-j0)*k)
 			}
 		}
@@ -114,10 +124,13 @@ func TestServingShapesTileAsIntended(t *testing.T) {
 		t.Errorf("1x128x49167: %+v, second tile columns [%d,%d)", one, j0, j1)
 	}
 
-	// 16×128×399, Tiny8's widest: one wave of the two 8-row chunks.
-	want := tiling{m: 16, n: 399, chunk: 8, rows: 8, cols: 399, width: 2}
-	if tl := planTiles(16, 399, 128, 2); tl != want || tl.tiles() != 2 {
-		t.Errorf("16x128x399: %+v, want %+v", tl, want)
+	// Tiny8's widest layer, a training batch and the 64-row probe pass: one
+	// wave of the two whole chunks, 8 and 32 rows each.
+	for _, m := range []int{16, 64} {
+		want := tiling{m: m, n: 399, chunk: m / 2, rows: m / 2, cols: 399, width: 2}
+		if tl := planTiles(m, 399, 128, 2); tl != want || tl.tiles() != 2 {
+			t.Errorf("%dx128x399: %+v, want %+v", m, tl, want)
+		}
 	}
 	// 1×128×399: one tile, on the caller's goroutine.
 	tl := planTiles(1, 399, 128, 2)
@@ -168,7 +181,7 @@ func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 		for i := 0; i < len(x.Data); i += 97 {
 			x.Data[i] = specials[rng.Intn(len(specials))]
 		}
-		if cut := !oneTile(x, expWork); cut != (rows*cols*expWork > tileWork) {
+		if cut := !oneTile(x, expWork); cut != (rows*cols*expWork > chunkWork) {
 			t.Fatalf("%dx%d: cut = %v", rows, cols, cut)
 		}
 		v := make([]float32, cols)
@@ -194,7 +207,7 @@ func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 			}
 		}
 	}
-	// LeakyReLU is cheap enough that only a pass of more than tileWork
+	// LeakyReLU is cheap enough that only a pass of more than chunkWork
 	// elements is cut at all.
 	big := randomMatrix(rng, 70, 30000)
 	got, want := New(70, 30000), make([]float32, 70*30000)
@@ -202,5 +215,31 @@ func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 	leakyReLU(want, big.Data, 0.2)
 	if i := firstBitDiff(got.Data, want); i >= 0 || oneTile(big, 1) {
 		t.Fatalf("LeakyReLU 70x30000: element %d differs (one tile: %v)", i, oneTile(big, 1))
+	}
+}
+
+// BenchmarkWaves is the cost model's other side: what one more wave costs.
+// Each wave is one tile per worker, every tile a spin of the given length, as
+// tiling.waves issues them; fork_join_us/wave is the wall time per wave less
+// the tile itself — the goroutines started, the parked thread woken and the
+// join. A pass cut into tiles of a quarter the length pays it four times as
+// often; with one worker the tiles run inline and it reads about 0.
+func BenchmarkWaves(b *testing.B) {
+	for _, tile := range []struct {
+		name string
+		d    time.Duration
+	}{{"50us", 50 * time.Microsecond}, {"250us", 250 * time.Microsecond}, {"1ms", time.Millisecond}} {
+		b.Run("tile="+tile.name, func(b *testing.B) {
+			w := parallel.Workers()
+			tl := tiling{m: b.N * w, n: 1, chunk: 1, rows: 1, cols: 1, width: w}
+			b.ResetTimer()
+			t0 := time.Now()
+			tl.waves(func(lo, hi int) {
+				for end := time.Now().Add(time.Duration(hi-lo) * tile.d); time.Now().Before(end); {
+				}
+			})
+			perWave := time.Since(t0) / time.Duration(b.N)
+			b.ReportMetric(float64(perWave-tile.d)/float64(time.Microsecond), "fork_join_us/wave")
+		})
 	}
 }
