@@ -30,9 +30,19 @@
 // for this to work: a long-lived worker that pulls pieces off a counter never
 // returns its P, and runtime.Gosched puts the caller on the global run queue,
 // which is ahead of the poller in that search.
+//
+// Ending a goroutine is enough only while a region has a P to spare. The
+// search reaches the poller when the P's own run queue is empty, and in a
+// region of two goroutines it is the P that finishes first whose queue is: the
+// last one to finish readies the caller, which starts the next region at once.
+// When every other P is held by something else — a long computation, a thread
+// the OS has not run yet — one P runs all of a pass's regions one goroutine
+// after another, its queue never empties, and the network waits for the whole
+// pass. Yield is the stop such a pass makes instead.
 package parallel
 
 import (
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -98,4 +108,38 @@ func For(lo, hi, grain int, fn func(start, end int)) {
 func chunkOf(wg *sync.WaitGroup, fn func(start, end int), start, end int) {
 	defer wg.Done()
 	fn(start, end)
+}
+
+// yielder is the pipe Yield waits on. os.Pipe registers its read end with the
+// network poller wherever the runtime has one. Neither end is ever closed, so
+// a write cannot fail, and a read always finds the byte of some caller: there
+// are never more readers waiting than writers started.
+var yielder struct {
+	once sync.Once
+	r, w *os.File
+}
+
+var yieldByte = []byte{0}
+
+// Yield returns once the caller's P has searched for work with its own run
+// queue empty, network poller included, so that whatever the rest of the
+// process has waiting — a reply on a socket, a timer, a goroutine on the
+// global queue — runs before the caller goes on. The caller waits on a pipe
+// that a goroutine it starts writes to: that goroutine runs and ends, and the
+// poller, not the writer, makes the caller runnable. It costs three syscalls
+// and a goroutine, a few microseconds when nothing else is waiting; where no
+// pipe can be made it is runtime.Gosched.
+func Yield() {
+	yielder.once.Do(func() {
+		if r, w, err := os.Pipe(); err == nil {
+			yielder.r, yielder.w = r, w
+		}
+	})
+	if yielder.r == nil {
+		runtime.Gosched()
+		return
+	}
+	go yielder.w.Write(yieldByte)
+	var b [1]byte
+	yielder.r.Read(b[:])
 }

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -120,4 +121,21 @@ func TestWorkersIsTheRanksShare(t *testing.T) {
 			t.Fatalf("%d ranks on 8 Ps: Workers() = %d, For ran %d chunks, want %d", c.ranks, got, chunks.Load(), c.want)
 		}
 	}
+}
+
+// TestYieldReturns: Yield comes back, from many goroutines at once. Each
+// caller's byte may be read by another caller, but every caller writes one and
+// reads one, so none waits for ever.
+func TestYieldReturns(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				Yield()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,6 +1,10 @@
 package tensor
 
-import "repro/internal/parallel"
+import (
+	"sync/atomic"
+
+	"repro/internal/parallel"
+)
 
 // Every pass over a matrix that is big enough to matter — a GEMM, a bias
 // add, an activation — is cut into tiles and issued in waves: a tile is a
@@ -126,9 +130,42 @@ func planTiles(m, n, k, workers int) tiling {
 // is called with ranges of tile indices, each wave's ranges concurrently, and
 // a wave is over before the next begins. A lone tile runs on the caller's
 // goroutine.
+//
+// A pass of more than one wave also notices when it runs alone. A tile that
+// starts after another of its wave has ended, and a wave whose tiles never
+// overlapped, mean one P is running the pass while every other P is held; that
+// P's run queue never empties between tiles, so it never reaches the network
+// poller (internal/parallel's package comment). The tile, or the next wave,
+// then waits in parallel.Yield first, and a request that crosses the process
+// during the stretch waits out a tile instead of the stretch. A pass that has
+// its Ps pays three atomic adds a tile. A pass planned for one worker — a
+// rank's, where the ranks fill the Ps — runs inline as it always did.
 func (t tiling) waves(run func(lo, hi int)) {
-	for lo, n := 0, t.tiles(); lo < n; lo += t.width {
-		parallel.For(lo, min(lo+t.width, n), 1, run)
+	n := t.tiles()
+	if n <= t.width || t.width < 2 {
+		for lo := 0; lo < n; lo += t.width {
+			parallel.For(lo, min(lo+t.width, n), 1, run)
+		}
+		return
+	}
+	var running, ended, overlapped atomic.Int32
+	watched := func(lo, hi int) {
+		if ended.Load() > 0 {
+			parallel.Yield()
+		}
+		if running.Add(1) > 1 {
+			overlapped.Store(1)
+		}
+		run(lo, hi)
+		running.Add(-1)
+		ended.Add(1)
+	}
+	for lo := 0; lo < n; lo += t.width {
+		if lo > 0 && overlapped.Swap(0) == 0 {
+			parallel.Yield()
+		}
+		ended.Store(0)
+		parallel.For(lo, min(lo+t.width, n), 1, watched)
 	}
 }
 

@@ -1,9 +1,12 @@
 package tensor
 
 import (
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,6 +170,63 @@ func TestWavesAreJoined(t *testing.T) {
 	})
 	if int(done.Load()) != tl.tiles() {
 		t.Errorf("%d of %d tiles ran", done.Load(), tl.tiles())
+	}
+}
+
+// TestLonePassLetsTheNetworkIn: a pass of many waves that one P runs alone —
+// here because there is one P, in a server because something else holds the
+// others — lets a round trip over a loopback socket through between its tiles
+// instead of holding it for the rest of the pass. Without the pass's stops in
+// parallel.Yield the P never looks at the network until sysmon preempts the
+// pass, 10 ms (a hundred tiles) at the least.
+func TestLonePassLetsTheNetworkIn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback socket: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(c, c)
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const tiles, spin = 1000, 100 * time.Microsecond
+	tl := tiling{m: tiles, n: 1, chunk: tiles / 2, rows: 1, cols: 1, width: 2}
+	var done atomic.Int32
+	var once sync.Once
+	started, finished := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		tl.waves(func(lo, hi int) {
+			once.Do(func() { close(started) })
+			for end := time.Now().Add(time.Duration(hi-lo) * spin); time.Now().Before(end); {
+			}
+			done.Add(int32(hi - lo))
+		})
+	}()
+	<-started
+	before := done.Load()
+	buf := []byte{1}
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, buf); err != nil {
+		t.Fatal(err)
+	}
+	during := done.Load() - before
+	<-finished
+	if during > 50 {
+		t.Errorf("the round trip took %d tiles of %v, of a %d-tile pass", during, spin, tiles)
 	}
 }
 
