@@ -11,9 +11,10 @@
 //   - Forward(x, false) is inference, a pure function of the weights. It
 //     writes no layer field and returns a matrix the caller owns, so any
 //     number of goroutines may run it on one network at once.
-//   - Forward(x, true) also keeps, in each layer, the operand its Backward
-//     needs (the input, or for Sigmoid the output, which is the matrix it
-//     returns — read it, do not write it, until Backward has run).
+//   - Forward(x, true) also keeps, in each layer, the operands its Backward
+//     needs: a Linear keeps its input and, when it has an activation, its
+//     output, which is the matrix it returns — read it, do not write it,
+//     until Backward has run.
 //     Backward consumes what was kept, accumulates parameter gradients and
 //     returns the gradient with respect to the input; a Backward with nothing
 //     kept panics rather than differentiate an older batch.
@@ -123,30 +124,21 @@ type Layer interface {
 	Params() []*Param
 }
 
-// kept takes the operand a layer's Forward(x, true) left in slot, so one
-// forward pass is differentiated at most once. It panics when no such pass
-// ran since the last Backward — after an inference pass the slot still holds
-// nothing, never an older batch.
-func kept(slot **tensor.Matrix, layer string) *tensor.Matrix {
-	m := *slot
-	if m == nil {
-		panic("nn: " + layer + ".Backward before Forward")
-	}
-	*slot = nil
-	return m
-}
-
-// Linear is a fully-connected layer: y = x·W + b with W of shape In×Out.
+// Linear is a fully-connected layer: y = act(x·W + b) with W of shape In×Out,
+// computed in one pass (tensor.Dense).
 type Linear struct {
 	In, Out int
 	Weight  *Param
 	Bias    *Param
-	x       *tensor.Matrix // input kept by Forward(x, true) for Backward
+	// Act is applied to every element of the output, after the bias;
+	// ActNone leaves x·W + b.
+	Act  Activation
+	x, y *tensor.Matrix // input and output kept by Forward(x, true) for Backward
 }
 
-// NewLinear creates a Linear layer with Glorot-uniform weights drawn from
-// rng and zero bias. A nil rng draws nothing and leaves the weights zero,
-// for a load or a copy to fill.
+// NewLinear creates a Linear layer with no activation, Glorot-uniform
+// weights drawn from rng and zero bias. A nil rng draws nothing and leaves
+// the weights zero, for a load or a copy to fill.
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
 		In:     in,
@@ -160,43 +152,56 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = x·W + b.
+// Forward computes y = act(x·W + b).
 func (l *Linear) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects width %d, got %d", l.In, x.Cols))
 	}
-	if training {
-		l.x = x
-	}
 	y := a.New(x.Rows, l.Out)
-	tensor.MatMul(y, x, l.Weight.W)
-	tensor.AddRowVector(y, l.Bias.W.Data)
+	tensor.Dense(y, x, l.Weight.W, l.Bias.W.Data, l.Act)
+	if training {
+		l.x, l.y = x, y
+	}
 	return y
 }
 
-// Backward accumulates dW = xᵀ·dy and db = column-sums(dy), and returns
-// dx = dy·Wᵀ.
+// Backward takes dy back through the activation, to g = dLoss/d(x·W + b),
+// accumulates dW = xᵀ·g and db = column-sums(g), and returns dx = g·Wᵀ.
 func (l *Linear) Backward(dy *tensor.Matrix, accumulate bool, a *tensor.Arena) *tensor.Matrix {
-	x := kept(&l.x, "Linear")
+	x, g := l.take(dy, a)
 	if accumulate {
-		l.accumulate(x, dy, a)
+		l.accumulate(x, g, a)
 	}
 	dx := a.New(dy.Rows, l.In)
-	tensor.Gemm(dx, 1, dy, tensor.NoTrans, l.Weight.W, tensor.Trans, 0)
+	tensor.Gemm(dx, 1, g, tensor.NoTrans, l.Weight.W, tensor.Trans, 0)
 	return dx
 }
 
-// accumulate adds dW = xᵀ·dy and db = column-sums(dy) into the gradients.
-func (l *Linear) accumulate(x, dy *tensor.Matrix, a *tensor.Arena) {
+// take uses up what Forward(x, true) kept, so one forward pass is
+// differentiated at most once: it returns that input and g, dy taken back
+// through the activation from the kept output. It panics when no such pass
+// ran since the last Backward — after an inference pass nothing is kept,
+// never an older batch.
+func (l *Linear) take(dy *tensor.Matrix, a *tensor.Arena) (x, g *tensor.Matrix) {
+	x, y := l.x, l.y
+	if x == nil {
+		panic("nn: Linear.Backward before Forward")
+	}
+	l.x, l.y = nil, nil
+	return x, l.Act.Grad(dy, y, a)
+}
+
+// accumulate adds dW = xᵀ·g and db = column-sums(g) into the gradients.
+func (l *Linear) accumulate(x, g *tensor.Matrix, a *tensor.Arena) {
 	if l.Weight.Grad == nil || l.Bias.Grad == nil {
 		GradSlab(l.Params())
 	}
-	tensor.Gemm(l.Weight.Grad, 1, x, tensor.Trans, dy, tensor.NoTrans, 1)
+	tensor.Gemm(l.Weight.Grad, 1, x, tensor.Trans, g, tensor.NoTrans, 1)
 	// The column sums are formed apart and added once, as they always were:
 	// a second Backward into the same accumulator adds its sum, not its rows
 	// one by one.
 	cs := a.New(1, l.Out)
-	tensor.ColSums(cs.Data, dy)
+	tensor.ColSums(cs.Data, g)
 	bias := l.Bias.Grad.Data
 	for j, v := range cs.Data {
 		bias[j] += v
@@ -205,66 +210,3 @@ func (l *Linear) accumulate(x, dy *tensor.Matrix, a *tensor.Arena) {
 
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
-
-// LeakyReLU applies x for x>0 and Alpha·x otherwise; the paper-standard GAN
-// activation.
-type LeakyReLU struct {
-	Alpha float32
-	x     *tensor.Matrix
-}
-
-// Forward applies the leaky rectifier.
-func (l *LeakyReLU) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
-	if training {
-		l.x = x
-	}
-	y := a.New(x.Rows, x.Cols)
-	tensor.LeakyReLU(y, x, l.Alpha)
-	return y
-}
-
-// Backward scales dy by 1 or Alpha depending on the kept input's sign.
-func (l *LeakyReLU) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
-	x := kept(&l.x, "LeakyReLU")
-	dx := a.New(dy.Rows, dy.Cols)
-	alpha := l.Alpha
-	for i, v := range x.Data {
-		if v > 0 {
-			dx.Data[i] = dy.Data[i]
-		} else {
-			dx.Data[i] = alpha * dy.Data[i]
-		}
-	}
-	return dx
-}
-
-// Params returns nil: LeakyReLU has no trainable state.
-func (l *LeakyReLU) Params() []*Param { return nil }
-
-// Sigmoid applies the logistic function elementwise.
-type Sigmoid struct {
-	y *tensor.Matrix
-}
-
-// Forward computes σ(x).
-func (s *Sigmoid) Forward(x *tensor.Matrix, training bool, a *tensor.Arena) *tensor.Matrix {
-	y := a.New(x.Rows, x.Cols)
-	tensor.Sigmoid(y, x)
-	if training {
-		s.y = y
-	}
-	return y
-}
-
-// Backward computes dy·y·(1-y) using the kept output.
-func (s *Sigmoid) Backward(dy *tensor.Matrix, _ bool, a *tensor.Arena) *tensor.Matrix {
-	y := kept(&s.y, "Sigmoid")
-	dx := a.New(dy.Rows, dy.Cols)
-	for i, v := range y.Data {
-		dx.Data[i] = dy.Data[i] * v * (1 - v)
-	}
-	return dx
-}
-
-// Params returns nil: Sigmoid has no trainable state.
-func (s *Sigmoid) Params() []*Param { return nil }

@@ -54,7 +54,8 @@ func (n *Network) BackwardInput(dy *tensor.Matrix) *tensor.Matrix { return n.bac
 func (n *Network) BackwardParams(dy *tensor.Matrix) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		if l, ok := n.Layers[i].(*Linear); ok && i == 0 {
-			l.accumulate(kept(&l.x, "Linear"), dy, n.arena)
+			x, g := l.take(dy, n.arena)
+			l.accumulate(x, g, n.arena)
 			return
 		}
 		dy = n.Layers[i].Backward(dy, true, n.arena)
@@ -91,33 +92,20 @@ func (n *Network) CopyWeightsFrom(src *Network) {
 	}
 }
 
-// Activation names an elementwise nonlinearity for Spec-driven construction.
-type Activation string
+// Activation names the elementwise nonlinearity a Linear applies to its
+// output, for MLP construction: it is the epilogue of tensor.Dense.
+type Activation = tensor.Act
 
 // Supported activations for MLP construction.
 const (
-	ActNone      Activation = "none"
-	ActLeakyReLU Activation = "lrelu"
-	ActSigmoid   Activation = "sigmoid"
+	ActNone      = tensor.ActNone
+	ActLeakyReLU = tensor.ActLeakyReLU
+	ActSigmoid   = tensor.ActSigmoid
 )
 
-// newActivation returns the layer for name, or nil for ActNone.
-func newActivation(a Activation) Layer {
-	switch a {
-	case ActNone:
-		return nil
-	case ActLeakyReLU:
-		return &LeakyReLU{Alpha: 0.2}
-	case ActSigmoid:
-		return &Sigmoid{}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %q", a))
-	}
-}
-
 // MLP builds a fully-connected network with the given layer widths. dims has
-// at least two entries (input and output width); hidden is applied after
-// every layer except the last, output after the last (ActNone for a linear
+// at least two entries (input and output width); every Linear but the last
+// has the hidden activation, the last the output one (ActNone for a linear
 // head). The rng seeds the weight initialization, so two MLPs built with
 // identically-seeded rngs are identical; a nil rng leaves every weight zero
 // (NewLinear).
@@ -127,17 +115,12 @@ func MLP(name string, dims []int, hidden, output Activation, rng *rand.Rand) *Ne
 	}
 	net := &Network{Name: name}
 	for i := 0; i+1 < len(dims); i++ {
-		net.Layers = append(net.Layers, NewLinear(dims[i], dims[i+1], rng))
-		last := i+2 == len(dims)
-		var act Layer
-		if last {
-			act = newActivation(output)
-		} else {
-			act = newActivation(hidden)
+		l := NewLinear(dims[i], dims[i+1], rng)
+		l.Act = hidden
+		if i+2 == len(dims) {
+			l.Act = output
 		}
-		if act != nil {
-			net.Layers = append(net.Layers, act)
-		}
+		net.Layers = append(net.Layers, l)
 	}
 	return net
 }

@@ -63,10 +63,86 @@ func TestGradientCheckLinearMSE(t *testing.T) {
 	gradCheck(t, net, MSE, 4, 3, 1e-2)
 }
 
+// TestGradientCheckLeakyReLUBCE: the gradients of a LeakyReLU stack match
+// central differences, and a Linear that takes dy back through its
+// activation from the sign of its kept output gives the bits the separate
+// activation layer gave from the sign of its input. The pre-activations are
+// the values where the two signs could part: ±0, the smallest denormals, a
+// negative one whose 0.2·v rounds to −0, NaN and ±Inf.
 func TestGradientCheckLeakyReLUBCE(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := MLP("disc", []int{5, 8, 1}, ActLeakyReLU, ActNone, rng)
 	gradCheck(t, net, BCEWithLogits, 5, 1, 2e-2)
+
+	negZero := float32(math.Copysign(0, -1))
+	edges := []float32{0, negZero, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		-2 * math.SmallestNonzeroFloat32, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1.5, -1.5}
+	if v := float32(0.2) * edges[4]; v != 0 || !math.Signbit(float64(v)) {
+		t.Fatalf("0.2·%g = %g, want −0", edges[4], v)
+	}
+	// The input-sign rule of the deleted activation layer, against the rule
+	// on the output that the layer's forward produced, on every edge. A
+	// Linear's sums never come out as −0, so that edge is checked here only.
+	dy := tensor.New(3, len(edges))
+	tensor.FillUniform(dy, rng, -2, 2)
+	dy.Data[len(edges)] = math.SmallestNonzeroFloat32 // 0.2·dy underflows too
+	y := tensor.New(3, len(edges))
+	for i := range y.Data {
+		if v := edges[i%len(edges)]; v > 0 {
+			y.Data[i] = v
+		} else {
+			y.Data[i] = float32(0.2) * v
+		}
+	}
+	inputRule := func(pre []float32, dy *tensor.Matrix) *tensor.Matrix {
+		g := tensor.New(dy.Rows, dy.Cols)
+		for i, v := range dy.Data {
+			if pre[i%len(pre)] > 0 {
+				g.Data[i] = v
+			} else {
+				g.Data[i] = float32(0.2) * v
+			}
+		}
+		return g
+	}
+	if got, want := ActLeakyReLU.Grad(dy, y, nil), inputRule(edges, dy); !sameBits(got.Data, want.Data) {
+		t.Fatalf("the output-sign rule gives %v, the input-sign rule %v", got.Data, want.Data)
+	}
+
+	// Through a Linear: a one-input layer whose weights are the edges and
+	// whose bias is −0 has the edges (−0 read as +0) as its pre-activations.
+	// Its parameter and input gradients are those of dy taken back by the
+	// input-sign rule, then the layer's three products.
+	l := activated(NewLinear(1, len(edges), nil), ActLeakyReLU)
+	copy(l.Weight.W.Data, edges)
+	l.Bias.W.Fill(negZero)
+	x := tensor.New(3, 1)
+	x.Fill(1)
+	l.Forward(x, true, nil)
+	dx := l.Backward(dy, true, nil)
+	g := inputRule(edges, dy)
+	wantW := tensor.New(1, len(edges))
+	tensor.Gemm(wantW, 1, x, tensor.Trans, g, tensor.NoTrans, 1)
+	wantB := make([]float32, len(edges))
+	tensor.ColSums(wantB, g)
+	wantX := tensor.New(3, 1)
+	tensor.Gemm(wantX, 1, g, tensor.NoTrans, l.Weight.W, tensor.Trans, 0)
+	for _, c := range []struct {
+		name      string
+		got, want []float32
+	}{{"dW", l.Weight.Grad.Data, wantW.Data}, {"db", l.Bias.Grad.Data, wantB}, {"dx", dx.Data, wantX.Data}} {
+		if !sameBits(c.got, c.want) {
+			t.Errorf("%s = %v, the input-sign rule gives %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float32 bits, any NaN
+// matching any NaN.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+	})
 }
 
 func TestGradientCheckSigmoidHead(t *testing.T) {
@@ -282,7 +358,13 @@ func mustPanic(t *testing.T, name, want string, f func()) {
 	f()
 }
 
-// TestBackwardNeedsItsOwnTrainingForward: every layer type, and a Network,
+// activated sets l's activation.
+func activated(l *Linear, act Activation) *Linear {
+	l.Act = act
+	return l
+}
+
+// TestBackwardNeedsItsOwnTrainingForward: every kind of layer, and a Network,
 // refuses a Backward that no Forward(x, true) precedes — on a fresh layer,
 // after an inference pass, and a second time after one training pass — instead
 // of indexing a nil matrix or differentiating a left-over batch.
@@ -297,12 +379,12 @@ func TestBackwardNeedsItsOwnTrainingForward(t *testing.T) {
 		l    Layer
 	}{
 		{"Linear", NewLinear(4, 4, rng)},
-		{"LeakyReLU", &LeakyReLU{Alpha: 0.2}},
-		{"Sigmoid", &Sigmoid{}},
+		{"Linear+lrelu", activated(NewLinear(4, 4, rng), ActLeakyReLU)},
+		{"Linear+sigmoid", activated(NewLinear(4, 4, rng), ActSigmoid)},
 	}
 	for _, c := range layers {
 		name, l := c.name, c.l
-		want := "nn: " + name + ".Backward before Forward"
+		want := "nn: Linear.Backward before Forward"
 		mustPanic(t, name+" fresh", want, func() { l.Backward(dy, true, nil) })
 		l.Forward(x, false, nil)
 		mustPanic(t, name+" after inference", want, func() { l.Backward(dy, true, nil) })
@@ -379,7 +461,7 @@ func TestGradStorageOnFirstTrainingUse(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(31))
 		return &Network{Name: "lazy", Layers: []Layer{
-			NewLinear(4, 6, rng), &LeakyReLU{Alpha: 0.2}, NewLinear(6, 3, rng),
+			activated(NewLinear(4, 6, rng), ActLeakyReLU), NewLinear(6, 3, rng),
 		}}
 	}
 	x := tensor.New(5, 4)
@@ -536,18 +618,18 @@ func TestBackwardInputSkipsParameterGradients(t *testing.T) {
 // TestBackwardParamsSkipsTheInputGradient: a network whose input gradient
 // nothing reads accumulates Backward's parameter gradients, bit for bit, uses
 // up its forward pass, and does not form the first layer's dy·Wᵀ — it
-// allocates one 5×7 matrix less than Backward. A network that does not start with a Linear
-// layer runs the whole of Backward.
+// allocates one 5×7 matrix less than Backward — whether or not that layer
+// has an activation to take dy back through first.
 func TestBackwardParamsSkipsTheInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	net := MLP("first", []int{7, 6, 3}, ActLeakyReLU, ActSigmoid, rng)
-	act := &Network{Name: "act-first", Layers: append([]Layer{&LeakyReLU{Alpha: 0.2}}, net.Layers...)}
+	linear := MLP("linear-first", []int{7, 6, 3}, ActNone, ActSigmoid, rng)
 	x := tensor.New(5, 7)
 	tensor.FillUniform(x, rng, -1, 1)
 	dy := tensor.New(5, 3)
 	tensor.FillUniform(dy, rng, -1, 1)
 
-	for _, n := range []*Network{net, act} {
+	for _, n := range []*Network{net, linear} {
 		ZeroGrad(n.Params())
 		n.Forward(x, true)
 		n.Backward(dy)

@@ -27,12 +27,35 @@ const (
 // Matrix values over one slice, or a SliceRows view. A and B may be the same
 // matrix.
 func Gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32) {
-	gemm(c, alpha, a, transA, b, transB, beta, planTiles)
+	newPass(c, alpha, a, transA, b, transB, beta).run(planTiles)
 }
 
-// gemm is Gemm with the cut of C into tiles left to plan. Every cut gives the
-// same bits; tests hand it cuts planTiles never makes.
-func gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32, plan func(m, n, k, workers int) tiling) {
+// Dense computes y = act(x·W + b), the forward pass of a fully-connected
+// layer, in one pass over y: each tile of y is zeroed, gets its whole
+// product, then the bias and the activation, while it is still in cache.
+// x is m×k, W k×n, y m×n and b n long; whatever y holds on entry is
+// overwritten. The bits are those of MatMul, then adding b to every row,
+// then act on every element (kernel.go, "Epilogue"). y must not share memory
+// with x, W or b.
+func Dense(y, x, w *Matrix, b []float32, act Act) { densePass(y, x, w, b, act).run(planTiles) }
+
+// pass is one GEMM, C = alpha·op(A)·op(B) + beta·C, checked and ready to be
+// cut into tiles (tile.go); run takes the cut from plan, which tests replace
+// with cuts planTiles never makes. Every cut gives the same bits.
+type pass struct {
+	c, a, b     *Matrix
+	alpha, beta float32
+	k           int
+	kernel      func(c *Matrix, alpha float32, a, b *Matrix, i0, i1, j0, j1 int)
+	// The epilogue of a dense pass: each element of C gets bias[j] added
+	// and then act applied, once its whole k is in; epi is what that costs
+	// (actWork). A plain GEMM has a nil bias and no epilogue.
+	bias []float32
+	act  Act
+	epi  int
+}
+
+func newPass(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, beta float32) pass {
 	if transA == Trans && transB == Trans {
 		panic("tensor: Gemm takes at most one transposed operand")
 	}
@@ -53,35 +76,79 @@ func gemm(c *Matrix, alpha float32, a *Matrix, transA Op, b *Matrix, transB Op, 
 	if overlap(c.Data, a.Data) || overlap(c.Data, b.Data) {
 		panic("tensor: Gemm output shares memory with an input")
 	}
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		Scale(c, beta)
-	}
-	if m == 0 || n == 0 || ka == 0 || alpha == 0 {
-		return
-	}
-	kernel := gemmNN
+	p := pass{c: c, a: a, b: b, alpha: alpha, beta: beta, k: ka, kernel: gemmNN}
 	switch {
 	case transA == Trans:
-		kernel = gemmTN
+		p.kernel = gemmTN
 	case transB == Trans:
-		kernel = gemmNT
+		p.kernel = gemmNT
 	}
-	t := plan(m, n, ka, parallel.Workers())
+	return p
+}
+
+// densePass is Dense's pass: y = 1·x·W + 0·y with the epilogue.
+func densePass(y, x, w *Matrix, b []float32, act Act) pass {
+	if len(b) != w.Cols {
+		panic(fmt.Sprintf("tensor: Dense bias length %d, want %d", len(b), w.Cols))
+	}
+	if overlap(y.Data, b) {
+		panic("tensor: Dense output shares memory with the bias")
+	}
+	p := newPass(y, 1, x, NoTrans, w, NoTrans, 0)
+	p.bias, p.act, p.epi = b, act, actWork[act]
+	return p
+}
+
+func (p pass) run(plan func(m, n, cell, workers int) tiling) {
+	m, n := p.c.Rows, p.c.Cols
+	if m == 0 || n == 0 {
+		return
+	}
+	t := plan(m, n, p.k+p.epi, parallel.Workers())
 	if t.tiles() == 1 {
 		// The whole of C on the caller's goroutine, as waves would run it,
 		// without the closure waves needs: a training step is some sixty
 		// GEMMs this small.
-		kernel(c, alpha, a, b, 0, m, 0, n)
+		p.tile(0, m, 0, n)
 		return
 	}
 	t.waves(func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
-			i0, i1, j0, j1 := t.tile(idx)
-			kernel(c, alpha, a, b, i0, i1, j0, j1)
+			p.tile(t.tile(idx))
 		}
 	})
+}
+
+// tile computes rows [i0, i1) by columns [j0, j1) of C: beta applied to the
+// block, then the kernel over the whole of k, then the epilogue. A product
+// with no terms (k = 0, or alpha = 0) adds nothing, not even a zero: y + 0 is
+// not y when y is −0.
+func (p pass) tile(i0, i1, j0, j1 int) {
+	n := p.c.Cols
+	if p.beta != 1 {
+		for i := i0; i < i1; i++ {
+			row := p.c.Data[i*n+j0 : i*n+j1]
+			if p.beta == 0 {
+				clear(row)
+				continue
+			}
+			for j := range row {
+				row[j] *= p.beta
+			}
+		}
+	}
+	if p.k > 0 && p.alpha != 0 {
+		p.kernel(p.c, p.alpha, p.a, p.b, i0, i1, j0, j1)
+	}
+	if p.bias == nil {
+		return
+	}
+	bias := p.bias[j0:j1]
+	for i := i0; i < i1; i++ {
+		row := p.c.Data[i*n+j0 : i*n+j1]
+		addRowVector(row, bias)
+		p.act.apply(row)
+	}
 }
 
 // overlap reports whether x and y have an element in common.

@@ -12,10 +12,10 @@ import "math"
 // every tail the SIMD code does not cover, they run the scalar loops in this
 // file, which are also the reference the SIMD code is tested against
 // (TestMicroKernelsMatchScalar, FuzzGemmMatchesReference). AdamStep, the
-// optimizer's elementwise update, and Sigmoid, the decoder's output
-// activation, are the kernels here that are not GEMM loops; AdamStep keeps
-// the same rules (adamScalar is its reference), Sigmoid the rule of its own
-// below (sigmoidScalar is its reference).
+// optimizer's elementwise update, and sigmoid, the decoder's output
+// activation in a dense pass's epilogue, are the kernels here that are not
+// GEMM loops; AdamStep keeps the same rules (adamScalar is its reference),
+// sigmoid the rule of its own below (sigmoidScalar is its reference).
 //
 // The contract a kernel must keep, because every loss, tournament decision
 // and checkpoint this repo has produced depends on the exact float32 bits:
@@ -47,6 +47,11 @@ import "math"
 //     run them in any order on any goroutines; it never cuts k. Every kernel
 //     call covers all the updates of the elements it is given, so the cut
 //     cannot show in the result.
+//   - Epilogue. A dense pass (Dense) finishes every element in its tile,
+//     after the whole k: the bias, as one float32 add, then the activation
+//     (leakyReLU, or sigmoid under the rule below), each a function of that
+//     element alone. So the cut cannot show: the bits are those of the
+//     product, then a bias pass, then an activation pass (denseRef).
 //   - Sigmoid. The reference is float32(1/(1+math.Exp(−float64(v)))) with
 //     math.Exp as the running binary computes it. That is the one place FMA
 //     appears: math's amd64 exp takes a path built on VFMADD when the CPU

@@ -94,11 +94,17 @@ type gemmCase struct {
 	// cut, when its rows is not zero, replaces planTiles' cut of C: tiles of
 	// any shape, aligned to nothing, so a shape this small spans many.
 	cut tiling
+	// dense makes the case Dense(C, A, B, bias, act) against denseRef, with
+	// a bias drawn after A, B and C; ta, tb, alpha and beta must then be
+	// Dense's own (NoTrans, NoTrans, 1, 0), and specials come from
+	// denseSpecials.
+	dense bool
+	act   Act
 }
 
 func (gc gemmCase) String() string {
-	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d cut=%+v",
-		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special, gc.cut)
+	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d cut=%+v dense=%v act=%d",
+		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special, gc.cut, gc.dense, gc.act)
 }
 
 // cutOf makes a cut of an m×n output from four arbitrary numbers: chunks of
@@ -137,18 +143,34 @@ func (gc gemmCase) check(t *testing.T) {
 			}
 		}
 	}
+	spec := specials
+	if gc.dense {
+		spec = denseSpecials
+	}
 	for _, mat := range []*Matrix{a, b, c} {
 		for s := 0; s < gc.special && len(mat.Data) > 0; s++ {
-			mat.Data[rng.Intn(len(mat.Data))] = specials[rng.Intn(len(specials))]
+			mat.Data[rng.Intn(len(mat.Data))] = spec[rng.Intn(len(spec))]
 		}
 	}
 	want := clone(c)
-	gemmRef(want, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
 	plan := planTiles
 	if gc.cut.rows != 0 {
 		plan = func(int, int, int, int) tiling { return gc.cut }
 	}
-	gemm(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta, plan)
+	if gc.dense {
+		bias := make([]float32, gc.n)
+		for j := range bias {
+			bias[j] = float32(rng.NormFloat64())
+		}
+		for s := 0; s < gc.special && len(bias) > 0; s++ {
+			bias[rng.Intn(len(bias))] = spec[rng.Intn(len(spec))]
+		}
+		denseRef(want, a, b, bias, gc.act)
+		densePass(c, a, b, bias, gc.act).run(plan)
+	} else {
+		gemmRef(want, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
+		newPass(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta).run(plan)
+	}
 	if i := firstBitDiff(c.Data, want.Data); i >= 0 {
 		t.Fatalf("%v: C[%d][%d] = %v (%#08x), scalar reference %v (%#08x)", gc, i/gc.n, i%gc.n,
 			c.Data[i], math.Float32bits(c.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
@@ -287,6 +309,108 @@ func FuzzGemmMatchesReference(f *testing.F) {
 			seed: seed, m: int(m % 68), k: int(k % 68), n: int(n % 68), ta: md[0], tb: md[1],
 			alpha: gemmAlphas[alpha%3], beta: gemmBetas[beta%3],
 			off: int(off % 8), zeroPos: int(zero%5) - 1, special: int(special % 16),
+		}
+		if rows != 0 {
+			gc.cut = cutOf(gc.m, gc.n, int(chunk), int(rows)-1, int(cols), int(width))
+		}
+		gc.check(t)
+	})
+}
+
+// denseSpecials are specials plus pre-activations beyond ±708, where the
+// AVX2 sigmoid leaves a group of four to the scalar loop, and values whose
+// product with 0.2 underflows to a signed zero.
+var denseSpecials = append(append([]float32(nil), specials...), 800, -800, 709, -710, -1e-45, 3e-45)
+
+// denseRef is Dense as the three passes it replaced: the product (gemmRef,
+// MatMul's bit reference), then the scalar bias loop over every row, then
+// the scalar activation loop over every element.
+func denseRef(y, x, w *Matrix, bias []float32, act Act) {
+	gemmRef(y, 1, x, NoTrans, w, NoTrans, 0)
+	for i := 0; i < y.Rows; i++ {
+		row := y.Row(i)
+		for j := range row {
+			row[j] += bias[j]
+		}
+	}
+	for i, v := range y.Data {
+		switch act {
+		case ActLeakyReLU:
+			if !(v > 0) {
+				y.Data[i] = float32(0.2) * v
+			}
+		case ActSigmoid:
+			y.Data[i] = sigmoidRef(v)
+		}
+	}
+}
+
+// denseActs are the activations a dense pass takes.
+var denseActs = []Act{ActNone, ActLeakyReLU, ActSigmoid}
+
+// TestDenseMatchesReference: the one-pass dense layer gives, bit for bit,
+// the product, the bias loop and the activation loop run one after the
+// other, for every activation: every length 0..67 as each of m, k and n
+// under planTiles' cut, then arbitrary cuts of arbitrary shapes, with zero
+// multipliers and special values in x, W, the bias and the garbage y holds
+// before the pass. The cuts planTiles makes of the serving shapes are in
+// TestTiledElementwiseOpsMatchPlainLoops.
+func TestDenseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	seed := int64(5000)
+	dim := func() int { return rng.Intn(68) }
+	for _, act := range denseActs {
+		next := func(m, k, n int, cut tiling) {
+			seed++
+			gemmCase{
+				seed: seed, m: m, k: k, n: n, alpha: 1, off: rng.Intn(8),
+				zeroPos: rng.Intn(5) - 1, special: rng.Intn(2) * rng.Intn(9), cut: cut,
+				dense: true, act: act,
+			}.check(t)
+		}
+		for l := 0; l <= 67; l++ {
+			for which := 0; which < 3; which++ {
+				d := [3]int{dim(), dim(), dim()}
+				d[which] = l
+				next(d[0], d[1], d[2], tiling{})
+			}
+		}
+		for i := 0; i < 200; i++ {
+			m, n := dim(), dim()
+			next(m, dim(), n, cutOf(m, n, rng.Int(), rng.Int(), rng.Int(), rng.Int()))
+		}
+	}
+	for _, bad := range []func(){
+		func() { Dense(New(2, 3), New(2, 4), New(4, 3), make([]float32, 2), ActNone) },
+		func() { Dense(New(2, 3), New(2, 4), New(4, 3), make([]float32, 3), Act(7)) },
+		func() { y := New(2, 3); Dense(y, New(2, 4), New(4, 3), y.Data[:3], ActNone) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Dense took a short bias, an unknown activation or a bias inside y")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// FuzzDenseMatchesReference is FuzzGemmMatchesReference for the dense pass:
+// the fuzzer picks the shape, activation, alignment, zero pattern,
+// special-value density and the cut (rows 0: planTiles' own).
+func FuzzDenseMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(16), uint8(64), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(16), uint8(67), uint8(33), uint8(1), uint8(3), uint8(0), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(9), uint8(0), uint8(31), uint8(2), uint8(5), uint8(3), uint8(9), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(4), uint8(16), uint8(16), uint8(64), uint8(2), uint8(0), uint8(2), uint8(12), uint8(8), uint8(4), uint8(16), uint8(2))
+	f.Add(int64(5), uint8(33), uint8(21), uint8(50), uint8(1), uint8(1), uint8(4), uint8(15), uint8(17), uint8(1), uint8(18), uint8(2))
+	f.Add(int64(6), uint8(20), uint8(40), uint8(67), uint8(0), uint8(6), uint8(1), uint8(7), uint8(7), uint8(7), uint8(66), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, act, off, zero, special, chunk, rows, cols, width uint8) {
+		gc := gemmCase{
+			seed: seed, m: int(m % 68), k: int(k % 68), n: int(n % 68), alpha: 1,
+			off: int(off % 8), zeroPos: int(zero%5) - 1, special: int(special % 16),
+			dense: true, act: denseActs[int(act)%len(denseActs)],
 		}
 		if rows != 0 {
 			gc.cut = cutOf(gc.m, gc.n, int(chunk), int(rows)-1, int(cols), int(width))

@@ -3,7 +3,9 @@
 // Hydrogen/Elemental library in the paper's software stack (Figure 3).
 //
 // Matrices are row-major float32. Mini-batches are stored one sample per row,
-// so a Linear layer's forward pass is a single GEMM over the whole batch.
+// so a Linear layer's forward pass is a single pass over the whole batch:
+// Dense, y = act(x·W + b), a GEMM whose tiles add the bias and apply the
+// activation to the block they have just written.
 //
 // Gemm is three row-streaming loops (A·B, Aᵀ·B, A·Bᵀ) run over a cut of
 // the output that tile.go plans: blocks of rows by panels of columns, each
@@ -14,8 +16,8 @@
 // kernel.go: scalar axpy and dot everywhere, and on amd64 SIMD versions under
 // the two backward-pass variants (Aᵀ·B and A·Bᵀ) that produce the same bits.
 // Two elementwise operations have SIMD kernels on amd64 too: AdamStep, and
-// Sigmoid, the decoder's output activation, which follows math.Exp's own
-// FMA path lane by lane and so gives math.Exp's bits. kernel.go states the
+// the sigmoid of a dense pass, the decoder's output activation, which
+// follows math.Exp's own FMA path lane by lane and so gives math.Exp's bits. kernel.go states the
 // contract a new kernel has to keep.
 package tensor
 

@@ -19,57 +19,72 @@ func Scale(m *Matrix, s float32) {
 	}
 }
 
-// AddRowVector adds the 1×Cols row vector v to every row of m in place,
-// implementing bias addition.
-func AddRowVector(m *Matrix, v []float32) {
-	if len(v) != m.Cols {
-		panic("tensor: AddRowVector length mismatch")
+// Act is the activation a dense pass (Dense) applies to every element of its
+// output, after the bias.
+type Act uint8
+
+// The activations: the identity; v where v > 0 and leakyAlpha·v elsewhere,
+// the paper-standard GAN activation; and 1/(1+e^−v) under kernel.go's
+// Sigmoid rule.
+const (
+	ActNone Act = iota
+	ActLeakyReLU
+	ActSigmoid
+)
+
+const leakyAlpha = 0.2 // ActLeakyReLU's slope below zero
+
+// actWork is what the epilogue of a dense pass costs an element, in the
+// multiply-adds tile.go's bounds count: the bias add, then the activation. An
+// exp is charged 16, what the scalar one costs; the AVX2 sigmoid costs about
+// a fifth of that, but charging it so gained nothing measurable
+// (EXPERIMENTS.md, "Long passes in short tiles"). Looking an Act up here is
+// also what refuses one that is not an activation, before any tile runs.
+var actWork = [...]int{ActNone: 1, ActLeakyReLU: 2, ActSigmoid: 1 + 16}
+
+// apply sets every element of row to act of itself.
+func (act Act) apply(row []float32) {
+	switch act {
+	case ActLeakyReLU:
+		leakyReLU(row, row, leakyAlpha)
+	case ActSigmoid:
+		sigmoid(row, row)
 	}
-	if oneTile(m, 1) {
-		addRowVector(m.Data, v)
-		return
-	}
-	forRowBlocks(m, 1, func(lo, hi int) { addRowVector(m.Data[lo:hi], v) })
 }
 
-// addRowVector adds v to each of the len(v)-long rows of x.
-func addRowVector(x, v []float32) {
-	for len(x) > 0 {
-		row := x[:len(v)]
-		for j := range row {
-			row[j] += v[j]
+// Grad returns dLoss/dv for y = act(v), given dLoss/dy and the output y:
+// dy itself for ActNone, otherwise a new matrix from a. ActLeakyReLU reads
+// the sign of y, not of v; for leakyAlpha > 0 they agree everywhere — at ±0,
+// at NaN, and where leakyAlpha·v underflows to −0 — so the bits are those of
+// the rule on v.
+func (act Act) Grad(dy, y *Matrix, a *Arena) *Matrix {
+	if act == ActNone {
+		return dy
+	}
+	g := a.New(dy.Rows, dy.Cols)
+	y.mustSameShape(g, "Act.Grad")
+	if act == ActSigmoid {
+		for i, v := range y.Data {
+			g.Data[i] = dy.Data[i] * v * (1 - v)
 		}
-		x = x[len(v):]
+		return g
 	}
+	for i, v := range y.Data {
+		if v > 0 {
+			g.Data[i] = dy.Data[i]
+		} else {
+			g.Data[i] = leakyAlpha * dy.Data[i]
+		}
+	}
+	return g
 }
 
-// expWork is what one exp costs, in the multiply-adds tile.go's bounds count:
-// the activation built on it is tiled at this rate. It charges the scalar
-// exp; the AVX2 Sigmoid costs about a fifth of that, but charging it so
-// gained nothing measurable (EXPERIMENTS.md, "Long passes in short tiles").
-const expWork = 16
-
-// Sigmoid sets dst[i] = 1/(1+e^−src[i]) for every element, computed in
-// float64 through math.Exp and rounded once (kernel.go, sigmoidScalar). dst
-// may alias src.
-func Sigmoid(dst, src *Matrix) {
-	dst.mustSameShape(src, "Sigmoid")
-	if oneTile(src, expWork) {
-		sigmoid(dst.Data, src.Data)
-		return
+// addRowVector adds v to x, element by element: the bias of one row.
+func addRowVector(x, v []float32) {
+	x = x[:len(v)]
+	for j := range x {
+		x[j] += v[j]
 	}
-	forRowBlocks(src, expWork, func(lo, hi int) { sigmoid(dst.Data[lo:hi], src.Data[lo:hi]) })
-}
-
-// LeakyReLU sets dst[i] = src[i] where that is positive and alpha·src[i]
-// elsewhere. dst may alias src.
-func LeakyReLU(dst, src *Matrix, alpha float32) {
-	dst.mustSameShape(src, "LeakyReLU")
-	if oneTile(src, 1) {
-		leakyReLU(dst.Data, src.Data, alpha)
-		return
-	}
-	forRowBlocks(src, 1, func(lo, hi int) { leakyReLU(dst.Data[lo:hi], src.Data[lo:hi], alpha) })
 }
 
 func leakyReLU(dst, src []float32, alpha float32) {

@@ -245,9 +245,13 @@ func TestReductions(t *testing.T) {
 	}
 }
 
+// TestAddRowVectorAndColSumsRoundTrip: a dense pass over a zero input is its
+// bias in every row, whatever the output held, and the column sums give it
+// back once per row.
 func TestAddRowVectorAndColSumsRoundTrip(t *testing.T) {
 	m := New(3, 4)
-	AddRowVector(m, []float32{1, 2, 3, 4})
+	m.Fill(float32(math.NaN()))
+	Dense(m, New(3, 2), New(2, 4), []float32{1, 2, 3, 4}, ActNone)
 	cs := make([]float32, 4)
 	ColSums(cs, m)
 	for j, v := range cs {
@@ -311,9 +315,10 @@ func benchGemm(b *testing.B, m, k, n int, ta, tb Op) {
 	}
 }
 
-// BenchmarkSigmoid16x49167 is the paper64 decoder's output activation on
-// sweep_paper's 16-row frame, through Sigmoid's tiling. It writes a second
-// matrix, so every pass sees the same standard-normal pre-activations.
+// BenchmarkSigmoid16x49167 is the sigmoid micro-kernel over the paper64
+// decoder's output on sweep_paper's 16-row frame, 786 432 floats, on one
+// goroutine. It writes a second slice, so every pass sees the same
+// standard-normal pre-activations.
 func BenchmarkSigmoid16x49167(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	x := randomMatrix(rng, 16, 49167)
@@ -321,7 +326,27 @@ func BenchmarkSigmoid16x49167(b *testing.B) {
 	b.SetBytes(int64(8 * len(x.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sigmoid(y, x)
+		sigmoid(y.Data, x.Data)
+	}
+}
+
+// The decoder heads serving runs, product, bias and sigmoid in one pass: the
+// paper64 model's at sweep_paper's 16-row frames and the small16 model's at
+// fleet_mixed's 64-row frames. Beside GemmNN of the same shape they read what
+// the epilogue costs.
+func BenchmarkDense16x128x49167(b *testing.B) { benchDense(b, 16, 128, 49167) }
+func BenchmarkDense64x128x3087(b *testing.B)  { benchDense(b, 64, 128, 3087) }
+
+func benchDense(b *testing.B, m, k, n int) {
+	rng := rand.New(rand.NewSource(12))
+	x := randomMatrix(rng, m, k)
+	w := randomMatrix(rng, k, n)
+	bias := randomMatrix(rng, 1, n).Data
+	y := New(m, n)
+	b.SetBytes(int64(4 * (m*k + k*n + n + m*n)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Dense(y, x, w, bias, ActSigmoid)
 	}
 }
 

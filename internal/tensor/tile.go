@@ -6,16 +6,17 @@ import (
 	"repro/internal/parallel"
 )
 
-// Every pass over a matrix that is big enough to matter — a GEMM, a bias
-// add, an activation — is cut into tiles and issued in waves: a tile is a
-// block of output rows by a panel of output columns, a wave is at most one
-// tile per worker, and a wave is joined before the next one starts. The cut
-// serves two ends. A tile's panel of B is small enough to stay in L2 while
-// the tile's rows go over it, where a whole row of a wide layer streams the
-// whole of B past the cache once per row. And no goroutine computes for
-// longer than one tile, so the scheduler gets a P back at the end of every
-// wave (internal/parallel says why that matters to everything else in the
-// process).
+// Every GEMM that is big enough to matter is cut into tiles and issued in
+// waves: a tile is a block of output rows by a panel of output columns, a
+// wave is at most one tile per worker, and a wave is joined before the next
+// one starts. The cut serves two ends. A tile's panel of B is small enough to
+// stay in L2 while the tile's rows go over it, where a whole row of a wide
+// layer streams the whole of B past the cache once per row. And no goroutine
+// computes for longer than one tile, so the scheduler gets a P back at the
+// end of every wave (internal/parallel says why that matters to everything
+// else in the process). A dense pass (Dense) makes no pass of its own after
+// the product: a tile adds the bias and applies the activation to the block
+// it has just written, and planTiles charges a cell that epilogue (actWork).
 //
 // The length of a wave is a trade with one cost model. A request that
 // crosses the process while a pass runs waits, at each crossing, for the
@@ -90,36 +91,38 @@ func (t tiling) tile(idx int) (i0, i1, j0, j1 int) {
 	return i0, min(i0+t.rows, (chunk+1)*t.chunk, t.m), j0, min(j0+t.cols, t.n)
 }
 
-// planTiles cuts an m×n output whose every cell costs k multiply-adds for
-// the given number of workers. k is never cut: a tile sees the whole of its
-// cells' updates, in order, which is what keeps the result independent of the
-// cut (kernel.go).
+// planTiles cuts an m×n output whose every cell costs cell multiply-adds —
+// the k of its product, plus its epilogue in a dense pass — for the given
+// number of workers. k is never cut: a tile sees the whole of its cells'
+// updates, in order, and then their epilogue, which is what keeps the result
+// independent of the cut (kernel.go).
 //
 // Rows are first chunked as a GEMM's rows always were — one chunk per worker,
 // none under gemmGrain rows while there are rows to fill it — and if a chunk
 // costs no more than chunkWork, that is the plan: one wave, or one tile on the
 // caller's goroutine. Otherwise no tile may cost more than tileWork: the
-// panel is the widest whose share of B is panelFloats, and the row block is
-// what tileWork then allows. When k is so long that such a panel would be
-// under minPanel columns, B is not blocked for the cache at all: the panel is
-// as wide as one row within tileWork can be, minPanel at the least — so a
-// tile exceeds tileWork only where it is one row by minPanel columns (or the
-// whole of a narrower C) and k is beyond tileWork/minPanel. Blocks and panels
+// panel is the widest whose row of cells costs at most panelFloats — so its
+// share of B, k floats a column, is at most that too — and the row block is
+// what tileWork then allows. When a cell costs so much that such a panel would be under minPanel
+// columns, B is not blocked for the cache at all: the panel is as wide as one
+// row within tileWork can be, minPanel at the least — so a tile exceeds
+// tileWork only where it is one row by minPanel columns (or the whole of a
+// narrower C) and a cell costs more than tileWork/minPanel. Blocks and panels
 // are then evened out so the last of each is not a sliver.
-func planTiles(m, n, k, workers int) tiling {
+func planTiles(m, n, cell, workers int) tiling {
 	chunks := min(workers, ceilDiv(m, gemmGrain))
 	t := tiling{m: m, n: n, chunk: ceilDiv(m, chunks), cols: n, width: workers}
 	if chunks > 1 {
 		t.width = chunks
 	}
 	t.rows = t.chunk
-	if t.rows*n*k > chunkWork {
-		cols := panelFloats / k &^ (panelAlign - 1)
+	if t.rows*n*cell > chunkWork {
+		cols := panelFloats / cell &^ (panelAlign - 1)
 		if cols < minPanel {
-			cols = max(minPanel, tileWork/k&^(panelAlign-1))
+			cols = max(minPanel, tileWork/cell&^(panelAlign-1))
 		}
 		cols = min(n, cols)
-		rows := min(t.chunk, max(1, tileWork/(k*cols)))
+		rows := min(t.chunk, max(1, tileWork/(cell*cols)))
 		t.rows = ceilDiv(t.chunk, ceilDiv(t.chunk, rows))
 		t.cols = min(n, (ceilDiv(n, ceilDiv(n, cols))+panelAlign-1)&^(panelAlign-1))
 	}
@@ -168,21 +171,3 @@ func (t tiling) waves(run func(lo, hi int)) {
 		parallel.For(lo, min(lo+t.width, n), 1, watched)
 	}
 }
-
-// forRowBlocks is the tiling of an elementwise pass over m, each element
-// costing about work multiply-adds: a GEMM one column wide whose k is a row.
-// span receives ranges of m.Data that are whole rows.
-func forRowBlocks(m *Matrix, work int, span func(lo, hi int)) {
-	t := planTiles(m.Rows, 1, m.Cols*work, parallel.Workers())
-	t.waves(func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			i0, i1, _, _ := t.tile(idx)
-			span(i0*m.Cols, i1*m.Cols)
-		}
-	})
-}
-
-// oneTile reports whether an elementwise pass over m at work multiply-adds an
-// element is small enough to stay a plain loop on the caller's goroutine: the
-// whole pass fits one chunk.
-func oneTile(m *Matrix, work int) bool { return len(m.Data)*work <= chunkWork }

@@ -21,7 +21,8 @@ func tileCost(i0, i1, j0, j1, k int) int { return (i1 - i0) * (j1 - j0) * k }
 // exactly once, keep to the cut's own block and panel sizes, start panels on
 // panelAlign columns, and — for a cut planTiles made — cost no more than
 // chunkWork where the plan is whole row chunks and tileWork where it cut
-// them, except where planTiles says they may.
+// them, except where planTiles says they may. k is what a cell costs: its
+// multiply-adds, and its epilogue in a dense pass.
 func checkCut(t *testing.T, tl tiling, k int, planned bool) {
 	t.Helper()
 	bound := tileWork
@@ -76,7 +77,10 @@ func TestPlanTilesPartitions(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 16, 64} {
 			for _, l := range [][2]int{{49167, 128}, {128, 49167}, {3087, 128}, {128, 3087}, {399, 128}, {128, 399}} {
-				checkCut(t, planTiles(batch, l[1], l[0], workers), l[0], true)  // y = x·W
+				for _, act := range denseActs {
+					cell := l[0] + actWork[act]
+					checkCut(t, planTiles(batch, l[1], cell, workers), cell, true) // y = act(x·W + b)
+				}
 				checkCut(t, planTiles(l[0], l[1], batch, workers), batch, true) // dW = xᵀ·dy
 				checkCut(t, planTiles(batch, l[0], l[1], workers), l[1], true)  // dx = dy·Wᵀ
 			}
@@ -98,13 +102,15 @@ func goroutineID() string {
 
 // TestServingShapesTileAsIntended pins the shape of the work, not its speed,
 // for two workers (the reference host): the bulk passes of fleet_mixed and
-// sweep_paper and the paper64 cost probe are many short waves of tiles no
-// larger than tileWork, and everything Tiny8 runs is what it was before there
-// were tiles — which is why interactive_tiny and train_ltfb do not move.
+// sweep_paper and the paper64 cost probe — decoder heads, with their bias
+// and sigmoid — are many short waves of tiles no larger than tileWork, and
+// everything Tiny8 runs is what it was before there were tiles — which is
+// why interactive_tiny and train_ltfb do not move.
 func TestServingShapesTileAsIntended(t *testing.T) {
+	sig := actWork[ActSigmoid]
 	for _, shape := range [][3]int{{64, 128, 3087}, {16, 128, 49167}, {64, 128, 49167}} {
 		m, k, n := shape[0], shape[1], shape[2]
-		tl := planTiles(m, n, k, 2)
+		tl := planTiles(m, n, k+sig, 2)
 		if waves := (tl.tiles() + tl.width - 1) / tl.width; waves < 2 || tl.width != 2 {
 			t.Errorf("%dx%dx%d: %+v is %d waves of %d", m, k, n, tl, waves, tl.width)
 		}
@@ -112,7 +118,7 @@ func TestServingShapesTileAsIntended(t *testing.T) {
 			i0, i1, j0, j1 := tl.tile(idx)
 			// 2¹⁸ is the pin itself, not tileWork read back: a change to the
 			// bound changes this line too.
-			if cost := tileCost(i0, i1, j0, j1, k); cost > 1<<18 || (j1-j0)*k > panelFloats {
+			if cost := tileCost(i0, i1, j0, j1, k+sig); cost > 1<<18 || (j1-j0)*k > panelFloats {
 				t.Errorf("%dx%dx%d: tile %d costs %d over %d floats of B", m, k, n, idx, cost, (j1-j0)*k)
 			}
 		}
@@ -122,21 +128,26 @@ func TestServingShapesTileAsIntended(t *testing.T) {
 		}
 	}
 	// A batch of one through the paper's decoder: waves of adjacent panels.
-	one := planTiles(1, 49167, 128, 2)
+	one := planTiles(1, 49167, 128+sig, 2)
 	if _, _, j0, j1 := one.tile(1); one.tiles() < 4 || one.width != 2 || j0 != one.cols || j1 != 2*one.cols {
 		t.Errorf("1x128x49167: %+v, second tile columns [%d,%d)", one, j0, j1)
 	}
 
-	// Tiny8's widest layer, a training batch and the 64-row probe pass: one
-	// wave of the two whole chunks, 8 and 32 rows each.
+	// Tiny8's widest layers, the sigmoid head and the first encoder layer, at
+	// a training batch and the 64-row probe pass: one wave of the two whole
+	// chunks, 8 and 32 rows each.
 	for _, m := range []int{16, 64} {
 		want := tiling{m: m, n: 399, chunk: m / 2, rows: m / 2, cols: 399, width: 2}
-		if tl := planTiles(m, 399, 128, 2); tl != want || tl.tiles() != 2 {
+		if tl := planTiles(m, 399, 128+sig, 2); tl != want || tl.tiles() != 2 {
 			t.Errorf("%dx128x399: %+v, want %+v", m, tl, want)
+		}
+		want = tiling{m: m, n: 128, chunk: m / 2, rows: m / 2, cols: 128, width: 2}
+		if tl := planTiles(m, 128, 399+actWork[ActLeakyReLU], 2); tl != want {
+			t.Errorf("%dx399x128: %+v, want %+v", m, tl, want)
 		}
 	}
 	// 1×128×399: one tile, on the caller's goroutine.
-	tl := planTiles(1, 399, 128, 2)
+	tl := planTiles(1, 399, 128+sig, 2)
 	if tl.tiles() != 1 {
 		t.Fatalf("1x128x399: %+v is %d tiles", tl, tl.tiles())
 	}
@@ -230,51 +241,53 @@ func TestLonePassLetsTheNetworkIn(t *testing.T) {
 	}
 }
 
-// TestTiledElementwiseOpsMatchPlainLoops: the bias add and the activations
-// over a pass big enough to be cut give, element for element, the bits of the
-// plain loop — which is also what a small pass still runs.
+// TestTiledElementwiseOpsMatchPlainLoops: a dense pass cut the ways
+// planTiles cuts the layers the models run — one tile on the caller, one wave
+// of whole row chunks, waves of row blocks, of panels, of one-row tiles where
+// k is too long to block B, and a wide k = 1 pass whose panel a row's
+// epilogue bounds — and the hand-made cuts of the tests above gives, for
+// every activation, the bits of the product followed by the plain bias and
+// activation loops (denseRef).
 func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, shape := range [][2]int{{16, 49167}, {37, 9000}, {7, 399}, {0, 5}, {3, 0}} {
-		rows, cols := shape[0], shape[1]
-		x := randomMatrix(rng, rows, cols)
-		for i := 0; i < len(x.Data); i += 97 {
-			x.Data[i] = specials[rng.Intn(len(specials))]
-		}
-		if cut := !oneTile(x, expWork); cut != (rows*cols*expWork > chunkWork) {
-			t.Fatalf("%dx%d: cut = %v", rows, cols, cut)
-		}
-		v := make([]float32, cols)
-		for j := range v {
-			v[j] = float32(rng.NormFloat64())
-		}
-		ops := []struct {
-			name  string
-			tiled func(dst *Matrix)
-			plain func(dst []float32)
-		}{
-			{"Sigmoid", func(dst *Matrix) { Sigmoid(dst, x) }, func(dst []float32) { sigmoid(dst, x.Data) }},
-			{"LeakyReLU", func(dst *Matrix) { LeakyReLU(dst, x, 0.2) }, func(dst []float32) { leakyReLU(dst, x.Data, 0.2) }},
-			{"AddRowVector", func(dst *Matrix) { copy(dst.Data, x.Data); AddRowVector(dst, v) },
-				func(dst []float32) { copy(dst, x.Data); addRowVector(dst, v) }},
-		}
-		for _, op := range ops {
-			got, want := New(rows, cols), make([]float32, rows*cols)
-			op.tiled(got)
-			op.plain(want)
-			if i := firstBitDiff(got.Data, want); i >= 0 {
-				t.Fatalf("%s %dx%d: element %d = %v, plain loop %v", op.name, rows, cols, i, got.Data[i], want[i])
+	type shape struct{ m, k, n int }
+	shapes := []shape{{1, 128, 399}, {16, 128, 399}, {64, 128, 3087}, {37, 64, 9000}, {70, 1, 30000}, {5, 3087, 128}}
+	if !testing.Short() {
+		shapes = append(shapes, shape{16, 128, 49167}, shape{1, 128, 49167}, shape{5, 49167, 128})
+	}
+	kinds := map[string]bool{}
+	seed := int64(7000)
+	for _, sh := range shapes {
+		for _, act := range denseActs {
+			tl := planTiles(sh.m, sh.n, sh.k+actWork[act], 2)
+			switch {
+			case tl.tiles() == 1:
+				kinds["one tile"] = true
+			case tl.rows == tl.chunk && tl.cols == tl.n:
+				kinds["one wave of row chunks"] = true
+			case tl.rows < tl.chunk && tl.cols == tl.n:
+				kinds["row blocks"] = true
+			case tl.rows == 1 && tl.cols < tl.n:
+				kinds["one-row panels"] = true
+			default:
+				kinds["blocks by panels"] = true
 			}
+			seed++
+			gemmCase{seed: seed, m: sh.m, k: sh.k, n: sh.n, alpha: 1, zeroPos: -1, special: 40, cut: tl, dense: true, act: act}.check(t)
 		}
 	}
-	// LeakyReLU is cheap enough that only a pass of more than chunkWork
-	// elements is cut at all.
-	big := randomMatrix(rng, 70, 30000)
-	got, want := New(70, 30000), make([]float32, 70*30000)
-	LeakyReLU(got, big, 0.2)
-	leakyReLU(want, big.Data, 0.2)
-	if i := firstBitDiff(got.Data, want); i >= 0 || oneTile(big, 1) {
-		t.Fatalf("LeakyReLU 70x30000: element %d differs (one tile: %v)", i, oneTile(big, 1))
+	if want := 5; len(kinds) != want && !testing.Short() {
+		t.Errorf("the shapes cut %d ways (%v), want %d", len(kinds), kinds, want)
+	}
+	// The hand-made cuts: TestWavesAreJoined's, and the tiling the bitwise
+	// GEMM tests force on a shape this small, one-cell tiles included.
+	for i, cut := range []tiling{
+		{m: 12, n: 10, chunk: 4, rows: 1, cols: 3, width: 3},
+		{m: 12, n: 10, chunk: 12, rows: 5, cols: 7, width: 2},
+		{m: 12, n: 10, chunk: 1, rows: 1, cols: 1, width: 4},
+	} {
+		for _, act := range denseActs {
+			gemmCase{seed: int64(7100 + i), m: 12, k: 7, n: 10, alpha: 1, zeroPos: 1, special: 9, cut: cut, dense: true, act: act}.check(t)
+		}
 	}
 }
 
