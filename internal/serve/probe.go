@@ -19,9 +19,10 @@ import (
 //
 //	t(B) = PassSec + B·RowSec
 //
-// from measured pass times at batch sizes 1 and maxBatch. Minimum-of-
-// repetitions timing keeps scheduler noise out of the fit, the same way
-// benchmarking harnesses do.
+// from measured pass times at batch size 1 and one larger batch:
+// maxBatch, or its largest halving whose pass the batch-1 time predicts
+// fits the probe's budget. Minimum-of-repetitions timing keeps scheduler
+// noise out of the fit, the same way benchmarking harnesses do.
 
 // ProbeResult is the calibrated cost of one model method on this host.
 type ProbeResult struct {
@@ -37,6 +38,10 @@ type ProbeResult struct {
 	RowSec float64
 	// Passes is the number of timed forward passes behind the fit.
 	Passes int
+	// Batch is the larger batch size the fit was timed at (the smaller
+	// is 1): maxBatch, unless a pass that large would not fit the probe's
+	// budget.
+	Batch int
 }
 
 // Cost returns the modeled duration of one forward pass of b rows.
@@ -64,14 +69,19 @@ func (p ProbeResult) QPS(maxBatch, workers int) float64 {
 // passes, once its minimum has settled: no pass has lowered it by more
 // than 1 % for max(8, k) passes, where pass k made the last such drop.
 // Whatever the minimum does, the loop stops at the first pass that ends
-// past probeBudget (or at 10 000 passes).
+// past probeBudget (or at 10 000 passes). CostProbe picks its larger
+// batch so that one pass is predicted to fit probeBudget, so that loop
+// ends near the budget, not after probeMinReps passes of several budgets
+// each; a pass longer than half the budget still runs probeMinReps.
 const (
 	probeMinReps = 3
 	probeBudget  = 150 * time.Millisecond
 )
 
-// CostProbe times method on m at batch sizes 1 and maxBatch and returns
-// the fitted per-pass and per-row costs. The timed loop reproduces the
+// CostProbe times method on m at batch size 1, then at maxBatch halved
+// until the batch-1 minimum t₁ predicts a pass fits probeBudget
+// (t₁·B ≤ probeBudget, B ≥ 2), and returns the per-pass and per-row
+// costs fitted through the two. The timed loop reproduces the
 // serving worker's data path — input rows gathered into the worker's
 // reused batch matrix (the worker's own gather), one Run call, output
 // rows copied back out — so batch-assembly overhead lands in the
@@ -90,22 +100,26 @@ func CostProbe(m Model, method string, maxBatch int) (ProbeResult, error) {
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	large, n2, err := timePass(m, method, dims, maxBatch)
+	b := maxBatch
+	for b > 2 && small*float64(b) > probeBudget.Seconds() {
+		b = max(b/2, 2)
+	}
+	large, n2, err := timePass(m, method, dims, b)
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	row := (large - small) / float64(maxBatch-1)
+	row := (large - small) / float64(b-1)
 	if row < 0 {
 		// A model whose large batch timed faster than its single row is
 		// pure noise at this scale; fold everything into the per-row
 		// term so capacity stays finite.
-		row = large / float64(maxBatch)
+		row = large / float64(b)
 	}
 	pass := small - row
 	if pass < 0 {
 		pass = 0
 	}
-	return ProbeResult{Method: method, PassSec: pass, RowSec: row, Passes: n1 + n2}, nil
+	return ProbeResult{Method: method, PassSec: pass, RowSec: row, Passes: n1 + n2, Batch: b}, nil
 }
 
 // timePass returns the minimum observed duration, in seconds, of one

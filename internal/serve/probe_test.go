@@ -53,8 +53,9 @@ func (l *passLog) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
 	return y, err
 }
 
-// probeLogged probes m through a passLog and checks that the result
-// counts every pass the model ran.
+// probeLogged probes m through a passLog and checks that the model ran
+// only batches of 1 and res.Batch rows, and that the result counts
+// every pass it ran.
 func probeLogged(t *testing.T, m Model, maxBatch int) (ProbeResult, *passLog) {
 	t.Helper()
 	l := &passLog{Model: m, calls: map[int]int{}, first: map[int]time.Time{}, lastRun: map[int]time.Time{}, done: map[int]time.Time{}}
@@ -62,7 +63,10 @@ func probeLogged(t *testing.T, m Model, maxBatch int) (ProbeResult, *passLog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := l.calls[1] + l.calls[maxBatch]; res.Passes != n {
+	if res.Batch < 2 || res.Batch > maxBatch || len(l.calls) != 2 || l.calls[1] == 0 || l.calls[res.Batch] == 0 {
+		t.Fatalf("Batch = %d at maxBatch %d, but the model ran passes of %v rows", res.Batch, maxBatch, l.calls)
+	}
+	if n := l.calls[1] + l.calls[res.Batch]; res.Passes != n {
 		t.Fatalf("Passes = %d, but the model ran %d passes", res.Passes, n)
 	}
 	return res, l
@@ -113,9 +117,9 @@ func TestCostProbeErrors(t *testing.T) {
 func TestCostProbeStopsOnceSettled(t *testing.T) {
 	m := &spinModel{passCost: time.Millisecond, rowCost: 20 * time.Microsecond}
 	t0 := time.Now()
-	_, l := probeLogged(t, m, 32)
+	res, l := probeLogged(t, m, 32)
 	took := time.Since(t0)
-	for _, b := range []int{1, 32} {
+	for _, b := range []int{1, res.Batch} {
 		if n := l.calls[b]; n > 48 {
 			t.Errorf("batch %d: %d passes, want a few dozen at most", b, n)
 		}
@@ -148,7 +152,7 @@ func (m *warmModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error)
 func TestCostProbeWaitsOutSlowWarmup(t *testing.T) {
 	m := &warmModel{spinModel: spinModel{passCost: 400 * time.Microsecond, rowCost: 30 * time.Microsecond}, cold: 8, seen: map[int]int{}}
 	res, l := probeLogged(t, m, 32)
-	for _, b := range []int{1, 32} {
+	for _, b := range []int{1, res.Batch} {
 		if n := l.calls[b]; n <= m.cold {
 			t.Fatalf("batch %d: stopped after %d passes, inside the %d-pass warm-up", b, n, m.cold)
 		}
@@ -179,8 +183,8 @@ func (m *decayModel) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error
 // counts as settled; a rule that restarted on any drop would run all the
 // way to the ceiling (about 30 passes).
 func TestCostProbeSettlesUnderSlowDrift(t *testing.T) {
-	_, l := probeLogged(t, &decayModel{rate: 0.0002, next: map[int]time.Duration{}}, 32)
-	for _, b := range []int{1, 32} {
+	res, l := probeLogged(t, &decayModel{rate: 0.0002, next: map[int]time.Duration{}}, 32)
+	for _, b := range []int{1, res.Batch} {
 		if n := l.calls[b]; n > 20 {
 			t.Errorf("batch %d: %d passes, want about 9", b, n)
 		}
@@ -192,9 +196,9 @@ func TestCostProbeSettlesUnderSlowDrift(t *testing.T) {
 // the first pass that ends past the ceiling, so its last pass began
 // before it.
 func TestCostProbeStopsAtBudgetWhileImproving(t *testing.T) {
-	_, l := probeLogged(t, &decayModel{rate: 0.02, next: map[int]time.Duration{}}, 32)
+	res, l := probeLogged(t, &decayModel{rate: 0.02, next: map[int]time.Duration{}}, 32)
 	const slack = time.Millisecond // the gather and copy around each Run
-	for _, b := range []int{1, 32} {
+	for _, b := range []int{1, res.Batch} {
 		if span := l.done[b].Sub(l.first[b]); span < probeBudget-slack {
 			t.Errorf("batch %d: stopped after %v of improving passes, before the %v ceiling", b, span, probeBudget)
 		}
@@ -204,42 +208,91 @@ func TestCostProbeStopsAtBudgetWhileImproving(t *testing.T) {
 	}
 }
 
-// TestCostProbeSlowModelRunsMinReps: at 80 ms a pass, the ceiling has
-// passed by the second pass, so each batch size runs exactly
+// TestCostProbeSlowModelRunsMinReps: at 80 ms a pass, even two rows are
+// predicted past the ceiling, so the larger batch halves down to 2; the
+// ceiling has passed by the second pass, so each batch size runs exactly
 // probeMinReps passes.
 func TestCostProbeSlowModelRunsMinReps(t *testing.T) {
-	_, l := probeLogged(t, &spinModel{passCost: 80 * time.Millisecond}, 32)
-	for _, b := range []int{1, 32} {
+	res, l := probeLogged(t, &spinModel{passCost: 80 * time.Millisecond}, 32)
+	if res.Batch != 2 {
+		t.Errorf("timed batch %d, want 2", res.Batch)
+	}
+	for _, b := range []int{1, res.Batch} {
 		if n := l.calls[b]; n != probeMinReps {
 			t.Errorf("batch %d: %d passes, want %d", b, n, probeMinReps)
 		}
 	}
 }
 
+// TestCostProbeKeepsLargeBatchInsideBudget: a 32-row pass of this model
+// costs about three budgets (10 ms + 32 × 14 ms). A 24 ms single row
+// predicts that 8 rows would not fit the budget and 4 would, so the probe
+// times 4 rows (66 ms a pass). Every batch size's last pass begins
+// inside the budget, so no loop runs past it by more than one pass; at
+// least probeMinReps passes stand behind each fit point, and the fit
+// through 1 and 4 rows still recovers both constants.
+func TestCostProbeKeepsLargeBatchInsideBudget(t *testing.T) {
+	m := &spinModel{passCost: 10 * time.Millisecond, rowCost: 14 * time.Millisecond}
+	res, l := probeLogged(t, m, 32)
+	if res.Batch != 4 {
+		t.Errorf("timed batch %d, want 4", res.Batch)
+	}
+	const slack = time.Millisecond // the gather and copy around each Run
+	for _, b := range []int{1, res.Batch} {
+		if n := l.calls[b]; n < probeMinReps {
+			t.Errorf("batch %d: %d passes, want at least %d", b, n, probeMinReps)
+		}
+		if began := l.lastRun[b].Sub(l.first[b]); began > probeBudget+slack {
+			t.Errorf("batch %d: began a pass %v in, past the %v budget", b, began, probeBudget)
+		}
+	}
+	checkFit(t, res, m)
+}
+
+// TestCostProbeTimesMaxBatchWhenItFits: at costs like tiny8's and
+// small16's (a single row well under 150 ms / 64), the probe times
+// maxBatch itself, as it always did.
+func TestCostProbeTimesMaxBatchWhenItFits(t *testing.T) {
+	for _, m := range []*spinModel{
+		{passCost: 10 * time.Microsecond, rowCost: 45 * time.Microsecond},   // tiny8
+		{passCost: 160 * time.Microsecond, rowCost: 310 * time.Microsecond}, // small16
+	} {
+		res, _ := probeLogged(t, m, 64)
+		if res.Batch != 64 {
+			t.Errorf("%v + %v/row: timed batch %d, want 64", m.passCost, m.rowCost, res.Batch)
+		}
+	}
+}
+
 // BenchmarkCostProbe runs the probe jagserve runs on every load and hot
-// swap — a one-replica pool at maxBatch 64 — for the bench's tiny8 and
-// small16 geometries. passes/op is what the stop rule spent; ns/op is
-// the layer number behind jagbench's serve_pool.probe_ms.
+// swap — a one-replica pool at maxBatch 64 — for the bench's tiny8,
+// small16 and paper64 geometries. passes/op is what the stop rule spent,
+// timed_batch the larger batch it timed, capacity_qps the mean rate it
+// published; ns/op is the layer number behind jagbench's
+// serve_pool.probe_ms.
 func BenchmarkCostProbe(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		geom jag.Config
-	}{{"tiny8", jag.Tiny8}, {"small16", jag.Small16}} {
+	}{{"tiny8", jag.Tiny8}, {"small16", jag.Small16}, {"paper64", jag.Default64}} {
 		b.Run(bc.name, func(b *testing.B) {
 			pool, err := NewPool([]*cyclegan.Surrogate{cyclegan.New(cyclegan.DefaultConfig(bc.geom), 1)}, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			passes := 0
+			passes, batch, qps := 0, 0, 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := CostProbe(pool, MethodPredict, 64)
 				if err != nil {
 					b.Fatal(err)
 				}
-				passes += res.Passes
+				passes, batch, qps = passes+res.Passes, batch+res.Batch, qps+res.QPS(64, 1)
 			}
-			b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+			n := float64(b.N)
+			b.ReportMetric(float64(passes)/n, "passes/op")
+			b.ReportMetric(float64(batch)/n, "timed_batch")
+			b.ReportMetric(qps/n, "capacity_qps")
 		})
 	}
 }

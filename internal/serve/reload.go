@@ -95,8 +95,8 @@ func Open(path string, cfg LoadConfig) (*Server, error) {
 		return nil, err
 	}
 	srv.SetCapacityQPS(res.QPS(maxBatch, pool.Replicas()))
-	cfg.logf("%s: %d worker(s) over one weight set per checkpoint (%d checkpoint(s)), ensemble=%v, probed capacity %.0f rows/s (predict: pass %.3gs + %.3gs/row at B=%d)",
-		path, pool.Replicas(), len(spec.Checkpoints), pool.Ensemble(), srv.CapacityQPS(), res.PassSec, res.RowSec, maxBatch)
+	cfg.logf("%s: %d worker(s) over one weight set per checkpoint (%d checkpoint(s)), ensemble=%v, probed capacity %.0f rows/s at B=%d (predict: pass %.3gs + %.3gs/row, timed at B=1 and B=%d)",
+		path, pool.Replicas(), len(spec.Checkpoints), pool.Ensemble(), srv.CapacityQPS(), maxBatch, res.PassSec, res.RowSec, res.Batch)
 	return srv, nil
 }
 
