@@ -39,6 +39,17 @@
 // the OS has not run yet — one P runs all of a pass's regions one goroutine
 // after another, its queue never empties, and the network waits for the whole
 // pass. Yield is the stop such a pass makes instead.
+//
+// So a long pass's regions end between its pieces only while interactive
+// traffic is about: the gaps cost a fork/join each and pay only while someone
+// waits on an answer. The serving tier calls MarkInteractive as it admits
+// each interactive request, and Quiet reports whether none has come in
+// lately. In a quiet process a long pass runs as one region of workers that
+// pull its pieces off a counter and stop in Yield once per stretch of pieces
+// worth a millisecond or two: one fork/join a pass instead of one a region,
+// no join at which the faster core waits for the slower, and the network
+// still looked at between stretches — what arrives waits out about one
+// stretch, not the rest of the pass.
 package parallel
 
 import (
@@ -46,10 +57,39 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ranks counts the rank goroutines of every comm.World.Run in progress.
 var ranks atomic.Int64
+
+// quietAfter is how long after the last interactive admission the process
+// counts as quiet again: long enough to cover a human's next click or an
+// open-loop caller's next call, short enough that a bulk job started after
+// the traffic has gone gets the pulled passes within its first second.
+const quietAfter = time.Second
+
+var (
+	// epoch is the origin of lastInteractive, so that it reads the
+	// monotonic clock.
+	epoch = time.Now()
+	// lastInteractive is when MarkInteractive was last called, in
+	// nanoseconds since epoch; 0 for never.
+	lastInteractive atomic.Int64
+)
+
+// MarkInteractive records that a request someone is waiting on has just
+// been admitted. The serving tier calls it for each interactive-lane
+// admission; nothing else should need to.
+func MarkInteractive() { lastInteractive.Store(max(1, int64(time.Since(epoch)))) }
+
+// Quiet reports whether no interactive request has been admitted within
+// quietAfter: whether nobody is waiting for the gaps between the regions a
+// long computation is cut into (the package comment).
+func Quiet() bool {
+	last := lastInteractive.Load()
+	return last == 0 || time.Since(epoch)-time.Duration(last) > quietAfter
+}
 
 // AddRanks records that n more goroutines, each calling For on its own
 // account, run in this process (n < 0: that they have ended). comm.World.Run
@@ -110,14 +150,23 @@ func chunkOf(wg *sync.WaitGroup, fn func(start, end int), start, end int) {
 	fn(start, end)
 }
 
-// yielder is the pipe Yield waits on. os.Pipe registers its read end with the
-// network poller wherever the runtime has one. Neither end is ever closed, so
-// a write cannot fail, and a read always finds the byte of some caller: there
-// are never more readers waiting than writers started.
-var yielder struct {
-	once sync.Once
-	r, w *os.File
+// yieldPipe is one of the pipes Yield waits on. os.Pipe registers its read
+// end with the network poller wherever the runtime has one. A pipe serves one
+// Yield at a time, so the byte a caller reads is the one its own writer wrote,
+// which only the poller hands it: over a shared pipe a caller could read
+// another's byte at once, and return with its run queue never emptied. A
+// pipe is closed only when no Yield holds it, so neither its write nor its
+// read can fail.
+type yieldPipe struct {
+	r, w  *os.File
+	write func() // one byte into w; a func value, so that go write() allocates nothing
 }
+
+// yieldPipes holds the pipes of the Yields that have returned, for the next
+// to take; a Yield that finds none makes one. Its size bounds the pipes kept
+// idle: 64 is more Yields than a process on a few cores has in flight at
+// once, and a pipe that finds it full is closed.
+var yieldPipes = make(chan *yieldPipe, 64)
 
 var yieldByte = []byte{0}
 
@@ -130,16 +179,25 @@ var yieldByte = []byte{0}
 // and a goroutine, a few microseconds when nothing else is waiting; where no
 // pipe can be made it is runtime.Gosched.
 func Yield() {
-	yielder.once.Do(func() {
-		if r, w, err := os.Pipe(); err == nil {
-			yielder.r, yielder.w = r, w
+	var p *yieldPipe
+	select {
+	case p = <-yieldPipes:
+	default:
+		r, w, err := os.Pipe()
+		if err != nil {
+			runtime.Gosched()
+			return
 		}
-	})
-	if yielder.r == nil {
-		runtime.Gosched()
-		return
+		p = &yieldPipe{r: r, w: w}
+		p.write = func() { p.w.Write(yieldByte) }
 	}
-	go yielder.w.Write(yieldByte)
+	go p.write()
 	var b [1]byte
-	yielder.r.Read(b[:])
+	p.r.Read(b[:])
+	select {
+	case yieldPipes <- p:
+	default:
+		p.r.Close()
+		p.w.Close()
+	}
 }

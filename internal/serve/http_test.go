@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/cyclegan"
 	"repro/internal/jag"
+	"repro/internal/parallel"
 )
 
 // defaultHandler mounts s as the sole model, named "default", of a fresh
@@ -457,5 +459,96 @@ func TestPanickingHandlerIsContained(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reused, []bool{false, true, true}) {
 		t.Errorf("connection reuse across the panic = %v, want one connection for all three requests", reused)
+	}
+}
+
+// TestInteractiveAdmissionsMarkTheProcess: every way an interactive row
+// comes in — a JSON body that names its lane, a JGT1 frame under the
+// priority header, a request that names no lane, Server.Call, and a repeat
+// the LRU answers — marks the process, so that parallel.Quiet reads false and
+// the next long forward pass keeps its gaps between waves; a bulk row, JSON
+// or JGT1, does not. Each case starts in a quiet process: the test waits out
+// the quiet window before it.
+func TestInteractiveAdmissionsMarkTheProcess(t *testing.T) {
+	pool, err := NewPool([]*cyclegan.Surrogate{cyclegan.New(testModelCfg(), 42)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(pool, Config{MaxBatch: 8, CacheSize: 16})
+	ts := httptest.NewServer(defaultHandler(t, s, HandlerConfig{}))
+	defer s.Close()
+	defer ts.Close()
+
+	x := []float32{0.1, 0.2, 0.3, 0.4, 0.5}
+	post := func(body []byte, contentType, priority string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+predictPath, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		if priority != "" {
+			req.Header.Set(PriorityHeader, priority)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", contentType, priority, resp.StatusCode)
+		}
+	}
+	postJSON := func(row []float32, lane string) {
+		t.Helper()
+		body, _ := json.Marshal(PredictRequest{Input: row, Priority: lane})
+		post(body, "application/json", "")
+	}
+	postFrame := func(row []float32, lane string) {
+		t.Helper()
+		frame, err := EncodeFrame([][]float32{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post(frame, ContentTypeTensor, lane)
+	}
+	cases := []struct {
+		name  string
+		marks bool
+		call  func()
+	}{
+		{"bulk JSON", false, func() { postJSON([]float32{0.9, 0.1, 0.1, 0.1, 0.1}, "bulk") }},
+		{"bulk JGT1", false, func() { postFrame([]float32{0.8, 0.1, 0.1, 0.1, 0.1}, "bulk") }},
+		{"JSON", true, func() { postJSON(x, "interactive") }},
+		{"JGT1", true, func() { postFrame([]float32{0.7, 0.1, 0.1, 0.1, 0.1}, "interactive") }},
+		{"no priority header", true, func() {
+			if _, _, err := NewClient(ts.URL).Call(context.Background(), "default", MethodPredict, [][]float32{{0.6, 0.1, 0.1, 0.1, 0.1}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Server.Call", true, func() {
+			if _, err := s.Call(context.Background(), MethodPredict, []float32{0.5, 0.1, 0.1, 0.1, 0.1}, Interactive); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"LRU hit", true, func() {
+			hits := s.Stats().CacheHits
+			postJSON(x, "")
+			if s.Stats().CacheHits != hits+1 {
+				t.Fatalf("the repeat of the JSON row was not a cache hit")
+			}
+		}},
+	}
+	for _, c := range cases {
+		for deadline := time.Now().Add(10 * time.Second); !parallel.Quiet(); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the process was not quiet 10 s on", c.name)
+			}
+		}
+		c.call()
+		if marked := !parallel.Quiet(); marked != c.marks {
+			t.Errorf("%s: marked the process %v, want %v", c.name, marked, c.marks)
+		}
 	}
 }

@@ -102,6 +102,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -470,8 +471,16 @@ func (s *Server) CallTrace(ctx context.Context, method string, x []float32, clas
 // row gets ErrClosed and submit returns false. Once started, a submission
 // holds the server open until its last chunk is answered, so Close
 // cannot cut it short.
+//
+// An Interactive submission first marks the process (parallel.MarkInteractive),
+// whatever becomes of its rows — cache hits and rejections included — so the
+// long forward passes that start in the next second keep the gaps between
+// their waves of tiles, where this caller's next hop and its neighbours' run.
 func (s *Server) submit(ctx context.Context, method string, class Priority, complete bool,
 	xs, ys [][]float32, traces []Trace, errs []error) bool {
+	if class == Interactive {
+		parallel.MarkInteractive()
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

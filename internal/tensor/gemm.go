@@ -99,24 +99,38 @@ func densePass(y, x, w *Matrix, b []float32, act Act) pass {
 	return p
 }
 
+// run cuts C with plan and runs its tiles (tile.go). A lone tile runs on the
+// caller's goroutine. A pass of one wave, or one planned for a single worker,
+// runs in waves. A pass of more waves runs in waves while interactive
+// requests are about and is pulled while the process is quiet
+// (parallel.Quiet); only such a pass reads the clock.
 func (p pass) run(plan func(m, n, cell, workers int) tiling) {
 	m, n := p.c.Rows, p.c.Cols
 	if m == 0 || n == 0 {
 		return
 	}
-	t := plan(m, n, p.k+p.epi, parallel.Workers())
-	if t.tiles() == 1 {
+	cell := p.k + p.epi
+	t := plan(m, n, cell, parallel.Workers())
+	switch {
+	case t.tiles() == 1:
 		// The whole of C on the caller's goroutine, as waves would run it,
 		// without the closure waves needs: a training step is some sixty
 		// GEMMs this small.
 		p.tile(0, m, 0, n)
-		return
+	case t.tiles() <= t.width || t.width < 2 || !parallel.Quiet():
+		t.waves(p.tiles(t))
+	default:
+		t.pulled(stopEvery(t, cell), p.tiles(t))
 	}
-	t.waves(func(lo, hi int) {
+}
+
+// tiles is what a scheduler runs for a cut t of C: the tiles lo to hi-1.
+func (p pass) tiles(t tiling) func(lo, hi int) {
+	return func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			p.tile(t.tile(idx))
 		}
-	})
+	}
 }
 
 // tile computes rows [i0, i1) by columns [j0, j1) of C: beta applied to the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // sameBits is the micro-kernel contract's equality (kernel.go): identical
@@ -100,11 +102,32 @@ type gemmCase struct {
 	// denseSpecials.
 	dense bool
 	act   Act
+	// sched runs the tiles under one scheduler whatever the process's
+	// traffic: "waves" or "pulled"; "" leaves the choice to pass.run.
+	sched string
 }
 
+// schedulers are the values of gemmCase.sched that name a scheduler.
+var schedulers = []string{"waves", "pulled"}
+
 func (gc gemmCase) String() string {
-	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d cut=%+v dense=%v act=%d",
-		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special, gc.cut, gc.dense, gc.act)
+	return fmt.Sprintf("seed=%d %dx%dx%d ta=%v tb=%v alpha=%v beta=%v off=%d zeroPos=%d special=%d cut=%+v dense=%v act=%d sched=%q",
+		gc.seed, gc.m, gc.k, gc.n, gc.ta, gc.tb, gc.alpha, gc.beta, gc.off, gc.zeroPos, gc.special, gc.cut, gc.dense, gc.act, gc.sched)
+}
+
+// run runs p, cut by plan, under the case's scheduler.
+func (gc gemmCase) run(p pass, plan func(m, n, cell, workers int) tiling) {
+	m, n, cell := p.c.Rows, p.c.Cols, p.k+p.epi
+	if gc.sched == "" || m == 0 || n == 0 {
+		p.run(plan)
+		return
+	}
+	t := plan(m, n, cell, parallel.Workers())
+	if gc.sched == "pulled" {
+		t.pulled(stopEvery(t, cell), p.tiles(t))
+	} else {
+		t.waves(p.tiles(t))
+	}
 }
 
 // cutOf makes a cut of an m×n output from four arbitrary numbers: chunks of
@@ -166,10 +189,10 @@ func (gc gemmCase) check(t *testing.T) {
 			bias[rng.Intn(len(bias))] = spec[rng.Intn(len(spec))]
 		}
 		denseRef(want, a, b, bias, gc.act)
-		densePass(c, a, b, bias, gc.act).run(plan)
+		gc.run(densePass(c, a, b, bias, gc.act), plan)
 	} else {
 		gemmRef(want, gc.alpha, a, gc.ta, b, gc.tb, gc.beta)
-		newPass(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta).run(plan)
+		gc.run(newPass(c, gc.alpha, a, gc.ta, b, gc.tb, gc.beta), plan)
 	}
 	if i := firstBitDiff(c.Data, want.Data); i >= 0 {
 		t.Fatalf("%v: C[%d][%d] = %v (%#08x), scalar reference %v (%#08x)", gc, i/gc.n, i%gc.n,
@@ -288,7 +311,8 @@ func TestGemmLayerShapesMatchScalarReference(t *testing.T) {
 
 // FuzzGemmMatchesReference lets the fuzzer pick the shape, mode, scalars,
 // alignment, zero pattern, special-value density and the cut of C into tiles
-// (rows 0: planTiles' own cut, which for shapes this small is one wave).
+// (rows 0: planTiles' own cut, which for shapes this small is one wave), and
+// runs the case under each scheduler.
 func FuzzGemmMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(16), uint8(64), uint8(1), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(16), uint8(67), uint8(33), uint8(2), uint8(1), uint8(0), uint8(3), uint8(0), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0))
@@ -313,7 +337,9 @@ func FuzzGemmMatchesReference(f *testing.F) {
 		if rows != 0 {
 			gc.cut = cutOf(gc.m, gc.n, int(chunk), int(rows)-1, int(cols), int(width))
 		}
-		gc.check(t)
+		for _, gc.sched = range schedulers {
+			gc.check(t)
+		}
 	})
 }
 

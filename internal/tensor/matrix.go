@@ -11,8 +11,9 @@
 // the output that tile.go plans: blocks of rows by panels of columns, each
 // panel of B small enough to stay in L2 and no tile longer than about a
 // millisecond, issued in waves of one tile per worker through
-// internal/parallel; small products are cut into row chunks only. The bits
-// never depend on the cut. The inner loops are the micro-kernels of
+// internal/parallel while interactive requests are about, and pulled off one
+// counter by one goroutine per worker while none is; small products are cut
+// into row chunks only. The bits never depend on the cut or the scheduler. The inner loops are the micro-kernels of
 // kernel.go: scalar axpy and dot everywhere, and on amd64 SIMD versions under
 // the two backward-pass variants (Aᵀ·B and A·Bᵀ) that produce the same bits.
 // Two elementwise operations have SIMD kernels on amd64 too: AdamStep, and

@@ -1,33 +1,44 @@
 package tensor
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/parallel"
 )
 
-// Every GEMM that is big enough to matter is cut into tiles and issued in
-// waves: a tile is a block of output rows by a panel of output columns, a
-// wave is at most one tile per worker, and a wave is joined before the next
-// one starts. The cut serves two ends. A tile's panel of B is small enough to
-// stay in L2 while the tile's rows go over it, where a whole row of a wide
-// layer streams the whole of B past the cache once per row. And no goroutine
-// computes for longer than one tile, so the scheduler gets a P back at the
-// end of every wave (internal/parallel says why that matters to everything
-// else in the process). A dense pass (Dense) makes no pass of its own after
-// the product: a tile adds the bias and applies the activation to the block
-// it has just written, and planTiles charges a cell that epilogue (actWork).
+// Every GEMM that is big enough to matter is cut into tiles: a tile is a
+// block of output rows by a panel of output columns. A tile's panel of B is
+// small enough to stay in L2 while the tile's rows go over it, where a whole
+// row of a wide layer streams the whole of B past the cache once per row. A
+// dense pass (Dense) makes no pass of its own after the product: a tile adds
+// the bias and applies the activation to the block it has just written, and
+// planTiles charges a cell that epilogue (actWork).
+//
+// The tiles of a pass run under one of two schedulers, and pass.run picks by
+// the process's traffic. While interactive requests are about, the tiles go
+// in waves: a wave is at most one tile per worker, and it is joined before
+// the next one starts, so no goroutine computes for longer than one tile and
+// the scheduler gets a P back at the end of every wave (internal/parallel
+// says why that matters to everything else in the process). While none has
+// come in lately (parallel.Quiet), nobody waits on those gaps, and the tiles
+// are pulled: one goroutine per worker takes tile after tile off one counter,
+// each stopping in parallel.Yield once per stretch of tiles worth chunkWork,
+// so a pass pays one fork/join instead of one a wave and the faster core
+// never waits at a join for the slower. What arrives during a pulled pass —
+// the first interactive call, a health probe, the next bulk request — waits
+// about a stretch instead of a tile.
 //
 // The length of a wave is a trade with one cost model. A request that
-// crosses the process while a pass runs waits, at each crossing, for the
-// rest of the wave it lands in: half a tile on average. Each extra wave costs
-// one fork/join, a parked thread woken (BenchmarkWaves: 20–140 µs at tiles of
-// 50–250 µs on a 2-vCPU host). A short pass buys nothing from being cut finer, so it keeps
-// its one wave of whole row chunks while a chunk costs at most chunkWork; a
-// longer pass — the bulk passes of the small16 and paper64 models — is cut
-// into tiles of at most tileWork. Both bounds are counted in multiply-adds
-// of the scalar forward kernel, so a faster gemmNN shortens a tile in time
-// and both must be re-sized with it.
+// crosses the process while a pass runs in waves waits, at each crossing, for
+// the rest of the wave it lands in: half a tile on average. Each extra wave
+// costs one fork/join, a parked thread woken (BenchmarkWaves: 20–140 µs at
+// tiles of 50–250 µs on a 2-vCPU host). A short pass buys nothing from being
+// cut finer, so it keeps its one wave of whole row chunks while a chunk costs
+// at most chunkWork; a longer pass — the bulk passes of the small16 and
+// paper64 models — is cut into tiles of at most tileWork. Both bounds are
+// counted in multiply-adds of the scalar forward kernel, so a faster gemmNN
+// shortens a tile in time and both must be re-sized with it.
 const (
 	// gemmGrain is the minimum number of output rows per parallel chunk; small
 	// batches run serially.
@@ -35,7 +46,8 @@ const (
 	// chunkWork bounds a row chunk that runs whole, in multiply-adds: 1–3 ms
 	// of the scalar kernel as timed on a 2-vCPU host. A pass whose chunks fit
 	// is one wave (or one tile on the caller's goroutine), as it was before
-	// there were tiles; everything Tiny8 runs is such a pass.
+	// there were tiles; everything Tiny8 runs is such a pass. It is also the
+	// stretch of tiles a pulled pass's goroutines stop once in (stopEvery).
 	chunkWork = 1 << 21
 	// tileWork bounds one tile of a pass whose chunks do not fit chunkWork:
 	// an eighth of it, 150–400 µs, so a request beside a bulk pass waits out
@@ -170,4 +182,47 @@ func (t tiling) waves(run func(lo, hi int)) {
 		ended.Store(0)
 		parallel.For(lo, min(lo+t.width, n), 1, watched)
 	}
+}
+
+// stopEvery is how many of t's tiles a pulled pass runs between stops:
+// chunkWork of them at cell multiply-adds a cell (a cell of a product with
+// k = 0 counted as one), at least one.
+func stopEvery(t tiling, cell int) int { return max(1, chunkWork/(t.rows*t.cols*max(cell, 1))) }
+
+// pulled runs the tiles of t on t.width goroutines, the caller's among them,
+// that take tile indices one at a time off one counter, in issue order, until
+// none is left; run is called with one-tile ranges. The tiles fall into
+// stretches of stop consecutive indices, and a goroutine that takes a tile
+// from a stretch after the one its last tile was in first stops in
+// parallel.Yield. So every goroutine stops once per stretch it works in, and
+// a P the pass has to itself looks at the network once a stretch, however
+// many of the pass's goroutines it runs: what arrives while the other Ps are
+// held elsewhere waits about one stretch (chunkWork, stopEvery), not the rest
+// of the pass. No goroutine waits for another but at the end of the pass.
+func (t tiling) pulled(stop int, run func(lo, hi int)) {
+	n := t.tiles()
+	var next atomic.Int64
+	pull := func() {
+		for stretch := 0; ; {
+			idx := int(next.Add(1)) - 1
+			if idx >= n {
+				return
+			}
+			if idx/stop != stretch {
+				stretch = idx / stop
+				parallel.Yield()
+			}
+			run(idx, idx+1)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(t.width, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pull()
+		}()
+	}
+	pull()
+	wg.Wait()
 }

@@ -241,13 +241,158 @@ func TestLonePassLetsTheNetworkIn(t *testing.T) {
 	}
 }
 
+// TestPulledPassCoversEachTileOnce: a pulled pass calls run once for every
+// tile of the cut, with a one-tile range, on at most width goroutines at a
+// time, whatever the stop interval, and returns only once every tile is done.
+func TestPulledPassCoversEachTileOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cuts := []tiling{
+		{m: 12, n: 10, chunk: 4, rows: 1, cols: 3, width: 3},
+		{m: 1000, n: 1, chunk: 500, rows: 1, cols: 1, width: 2},
+		planTiles(16, 49167, 128+actWork[ActSigmoid], 2),
+		planTiles(64, 3087, 128+actWork[ActSigmoid], 4),
+	}
+	for i := 0; i < 200; i++ {
+		cuts = append(cuts, cutOf(1+rng.Intn(67), 1+rng.Intn(67), rng.Int(), rng.Int(), rng.Int(), rng.Int()))
+	}
+	for _, tl := range cuts {
+		for _, stop := range []int{1, 3, 1 << 20} {
+			runs := make([]atomic.Int32, tl.tiles())
+			var running atomic.Int32
+			tl.pulled(stop, func(lo, hi int) {
+				if now := running.Add(1); int(now) > tl.width {
+					t.Errorf("%+v stop %d: %d tiles in flight", tl, stop, now)
+				}
+				if hi != lo+1 || lo < 0 || hi > len(runs) {
+					t.Errorf("%+v stop %d: tiles [%d,%d)", tl, stop, lo, hi)
+				} else {
+					runs[lo].Add(1)
+				}
+				runtime.Gosched()
+				running.Add(-1)
+			})
+			for idx := range runs {
+				if n := runs[idx].Load(); n != 1 {
+					t.Fatalf("%+v stop %d: tile %d ran %d times", tl, stop, idx, n)
+				}
+			}
+		}
+	}
+}
+
+// TestQuietPassLetsTheNetworkIn is TestLonePassLetsTheNetworkIn for a pulled
+// pass: with the two goroutines of a 1000-tile pass sharing one P, each of a
+// loopback round trip's two crossings waits about one stretch of ten tiles,
+// the pass's stop interval, instead of the rest of the pass — 10–20 tiles in
+// all, where one pipe shared by every Yield, which lets a stop read another's
+// byte and not stop, made it 39–40, and a pass without stops waits for sysmon's
+// preemption, a hundred tiles at the least.
+func TestQuietPassLetsTheNetworkIn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback socket: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(c, c)
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const tiles, stop, spin = 1000, 10, 100 * time.Microsecond
+	tl := tiling{m: tiles, n: 1, chunk: tiles / 2, rows: 1, cols: 1, width: 2}
+	var done atomic.Int32
+	var once sync.Once
+	started, finished := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		tl.pulled(stop, func(lo, hi int) {
+			once.Do(func() { close(started) })
+			for end := time.Now().Add(time.Duration(hi-lo) * spin); time.Now().Before(end); {
+			}
+			done.Add(int32(hi - lo))
+		})
+	}()
+	<-started
+	before := done.Load()
+	buf := []byte{1}
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, buf); err != nil {
+		t.Fatal(err)
+	}
+	during := done.Load() - before
+	<-finished
+	if during > 2*stop+stop/2 {
+		t.Errorf("the round trip took %d tiles of %v, of a %d-tile pass stopping every %d", during, spin, tiles, stop)
+	}
+}
+
+// raceOn is set by race_test.go in a -race build.
+var raceOn bool
+
+// TestPulledPassAllocatesPerPass: a pulled pass of the paper64 decoder head
+// at 16 rows allocates the same count whether it is cut into 26 tiles,
+// planTiles' 440 or 3 088: its goroutines, counter and WaitGroup once a pass,
+// nothing a tile and nothing a stop. The wave scheduler's count, which grows
+// with the waves (parallel.For's WaitGroup and each goroutine it starts), is
+// logged beside it.
+func TestPulledPassAllocatesPerPass(t *testing.T) {
+	if raceOn {
+		t.Skip("the race detector allocates for each goroutine a stop starts")
+	}
+	const m, k, n = 16, 128, 49167
+	// A zero x makes every multiplier zero, which the kernel skips: the pass
+	// costs its epilogue, not 10⁸ multiply-adds, and allocates the same.
+	p := densePass(New(m, n), New(m, k), New(k, n), make([]float32, n), ActSigmoid)
+	cell := k + actWork[ActSigmoid]
+	planned := planTiles(m, n, cell, 2)
+	cuts := []tiling{
+		{m: m, n: n, chunk: 8, rows: 8, cols: 4096, width: 2},
+		planned,
+		{m: m, n: n, chunk: 8, rows: 1, cols: 256, width: 2},
+	}
+	var first float64
+	for i, cut := range cuts {
+		allocs := testing.AllocsPerRun(3, func() { cut.pulled(stopEvery(cut, cell), p.tiles(cut)) })
+		if i == 0 {
+			first = allocs
+		}
+		if allocs != first {
+			t.Errorf("a pulled pass of %d tiles allocates %v times, one of %d tiles %v", cut.tiles(), allocs, cuts[0].tiles(), first)
+		}
+	}
+	// AllocsPerRun runs at one P, where parallel.For forks nothing; the
+	// waves are counted at two.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		planned.waves(p.tiles(planned))
+	}
+	runtime.ReadMemStats(&after)
+	waves, allocs := ceilDiv(planned.tiles(), planned.width), float64(after.Mallocs-before.Mallocs)/runs
+	t.Logf("pulled: %v allocations a pass; waves at 2 Ps: %.0f a pass of %d waves, %.2f a wave", first, allocs, waves, allocs/float64(waves))
+}
+
 // TestTiledElementwiseOpsMatchPlainLoops: a dense pass cut the ways
 // planTiles cuts the layers the models run — one tile on the caller, one wave
 // of whole row chunks, waves of row blocks, of panels, of one-row tiles where
 // k is too long to block B, and a wide k = 1 pass whose panel a row's
 // epilogue bounds — and the hand-made cuts of the tests above gives, for
-// every activation, the bits of the product followed by the plain bias and
-// activation loops (denseRef).
+// every activation and under each scheduler, the bits of the product
+// followed by the plain bias and activation loops (denseRef).
 func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 	type shape struct{ m, k, n int }
 	shapes := []shape{{1, 128, 399}, {16, 128, 399}, {64, 128, 3087}, {37, 64, 9000}, {70, 1, 30000}, {5, 3087, 128}}
@@ -272,7 +417,9 @@ func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 				kinds["blocks by panels"] = true
 			}
 			seed++
-			gemmCase{seed: seed, m: sh.m, k: sh.k, n: sh.n, alpha: 1, zeroPos: -1, special: 40, cut: tl, dense: true, act: act}.check(t)
+			for _, sched := range schedulers {
+				gemmCase{seed: seed, m: sh.m, k: sh.k, n: sh.n, alpha: 1, zeroPos: -1, special: 40, cut: tl, dense: true, act: act, sched: sched}.check(t)
+			}
 		}
 	}
 	if want := 5; len(kinds) != want && !testing.Short() {
@@ -286,33 +433,46 @@ func TestTiledElementwiseOpsMatchPlainLoops(t *testing.T) {
 		{m: 12, n: 10, chunk: 1, rows: 1, cols: 1, width: 4},
 	} {
 		for _, act := range denseActs {
-			gemmCase{seed: int64(7100 + i), m: 12, k: 7, n: 10, alpha: 1, zeroPos: 1, special: 9, cut: cut, dense: true, act: act}.check(t)
+			for _, sched := range schedulers {
+				gemmCase{seed: int64(7100 + i), m: 12, k: 7, n: 10, alpha: 1, zeroPos: 1, special: 9, cut: cut, dense: true, act: act, sched: sched}.check(t)
+			}
 		}
 	}
 }
 
-// BenchmarkWaves is the cost model's other side: what one more wave costs.
-// Each wave is one tile per worker, every tile a spin of the given length, as
-// tiling.waves issues them; fork_join_us/wave is the wall time per wave less
-// the tile itself — the goroutines started, the parked thread woken and the
-// join. A pass cut into tiles of a quarter the length pays it four times as
-// often; with one worker the tiles run inline and it reads about 0.
+// BenchmarkWaves is the cost model's other side: what one more wave costs,
+// under each scheduler. Each wave is one tile per worker, every tile a spin
+// of the given length; sched=waves issues them as tiling.waves does, and
+// sched=pulled pulls them as tiling.pulled does, stopping once per stretch of
+// about 2 ms of tiles (chunkWork at the scalar kernel). fork_join_us/wave is
+// the wall time per worker's worth of tiles less the tile itself: the
+// goroutines started, the parked thread woken and the join, once a wave or
+// once a pass, and the stops. A pass cut into tiles of a quarter the length
+// pays the wave scheduler's four times as often; with one worker the waves
+// run inline and read about 0.
 func BenchmarkWaves(b *testing.B) {
-	for _, tile := range []struct {
-		name string
-		d    time.Duration
-	}{{"50us", 50 * time.Microsecond}, {"250us", 250 * time.Microsecond}, {"1ms", time.Millisecond}} {
-		b.Run("tile="+tile.name, func(b *testing.B) {
-			w := parallel.Workers()
-			tl := tiling{m: b.N * w, n: 1, chunk: 1, rows: 1, cols: 1, width: w}
-			b.ResetTimer()
-			t0 := time.Now()
-			tl.waves(func(lo, hi int) {
-				for end := time.Now().Add(time.Duration(hi-lo) * tile.d); time.Now().Before(end); {
+	for _, sched := range schedulers {
+		for _, tile := range []struct {
+			name string
+			d    time.Duration
+		}{{"50us", 50 * time.Microsecond}, {"250us", 250 * time.Microsecond}, {"1ms", time.Millisecond}} {
+			b.Run("sched="+sched+"/tile="+tile.name, func(b *testing.B) {
+				w := parallel.Workers()
+				tl := tiling{m: b.N * w, n: 1, chunk: 1, rows: 1, cols: 1, width: w}
+				spin := func(lo, hi int) {
+					for end := time.Now().Add(time.Duration(hi-lo) * tile.d); time.Now().Before(end); {
+					}
 				}
+				b.ResetTimer()
+				t0 := time.Now()
+				if sched == "pulled" {
+					tl.pulled(max(1, int(2*time.Millisecond/tile.d)), spin)
+				} else {
+					tl.waves(spin)
+				}
+				perWave := time.Since(t0) / time.Duration(b.N)
+				b.ReportMetric(float64(perWave-tile.d)/float64(time.Microsecond), "fork_join_us/wave")
 			})
-			perWave := time.Since(t0) / time.Duration(b.N)
-			b.ReportMetric(float64(perWave-tile.d)/float64(time.Microsecond), "fork_join_us/wave")
-		})
+		}
 	}
 }
