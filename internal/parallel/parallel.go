@@ -43,8 +43,8 @@
 // So a long pass's regions end between its pieces only while interactive
 // traffic is about: the gaps cost a fork/join each and pay only while someone
 // waits on an answer. The serving tier calls MarkInteractive as it admits
-// each interactive request, and Quiet reports whether none has come in
-// lately. In a quiet process a long pass runs as one region of workers that
+// each interactive request (and as it times a pass for its cost probe),
+// and Quiet reports whether none has come in lately. In a quiet process a long pass runs as one region of workers that
 // pull its pieces off a counter and stop in Yield once per stretch of pieces
 // worth a millisecond or two: one fork/join a pass instead of one a region,
 // no join at which the faster core waits for the slower, and the network
@@ -80,7 +80,9 @@ var (
 
 // MarkInteractive records that a request someone is waiting on has just
 // been admitted. The serving tier calls it for each interactive-lane
-// admission; nothing else should need to.
+// admission, and its cost probe before each pass it times, so that every
+// probe times the passes interactive traffic gets; nothing else should
+// need to.
 func MarkInteractive() { lastInteractive.Store(max(1, int64(time.Since(epoch)))) }
 
 // Quiet reports whether no interactive request has been admitted within

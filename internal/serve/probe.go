@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -88,6 +89,17 @@ const (
 // constants instead of being lost. Inputs are
 // mid-cube (0.5 everywhere), matching the reload canary; forward-pass
 // cost does not depend on the input values, only the shapes.
+//
+// The probe times the passes a backend runs beside interactive traffic,
+// whatever traffic the process has: before each timed pass it marks the
+// process interactive (parallel.MarkInteractive), so a long GEMM runs its
+// tiles in waves, not pulled (internal/tensor/tile.go). Pulled passes are
+// faster, so a probe that timed whichever scheduler the process was in
+// would rate a backend probed in a quiet process higher than a sibling
+// probed beside interactive traffic on the same hardware, and the proxy,
+// which ranks a model's backends by capacity, would send it more. The
+// mark outlives the probe by parallel's quiet window: a load or swap in a
+// bulk-only process runs its long passes in waves for a second after it.
 func CostProbe(m Model, method string, maxBatch int) (ProbeResult, error) {
 	dims, ok := m.Dims()[method]
 	if !ok {
@@ -137,6 +149,7 @@ func timePass(m Model, method string, d Dims, b int) (float64, int, error) {
 	best, floor, last := 0.0, 0.0, 0 // minimum; the minimum after its last >1 % drop, on pass last
 	start := time.Now()
 	for reps := 1; ; reps++ {
+		parallel.MarkInteractive()
 		t0 := time.Now()
 		gather(&x, rows, d.In)
 		y, err := m.Run(method, &x)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cyclegan"
 	"repro/internal/jag"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -108,6 +109,40 @@ func TestCostProbeErrors(t *testing.T) {
 	}
 	if _, err := CostProbe(m, MethodPredict, 1); err == nil {
 		t.Fatal("maxBatch < 2 must fail")
+	}
+}
+
+// quietLog wraps a model and counts the Run calls that began in a quiet
+// process (parallel.Quiet), where a long GEMM pulls its tiles.
+type quietLog struct {
+	Model
+	runs, quiet int
+}
+
+func (l *quietLog) Run(method string, x *tensor.Matrix) (*tensor.Matrix, error) {
+	l.runs++
+	if parallel.Quiet() {
+		l.quiet++
+	}
+	return l.Model.Run(method, x)
+}
+
+// TestCostProbeTimesWaves: a probe started in a quiet process times every
+// pass with the process marked interactive, so its long GEMMs run in waves,
+// as a probe beside interactive traffic times them, and sibling backends
+// stay comparable whatever each was doing when it probed.
+func TestCostProbeTimesWaves(t *testing.T) {
+	for deadline := time.Now().Add(10 * time.Second); !parallel.Quiet(); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the process was not quiet 10 s on")
+		}
+	}
+	m := &quietLog{Model: &spinModel{passCost: 100 * time.Microsecond, rowCost: 20 * time.Microsecond}}
+	if _, err := CostProbe(m, MethodPredict, 8); err != nil {
+		t.Fatal(err)
+	}
+	if m.runs == 0 || m.quiet != 0 {
+		t.Errorf("%d of the probe's %d passes ran in a quiet process", m.quiet, m.runs)
 	}
 }
 
