@@ -2,11 +2,13 @@
 // simulator over the Halton sampling plan and packs the results into bundle
 // files, reproducing (at configurable scale) the paper's 10,000-file HDF5
 // corpus generation. A sample's images cost one emission profile per view,
-// so -channels adds little time; -size sets it, quadratically.
+// so -channels adds little time; -size sets it, quadratically. Bundle files
+// are simulated on as many cores as GOMAXPROCS allows, and their bytes do
+// not depend on how many.
 //
 // Usage:
 //
-//	jaggen -out data/ -samples 10000 -per-file 1000 -size 16 -workers 4
+//	jaggen -out data/ -samples 10000 -per-file 1000 -size 16
 package main
 
 import (
@@ -27,7 +29,6 @@ func main() {
 	size := flag.Int("size", 16, "image resolution per side")
 	views := flag.Int("views", 3, "X-ray lines of sight")
 	channels := flag.Int("channels", 4, "hyperspectral channels per view")
-	workers := flag.Int("workers", 4, "worker pool width")
 	offset := flag.Int("offset", 0, "sampling-plan offset (use a disjoint offset for validation sets)")
 	flag.Parse()
 
@@ -37,7 +38,6 @@ func main() {
 		PlanOffset:     *offset,
 		SamplesPerFile: *perFile,
 		OutDir:         *out,
-		Workers:        *workers,
 	}
 	res, err := ensemble.Run(cfg)
 	if err != nil {

@@ -49,16 +49,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/proxy"
@@ -120,7 +116,6 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	p.Start(ctx)
 
 	// Listen before logging so "-addr :0" reports the real bound port,
@@ -129,20 +124,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: p}
-	done := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Print("shutting down: draining in-flight requests")
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		_ = hs.Shutdown(sctx)
-		cancel() // stop probing once no more traffic will be routed
-		close(done)
-	}()
-
 	healthy := 0
 	for _, b := range p.Backends() {
 		if b.Healthy() {
@@ -162,8 +143,8 @@ func main() {
 		}
 		log.Printf("backend %s: %s%s", b.BaseURL(), state, detail)
 	}
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	// Stop probing once no more traffic will be routed.
+	if err := serve.ServeUntilSignal(ln, p, cancel); err != nil {
 		log.Fatal(err)
 	}
-	<-done
 }

@@ -85,9 +85,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/serve"
@@ -197,33 +195,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: handler}
-	drained := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Print("shutting down: draining in-flight requests")
-		// Shutdown first: it stops accepting connections immediately
-		// and drains the in-flight HTTP handlers, whose rows still need
-		// the batching queues. Only then close the queues and workers —
-		// closing them first would 503 rows the drain window could have
-		// served (e.g. the later waves of a large throttled batch).
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		// Shutdown's only error is the deadline expiring; the process
-		// exits either way, so there is nobody left to report it to.
-		_ = hs.Shutdown(ctx)
+	log.Printf("serving %d model(s) %v on %s", reg.Len(), reg.Names(), ln.Addr())
+	err = serve.ServeUntilSignal(ln, handler, func() {
 		watchCancel() // no hot swaps once shutdown starts
 		reg.Close()
-		close(drained)
-	}()
-
-	log.Printf("serving %d model(s) %v on %s", reg.Len(), reg.Names(), ln.Addr())
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	// Serve returns the moment Shutdown is called; wait for the drain
-	// to finish before letting the process exit.
-	<-drained
 }

@@ -34,7 +34,6 @@ func TestEndToEndDiskBackedLTFB(t *testing.T) {
 		Samples:        files * perFile,
 		SamplesPerFile: perFile,
 		OutDir:         t.TempDir(),
-		Workers:        2,
 	})
 	if err != nil {
 		t.Fatal(err)

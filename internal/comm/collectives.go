@@ -207,71 +207,44 @@ func (c *Comm) AllreduceSumNaive(buf []float32) {
 				buf[i] += in[i]
 			}
 		}
-	} else {
-		c.sendRaw(0, base, append([]float32(nil), buf...), nil)
-	}
-	c.bcastWithTag(0, buf, base-1)
-}
-
-// Bcast overwrites buf on every rank with root's contents using a binomial
-// tree, so latency grows as log₂(n).
-func (c *Comm) Bcast(root int, buf []float32) {
-	c.bcastWithTag(root, buf, c.nextCollTag())
-}
-
-func (c *Comm) bcastWithTag(root int, buf []float32, tag int) {
-	n := c.Size()
-	if n == 1 {
+		c.bcast(0, base-1, message{floats: append([]float32(nil), buf...)})
 		return
 	}
-	rel := (c.rank - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % n
-			in := c.recvRaw(src, tag).floats
-			copy(buf, in)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			dst := (rel + mask + root) % n
-			c.sendRaw(dst, tag, append([]float32(nil), buf...), nil)
-		}
-		mask >>= 1
-	}
+	c.sendRaw(0, base, append([]float32(nil), buf...), nil)
+	copy(buf, c.bcast(0, base-1, message{}).floats)
 }
 
-// BcastBytes overwrites buf on every rank with root's bytes via the same
-// binomial tree; used to distribute a tournament winner inside a trainer.
+// BcastBytes overwrites buf on every rank with root's bytes using a
+// binomial tree, so latency grows as log₂(n); it distributes a tournament
+// verdict inside a trainer.
 func (c *Comm) BcastBytes(root int, buf []byte) {
 	tag := c.nextCollTag()
-	n := c.Size()
-	if n == 1 {
+	if c.rank == root {
+		c.bcast(root, tag, message{bytes: append([]byte(nil), buf...)})
 		return
 	}
+	copy(buf, c.bcast(root, tag, message{}).bytes)
+}
+
+// bcast walks the binomial tree rooted at root: every other rank receives
+// msg from its parent, and each rank forwards it to its children. Nobody
+// writes a payload once it is sent, so the root's one copy serves the tree.
+func (c *Comm) bcast(root, tag int, msg message) message {
+	n := c.Size()
 	rel := (c.rank - root + n) % n
 	mask := 1
-	for mask < n {
+	for ; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
-			src := (rel - mask + root) % n
-			in := c.recvRaw(src, tag).bytes
-			copy(buf, in)
+			msg = c.recvRaw((rel-mask+root)%n, tag)
 			break
 		}
-		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < n {
-			dst := (rel + mask + root) % n
-			c.sendRaw(dst, tag, nil, append([]byte(nil), buf...))
+			c.sendRaw((rel+mask+root)%n, tag, msg.floats, msg.bytes)
 		}
-		mask >>= 1
 	}
+	return msg
 }
 
 // AllgatherFloat64 exchanges one float64 per rank and returns the full

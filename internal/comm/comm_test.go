@@ -221,20 +221,20 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		for root := 0; root < n; root++ {
 			w := NewWorld(n)
-			results := make([][]float32, n)
+			results := make([][]byte, n)
 			runWithTimeout(t, w, func(c *Comm) {
-				buf := make([]float32, 4)
+				buf := make([]byte, 4)
 				if c.Rank() == root {
 					for i := range buf {
-						buf[i] = float32(10*root + i)
+						buf[i] = byte(10*root + i)
 					}
 				}
-				c.Bcast(root, buf)
+				c.BcastBytes(root, buf)
 				results[c.Rank()] = buf
 			})
 			for r := 0; r < n; r++ {
 				for i := 0; i < 4; i++ {
-					if results[r][i] != float32(10*root+i) {
+					if results[r][i] != byte(10*root+i) {
 						t.Fatalf("n=%d root=%d rank=%d: got %v", n, root, r, results[r])
 					}
 				}

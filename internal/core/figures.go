@@ -268,7 +268,6 @@ func DataStoreDemo(dir string, files, perFile, ranks, steps, batch int) (*metric
 		Samples:        files * perFile,
 		SamplesPerFile: perFile,
 		OutDir:         dir,
-		Workers:        2,
 	})
 	if err != nil {
 		return nil, err

@@ -4,20 +4,22 @@
 // the paper, 10,000 files for the 10M-sample corpus. The paper's Merlin
 // system exists because JAG is so fast that scheduler overhead dominates a
 // naive one-job-per-simulation workflow; this package reproduces that
-// economics with a worker pool that batches simulations file-at-a-time. A
-// sample's images cost one emission profile per view, whatever the number
-// of channels, and its flattened record is the simulator's own allocation.
+// economics by batching simulations file-at-a-time: Run hands whole files,
+// and GenerateInMemory runs of samples, to parallel.For, which splits them
+// over the process's cores (GOMAXPROCS). A sample's images cost one
+// emission profile per view, whatever the number of channels, and its
+// flattened record is the simulator's own allocation.
 package ensemble
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/jag"
+	"repro/internal/parallel"
 )
 
 // Config describes a dataset-generation campaign.
@@ -31,8 +33,6 @@ type Config struct {
 	SamplesPerFile int
 	// OutDir receives files named jag-00000.jagb, jag-00001.jagb, ...
 	OutDir string
-	// Workers is the worker-pool width; 0 means one.
-	Workers int
 }
 
 // Validate reports whether the campaign is well-formed.
@@ -59,10 +59,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Run executes the campaign: each worker simulates and writes whole bundle
-// files (the batched task granularity that keeps scheduler overhead
-// amortized). Files are deterministic functions of the plan, so re-running
-// a campaign reproduces identical bytes.
+// Run executes the campaign: each of parallel.For's goroutines simulates
+// and writes whole bundle files (the batched task granularity that keeps
+// scheduler overhead amortized). Files are deterministic functions of the
+// plan, so re-running a campaign reproduces identical bytes.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -74,28 +74,11 @@ func Run(cfg Config) (*Result, error) {
 	files := (cfg.Samples + cfg.SamplesPerFile - 1) / cfg.SamplesPerFile
 	paths := make([]string, files)
 	errs := make([]error, files)
-
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for f := range tasks {
-				paths[f], errs[f] = writeFile(cfg, f)
-			}
-		}()
-	}
-	for f := 0; f < files; f++ {
-		tasks <- f
-	}
-	close(tasks)
-	wg.Wait()
-
+	parallel.For(0, files, 1, func(lo, hi int) {
+		for f := lo; f < hi; f++ {
+			paths[f], errs[f] = writeFile(cfg, f)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -126,22 +109,10 @@ func writeFile(cfg Config, f int) (string, error) {
 // without touching disk — the fast path for laptop-scale experiments.
 func GenerateInMemory(g jag.Config, offset, n int) [][]float32 {
 	out := make([][]float32, n)
-	var wg sync.WaitGroup
-	workers := 4
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	parallel.For(0, n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = jag.SimulateAt(g, offset+i).Flatten()
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = jag.SimulateAt(g, offset+i).Flatten()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }

@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/jag"
@@ -14,7 +15,6 @@ func TestRunWritesReadableBundles(t *testing.T) {
 		Samples:        25,
 		SamplesPerFile: 10,
 		OutDir:         dir,
-		Workers:        3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +44,10 @@ func TestRunWritesReadableBundles(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	gen := func(workers int) []float32 {
+	gen := func(procs int) []float32 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		dir := t.TempDir()
-		res, err := Run(Config{Geometry: jag.Tiny8, Samples: 20, SamplesPerFile: 5, OutDir: dir, Workers: workers})
+		res, err := Run(Config{Geometry: jag.Tiny8, Samples: 20, SamplesPerFile: 5, OutDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,9 @@
 package ltfb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/comm"
@@ -159,7 +161,8 @@ func copyAllWeights(dst, src trainer.Model) {
 
 // Tournament runs one round. Collective: every rank of every trainer must
 // call it with the same round number. It returns this trainer's result, or
-// an error before any exchange when the configuration is invalid.
+// an error: before any exchange when the configuration is invalid, and on
+// every rank of the trainer when its master's exchange failed.
 func (m *Member) Tournament(round int) (RoundResult, error) {
 	res := RoundResult{Round: round, Partner: -1}
 	if err := m.Cfg.Validate(); err != nil {
@@ -172,59 +175,78 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 		return res, nil // odd trainer count: sit out, keep training
 	}
 
-	ranksPer := m.World.Size() / m.Cfg.NumTrainers
 	lin := m.Lineage()
 	netsLen := nn.NetworksSize(m.T.Model.ExchangeNets())
-	payloadLen := netsLen + len(lin)
-	verdict := make([]byte, 1+payloadLen)
-
+	// The master's verdict is a status byte, the two scores as float32
+	// bits, then the winning weights and lineage; one broadcast hands it
+	// to every replica (Figure 6b).
+	verdict := make([]byte, verdictHead+netsLen+len(lin))
+	var err error
 	if m.T.C.Rank() == 0 {
-		// Masters swap generator payloads across trainers (Figure 6b); the
-		// model's lineage bitset rides along after the weights.
-		tag := ltfbTagBase + round%(1<<10)
-		myBytes := append(nn.MarshalNetworks(m.T.Model.ExchangeNets()), lin...)
-		partnerMaster := partner * ranksPer
-		incoming := m.World.SendrecvBytes(partnerMaster, myBytes, partnerMaster, tag)
-		if len(incoming) != payloadLen {
-			return res, fmt.Errorf("ltfb: trainer %d got %d payload bytes, want %d", m.TrainerID, len(incoming), payloadLen)
-		}
-
-		// Judge the incoming generator against local context: the scratch
-		// model keeps our encoder and discriminator, adopts their
-		// generator.
-		copyAllWeights(m.Scratch, m.T.Model)
-		if err := nn.UnmarshalNetworks(m.Scratch.ExchangeNets(), incoming[:netsLen]); err != nil {
-			return res, fmt.Errorf("ltfb: trainer %d: %w", m.TrainerID, err)
-		}
-		res.LocalLoss = m.score(m.T.Model)
-		res.PeerLoss = m.score(m.Scratch)
-		if res.PeerLoss < res.LocalLoss {
-			verdict[0] = 1
-			copy(verdict[1:], incoming)
-		} else {
-			copy(verdict[1:], myBytes)
-		}
+		err = m.judge(round, partner, verdict)
 	}
-
-	// The verdict (and winning weights plus lineage) propagate to every
-	// replica.
 	m.T.C.BcastBytes(0, verdict)
-	adopted := verdict[0] == 1
-	res.Adopted = adopted
-	if adopted {
-		if err := nn.UnmarshalNetworks(m.T.Model.ExchangeNets(), verdict[1:1+netsLen]); err != nil {
+	if verdict[0] == verdictFailed {
+		if err == nil {
+			err = fmt.Errorf("ltfb: trainer %d: the exchange failed on its master", m.TrainerID)
+		}
+		return res, err
+	}
+	res.LocalLoss = float64(math.Float32frombits(binary.LittleEndian.Uint32(verdict[1:])))
+	res.PeerLoss = float64(math.Float32frombits(binary.LittleEndian.Uint32(verdict[5:])))
+	res.Adopted = verdict[0] == verdictAdopt
+	if res.Adopted {
+		weights := verdict[verdictHead:]
+		if err := nn.UnmarshalNetworks(m.T.Model.ExchangeNets(), weights[:netsLen]); err != nil {
 			return res, fmt.Errorf("ltfb: trainer %d adopt: %w", m.TrainerID, err)
 		}
 		// The adopted model has seen its previous silos; from now on it
 		// also trains here.
-		m.lineage.Merge(Lineage(verdict[1+netsLen:]))
+		m.lineage.Merge(Lineage(weights[netsLen:]))
 		m.lineage.Add(m.TrainerID)
 	}
-
-	// Non-master ranks learn the scores too, for uniform logging.
-	scores := []float32{float32(res.LocalLoss), float32(res.PeerLoss)}
-	m.T.C.Bcast(0, scores)
-	res.LocalLoss = float64(scores[0])
-	res.PeerLoss = float64(scores[1])
 	return res, nil
+}
+
+// The status byte that heads a verdict, and the verdict's head length.
+const (
+	verdictKeep = iota
+	verdictAdopt
+	verdictFailed
+	verdictHead = 1 + 2*4
+)
+
+// judge runs on a trainer's master: it swaps generator payloads with the
+// partner's master, scores both generators on the local tournament set and
+// writes the verdict. When the exchange fails it marks the verdict failed,
+// so that the replicas waiting for it return too, and reports why.
+func (m *Member) judge(round, partner int, verdict []byte) error {
+	verdict[0] = verdictFailed
+	// The model's lineage bitset rides along after the weights.
+	tag := ltfbTagBase + round%(1<<10)
+	myBytes := append(nn.MarshalNetworks(m.T.Model.ExchangeNets()), m.lineage...)
+	partnerMaster := partner * (m.World.Size() / m.Cfg.NumTrainers)
+	incoming := m.World.SendrecvBytes(partnerMaster, myBytes, partnerMaster, tag)
+	if len(incoming) != len(myBytes) {
+		return fmt.Errorf("ltfb: trainer %d got %d payload bytes, want %d", m.TrainerID, len(incoming), len(myBytes))
+	}
+
+	// Judge the incoming generator against local context: the scratch
+	// model keeps our encoder and discriminator, adopts their generator.
+	copyAllWeights(m.Scratch, m.T.Model)
+	netsLen := len(myBytes) - len(m.lineage)
+	if err := nn.UnmarshalNetworks(m.Scratch.ExchangeNets(), incoming[:netsLen]); err != nil {
+		return fmt.Errorf("ltfb: trainer %d: %w", m.TrainerID, err)
+	}
+	local, peer := m.score(m.T.Model), m.score(m.Scratch)
+	binary.LittleEndian.PutUint32(verdict[1:], math.Float32bits(float32(local)))
+	binary.LittleEndian.PutUint32(verdict[5:], math.Float32bits(float32(peer)))
+	if peer < local {
+		verdict[0] = verdictAdopt
+		copy(verdict[verdictHead:], incoming)
+	} else {
+		verdict[0] = verdictKeep
+		copy(verdict[verdictHead:], myBytes)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package ltfb
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/cyclegan"
@@ -257,6 +258,45 @@ func TestTournamentScoresVisibleOnAllRanks(t *testing.T) {
 	if results[0].LocalLoss != results[2].PeerLoss || results[2].LocalLoss != results[0].PeerLoss {
 		t.Fatalf("cross-trainer score mismatch: %+v vs %+v", results[0], results[2])
 	}
+}
+
+// TestFailedExchangeReleasesTheTrainer: when the partner's generator does
+// not fit, the master broadcasts a failed verdict, and every rank of both
+// trainers returns an error instead of waiting for weights that never come.
+func TestFailedExchangeReleasesTheTrainer(t *testing.T) {
+	cfg := Config{NumTrainers: 2, RoundSteps: 1, PairSeed: 2, Metric: MetricEval}
+	errs := make([]error, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buildPopulation(t, cfg, 2, nil, func(m *Member) {
+			if m.TrainerID == 1 {
+				// A wider generator, whose payload trainer 0 cannot take.
+				m.T.Model, m.Scratch = wideSurrogate(101), wideSurrogate(999)
+			}
+			_, errs[m.World.Rank()] = m.Tournament(0)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlock: a trainer's ranks still wait for the verdict after 30s")
+	}
+	for r, err := range errs {
+		if err == nil {
+			t.Errorf("rank %d: a failed exchange returned no error", r)
+		}
+	}
+}
+
+// wideSurrogate is tinySurrogate with a wider forward model.
+func wideSurrogate(seed int64) *cyclegan.Surrogate {
+	cfg := cyclegan.DefaultConfig(jag.Tiny8)
+	cfg.EncoderHidden = []int{24}
+	cfg.ForwardHidden = []int{20}
+	cfg.InverseHidden = []int{12}
+	cfg.DiscHidden = []int{12}
+	return cyclegan.New(cfg, seed)
 }
 
 func TestAdversarialMetricRuns(t *testing.T) {

@@ -3,9 +3,11 @@
 // OpenMP loops play inside LBANN/Hydrogen: splitting dense-math inner loops
 // across the hardware's execution units.
 //
-// The package deliberately has no configuration beyond GOMAXPROCS; kernels
-// call For with a grain size and the package decides whether running serially
-// is cheaper than scheduling goroutines. The one other thing it is told is how
+// The package deliberately has no configuration beyond GOMAXPROCS. Its
+// callers — the tensor kernels, and the ensemble workflow that simulates
+// whole bundle files or runs of samples at a time — call For with a grain
+// size, and the package decides whether running serially is cheaper than
+// scheduling goroutines. The one other thing it is told is how
 // many SPMD ranks share the process (AddRanks): each rank's loops get an equal
 // share of the Ps — OpenMP threads per MPI rank, as the paper ran — and when
 // the ranks already fill them, a rank's loop runs on the rank's own goroutine

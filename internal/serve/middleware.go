@@ -5,12 +5,17 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"runtime/debug"
+	"syscall"
 	"time"
 )
 
@@ -247,4 +252,34 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{msg})
+}
+
+// ServeUntilSignal serves h on ln until SIGINT or SIGTERM, then drains the
+// tier. Shutdown goes first: it stops accepting connections at once and
+// gives the in-flight handlers up to five seconds, and only then does
+// teardown stop what they use — jagserve's batching queues and workers,
+// jagproxy's prober. Tearing down first would 503 rows the drain window
+// could have served. It returns once teardown has, or Serve's error if
+// serving failed.
+func ServeUntilSignal(ln net.Listener, h http.Handler, teardown func()) error {
+	hs := &http.Server{Handler: h}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	drained := make(chan struct{})
+	go func() {
+		<-sig
+		log.Print("shutting down: draining in-flight requests")
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		// Shutdown's only error is the deadline expiring; the process
+		// exits either way, so there is nobody left to report it to.
+		_ = hs.Shutdown(ctx)
+		teardown()
+		close(drained)
+	}()
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	<-drained
+	return nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -65,15 +66,15 @@ func frameCols(rows [][]float32) (int, error) {
 	return cols, nil
 }
 
-// frameSize is the byte length of a rows x cols frame.
-func frameSize(rows, cols int) int { return frameHeader + 4*rows*cols }
-
 func putFrameHeader(dst []byte, rows, cols int) {
 	copy(dst, frameMagic)
 	binary.LittleEndian.PutUint32(dst[4:], frameVersion)
 	binary.LittleEndian.PutUint32(dst[8:], uint32(rows))
 	binary.LittleEndian.PutUint32(dst[12:], uint32(cols))
 }
+
+// frameSize is the byte length of a rows x cols frame.
+func frameSize(rows, cols int) int { return frameHeader + 4*rows*cols }
 
 // EncodeFrame renders a rectangular batch as one binary tensor frame.
 // All rows must share one width; a zero-row batch encodes as an empty
@@ -83,18 +84,15 @@ func EncodeFrame(rows [][]float32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, frameSize(len(rows), cols))
-	putFrameHeader(buf, len(rows), cols)
-	for i, r := range rows {
-		tensor.PutFloatsLE(buf[frameHeader+4*i*cols:], r)
-	}
-	return buf, nil
+	buf := bytes.NewBuffer(make([]byte, 0, frameSize(len(rows), cols)))
+	err = writeFrame(buf, rows, cols)
+	return buf.Bytes(), err
 }
 
-// writeFrame streams the frame EncodeFrame would build — rows of width
-// cols, already validated by frameCols — to w without a second copy of
-// every row: each row's own bytes on a little-endian host, one wireChunk of
-// converted scratch at a time on a big-endian one.
+// writeFrame streams the frame of rows of width cols, already validated by
+// frameCols, to w without a second copy of every row: each row's own bytes
+// on a little-endian host, one wireChunk of converted scratch at a time on a
+// big-endian one.
 func writeFrame(w io.Writer, rows [][]float32, cols int) error {
 	var scratch []byte
 	if tensor.NativeLE {

@@ -41,9 +41,10 @@ var wireSpecials = []uint32{
 
 // TestWireRoundTrip checks bitwise fidelity through encode/decode,
 // including NaN payloads (the transport must not canonicalize values —
-// validation is the serving layer's job): every payload word is the
-// float's bits in little-endian order, from EncodeFrame and from
-// writeFrame alike, and decodes back to the same bits.
+// validation is the serving layer's job): the header is the documented
+// 16 bytes and every payload word is the float's bits in little-endian
+// order, from EncodeFrame and from writeFrame alike, and decodes back to
+// the same bits.
 func TestWireRoundTrip(t *testing.T) {
 	rows := wireBatch(5, 9)
 	rows[2][3] = float32(math.NaN())
@@ -63,6 +64,9 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, frame := range map[string][]byte{"EncodeFrame": buf, "writeFrame": streamed.Bytes()} {
+		if want := "JGT1\x01\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00"; string(frame[:frameHeader]) != want {
+			t.Fatalf("%s: header % x, want % x", name, frame[:frameHeader], want)
+		}
 		for i := range rows {
 			for j, v := range rows[i] {
 				if w := binary.LittleEndian.Uint32(frame[frameHeader+4*(i*9+j):]); w != math.Float32bits(v) {
