@@ -15,11 +15,13 @@
 package bundle
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"repro/internal/tensor"
 )
 
 const (
@@ -47,55 +49,35 @@ func Write(path string, dim int, records [][]float32) (err error) {
 			err = fmt.Errorf("bundle: close: %w", cerr)
 		}
 	}()
-	w := &writer{f: f, dim: dim}
-	if err := w.writeHeader(len(records)); err != nil {
+	w := bufio.NewWriter(f)
+	h := make([]byte, 0, headerSize)
+	h = append(h, magic...)
+	h = binary.LittleEndian.AppendUint32(h, version)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(records)))
+	h = binary.LittleEndian.AppendUint32(h, uint32(dim))
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
+	scratch := floatScratch(dim)
 	for i, rec := range records {
 		if len(rec) != dim {
 			return fmt.Errorf("bundle: record %d has width %d, want %d", i, len(rec), dim)
 		}
-		if err := w.writeRecord(rec); err != nil {
+		if err := tensor.WriteFloatsLE(w, rec, scratch); err != nil {
 			return err
 		}
 	}
-	return w.flush()
+	return w.Flush()
 }
 
-type writer struct {
-	f   *os.File
-	dim int
-	buf []byte
-}
-
-func (w *writer) writeHeader(count int) error {
-	h := make([]byte, 0, headerSize)
-	h = append(h, magic...)
-	h = binary.LittleEndian.AppendUint32(h, version)
-	h = binary.LittleEndian.AppendUint32(h, uint32(count))
-	h = binary.LittleEndian.AppendUint32(h, uint32(w.dim))
-	_, err := w.f.Write(h)
-	return err
-}
-
-func (w *writer) writeRecord(rec []float32) error {
-	for _, v := range rec {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(v))
-	}
-	// Flush in chunks so huge bundles do not hold the whole file in memory.
-	if len(w.buf) >= 1<<20 {
-		return w.flush()
-	}
-	return nil
-}
-
-func (w *writer) flush() error {
-	if len(w.buf) == 0 {
+// floatScratch returns the scratch tensor.WriteFloatsLE and ReadFloatsLE
+// convert samples of width dim through: none on a little-endian host, whose
+// floats are already the file's bytes.
+func floatScratch(dim int) []byte {
+	if tensor.NativeLE {
 		return nil
 	}
-	_, err := w.f.Write(w.buf)
-	w.buf = w.buf[:0]
-	return err
+	return make([]byte, SampleBytes(dim))
 }
 
 // Reader provides random per-sample access to one bundle file. It is safe
@@ -158,32 +140,24 @@ func (r *Reader) SampleInto(i int, dst []float32) error {
 	if len(dst) != r.dim {
 		return fmt.Errorf("bundle: %s: dst width %d, want %d", r.path, len(dst), r.dim)
 	}
-	raw := make([]byte, 4*r.dim)
 	off := headerSize + int64(i)*SampleBytes(r.dim)
-	if _, err := r.f.ReadAt(raw, off); err != nil {
+	if err := tensor.ReadFloatsLE(io.NewSectionReader(r.f, off, SampleBytes(r.dim)), dst, floatScratch(r.dim)); err != nil {
 		return fmt.Errorf("bundle: %s: read sample %d: %w", r.path, i, err)
-	}
-	for j := range dst {
-		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
 	}
 	return nil
 }
 
-// ReadAll returns every sample in index order; this is the preload path,
-// which touches the file once sequentially.
+// ReadAll returns every sample in index order, as views of one block; this
+// is the preload path, which touches the file once sequentially.
 func (r *Reader) ReadAll() ([][]float32, error) {
-	raw := make([]byte, int64(r.count)*SampleBytes(r.dim))
-	if _, err := r.f.ReadAt(raw, headerSize); err != nil {
+	block := make([]float32, r.count*r.dim)
+	all := io.NewSectionReader(r.f, headerSize, int64(len(block))*4)
+	if err := tensor.ReadFloatsLE(all, block, floatScratch(r.dim)); err != nil {
 		return nil, fmt.Errorf("bundle: %s: read all: %w", r.path, err)
 	}
 	out := make([][]float32, r.count)
 	for i := range out {
-		rec := make([]float32, r.dim)
-		base := i * 4 * r.dim
-		for j := range rec {
-			rec[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[base+4*j:]))
-		}
-		out[i] = rec
+		out[i] = block[i*r.dim : (i+1)*r.dim : (i+1)*r.dim]
 	}
 	return out, nil
 }

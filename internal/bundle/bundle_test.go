@@ -1,12 +1,16 @@
 package bundle
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor"
 )
 
 func makeRecords(rng *rand.Rand, count, dim int) [][]float32 {
@@ -72,6 +76,49 @@ func TestReadAllMatchesPerSample(t *testing.T) {
 			if all[i][j] != recs[i][j] {
 				t.Fatalf("ReadAll sample %d differs", i)
 			}
+		}
+	}
+}
+
+// TestRoundTripEitherByteOrder: with tensor.NativeLE flipped, Write takes
+// the big-endian hosts' conversion path and must write the same bytes as the
+// native path, and SampleInto and ReadAll must read them back exactly.
+func TestRoundTripEitherByteOrder(t *testing.T) {
+	dir := t.TempDir()
+	recs := makeRecords(rand.New(rand.NewSource(3)), 23, 9)
+	write := func(name string) []byte {
+		path := filepath.Join(dir, name)
+		if err := Write(path, 9, recs); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	native := write("native.jagb")
+	tensor.NativeLE = !tensor.NativeLE
+	defer func() { tensor.NativeLE = !tensor.NativeLE }()
+	if flipped := write("flipped.jagb"); !bytes.Equal(flipped, native) {
+		t.Fatal("the conversion path wrote other bytes than the native one")
+	}
+	r, err := Open(filepath.Join(dir, "native.jagb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	all, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float32, 9)
+	for i, rec := range recs {
+		if err := r.SampleInto(i, got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, rec) || !slices.Equal(all[i], rec) {
+			t.Fatalf("sample %d read back as %v and %v, want %v", i, got, all[i], rec)
 		}
 	}
 }

@@ -17,6 +17,11 @@
 //     exchanges (the LTFB generator swap) cannot deadlock.
 //   - Collectives must be called by every rank of a communicator in the same
 //     order, exactly like MPI.
+//   - A failing rank ends its world, as under MPI's default error handler:
+//     a rank that cannot go on calls Abort (or panics), and every rank
+//     waiting on it, or blocking later, is released by a panic that
+//     World.Run turns back into the first failure. No protocol needs an
+//     escape of its own for a peer that will never speak.
 //
 // Allreduce uses the ring algorithm (reduce-scatter + allgather), the same
 // family NCCL/Aluminum use on NVLink/InfiniBand; a naive gather+broadcast
@@ -86,8 +91,8 @@ func (m *mailbox) abort() {
 }
 
 // aborted is what a rank blocked in a receive or a rendezvous panics with
-// after another rank of its World has panicked: that rank will never send,
-// and World.Run reports its panic, not this one.
+// after another rank of its World has panicked or aborted: that rank will
+// never send, and World.Run reports its failure, not this one.
 type aborted struct{}
 
 // World is the set of all ranks in a run — the analogue of MPI_COMM_WORLD's
@@ -98,9 +103,10 @@ type World struct {
 
 	mu     sync.Mutex
 	coords map[string]*coord // one per communicator, shared by its rank handles
-	failed bool              // a rank panicked in Run: every blocking call now panics
-	rank   int               // the first rank that did, and what it panicked with
-	cause  any
+	failed bool              // a rank panicked or aborted: every blocking call now panics
+	rank   int               // the first rank that did,
+	cause  any               // what it panicked with,
+	err    error             // or the error it aborted with
 }
 
 // NewWorld creates a world with n ranks. It panics if n < 1.
@@ -129,9 +135,10 @@ func (w *World) coordFor(key string, size int) *coord {
 	return c
 }
 
-// abort records the first panic of a rank and wakes every rank blocked on a
-// message or a rendezvous, which then panics with aborted in its turn.
-func (w *World) abort(rank int, cause any) {
+// abort records the first failure of a rank, a panic's cause or an
+// Abort's err, and wakes every rank blocked on a message or a rendezvous,
+// which then panics with aborted in its turn.
+func (w *World) abort(rank int, cause any, err error) {
 	if _, secondary := cause.(aborted); secondary {
 		return
 	}
@@ -140,7 +147,7 @@ func (w *World) abort(rank int, cause any) {
 	if w.failed {
 		return
 	}
-	w.failed, w.rank, w.cause = true, rank, cause
+	w.failed, w.rank, w.cause, w.err = true, rank, cause, err
 	for _, m := range w.mailboxes {
 		m.abort()
 	}
@@ -164,11 +171,12 @@ func (w *World) Comm(r int) *Comm {
 
 // Run spawns fn on one goroutine per rank, passing each its world
 // communicator, and blocks until all return. For that long the ranks count
-// as sharing the process's cores (parallel.AddRanks). A panic in any rank
-// aborts the world — ranks blocked waiting for it panic too instead of
-// waiting for ever — and the first one is re-raised in the caller with the
-// rank attached, so tests fail loudly instead of deadlocking.
-func (w *World) Run(fn func(c *Comm)) {
+// as sharing the process's cores (parallel.AddRanks). A rank that calls
+// Abort, or panics, ends the world: ranks blocked waiting for it, and ranks
+// that block later, panic with aborted instead of waiting for ever. Run
+// then returns the error of the first rank that aborted, or re-raises the
+// first panic in the caller with the rank attached.
+func (w *World) Run(fn func(c *Comm)) error {
 	parallel.AddRanks(w.size)
 	defer parallel.AddRanks(-w.size)
 	var wg sync.WaitGroup
@@ -178,16 +186,17 @@ func (w *World) Run(fn func(c *Comm)) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					w.abort(rank, p)
+					w.abort(rank, p, nil)
 				}
 			}()
 			fn(w.Comm(rank))
 		}(r)
 	}
 	wg.Wait()
-	if w.failed {
+	if w.failed && w.err == nil {
 		panic(fmt.Sprintf("comm: rank %d panicked: %v", w.rank, w.cause))
 	}
+	return w.err
 }
 
 // Comm is one rank's handle on a communicator: a subset of world ranks with
@@ -203,6 +212,13 @@ type Comm struct {
 	// last allreduce; the next one sends in it (see AllreduceSum).
 	spare []float32
 }
+
+// Abort ends the world the calling rank belongs to, as MPI_Abort does:
+// every rank blocked in a receive or a rendezvous, and every rank that
+// blocks later, panics with aborted, and World.Run returns err, the first
+// aborting rank's if several abort. err must not be nil. The caller
+// returns from its rank after Abort; a world cannot be resumed.
+func (c *Comm) Abort(err error) { c.world.abort(c.group[c.rank], nil, err) }
 
 // Rank returns the caller's rank within this communicator.
 func (c *Comm) Rank() int { return c.rank }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -449,6 +450,48 @@ func TestPanickingRankAbortsItsPeers(t *testing.T) {
 				t.Fatal("Run hangs: the panicking rank's peers were not woken")
 			}
 		})
+	}
+}
+
+// TestAbortEndsTheWorld: a rank that cannot go on calls Abort and returns;
+// its peers, waiting for it in a receive, a barrier or an allgather, are
+// released, and Run returns the aborting rank's error (not a panic) in good
+// time, with the ranks' share of the cores given back.
+func TestAbortEndsTheWorld(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	errFull := errors.New("rank two's disk is full")
+	got := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		got <- NewWorld(4).Run(func(c *Comm) {
+			c.AllreduceSum(make([]float32, 8)) // the world works before the fault
+			switch c.Rank() {
+			case 0:
+				c.Recv(2, 7)
+			case 1:
+				c.Barrier()
+			case 2:
+				c.Abort(errFull)
+				return
+			case 3:
+				c.AllgatherFloat64(1) // meets rank 1's barrier; neither completes without rank 2
+			}
+			t.Errorf("rank %d went on past a rank that aborted", c.Rank())
+		})
+	}()
+	select {
+	case err := <-got:
+		if err != errFull {
+			t.Fatalf("Run returned %v, want rank 2's error", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Run took %v to return the abort", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hangs: the aborting rank's peers were not woken")
+	}
+	if got := parallel.Workers(); got != 2 {
+		t.Fatalf("Workers() = %d after an aborted world returned, want GOMAXPROCS = 2", got)
 	}
 }
 

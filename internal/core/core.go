@@ -162,13 +162,19 @@ func datasetFor(c QualityConfig) (train, val *reader.SliceDataset, tx, ty *tenso
 	if err != nil {
 		return
 	}
-	tourn := ensemble.GenerateInMemory(c.Geometry, c.TrainSamples+c.ValSamples, c.TournSamples)
-	tx = tensor.New(c.TournSamples, jag.InputDim)
-	ty = tensor.New(c.TournSamples, c.Geometry.OutputDim())
-	for i, rec := range tourn {
-		reader.SplitRow(rec, i, tx, ty)
-	}
+	tx, ty = planPair(c.Geometry, c.TrainSamples+c.ValSamples, c.TournSamples)
 	return
+}
+
+// planPair materializes plan samples offset..offset+n as (x, y) matrices:
+// inputs and outputs, split as reader.SplitRow splits them.
+func planPair(g jag.Config, offset, n int) (x, y *tensor.Matrix) {
+	x = tensor.New(n, jag.InputDim)
+	y = tensor.New(n, g.OutputDim())
+	for i, rec := range ensemble.GenerateInMemory(g, offset, n) {
+		reader.SplitRow(rec, i, x, y)
+	}
+	return x, y
 }
 
 // partitionIdx returns trainer k's sample indices under the scheme.
@@ -197,16 +203,17 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 	for r := range res.RoundLosses {
 		res.RoundLosses[r] = make([]float64, c.Trainers)
 	}
-	errs := make([]error, worldSize)
 	adoptions := make([]int, c.Trainers)
 	models := make([]*cyclegan.Surrogate, c.Trainers)
 
-	w.Run(func(wc *comm.Comm) {
+	// A rank that fails aborts the world, so no other rank waits for it in
+	// a collective, and Run returns the first failure.
+	err = w.Run(func(wc *comm.Comm) {
 		trainerID := wc.Rank() / c.RanksPerTrainer
 		tc := wc.Split(trainerID, 0)
 		sub, err := reader.NewSubset(train, partitionIdx(c, trainerID))
 		if err != nil {
-			errs[wc.Rank()] = err
+			wc.Abort(err)
 			return
 		}
 		store := datastore.New(tc, sub, datastore.ModeDynamic)
@@ -223,7 +230,7 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 			ShuffleSeed: c.Seed + int64(trainerID),
 		}, tc, model, store, sub)
 		if err != nil {
-			errs[wc.Rank()] = err
+			wc.Abort(err)
 			return
 		}
 
@@ -244,13 +251,13 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 
 		for round := 0; round < c.Rounds; round++ {
 			if err := tr.Advance(c.RoundSteps); err != nil {
-				errs[wc.Rank()] = err
+				wc.Abort(err)
 				return
 			}
 			if c.LTFB && c.Trainers > 1 {
 				r, err := member.Tournament(round)
 				if err != nil {
-					errs[wc.Rank()] = err
+					wc.Abort(err)
 					return
 				}
 				if r.Adopted && tc.Rank() == 0 {
@@ -259,7 +266,7 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 			}
 			loss, err := tr.Evaluate(val, c.BatchSize)
 			if err != nil {
-				errs[wc.Rank()] = err
+				wc.Abort(err)
 				return
 			}
 			all := wc.AllgatherFloat64(loss)
@@ -269,8 +276,8 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 			// Every rank sees every loss, so all of them stop together.
 			for i, l := range all {
 				if first := i - i%c.RanksPerTrainer; math.Float64bits(l) != math.Float64bits(all[first]) {
-					errs[wc.Rank()] = fmt.Errorf("core: round %d: world rank %d evaluates to %v, its trainer's first rank to %v",
-						round, i, l, all[first])
+					wc.Abort(fmt.Errorf("core: round %d: world rank %d evaluates to %v, its trainer's first rank to %v",
+						round, i, l, all[first]))
 					return
 				}
 			}
@@ -281,10 +288,8 @@ func RunPopulation(c QualityConfig) (*QualityResult, error) {
 			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	for _, a := range adoptions {
 		res.Adoptions += a

@@ -3,13 +3,19 @@ package core
 import (
 	"hash/fnv"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/bundle"
 	"repro/internal/cyclegan"
+	"repro/internal/datastore"
+	"repro/internal/ensemble"
 	"repro/internal/jag"
 	"repro/internal/nn"
+	"repro/internal/reader"
 )
 
 func fastConfig(trainers int) QualityConfig {
@@ -271,6 +277,38 @@ func TestDataStoreDemo(t *testing.T) {
 		if !strings.Contains(out, mode) {
 			t.Fatalf("missing mode %s:\n%s", mode, out)
 		}
+	}
+}
+
+// TestStoreEpochsEndOnAFailedPreload: a bundle cut short after it was opened
+// makes its owner's Preload fail. The owner aborts the world, so the other
+// rank, waiting in Fetch for the samples the owner holds, is released and
+// runStoreEpochs returns the read error instead of waiting for ever.
+func TestStoreEpochsEndOnAFailedPreload(t *testing.T) {
+	res, err := ensemble.Run(ensemble.Config{Geometry: jag.Tiny8, Samples: 64, SamplesPerFile: 16, OutDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := reader.OpenBundles(res.Paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := os.Truncate(res.Paths[1], bundle.FileBytes(16, jag.Tiny8.SampleDim())/2); err != nil { // rank 1's file
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := runStoreEpochs(ds, datastore.ModePreload, 2, 6, 8)
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err == nil || !strings.Contains(err.Error(), res.Paths[1]) {
+			t.Fatalf("runStoreEpochs returned %v, want the truncated bundle's read error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: a rank still waits on the rank whose preload failed")
 	}
 }
 

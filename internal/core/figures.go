@@ -53,18 +53,9 @@ func TrainSurrogate(cfg cyclegan.Config, trainN, steps, batch int, seed int64) (
 	return model, nil
 }
 
-// validationPair materializes n held-out (x, y) matrices past the training
-// region of the plan.
-func validationPair(g jag.Config, trainN, n int) (x, y *tensor.Matrix) {
-	x = tensor.New(n, jag.InputDim)
-	y = tensor.New(n, g.OutputDim())
-	for i := 0; i < n; i++ {
-		s := jag.SimulateAt(g, trainN+1000+i)
-		copy(x.Row(i), s.X)
-		copy(y.Row(i), s.Output())
-	}
-	return
-}
+// figureValOffset is where Figures 7 and 8 draw their validation samples
+// in the plan: 1000 past a 4096-sample training region.
+const figureValOffset = 4096 + 1000
 
 // Figure7 reproduces the predicted-vs-true 15-D scalar comparison: a table
 // of per-scalar MAE and Pearson correlation over validation samples (the
@@ -72,7 +63,7 @@ func validationPair(g jag.Config, trainN, n int) (x, y *tensor.Matrix) {
 // equivalent of "ground truth mostly covered by the prediction").
 func Figure7(model *cyclegan.Surrogate, valN int) *metrics.Table {
 	g := model.Cfg.Geometry
-	x, y := validationPair(g, 4096, valN)
+	x, y := planPair(g, figureValOffset, valN)
 	pred := model.Predict(x)
 	tab := metrics.NewTable("Figure 7 — predicted vs true scalars", "scalar", "mae", "pearson")
 	for sIdx := 0; sIdx < jag.ScalarDim; sIdx++ {
@@ -92,7 +83,7 @@ func Figure7(model *cyclegan.Surrogate, valN int) *metrics.Table {
 // samples, the quantitative form of the paper's side-by-side captures.
 func Figure8(model *cyclegan.Surrogate, valN int) *metrics.Table {
 	g := model.Cfg.Geometry
-	x, y := validationPair(g, 4096, valN)
+	x, y := planPair(g, figureValOffset, valN)
 	pred := model.Predict(x)
 	px := g.ImageSize * g.ImageSize
 	tab := metrics.NewTable("Figure 8 — predicted vs true images", "view", "channel", "mae", "pearson")
@@ -295,13 +286,12 @@ func DataStoreDemo(dir string, files, perFile, ranks, steps, batch int) (*metric
 func runStoreEpochs(ds reader.Dataset, mode datastore.Mode, ranks, steps, batch int) (datastore.Stats, error) {
 	w := comm.NewWorld(ranks)
 	stores := make([]*datastore.Store, ranks)
-	errs := make([]error, ranks)
-	w.Run(func(c *comm.Comm) {
+	err := w.Run(func(c *comm.Comm) {
 		s := datastore.New(c, ds, mode)
 		stores[c.Rank()] = s
 		if mode == datastore.ModePreload {
 			if err := s.Preload(); err != nil {
-				errs[c.Rank()] = err
+				c.Abort(err)
 				return
 			}
 		}
@@ -316,7 +306,7 @@ func runStoreEpochs(ds reader.Dataset, mode datastore.Mode, ranks, steps, batch 
 					break
 				}
 				if err := s.Fetch(b, x, y); err != nil {
-					errs[c.Rank()] = err
+					c.Abort(err)
 					return
 				}
 				step++
@@ -324,10 +314,10 @@ func runStoreEpochs(ds reader.Dataset, mode datastore.Mode, ranks, steps, batch 
 		}
 	})
 	var total datastore.Stats
-	for r, s := range stores {
-		if errs[r] != nil {
-			return total, errs[r]
-		}
+	if err != nil {
+		return total, err
+	}
+	for _, s := range stores {
 		st := s.Stats()
 		total.BackingReads += st.BackingReads
 		total.RemoteSamples += st.RemoteSamples

@@ -162,7 +162,9 @@ func copyAllWeights(dst, src trainer.Model) {
 // Tournament runs one round. Collective: every rank of every trainer must
 // call it with the same round number. It returns this trainer's result, or
 // an error: before any exchange when the configuration is invalid, and on
-// every rank of the trainer when its master's exchange failed.
+// the master when its exchange failed. A failed exchange aborts the world
+// (comm.Comm.Abort), so no rank waits for a verdict or a peer that will
+// never come, and comm.World.Run returns the master's error.
 func (m *Member) Tournament(round int) (RoundResult, error) {
 	res := RoundResult{Round: round, Partner: -1}
 	if err := m.Cfg.Validate(); err != nil {
@@ -181,17 +183,13 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 	// bits, then the winning weights and lineage; one broadcast hands it
 	// to every replica (Figure 6b).
 	verdict := make([]byte, verdictHead+netsLen+len(lin))
-	var err error
 	if m.T.C.Rank() == 0 {
-		err = m.judge(round, partner, verdict)
+		if err := m.judge(round, partner, verdict); err != nil {
+			m.World.Abort(err)
+			return res, err
+		}
 	}
 	m.T.C.BcastBytes(0, verdict)
-	if verdict[0] == verdictFailed {
-		if err == nil {
-			err = fmt.Errorf("ltfb: trainer %d: the exchange failed on its master", m.TrainerID)
-		}
-		return res, err
-	}
 	res.LocalLoss = float64(math.Float32frombits(binary.LittleEndian.Uint32(verdict[1:])))
 	res.PeerLoss = float64(math.Float32frombits(binary.LittleEndian.Uint32(verdict[5:])))
 	res.Adopted = verdict[0] == verdictAdopt
@@ -212,16 +210,13 @@ func (m *Member) Tournament(round int) (RoundResult, error) {
 const (
 	verdictKeep = iota
 	verdictAdopt
-	verdictFailed
 	verdictHead = 1 + 2*4
 )
 
 // judge runs on a trainer's master: it swaps generator payloads with the
 // partner's master, scores both generators on the local tournament set and
-// writes the verdict. When the exchange fails it marks the verdict failed,
-// so that the replicas waiting for it return too, and reports why.
+// writes the verdict, or reports why the exchange failed.
 func (m *Member) judge(round, partner int, verdict []byte) error {
-	verdict[0] = verdictFailed
 	// The model's lineage bitset rides along after the weights.
 	tag := ltfbTagBase + round%(1<<10)
 	myBytes := append(nn.MarshalNetworks(m.T.Model.ExchangeNets()), m.lineage...)

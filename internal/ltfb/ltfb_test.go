@@ -1,6 +1,8 @@
 package ltfb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,14 +142,24 @@ func tournamentSet(t testing.TB, start, n int) (x, y *tensor.Matrix) {
 }
 
 // buildPopulation builds numTrainers trainers of ranksPer ranks each inside
-// one world and runs fn on every rank's member.
+// one world and runs fn on every rank's member; a failed world fails the
+// test.
 func buildPopulation(t *testing.T, cfg Config, ranksPer int, preSteps []int, fn func(m *Member)) []*Member {
 	t.Helper()
+	members, err := runMembers(t, cfg, ranksPer, preSteps, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return members
+}
+
+// runMembers is buildPopulation returning what the world's Run returned.
+func runMembers(t *testing.T, cfg Config, ranksPer int, preSteps []int, fn func(m *Member)) ([]*Member, error) {
 	worldSize := cfg.NumTrainers * ranksPer
 	w := comm.NewWorld(worldSize)
 	members := make([]*Member, worldSize)
 	tx, ty := tournamentSet(t, 5000, 16)
-	w.Run(func(wc *comm.Comm) {
+	err := w.Run(func(wc *comm.Comm) {
 		trainerID := wc.Rank() / ranksPer
 		tc := wc.Split(trainerID, 0)
 		ds := jagDataset(t, trainerID*512, 64)
@@ -157,7 +169,7 @@ func buildPopulation(t *testing.T, cfg Config, ranksPer int, preSteps []int, fn 
 			ID: trainerID, BatchSize: 16, XDim: jag.InputDim, ShuffleSeed: int64(trainerID),
 		}, tc, model, store, ds)
 		if err != nil {
-			t.Error(err)
+			wc.Abort(err)
 			return
 		}
 		m := &Member{
@@ -172,13 +184,13 @@ func buildPopulation(t *testing.T, cfg Config, ranksPer int, preSteps []int, fn 
 		members[wc.Rank()] = m
 		if preSteps != nil && preSteps[trainerID] > 0 {
 			if err := tr.Advance(preSteps[trainerID]); err != nil {
-				t.Error(err)
+				wc.Abort(err)
 				return
 			}
 		}
 		fn(m)
 	})
-	return members
+	return members, err
 }
 
 // playRounds alternates RoundSteps of training with a tournament for the
@@ -261,31 +273,39 @@ func TestTournamentScoresVisibleOnAllRanks(t *testing.T) {
 }
 
 // TestFailedExchangeReleasesTheTrainer: when the partner's generator does
-// not fit, the master broadcasts a failed verdict, and every rank of both
-// trainers returns an error instead of waiting for weights that never come.
+// not fit, the masters' exchange fails and aborts the world. Every rank is
+// released — the failed trainers' replicas waiting for the verdict (2 × 2)
+// and the other pair's ranks waiting in a world collective after the
+// tournament (4 × 1) — and Run returns the exchange's error.
 func TestFailedExchangeReleasesTheTrainer(t *testing.T) {
-	cfg := Config{NumTrainers: 2, RoundSteps: 1, PairSeed: 2, Metric: MetricEval}
-	errs := make([]error, 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buildPopulation(t, cfg, 2, nil, func(m *Member) {
-			if m.TrainerID == 1 {
-				// A wider generator, whose payload trainer 0 cannot take.
-				m.T.Model, m.Scratch = wideSurrogate(101), wideSurrogate(999)
+	for _, shape := range []struct{ trainers, ranksPer int }{{2, 2}, {4, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", shape.trainers, shape.ranksPer), func(t *testing.T) {
+			cfg := Config{NumTrainers: shape.trainers, RoundSteps: 1, PairSeed: 2, Metric: MetricEval}
+			got := make(chan error, 1)
+			go func() {
+				_, err := runMembers(t, cfg, shape.ranksPer, nil, func(m *Member) {
+					if m.TrainerID == 1 {
+						// A wider generator, whose payload its partner cannot take.
+						m.T.Model, m.Scratch = wideSurrogate(101), wideSurrogate(999)
+					}
+					res, err := m.Tournament(0)
+					if err != nil {
+						return
+					}
+					m.World.AllgatherFloat64(res.LocalLoss)
+					t.Errorf("rank %d went on past a failed exchange", m.World.Rank())
+				})
+				got <- err
+			}()
+			select {
+			case err := <-got:
+				if err == nil || !strings.Contains(err.Error(), "payload bytes") {
+					t.Fatalf("Run returned %v, want the failed exchange's error", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("deadlock: ranks still wait on the failed trainers after 30s")
 			}
-			_, errs[m.World.Rank()] = m.Tournament(0)
 		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: a trainer's ranks still wait for the verdict after 30s")
-	}
-	for r, err := range errs {
-		if err == nil {
-			t.Errorf("rank %d: a failed exchange returned no error", r)
-		}
 	}
 }
 
